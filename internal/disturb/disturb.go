@@ -190,7 +190,7 @@ func (m *Model) buildBank(b int) *bankVictims {
 			thr *= m.params.CellSpread
 		}
 		sort.Slice(cells, func(i, j int) bool { return cells[i].sysCol < cells[j].sysCol })
-		pops = append(pops, rowPop{sysRow: m.sysRowOfPhys(b, pr), cells: cells})
+		pops = append(pops, rowPop{sysRow: m.fm.SysRowOfPhys(b, pr), cells: cells})
 	}
 	sort.Slice(pops, func(i, j int) bool { return pops[i].sysRow < pops[j].sysRow })
 
@@ -222,19 +222,6 @@ func (m *Model) buildBank(b int) *bankVictims {
 		bv.offsets[next] = int32(len(bv.cells))
 	}
 	return bv
-}
-
-// sysRowOfPhys inverts the retention model's row permutation for one
-// physical row (the accessor exposes the forward direction).
-func (m *Model) sysRowOfPhys(bank, physRow int) int {
-	// PhysRowOfSys is a bijection per bank; invert by direct walk once
-	// at build time (queries never take this path).
-	for r := 0; r < m.geom.RowsPerBank; r++ {
-		if m.fm.PhysRowOfSys(bank, r) == physRow {
-			return r
-		}
-	}
-	panic("disturb: physical row outside permutation")
 }
 
 // Model implements faults.Mechanism: failures depend on the window's

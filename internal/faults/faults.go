@@ -28,11 +28,19 @@
 // paper's observations: failures are content-dependent (Fig. 3), only a
 // subset of all-pattern failures occur with program content (Fig. 4),
 // and failure counts grow with the refresh interval.
+//
+// # Representation
+//
+// NewModel compiles each bank's weak cells once, into a bit-parallel
+// index grouped by 64-bit word of the system row (see bankFaults).
+// Every query — FailingCells, RowCanFail, AffectedNeighborRows and
+// VRTModel.FailingCellsVRT — reads that one index.
 package faults
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -120,57 +128,15 @@ func (p Params) Validate() error {
 }
 
 // weakCell holds the silicon attributes of one weak cell at a physical
-// location. It is the sampling-time representation; query paths run on
-// the precomputed flatCell kernel instead.
+// location. It is the sampling-time representation; NewModel compiles
+// every mapped weak cell into the packed kernel (packedCell) and keeps
+// no weakCell afterwards.
 type weakCell struct {
 	physRow, physCol int
 	baseRetention    dram.Nanoseconds
 	// w[0..3]: coupling weights for left, right, up, down neighbours;
 	// they sum to 1.
 	w [4]float64
-}
-
-// neighborRef is one precomputed neighbour of a weak cell: everything
-// the stress evaluation needs to read the neighbour's current bit and
-// decide whether it aggresses, resolved once at model build time.
-type neighborRef struct {
-	// w is the coupling weight the neighbour contributes when
-	// discharged.
-	w float64
-	// rowIdx is the flat module row index (Geometry.RowIndex order) of
-	// the system row holding the neighbour, or -1 when the neighbour's
-	// physical column has no mapped system column (its stored bit is
-	// constant 0).
-	rowIdx int32
-	// col is the neighbour's system column (valid when rowIdx >= 0).
-	col int32
-	// chargedBit is the logical bit value that stores charge at the
-	// neighbour's physical row (1 for true cells, 0 for anti cells).
-	chargedBit uint8
-}
-
-// flatCell is one weak cell with every address resolution and
-// pattern-independent quantity precomputed, so the per-query work is a
-// handful of packed-word bit reads and one float compare.
-type flatCell struct {
-	baseRetention dram.Nanoseconds
-	// worstRetention is the effective retention under the worst
-	// achievable stress (every existing neighbour aggressing) — the
-	// pattern-independent bound RowCanFail tests against, and a cheap
-	// per-cell reject for FailingCells (content stress never exceeds
-	// the worst case, so idle <= worstRetention means "cannot fail").
-	worstRetention   dram.Nanoseconds
-	physRow, physCol int32
-	// sysCol is the cell's mapped system column (cells on unmapped
-	// physical columns store no data and are excluded from the kernel).
-	sysCol int32
-	// chargedBit is the logical bit value that charges this cell.
-	chargedBit uint8
-	// nbCount is the number of valid entries in nb.
-	nbCount uint8
-	// nb lists the in-array neighbours in the fixed left, right, up,
-	// down evaluation order (out-of-array neighbours are dropped).
-	nb [4]neighborRef
 }
 
 // Model is the failure model for one chip. It is deterministic in
@@ -183,7 +149,7 @@ type Model struct {
 	seed   uint64
 	params Params
 
-	// banks holds the flat per-bank fault kernels.
+	// banks holds the packed per-bank fault kernels.
 	banks []*bankFaults
 	// sysRowOfPhys is the inverse row permutation per bank.
 	sysRowOfPhys [][]int
@@ -193,12 +159,11 @@ type Model struct {
 	sysColOfPhys []int
 }
 
-// bankFaults is one bank's weak-cell population in CSR form: the
-// mapped weak cells of physical row pr are cells[offsets[pr]:offsets[pr+1]],
-// sorted by physical column.
+// bankFaults is one bank's weak-cell population, held once, in the
+// bit-parallel kernel's layout: the mapped weak cells grouped by the
+// 64-bit word of their SYSTEM column, so one AND/XOR pass over a row
+// word classifies 64 candidate cells at once.
 type bankFaults struct {
-	offsets []int32
-	cells   []flatCell
 	// minWorstBySysRow[r] is the minimum worstRetention over the mapped
 	// weak cells of the physical row SYSTEM row r maps to (neverFails
 	// when that row has none). Indexing by system row makes RowCanFail a
@@ -215,15 +180,13 @@ type bankFaults struct {
 	// unmapped physical columns that never store data.
 	count int
 
-	// Bit-parallel kernel: the same mapped cells regrouped by the
-	// 64-bit word of their SYSTEM column, so one AND/XOR pass over a
-	// row word classifies 64 candidate cells at once. The groups of
-	// SYSTEM row r are groups[groupOff[r]:groupOff[r+1]], and a
-	// group's cells are packed[cellBase:cellBase+popcount(mask)] in
-	// ascending system-column (= bit) order. Indexing by system row —
-	// the order full-array scans visit rows — lays groups and packed
-	// cells out as one forward stream, so the scan's index loads ride
-	// the hardware prefetcher instead of chasing the row permutation.
+	// The groups of SYSTEM row r are groups[groupOff[r]:groupOff[r+1]],
+	// in ascending word order, and a group's cells are
+	// packed[cellBase:cellBase+popcount(mask)] in ascending
+	// system-column (= bit) order. Indexing by system row — the order
+	// full-array scans visit rows — lays groups and packed cells out as
+	// one forward stream, so the scan's index loads ride the hardware
+	// prefetcher instead of chasing the row permutation.
 	groupOff []int32
 	groups   []wordGroup
 	packed   []packedCell
@@ -270,7 +233,12 @@ type wordGroup struct {
 // straight from the adjacent rows' words (they share the victim's
 // column because the column swizzle is row-independent).
 type packedCell struct {
-	baseRetention  dram.Nanoseconds
+	baseRetention dram.Nanoseconds
+	// worstRetention is the effective retention under the worst
+	// achievable stress (every existing neighbour aggressing) — the
+	// pattern-independent bound RowCanFail tests against, and a cheap
+	// per-cell reject for FailingCells (content stress never exceeds
+	// the worst case, so idle <= worstRetention means "cannot fail").
 	worstRetention dram.Nanoseconds
 	// wL/wR/wU/wD are the left/right/up/down coupling weights (0 when
 	// the neighbour is outside the array).
@@ -284,9 +252,6 @@ type packedCell struct {
 	lCol, rCol int32
 	// sysCol is the cell's own system column.
 	sysCol int32
-	// rank is the cell's index within its row's CSR span (physical
-	// column order), used to restore the kernel's output order.
-	rank int32
 }
 
 // NewModel builds a failure model over the given geometry. The scrambler
@@ -341,19 +306,19 @@ func (m *Model) buildRowMaps(b int) {
 }
 
 // buildBank samples the weak-cell population of a bank and compiles it
-// into the flat CSR kernel. The population is sampled without per-cell
+// into the packed kernel. The population is sampled without per-cell
 // hashing: the expected number of weak cells is drawn and distinct
 // positions are placed uniformly, all from a deterministic per-bank RNG
 // (the exact sampling sequence of the original map-based model, so
 // populations are identical seed-for-seed).
 func (m *Model) buildBank(b int) *bankFaults {
 	rng := rand.New(rand.NewSource(int64(m.seed ^ uint64(b)*0x9e3779b97f4a7c15)))
-	cells := m.geom.RowsPerBank * m.geom.PhysCols()
-	n := int(math.Round(float64(cells) * m.params.WeakCellFraction))
+	sites := m.geom.RowsPerBank * m.geom.PhysCols()
+	n := int(math.Round(float64(sites) * m.params.WeakCellFraction))
 	raw := make([]weakCell, 0, n)
 	seen := make(map[int]bool, n)
 	for len(seen) < n {
-		pos := rng.Intn(cells)
+		pos := rng.Intn(sites)
 		if seen[pos] {
 			continue
 		}
@@ -369,62 +334,34 @@ func (m *Model) buildBank(b int) *bankFaults {
 		return raw[i].physCol < raw[j].physCol
 	})
 
+	// Drop cells on unmapped physical columns (no data is stored there)
+	// and span the rest by physical row: the mapped cells of physical
+	// row pr are seeds[rowStart[pr]:rowStart[pr+1]]. The span exists
+	// only while the packed kernel is compiled.
 	rows := m.geom.RowsPerBank
+	seeds := raw[:0]
+	rowStart := make([]int32, rows+1)
+	for _, wc := range raw {
+		if m.sysColOfPhys[wc.physCol] >= 0 {
+			seeds = append(seeds, wc)
+			rowStart[wc.physRow+1]++
+		}
+	}
+	for pr := 0; pr < rows; pr++ {
+		rowStart[pr+1] += rowStart[pr]
+	}
+
+	// Emit rows in ascending SYSTEM row order (see the groupOff field
+	// comment) by walking the row permutation here, once. Per row, the
+	// cells are re-sorted by system column and split into one wordGroup
+	// per 64-bit row word.
 	bf := &bankFaults{
-		offsets:          make([]int32, rows+1),
 		minWorstBySysRow: make([]dram.Nanoseconds, rows),
 		count:            n,
+		groupOff:         make([]int32, rows+1),
+		packed:           make([]packedCell, 0, len(seeds)),
+		neigh:            make([]rowNeigh, rows),
 	}
-	minByPhysRow := make([]dram.Nanoseconds, rows)
-	for pr := range minByPhysRow {
-		minByPhysRow[pr] = neverFails
-	}
-	bf.cells = make([]flatCell, 0, len(raw))
-	seeds := make([]weakCell, 0, len(raw)) // mapped cells, parallel to bf.cells
-	next := 0                              // next physical row whose offset is unset
-	for _, wc := range raw {
-		sysCol := m.sysColOfPhys[wc.physCol]
-		if sysCol < 0 {
-			continue // faulty/unused column: no data stored there
-		}
-		for next <= wc.physRow {
-			bf.offsets[next] = int32(len(bf.cells))
-			next++
-		}
-		fc := m.compileCell(b, wc, sysCol)
-		bf.cells = append(bf.cells, fc)
-		seeds = append(seeds, wc)
-		if fc.worstRetention < minByPhysRow[wc.physRow] {
-			minByPhysRow[wc.physRow] = fc.worstRetention
-		}
-	}
-	for ; next <= rows; next++ {
-		bf.offsets[next] = int32(len(bf.cells))
-	}
-	for r := 0; r < rows; r++ {
-		worst := minByPhysRow[m.physRowOfSys[b][r]]
-		bf.minWorstBySysRow[r] = worst
-		if worst != neverFails {
-			bf.weakRows = append(bf.weakRows, int32(r))
-			bf.weakFloors = append(bf.weakFloors, worst)
-		}
-	}
-	m.buildPacked(b, bf, seeds)
-	return bf
-}
-
-// buildPacked regroups a bank's mapped weak cells (seeds is parallel to
-// bf.cells) into the word-indexed bit-parallel kernel: per row, cells
-// are re-sorted by system column and split into one wordGroup per
-// 64-bit row word. Rows are emitted in ascending SYSTEM row order (see
-// the groupOff field comment) by walking the row permutation here,
-// once, at build time.
-func (m *Model) buildPacked(b int, bf *bankFaults, seeds []weakCell) {
-	rows := m.geom.RowsPerBank
-	bf.groupOff = make([]int32, rows+1)
-	bf.packed = make([]packedCell, 0, len(seeds))
-	bf.neigh = make([]rowNeigh, rows)
-	var order []int32 // CSR indices of one row, sorted by system column
 	for r := 0; r < rows; r++ {
 		pr := int(m.physRowOfSys[b][r])
 		ni := rowNeigh{upSys: -1, dnSys: -1}
@@ -444,18 +381,15 @@ func (m *Model) buildPacked(b int, bf *bankFaults, seeds []weakCell) {
 			}
 		}
 		bf.neigh[r] = ni
-		lo, hi := bf.offsets[pr], bf.offsets[pr+1]
-		order = order[:0]
-		for i := lo; i < hi; i++ {
-			order = append(order, i)
-		}
-		sort.Slice(order, func(x, y int) bool {
-			return bf.cells[order[x]].sysCol < bf.cells[order[y]].sysCol
+		row := seeds[rowStart[pr]:rowStart[pr+1]]
+		sort.Slice(row, func(x, y int) bool {
+			return m.sysColOfPhys[row[x].physCol] < m.sysColOfPhys[row[y].physCol]
 		})
+		rowWorst := neverFails
 		lastWord := int32(-1)
-		for _, i := range order {
-			sysCol := bf.cells[i].sysCol
-			if word := sysCol >> 6; word != lastWord {
+		for _, wc := range row {
+			p := m.compilePacked(wc)
+			if word := p.sysCol >> 6; word != lastWord {
 				bf.groups = append(bf.groups, wordGroup{
 					word:     word,
 					cellBase: int32(len(bf.packed)),
@@ -464,53 +398,19 @@ func (m *Model) buildPacked(b int, bf *bankFaults, seeds []weakCell) {
 				lastWord = word
 			}
 			g := &bf.groups[len(bf.groups)-1]
-			g.mask |= 1 << uint(sysCol&63)
-			if w := bf.cells[i].worstRetention; w < g.minWorst {
-				g.minWorst = w
-			}
-			bf.packed = append(bf.packed, m.compilePacked(seeds[i], sysCol, i-lo, bf.cells[i].worstRetention))
+			g.mask |= 1 << uint(p.sysCol&63)
+			g.minWorst = min(g.minWorst, p.worstRetention)
+			rowWorst = min(rowWorst, p.worstRetention)
+			bf.packed = append(bf.packed, p)
 		}
 		bf.groupOff[r+1] = int32(len(bf.groups))
-	}
-}
-
-// compileCell resolves one mapped weak cell into its flat kernel form:
-// charge orientation, per-neighbour (system row, system column)
-// resolutions, and the pattern-independent worst-case retention.
-func (m *Model) compileCell(b int, wc weakCell, sysCol int) flatCell {
-	fc := flatCell{
-		baseRetention: wc.baseRetention,
-		physRow:       int32(wc.physRow),
-		physCol:       int32(wc.physCol),
-		sysCol:        int32(sysCol),
-	}
-	if m.trueCell(wc.physRow) {
-		fc.chargedBit = 1
-	}
-	// Worst-case stress sums the weights of neighbours that physically
-	// exist, accumulated in neighbour order so the float result matches
-	// a direct per-query evaluation bit for bit.
-	var worst float64
-	for i, n := range neighborOffsets {
-		pr := wc.physRow + n.dr
-		pc := wc.physCol + n.dc
-		if pr < 0 || pr >= m.geom.RowsPerBank || pc < 0 || pc >= m.geom.PhysCols() {
-			continue // outside the array: the weight is wasted
+		bf.minWorstBySysRow[r] = rowWorst
+		if rowWorst != neverFails {
+			bf.weakRows = append(bf.weakRows, int32(r))
+			bf.weakFloors = append(bf.weakFloors, rowWorst)
 		}
-		worst += wc.w[i]
-		ref := neighborRef{w: wc.w[i], rowIdx: -1}
-		if m.trueCell(pr) {
-			ref.chargedBit = 1
-		}
-		if nsc := m.sysColOfPhys[pc]; nsc >= 0 {
-			ref.rowIdx = int32(m.geom.RowIndex(dram.RowAddress{Bank: b, Row: m.sysRowOfPhys[b][pr]}))
-			ref.col = int32(nsc)
-		}
-		fc.nb[fc.nbCount] = ref
-		fc.nbCount++
 	}
-	fc.worstRetention = dram.Nanoseconds(float64(wc.baseRetention) * (1 - m.params.MaxStress*worst))
-	return fc
+	return bf
 }
 
 // compilePacked resolves one mapped weak cell into its word-kernel
@@ -520,14 +420,12 @@ func (m *Model) compileCell(b int, wc weakCell, sysCol int) flatCell {
 // when the victim's row charges as 1). Wordline (up/down) neighbours
 // keep only their weights — they are read word-wide from the adjacent
 // rows at query time.
-func (m *Model) compilePacked(wc weakCell, sysCol, rank int32, worst dram.Nanoseconds) packedCell {
+func (m *Model) compilePacked(wc weakCell) packedCell {
 	p := packedCell{
-		baseRetention:  wc.baseRetention,
-		worstRetention: worst,
-		sysCol:         sysCol,
-		rank:           rank,
-		lCol:           -1,
-		rCol:           -1,
+		baseRetention: wc.baseRetention,
+		sysCol:        int32(m.sysColOfPhys[wc.physCol]),
+		lCol:          -1,
+		rCol:          -1,
 	}
 	charged1 := m.trueCell(wc.physRow) // bitline neighbours share the victim's orientation
 	if wc.physCol-1 >= 0 {
@@ -552,12 +450,13 @@ func (m *Model) compilePacked(wc weakCell, sysCol, rank int32, worst dram.Nanose
 	if wc.physRow+1 < m.geom.RowsPerBank {
 		p.wD = wc.w[3]
 	}
+	// The worst case has every neighbour that physically exists
+	// aggressing; out-of-array weights are 0, so this is the stress sum
+	// with every term on, accumulated in the kernel's left, right, up,
+	// down order.
+	p.worstRetention = m.effectiveRetention(&p, p.wL+p.wR+p.wU+p.wD)
 	return p
 }
-
-// neighborOffsets is the fixed left, right, up, down neighbour order of
-// the stress evaluation.
-var neighborOffsets = [4]struct{ dr, dc int }{{0, -1}, {0, 1}, {-1, 0}, {1, 0}}
 
 func (m *Model) makeWeakCell(rng *rand.Rand, pr, pc int) weakCell {
 	// Log-uniform base retention in [floor, ceil].
@@ -587,19 +486,27 @@ func (m *Model) trueCell(physRow int) bool {
 	return ((physRow+off)/2)%2 == 0
 }
 
-// charged reports whether a cell holding logical bit v at the given
-// physical row is in the charged state.
-func (m *Model) charged(physRow, bit int) bool {
-	if m.trueCell(physRow) {
-		return bit == 1
-	}
-	return bit == 0
+// effectiveRetention is a cell's retention under interference stress
+// s: base*(1-MaxStress*s).
+func (m *Model) effectiveRetention(p *packedCell, s float64) dram.Nanoseconds {
+	return dram.Nanoseconds(float64(p.baseRetention) * (1 - m.params.MaxStress*s))
 }
 
-// rowCells returns the flat kernel cells of one physical row of a bank.
-func (m *Model) rowCells(bank, physRow int) []flatCell {
-	bf := m.banks[bank]
-	return bf.cells[bf.offsets[physRow]:bf.offsets[physRow+1]]
+// rowGroups returns the word groups of system row r.
+func (bf *bankFaults) rowGroups(r int32) []wordGroup {
+	return bf.groups[bf.groupOff[r]:bf.groupOff[r+1]]
+}
+
+// weakAt reports whether system row r holds a mapped weak cell at
+// system column c.
+func (bf *bankFaults) weakAt(r int32, c int) bool {
+	w := int32(c >> 6)
+	for _, g := range bf.rowGroups(r) {
+		if g.word >= w { // groups ascend by word
+			return g.word == w && g.mask>>uint(c&63)&1 != 0
+		}
+	}
+	return false
 }
 
 // NeighborSysRows returns the system addresses of the rows that are
@@ -632,24 +539,20 @@ func (m *Model) NeighborSysRows(a dram.RowAddress) []dram.RowAddress {
 // row's own weak cells); the fast paths below rely on that.
 func (m *Model) AffectedNeighborRows(a dram.RowAddress, flipped []int) []dram.RowAddress {
 	bf := m.banks[a.Bank]
-	inv := m.sysRowOfPhys[a.Bank]
-	pr := int(m.physRowOfSys[a.Bank][a.Row])
+	ni := &bf.neigh[a.Row]
+	self := int32(a.Row)
 	// A weak cell at physical (qr, qc) reads the flipped cell at
 	// (pr, pc) as a neighbour iff qr==pr, |qc-pc|==1 (bitline) or
-	// qc==pc, |qr-pr|==1 (wordline).
-	hasWeakAt := func(qr, qc int) bool {
-		if qc < 0 || qc >= m.geom.PhysCols() {
+	// qc==pc, |qr-pr|==1 (wordline). A wordline neighbour shares the
+	// flipped cell's system column (the column swizzle is
+	// row-independent); a bitline neighbour's physical column resolves
+	// to a system column of this row, or to none when unmapped.
+	selfAt := func(qc int) bool {
+		if qc < 0 || qc >= len(m.sysColOfPhys) {
 			return false
 		}
-		for i := bf.offsets[qr]; i < bf.offsets[qr+1]; i++ {
-			switch c := int(bf.cells[i].physCol); {
-			case c == qc:
-				return true
-			case c > qc:
-				return false // cells are sorted by physical column
-			}
-		}
-		return false
+		c := m.sysColOfPhys[qc]
+		return c >= 0 && bf.weakAt(self, c)
 	}
 	// Only three rows can ever be affected — this row and its two
 	// physical neighbours — and each is decided at most once: a
@@ -659,25 +562,29 @@ func (m *Model) AffectedNeighborRows(a dram.RowAddress, flipped []int) []dram.Ro
 	// itself weak), so single-weak-cell rows — the common case at
 	// realistic weak-cell densities — return without a single column
 	// probe; a neighbour row without weak cells likewise never scans.
-	needSelf := bf.offsets[pr+1]-bf.offsets[pr] >= 2
-	needUp := pr > 0 && bf.offsets[pr] > bf.offsets[pr-1]
-	needDn := pr+1 < m.geom.RowsPerBank && bf.offsets[pr+2] > bf.offsets[pr+1]
+	selfCells := 0
+	for _, g := range bf.rowGroups(self) {
+		selfCells += bits.OnesCount64(g.mask)
+	}
+	needSelf := selfCells >= 2
+	needUp := ni.upSys >= 0 && len(bf.rowGroups(ni.upSys)) > 0
+	needDn := ni.dnSys >= 0 && len(bf.rowGroups(ni.dnSys)) > 0
 	var out []dram.RowAddress
 	for _, c := range flipped {
 		if !needSelf && !needUp && !needDn {
 			break
 		}
 		pc := m.scr.PhysCol(c)
-		if needSelf && (hasWeakAt(pr, pc-1) || hasWeakAt(pr, pc+1)) {
-			out = append(out, dram.RowAddress{Bank: a.Bank, Row: inv[pr]})
+		if needSelf && (selfAt(pc-1) || selfAt(pc+1)) {
+			out = append(out, a)
 			needSelf = false
 		}
-		if needUp && hasWeakAt(pr-1, pc) {
-			out = append(out, dram.RowAddress{Bank: a.Bank, Row: inv[pr-1]})
+		if needUp && bf.weakAt(ni.upSys, c) {
+			out = append(out, dram.RowAddress{Bank: a.Bank, Row: int(ni.upSys)})
 			needUp = false
 		}
-		if needDn && hasWeakAt(pr+1, pc) {
-			out = append(out, dram.RowAddress{Bank: a.Bank, Row: inv[pr+1]})
+		if needDn && bf.weakAt(ni.dnSys, c) {
+			out = append(out, dram.RowAddress{Bank: a.Bank, Row: int(ni.dnSys)})
 			needDn = false
 		}
 	}

@@ -70,6 +70,12 @@ func (m *Model) PhysRowOfSys(bank, sysRow int) int {
 	return int(m.physRowOfSys[bank][sysRow])
 }
 
+// SysRowOfPhys is PhysRowOfSys's inverse: the system row of a bank that
+// maps to the given physical row.
+func (m *Model) SysRowOfPhys(bank, physRow int) int {
+	return m.sysRowOfPhys[bank][physRow]
+}
+
 // RowChargedBit returns the logical bit value that stores charge in the
 // given system row (1 for true-cell rows, 0 for anti-cell rows). Charge
 // orientation is a property of the physical row, shared by every

@@ -7,10 +7,10 @@ import (
 	"memcon/internal/dram"
 )
 
-// TestMechanismRetentionBitIdentical is the refactor's differential
-// test: routing retention through the Mechanism interface must yield
-// exactly the verdicts of the frozen pre-refactor kernel (refModel, the
-// oracle the flat kernel was originally verified against), across
+// TestMechanismRetentionBitIdentical is the Mechanism interface's
+// differential test: routing retention through it must yield exactly
+// the verdicts of the frozen map-based model (refModel, the scalar
+// oracle the packed kernel is verified against), across
 // seeds × geometries × mappings × contents × idle times. The hammer
 // count in the window must be irrelevant to retention verdicts.
 func TestMechanismRetentionBitIdentical(t *testing.T) {
@@ -101,11 +101,22 @@ func TestRowChargedBitMatchesOrientation(t *testing.T) {
 	}
 }
 
-// TestPhysRowOfSysRoundTrips pins the permutation accessor: it must
-// invert NeighborSysRows' view of physical adjacency.
+// TestPhysRowOfSysRoundTrips pins the permutation accessors: they must
+// invert each other in both directions, and PhysRowOfSys must invert
+// NeighborSysRows' view of physical adjacency.
 func TestPhysRowOfSysRoundTrips(t *testing.T) {
 	m, _ := newTestModel(t, 33, DefaultParams())
 	geom := m.Geometry()
+	for b := 0; b < geom.BanksPerChip; b++ {
+		for row := 0; row < geom.RowsPerBank; row++ {
+			if got := m.SysRowOfPhys(b, m.PhysRowOfSys(b, row)); got != row {
+				t.Fatalf("bank %d: SysRowOfPhys(PhysRowOfSys(%d)) = %d", b, row, got)
+			}
+			if got := m.PhysRowOfSys(b, m.SysRowOfPhys(b, row)); got != row {
+				t.Fatalf("bank %d: PhysRowOfSys(SysRowOfPhys(%d)) = %d", b, row, got)
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 128; i++ {
 		b := rng.Intn(geom.BanksPerChip)

@@ -11,8 +11,8 @@ import (
 )
 
 // refModel is a frozen copy of the original map-based fault model (the
-// implementation the flat kernel replaced), kept as the oracle for the
-// differential tests below. It samples the weak-cell population with the
+// implementation the packed kernel replaced), kept as the only scalar
+// oracle for the differential tests below. It samples the weak-cell population with the
 // exact same RNG call sequence and evaluates stress with the exact same
 // float accumulation order, so any divergence from Model is a kernel
 // bug, not noise.
@@ -180,8 +180,9 @@ type diffConfig struct {
 	faultyCols []int
 	// mapping selects the vendor address mapping ("" = default).
 	mapping string
-	// wantSpill marks configs dense enough that some row must overflow
-	// the word kernel's on-stack staging and take the scalar fallback.
+	// wantSpill marks configs dense enough that some row fails in more
+	// than 64 cells, so the kernel's output-order restoration is checked
+	// over more failing cells than one row word holds.
 	wantSpill bool
 }
 
@@ -202,7 +203,7 @@ func diffConfigs() []diffConfig {
 	denseParams := DefaultParams()
 	denseParams.WeakCellFraction = 2e-2 // dense enough for edge cells and adjacent weak pairs
 	spillParams := DefaultParams()
-	spillParams.WeakCellFraction = 0.6 // >64 weak cells per row word span: forces the spill fallback
+	spillParams.WeakCellFraction = 0.6 // >64 failing cells in some rows
 	return []diffConfig{
 		{name: "small-seed3", geom: small, seed: 3, params: DefaultParams()},
 		{name: "small-seed42-dense", geom: dense, seed: 42, params: denseParams},
@@ -270,11 +271,35 @@ func fillSolid(t *testing.T, mod *dram.Module, word uint64) {
 	}
 }
 
-// TestFlatKernelMatchesReference is the differential test for the flat
-// CSR kernel: FailingCells and RowCanFail must agree cell-for-cell with
-// the original map-based implementation on every row, across seeds,
-// geometries (edge rows/cols, non-power-of-two rows, remapped columns),
-// contents, and idle times.
+// diffModules returns one module per content the differential tests
+// sweep: three random fills, both solid fills, and an alternating
+// pattern.
+func diffModules(t *testing.T, geom dram.Geometry) []*dram.Module {
+	t.Helper()
+	var mods []*dram.Module
+	for _, fill := range []func(*dram.Module){
+		func(m *dram.Module) { fillRandom(t, m, 1) },
+		func(m *dram.Module) { fillRandom(t, m, 2) },
+		func(m *dram.Module) { fillRandom(t, m, 6) },
+		func(m *dram.Module) { fillSolid(t, m, 0) },
+		func(m *dram.Module) { fillSolid(t, m, ^uint64(0)) },
+		func(m *dram.Module) { fillSolid(t, m, 0xAAAAAAAAAAAAAAAA) },
+	} {
+		mod, err := dram.NewModule(geom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(mod)
+		mods = append(mods, mod)
+	}
+	return mods
+}
+
+// TestFlatKernelMatchesReference is the differential test for the
+// packed kernel: FailingCells (cells and order) and RowCanFail must
+// agree with the original map-based implementation on every row, across
+// seeds, geometries (edge rows/cols, non-power-of-two rows, remapped
+// columns), vendor mappings, contents, and idle times.
 func TestFlatKernelMatchesReference(t *testing.T) {
 	for _, cfg := range diffConfigs() {
 		cfg := cfg
@@ -290,17 +315,7 @@ func TestFlatKernelMatchesReference(t *testing.T) {
 					t.Fatalf("bank %d: WeakCellCount = %d, reference sampled %d", b, got, want)
 				}
 			}
-			for ci, fill := range []func(*dram.Module){
-				func(m *dram.Module) { fillRandom(t, m, 1) },
-				func(m *dram.Module) { fillRandom(t, m, 2) },
-				func(m *dram.Module) { fillSolid(t, m, 0) },
-				func(m *dram.Module) { fillSolid(t, m, ^uint64(0)) },
-			} {
-				mod, err := dram.NewModule(cfg.geom)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fill(mod)
+			for ci, mod := range diffModules(t, cfg.geom) {
 				for _, idle := range diffIdles(cfg.params) {
 					for b := 0; b < cfg.geom.BanksPerChip; b++ {
 						for r := 0; r < cfg.geom.RowsPerBank; r++ {
@@ -320,6 +335,122 @@ func TestFlatKernelMatchesReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWordKernelMatchesScalar differential-tests the word kernel's
+// append path against the scalar reference: appending into a dst that
+// already holds other values must leave that prefix untouched and
+// append exactly the reference's failing cells, in physical-column
+// order — the kernel restores that order over the appended tail only.
+// The tiny-seed17-spill config must really produce a row with more than
+// 64 failing cells, so the order restoration is checked over more cells
+// than one row word holds (asserted, not assumed).
+func TestWordKernelMatchesScalar(t *testing.T) {
+	prefix := []int{1 << 30, -1, 1 << 29} // out of order: a sort reaching into it shows
+	for _, cfg := range diffConfigs() {
+		cfg := cfg
+		t.Run(cfg.name, func(t *testing.T) {
+			scr := newDiffScrambler(t, cfg)
+			model, err := NewModel(cfg.geom, scr, cfg.seed, cfg.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefModel(cfg.geom, scr, cfg.seed, cfg.params)
+			maxFails := 0
+			var buf []int
+			for ci, mod := range diffModules(t, cfg.geom) {
+				for _, idle := range diffIdles(cfg.params) {
+					for b := 0; b < cfg.geom.BanksPerChip; b++ {
+						for r := 0; r < cfg.geom.RowsPerBank; r++ {
+							a := dram.RowAddress{Bank: b, Row: r}
+							buf = model.AppendFailingCells(append(buf[:0], prefix...), mod, a, idle)
+							want := ref.failingCells(mod, a, idle)
+							if !equalInts(buf[:len(prefix)], prefix) || !equalInts(buf[len(prefix):], want) {
+								t.Fatalf("content %d idle %d bank %d row %d: appended %v after %v, reference %v",
+									ci, idle, b, r, buf[len(prefix):], buf[:len(prefix)], want)
+							}
+							maxFails = max(maxFails, len(want))
+						}
+					}
+				}
+			}
+			if cfg.wantSpill && maxFails <= 64 {
+				t.Fatalf("spill config topped out at %d failing cells per row; need > 64", maxFails)
+			}
+		})
+	}
+}
+
+// TestAffectedNeighborRowsMatchesReference checks AffectedNeighborRows
+// against a brute-force walk of the reference population: after a row's
+// FailingCells flip, the affected rows are exactly those (the row itself
+// and its two physical neighbours) holding a mapped weak cell physically
+// adjacent to a flipped cell. Compared as sets: the read-back commit pass
+// sorts and deduplicates the rows it re-evaluates.
+func TestAffectedNeighborRowsMatchesReference(t *testing.T) {
+	checked := 0 // positive cases over all configs
+	for _, cfg := range diffConfigs() {
+		cfg := cfg
+		t.Run(cfg.name, func(t *testing.T) {
+			scr := newDiffScrambler(t, cfg)
+			model, err := NewModel(cfg.geom, scr, cfg.seed, cfg.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefModel(cfg.geom, scr, cfg.seed, cfg.params)
+			mappedWeakAt := func(b, qr, qc int) bool {
+				if qr < 0 || qr >= cfg.geom.RowsPerBank || qc < 0 || qc >= cfg.geom.PhysCols() ||
+					ref.sysColOfPhys[qc] < 0 {
+					return false
+				}
+				for _, wc := range ref.byPhysRow[b][qr] {
+					if wc.physCol == qc {
+						return true
+					}
+				}
+				return false
+			}
+			for ci, mod := range diffModules(t, cfg.geom) {
+				for _, idle := range diffIdles(cfg.params) {
+					for b := 0; b < cfg.geom.BanksPerChip; b++ {
+						for r := 0; r < cfg.geom.RowsPerBank; r++ {
+							a := dram.RowAddress{Bank: b, Row: r}
+							flipped := model.FailingCells(mod, a, idle)
+							pr := scr.PhysRow(b, r)
+							want := map[int]bool{}
+							for _, c := range flipped {
+								pc := scr.PhysCol(c)
+								for _, q := range [4][2]int{{pr, pc - 1}, {pr, pc + 1}, {pr - 1, pc}, {pr + 1, pc}} {
+									if mappedWeakAt(b, q[0], q[1]) {
+										want[ref.sysRowOfPhys[b][q[0]]] = true
+									}
+								}
+							}
+							got := map[int]bool{}
+							for _, n := range model.AffectedNeighborRows(a, flipped) {
+								if n.Bank != b {
+									t.Fatalf("row %v: affected row %v in another bank", a, n)
+								}
+								got[n.Row] = true
+							}
+							if len(got) != len(want) {
+								t.Fatalf("content %d idle %d row %v: affected rows %v, reference %v", ci, idle, a, got, want)
+							}
+							for row := range want {
+								if !got[row] {
+									t.Fatalf("content %d idle %d row %v: affected rows %v, reference %v", ci, idle, a, got, want)
+								}
+							}
+							checked += len(want)
+						}
+					}
+				}
+			}
+		})
+	}
+	if checked == 0 {
+		t.Fatal("no affected rows anywhere: the oracle never ran a positive case")
 	}
 }
 

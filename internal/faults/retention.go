@@ -1,6 +1,6 @@
 // The retention mechanism's query kernel: everything that evaluates
 // which cells leak past their effective retention under current content
-// and a row's idle time. The population/build side (sampling, CSR and
+// and a row's idle time. The population/build side (sampling and
 // packed-kernel compilation) stays in faults.go; this file is the
 // read-only query surface the Mechanism interface fronts.
 
@@ -13,23 +13,77 @@ import (
 	"memcon/internal/dram"
 )
 
-// contentStress computes the interference stress on a flat cell from
-// its precomputed neighbours under the module's current content.
-// Neighbours on unmapped physical columns store a constant 0; neighbours
-// outside the array were dropped at compile time (their weight is
-// wasted, matching edge cells being less exposed).
-func (m *Model) contentStress(mod *dram.Module, fc *flatCell) float64 {
-	var s float64
-	for k := 0; k < int(fc.nbCount); k++ {
-		nb := &fc.nb[k]
-		bit := uint8(0)
-		if nb.rowIdx >= 0 {
-			bit = uint8(mod.RowAt(int(nb.rowIdx)).Bit(int(nb.col)))
-		}
-		if bit != nb.chargedBit {
-			s += nb.w
+// charge returns the logical bit that charges the cells of the row ni
+// describes, and the XOR mask that turns the row's raw words into
+// charged-cell masks (bit set = the cell holds charge).
+func (ni *rowNeigh) charge() (cb, candXor uint64) {
+	if ni.flags&neighSelfTrue != 0 {
+		return 1, 0
+	}
+	return 0, ^uint64(0) // anti-cell rows: charge is a stored 0
+}
+
+// adjRows is the content of a row's two physically adjacent rows, read
+// word by word as discharge masks (bit set = that wordline neighbour
+// aggresses). A missing neighbour reads as all-zero; its coupling
+// weight is 0, so the value is never observed.
+type adjRows struct {
+	up, dn     dram.Row
+	xorU, xorD uint64
+}
+
+// adjacentRows resolves the physically adjacent rows of the bank row
+// ni describes.
+func (m *Model) adjacentRows(mod *dram.Module, bank int, ni *rowNeigh) adjRows {
+	base := bank * m.geom.RowsPerBank
+	var adj adjRows
+	if ni.upSys >= 0 {
+		adj.up = mod.RowAt(base + int(ni.upSys))
+		if ni.flags&neighUpTrue != 0 {
+			adj.xorU = ^uint64(0)
 		}
 	}
+	if ni.dnSys >= 0 {
+		adj.dn = mod.RowAt(base + int(ni.dnSys))
+		if ni.flags&neighDnTrue != 0 {
+			adj.xorD = ^uint64(0)
+		}
+	}
+	return adj
+}
+
+// discharged returns word w of both adjacent rows as discharge masks.
+func (adj *adjRows) discharged(w int32) (du, dd uint64) {
+	if adj.up != nil {
+		du = adj.up[w] ^ adj.xorU
+	}
+	if adj.dn != nil {
+		dd = adj.dn[w] ^ adj.xorD
+	}
+	return du, dd
+}
+
+// stress is the interference stress on cell p under the current
+// content: the coupling weights of its discharged neighbours, summed in
+// the fixed left, right, up, down order. row is the cell's own system
+// row and cb the logical bit that charges it; bit 0 of du/dd is set
+// when the up/down neighbour is discharged (the adjacent rows'
+// discharge masks shifted down to the cell's bit). Bitline neighbours
+// on unmapped columns contribute their constant term; neighbours
+// outside the array have weight 0 (the weight is wasted, matching edge
+// cells being less exposed). Small enough to inline into the kernel.
+func (p *packedCell) stress(row dram.Row, cb, du, dd uint64) float64 {
+	s := p.lConstW // 0 unless the left neighbour is unmapped
+	if p.lCol >= 0 && row[p.lCol>>6]>>(p.lCol&63)&1 != cb {
+		s = p.wL
+	}
+	if p.rCol < 0 {
+		s += p.rConstW
+	} else if row[p.rCol>>6]>>(p.rCol&63)&1 != cb {
+		s += p.wR
+	}
+	s += p.wU * float64(du&1)
+	s += p.wD * float64(dd&1)
 	return s
 }
 
@@ -41,11 +95,6 @@ func (m *Model) FailingCells(mod *dram.Module, a dram.RowAddress, idle dram.Nano
 	return m.AppendFailingCells(nil, mod, a, idle)
 }
 
-// maxRowFails bounds the word kernel's on-stack result staging. Rows
-// that fail in more cells than this (possible only under extreme
-// WeakCellFraction) fall back to the scalar path for the whole row.
-const maxRowFails = 64
-
 // AppendFailingCells is FailingCells appending into dst, so steady-state
 // callers (the online-test and audit hot paths) can reuse one buffer
 // instead of allocating per query.
@@ -55,10 +104,9 @@ const maxRowFails = 64
 // neighbours' discharge states come from the SAME word of the two
 // physically adjacent rows (the column swizzle is row-independent, so
 // an up/down neighbour shares the victim's system column). Only
-// charged candidates pay the per-cell stress sum, which accumulates
-// the left, right, up, down terms in the scalar path's order so the
-// float result — and therefore every verdict — is bit-identical to
-// appendFailingCellsScalar.
+// charged candidates that clear their worst-case bound pay the
+// per-cell stress sum. Failing cells are reported in physical-column
+// order.
 func (m *Model) AppendFailingCells(dst []int, mod *dram.Module, a dram.RowAddress, idle dram.Nanoseconds) []int {
 	bf := m.banks[a.Bank]
 	if idle <= bf.minWorstBySysRow[a.Row] {
@@ -70,25 +118,15 @@ func (m *Model) AppendFailingCells(dst []int, mod *dram.Module, a dram.RowAddres
 	}
 	ni := &bf.neigh[a.Row]
 	row := mod.RowRef(a)
-	cb := uint8(0)
-	candXor := ^uint64(0) // anti-cell rows: charge is a stored 0
-	if ni.flags&neighSelfTrue != 0 {
-		cb, candXor = 1, 0
-	}
+	cb, candXor := ni.charge()
 	// The physically adjacent rows resolve lazily, on the first charged
 	// candidate that also clears its worst-case retention bound: rows
 	// whose candidates all read as discharged or all reject on the
 	// bound never touch the two neighbour rows at all, and those
-	// scrambled-row loads are the kernel's cache misses. disXor turns a
-	// neighbour's raw words into discharge masks (bit set = neighbour
-	// aggresses; a missing neighbour leaves wU/wD at 0, so its du/dd
-	// value is never observed).
-	bankBase := a.Bank * m.geom.RowsPerBank
-	var up, dn dram.Row
-	var disXorU, disXorD uint64
-	neighbours := false
-	var ranks, cols [maxRowFails]int32
-	nf := 0
+	// scrambled-row loads are the kernel's cache misses.
+	var adj adjRows
+	adjReady := false
+	n0 := len(dst)
 	for gi := gl; gi < gh; gi++ {
 		g := &bf.groups[gi]
 		if idle <= g.minWorst {
@@ -109,64 +147,25 @@ func (m *Model) AppendFailingCells(dst []int, mod *dram.Module, a dram.RowAddres
 			}
 			if !duddReady {
 				duddReady = true
-				if !neighbours {
-					neighbours = true
-					if ni.upSys >= 0 {
-						up = mod.RowAt(bankBase + int(ni.upSys))
-						if ni.flags&neighUpTrue != 0 {
-							disXorU = ^uint64(0)
-						}
-					}
-					if ni.dnSys >= 0 {
-						dn = mod.RowAt(bankBase + int(ni.dnSys))
-						if ni.flags&neighDnTrue != 0 {
-							disXorD = ^uint64(0)
-						}
-					}
+				if !adjReady {
+					adjReady = true
+					adj = m.adjacentRows(mod, a.Bank, ni)
 				}
-				if up != nil {
-					du = up[g.word] ^ disXorU
-				}
-				if dn != nil {
-					dd = dn[g.word] ^ disXorD
-				}
+				du, dd = adj.discharged(g.word)
 			}
-			var s float64
-			if p.lCol >= 0 {
-				if uint8(row.Bit(int(p.lCol))) != cb {
-					s += p.wL
-				}
-			} else {
-				s += p.lConstW
-			}
-			if p.rCol >= 0 {
-				if uint8(row.Bit(int(p.rCol))) != cb {
-					s += p.wR
-				}
-			} else {
-				s += p.rConstW
-			}
-			s += p.wU * float64(du>>bit&1)
-			s += p.wD * float64(dd>>bit&1)
-			if idle > dram.Nanoseconds(float64(p.baseRetention)*(1-m.params.MaxStress*s)) {
-				if nf == maxRowFails {
-					return m.appendFailingCellsScalar(dst, mod, a, idle)
-				}
-				ranks[nf], cols[nf] = p.rank, p.sysCol
-				nf++
+			if idle > m.effectiveRetention(p, p.stress(row, cb, du>>bit, dd>>bit)) {
+				dst = append(dst, int(p.sysCol))
 			}
 		}
 	}
-	// The kernel visits cells in system-column order; restore the CSR
-	// (physical-column) order the scalar path reports.
-	for i := 1; i < nf; i++ {
-		for j := i; j > 0 && ranks[j] < ranks[j-1]; j-- {
-			ranks[j], ranks[j-1] = ranks[j-1], ranks[j]
-			cols[j], cols[j-1] = cols[j-1], cols[j]
+	// The kernel visits cells in system-column order; restore physical
+	// order (an insertion sort: a row rarely fails in more than a few
+	// cells).
+	tail := dst[n0:]
+	for i := 1; i < len(tail); i++ {
+		for j := i; j > 0 && m.scr.PhysCol(tail[j]) < m.scr.PhysCol(tail[j-1]); j-- {
+			tail[j], tail[j-1] = tail[j-1], tail[j]
 		}
-	}
-	for i := 0; i < nf; i++ {
-		dst = append(dst, int(cols[i]))
 	}
 	return dst
 }
@@ -223,32 +222,6 @@ func (m *Model) AppendFailingRows(mod *dram.Module, bank, lo, hi int, now dram.N
 	// the compiler from proving them dead.
 	runtime.KeepAlive(pre)
 	return cells, rows, offs
-}
-
-// appendFailingCellsScalar is the frozen per-cell evaluation the word
-// kernel is differential-tested against (and its spill fallback for
-// rows with more than maxRowFails failing cells).
-func (m *Model) appendFailingCellsScalar(dst []int, mod *dram.Module, a dram.RowAddress, idle dram.Nanoseconds) []int {
-	bf := m.banks[a.Bank]
-	if idle <= bf.minWorstBySysRow[a.Row] {
-		return dst // no cell of this row fails even under worst-case stress
-	}
-	pr := m.physRowOfSys[a.Bank][a.Row]
-	row := mod.RowRef(a)
-	for i := bf.offsets[pr]; i < bf.offsets[pr+1]; i++ {
-		fc := &bf.cells[i]
-		if idle <= fc.worstRetention {
-			continue // cannot fail at this idle time under any content
-		}
-		if uint8(row.Bit(int(fc.sysCol))) != fc.chargedBit {
-			continue // discharged cells cannot leak
-		}
-		s := m.contentStress(mod, fc)
-		if idle > dram.Nanoseconds(float64(fc.baseRetention)*(1-m.params.MaxStress*s)) {
-			dst = append(dst, int(fc.sysCol))
-		}
-	}
-	return dst
 }
 
 // RowCanFail reports whether the addressed row contains at least one weak

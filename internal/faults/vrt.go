@@ -1,7 +1,9 @@
 package faults
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"memcon/internal/dram"
@@ -120,24 +122,48 @@ func (v *VRTModel) RetentionScaleAt(bank, physRow, physCol int) float64 {
 // FailingCellsVRT evaluates failures like Model.FailingCells but with
 // the VRT retention scaling applied per cell: a cell in the degraded
 // state fails at proportionally shorter idle times.
+//
+// RetentionScaleAt draws from the shared rng the first time it sees a
+// cell, so the call order is part of the output: it is called once for
+// every charged cell of the row, in physical-column order, and never
+// skipped on the worst-case bound (a degraded cell fails below it).
 func (v *VRTModel) FailingCellsVRT(mod *dram.Module, a dram.RowAddress, idle dram.Nanoseconds) []int {
-	pr := int(v.physRowOfSys[a.Bank][a.Row])
-	cells := v.rowCells(a.Bank, pr)
-	if len(cells) == 0 {
-		return nil
-	}
+	bf := v.banks[a.Bank]
+	ni := &bf.neigh[a.Row]
 	row := mod.RowRef(a)
-	var failing []int
-	for i := range cells {
-		fc := &cells[i]
-		if uint8(row.Bit(int(fc.sysCol))) != fc.chargedBit {
+	cb, candXor := ni.charge()
+	type chargedCell struct {
+		physCol, sysCol int
+		retention       dram.Nanoseconds // static effective retention
+	}
+	var charged []chargedCell
+	var adj adjRows
+	for _, g := range bf.rowGroups(int32(a.Row)) {
+		cand := (row[g.word] ^ candXor) & g.mask
+		if cand == 0 {
 			continue
 		}
-		scale := v.RetentionScaleAt(a.Bank, int(fc.physRow), int(fc.physCol))
-		s := v.contentStress(mod, fc)
-		static := dram.Nanoseconds(float64(fc.baseRetention) * (1 - v.Model.params.MaxStress*s))
-		if idle > dram.Nanoseconds(float64(static)*scale) {
-			failing = append(failing, int(fc.sysCol))
+		if charged == nil {
+			adj = v.adjacentRows(mod, a.Bank, ni)
+		}
+		du, dd := adj.discharged(g.word)
+		for c := cand; c != 0; c &= c - 1 {
+			bit := uint(bits.TrailingZeros64(c))
+			p := &bf.packed[int(g.cellBase)+bits.OnesCount64(g.mask&(1<<bit-1))]
+			charged = append(charged, chargedCell{
+				physCol:   v.scr.PhysCol(int(p.sysCol)),
+				sysCol:    int(p.sysCol),
+				retention: v.effectiveRetention(p, p.stress(row, cb, du>>bit, dd>>bit)),
+			})
+		}
+	}
+	slices.SortFunc(charged, func(x, y chargedCell) int { return x.physCol - y.physCol })
+	pr := v.PhysRowOfSys(a.Bank, a.Row)
+	var failing []int
+	for _, c := range charged {
+		scale := v.RetentionScaleAt(a.Bank, pr, c.physCol)
+		if idle > dram.Nanoseconds(float64(c.retention)*scale) {
+			failing = append(failing, c.sysCol)
 		}
 	}
 	return failing

@@ -166,3 +166,36 @@ func TestVRTToggledCellsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestVRTZeroRateMatchesFailingCells pins FailingCellsVRT to the
+// retention kernel: with ToggleRate 0 every retention scale is 1, so its
+// verdicts — cells and order — must be FailingCells's on every row of
+// every differential config, content and idle time.
+func TestVRTZeroRateMatchesFailingCells(t *testing.T) {
+	for _, cfg := range diffConfigs() {
+		cfg := cfg
+		t.Run(cfg.name, func(t *testing.T) {
+			model, err := NewModel(cfg.geom, newDiffScrambler(t, cfg), cfg.seed, cfg.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := NewVRTModel(model, VRTParams{ToggleRate: 0, DegradeFactor: 0.5, AffectedFraction: 1}, 7)
+			v.Advance(100 * 3600 * dram.Second)
+			for ci, mod := range diffModules(t, cfg.geom) {
+				for _, idle := range diffIdles(cfg.params) {
+					for b := 0; b < cfg.geom.BanksPerChip; b++ {
+						for r := 0; r < cfg.geom.RowsPerBank; r++ {
+							a := dram.RowAddress{Bank: b, Row: r}
+							got := v.FailingCellsVRT(mod, a, idle)
+							want := model.FailingCells(mod, a, idle)
+							if !equalInts(got, want) {
+								t.Fatalf("content %d idle %d row %v: FailingCellsVRT = %v, FailingCells %v",
+									ci, idle, a, got, want)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}

@@ -4,23 +4,26 @@
 #   2. everything compiles (including examples, which are plain
 #      package-main programs the test suite shells out to),
 #   3. go vet is clean,
-#   4. the full test suite passes,
-#   5. the suite also passes under the race detector (-short trims the
-#      slowest golden sweeps; they already ran race-free in step 4's
+#   4. the benchmark module (cmd/membench, a nested module the root
+#      build and vet skip) builds, vets and passes its short tests
+#      against the current internal packages,
+#   5. the full test suite passes,
+#   6. the suite also passes under the race detector (-short trims the
+#      slowest golden sweeps; they already ran race-free in step 5's
 #      process because the experiment sweeps are parallel by default),
-#   6. the fleet simulation's sharded fan-out runs race-clean at the
+#   7. the fleet simulation's sharded fan-out runs race-clean at the
 #      small scale the -short race pass skips,
-#   7. the hot-path benchmarks still run (single iteration smoke; see
+#   8. the hot-path benchmarks still run (single iteration smoke; see
 #      scripts/bench.sh for real measurements),
-#   8. both read-disturb co-simulation ids run race-instrumented at
+#   9. both read-disturb co-simulation ids run race-instrumented at
 #      workers 1/4/8 with byte-identical output, plus one mitigated
 #      run exercising the -disturb flag path,
-#   9. every committed reference report under testdata/reports/ is
+#  10. every committed reference report under testdata/reports/ is
 #      regenerated and diffed at zero tolerance (report regression),
-#  10. the serving daemon survives a race-instrumented end-to-end
+#  11. the serving daemon survives a race-instrumented end-to-end
 #      smoke: memcond starts, memload observes cache hits with
 #      byte-identical bodies, and SIGTERM drains cleanly,
-#  11. the persistent cache survives a daemon restart: a second
+#  12. the persistent cache survives a daemon restart: a second
 #      race-instrumented memcond over the same -cache-dir serves the
 #      first daemon's corpus from disk, byte-identical (memload
 #      -digests), without re-running an experiment.
@@ -41,6 +44,14 @@ go build ./...
 
 echo "== go vet ./... =="
 go vet ./...
+
+# cmd/membench is its own module (it replaces memcon with the repo
+# root), so the root ./... patterns never reach it: an internal API
+# change that breaks its probes would otherwise pass unnoticed. The
+# build output is discarded: ./... there is a single main package, so a
+# bare go build would leave a membench binary in the source tree.
+echo "== benchmark module (cmd/membench) =="
+(cd cmd/membench && go build -o /dev/null ./... && go vet ./... && go test -short ./...)
 
 echo "== go test ./... =="
 go test ./...
