@@ -32,17 +32,17 @@ import (
 	"memcon/internal/workload"
 )
 
-// benchOpts keeps per-iteration cost bounded while preserving the
+// benchRequest keeps per-iteration cost bounded while preserving the
 // statistical shape of each experiment.
-func benchOpts() experiments.Options {
-	return experiments.Options{Scale: 0.05, Seed: 42, SimTimeNs: 200_000, Mixes: 4}
+func benchRequest(id string) experiments.Request {
+	return experiments.Request{Experiment: id, Seed: 42, Scale: 0.05, SimTimeNs: 200_000, Mixes: 4}
 }
 
 func runExperiment(b *testing.B, id string) interface{ String() string } {
 	b.Helper()
 	var out interface{ String() string }
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run(id, benchOpts())
+		res, err := experiments.RunRequest(context.Background(), benchRequest(id), experiments.Runtime{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,11 +171,10 @@ func BenchmarkParallelMixes(b *testing.B) {
 	for _, w := range counts {
 		w := w
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			opts := benchOpts()
-			opts.Workers = w
-			opts.Mixes = 8
+			req := benchRequest("fig15")
+			req.Mixes = 8
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Run("fig15", opts); err != nil {
+				if _, err := experiments.RunRequest(context.Background(), req, experiments.Runtime{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}

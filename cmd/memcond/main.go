@@ -1,6 +1,6 @@
 // Command memcond serves the MEMCON experiment registry over HTTP.
 //
-// It exposes the same 28 experiments as memconsim, but as a daemon
+// It exposes the same experiments as memconsim, but as a daemon
 // with a content-addressed result cache: POST /v1/experiments/{id}
 // with a provenance-options JSON body runs the experiment on a bounded
 // worker pool and returns the canonical report; an identical request —
@@ -10,7 +10,7 @@
 // run (singleflight). The determinism contract the CLI pins with its
 // golden files is what makes this sound: a cache hit IS the answer.
 //
-// The cache is two-tier: a sharded in-memory LRU in front of an
+// The cache is two-tier: an in-memory LRU in front of an
 // optional content-addressed disk store (-cache-dir). Every miss is
 // written through to disk; a restarted daemon warm-boots by scanning
 // the directory and serves its prior corpus without re-running a
@@ -37,7 +37,7 @@
 // Usage:
 //
 //	memcond [-addr host:port] [-addr-file path] [-workers n] [-queue n]
-//	        [-timeout d] [-cache n] [-cache-mem bytes] [-cache-shards n]
+//	        [-timeout d] [-cache n] [-cache-mem bytes]
 //	        [-cache-dir path] [-cache-disk bytes]
 //	        [-report-version v] [-max-scale f]
 //
@@ -70,9 +70,8 @@ func run() int {
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "experiments running concurrently")
 		queue     = flag.Int("queue", 64, "requests allowed to wait for a worker beyond those running")
 		timeout   = flag.Duration("timeout", 2*time.Minute, "per-request run budget before 504")
-		cacheN    = flag.Int("cache", 1024, "result cache entries per tier (LRU)")
+		cacheN    = flag.Int("cache", 1024, "memory cache entry budget (LRU); the disk tier is bounded by -cache-disk")
 		cacheMem  = flag.Int64("cache-mem", 0, "memory cache byte budget, 0 = unlimited")
-		shards    = flag.Int("cache-shards", 16, "memory cache shard count")
 		cacheDir  = flag.String("cache-dir", "", "persist results to this directory (restart-surviving cache)")
 		cacheDisk = flag.Int64("cache-disk", 0, "disk cache byte budget, 0 = unlimited")
 		version   = flag.String("report-version", "", "version stamped into reports when the client sends none")
@@ -85,7 +84,6 @@ func run() int {
 		Queue:          *queue,
 		Timeout:        *timeout,
 		CacheEntries:   *cacheN,
-		CacheShards:    *shards,
 		CacheMemBytes:  *cacheMem,
 		CacheDir:       *cacheDir,
 		CacheDiskBytes: *cacheDisk,
@@ -108,8 +106,8 @@ func run() int {
 			return 1
 		}
 	}
-	fmt.Fprintf(os.Stderr, "memcond: listening on %s (%d workers, queue %d, cache %d x %d shards)\n",
-		ln.Addr(), srv.cfg.Workers, srv.cfg.Queue, srv.cfg.CacheEntries, srv.cfg.CacheShards)
+	fmt.Fprintf(os.Stderr, "memcond: listening on %s (%d workers, queue %d, cache %d entries)\n",
+		ln.Addr(), srv.cfg.Workers, srv.cfg.Queue, srv.cfg.CacheEntries)
 
 	// Warm-boot in the background: the listener is up (so health
 	// probes answer) but /readyz stays 503 until the persisted corpus

@@ -33,9 +33,6 @@ type Config struct {
 	// CacheEntries bounds the result cache's memory tier (LRU); zero
 	// selects 1024.
 	CacheEntries int
-	// CacheShards is the memory tier's key-prefix shard count; zero
-	// selects 16.
-	CacheShards int
 	// CacheMemBytes bounds the memory tier's payload bytes; zero
 	// selects unbounded.
 	CacheMemBytes int64
@@ -70,9 +67,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries < 1 {
 		c.CacheEntries = 1024
 	}
-	if c.CacheShards < 1 {
-		c.CacheShards = 16
-	}
 	if c.ProgressInterval <= 0 {
 		c.ProgressInterval = 250 * time.Millisecond
 	}
@@ -82,7 +76,7 @@ func (c Config) withDefaults() Config {
 // errBusy is returned when the wait queue is full; mapped to 503.
 var errBusy = errors.New("memcond: worker queue full")
 
-// Server is the experiment-serving daemon: the 28-id experiment
+// Server is the experiment-serving daemon: the experiment
 // registry behind an HTTP/JSON API with a content-addressed result
 // cache, a bounded worker pool, SSE progress, and Prometheus metrics.
 type Server struct {
@@ -118,13 +112,11 @@ type Server struct {
 	latency      *obs.Histogram
 
 	// Scrape-time gauges filled from cache/store snapshots.
-	memEntries   *obs.Gauge
-	memBytes     *obs.Gauge
-	diskEntries  *obs.Gauge
-	diskBytes    *obs.Gauge
-	diskCorrupt  *obs.Gauge
-	shardReqs    []*obs.Gauge
-	shardEntries []*obs.Gauge
+	memEntries  *obs.Gauge
+	memBytes    *obs.Gauge
+	diskEntries *obs.Gauge
+	diskBytes   *obs.Gauge
+	diskCorrupt *obs.Gauge
 }
 
 // NewServer builds the daemon with the given configuration. When
@@ -144,7 +136,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg: cfg,
 		cache: servecache.NewWithOptions(servecache.Options{
-			Shards:     cfg.CacheShards,
 			MaxEntries: cfg.CacheEntries,
 			MaxBytes:   cfg.CacheMemBytes,
 			Store:      store,
@@ -176,14 +167,6 @@ func NewServer(cfg Config) (*Server, error) {
 		diskEntries: reg.Gauge("memcond_cache_disk_entries", "disk-tier entries", false),
 		diskBytes:   reg.Gauge("memcond_cache_disk_bytes", "disk-tier bytes", false),
 		diskCorrupt: reg.Gauge("memcond_cache_disk_corrupt_dropped", "disk entries dropped after failing verification", false),
-	}
-	s.shardReqs = make([]*obs.Gauge, cfg.CacheShards)
-	s.shardEntries = make([]*obs.Gauge, cfg.CacheShards)
-	for i := range s.shardReqs {
-		s.shardReqs[i] = reg.Gauge(fmt.Sprintf("memcond_cache_shard%d_requests", i),
-			fmt.Sprintf("cache requests resolved by shard %d", i), false)
-		s.shardEntries[i] = reg.Gauge(fmt.Sprintf("memcond_cache_shard%d_entries", i),
-			fmt.Sprintf("memory-tier entries held by shard %d", i), false)
 	}
 	s.run = s.realRun
 	return s, nil
@@ -598,9 +581,9 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics serves the Prometheus text exposition: the memcond_*
-// request family (per tier and per shard) plus the memcon_* engine
-// aggregates of every run the daemon executed. Tier and shard gauges
-// are refreshed from cache snapshots at scrape time.
+// request family (per tier) plus the memcon_* engine aggregates of
+// every run the daemon executed. Tier gauges are refreshed from cache
+// snapshots at scrape time.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	mem := s.cache.StatsSnapshot()
 	s.memEntries.Set(float64(mem.Entries))
@@ -610,13 +593,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		s.diskEntries.Set(float64(disk.Entries))
 		s.diskBytes.Set(float64(disk.Bytes))
 		s.diskCorrupt.Set(float64(disk.Corrupt))
-	}
-	for i, st := range s.cache.ShardStats() {
-		if i >= len(s.shardReqs) {
-			break
-		}
-		s.shardReqs[i].Set(float64(st.Hits + st.DiskHits + st.Misses + st.Shared))
-		s.shardEntries[i].Set(float64(st.Entries))
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.reg.WritePrometheus(w)

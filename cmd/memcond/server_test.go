@@ -133,7 +133,7 @@ func TestSeedZeroAndDefaultsDecode(t *testing.T) {
 		t.Errorf("defaults request = %+v, want %+v", got, want)
 	}
 
-	// Explicit zero seed survives (no SeedSet special-casing).
+	// Explicit zero seed survives.
 	_, body = postJSON(t, ts.URL+"/v1/experiments/fig4", `{"seed":0}`)
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
@@ -522,7 +522,7 @@ func TestRevalidate(t *testing.T) {
 	key := servecache.Key(req.CacheKey())
 	drifted := req
 	drifted.Seed = 9
-	res, err := experiments.RunContext(context.Background(), drifted)
+	res, err := experiments.RunRequest(context.Background(), drifted, experiments.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}

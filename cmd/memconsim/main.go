@@ -70,6 +70,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 
@@ -101,7 +102,7 @@ func run(args []string, out io.Writer) error {
 func runCtx(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("memconsim", flag.ContinueOnError)
 	fs.SetOutput(out)
-	defaults := experiments.DefaultOptions()
+	defaults := experiments.DefaultRequest("")
 	var (
 		list     = fs.Bool("list", false, "list available experiments")
 		exp      = fs.String("exp", "", "experiment id to run (see -list)")
@@ -122,7 +123,7 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 		tolAbs   = fs.Float64("tol-abs", 0, "absolute numeric tolerance for -diff")
 		tolRel   = fs.Float64("tol-rel", 0, "relative numeric tolerance for -diff")
 		version  = fs.String("report-version", "", "build identifier recorded in report provenance")
-		nworkers = fs.Int("parallel", defaults.Workers, "worker count for experiment sweeps (results are identical for any value)")
+		nworkers = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker count for experiment sweeps (results are identical for any value)")
 		replay   = fs.String("replay", "", "replay a trace file (tracegen output, v1 or compact) through the MEMCON engine and print its report")
 		metrics  = fs.String("metrics", "", `write aggregated run metrics to this file ("-" for stdout)`)
 		mformat  = fs.String("metrics-format", "json", "metrics output format: json, prom, or table")
@@ -179,10 +180,6 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 		disturbSpec = fmt.Sprintf("prac:%d", *pracN)
 	}
 
-	// The flags assemble a canonical experiments.Request. Fields are
-	// literal — the -seed default is 42 at the flag layer, so an
-	// explicit -seed 0 arrives as seed 0 with no "was it set?"
-	// bookkeeping (the old Options.SeedSet special-casing).
 	req := experiments.Request{
 		Experiment: *exp, Seed: *seed, Scale: *scale,
 		SimTimeNs: *simtime, Mixes: *mixes, Fleet: *fleetN,

@@ -1,6 +1,7 @@
 package memcon_test
 
 import (
+	"context"
 	"fmt"
 
 	"memcon"
@@ -66,7 +67,7 @@ func ExampleMinWriteInterval() {
 
 // Experiments regenerate the paper's tables and figures by id.
 func ExampleExperiment() {
-	out, err := memcon.Experiment("minwi", memcon.ExperimentOptions{})
+	out, err := memcon.Experiment(context.Background(), memcon.DefaultExperimentRequest("minwi"))
 	if err != nil {
 		panic(err)
 	}

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"memcon/internal/core"
 	"memcon/internal/costmodel"
 	"memcon/internal/dram"
+	"memcon/internal/parallel"
 	"memcon/internal/pril"
 	"memcon/internal/report"
 	"memcon/internal/trace"
@@ -25,12 +27,12 @@ func init() {
 }
 
 // ablTrace generates the reference workload for ablations.
-func ablTrace(opts Options) (*trace.Trace, error) {
+func ablTrace(req Request) (*trace.Trace, error) {
 	app, err := workload.AppByName("AdobePremiere")
 	if err != nil {
 		return nil, err
 	}
-	return app.Generate(opts.Seed, opts.Scale), nil
+	return app.Generate(req.Seed, req.Scale), nil
 }
 
 // AblBufferRow is one buffer-capacity point.
@@ -51,16 +53,16 @@ type AblBufferResult struct {
 // starvation, measuring the refresh reduction lost to discards. The
 // capacities run concurrently against one shared trace — core.Run
 // only reads the trace, so the units share it without copies.
-func RunAblBuffer(opts Options) (Result, error) {
-	tr, err := ablTrace(opts)
+func RunAblBuffer(ctx context.Context, req Request, rt Runtime) (Result, error) {
+	tr, err := ablTrace(req)
 	if err != nil {
 		return nil, err
 	}
 	capacities := []int{0, 4000, 1000, 200, 50, 8}
-	rows, err := forUnits(opts, len(capacities), func(i int) (AblBufferRow, error) {
+	rows, err := parallel.Map(ctx, len(capacities), rt.Workers, func(i int) (AblBufferRow, error) {
 		cfg := core.DefaultConfig()
 		cfg.BufferCap = capacities[i]
-		rep, err := core.RunContext(opts.Ctx, tr, cfg, core.WithObserver(opts.Observer))
+		rep, err := core.RunContext(ctx, tr, cfg, core.WithObserver(rt.Observer))
 		if err != nil {
 			return AblBufferRow{}, err
 		}
@@ -116,7 +118,7 @@ type AblAccelResult struct {
 }
 
 // RunAblAccel computes test cost and MinWriteInterval per acceleration.
-func RunAblAccel(Options) (Result, error) {
+func RunAblAccel(context.Context, Request, Runtime) (Result, error) {
 	res := &AblAccelResult{}
 	for _, a := range []costmodel.Accel{costmodel.NoAccel, costmodel.RowCloneCopy, costmodel.InDRAMCompare} {
 		cfg, err := costmodel.NewAcceleratedConfig(costmodel.DefaultConfig(), a)
@@ -166,8 +168,8 @@ type AblPrilResult struct {
 // RunAblPril verifies that the bitmap implementation (future work:
 // "cheaper implementations of PRIL") is prediction-equivalent to the
 // buffer design and compares storage.
-func RunAblPril(opts Options) (Result, error) {
-	tr, err := ablTrace(opts)
+func RunAblPril(ctx context.Context, req Request, rt Runtime) (Result, error) {
+	tr, err := ablTrace(req)
 	if err != nil {
 		return nil, err
 	}

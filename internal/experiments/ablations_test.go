@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestAblationsRegistered(t *testing.T) {
 }
 
 func TestRunAblBuffer(t *testing.T) {
-	out, err := Run("abl-buffer", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("abl-buffer"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestRunAblBuffer(t *testing.T) {
 }
 
 func TestRunAblAccel(t *testing.T) {
-	out, err := Run("abl-accel", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("abl-accel"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestRunAblAccel(t *testing.T) {
 }
 
 func TestRunAblPril(t *testing.T) {
-	out, err := Run("abl-pril", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("abl-pril"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestRunAblPril(t *testing.T) {
 }
 
 func TestRunEnergy(t *testing.T) {
-	out, err := Run("energy", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("energy"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestRunEnergy(t *testing.T) {
 }
 
 func TestRunVRT(t *testing.T) {
-	out, err := Run("vrt", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("vrt"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestRunVRT(t *testing.T) {
 }
 
 func TestRunClosedLoop(t *testing.T) {
-	out, err := Run("loop", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("loop"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestRunClosedLoop(t *testing.T) {
 }
 
 func TestRunProfile(t *testing.T) {
-	out, err := Run("profile", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("profile"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestRunProfile(t *testing.T) {
 }
 
 func TestRunAblRemap(t *testing.T) {
-	out, err := Run("abl-remap", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("abl-remap"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +199,8 @@ func TestRunAblRemap(t *testing.T) {
 }
 
 func TestCSVExports(t *testing.T) {
-	opts := testOpts()
 	for _, id := range []string{"fig6", "fig9", "fig11", "fig12", "fig14"} {
-		out, err := Run(id, opts)
+		out, err := RunRequest(context.Background(), testRequest(id), Runtime{})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"memcon/internal/dram"
 	"memcon/internal/faults"
+	"memcon/internal/parallel"
 	"memcon/internal/report"
 	"memcon/internal/softmc"
 	"memcon/internal/workload"
@@ -66,14 +68,14 @@ type Fig3Result struct {
 // content. Every pattern run rebuilds the (deterministically seeded)
 // chip from scratch, so the sweep fans out over the worker budget; the
 // per-pattern failure sets merge back in pattern order.
-func RunFig3(opts Options) (Result, error) {
-	geom := charGeometry(opts.Scale * 0.25) // one-bank-scale study
+func RunFig3(ctx context.Context, req Request, rt Runtime) (Result, error) {
+	geom := charGeometry(req.Scale * 0.25) // one-bank-scale study
 	geom.BanksPerChip = 1
 	params := faults.DefaultParams()
 	patterns := softmc.StandardPatterns(100)
 
-	fails, err := forUnits(opts, len(patterns), func(i int) ([]softmc.RowFailure, error) {
-		tester, err := newChip(geom, uint64(opts.Seed), params, opts.Mapping)
+	fails, err := parallel.Map(ctx, len(patterns), rt.Workers, func(i int) ([]softmc.RowFailure, error) {
+		tester, err := newChip(geom, uint64(req.Seed), params, req.Mapping)
 		if err != nil {
 			return nil, err
 		}
@@ -173,33 +175,33 @@ type Fig4Result struct {
 // benchmark gets its own chip rebuilt from the same seed — a content
 // run refills the whole module, so per-benchmark results match the
 // old shared-tester loop exactly while the sweep fans out.
-func RunFig4(opts Options) (Result, error) {
-	geom := charGeometry(opts.Scale)
+func RunFig4(ctx context.Context, req Request, rt Runtime) (Result, error) {
+	geom := charGeometry(req.Scale)
 	params := faults.DefaultParams()
 	idle := faults.CharacterizationIdle
 	const phases = 5
 
-	tester, err := newChip(geom, uint64(opts.Seed), params, opts.Mapping)
+	tester, err := newChip(geom, uint64(req.Seed), params, req.Mapping)
 	if err != nil {
 		return nil, err
 	}
-	allFail, err := tester.AllFailFractionParallel(opts.Ctx, idle, opts.Workers)
+	allFail, err := tester.AllFailFractionParallel(ctx, idle, rt.Workers)
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig4Result{AllFail: allFail}
 
 	specs := workload.SPECContents()
-	rows, err := forUnits(opts, len(specs), func(i int) (Fig4Row, error) {
+	rows, err := parallel.Map(ctx, len(specs), rt.Workers, func(i int) (Fig4Row, error) {
 		spec := specs[i]
-		tester, err := newChip(geom, uint64(opts.Seed), params, opts.Mapping)
+		tester, err := newChip(geom, uint64(req.Seed), params, req.Mapping)
 		if err != nil {
 			return Fig4Row{}, err
 		}
 		row := Fig4Row{Benchmark: spec.Name, Min: 1}
 		var sum float64
 		for ph := 0; ph < phases; ph++ {
-			img := spec.Image(geom.RowsPerBank, geom.ColsPerRow, ph, opts.Seed)
+			img := spec.Image(geom.RowsPerBank, geom.ColsPerRow, ph, req.Seed)
 			frac, err := tester.FailingRowFraction(img, idle)
 			if err != nil {
 				return Fig4Row{}, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 
 	"memcon/internal/core"
@@ -33,9 +34,9 @@ type ClosedLoopResult struct {
 // RunClosedLoop simulates bursty multiprogrammed traffic against the
 // memory controller with an attached tracer, then runs MEMCON (and the
 // read-aware analysis) on the captured traces.
-func RunClosedLoop(opts Options) (Result, error) {
+func RunClosedLoop(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	memCfg := memctrl.DefaultConfig()
-	memCfg.Seed = opts.Seed
+	memCfg.Seed = req.Seed
 	ctrl, err := memctrl.New(memCfg)
 	if err != nil {
 		return nil, err
@@ -47,9 +48,9 @@ func RunClosedLoop(opts Options) (Result, error) {
 	// Bursty synthetic system: pages receive a write-back burst once,
 	// then only reads — compressed to seconds so the capture stays
 	// cheap, with the quantum scaled to match.
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(req.Seed))
 	bench := workload.SimBenchmarks()
-	pages := int(2000 * opts.Scale)
+	pages := int(2000 * req.Scale)
 	if pages < 64 {
 		pages = 64
 	}
@@ -86,7 +87,7 @@ func RunClosedLoop(opts Options) (Result, error) {
 	// quantum (the statistics, not the wall-clock, are what matter).
 	cfg := core.DefaultConfig()
 	cfg.Quantum = 256 * trace.Millisecond
-	rep, err := core.RunContext(opts.Ctx, writes, cfg, core.WithObserver(opts.Observer))
+	rep, err := core.RunContext(ctx, writes, cfg, core.WithObserver(rt.Observer))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"memcon/internal/costmodel"
@@ -27,7 +28,7 @@ type Fig6Result struct {
 }
 
 // RunFig6 computes the cost-benefit crossovers.
-func RunFig6(Options) (Result, error) {
+func RunFig6(context.Context, Request, Runtime) (Result, error) {
 	res := &Fig6Result{}
 	cases := []struct {
 		mode  costmodel.TestMode
@@ -103,7 +104,7 @@ type AppendixResult struct {
 }
 
 // RunAppendix computes the appendix numbers.
-func RunAppendix(Options) (Result, error) {
+func RunAppendix(context.Context, Request, Runtime) (Result, error) {
 	return &AppendixResult{
 		Costs:    costmodel.Costs(dram.DDR31600()),
 		Reserved: costmodel.CopyCompareReservedRows(512, 8, 262144),

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -11,6 +12,7 @@ import (
 	"memcon/internal/faults"
 	"memcon/internal/memctrl"
 	"memcon/internal/obs"
+	"memcon/internal/parallel"
 	"memcon/internal/refresh"
 	"memcon/internal/report"
 )
@@ -53,18 +55,18 @@ type disturbChip struct {
 	hot []int
 }
 
-func newDisturbChip(opts Options) (*disturbChip, error) {
-	geom := charGeometry(opts.Scale)
+func newDisturbChip(req Request) (*disturbChip, error) {
+	geom := charGeometry(req.Scale)
 	geom.BanksPerChip = 1
-	scr, err := dram.NewMappedScrambler(geom, uint64(opts.Seed), nil, opts.Mapping)
+	scr, err := dram.NewMappedScrambler(geom, uint64(req.Seed), nil, req.Mapping)
 	if err != nil {
 		return nil, err
 	}
-	fm, err := faults.NewModel(geom, scr, uint64(opts.Seed), faults.ParamsForRefresh(dram.RefreshWindowDefault))
+	fm, err := faults.NewModel(geom, scr, uint64(req.Seed), faults.ParamsForRefresh(dram.RefreshWindowDefault))
 	if err != nil {
 		return nil, err
 	}
-	dm, err := disturb.NewModel(fm, uint64(opts.Seed), disturbParams())
+	dm, err := disturb.NewModel(fm, uint64(req.Seed), disturbParams())
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +76,7 @@ func newDisturbChip(opts Options) (*disturbChip, error) {
 	}
 	// Random program content: disturb flips are content-conditional, so
 	// roughly half of each victim's cells store their charged value.
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(req.Seed))
 	row := dram.NewRow(geom.ColsPerRow)
 	for r := 0; r < geom.RowsPerBank; r++ {
 		row.Randomize(rng)
@@ -103,13 +105,13 @@ func newDisturbChip(opts Options) (*disturbChip, error) {
 // traffic runs against, with MEMCON test traffic compressed into the
 // simulated horizon (64 tests per quarter of the run) so the probes'
 // own hammer contribution is visible at experiment scale.
-func (c *disturbChip) controller(opts Options, mit refresh.Mitigation) (*memctrl.Controller, error) {
+func (c *disturbChip) controller(req Request, mit refresh.Mitigation) (*memctrl.Controller, error) {
 	cfg := memctrl.DefaultConfig()
 	cfg.Banks = 1
-	cfg.Seed = opts.Seed
+	cfg.Seed = req.Seed
 	cfg.Rows = c.geom.RowsPerBank
 	cfg.TestsPerWindow = 64
-	cfg.TestWindow = dram.Nanoseconds(opts.SimTimeNs) / 4
+	cfg.TestWindow = dram.Nanoseconds(req.SimTimeNs) / 4
 	if cfg.TestWindow < 1 {
 		cfg.TestWindow = 1
 	}
@@ -121,9 +123,9 @@ func (c *disturbChip) controller(opts Options, mit refresh.Mitigation) (*memctrl
 // the hot aggressor rows, the rest spread uniformly. The generator's
 // RNG is independent of the controller's, so every policy in a sweep
 // sees the identical access stream.
-func (c *disturbChip) drive(ctrl *memctrl.Controller, opts Options) error {
-	rng := rand.New(rand.NewSource(opts.Seed ^ trafficStream))
-	simTime := dram.Nanoseconds(opts.SimTimeNs)
+func (c *disturbChip) drive(ctrl *memctrl.Controller, req Request) error {
+	rng := rand.New(rand.NewSource(req.Seed ^ trafficStream))
+	simTime := dram.Nanoseconds(req.SimTimeNs)
 	const spacing = dram.Nanoseconds(200)
 	for at := dram.Nanoseconds(0); at < simTime; at += spacing {
 		var row int
@@ -213,19 +215,19 @@ type DisturbExposureResult struct {
 // RunDisturbExposure co-simulates retention classification and
 // read-disturb accumulation over one traffic mix and reports the victim
 // census by refresh class.
-func RunDisturbExposure(opts Options) (Result, error) {
-	chip, err := newDisturbChip(opts)
+func RunDisturbExposure(ctx context.Context, req Request, rt Runtime) (Result, error) {
+	chip, err := newDisturbChip(req)
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := chip.controller(opts, nil)
+	ctrl, err := chip.controller(req, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := chip.drive(ctrl, opts); err != nil {
+	if err := chip.drive(ctrl, req); err != nil {
 		return nil, err
 	}
-	simTime := dram.Nanoseconds(opts.SimTimeNs)
+	simTime := dram.Nanoseconds(req.SimTimeNs)
 	victims, _ := chip.dm.VictimRows(0)
 
 	type victimVerdict struct {
@@ -237,7 +239,7 @@ func RunDisturbExposure(opts Options) (Result, error) {
 		test     int64
 		windowH  int64
 	}
-	verdicts, err := forUnits(opts, len(victims), func(i int) (victimVerdict, error) {
+	verdicts, err := parallel.Map(ctx, len(victims), rt.Workers, func(i int) (victimVerdict, error) {
 		v := int(victims[i])
 		a := dram.RowAddress{Bank: 0, Row: v}
 		class, window := chip.refreshWindow(v)
@@ -278,8 +280,8 @@ func RunDisturbExposure(opts Options) (Result, error) {
 		if vv.windowH > c.MaxWindowHammer {
 			c.MaxWindowHammer = vv.windowH
 		}
-		if vv.flips > 0 && opts.Observer != nil {
-			opts.Observer.OnEvent(obs.Event{
+		if vv.flips > 0 && rt.Observer != nil {
+			rt.Observer.OnEvent(obs.Event{
 				Kind: obs.KindDisturbFailure,
 				Page: uint32(victims[i]),
 				Aux:  int64(vv.flips),
@@ -287,12 +289,12 @@ func RunDisturbExposure(opts Options) (Result, error) {
 		}
 	}
 	stats := ctrl.Stats()
-	if opts.Observer != nil {
-		opts.Observer.OnEvent(obs.Event{Kind: obs.KindRowActivation, Aux: stats.Activations})
-		opts.Observer.OnEvent(obs.Event{Kind: obs.KindTestActivation, Aux: stats.TestActivations})
+	if rt.Observer != nil {
+		rt.Observer.OnEvent(obs.Event{Kind: obs.KindRowActivation, Aux: stats.Activations})
+		rt.Observer.OnEvent(obs.Event{Kind: obs.KindTestActivation, Aux: stats.TestActivations})
 	}
 	return &DisturbExposureResult{
-		SimTimeNs:         opts.SimTimeNs,
+		SimTimeNs:         req.SimTimeNs,
 		Census:            []DisturbClassCensus{*byClass["HI-REF"], *byClass["LO-REF"]},
 		Activations:       stats.Activations,
 		TestActivations:   stats.TestActivations,
@@ -384,40 +386,40 @@ var disturbPolicyGrid = []string{"", "para:0.001", "para:0.01", "prac:1024", "pr
 // and the residual exposure is evaluated analytically from the measured
 // per-victim hammer rates — PARA's escape probability (1-p)^H, PRAC's
 // capped inter-mitigation hammer.
-func RunDisturbMitigation(opts Options) (Result, error) {
-	chip, err := newDisturbChip(opts)
+func RunDisturbMitigation(ctx context.Context, req Request, rt Runtime) (Result, error) {
+	chip, err := newDisturbChip(req)
 	if err != nil {
 		return nil, err
 	}
 	specs := append([]string(nil), disturbPolicyGrid...)
-	if opts.Disturb != "" {
+	if req.Disturb != "" {
 		novel := true
 		for _, s := range specs {
-			if s == opts.Disturb {
+			if s == req.Disturb {
 				novel = false
 				break
 			}
 		}
 		if novel {
-			specs = append(specs, opts.Disturb)
+			specs = append(specs, req.Disturb)
 		}
 	}
-	simTime := dram.Nanoseconds(opts.SimTimeNs)
+	simTime := dram.Nanoseconds(req.SimTimeNs)
 	victims, _ := chip.dm.VictimRows(0)
 	cm := costmodel.DefaultConfig()
 	budget := energy.DDR3Budget()
 
-	outcomes, err := forUnits(opts, len(specs), func(i int) (DisturbPolicyOutcome, error) {
+	outcomes, err := parallel.Map(ctx, len(specs), rt.Workers, func(i int) (DisturbPolicyOutcome, error) {
 		spec := specs[i]
-		mit, err := refresh.ParseMitigation(spec, uint64(opts.Seed))
+		mit, err := refresh.ParseMitigation(spec, uint64(req.Seed))
 		if err != nil {
 			return DisturbPolicyOutcome{}, err
 		}
-		ctrl, err := chip.controller(opts, mit)
+		ctrl, err := chip.controller(req, mit)
 		if err != nil {
 			return DisturbPolicyOutcome{}, err
 		}
-		if err := chip.drive(ctrl, opts); err != nil {
+		if err := chip.drive(ctrl, req); err != nil {
 			return DisturbPolicyOutcome{}, err
 		}
 		stats := ctrl.Stats()
@@ -456,15 +458,15 @@ func RunDisturbMitigation(opts Options) (Result, error) {
 				out.FlippedCells += surviveProb * float64(len(chip.dm.AppendFailures(nil, chip.mod, a, w)))
 			}
 		}
-		if opts.Observer != nil {
-			opts.Observer.OnEvent(obs.Event{Kind: obs.KindMitigation, Aux: stats.MitigationOps})
+		if rt.Observer != nil {
+			rt.Observer.OnEvent(obs.Event{Kind: obs.KindMitigation, Aux: stats.MitigationOps})
 		}
 		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &DisturbMitigationResult{SimTimeNs: opts.SimTimeNs, Policies: outcomes}, nil
+	return &DisturbMitigationResult{SimTimeNs: req.SimTimeNs, Policies: outcomes}, nil
 }
 
 // Report builds the mitigation-sweep document.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"memcon/internal/core"
@@ -44,16 +45,16 @@ type EnergyResult struct {
 // module is modelled as the written footprint plus 9x read-only rows.
 // Savings are reported over the CONTROLLABLE energy (refresh + testing);
 // background power is shown for context but no refresh policy moves it.
-func RunEnergy(opts Options) (Result, error) {
+func RunEnergy(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	app, err := workload.AppByName("AdobePremiere")
 	if err != nil {
 		return nil, err
 	}
-	tr := app.Generate(opts.Seed, opts.Scale)
+	tr := app.Generate(req.Seed, req.Scale)
 	cfg := core.DefaultConfig()
 	cfg.Quantum = 1024 * trace.Millisecond
 	cfg.ReadOnlyRows = 9 * (tr.MaxPage() + 1)
-	rep, err := core.RunContext(opts.Ctx, tr, cfg, core.WithObserver(opts.Observer))
+	rep, err := core.RunContext(ctx, tr, cfg, core.WithObserver(rt.Observer))
 	if err != nil {
 		return nil, err
 	}

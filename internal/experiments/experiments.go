@@ -9,115 +9,10 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 
-	"memcon/internal/obs"
-	"memcon/internal/parallel"
 	"memcon/internal/report"
 )
-
-// Options tune experiment cost. The defaults reproduce the paper-scale
-// runs; tests use smaller scales.
-type Options struct {
-	// Scale in (0,1] shrinks workload sizes (trace pages, module rows).
-	Scale float64
-	// Seed drives all randomness, making every experiment reproducible.
-	// A zero Seed selects the default unless SeedSet is true.
-	Seed int64
-	// SeedSet marks Seed as explicitly chosen, making seed 0 usable:
-	// without it a zero value is indistinguishable from "unset" and
-	// normalize would silently substitute the default.
-	SeedSet bool
-	// SimTimeNs bounds performance-simulation runs (per configuration).
-	SimTimeNs int64
-	// Mixes is the number of multiprogrammed mixes for performance runs.
-	Mixes int
-	// Fleet is the module count for fleet-scale experiments; values
-	// below 1 derive a scale-proportional default (160 at full scale,
-	// floor 4). Single-module experiments ignore it.
-	Fleet int
-	// Mapping names the vendor address-mapping scheme chip-level
-	// experiments build their scramblers with (dram.MappingNames lists
-	// the registry; "" and "default" both select the original
-	// Feistel-style scrambler). Experiments that build no chips ignore
-	// it — see mappedExperiments.
-	Mapping string
-	// Disturb is the RowHammer mitigation spec for read-disturb
-	// experiments ("", "none", "para:<p>", "prac:<n>" — see
-	// refresh.ParseMitigation). Experiments that simulate no disturbance
-	// ignore it — see disturbExperiments.
-	Disturb string
-	// Workers bounds the fan-out of the parallel sweep loops; values
-	// below 1 select runtime.GOMAXPROCS(0). Every experiment produces
-	// byte-identical output for any worker count (per-unit seeds are
-	// derived with parallel.Seed, fan-in is ordered).
-	Workers int
-	// Version is an opaque build identifier recorded in report
-	// provenance (for example a git-describe string). It never
-	// influences the numbers; report.Diff treats mismatches as notes.
-	Version string
-	// Ctx cancels in-flight sweeps between work units; nil means
-	// context.Background().
-	Ctx context.Context
-	// Observer, when set, receives the structured lifecycle events of
-	// every engine an experiment runs. Sweeps may invoke it from
-	// multiple goroutines, so install only observers safe for
-	// concurrent use (obs.Metrics aggregates commutatively and keeps
-	// sink output deterministic for any worker count).
-	Observer obs.Observer
-	// Phases, when set, records per-experiment wall time: the
-	// dispatcher wraps each run in Phases.Start(id).
-	Phases *obs.PhaseTimer
-}
-
-// DefaultOptions returns full-scale settings.
-func DefaultOptions() Options {
-	return Options{
-		Scale:     1.0,
-		Seed:      42,
-		SimTimeNs: 500_000,
-		Mixes:     30,
-		Fleet:     160,
-		Workers:   runtime.GOMAXPROCS(0),
-		Ctx:       context.Background(),
-	}
-}
-
-// normalize fills zero fields with defaults.
-func (o Options) normalize() Options {
-	d := DefaultOptions()
-	if o.Scale <= 0 || o.Scale > 1 {
-		o.Scale = d.Scale
-	}
-	if o.Seed == 0 && !o.SeedSet {
-		o.Seed = d.Seed
-	}
-	if o.SimTimeNs <= 0 {
-		o.SimTimeNs = d.SimTimeNs
-	}
-	if o.Mixes <= 0 {
-		o.Mixes = d.Mixes
-	}
-	if o.Fleet < 1 {
-		o.Fleet = deriveFleet(o.Scale)
-	}
-	if o.Workers < 1 {
-		o.Workers = d.Workers
-	}
-	if o.Ctx == nil {
-		o.Ctx = d.Ctx
-	}
-	return o
-}
-
-// forUnits fans an experiment's independent work units out over the
-// options' worker budget and returns the per-unit results in unit
-// order. Units must not share mutable state; anything they need beyond
-// their index has to be built inside fn or be read-only.
-func forUnits[T any](opts Options, n int, fn func(i int) (T, error)) ([]T, error) {
-	return parallel.Map(opts.Ctx, n, opts.Workers, fn)
-}
 
 // Result is the outcome of one experiment: a typed report plus the
 // legacy text rendering (String delegates to the report's text form).
@@ -126,8 +21,8 @@ func forUnits[T any](opts Options, n int, fn func(i int) (T, error)) ([]T, error
 type Result interface {
 	fmt.Stringer
 	// Report builds the structured result document. The provenance
-	// header is populated when the result came from Run; results built
-	// by calling a runner directly carry empty provenance.
+	// header is populated when the result came from RunRequest;
+	// results built by calling a runner directly carry empty provenance.
 	Report() *report.Report
 	setProvenance(report.Provenance)
 }
@@ -143,11 +38,13 @@ func (m *resultMeta) setProvenance(p report.Provenance) { m.prov = p }
 // provenance returns the stamped provenance for Report builders.
 func (m *resultMeta) provenance() report.Provenance { return m.prov }
 
-// Runner executes one experiment and returns its typed result.
-type Runner func(Options) (Result, error)
+// Runner executes one experiment and returns its typed result. It
+// receives the request after Normalize, so every field is valid and
+// canonical; fan-out loops pass rt.Workers to parallel.Map as is.
+type Runner func(ctx context.Context, req Request, rt Runtime) (Result, error)
 
 // entry pairs a runner with its registry description. fleet marks
-// experiments whose numbers depend on Options.Fleet — only those stamp
+// experiments whose numbers depend on Request.Fleet — only those stamp
 // the fleet size into provenance, so single-module reports stay
 // byte-identical to their pre-fleet form.
 type entry struct {
@@ -184,7 +81,7 @@ var registry = map[string]entry{
 
 // mappedExperiments marks the experiments whose numbers depend on the
 // chip address mapping — the ones that build scramblers (directly or
-// via newChip). Only these stamp Options.Mapping into provenance and
+// via newChip). Only these stamp Request.Mapping into provenance and
 // cache keys; for every other id Normalize zeroes the field, so
 // trace-driven and analytical reports stay byte-identical to their
 // pre-mapping form no matter what -mapping the caller passed.
@@ -199,7 +96,7 @@ var mappedExperiments = map[string]bool{
 
 // disturbExperiments marks the experiments whose numbers depend on the
 // RowHammer mitigation spec — the read-disturb co-simulations registered
-// in disturbexp.go. Only these stamp Options.Disturb into provenance and
+// in disturbexp.go. Only these stamp Request.Disturb into provenance and
 // cache keys; for every other id Normalize zeroes the field, so all
 // pre-disturb reports and cache keys stay byte-identical no matter what
 // -disturb the caller passed.
@@ -225,34 +122,6 @@ func Describe(id string) (string, error) {
 		return "", fmt.Errorf("experiments: unknown experiment %q", id)
 	}
 	return e.desc, nil
-}
-
-// Run executes the experiment with the given id and stamps the result's
-// report provenance with the normalized inputs. It is a thin
-// compatibility wrapper: the Options are normalized (SeedSet
-// disambiguation included) into a canonical Request and handed to
-// RunRequest, the request-based entrypoint. The worker count is
-// deliberately not recorded in provenance: reports are byte-identical
-// for any -parallel value, and provenance only holds inputs that
-// determine the numbers.
-func Run(id string, opts Options) (Result, error) {
-	opts = opts.normalize()
-	req := Request{
-		Experiment: id,
-		Seed:       opts.Seed,
-		Scale:      opts.Scale,
-		SimTimeNs:  opts.SimTimeNs,
-		Mixes:      opts.Mixes,
-		Fleet:      opts.Fleet,
-		Mapping:    opts.Mapping,
-		Disturb:    opts.Disturb,
-		Version:    opts.Version,
-	}
-	return RunRequest(opts.Ctx, req, Runtime{
-		Workers:  opts.Workers,
-		Observer: opts.Observer,
-		Phases:   opts.Phases,
-	})
 }
 
 func pct(x float64) string  { return fmt.Sprintf("%.1f%%", 100*x) }

@@ -8,11 +8,6 @@ import (
 	"memcon/internal/dram"
 )
 
-// testOpts keeps experiment runtime small for the unit-test suite.
-func testOpts() Options {
-	return Options{Scale: 0.04, Seed: 42, SimTimeNs: 200_000, Mixes: 3}
-}
-
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"table1", "fig3", "fig4", "fig6", "fig7", "fig8", "fig9",
@@ -38,39 +33,8 @@ func TestRegistryComplete(t *testing.T) {
 	if _, err := Describe("nope"); err == nil {
 		t.Error("unknown id described")
 	}
-	if _, err := Run("nope", Options{}); err == nil {
+	if _, err := RunRequest(context.Background(), DefaultRequest("nope"), Runtime{}); err == nil {
 		t.Error("unknown id ran")
-	}
-}
-
-func TestOptionsNormalize(t *testing.T) {
-	n := (Options{}).normalize()
-	d := DefaultOptions()
-	if n != d {
-		t.Errorf("normalized zero options = %+v, want defaults %+v", n, d)
-	}
-	o := Options{Scale: 0.5, Seed: 7, SimTimeNs: 100, Mixes: 2, Fleet: 12, Workers: 3, Ctx: context.Background()}
-	if got := o.normalize(); got != o {
-		t.Errorf("valid options changed by normalize: %+v", got)
-	}
-	// Partially-set options keep what is set and fill the rest.
-	p := (Options{Workers: 2}).normalize()
-	if p.Workers != 2 {
-		t.Errorf("normalize clobbered Workers: %d", p.Workers)
-	}
-	if p.Ctx == nil {
-		t.Error("normalize left Ctx nil")
-	}
-}
-
-// TestSeedZeroExplicit pins the SeedSet mechanism: a zero Seed is the
-// default unless the caller marks it explicit, in which case it sticks.
-func TestSeedZeroExplicit(t *testing.T) {
-	if n := (Options{Seed: 0}).normalize(); n.Seed != DefaultOptions().Seed {
-		t.Errorf("implicit zero seed = %d, want default %d", n.Seed, DefaultOptions().Seed)
-	}
-	if n := (Options{Seed: 0, SeedSet: true}).normalize(); n.Seed != 0 {
-		t.Errorf("explicit zero seed replaced with %d", n.Seed)
 	}
 }
 
@@ -78,15 +42,15 @@ func TestSeedZeroExplicit(t *testing.T) {
 // normalized inputs (and only the inputs — Workers deliberately absent
 // from the Provenance type) on every result's report.
 func TestRunStampsProvenance(t *testing.T) {
-	opts := testOpts()
-	opts.Version = "test-build"
-	out, err := Run("minwi", opts)
+	req := testRequest("minwi")
+	req.Version = "test-build"
+	out, err := RunRequest(context.Background(), req, Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := out.Report().Prov
-	if p.Experiment != "minwi" || p.Seed != opts.Seed || p.Scale != opts.Scale ||
-		p.SimTimeNs != opts.SimTimeNs || p.Mixes != opts.Mixes || p.Version != "test-build" {
+	if p.Experiment != "minwi" || p.Seed != req.Seed || p.Scale != req.Scale ||
+		p.SimTimeNs != req.SimTimeNs || p.Mixes != req.Mixes || p.Version != "test-build" {
 		t.Errorf("provenance = %+v", p)
 	}
 	if p.Title == "" {
@@ -95,7 +59,7 @@ func TestRunStampsProvenance(t *testing.T) {
 }
 
 func TestRunFig6MatchesPaper(t *testing.T) {
-	out, err := Run("fig6", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("fig6"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +96,7 @@ func TestRunFig6MatchesPaper(t *testing.T) {
 }
 
 func TestRunAppendix(t *testing.T) {
-	out, err := Run("minwi", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("minwi"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +110,7 @@ func TestRunAppendix(t *testing.T) {
 }
 
 func TestRunTable1(t *testing.T) {
-	out, err := Run("table1", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("table1"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +124,7 @@ func TestRunTable1(t *testing.T) {
 }
 
 func TestRunFig3(t *testing.T) {
-	out, err := Run("fig3", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("fig3"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +147,9 @@ func TestRunFig3(t *testing.T) {
 }
 
 func TestRunFig4(t *testing.T) {
-	opts := testOpts()
-	opts.Scale = 0.1
-	out, err := Run("fig4", opts)
+	req := testRequest("fig4")
+	req.Scale = 0.1
+	out, err := RunRequest(context.Background(), req, Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +175,7 @@ func TestRunFig4(t *testing.T) {
 }
 
 func TestRunFig7(t *testing.T) {
-	out, err := Run("fig7", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("fig7"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +195,7 @@ func TestRunFig7(t *testing.T) {
 }
 
 func TestRunFig8(t *testing.T) {
-	out, err := Run("fig8", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("fig8"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +212,7 @@ func TestRunFig8(t *testing.T) {
 }
 
 func TestRunFig9(t *testing.T) {
-	out, err := Run("fig9", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("fig9"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +227,7 @@ func TestRunFig9(t *testing.T) {
 }
 
 func TestRunFig11(t *testing.T) {
-	out, err := Run("fig11", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("fig11"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +258,7 @@ func TestRunFig11(t *testing.T) {
 }
 
 func TestRunFig12(t *testing.T) {
-	out, err := Run("fig12", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("fig12"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +285,7 @@ func TestRunFig12(t *testing.T) {
 }
 
 func TestRunFig14(t *testing.T) {
-	out, err := Run("fig14", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("fig14"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +307,7 @@ func TestRunFig14(t *testing.T) {
 }
 
 func TestRunFig17(t *testing.T) {
-	out, err := Run("fig17", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("fig17"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +319,7 @@ func TestRunFig17(t *testing.T) {
 }
 
 func TestRunFig18(t *testing.T) {
-	out, err := Run("fig18", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("fig18"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +336,7 @@ func TestRunFig18(t *testing.T) {
 }
 
 func TestRunFig19(t *testing.T) {
-	out, err := Run("fig19", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("fig19"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +351,7 @@ func TestRunFig19(t *testing.T) {
 }
 
 func TestRunFig15(t *testing.T) {
-	out, err := Run("fig15", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("fig15"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +378,7 @@ func TestRunFig15(t *testing.T) {
 }
 
 func TestRunTable3(t *testing.T) {
-	out, err := Run("table3", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("table3"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +398,7 @@ func TestRunTable3(t *testing.T) {
 }
 
 func TestRunFig16(t *testing.T) {
-	out, err := Run("fig16", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("fig16"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +419,7 @@ func TestRunFig16(t *testing.T) {
 }
 
 func TestRunMotivation(t *testing.T) {
-	out, err := Run("motiv", testOpts())
+	out, err := RunRequest(context.Background(), testRequest("motiv"), Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -16,13 +17,13 @@ import (
 // Both run the same deterministic simulation, so a combined study pays
 // for it twice only in CPU, never in divergent numbers.
 
-// runFleetSim executes the shared fleet simulation for the options.
-func runFleetSim(opts Options) (*fleet.Log, *fleet.Analytics, error) {
-	log, err := fleet.Run(opts.Ctx, fleet.Config{
-		Modules: opts.Fleet,
-		Seed:    opts.Seed,
-		Scale:   opts.Scale,
-		Workers: opts.Workers,
+// runFleetSim executes the shared fleet simulation for the request.
+func runFleetSim(ctx context.Context, req Request, workers int) (*fleet.Log, *fleet.Analytics, error) {
+	log, err := fleet.Run(ctx, fleet.Config{
+		Modules: req.Fleet,
+		Seed:    req.Seed,
+		Scale:   req.Scale,
+		Workers: workers,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -46,8 +47,8 @@ type FleetCEResult struct {
 }
 
 // RunFleetCE simulates the fleet and clusters its CE log.
-func RunFleetCE(opts Options) (Result, error) {
-	log, an, err := runFleetSim(opts)
+func RunFleetCE(ctx context.Context, req Request, rt Runtime) (Result, error) {
+	log, an, err := runFleetSim(ctx, req, rt.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -147,8 +148,8 @@ type FleetRiskResult struct {
 }
 
 // RunFleetRisk simulates the fleet and scores UE risk predictions.
-func RunFleetRisk(opts Options) (Result, error) {
-	log, an, err := runFleetSim(opts)
+func RunFleetRisk(ctx context.Context, req Request, rt Runtime) (Result, error) {
+	log, an, err := runFleetSim(ctx, req, rt.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
+	"memcon/internal/parallel"
 	"memcon/internal/pareto"
 	"memcon/internal/report"
 	"memcon/internal/stats"
@@ -17,12 +19,12 @@ var representativeApps = []string{"ACBrotherHood", "Netflix", "SystemMgt"}
 var cilGrid = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768}
 
 // genTrace generates one application's trace under the options.
-func genTrace(name string, opts Options) (*trace.Trace, error) {
+func genTrace(name string, req Request) (*trace.Trace, error) {
 	app, err := workload.AppByName(name)
 	if err != nil {
 		return nil, err
 	}
-	return app.Generate(opts.Seed, opts.Scale), nil
+	return app.Generate(req.Seed, req.Scale), nil
 }
 
 // Fig7App is one application's interval distribution.
@@ -43,10 +45,10 @@ type Fig7Result struct {
 
 // RunFig7 computes write-interval distributions for the representative
 // workloads, one independent work unit per workload.
-func RunFig7(opts Options) (Result, error) {
-	apps, err := forUnits(opts, len(representativeApps), func(i int) (Fig7App, error) {
+func RunFig7(ctx context.Context, req Request, rt Runtime) (Result, error) {
+	apps, err := parallel.Map(ctx, len(representativeApps), rt.Workers, func(i int) (Fig7App, error) {
 		name := representativeApps[i]
-		tr, err := genTrace(name, opts)
+		tr, err := genTrace(name, req)
 		if err != nil {
 			return Fig7App{}, err
 		}
@@ -124,10 +126,10 @@ type Fig8Result struct {
 
 // RunFig8 fits Pareto distributions to the interval tails (>= 1 ms, the
 // plotted range) of the representative workloads.
-func RunFig8(opts Options) (Result, error) {
-	apps, err := forUnits(opts, len(representativeApps), func(i int) (Fig8App, error) {
+func RunFig8(ctx context.Context, req Request, rt Runtime) (Result, error) {
+	apps, err := parallel.Map(ctx, len(representativeApps), rt.Workers, func(i int) (Fig8App, error) {
 		name := representativeApps[i]
-		tr, err := genTrace(name, opts)
+		tr, err := genTrace(name, req)
 		if err != nil {
 			return Fig8App{}, err
 		}
@@ -186,10 +188,10 @@ type Fig9Result struct {
 
 // RunFig9 computes the execution-time share of long write intervals for
 // all twelve workloads.
-func RunFig9(opts Options) (Result, error) {
+func RunFig9(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	apps := workload.Apps()
-	rows, err := forUnits(opts, len(apps), func(i int) (Fig9Row, error) {
-		tr := apps[i].Generate(opts.Seed, opts.Scale)
+	rows, err := parallel.Map(ctx, len(apps), rt.Workers, func(i int) (Fig9Row, error) {
+		tr := apps[i].Generate(req.Seed, req.Scale)
 		var total, long float64
 		for _, iv := range tr.Intervals(true) {
 			total += iv
@@ -250,10 +252,10 @@ type Fig11Result struct {
 
 // RunFig11 computes the decreasing-hazard-rate conditionals for all
 // workloads.
-func RunFig11(opts Options) (Result, error) {
+func RunFig11(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	apps := workload.Apps()
-	rows, err := forUnits(opts, len(apps), func(i int) ([]float64, error) {
-		tr := apps[i].Generate(opts.Seed, opts.Scale)
+	rows, err := parallel.Map(ctx, len(apps), rt.Workers, func(i int) ([]float64, error) {
+		tr := apps[i].Generate(req.Seed, req.Scale)
 		ivs := tr.Intervals(true)
 		row := make([]float64, len(cilGrid))
 		for j, c := range cilGrid {
@@ -305,10 +307,10 @@ type Fig12Result struct {
 }
 
 // RunFig12 computes prediction coverage for all workloads.
-func RunFig12(opts Options) (Result, error) {
+func RunFig12(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	apps := workload.Apps()
-	rows, err := forUnits(opts, len(apps), func(i int) ([]float64, error) {
-		tr := apps[i].Generate(opts.Seed, opts.Scale)
+	rows, err := parallel.Map(ctx, len(apps), rt.Workers, func(i int) ([]float64, error) {
+		tr := apps[i].Generate(req.Seed, req.Scale)
 		ivs := tr.Intervals(true)
 		row := make([]float64, len(cilGrid))
 		for j, c := range cilGrid {
@@ -363,8 +365,8 @@ type Fig19Result struct {
 }
 
 // RunFig19 halves the ACBrotherhood intervals and compares.
-func RunFig19(opts Options) (Result, error) {
-	tr, err := genTrace("ACBrotherHood", opts)
+func RunFig19(ctx context.Context, req Request, rt Runtime) (Result, error) {
+	tr, err := genTrace("ACBrotherHood", req)
 	if err != nil {
 		return nil, err
 	}

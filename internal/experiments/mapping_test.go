@@ -97,7 +97,7 @@ func TestMappingChangesChipNumbers(t *testing.T) {
 		req := DefaultRequest("fig3")
 		req.Scale = 0.04
 		req.Mapping = mapping
-		res, err := RunContext(context.Background(), req)
+		res, err := RunRequest(context.Background(), req, Runtime{})
 		if err != nil {
 			t.Fatal(err)
 		}

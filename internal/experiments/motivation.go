@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"memcon/internal/faults"
 	"memcon/internal/report"
 )
@@ -35,12 +36,12 @@ func (r *MotivationResult) MissRate() float64 {
 
 // RunMotivation runs the naive system-level neighbour test against the
 // silicon ground truth.
-func RunMotivation(opts Options) (Result, error) {
-	geom := charGeometry(opts.Scale * 0.5)
+func RunMotivation(ctx context.Context, req Request, rt Runtime) (Result, error) {
+	geom := charGeometry(req.Scale * 0.5)
 	geom.BanksPerChip = 2
 	params := faults.DefaultParams()
 	params.WeakCellFraction = 2e-3 // denser population for stable statistics
-	tester, err := newChip(geom, uint64(opts.Seed), params, opts.Mapping)
+	tester, err := newChip(geom, uint64(req.Seed), params, req.Mapping)
 	if err != nil {
 		return nil, err
 	}

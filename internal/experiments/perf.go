@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"memcon/internal/dram"
@@ -43,12 +44,12 @@ func memconMem(d dram.Density, reduction float64, testsPerWindow int, seed int64
 
 // avgSpeedup runs all mixes and returns the mean weighted speedup of
 // scheme over baseline. The mixes are independent simulations, so they
-// fan out over the options' worker budget; each mix simulates under its
-// own parallel.Seed(opts.Seed, i) stream and the speedups are averaged
+// fan out over the run's worker budget; each mix simulates under its
+// own parallel.Seed(req.Seed, i) stream and the speedups are averaged
 // in mix order, so the result is identical for any worker count.
-func avgSpeedup(opts Options, mixes [][]workload.CoreParams, base, scheme memctrl.Config) (float64, error) {
-	speedups, err := forUnits(opts, len(mixes), func(i int) (float64, error) {
-		return sim.MixSpeedup(mixes[i], base, scheme, opts.SimTimeNs, parallel.Seed(opts.Seed, i))
+func avgSpeedup(ctx context.Context, req Request, workers int, mixes [][]workload.CoreParams, base, scheme memctrl.Config) (float64, error) {
+	speedups, err := parallel.Map(ctx, len(mixes), workers, func(i int) (float64, error) {
+		return sim.MixSpeedup(mixes[i], base, scheme, req.SimTimeNs, parallel.Seed(req.Seed, i))
 	})
 	if err != nil {
 		return 0, err
@@ -74,17 +75,17 @@ type Fig15Result struct {
 }
 
 // RunFig15 sweeps the speedup grid.
-func RunFig15(opts Options) (Result, error) {
+func RunFig15(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	res := &Fig15Result{}
 	for _, cores := range []int{1, 4} {
-		mixes := workload.Mixes(opts.Mixes, cores, opts.Seed)
+		mixes := workload.Mixes(req.Mixes, cores, req.Seed)
 		for _, d := range densities {
 			for _, reduction := range []float64{0.60, 0.75} {
-				scheme, err := memconMem(d, reduction, 256, opts.Seed)
+				scheme, err := memconMem(d, reduction, 256, req.Seed)
 				if err != nil {
 					return nil, err
 				}
-				s, err := avgSpeedup(opts, mixes, baselineMem(d, opts.Seed), scheme)
+				s, err := avgSpeedup(ctx, req, rt.Workers, mixes, baselineMem(d, req.Seed), scheme)
 				if err != nil {
 					return nil, err
 				}
@@ -160,20 +161,20 @@ type Table3Result struct {
 }
 
 // RunTable3 sweeps test-traffic intensity.
-func RunTable3(opts Options) (Result, error) {
+func RunTable3(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	res := &Table3Result{}
 	for _, cores := range []int{1, 4} {
-		mixes := workload.Mixes(opts.Mixes, cores, opts.Seed)
+		mixes := workload.Mixes(req.Mixes, cores, req.Seed)
 		// The ideal configuration has MEMCON's refresh reduction but free
 		// testing.
-		ideal, err := memconMem(dram.Density8Gb, 0.70, 0, opts.Seed)
+		ideal, err := memconMem(dram.Density8Gb, 0.70, 0, req.Seed)
 		if err != nil {
 			return nil, err
 		}
 		for _, tests := range []int{256, 512, 1024} {
 			loaded := ideal
 			loaded.TestsPerWindow = tests
-			s, err := avgSpeedup(opts, mixes, ideal, loaded)
+			s, err := avgSpeedup(ctx, req, rt.Workers, mixes, ideal, loaded)
 			if err != nil {
 				return nil, err
 			}
@@ -248,18 +249,18 @@ var fig16Policies = []struct {
 }
 
 // RunFig16 sweeps refresh policies.
-func RunFig16(opts Options) (Result, error) {
+func RunFig16(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	res := &Fig16Result{}
 	for _, cores := range []int{1, 4} {
-		mixes := workload.Mixes(opts.Mixes, cores, opts.Seed)
+		mixes := workload.Mixes(req.Mixes, cores, req.Seed)
 		for _, d := range densities {
-			base := baselineMem(d, opts.Seed)
+			base := baselineMem(d, req.Seed)
 			for _, pol := range fig16Policies {
-				scheme, err := memconMem(d, pol.reduction, pol.tests, opts.Seed)
+				scheme, err := memconMem(d, pol.reduction, pol.tests, req.Seed)
 				if err != nil {
 					return nil, err
 				}
-				s, err := avgSpeedup(opts, mixes, base, scheme)
+				s, err := avgSpeedup(ctx, req, rt.Workers, mixes, base, scheme)
 				if err != nil {
 					return nil, err
 				}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"memcon/internal/core"
@@ -42,19 +43,19 @@ type ProfileResult struct {
 
 // RunProfile executes profiling campaigns at several guardbands against
 // one chip and reports coverage vs ground truth.
-func RunProfile(opts Options) (Result, error) {
-	geom := charGeometry(opts.Scale * 0.5)
+func RunProfile(ctx context.Context, req Request, rt Runtime) (Result, error) {
+	geom := charGeometry(req.Scale * 0.5)
 	geom.BanksPerChip = 2
 	params := faults.ParamsForRefresh(dram.RefreshWindowDefault)
 	params.WeakCellFraction = 3e-3
 	res := &ProfileResult{}
 	for _, guard := range []float64{1.0, 1.25, 1.5, 2.0} {
 		// A fresh chip per campaign: profiling consumes the test clock.
-		scr, err := dram.NewMappedScrambler(geom, uint64(opts.Seed), nil, opts.Mapping)
+		scr, err := dram.NewMappedScrambler(geom, uint64(req.Seed), nil, req.Mapping)
 		if err != nil {
 			return nil, err
 		}
-		model, err := faults.NewModel(geom, scr, uint64(opts.Seed), params)
+		model, err := faults.NewModel(geom, scr, uint64(req.Seed), params)
 		if err != nil {
 			return nil, err
 		}
@@ -69,7 +70,7 @@ func RunProfile(opts Options) (Result, error) {
 		// The guardband sweep is serial, so the tester's read-back scans
 		// get the whole worker budget (ReadBack output is identical for
 		// any parallelism).
-		tester.SetParallelism(opts.Workers)
+		tester.SetParallelism(rt.Workers)
 		cfg := profiler.DefaultConfig()
 		cfg.Guardband = guard
 		p, err := profiler.Run(tester, geom, cfg)
@@ -123,7 +124,7 @@ type AblRemapResult struct {
 
 // RunAblRemap runs the full-fidelity system with a dense weak-cell
 // population, with and without remap mitigation.
-func RunAblRemap(opts Options) (Result, error) {
+func RunAblRemap(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	geom := dram.Geometry{
 		Ranks: 1, ChipsPerRank: 1, BanksPerChip: 2,
 		RowsPerBank: 256, ColsPerRow: 512, RedundantCols: 16,
@@ -137,13 +138,13 @@ func RunAblRemap(opts Options) (Result, error) {
 		return tr
 	}
 	run := func(withRemap bool) (core.Report, int, error) {
-		scr, err := dram.NewMappedScrambler(geom, uint64(opts.Seed), nil, opts.Mapping)
+		scr, err := dram.NewMappedScrambler(geom, uint64(req.Seed), nil, req.Mapping)
 		if err != nil {
 			return core.Report{}, 0, err
 		}
 		params := faults.ParamsForRefresh(dram.RefreshWindowDefault)
 		params.WeakCellFraction = 3e-2
-		model, err := faults.NewModel(geom, scr, uint64(opts.Seed), params)
+		model, err := faults.NewModel(geom, scr, uint64(req.Seed), params)
 		if err != nil {
 			return core.Report{}, 0, err
 		}
@@ -151,7 +152,7 @@ func RunAblRemap(opts Options) (Result, error) {
 		if err != nil {
 			return core.Report{}, 0, err
 		}
-		sys, err := core.NewSystem(core.DefaultConfig(), mod, model, core.WithObserver(opts.Observer))
+		sys, err := core.NewSystem(core.DefaultConfig(), mod, model, core.WithObserver(rt.Observer))
 		if err != nil {
 			return core.Report{}, 0, err
 		}

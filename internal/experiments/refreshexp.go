@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"memcon/internal/core"
+	"memcon/internal/obs"
+	"memcon/internal/parallel"
 	"memcon/internal/report"
 	"memcon/internal/trace"
 	"memcon/internal/workload"
@@ -15,11 +18,11 @@ import (
 var cilChoices = []trace.Microseconds{512 * trace.Millisecond, 1024 * trace.Millisecond, 2048 * trace.Millisecond}
 
 // runEngineOn replays one generated trace through the MEMCON engine at
-// the given quantum, forwarding the options' observer.
-func runEngineOn(opts Options, tr *trace.Trace, quantum trace.Microseconds) (core.Report, error) {
+// the given quantum, forwarding the run's observer.
+func runEngineOn(ctx context.Context, o obs.Observer, tr *trace.Trace, quantum trace.Microseconds) (core.Report, error) {
 	cfg := core.DefaultConfig()
 	cfg.Quantum = quantum
-	return core.RunContext(opts.Ctx, tr, cfg, core.WithObserver(opts.Observer))
+	return core.RunContext(ctx, tr, cfg, core.WithObserver(o))
 }
 
 // Fig14Row is one application's refresh reduction per CIL.
@@ -44,13 +47,13 @@ type Fig14Result struct {
 // workloads at the three quantum lengths. Apps are independent work
 // units (each generates its own trace); the min/avg/max fold runs over
 // the fanned-in rows in app order.
-func RunFig14(opts Options) (Result, error) {
+func RunFig14(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	apps := workload.Apps()
-	rows, err := forUnits(opts, len(apps), func(i int) (Fig14Row, error) {
-		tr := apps[i].Generate(opts.Seed, opts.Scale)
+	rows, err := parallel.Map(ctx, len(apps), rt.Workers, func(i int) (Fig14Row, error) {
+		tr := apps[i].Generate(req.Seed, req.Scale)
 		row := Fig14Row{Name: apps[i].Name}
 		for _, q := range cilChoices {
-			rep, err := runEngineOn(opts, tr, q)
+			rep, err := runEngineOn(ctx, rt.Observer, tr, q)
 			if err != nil {
 				return Fig14Row{}, err
 			}
@@ -126,13 +129,13 @@ type Fig17Result struct {
 }
 
 // RunFig17 measures the fraction of execution time rows spend at LO-REF.
-func RunFig17(opts Options) (Result, error) {
+func RunFig17(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	apps := workload.Apps()
-	rows, err := forUnits(opts, len(apps), func(i int) (Fig17Row, error) {
-		tr := apps[i].Generate(opts.Seed, opts.Scale)
+	rows, err := parallel.Map(ctx, len(apps), rt.Workers, func(i int) (Fig17Row, error) {
+		tr := apps[i].Generate(req.Seed, req.Scale)
 		row := Fig17Row{Name: apps[i].Name}
 		for _, q := range cilChoices {
-			rep, err := runEngineOn(opts, tr, q)
+			rep, err := runEngineOn(ctx, rt.Observer, tr, q)
 			if err != nil {
 				return Fig17Row{}, err
 			}
@@ -200,10 +203,10 @@ type Fig18Result struct {
 
 // RunFig18 measures time spent on refresh and testing under MEMCON,
 // normalized to baseline refresh time.
-func RunFig18(opts Options) (Result, error) {
+func RunFig18(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	apps := workload.Apps()
-	rows, err := forUnits(opts, len(apps), func(i int) (Fig18Row, error) {
-		tr := apps[i].Generate(opts.Seed, opts.Scale)
+	rows, err := parallel.Map(ctx, len(apps), rt.Workers, func(i int) (Fig18Row, error) {
+		tr := apps[i].Generate(req.Seed, req.Scale)
 		cfg := core.DefaultConfig()
 		cfg.Quantum = 1024 * trace.Millisecond
 		// Model the full module: the workload's written footprint is a
@@ -212,7 +215,7 @@ func RunFig18(opts Options) (Result, error) {
 		// what makes testing time minuscule against the module-wide
 		// refresh bill in the paper's Fig. 18.
 		cfg.ReadOnlyRows = 9 * (tr.MaxPage() + 1)
-		rep, err := core.RunContext(opts.Ctx, tr, cfg, core.WithObserver(opts.Observer))
+		rep, err := core.RunContext(ctx, tr, cfg, core.WithObserver(rt.Observer))
 		if err != nil {
 			return Fig18Row{}, err
 		}
@@ -271,7 +274,7 @@ type Table1Result struct {
 }
 
 // RunTable1 returns the workload table.
-func RunTable1(Options) (Result, error) {
+func RunTable1(context.Context, Request, Runtime) (Result, error) {
 	return &Table1Result{Apps: workload.Apps()}, nil
 }
 

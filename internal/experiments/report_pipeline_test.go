@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,16 +11,16 @@ import (
 // TestEveryExperimentReports is the registry-wide property test for the
 // typed report pipeline: every registered id must build a report that
 // renders in all three formats, survives a JSON round trip unchanged,
-// and is byte-identical for any worker count.
+// and is byte-identical for any worker count — including 0, the
+// GOMAXPROCS default cmd/memcond runs with.
 func TestEveryExperimentReports(t *testing.T) {
-	opts := testOpts()
-	opts.Scale = 0.02
-	opts.Workers = 1
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			out, err := Run(id, opts)
+			req := testRequest(id)
+			req.Scale = 0.02
+			out, err := RunRequest(context.Background(), req, Runtime{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -30,12 +31,12 @@ func TestEveryExperimentReports(t *testing.T) {
 			// experiment stamping it would perturb its committed reports,
 			// and a fleet experiment omitting it would let -diff compare
 			// runs of different fleet sizes as if comparable.
-			if rep.Prov.Experiment != id || rep.Prov.Seed != opts.Seed {
+			if rep.Prov.Experiment != id || rep.Prov.Seed != req.Seed {
 				t.Errorf("provenance = %+v", rep.Prov)
 			}
 			wantFleet := 0
 			if registry[id].fleet {
-				wantFleet = opts.normalize().Fleet
+				wantFleet = deriveFleet(req.Scale)
 			}
 			if rep.Prov.Fleet != wantFleet {
 				t.Errorf("provenance.fleet = %d, want %d", rep.Prov.Fleet, wantFleet)
@@ -75,10 +76,8 @@ func TestEveryExperimentReports(t *testing.T) {
 
 			// A fresh identical run diffs clean at zero tolerance, and the
 			// canonical document is byte-identical for any worker count.
-			for _, workers := range []int{4, 8} {
-				wopts := opts
-				wopts.Workers = workers
-				out2, err := Run(id, wopts)
+			for _, workers := range []int{0, 4, 8} {
+				out2, err := RunRequest(context.Background(), req, Runtime{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}

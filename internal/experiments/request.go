@@ -25,8 +25,7 @@ import (
 // default". Defaults enter only at construction — DefaultRequest fills
 // them, and JSON bodies are decoded ONTO a default request so absent
 // fields keep their defaults while present ones (including an explicit
-// zero seed) stick. This replaces the Options.SeedSet flag, whose whole
-// job was to disambiguate "unset" from "zero" inside one struct.
+// zero seed) stick.
 //
 // Execution knobs that do not affect the bytes (worker count,
 // observers, phase timers) are deliberately absent; they live in
@@ -67,18 +66,17 @@ type Request struct {
 	Version string `json:"version,omitempty"`
 }
 
-// DefaultRequest returns the full-scale request for an experiment id —
-// the same defaults DefaultOptions carries. Decode JSON request bodies
-// onto this value so absent fields default and present fields (even
-// explicit zeros) win.
+// DefaultRequest returns the full-scale request for an experiment id:
+// seed 42, scale 1, 500 000 simulated ns and 30 mixes. Decode JSON
+// request bodies onto this value so absent fields default and present
+// fields (even explicit zeros) win.
 func DefaultRequest(id string) Request {
-	d := DefaultOptions()
 	return Request{
 		Experiment: id,
-		Seed:       d.Seed,
-		Scale:      d.Scale,
-		SimTimeNs:  d.SimTimeNs,
-		Mixes:      d.Mixes,
+		Seed:       42,
+		Scale:      1.0,
+		SimTimeNs:  500_000,
+		Mixes:      30,
 	}
 }
 
@@ -102,8 +100,8 @@ func RequestFromProvenance(p report.Provenance) Request {
 	}
 }
 
-// deriveFleet is the scale-proportional fleet-size default shared by
-// Request.Normalize and Options.normalize.
+// deriveFleet is the scale-proportional fleet-size default Normalize
+// fills in for fleet experiments.
 func deriveFleet(scale float64) int {
 	n := int(160*scale + 0.5)
 	if n < 4 {
@@ -113,12 +111,12 @@ func deriveFleet(scale float64) int {
 }
 
 // Normalize validates the request and rewrites it into canonical form.
-// It is strict where Options.normalize was forgiving: out-of-range
-// inputs are errors, not silent substitutions, because a served request
-// that quietly ran with different numbers than asked for would poison
-// the content-addressed cache. The only rewrite is the Fleet
-// canonicalization (zero for experiments that ignore it, derived
-// default for fleet experiments that leave it unset).
+// Out-of-range inputs are errors, not silent substitutions, because a
+// served request that quietly ran with different numbers than asked for
+// would poison the content-addressed cache. The only rewrites are
+// canonicalizations: Fleet (zero for experiments that ignore it, derived
+// default for fleet experiments that leave it unset), Mapping and
+// Disturb (see their field docs).
 func (r *Request) Normalize() error {
 	e, ok := registry[r.Experiment]
 	if !ok {
@@ -246,15 +244,12 @@ type Runtime struct {
 	Phases *obs.PhaseTimer
 }
 
-// RunContext executes the experiment described by req under ctx and
+// RunRequest executes the experiment described by req under ctx and
 // stamps the result's provenance with the normalized inputs. It is the
-// context-aware, request-based entrypoint the serving daemon uses;
-// Run(id, Options) remains as a thin compatibility wrapper over it.
-func RunContext(ctx context.Context, req Request) (Result, error) {
-	return RunRequest(ctx, req, Runtime{})
-}
-
-// RunRequest is RunContext with explicit runtime knobs.
+// one entrypoint every caller uses: the CLIs, the serving daemon and
+// the public facade. The worker count is deliberately not recorded in
+// provenance: reports are byte-identical for any rt.Workers, and
+// provenance only holds inputs that determine the numbers.
 func RunRequest(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	if err := req.Normalize(); err != nil {
 		return nil, err
@@ -266,35 +261,27 @@ func RunRequest(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	if rt.Phases != nil {
 		defer rt.Phases.Start(req.Experiment)()
 	}
-	opts := Options{
-		Scale:     req.Scale,
-		Seed:      req.Seed,
-		SeedSet:   true,
-		SimTimeNs: req.SimTimeNs,
-		Mixes:     req.Mixes,
-		Fleet:     req.Fleet,
-		Mapping:   req.Mapping,
-		Disturb:   req.Disturb,
-		Workers:   rt.Workers,
-		Version:   req.Version,
-		Ctx:       ctx,
-		Observer:  rt.Observer,
-	}
-	res, err := e.runner(opts.normalize())
+	res, err := e.runner(ctx, req, rt)
 	if err != nil {
 		return nil, err
 	}
-	res.setProvenance(report.Provenance{
-		Experiment: req.Experiment,
-		Title:      e.desc,
-		Seed:       req.Seed,
-		Scale:      req.Scale,
-		SimTimeNs:  req.SimTimeNs,
-		Mixes:      req.Mixes,
-		Fleet:      req.Fleet,
-		Mapping:    req.Mapping,
-		Disturb:    req.Disturb,
-		Version:    req.Version,
-	})
+	res.setProvenance(req.provenance(e.desc))
 	return res, nil
+}
+
+// provenance returns the report provenance of a normalized request: its
+// inputs field for field, under the registry title.
+func (r Request) provenance(title string) report.Provenance {
+	return report.Provenance{
+		Experiment: r.Experiment,
+		Title:      title,
+		Seed:       r.Seed,
+		Scale:      r.Scale,
+		SimTimeNs:  r.SimTimeNs,
+		Mixes:      r.Mixes,
+		Fleet:      r.Fleet,
+		Mapping:    r.Mapping,
+		Disturb:    r.Disturb,
+		Version:    r.Version,
+	}
 }

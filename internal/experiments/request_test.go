@@ -12,23 +12,22 @@ import (
 	"memcon/internal/report"
 )
 
+// testRequest keeps experiment runtime small for the unit-test suite.
 func testRequest(id string) Request {
 	r := DefaultRequest(id)
 	r.Scale = 0.04
 	r.SimTimeNs = 200_000
-	r.Mixes = 2
+	r.Mixes = 3
 	return r
 }
 
-func TestDefaultRequestMatchesDefaultOptions(t *testing.T) {
-	d := DefaultOptions()
-	r := DefaultRequest("fig14")
-	if r.Experiment != "fig14" || r.Seed != d.Seed || r.Scale != d.Scale ||
-		r.SimTimeNs != d.SimTimeNs || r.Mixes != d.Mixes {
-		t.Errorf("DefaultRequest = %+v, want the DefaultOptions values %+v", r, d)
-	}
-	if r.Fleet != 0 {
-		t.Errorf("DefaultRequest.Fleet = %d, want 0 (derived at Normalize)", r.Fleet)
+// TestDefaultRequestLiterals pins the full-scale defaults. The cache-key
+// golden cannot: it is derived from report provenance, not from
+// DefaultRequest.
+func TestDefaultRequestLiterals(t *testing.T) {
+	want := Request{Experiment: "fig14", Seed: 42, Scale: 1, SimTimeNs: 500_000, Mixes: 30}
+	if r := DefaultRequest("fig14"); r != want {
+		t.Errorf("DefaultRequest = %+v, want %+v", r, want)
 	}
 }
 
@@ -96,8 +95,7 @@ func TestNormalizeCanonicalizesFleet(t *testing.T) {
 
 // TestRequestJSONOverlay pins the decode-onto-defaults idiom the server
 // uses: absent fields keep the defaults, present fields win, and an
-// explicit zero seed is honoured — the property Options needed SeedSet
-// for.
+// explicit zero seed is honoured.
 func TestRequestJSONOverlay(t *testing.T) {
 	req := DefaultRequest("fig3")
 	if err := json.Unmarshal([]byte(`{"seed":0,"scale":0.25}`), &req); err != nil {
@@ -109,7 +107,7 @@ func TestRequestJSONOverlay(t *testing.T) {
 	if req.Scale != 0.25 {
 		t.Errorf("scale = %v, want 0.25", req.Scale)
 	}
-	if req.SimTimeNs != DefaultOptions().SimTimeNs || req.Mixes != DefaultOptions().Mixes {
+	if d := DefaultRequest("fig3"); req.SimTimeNs != d.SimTimeNs || req.Mixes != d.Mixes {
 		t.Errorf("absent fields lost their defaults: %+v", req)
 	}
 	if req.Experiment != "fig3" {
@@ -174,12 +172,13 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	}
 }
 
-// TestProvenanceRoundTrip is the -diff default-drift regression: for
-// every committed reference report, rebuilding the request from saved
-// provenance, normalizing, and restamping must reproduce the saved
-// provenance exactly (title aside — it comes from the registry). A new
-// provenance field that is not carried through RequestFromProvenance
-// fails here the moment a reference report records it.
+// TestProvenanceRoundTrip is the -diff default-drift regression:
+// rebuilding the request from saved provenance, normalizing, and
+// restamping must reproduce the saved provenance exactly. It runs over
+// every committed reference report plus synthetic provenance that sets
+// the fields no reference report records (mapping, disturb, an explicit
+// fleet, a version). A new provenance field that is not carried through
+// RequestFromProvenance fails here.
 func TestProvenanceRoundTrip(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "reports", "*.json"))
 	if err != nil {
@@ -188,6 +187,7 @@ func TestProvenanceRoundTrip(t *testing.T) {
 	if len(files) == 0 {
 		t.Fatal("no reference reports found")
 	}
+	cases := map[string]report.Provenance{}
 	for _, f := range files {
 		b, err := os.ReadFile(f)
 		if err != nil {
@@ -197,35 +197,48 @@ func TestProvenanceRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
-		req := RequestFromProvenance(rep.Prov)
+		cases[f] = rep.Prov
+	}
+	synthetic := map[string]func(*Request){
+		"fig3":             func(r *Request) { r.Mapping = "gray" },
+		"disturb-exposure": func(r *Request) { r.Disturb = "para:0.01" },
+		"fleet-ce":         func(r *Request) { r.Fleet = 12 },
+		"fig14":            func(r *Request) { r.Version = "v1.2.3" },
+	}
+	for id, mut := range synthetic {
+		plain, r := testRequest(id), testRequest(id)
+		mut(&r)
+		if err := plain.Normalize(); err != nil {
+			t.Fatalf("synthetic %s: %v", id, err)
+		}
+		if err := r.Normalize(); err != nil {
+			t.Fatalf("synthetic %s: %v", id, err)
+		}
+		if r == plain {
+			t.Fatalf("synthetic %s: Normalize dropped the field under test", id)
+		}
+		cases["synthetic "+id] = r.provenance(registry[id].desc)
+	}
+	for name, saved := range cases {
+		req := RequestFromProvenance(saved)
 		if err := req.Normalize(); err != nil {
-			t.Errorf("%s: Normalize: %v", f, err)
+			t.Errorf("%s: Normalize: %v", name, err)
 			continue
 		}
-		got := report.Provenance{
-			Experiment: req.Experiment,
-			Title:      rep.Prov.Title,
-			Seed:       req.Seed,
-			Scale:      req.Scale,
-			SimTimeNs:  req.SimTimeNs,
-			Mixes:      req.Mixes,
-			Fleet:      req.Fleet,
-			Version:    req.Version,
-		}
-		if got != rep.Prov {
-			t.Errorf("%s: provenance drifted through the Request round trip:\n  saved %+v\n  round %+v", f, rep.Prov, got)
+		if got := req.provenance(saved.Title); got != saved {
+			t.Errorf("%s: provenance drifted through the Request round trip:\n  saved %+v\n  round %+v", name, saved, got)
 		}
 	}
 }
 
 // TestRunContextStampsProvenance pins the request-based entrypoint: the
 // stamped provenance is the normalized request, and an explicit zero
-// seed survives (no SeedSet in sight).
+// seed survives.
 func TestRunContextStampsProvenance(t *testing.T) {
 	req := testRequest("minwi")
 	req.Seed = 0
 	req.Version = "req-build"
-	res, err := RunContext(context.Background(), req)
+	res, err := RunRequest(context.Background(), req, Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,38 +255,11 @@ func TestRunContextStampsProvenance(t *testing.T) {
 	}
 }
 
-// TestRunEqualsRunContext pins the compatibility wrapper: Run(id, Options)
-// and RunContext(Request) produce byte-identical canonical reports for
-// equivalent inputs.
-func TestRunEqualsRunContext(t *testing.T) {
-	opts := Options{Scale: 0.04, Seed: 7, SimTimeNs: 200_000, Mixes: 2, Workers: 2}
-	viaOptions, err := Run("fig6", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := Request{Experiment: "fig6", Seed: 7, Scale: 0.04, SimTimeNs: 200_000, Mixes: 2}
-	viaRequest, err := RunContext(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := viaOptions.Report().MarshalCanonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := viaRequest.Report().MarshalCanonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("Run and RunContext disagree:\n--- Run ---\n%s\n--- RunContext ---\n%s", a, b)
-	}
-}
-
 func TestRunContextRejectsInvalid(t *testing.T) {
-	if _, err := RunContext(context.Background(), Request{Experiment: "fig99", Scale: 1, SimTimeNs: 1, Mixes: 1}); err == nil {
+	if _, err := RunRequest(context.Background(), Request{Experiment: "fig99", Scale: 1, SimTimeNs: 1, Mixes: 1}, Runtime{}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if _, err := RunContext(context.Background(), Request{Experiment: "fig6"}); err == nil {
+	if _, err := RunRequest(context.Background(), Request{Experiment: "fig6"}, Runtime{}); err == nil {
 		t.Error("zero-value request accepted (scale 0 must be invalid)")
 	}
 }
@@ -283,7 +269,7 @@ func TestRunContextRejectsInvalid(t *testing.T) {
 func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunContext(ctx, testRequest("fig3")); err == nil {
+	if _, err := RunRequest(ctx, testRequest("fig3"), Runtime{}); err == nil {
 		t.Error("cancelled context did not abort the run")
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -42,16 +43,16 @@ type VRTResult struct {
 // from hour 0 never updates. Halfway through every hour, the audit
 // counts rows that currently fail at LO-REF and asks which mechanism
 // knew about them.
-func RunVRT(opts Options) (Result, error) {
-	geom := charGeometry(opts.Scale * 0.5)
+func RunVRT(ctx context.Context, req Request, rt Runtime) (Result, error) {
+	geom := charGeometry(req.Scale * 0.5)
 	geom.BanksPerChip = 1
-	scr, err := dram.NewMappedScrambler(geom, uint64(opts.Seed), nil, opts.Mapping)
+	scr, err := dram.NewMappedScrambler(geom, uint64(req.Seed), nil, req.Mapping)
 	if err != nil {
 		return nil, err
 	}
 	params := faults.ParamsForRefresh(dram.RefreshWindowDefault)
 	params.WeakCellFraction = 5e-3
-	base, err := faults.NewModel(geom, scr, uint64(opts.Seed), params)
+	base, err := faults.NewModel(geom, scr, uint64(req.Seed), params)
 	if err != nil {
 		return nil, err
 	}
@@ -60,11 +61,11 @@ func RunVRT(opts Options) (Result, error) {
 		return nil, err
 	}
 	vparams := faults.VRTParams{ToggleRate: 2, DegradeFactor: 0.3, AffectedFraction: 0.5}
-	vrt := faults.NewVRTModel(base, vparams, opts.Seed)
+	vrt := faults.NewVRTModel(base, vparams, req.Seed)
 
 	const hour = 3600 * dram.Second
 	loRef := dram.RefreshWindowDefault
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(req.Seed))
 	content := dram.NewRow(geom.ColsPerRow)
 
 	writeAll := func(at dram.Nanoseconds) error {

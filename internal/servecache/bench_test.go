@@ -3,17 +3,14 @@ package servecache
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"testing"
 )
 
-// BenchmarkServeCache measures the serving tier's hot paths. The
-// mem-hit series is the tentpole comparison: parallel Do over a warm
-// cache at shard counts 1/4/16 — shards-1 is the pre-sharding
-// single-mutex architecture, and its measured line is pinned as the
-// baseline block in BENCH_serve.json (scripts/bench.sh). The disk
-// series prices one verified Store read (open, header check, SHA-256)
-// and one atomic write-through.
+// BenchmarkServeCache measures the serving tier's hot paths. mem-hit
+// is parallel Do over a warm memory tier (one mutex, one LRU); its
+// measured line is the mem-hit row of BENCH_serve.json
+// (scripts/bench.sh). The disk series prices one verified Store read
+// (open, header check, SHA-256) and one atomic write-through.
 func BenchmarkServeCache(b *testing.B) {
 	const keys = 64
 	payload := make([]byte, 4096)
@@ -25,26 +22,24 @@ func BenchmarkServeCache(b *testing.B) {
 		binary.LittleEndian.PutUint64(benchKeys[i][:], uint64(i)*0x9e3779b97f4a7c15)
 	}
 
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("mem-hit/shards-%d", shards), func(b *testing.B) {
-			c := NewWithOptions(Options{Shards: shards})
-			for _, k := range benchKeys {
-				c.Put(k, nil, payload)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					k := benchKeys[i%keys]
-					i++
-					if _, o, err := c.Do(context.Background(), k, nil, nil); err != nil || o != Hit {
-						b.Fatalf("Do = %v, %v", o, err)
-					}
+	b.Run("mem-hit", func(b *testing.B) {
+		c := New(0)
+		for _, k := range benchKeys {
+			c.Put(k, nil, payload)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			i := 0
+			for pb.Next() {
+				k := benchKeys[i%keys]
+				i++
+				if _, o, err := c.Do(context.Background(), k, nil, nil); err != nil || o != Hit {
+					b.Fatalf("Do = %v, %v", o, err)
 				}
-			})
+			}
 		})
-	}
+	})
 
 	b.Run("disk-hit", func(b *testing.B) {
 		st, err := OpenStore(b.TempDir(), 0)

@@ -8,11 +8,11 @@
 // is what makes a content-addressed cache sound here: a hit IS the
 // answer, not an approximation of it.
 //
-// The cache is two tiers. The memory tier is split into key-prefix
-// shards, each with its own mutex, LRU list and singleflight table, so
-// high request concurrency does not serialize on one lock. The
-// optional disk tier (Store) persists every computed result
-// (write-through on miss) and survives daemon restarts: a memory miss
+// The cache is two tiers. The memory tier is one LRU list and one
+// singleflight table under one mutex; its entry and byte budgets bound
+// the whole tier. The optional disk tier (Store) persists every
+// computed result (write-through on miss) and survives daemon
+// restarts: a memory miss
 // consults the disk before running anything, and a disk hit is lazily
 // promoted back into memory. Both tiers evict by byte budget.
 //
@@ -30,7 +30,6 @@ import (
 	"compress/gzip"
 	"container/list"
 	"context"
-	"encoding/binary"
 	"encoding/hex"
 	"sync"
 )
@@ -105,8 +104,7 @@ func newEntry(k Key, request, data []byte) *Entry {
 	return e
 }
 
-// Stats are cumulative cache counters (per shard, or merged across
-// shards by StatsSnapshot).
+// Stats are cumulative cache counters.
 type Stats struct {
 	// Hits, Misses, Shared count Do outcomes against the memory tier;
 	// DiskHits counts results served from the disk tier.
@@ -116,16 +114,6 @@ type Stats struct {
 	// Entries and Bytes describe the memory tier's current contents.
 	Entries int
 	Bytes   int64
-}
-
-func (s *Stats) add(o Stats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Shared += o.Shared
-	s.DiskHits += o.DiskHits
-	s.Evictions += o.Evictions
-	s.Entries += o.Entries
-	s.Bytes += o.Bytes
 }
 
 // flight is one in-progress computation. refs counts the callers still
@@ -140,30 +128,12 @@ type flight struct {
 	err    error
 }
 
-// shard is one key-prefix slice of the memory tier: its own lock, LRU
-// and flight table, so shards never contend with each other.
-type shard struct {
-	mu         sync.Mutex
-	maxEntries int
-	maxBytes   int64
-	bytes      int64
-	entries    map[Key]*list.Element // values are *Entry wrapped in lru
-	lru        *list.List            // front = most recently used
-	inflight   map[Key]*flight
-	stats      Stats
-}
-
 // Options configures a cache.
 type Options struct {
-	// Shards is the key-prefix shard count for the memory tier; values
-	// below 1 select 16.
-	Shards int
-	// MaxEntries bounds the memory tier's total entry count across all
-	// shards (enforced as an even per-shard split); values below 1
+	// MaxEntries bounds the memory tier's entry count; values below 1
 	// select unbounded.
 	MaxEntries int
-	// MaxBytes bounds the memory tier's total payload bytes across all
-	// shards (enforced as an even per-shard split); values below 1
+	// MaxBytes bounds the memory tier's payload bytes; values below 1
 	// select unbounded.
 	MaxBytes int64
 	// Store is the optional disk tier: consulted between a memory miss
@@ -175,51 +145,34 @@ type Options struct {
 // computation. The zero value is not usable; construct with New or
 // NewWithOptions.
 type Cache struct {
-	shards []*shard
-	store  *Store
+	mu         sync.Mutex
+	maxEntries int
+	maxBytes   int64
+	bytes      int64
+	entries    map[Key]*list.Element // values are *Entry wrapped in lru
+	lru        *list.List            // front = most recently used
+	inflight   map[Key]*flight
+	stats      Stats
+	store      *Store
 }
 
-// New builds a memory-only cache bounded to max entries with the
-// default shard count; max < 1 selects an effectively unbounded cache.
+// New builds a memory-only cache bounded to max entries; max < 1
+// selects an effectively unbounded cache.
 func New(max int) *Cache {
 	return NewWithOptions(Options{MaxEntries: max})
 }
 
 // NewWithOptions builds a cache from the full option set.
 func NewWithOptions(opts Options) *Cache {
-	n := opts.Shards
-	if n < 1 {
-		n = 16
+	return &Cache{
+		maxEntries: opts.MaxEntries,
+		maxBytes:   opts.MaxBytes,
+		entries:    make(map[Key]*list.Element),
+		lru:        list.New(),
+		inflight:   make(map[Key]*flight),
+		store:      opts.Store,
 	}
-	perEntries := 0
-	if opts.MaxEntries > 0 {
-		perEntries = (opts.MaxEntries + n - 1) / n
-	}
-	var perBytes int64
-	if opts.MaxBytes > 0 {
-		perBytes = (opts.MaxBytes + int64(n) - 1) / int64(n)
-	}
-	c := &Cache{shards: make([]*shard, n), store: opts.Store}
-	for i := range c.shards {
-		c.shards[i] = &shard{
-			maxEntries: perEntries,
-			maxBytes:   perBytes,
-			entries:    make(map[Key]*list.Element),
-			lru:        list.New(),
-			inflight:   make(map[Key]*flight),
-		}
-	}
-	return c
 }
-
-// shardFor routes a key to its shard by prefix. Keys are SHA-256
-// content addresses, so the first word is uniformly distributed.
-func (c *Cache) shardFor(k Key) *shard {
-	return c.shards[binary.BigEndian.Uint32(k[:4])%uint32(len(c.shards))]
-}
-
-// Shards returns the shard count.
-func (c *Cache) Shards() int { return len(c.shards) }
 
 // Store returns the disk tier, or nil.
 func (c *Cache) Store() *Store { return c.store }
@@ -228,14 +181,13 @@ func (c *Cache) Store() *Store { return c.store }
 // tier, if present, marking the entry recently used. The returned
 // slice must be treated as read-only.
 func (c *Cache) Get(k Key) ([]byte, bool) {
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.entries[k]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[k]
 	if !ok {
 		return nil, false
 	}
-	sh.lru.MoveToFront(el)
+	c.lru.MoveToFront(el)
 	return el.Value.(*Entry).Data, true
 }
 
@@ -244,16 +196,15 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 // A memory miss falls through to the disk tier (promoting on success),
 // so a restarted daemon can revalidate its prior corpus.
 func (c *Cache) Lookup(k Key) (*Entry, bool) {
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	if el, ok := sh.entries[k]; ok {
-		sh.lru.MoveToFront(el)
+	c.mu.Lock()
+	if el, ok := c.entries[k]; ok {
+		c.lru.MoveToFront(el)
 		e := el.Value.(*Entry)
 		cp := *e
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		return &cp, true
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	if e, ok := c.fromDisk(k); ok {
 		cp := *e
 		return &cp, true
@@ -266,21 +217,20 @@ func (c *Cache) Lookup(k Key) (*Entry, bool) {
 // (entry, Disk), anything else reports false. The serving 304 fast
 // path uses it.
 func (c *Cache) Probe(k Key) (*Entry, Outcome, bool) {
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	if el, ok := sh.entries[k]; ok {
-		sh.lru.MoveToFront(el)
+	c.mu.Lock()
+	if el, ok := c.entries[k]; ok {
+		c.lru.MoveToFront(el)
 		e := el.Value.(*Entry)
 		e.Hits++
-		sh.stats.Hits++
-		sh.mu.Unlock()
+		c.stats.Hits++
+		c.mu.Unlock()
 		return e, Hit, true
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	if e, ok := c.fromDisk(k); ok {
-		sh.mu.Lock()
-		sh.stats.DiskHits++
-		sh.mu.Unlock()
+		c.mu.Lock()
+		c.stats.DiskHits++
+		c.mu.Unlock()
 		return e, Disk, true
 	}
 	return nil, Disk, false
@@ -298,13 +248,12 @@ func (c *Cache) fromDisk(k Key) (*Entry, bool) {
 		return nil, false
 	}
 	e := newEntry(k, request, data)
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, resident := sh.entries[k]; resident {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, resident := c.entries[k]; resident {
 		return el.Value.(*Entry), true
 	}
-	sh.storeLocked(e)
+	c.storeLocked(e)
 	return e, true
 }
 
@@ -313,88 +262,67 @@ func (c *Cache) fromDisk(k Key) (*Entry, bool) {
 // a drifted entry; tests use it to inject drift.
 func (c *Cache) Put(k Key, request, data []byte) {
 	e := newEntry(k, request, data)
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	if el, ok := sh.entries[k]; ok {
+	c.mu.Lock()
+	if el, ok := c.entries[k]; ok {
 		old := el.Value.(*Entry)
-		sh.bytes -= old.size()
+		c.bytes -= old.size()
 		el.Value = e
-		sh.bytes += e.size()
-		sh.lru.MoveToFront(el)
-		sh.enforceBudgetLocked()
+		c.bytes += e.size()
+		c.lru.MoveToFront(el)
+		c.enforceBudgetLocked()
 	} else {
-		sh.storeLocked(e)
+		c.storeLocked(e)
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	if c.store != nil {
 		c.store.Put(k, request, data)
 	}
 }
 
-// storeLocked inserts a new entry and enforces the shard budgets.
-// Callers hold sh.mu and have checked the key is absent.
-func (sh *shard) storeLocked(e *Entry) {
-	sh.entries[e.Key] = sh.lru.PushFront(e)
-	sh.bytes += e.size()
-	sh.enforceBudgetLocked()
+// storeLocked inserts a new entry and enforces the memory budgets.
+// Callers hold c.mu and have checked the key is absent.
+func (c *Cache) storeLocked(e *Entry) {
+	c.entries[e.Key] = c.lru.PushFront(e)
+	c.bytes += e.size()
+	c.enforceBudgetLocked()
 }
 
 // enforceBudgetLocked evicts least-recently-used entries until the
-// shard fits its entry and byte budgets, always keeping at least one
-// entry. Callers hold sh.mu.
-func (sh *shard) enforceBudgetLocked() {
+// memory tier fits its entry and byte budgets, always keeping at least one
+// entry. Callers hold c.mu.
+func (c *Cache) enforceBudgetLocked() {
 	over := func() bool {
-		if sh.maxEntries > 0 && sh.lru.Len() > sh.maxEntries {
+		if c.maxEntries > 0 && c.lru.Len() > c.maxEntries {
 			return true
 		}
-		return sh.maxBytes > 0 && sh.bytes > sh.maxBytes
+		return c.maxBytes > 0 && c.bytes > c.maxBytes
 	}
-	for over() && sh.lru.Len() > 1 {
-		oldest := sh.lru.Back()
+	for over() && c.lru.Len() > 1 {
+		oldest := c.lru.Back()
 		e := oldest.Value.(*Entry)
-		sh.lru.Remove(oldest)
-		delete(sh.entries, e.Key)
-		sh.bytes -= e.size()
-		sh.stats.Evictions++
+		c.lru.Remove(oldest)
+		delete(c.entries, e.Key)
+		c.bytes -= e.size()
+		c.stats.Evictions++
 	}
 }
 
 // Len returns the memory tier's current entry count.
 func (c *Cache) Len() int {
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
 }
 
-// StatsSnapshot returns the cumulative counters merged across shards.
+// StatsSnapshot returns the cumulative counters and the memory tier's
+// current contents.
 func (c *Cache) StatsSnapshot() Stats {
-	var s Stats
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		st := sh.stats
-		st.Entries = sh.lru.Len()
-		st.Bytes = sh.bytes
-		sh.mu.Unlock()
-		s.add(st)
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.stats
+	s.Entries = c.lru.Len()
+	s.Bytes = c.bytes
 	return s
-}
-
-// ShardStats returns one counter snapshot per shard, in shard order.
-func (c *Cache) ShardStats() []Stats {
-	out := make([]Stats, len(c.shards))
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		out[i] = sh.stats
-		out[i].Entries = sh.lru.Len()
-		out[i].Bytes = sh.bytes
-		sh.mu.Unlock()
-	}
-	return out
 }
 
 // Do returns the entry for k, computing it at most once across
@@ -411,58 +339,56 @@ func (c *Cache) ShardStats() []Stats {
 // (used for revalidation); only the caller that starts the flight
 // needs to supply it.
 func (c *Cache) Do(ctx context.Context, k Key, request []byte, compute func(context.Context) ([]byte, error)) (*Entry, Outcome, error) {
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	if el, ok := sh.entries[k]; ok {
-		sh.lru.MoveToFront(el)
+	c.mu.Lock()
+	if el, ok := c.entries[k]; ok {
+		c.lru.MoveToFront(el)
 		e := el.Value.(*Entry)
 		e.Hits++
-		sh.stats.Hits++
-		sh.mu.Unlock()
+		c.stats.Hits++
+		c.mu.Unlock()
 		return e, Hit, nil
 	}
-	if f, ok := sh.inflight[k]; ok {
+	if f, ok := c.inflight[k]; ok {
 		f.refs++
-		sh.stats.Shared++
-		sh.mu.Unlock()
-		return sh.wait(ctx, k, f, Shared)
+		c.stats.Shared++
+		c.mu.Unlock()
+		return c.wait(ctx, k, f, Shared)
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 
 	// Memory missed and nothing is in flight: the disk tier may already
 	// hold the answer (prior run, prior process). The read happens
-	// outside the shard lock; concurrent callers may both land here and
-	// both be served from disk — promotion is idempotent and nothing
-	// re-runs.
+	// outside the lock; concurrent callers may both land here and both
+	// be served from disk — promotion is idempotent and nothing re-runs.
 	if e, ok := c.fromDisk(k); ok {
-		sh.mu.Lock()
-		sh.stats.DiskHits++
-		sh.mu.Unlock()
+		c.mu.Lock()
+		c.stats.DiskHits++
+		c.mu.Unlock()
 		return e, Disk, nil
 	}
 
-	sh.mu.Lock()
+	c.mu.Lock()
 	// Re-check: the disk probe ran unlocked, so another caller may have
 	// promoted the entry or started a flight in the meantime.
-	if el, ok := sh.entries[k]; ok {
-		sh.lru.MoveToFront(el)
+	if el, ok := c.entries[k]; ok {
+		c.lru.MoveToFront(el)
 		e := el.Value.(*Entry)
 		e.Hits++
-		sh.stats.Hits++
-		sh.mu.Unlock()
+		c.stats.Hits++
+		c.mu.Unlock()
 		return e, Hit, nil
 	}
-	if f, ok := sh.inflight[k]; ok {
+	if f, ok := c.inflight[k]; ok {
 		f.refs++
-		sh.stats.Shared++
-		sh.mu.Unlock()
-		return sh.wait(ctx, k, f, Shared)
+		c.stats.Shared++
+		c.mu.Unlock()
+		return c.wait(ctx, k, f, Shared)
 	}
 	fctx, cancel := context.WithCancel(context.Background())
 	f := &flight{done: make(chan struct{}), cancel: cancel, refs: 1}
-	sh.inflight[k] = f
-	sh.stats.Misses++
-	sh.mu.Unlock()
+	c.inflight[k] = f
+	c.stats.Misses++
+	c.mu.Unlock()
 
 	go func() {
 		data, err := compute(fctx)
@@ -470,39 +396,39 @@ func (c *Cache) Do(ctx context.Context, k Key, request []byte, compute func(cont
 		if err == nil {
 			e = newEntry(k, request, data)
 		}
-		sh.mu.Lock()
+		c.mu.Lock()
 		f.entry, f.err = e, err
-		if sh.inflight[k] == f {
-			delete(sh.inflight, k)
+		if c.inflight[k] == f {
+			delete(c.inflight, k)
 			if err == nil {
-				if el, ok := sh.entries[k]; ok {
+				if el, ok := c.entries[k]; ok {
 					// A revalidation or promotion raced us in; its
 					// entry is already being served — replace it so
 					// the flight's waiters and future hits agree.
 					old := el.Value.(*Entry)
-					sh.bytes -= old.size()
+					c.bytes -= old.size()
 					el.Value = e
-					sh.bytes += e.size()
-					sh.lru.MoveToFront(el)
+					c.bytes += e.size()
+					c.lru.MoveToFront(el)
 				} else {
-					sh.storeLocked(e)
+					c.storeLocked(e)
 				}
 			}
 		}
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		if err == nil && c.store != nil {
 			c.store.Put(k, request, data) // write-through; restart serves this
 		}
 		cancel()
 		close(f.done)
 	}()
-	return sh.wait(ctx, k, f, Miss)
+	return c.wait(ctx, k, f, Miss)
 }
 
 // wait blocks until the flight completes or the caller's context is
 // done. A caller that gives up drops its reference; the last reference
 // out cancels the flight and detaches it so new callers start fresh.
-func (sh *shard) wait(ctx context.Context, k Key, f *flight, o Outcome) (*Entry, Outcome, error) {
+func (c *Cache) wait(ctx context.Context, k Key, f *flight, o Outcome) (*Entry, Outcome, error) {
 	// Prefer a completed flight over a racing cancellation: if the
 	// result is already there, return it.
 	select {
@@ -514,13 +440,13 @@ func (sh *shard) wait(ctx context.Context, k Key, f *flight, o Outcome) (*Entry,
 	case <-f.done:
 		return f.entry, o, f.err
 	case <-ctx.Done():
-		sh.mu.Lock()
+		c.mu.Lock()
 		f.refs--
 		abandon := f.refs == 0
-		if abandon && sh.inflight[k] == f {
-			delete(sh.inflight, k)
+		if abandon && c.inflight[k] == f {
+			delete(c.inflight, k)
 		}
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		if abandon {
 			f.cancel()
 		}

@@ -19,13 +19,6 @@ func key(b byte) Key {
 	return k
 }
 
-// one returns a single-shard cache so eviction tests see one global
-// LRU instead of per-shard budgets.
-func one(opts Options) *Cache {
-	opts.Shards = 1
-	return NewWithOptions(opts)
-}
-
 func TestDoMissThenHit(t *testing.T) {
 	c := New(8)
 	var calls atomic.Int64
@@ -262,7 +255,7 @@ func TestSurvivingWaiterKeepsFlight(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := one(Options{MaxEntries: 2})
+	c := New(2)
 	c.Put(key(1), nil, []byte("a"))
 	c.Put(key(2), nil, []byte("b"))
 	if _, ok := c.Get(key(1)); !ok { // refresh 1; 2 becomes oldest
@@ -289,7 +282,7 @@ func TestLRUEviction(t *testing.T) {
 func TestByteBudgetEviction(t *testing.T) {
 	payload := bytes.Repeat([]byte("x"), 4096)
 	perEntry := newEntry(key(0), nil, payload).size()
-	c := one(Options{MaxBytes: 3 * perEntry})
+	c := NewWithOptions(Options{MaxBytes: 3 * perEntry})
 	for i := 1; i <= 5; i++ {
 		c.Put(key(byte(i)), nil, payload)
 	}
@@ -311,7 +304,7 @@ func TestByteBudgetEviction(t *testing.T) {
 	}
 
 	// A budget smaller than one entry still holds the newest entry.
-	tiny := one(Options{MaxBytes: 1})
+	tiny := NewWithOptions(Options{MaxBytes: 1})
 	tiny.Put(key(1), nil, payload)
 	tiny.Put(key(2), nil, payload)
 	if _, ok := tiny.Get(key(2)); !ok || tiny.Len() != 1 {
@@ -319,40 +312,43 @@ func TestByteBudgetEviction(t *testing.T) {
 	}
 }
 
-// TestShardedDistribution pins that shards actually partition the key
-// space and that per-shard stats sum to the merged snapshot.
-func TestShardedDistribution(t *testing.T) {
-	c := NewWithOptions(Options{Shards: 4})
-	for i := 0; i < 64; i++ {
+// TestEntryBudgetIsWholeTier pins that MaxEntries and MaxBytes bound
+// the whole memory tier: two keys whose first words agree stay resident
+// under a budget of four, and sixteen keys spread over the key space
+// leave exactly four.
+func TestEntryBudgetIsWholeTier(t *testing.T) {
+	payload := bytes.Repeat([]byte("x"), 4096)
+	perEntry := newEntry(key(0), nil, payload).size()
+	spread := func(i int) Key {
 		var k Key
-		k[0], k[3] = byte(i), byte(i*7)
-		if _, _, err := c.Do(context.Background(), k, nil, func(context.Context) ([]byte, error) {
-			return []byte{byte(i)}, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+		k[3] = byte(i)
+		return k
 	}
-	per := c.ShardStats()
-	if len(per) != 4 {
-		t.Fatalf("ShardStats len = %d", len(per))
-	}
-	var sum Stats
-	populated := 0
-	for _, st := range per {
-		sum.add(st)
-		if st.Entries > 0 {
-			populated++
-		}
-	}
-	if populated < 2 {
-		t.Errorf("only %d of 4 shards populated by 64 keys", populated)
-	}
-	merged := c.StatsSnapshot()
-	if sum != merged {
-		t.Errorf("shard stats sum %+v != merged %+v", sum, merged)
-	}
-	if merged.Misses != 64 || merged.Entries != 64 {
-		t.Errorf("merged = %+v", merged)
+	for name, opts := range map[string]Options{
+		"entries": {MaxEntries: 4},
+		"bytes":   {MaxBytes: 4 * perEntry},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := NewWithOptions(opts)
+			c.Put(key(0x00), nil, payload)
+			c.Put(key(0x10), nil, payload)
+			if s := c.StatsSnapshot(); c.Len() != 2 || s.Evictions != 0 {
+				t.Errorf("two keys under a budget of four: len=%d, stats=%+v", c.Len(), s)
+			}
+
+			c = NewWithOptions(opts)
+			for i := 0; i < 16; i++ {
+				c.Put(spread(i), nil, payload)
+			}
+			if s := c.StatsSnapshot(); c.Len() != 4 || s.Evictions != 12 {
+				t.Errorf("sixteen keys under a budget of four: len=%d, stats=%+v", c.Len(), s)
+			}
+			for i := 12; i < 16; i++ {
+				if _, ok := c.Get(spread(i)); !ok {
+					t.Errorf("recent key %d evicted", i)
+				}
+			}
+		})
 	}
 }
 

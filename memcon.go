@@ -291,15 +291,17 @@ func MinWriteInterval() dram.Nanoseconds {
 	return mwi
 }
 
-// Experiment runs one of the paper's evaluation artifacts by id (fig3,
-// fig4, fig6..fig19, table1, table3, minwi) and returns its rendered
-// report. Options zero-value means full scale.
-func Experiment(id string, opts ExperimentOptions) (fmt.Stringer, error) {
-	return experiments.Run(id, opts)
+// Experiment runs one of the paper's evaluation artifacts (the ids
+// ExperimentIDs lists) and returns its rendered report.
+func Experiment(ctx context.Context, req ExperimentRequest) (fmt.Stringer, error) {
+	return experiments.RunRequest(ctx, req, experiments.Runtime{})
 }
 
-// ExperimentOptions tunes experiment scale and seeds.
-type ExperimentOptions = experiments.Options
+// ExperimentRequest is the input tuple of one experiment run.
+type ExperimentRequest = experiments.Request
+
+// DefaultExperimentRequest returns the full-scale request for an id.
+func DefaultExperimentRequest(id string) ExperimentRequest { return experiments.DefaultRequest(id) }
 
 // ExperimentIDs lists the available experiment ids.
 func ExperimentIDs() []string { return experiments.IDs() }

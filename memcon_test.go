@@ -1,6 +1,7 @@
 package memcon
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -84,14 +85,14 @@ func TestExperimentFacade(t *testing.T) {
 	if len(ids) < 17 {
 		t.Errorf("experiment ids = %d, want >= 17", len(ids))
 	}
-	out, err := Experiment("minwi", ExperimentOptions{})
+	out, err := Experiment(context.Background(), DefaultExperimentRequest("minwi"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "1068") {
 		t.Error("appendix experiment missing expected values")
 	}
-	if _, err := Experiment("bogus", ExperimentOptions{}); err == nil {
+	if _, err := Experiment(context.Background(), DefaultExperimentRequest("bogus")); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }

@@ -222,13 +222,12 @@ END {
 echo "bench: BENCH_fleet.json updated"
 
 # --- Serving tier (BENCH_serve.json) ---
-# Before/after evidence for the persistent sharded cache and zero-copy
-# serving path. The pinned baseline block was measured immediately
-# before the refactor on the same machine: the single-mutex in-memory
-# cache (BenchmarkServeCacheBaseline/mem-hit-parallel, the architecture
-# the shards-1 case reproduces) and the pre-refactor daemon serving
-# 2000 warm memory hits at concurrency 1000 via memload. The "after"
-# block holds the sharded cache microbenchmarks plus a daemon ladder:
+# Before/after evidence for the persistent cache and zero-copy serving
+# path. The pinned baseline block was measured immediately before the
+# disk tier was added, on the same machine: the in-memory cache
+# (BenchmarkServeCacheBaseline/mem-hit-parallel) and the daemon it
+# backed serving 2000 warm memory hits at concurrency 1000 via memload.
+# The "after" block holds the cache microbenchmarks plus a daemon ladder:
 # cold corpus, warm memory hits, ETag 304 revalidation, a warm restart
 # (same -cache-dir: zero re-runs, disk tier), and a cold restart
 # (cleared -cache-dir: every key re-runs).
@@ -252,15 +251,11 @@ function emit(name, line) {
 	printf "    \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
 		name, field(line, "ns/op"), field(line, "B/op"), field(line, "allocs/op")
 }
-$1 ~ /^BenchmarkServeCache\/mem-hit\/shards-1(-[0-9]+)?$/  { s1 = $0 }
-$1 ~ /^BenchmarkServeCache\/mem-hit\/shards-4(-[0-9]+)?$/  { s4 = $0 }
-$1 ~ /^BenchmarkServeCache\/mem-hit\/shards-16(-[0-9]+)?$/ { s16 = $0 }
+$1 ~ /^BenchmarkServeCache\/mem-hit(-[0-9]+)?$/            { mh = $0 }
 $1 ~ /^BenchmarkServeCache\/disk-hit(-[0-9]+)?$/           { dh = $0 }
 $1 ~ /^BenchmarkServeCache\/disk-write-through(-[0-9]+)?$/ { dw = $0 }
 END {
-	emit("BenchmarkServeCache/mem-hit/shards-1", s1); printf ",\n"
-	emit("BenchmarkServeCache/mem-hit/shards-4", s4); printf ",\n"
-	emit("BenchmarkServeCache/mem-hit/shards-16", s16); printf ",\n"
+	emit("BenchmarkServeCache/mem-hit", mh); printf ",\n"
 	emit("BenchmarkServeCache/disk-hit", dh); printf ",\n"
 	emit("BenchmarkServeCache/disk-write-through", dw)
 }')

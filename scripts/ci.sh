@@ -67,13 +67,14 @@ echo "== fleet race smoke =="
 go test -race -run 'TestRunLogInvariants|TestAnalyzeMatchesOracle' ./internal/fleet
 go test -race -run 'TestFleet' ./cmd/memconsim
 
-# Smoke-run the hot-path benchmarks (one iteration each): catches
-# compile or runtime breakage in the bench harness without spending
-# CI time on stable measurements. Real numbers come from
-# scripts/bench.sh, which rewrites BENCH_hotpath.json,
-# BENCH_engine.json and BENCH_fleet.json.
+# Smoke-run the hot-path and serving-cache benchmarks (one iteration
+# each): catches compile or runtime breakage in the bench harness
+# without spending CI time on stable measurements. Real numbers come
+# from scripts/bench.sh, which rewrites BENCH_hotpath.json,
+# BENCH_engine.json, BENCH_fleet.json and BENCH_serve.json.
 echo "== bench smoke =="
 go test -run '^$' -bench 'BenchmarkReadBack|BenchmarkFailingCells|BenchmarkFailingCellsDense|BenchmarkDisturbScan|BenchmarkEngineRun|BenchmarkFleetRun' -benchtime=1x .
+go test -run '^$' -bench BenchmarkServeCache -benchtime=1x ./internal/servecache
 
 # Mapping sweep smoke: one chip-level experiment per vendor address
 # mapping, race-instrumented and fanned out over 4 workers. Catches a
