@@ -21,7 +21,6 @@ import (
 	"memcon/internal/ddr3"
 	"memcon/internal/disturb"
 	"memcon/internal/dram"
-	"memcon/internal/ecc"
 	"memcon/internal/experiments"
 	"memcon/internal/faults"
 	"memcon/internal/fleet"
@@ -597,37 +596,6 @@ func BenchmarkTraceGeneration(b *testing.B) {
 }
 
 // --- Benches for extension substrates ---
-
-func BenchmarkECCEncodeRow(b *testing.B) {
-	row := dram.NewRow(8192)
-	for i := range row {
-		row[i] = uint64(i) * 0x9E3779B9
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		code := ecc.EncodeRow(row)
-		if len(code) == 0 {
-			b.Fatal("empty code")
-		}
-	}
-	b.SetBytes(int64(len(row) * 8))
-}
-
-func BenchmarkECCVerifyRow(b *testing.B) {
-	row := dram.NewRow(8192)
-	for i := range row {
-		row[i] = uint64(i) * 0x9E3779B9
-	}
-	code := ecc.EncodeRow(row)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v, err := ecc.VerifyRow(row, code)
-		if err != nil || !v.Clean() {
-			b.Fatal("verify failed")
-		}
-	}
-	b.SetBytes(int64(len(row) * 8))
-}
 
 func BenchmarkDDR3CommandSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -9,9 +9,11 @@
 //	memconsim -all [-scale 0.2]
 //	memconsim -replay trace.bin
 //
-// -replay runs a tracegen-written trace file through the MEMCON engine:
-// compact (v2) files stream at I/O speed with O(pages) memory, v1 files
-// are materialized; the printed report is identical either way.
+// -replay streams a tracegen-written compact (v2) trace file through the
+// MEMCON engine at I/O speed with O(pages) memory; the printed report
+// equals core.RunContext's on the same trace held in memory. A file in
+// the retired fixed-width v1 format is rejected; regenerate it with
+// tracegen.
 //
 // Performance experiments (fig15, fig16, table3) additionally honour
 // -simtime and -mixes. -parallel bounds the worker pool used inside
@@ -124,7 +126,7 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 		tolRel   = fs.Float64("tol-rel", 0, "relative numeric tolerance for -diff")
 		version  = fs.String("report-version", "", "build identifier recorded in report provenance")
 		nworkers = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker count for experiment sweeps (results are identical for any value)")
-		replay   = fs.String("replay", "", "replay a trace file (tracegen output, v1 or compact) through the MEMCON engine and print its report")
+		replay   = fs.String("replay", "", "replay a compact trace file (tracegen output) through the MEMCON engine and print its report")
 		metrics  = fs.String("metrics", "", `write aggregated run metrics to this file ("-" for stdout)`)
 		mformat  = fs.String("metrics-format", "json", "metrics output format: json, prom, or table")
 		pprofOn  = fs.String("pprof", "", "serve net/http/pprof on this address while running (e.g. localhost:6060)")
@@ -237,50 +239,26 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 	return nil
 }
 
-// runReplay replays a trace file through the MEMCON engine under the
+// runReplay streams a trace file through the MEMCON engine under the
 // default configuration and prints the deterministic report summary.
-// Compact (v2) files replay through trace.Stream without materializing
-// the event slice — O(pages) memory at I/O speed; v1 files are
-// materialized. Both paths print the identical summary for the same
-// logical trace.
+// The file decodes through trace.Stream without materializing the event
+// slice — O(pages) memory at I/O speed.
 func runReplay(ctx context.Context, out io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	format, err := trace.DetectFormat(br)
+	s, err := trace.NewStream(f)
+	if err != nil {
+		return fmt.Errorf("reading %s: %w", path, err)
+	}
+	rep, err := core.RunSource(ctx, s, core.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	cfg := core.DefaultConfig()
-	var name string
-	var rep core.Report
-	switch format {
-	case trace.FormatCompact:
-		s, err := trace.NewStream(br)
-		if err != nil {
-			return err
-		}
-		name = s.Name()
-		if rep, err = core.RunSource(ctx, s, cfg); err != nil {
-			return err
-		}
-	case trace.FormatV1:
-		tr, err := trace.Read(br)
-		if err != nil {
-			return err
-		}
-		name = tr.Name
-		if rep, err = core.RunContext(ctx, tr, cfg); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("%s: not a trace file (unknown magic)", path)
-	}
 	fmt.Fprintf(out, "trace %s: %d writes over %.2f s, %d pages\n",
-		name, rep.Pril.Writes, float64(rep.Duration)/float64(trace.Second), rep.Pages)
+		s.Name(), rep.Pril.Writes, float64(rep.Duration)/float64(trace.Second), rep.Pages)
 	fmt.Fprintf(out, "  refresh reduction   %.4f (upper bound %.4f)\n",
 		rep.RefreshReduction(), rep.UpperBoundReduction())
 	fmt.Fprintf(out, "  lo-ref coverage     %.4f\n", rep.LoRefCoverage())

@@ -1,64 +1,72 @@
 package main
 
 import (
-	"io"
+	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"memcon/internal/core"
+	"memcon/internal/trace"
 	"memcon/internal/workload"
 )
 
-// writeReplayTraces generates one small workload trace and writes it
-// in both on-disk formats, returning the two paths.
-func writeReplayTraces(t *testing.T) (v1Path, compactPath string) {
+// writeReplayTrace generates one small workload trace, writes it as a
+// compact file, and returns the in-memory trace and the file's path.
+func writeReplayTrace(t *testing.T) (*trace.Trace, string) {
 	t.Helper()
 	spec, err := workload.AppByName("BlurMotion")
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := spec.Generate(7, 0.02)
-	dir := t.TempDir()
-	v1Path = filepath.Join(dir, "v1.trace")
-	compactPath = filepath.Join(dir, "v2.trace")
-	for path, write := range map[string]func(io.Writer) error{
-		v1Path:      tr.Write,
-		compactPath: tr.WriteCompact,
-	} {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := write(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+	path := filepath.Join(t.TempDir(), "blur.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return v1Path, compactPath
+	if err := tr.WriteCompact(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return tr, path
 }
 
-// TestReplayFormatsAgree pins the streaming path against the
-// materializing one end to end: replaying the same logical trace from
-// a v1 file and a compact file must print byte-identical reports.
-func TestReplayFormatsAgree(t *testing.T) {
-	v1Path, compactPath := writeReplayTraces(t)
-	var v1Out, v2Out strings.Builder
-	if err := run([]string{"-replay", v1Path}, &v1Out); err != nil {
+// TestReplayMatchesRunContext pins the streaming path against the
+// materializing one end to end: -replay on a compact file must print
+// exactly the numbers core.RunContext computes on the same trace held
+// in memory.
+func TestReplayMatchesRunContext(t *testing.T) {
+	tr, path := writeReplayTrace(t)
+	var out strings.Builder
+	if err := run([]string{"-replay", path}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-replay", compactPath}, &v2Out); err != nil {
+	rep, err := core.RunContext(context.Background(), tr, core.DefaultConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if v1Out.String() != v2Out.String() {
-		t.Fatalf("replay reports differ between formats:\n--- v1 ---\n%s--- compact ---\n%s",
-			v1Out.String(), v2Out.String())
+	if rep.TestsStarted == 0 || rep.Pril.Predictions == 0 {
+		t.Fatalf("trace too small to exercise testing: %+v", rep)
 	}
-	for _, want := range []string{"BlurMotion", "refresh reduction", "lo-ref coverage", "predictions"} {
-		if !strings.Contains(v1Out.String(), want) {
-			t.Errorf("replay report missing %q:\n%s", want, v1Out.String())
+	for _, want := range []string{
+		fmt.Sprintf("trace %s: %d writes over %.2f s, %d pages\n",
+			tr.Name, rep.Pril.Writes, float64(rep.Duration)/float64(trace.Second), rep.Pages),
+		fmt.Sprintf("refresh reduction   %.4f (upper bound %.4f)\n",
+			rep.RefreshReduction(), rep.UpperBoundReduction()),
+		fmt.Sprintf("lo-ref coverage     %.4f\n", rep.LoRefCoverage()),
+		fmt.Sprintf("tests               started %d, completed %d, aborted %d\n",
+			rep.TestsStarted, rep.TestsCompleted, rep.TestsAborted),
+		fmt.Sprintf("predictions         %d (correct %d, mispredicted %d)\n",
+			rep.Pril.Predictions, rep.CorrectTests, rep.MispredictedTests),
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("-replay report missing %q:\n%s", want, out.String())
 		}
 	}
 }
@@ -70,8 +78,11 @@ func TestReplayRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := run([]string{"-replay", path}, &out); err == nil {
-		t.Error("garbage file accepted by -replay")
+	err := run([]string{"-replay", path}, &out)
+	if !errors.Is(err, trace.ErrBadFormat) {
+		t.Errorf("garbage file: err = %v, want ErrBadFormat", err)
+	} else if !strings.Contains(err.Error(), path) {
+		t.Errorf("error %q does not name the file", err)
 	}
 	if err := run([]string{"-replay", filepath.Join(dir, "missing")}, &out); err == nil {
 		t.Error("missing file accepted by -replay")
@@ -81,7 +92,7 @@ func TestReplayRejectsGarbage(t *testing.T) {
 // TestReplayTruncatedCompact checks the positioned decode error
 // reaches the CLI user instead of a silent short report.
 func TestReplayTruncatedCompact(t *testing.T) {
-	_, compactPath := writeReplayTraces(t)
+	_, compactPath := writeReplayTrace(t)
 	raw, err := os.ReadFile(compactPath)
 	if err != nil {
 		t.Fatal(err)

@@ -3,17 +3,19 @@
 // Usage:
 //
 //	tracegen -list
-//	tracegen -app Netflix -out netflix.trace [-scale 1.0] [-seed 1] [-compact] [-reads]
+//	tracegen -app Netflix -out netflix.trace [-scale 1.0] [-seed 1] [-reads]
 //	tracegen -inspect netflix.trace
 //	tracegen -head 10 netflix.trace
 //
-// -head streams the first N events of a trace file without
-// materializing it — compact (v2) files decode incrementally, so
-// peeking at a multi-GB trace touches only its leading bytes.
+// Traces are written in the compact (v2) delta/varint format, the only
+// trace file format. -head streams the first N events of a trace file
+// without materializing it: the file decodes incrementally, so peeking
+// at a multi-GB trace touches only its leading bytes. A file in the
+// retired fixed-width v1 format is rejected; regenerate it with -app
+// (a trace depends only on the app, -seed and -scale).
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -42,7 +44,6 @@ func run(args []string, out io.Writer) error {
 		inspect = fs.String("inspect", "", "trace file to inspect")
 		scale   = fs.Float64("scale", 1.0, "page-count scale in (0,1]")
 		seed    = fs.Int64("seed", 1, "random seed")
-		compact = fs.Bool("compact", false, "write the delta/varint v2 format")
 		reads   = fs.Bool("reads", false, "generate the READ trace instead of writes")
 		head    = fs.Int("head", 0, "print the first N events of the trace file argument (streams; no materialization)")
 	)
@@ -76,12 +77,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("creating %s: %w", *outPath, err)
 		}
 		defer f.Close()
-		if *compact {
-			err = tr.WriteCompact(f)
-		} else {
-			err = tr.Write(f)
-		}
-		if err != nil {
+		if err := tr.WriteCompact(f); err != nil {
 			return fmt.Errorf("writing trace: %w", err)
 		}
 		fmt.Fprintf(out, "wrote %s: %d events, %d pages, %.1f s\n",
@@ -93,9 +89,9 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("opening %s: %w", *inspect, err)
 		}
 		defer f.Close()
-		tr, err := trace.ReadAuto(f)
+		tr, err := trace.ReadCompact(f)
 		if err != nil {
-			return fmt.Errorf("reading trace: %w", err)
+			return fmt.Errorf("reading %s: %w", *inspect, err)
 		}
 		describe(out, tr)
 		return nil
@@ -110,47 +106,27 @@ func run(args []string, out io.Writer) error {
 	}
 }
 
-// printHead prints the first n events of a trace file. Compact files
-// decode through trace.Stream, so only the leading bytes are read; v1
-// files are materialized (their fixed-width layout is cheap anyway).
+// printHead prints the first n events of a trace file. The file
+// decodes through trace.Stream, so only its leading bytes are read.
 func printHead(out io.Writer, path string, n int) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("opening %s: %w", path, err)
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	format, err := trace.DetectFormat(br)
+	s, err := trace.NewStream(f)
 	if err != nil {
-		return err
-	}
-	var src trace.Source
-	var total int
-	switch format {
-	case trace.FormatCompact:
-		s, err := trace.NewStream(br)
-		if err != nil {
-			return err
-		}
-		src, total = s, int(s.Events())
-	case trace.FormatV1:
-		tr, err := trace.Read(br)
-		if err != nil {
-			return err
-		}
-		src, total = tr.Source(), len(tr.Events)
-	default:
-		return fmt.Errorf("%s: not a trace file (unknown magic)", path)
+		return fmt.Errorf("reading %s: %w", path, err)
 	}
 	fmt.Fprintf(out, "trace %q: %.1f s, %d events\n",
-		src.Name(), float64(src.Duration())/float64(trace.Second), total)
+		s.Name(), float64(s.Duration())/float64(trace.Second), s.Events())
 	for i := 0; i < n; i++ {
-		ev, err := src.Next()
+		ev, err := s.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return err
+			return fmt.Errorf("reading %s: %w", path, err)
 		}
 		fmt.Fprintf(out, "%10d µs  page %d\n", ev.At, ev.Page)
 	}

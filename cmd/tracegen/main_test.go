@@ -1,9 +1,15 @@
 package main
 
 import (
+	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"memcon/internal/trace"
+	"memcon/internal/workload"
 )
 
 func TestRunList(t *testing.T) {
@@ -16,7 +22,9 @@ func TestRunList(t *testing.T) {
 	}
 }
 
-func TestGenerateAndInspectV1(t *testing.T) {
+// TestGenerateAndInspect checks that the default -out file is a compact
+// trace (it opens with trace.NewStream) and that -inspect reads it.
+func TestGenerateAndInspect(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.trace")
 	var out strings.Builder
@@ -25,6 +33,18 @@ func TestGenerateAndInspectV1(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "wrote") {
 		t.Error("generation output missing")
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s, err := trace.NewStream(f)
+	if err != nil {
+		t.Fatalf("default output is not a compact trace: %v", err)
+	}
+	if s.Name() != "BlurMotion" || s.Events() == 0 {
+		t.Errorf("stream header = %q/%d events", s.Name(), s.Events())
 	}
 	out.Reset()
 	if err := run([]string{"-inspect", path}, &out); err != nil {
@@ -42,7 +62,7 @@ func TestGenerateAndInspectCompactReads(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "r.trace")
 	var out strings.Builder
-	if err := run([]string{"-app", "BlurMotion", "-scale", "0.02", "-reads", "-compact", "-out", path}, &out); err != nil {
+	if err := run([]string{"-app", "BlurMotion", "-scale", "0.02", "-reads", "-out", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
@@ -51,6 +71,17 @@ func TestGenerateAndInspectCompactReads(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "BlurMotion-reads") {
 		t.Errorf("compact read trace not inspectable:\n%s", out.String())
+	}
+}
+
+// TestCompactFlagRemoved pins that compact is the only output format:
+// the former -compact switch is a usage error.
+func TestCompactFlagRemoved(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.trace")
+	var out strings.Builder
+	err := run([]string{"-app", "BlurMotion", "-scale", "0.02", "-compact", "-out", path}, &out)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-compact: err = %v, want an undefined-flag usage error", err)
 	}
 }
 
@@ -70,37 +101,45 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestHeadStreamsCompact checks -head against the generator: with
+// tracegen's default seed (1), -head 5 prints the header and exactly
+// the first five events of Generate(1, 0.02).
 func TestHeadStreamsCompact(t *testing.T) {
 	dir := t.TempDir()
-	v1 := filepath.Join(dir, "v1.trace")
-	v2 := filepath.Join(dir, "v2.trace")
+	path := filepath.Join(dir, "t.trace")
 	var out strings.Builder
-	if err := run([]string{"-app", "BlurMotion", "-scale", "0.02", "-out", v1}, &out); err != nil {
+	if err := run([]string{"-app", "BlurMotion", "-scale", "0.02", "-out", path}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-app", "BlurMotion", "-scale", "0.02", "-compact", "-out", v2}, &out); err != nil {
+	spec, err := workload.AppByName("BlurMotion")
+	if err != nil {
 		t.Fatal(err)
 	}
-	var h1, h2 strings.Builder
-	if err := run([]string{"-head", "5", v1}, &h1); err != nil {
+	tr := spec.Generate(1, 0.02)
+	want := fmt.Sprintf("trace %q: %.1f s, %d events\n",
+		tr.Name, float64(tr.Duration)/float64(trace.Second), len(tr.Events))
+	for _, ev := range tr.Events[:5] {
+		want += fmt.Sprintf("%10d µs  page %d\n", ev.At, ev.Page)
+	}
+	var head strings.Builder
+	if err := run([]string{"-head", "5", path}, &head); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-head", "5", v2}, &h2); err != nil {
-		t.Fatal(err)
+	if head.String() != want {
+		t.Fatalf("-head 5:\n%s\nwant:\n%s", head.String(), want)
 	}
-	if h1.String() != h2.String() {
-		t.Fatalf("-head differs between formats:\n--- v1 ---\n%s--- compact ---\n%s", h1.String(), h2.String())
-	}
-	if got := strings.Count(h1.String(), "page "); got != 5 {
-		t.Errorf("-head 5 printed %d events:\n%s", got, h1.String())
-	}
-	if !strings.Contains(h1.String(), "BlurMotion") {
-		t.Errorf("-head missing trace header:\n%s", h1.String())
-	}
-	if err := run([]string{"-head", "5"}, &h1); err == nil {
+	if err := run([]string{"-head", "5"}, &head); err == nil {
 		t.Error("-head without a file argument accepted")
 	}
-	if err := run([]string{"-head", "5", v1, v2}, &h1); err == nil {
+	if err := run([]string{"-head", "5", path, path}, &head); err == nil {
 		t.Error("-head with two file arguments accepted")
+	}
+	junk := filepath.Join(dir, "junk")
+	if err := os.WriteFile(junk, []byte("this is not a trace file"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"-head", "5", junk}, &head)
+	if !errors.Is(err, trace.ErrBadFormat) || !strings.Contains(err.Error(), junk) {
+		t.Errorf("-head on a non-trace file: err = %v, want ErrBadFormat naming the file", err)
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"memcon"
 	"memcon/internal/dram"
-	"memcon/internal/faults"
 	"memcon/internal/softmc"
 	"memcon/internal/trace"
 	"memcon/internal/workload"
@@ -85,7 +84,6 @@ func main() {
 	fmt.Printf("  failing cells detected online: %d\n", sys.DetectedFailures())
 	fmt.Printf("  SILENT failures escaped:       %d (guarantee: 0)\n", sys.UndetectedFailures())
 	fmt.Printf("  refresh reduction achieved:    %.1f%%\n", 100*rep.RefreshReduction())
-	_ = faults.CharacterizationIdle // keep the import for documentation reference
 }
 
 func maxf(a, b float64) float64 {

@@ -428,7 +428,7 @@ func (e *Engine) onPredict(page uint32, at trace.Microseconds) {
 	st.testing = true
 	e.rep.TestsStarted++
 	done := at + trace.Microseconds(e.cfg.LoRef/dram.Microsecond)
-	e.schedule(page, at, done)
+	e.schedule(page, done)
 	if e.obs != nil {
 		e.obs.OnEvent(obs.Event{Kind: obs.KindPredict, Page: page, At: int64(at)})
 		e.obs.OnEvent(obs.Event{Kind: obs.KindTestQueued, Page: page, At: int64(at), Aux: int64(done)})
@@ -436,7 +436,7 @@ func (e *Engine) onPredict(page uint32, at trace.Microseconds) {
 }
 
 // schedule enqueues a test completion.
-func (e *Engine) schedule(page uint32, _ trace.Microseconds, done trace.Microseconds) {
+func (e *Engine) schedule(page uint32, done trace.Microseconds) {
 	e.seq++
 	e.tests.Push(pendingTest{page: page, done: done, seq: e.seq})
 }
@@ -568,7 +568,7 @@ func (e *Engine) Retest(page uint32, at trace.Microseconds) error {
 	st.testing = true
 	e.rep.TestsStarted++
 	done := at + trace.Microseconds(e.cfg.LoRef/dram.Microsecond)
-	e.schedule(page, at, done)
+	e.schedule(page, done)
 	if e.obs != nil {
 		e.obs.OnEvent(obs.Event{Kind: obs.KindTestQueued, Page: page, At: int64(at), Aux: int64(done)})
 	}

@@ -75,23 +75,12 @@ func (r *RepeatingContent) Content(page uint32, _ trace.Microseconds, dst dram.R
 // silently — rows at LO-REF must have tested clean with their current
 // content.
 type System struct {
-	cfg    Config
-	mod    *dram.Module
-	model  *faults.Model
-	eng    *Engine
-	geom   dram.Geometry
-	rng    *rand.Rand
-	report Report
-
-	// mech is the failure mechanism the online tests and audits query;
-	// defaults to the retention model itself. A co-simulated secondary
-	// mechanism (read disturb) substitutes here without the test or
-	// audit paths knowing which physics they are probing.
-	mech faults.Mechanism
-	// hammer, when set, supplies a row's current-window hammer count for
-	// the mechanism's RowWindow; nil means no activation tracking (the
-	// retention-only configuration), leaving the count at zero.
-	hammer func(dram.RowAddress) int64
+	cfg   Config
+	mod   *dram.Module
+	model *faults.Model
+	eng   *Engine
+	geom  dram.Geometry
+	rng   *rand.Rand
 
 	// source supplies per-write content; defaults to random bits.
 	source ContentSource
@@ -182,35 +171,6 @@ func (s *System) RemappedRows() int {
 // NeighborRetests returns the number of neighbour re-tests initiated.
 func (s *System) NeighborRetests() int64 { return s.retests }
 
-// SetMechanism substitutes the failure mechanism the online tests and
-// audits query (must be called before Run). The retention model stays in
-// place for physical-adjacency queries; nil restores it as the queried
-// mechanism too.
-func (s *System) SetMechanism(m faults.Mechanism) {
-	if m == nil {
-		s.mech = s.model
-		return
-	}
-	s.mech = m
-}
-
-// SetHammerSource installs a supplier of per-row current-window hammer
-// counts, threaded into every mechanism query's RowWindow (must be
-// called before Run). Typically memctrl.Controller.WindowActivations
-// bound over a co-simulated controller; nil — the default — leaves the
-// window's hammer count at zero.
-func (s *System) SetHammerSource(f func(dram.RowAddress) int64) { s.hammer = f }
-
-// window assembles the mechanism query window for a row idle for the
-// given time.
-func (s *System) window(addr dram.RowAddress, idle dram.Nanoseconds) faults.RowWindow {
-	w := faults.RowWindow{Idle: idle}
-	if s.hammer != nil {
-		w.Hammer = s.hammer(addr)
-	}
-	return w
-}
-
 // NewSystem builds a full-fidelity MEMCON system. The module and fault
 // model must share a geometry; pages beyond the module capacity are
 // rejected at run time. Options apply to the embedded engine; the
@@ -228,7 +188,6 @@ func NewSystem(cfg Config, mod *dram.Module, model *faults.Model, opts ...Engine
 		cfg:   cfg,
 		mod:   mod,
 		model: model,
-		mech:  model,
 		geom:  mod.Geometry(),
 		rng:   rand.New(rand.NewSource(int64(cfg.Quantum) ^ 0x5eed)),
 	}
@@ -271,7 +230,7 @@ func (s *System) test(page uint32, at trace.Microseconds) bool {
 		return true
 	}
 	idle := s.cfg.LoRef // the engine kept the row idle one LO-REF window
-	s.cellBuf = s.mech.AppendFailures(s.cellBuf[:0], s.mod, addr, s.window(addr, idle))
+	s.cellBuf = s.model.AppendFailingCells(s.cellBuf[:0], s.mod, addr, idle)
 	cells := s.cellBuf
 	// The read-back recharges the row either way.
 	s.mod.Activate(addr, nsOf(at))
@@ -331,7 +290,7 @@ func (s *System) RunContext(ctx context.Context, tr *trace.Trace) (Report, error
 		}
 		// Audit before the content is replaced: did the row silently
 		// lose data under the refresh interval MEMCON assigned?
-		s.auditRow(ev.Page, addr, nsOf(ev.At))
+		s.auditRow(ev.Page, addr)
 		s.source.Content(ev.Page, ev.At, buf)
 		if s.detectSilentWrites && buf.Equal(s.mod.RowRef(addr)) {
 			// Footnote 9: the write does not change memory; the row's
@@ -372,19 +331,18 @@ func (s *System) RunContext(ctx context.Context, tr *trace.Trace) (Report, error
 	// Final audit pass over every written row.
 	for p := 0; p < rep.Pages && p < s.geom.TotalRows(); p++ {
 		addr := s.geom.AddressOfIndex(p)
-		s.auditRow(uint32(p), addr, nsOf(tr.Duration))
+		s.auditRow(uint32(p), addr)
 	}
-	s.report = rep
 	return rep, nil
 }
 
-// auditRow verifies the reliability guarantee for one row at time now:
+// auditRow verifies the reliability guarantee for one row:
 // under MEMCON the row's effective idle exposure is bounded by its
 // assigned refresh interval, so failures can only occur if a cell flips
 // within one refresh window — which the engine only permits at LO-REF
 // after a clean test of the very same content. A flip under those
 // conditions is an undetected failure and breaks the guarantee.
-func (s *System) auditRow(page uint32, addr dram.RowAddress, now dram.Nanoseconds) {
+func (s *System) auditRow(page uint32, addr dram.RowAddress) {
 	if s.isRemapped(page) {
 		// The row's content lives in a manufacturing-screened spare; the
 		// faulty physical row is out of service.
@@ -397,11 +355,8 @@ func (s *System) auditRow(page uint32, addr dram.RowAddress, now dram.Nanosecond
 	// The row is refreshed every `interval`; its content is therefore
 	// never idle longer than that. If the current content would flip
 	// cells within one interval, MEMCON failed to protect it.
-	s.cellBuf = s.mech.AppendFailures(s.cellBuf[:0], s.mod, addr, s.window(addr, interval))
-	if len(s.cellBuf) > 0 {
-		s.undetected += len(s.cellBuf)
-	}
-	_ = now
+	s.cellBuf = s.model.AppendFailingCells(s.cellBuf[:0], s.mod, addr, interval)
+	s.undetected += len(s.cellBuf)
 }
 
 // UndetectedFailures returns the number of audit violations (must be 0

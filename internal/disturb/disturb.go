@@ -1,11 +1,12 @@
 // Package disturb models read-disturb (RowHammer) failures — the second
-// failure mechanism of the fault stack, co-simulated with retention
-// behind the faults.Mechanism interface. Where retention asks "how long
-// was the row idle?", disturb asks "how often were the row's physical
-// neighbours activated inside the refresh window?": repeated aggressor
-// activations couple charge out of victim cells, and a victim flips once
-// the window's hammer count exceeds its threshold (HCfirst in the
-// RowHammer literature).
+// failure mechanism of the fault stack, next to retention
+// (faults.Model). Both are called directly: the disturb ids and dramtest
+// query this Model, core.System queries retention. Where retention asks
+// "how long was the row idle?", disturb asks "how often were the row's
+// physical neighbours activated inside the refresh window?": repeated
+// aggressor activations couple charge out of victim cells, and a victim
+// flips once the window's hammer count exceeds its threshold (HCfirst
+// in the RowHammer literature).
 //
 // The model shares the retention model's silicon: victim rows anchor to
 // the same physical-row space (so aggressor→victim resolution reuses
@@ -224,19 +225,13 @@ func (m *Model) buildBank(b int) *bankVictims {
 	return bv
 }
 
-// Model implements faults.Mechanism: failures depend on the window's
-// hammer count and the stored content's charge state; idle time is
-// irrelevant to disturbance.
-var _ faults.Mechanism = (*Model)(nil)
-
-// MechanismName implements faults.Mechanism.
-func (m *Model) MechanismName() string { return "disturb" }
-
-// AppendFailures implements faults.Mechanism: it appends the system
-// columns of victim cells whose threshold the window's hammer count
-// exceeds AND that currently store the row's charged value (discharged
-// cells have no charge to couple away). Columns are appended in
-// ascending system-column order, deterministically.
+// AppendFailures appends the system columns of victim cells whose
+// threshold the window's hammer count exceeds AND that currently store
+// the row's charged value (discharged cells have no charge to couple
+// away). Failures depend on the window's hammer count and the stored
+// content's charge state; idle time is irrelevant to disturbance.
+// Columns are appended in ascending system-column order,
+// deterministically.
 func (m *Model) AppendFailures(dst []int, mod *dram.Module, a dram.RowAddress, w faults.RowWindow) []int {
 	bv := m.banks[a.Bank]
 	if w.Hammer < bv.thrBySysRow[a.Row] {
@@ -257,8 +252,9 @@ func (m *Model) AppendFailures(dst []int, mod *dram.Module, a dram.RowAddress, w
 	return dst
 }
 
-// RowVulnerable implements faults.Mechanism via the per-row minimum
-// threshold: one comparison, no module access.
+// RowVulnerable reports whether the row could fail under some content
+// at the window's hammer count, via the per-row minimum threshold: one
+// comparison, no module access.
 func (m *Model) RowVulnerable(a dram.RowAddress, w faults.RowWindow) bool {
 	return w.Hammer >= m.banks[a.Bank].thrBySysRow[a.Row]
 }

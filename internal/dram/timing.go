@@ -148,7 +148,6 @@ func TREFI(refreshWindow Nanoseconds) Nanoseconds {
 // Standard refresh windows used across the evaluation.
 const (
 	RefreshWindowAggressive Nanoseconds = 16 * Millisecond  // HI-REF
-	RefreshWindow32                     = 32 * Millisecond  // less-aggressive baseline
 	RefreshWindowDefault                = 64 * Millisecond  // LO-REF
 	RefreshWindow128                    = 128 * Millisecond // extended LO-REF
 	RefreshWindow256                    = 256 * Millisecond // extended LO-REF

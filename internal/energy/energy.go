@@ -83,15 +83,6 @@ func (b Breakdown) Total() float64 {
 	return b.ActPreMJ + b.ReadMJ + b.WriteMJ + b.RefreshMJ + b.TestingMJ + b.BackgroundMJ
 }
 
-// RefreshShare returns refresh energy as a fraction of the total.
-func (b Breakdown) RefreshShare() float64 {
-	t := b.Total()
-	if t <= 0 {
-		return 0
-	}
-	return b.RefreshMJ / t
-}
-
 // Compute derives the energy breakdown of a tally under a budget.
 func Compute(budget Budget, t Tally) (Breakdown, error) {
 	if err := budget.Validate(); err != nil {
@@ -116,13 +107,4 @@ func Compute(budget Budget, t Tally) (Breakdown, error) {
 	// 1 mW = 1e-9 mJ/ns, so mW * ns * 1e-9 = mJ.
 	out.BackgroundMJ = budget.BackgroundMW * float64(t.Duration) * 1e-9
 	return out, nil
-}
-
-// Savings returns the fractional total-energy saving of scheme over
-// baseline.
-func Savings(baseline, scheme Breakdown) float64 {
-	if baseline.Total() <= 0 {
-		return 0
-	}
-	return 1 - scheme.Total()/baseline.Total()
 }

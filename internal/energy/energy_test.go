@@ -82,29 +82,6 @@ func TestTestingEnergy(t *testing.T) {
 	}
 }
 
-func TestSavings(t *testing.T) {
-	base := Breakdown{RefreshMJ: 100, BackgroundMJ: 100}
-	scheme := Breakdown{RefreshMJ: 25, BackgroundMJ: 100}
-	got := Savings(base, scheme)
-	want := 1 - 125.0/200.0
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("savings = %v, want %v", got, want)
-	}
-	if Savings(Breakdown{}, scheme) != 0 {
-		t.Error("zero baseline should yield zero savings")
-	}
-}
-
-func TestRefreshShare(t *testing.T) {
-	b := Breakdown{RefreshMJ: 30, BackgroundMJ: 70}
-	if math.Abs(b.RefreshShare()-0.3) > 1e-12 {
-		t.Errorf("share = %v, want 0.3", b.RefreshShare())
-	}
-	if (Breakdown{}).RefreshShare() != 0 {
-		t.Error("empty breakdown share should be 0")
-	}
-}
-
 // Refresh energy must dominate the variable energy at high density and
 // aggressive refresh — the regime where MEMCON's savings matter.
 func TestAggressiveRefreshDominates(t *testing.T) {
@@ -128,7 +105,7 @@ func TestAggressiveRefreshDominates(t *testing.T) {
 	if a.RefreshMJ <= r.RefreshMJ {
 		t.Error("aggressive refresh should cost more energy")
 	}
-	if s := Savings(a, r); s <= 0.1 {
+	if s := 1 - r.Total()/a.Total(); s <= 0.1 {
 		t.Errorf("refresh-dominated savings = %v, want substantial", s)
 	}
 }

@@ -61,7 +61,6 @@ func RunEnergy(ctx context.Context, req Request, rt Runtime) (Result, error) {
 
 	budget := energy.DDR3Budget()
 	durNs := dram.Nanoseconds(rep.Duration) * dram.Microsecond
-	pages := rep.Pages
 	baseOps := rep.BaselineOps
 
 	mkTally := func(refreshOps float64, testCycles int64) energy.Tally {
@@ -79,7 +78,7 @@ func RunEnergy(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	}{
 		{"16ms baseline", baseOps, 0},
 		{"32ms", baseOps / 2, 0},
-		{"RAIDR", baseOps * (1 - 0.63), 0},
+		{"RAIDR", baseOps * (1 - raidrReduction), 0},
 		{"MEMCON", rep.RefreshOps, 2 * rep.TestsCompleted}, // Read-and-Compare: 2 row cycles per test
 		{"64ms ideal", rep.UpperBoundOps, 0},
 	}
@@ -111,7 +110,6 @@ func RunEnergy(ctx context.Context, req Request, rt Runtime) (Result, error) {
 			Savings:   saving,
 		})
 	}
-	_ = pages
 	return res, nil
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -416,6 +417,20 @@ func TestRunFig16(t *testing.T) {
 		}
 	}
 	_ = out.String()
+}
+
+// TestRAIDRPaperConfiguration pins the RAIDR number Fig. 16 and the
+// energy comparison share. The paper's RAIDR keeps 16% of rows at 16 ms
+// and 84% at 64 ms, a 63% reduction over the all-16 ms baseline, which
+// stays below the 75% of keeping every row at LO-REF.
+func TestRAIDRPaperConfiguration(t *testing.T) {
+	weak, hi, lo := 0.16, 16.0, 64.0 // weak-row fraction, intervals in ms
+	if want := 1 - (weak + (1-weak)*hi/lo); math.Abs(raidrReduction-want) > 1e-12 {
+		t.Errorf("raidrReduction = %v, want 1 - (0.16 + 0.84*16/64) = %v", raidrReduction, want)
+	}
+	if upper := 1 - hi/lo; raidrReduction >= upper {
+		t.Errorf("raidrReduction = %v, want below the %v bound of all rows at LO-REF", raidrReduction, upper)
+	}
 }
 
 func TestRunMotivation(t *testing.T) {

@@ -7,62 +7,6 @@ import (
 	"memcon/internal/dram"
 )
 
-// TestMechanismRetentionBitIdentical is the Mechanism interface's
-// differential test: routing retention through it must yield exactly
-// the verdicts of the frozen map-based model (refModel, the scalar
-// oracle the packed kernel is verified against), across
-// seeds × geometries × mappings × contents × idle times. The hammer
-// count in the window must be irrelevant to retention verdicts.
-func TestMechanismRetentionBitIdentical(t *testing.T) {
-	for _, cfg := range diffConfigs() {
-		cfg := cfg
-		t.Run(cfg.name, func(t *testing.T) {
-			scr := newDiffScrambler(t, cfg)
-			model, err := NewModel(cfg.geom, scr, cfg.seed, cfg.params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var mech Mechanism = model
-			if mech.MechanismName() != "retention" {
-				t.Fatalf("MechanismName = %q, want retention", mech.MechanismName())
-			}
-			ref := newRefModel(cfg.geom, scr, cfg.seed, cfg.params)
-			for ci, fill := range []func(*dram.Module){
-				func(m *dram.Module) { fillRandom(t, m, 11) },
-				func(m *dram.Module) { fillSolid(t, m, 0) },
-				func(m *dram.Module) { fillSolid(t, m, ^uint64(0)) },
-			} {
-				mod, err := dram.NewModule(cfg.geom)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fill(mod)
-				for _, idle := range diffIdles(cfg.params) {
-					// Retention must ignore the window's hammer count.
-					hammer := int64(ci * 100_000)
-					w := RowWindow{Idle: idle, Hammer: hammer}
-					var buf []int
-					for b := 0; b < cfg.geom.BanksPerChip; b++ {
-						for r := 0; r < cfg.geom.RowsPerBank; r++ {
-							a := dram.RowAddress{Bank: b, Row: r}
-							buf = mech.AppendFailures(buf[:0], mod, a, w)
-							want := ref.failingCells(mod, a, idle)
-							if !equalInts(buf, want) {
-								t.Fatalf("content %d idle %d bank %d row %d: AppendFailures = %v, frozen kernel %v",
-									ci, idle, b, r, buf, want)
-							}
-							if g, w := mech.RowVulnerable(a, w), ref.rowCanFail(a, idle); g != w {
-								t.Fatalf("content %d idle %d bank %d row %d: RowVulnerable = %v, frozen kernel %v",
-									ci, idle, b, r, g, w)
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestRowChargedBitMatchesOrientation pins the orientation accessor a
 // secondary mechanism builds on: RowChargedBit must agree with the
 // kernel's own verdicts — a solid fill of the charged value is the

@@ -2,7 +2,7 @@
 // which cells leak past their effective retention under current content
 // and a row's idle time. The population/build side (sampling and
 // packed-kernel compilation) stays in faults.go; this file is the
-// read-only query surface the Mechanism interface fronts.
+// read-only query surface core.System's online tests and audits call.
 
 package faults
 

@@ -141,10 +141,6 @@ type Controller struct {
 	bankBusyUntil []dram.Nanoseconds
 	bankOpenRow   []int
 
-	// refreshOffset shifts this controller's REF schedule (rank
-	// staggering on multi-rank DIMMs).
-	refreshOffset dram.Nanoseconds
-
 	// Test traffic: tests are injected one by one in time order at an
 	// average spacing of TestWindow/TestsPerWindow with jitter.
 	rng        *rand.Rand
@@ -257,14 +253,12 @@ func (c *Controller) Stats() Stats { return c.stats }
 
 // refreshEnd returns the earliest time at or after t when the rank is
 // not blocked by a REF command. REF windows are
-// [k*period+offset, k*period+offset+tRFC).
+// [k*period, k*period+tRFC).
 func (c *Controller) refreshEnd(t dram.Nanoseconds) dram.Nanoseconds {
-	shifted := t - c.refreshOffset
-	if shifted < 0 {
+	if t < 0 {
 		return t
 	}
-	k := shifted / c.cfg.RefreshPeriod
-	windowStart := k*c.cfg.RefreshPeriod + c.refreshOffset
+	windowStart := t / c.cfg.RefreshPeriod * c.cfg.RefreshPeriod
 	if t < windowStart+c.trfc {
 		return windowStart + c.trfc
 	}

@@ -143,6 +143,25 @@ func TestWriteUsesCWL(t *testing.T) {
 	}
 }
 
+// TestRefreshEndWindows pins the REF schedule the access path waits
+// on: windows are [k*period, k*period+tRFC), and a time outside every
+// window is returned unchanged.
+func TestRefreshEndWindows(t *testing.T) {
+	ctrl, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, r := ctrl.cfg.RefreshPeriod, ctrl.trfc
+	for _, c := range []struct{ at, want dram.Nanoseconds }{
+		{0, r}, {r - 1, r}, {r, r}, {p - 1, p - 1},
+		{p, p + r}, {3*p + r/2, 3*p + r}, {3*p + r, 3*p + r},
+	} {
+		if got := ctrl.refreshEnd(c.at); got != c.want {
+			t.Errorf("refreshEnd(%d) = %d, want %d (period %d, tRFC %d)", c.at, got, c.want, p, r)
+		}
+	}
+}
+
 func TestRefreshBusyFraction(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Density = dram.Density32Gb

@@ -17,7 +17,6 @@ type Metrics struct {
 	testsRetested   *Counter
 	toLo            *Counter
 	toHi            *Counter
-	rateSets        *Counter
 	prilInserts     *Counter
 	prilEvicts      *Counter
 	prilDiscards    *Counter
@@ -57,7 +56,6 @@ func NewMetrics(reg *Registry) *Metrics {
 		testsRetested:   reg.Counter("memcon_tests_voided_total", "online tests voided by a neighbour re-test"),
 		toLo:            reg.Counter("memcon_refresh_to_lo_total", "row transitions HI-REF to LO-REF"),
 		toHi:            reg.Counter("memcon_refresh_to_hi_total", "row transitions LO-REF to HI-REF"),
-		rateSets:        reg.Counter("memcon_refresh_rate_sets_total", "per-row refresh interval switches (refresh.Counter)"),
 		prilInserts:     reg.Counter("memcon_pril_inserts_total", "pages admitted into a PRIL write buffer"),
 		prilEvicts:      reg.Counter("memcon_pril_evictions_total", "pages evicted from a PRIL write buffer"),
 		prilDiscards:    reg.Counter("memcon_pril_discards_total", "pages dropped because the PRIL write buffer was full"),
@@ -116,8 +114,6 @@ func (m *Metrics) OnEvent(e Event) {
 		if e.Aux >= 0 {
 			m.loDwellUs.Observe(e.Aux)
 		}
-	case KindRefreshRateSet:
-		m.rateSets.Inc()
 	case KindPrilInsert:
 		m.prilInserts.Inc()
 		m.peakBuffer.Max(float64(e.Aux))

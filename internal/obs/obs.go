@@ -23,7 +23,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -56,9 +55,6 @@ const (
 	// KindRefreshToHi: a row transitioned LO-REF -> HI-REF because it
 	// was written (or re-tested). Aux is the LO-REF dwell time (µs).
 	KindRefreshToHi
-	// KindRefreshRateSet: a refresh.Counter row switched interval.
-	// Aux is the new interval in nanoseconds.
-	KindRefreshRateSet
 	// KindPrilInsert: PRIL admitted a page into the current-quantum
 	// write buffer. Aux is the buffer occupancy after the insert.
 	KindPrilInsert
@@ -106,8 +102,8 @@ const (
 	numKinds
 )
 
-// kindNames maps kinds to their stable wire names (used by the
-// JSON-lines sink and the metric names derived from them).
+// kindNames maps kinds to their stable wire names (used by memcond's
+// progress stream and the metric names derived from them).
 var kindNames = [numKinds]string{
 	KindWrite:          "write",
 	KindPredict:        "predict",
@@ -116,7 +112,6 @@ var kindNames = [numKinds]string{
 	KindTestAborted:    "test_aborted",
 	KindRefreshToLo:    "refresh_to_lo",
 	KindRefreshToHi:    "refresh_to_hi",
-	KindRefreshRateSet: "refresh_rate_set",
 	KindPrilInsert:     "pril_insert",
 	KindPrilEvict:      "pril_evict",
 	KindPrilDiscard:    "pril_discard",
@@ -238,35 +233,4 @@ func (r *Recorder) Reset() {
 	r.mu.Lock()
 	r.events = r.events[:0]
 	r.mu.Unlock()
-}
-
-// JSONLines is an Observer that streams each event as one JSON object
-// per line: {"kind":"write","page":3,"at":1024,"aux":-1}. Fields are
-// emitted in fixed order, so a serial run's stream is byte-stable.
-type JSONLines struct {
-	mu  sync.Mutex
-	w   io.Writer
-	err error
-}
-
-// NewJSONLines builds the sink over w.
-func NewJSONLines(w io.Writer) *JSONLines { return &JSONLines{w: w} }
-
-// OnEvent implements Observer. The first write error sticks and
-// silences the sink.
-func (j *JSONLines) OnEvent(e Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return
-	}
-	_, j.err = fmt.Fprintf(j.w, "{\"kind\":%q,\"page\":%d,\"at\":%d,\"aux\":%d}\n",
-		e.Kind.String(), e.Page, e.At, e.Aux)
-}
-
-// Err returns the first write error, if any.
-func (j *JSONLines) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
 }

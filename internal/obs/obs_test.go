@@ -135,34 +135,32 @@ func TestMetricsObserverMapping(t *testing.T) {
 		{Kind: KindNeighborRetest, Page: 6, At: 0, Aux: 7},
 		{Kind: KindRowFailure, Page: 7, At: 0, Aux: 3},
 		{Kind: KindRowWeak, Page: 8, At: 0},
-		{Kind: KindRefreshRateSet, Page: 9, At: 0, Aux: 64_000_000},
 		{Kind: KindRunDone, At: 100000, Aux: 12345},
 	}
 	for _, e := range events {
 		m.OnEvent(e)
 	}
 	checks := map[string]int64{
-		"memcon_writes_total":            2,
-		"memcon_predictions_total":       1,
-		"memcon_tests_queued_total":      1,
-		"memcon_tests_passed_total":      1,
-		"memcon_tests_failed_total":      1,
-		"memcon_tests_aborted_total":     1,
-		"memcon_tests_voided_total":      1,
-		"memcon_refresh_to_lo_total":     1,
-		"memcon_refresh_to_hi_total":     1,
-		"memcon_refresh_rate_sets_total": 1,
-		"memcon_pril_inserts_total":      1,
-		"memcon_pril_evictions_total":    1,
-		"memcon_pril_discards_total":     1,
-		"memcon_remap_hits_total":        1,
-		"memcon_remap_installs_total":    1,
-		"memcon_silent_writes_total":     1,
-		"memcon_neighbor_retests_total":  1,
-		"memcon_row_failures_total":      1,
-		"memcon_failing_cells_total":     3,
-		"memcon_weak_rows_total":         1,
-		"memcon_engine_runs_total":       1,
+		"memcon_writes_total":           2,
+		"memcon_predictions_total":      1,
+		"memcon_tests_queued_total":     1,
+		"memcon_tests_passed_total":     1,
+		"memcon_tests_failed_total":     1,
+		"memcon_tests_aborted_total":    1,
+		"memcon_tests_voided_total":     1,
+		"memcon_refresh_to_lo_total":    1,
+		"memcon_refresh_to_hi_total":    1,
+		"memcon_pril_inserts_total":     1,
+		"memcon_pril_evictions_total":   1,
+		"memcon_pril_discards_total":    1,
+		"memcon_remap_hits_total":       1,
+		"memcon_remap_installs_total":   1,
+		"memcon_silent_writes_total":    1,
+		"memcon_neighbor_retests_total": 1,
+		"memcon_row_failures_total":     1,
+		"memcon_failing_cells_total":    3,
+		"memcon_weak_rows_total":        1,
+		"memcon_engine_runs_total":      1,
 	}
 	for name, want := range checks {
 		if got := reg.Counter(name, "").Value(); got != want {
@@ -197,22 +195,6 @@ func TestTeeAndRecorder(t *testing.T) {
 	a.Reset()
 	if len(a.Events()) != 0 {
 		t.Errorf("Reset left %d events", len(a.Events()))
-	}
-}
-
-func TestJSONLines(t *testing.T) {
-	var sb strings.Builder
-	j := NewJSONLines(&sb)
-	j.OnEvent(Event{Kind: KindWrite, Page: 3, At: 1024, Aux: -1})
-	j.OnEvent(Event{Kind: KindTestQueued, Page: 3, At: 2048, Aux: 65536})
-	want := `{"kind":"write","page":3,"at":1024,"aux":-1}
-{"kind":"test_queued","page":3,"at":2048,"aux":65536}
-`
-	if sb.String() != want {
-		t.Errorf("JSON lines:\n%s\nwant:\n%s", sb.String(), want)
-	}
-	if j.Err() != nil {
-		t.Errorf("unexpected sink error: %v", j.Err())
 	}
 }
 

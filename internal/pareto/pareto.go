@@ -185,28 +185,6 @@ func FitCCDFTail(samples []float64, candidates []float64, minTail int) (Fit, err
 	return best, nil
 }
 
-// EmpiricalCCDF returns (xs, ps) points of the empirical complementary
-// CDF of the samples, one point per distinct value, suitable for
-// plotting or fitting. Non-positive samples are ignored.
-func EmpiricalCCDF(samples []float64) (xs, ps []float64) {
-	vals := make([]float64, 0, len(samples))
-	for _, s := range samples {
-		if s > 0 && !math.IsNaN(s) && !math.IsInf(s, 0) {
-			vals = append(vals, s)
-		}
-	}
-	sort.Float64s(vals)
-	n := float64(len(vals))
-	for i := 0; i < len(vals); i++ {
-		if i+1 < len(vals) && vals[i+1] == vals[i] {
-			continue
-		}
-		xs = append(xs, vals[i])
-		ps = append(ps, (n-float64(i+1))/n)
-	}
-	return xs, ps
-}
-
 // ConditionalExceedEmpirical computes P(X > c+L | X >= c) from a sample,
 // the empirical form of Fig. 11: of all intervals at least c long, the
 // fraction whose remaining length exceeds L.

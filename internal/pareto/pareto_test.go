@@ -160,17 +160,6 @@ func TestFitCCDFErrors(t *testing.T) {
 	}
 }
 
-func TestEmpiricalCCDF(t *testing.T) {
-	xs, ps := EmpiricalCCDF([]float64{1, 1, 2, 4})
-	if len(xs) != 3 {
-		t.Fatalf("distinct points = %d, want 3", len(xs))
-	}
-	// P(X > 1) = 2/4, P(X > 2) = 1/4, P(X > 4) = 0.
-	if ps[0] != 0.5 || ps[1] != 0.25 || ps[2] != 0 {
-		t.Errorf("ps = %v, want [0.5 0.25 0]", ps)
-	}
-}
-
 func TestConditionalExceedEmpirical(t *testing.T) {
 	// Intervals: 10 short (5), 5 medium (100), 5 long (2000).
 	var samples []float64

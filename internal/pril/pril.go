@@ -15,7 +15,6 @@ package pril
 
 import (
 	"fmt"
-	"io"
 
 	"memcon/internal/obs"
 	"memcon/internal/trace"
@@ -224,9 +223,6 @@ func (p *Predictor) OnPredict(fn func(page uint32, at trace.Microseconds)) {
 // default — keeps the event path free of any extra work.
 func (p *Predictor) SetObserver(o obs.Observer) { p.obs = o }
 
-// Config returns the predictor configuration.
-func (p *Predictor) Config() Config { return p.cfg }
-
 // Stats returns a snapshot of the bookkeeping counters.
 func (p *Predictor) Stats() Stats { return p.stats }
 
@@ -348,40 +344,5 @@ func Run(tr *trace.Trace, cfg Config) ([]Prediction, Stats, error) {
 		}
 	}
 	p.Finish(tr.Duration)
-	return preds, p.Stats(), nil
-}
-
-// RunSource replays a streaming event source through a fresh predictor.
-// Unlike Run, the page space is not known up front: cfg.NumPages is
-// only a floor and the predictor grows on demand, so memory stays
-// O(pages) regardless of event count.
-func RunSource(src trace.Source, cfg Config) ([]Prediction, Stats, error) {
-	if cfg.NumPages <= 0 {
-		cfg.NumPages = 1
-	}
-	p, err := New(cfg)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	var preds []Prediction
-	p.OnPredict(func(page uint32, at trace.Microseconds) {
-		preds = append(preds, Prediction{Page: page, At: at})
-	})
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		if int(e.Page) >= p.cfg.NumPages {
-			p.Grow(int(e.Page) + 1)
-		}
-		if err := p.Observe(e); err != nil {
-			return nil, Stats{}, err
-		}
-	}
-	p.Finish(src.Duration())
 	return preds, p.Stats(), nil
 }

@@ -122,9 +122,6 @@ type Cell struct {
 // S returns a string cell displayed verbatim.
 func S(v string) Cell { return Cell{Kind: KindString, Str: v} }
 
-// Sd returns a string cell whose text rendering differs from the value.
-func Sd(v, display string) Cell { return Cell{Kind: KindString, Str: v, Display: display} }
-
 // I returns an integer cell with the default (base-10) rendering.
 func I(v int64) Cell { return Cell{Kind: KindInt, Int: v} }
 
@@ -141,9 +138,6 @@ func Fv(v float64) Cell { return Cell{Kind: KindFloat, Float: v} }
 
 // B returns a boolean cell.
 func B(v bool) Cell { return Cell{Kind: KindBool, Bool: v} }
-
-// Bd returns a boolean cell with an explicit text rendering.
-func Bd(v bool, display string) Cell { return Cell{Kind: KindBool, Bool: v, Display: display} }
 
 // Value renders the cell's typed value canonically: strings verbatim,
 // integers in base 10, floats via strconv 'g' at full precision, bools
@@ -341,16 +335,6 @@ func (r *Report) Tables() []*Table {
 		}
 	}
 	return out
-}
-
-// TableByKey returns the data table with the given key, or nil.
-func (r *Report) TableByKey(key string) *Table {
-	for _, t := range r.Tables() {
-		if t.Key == key {
-			return t
-		}
-	}
-	return nil
 }
 
 // String renders the report as text, making *Report a fmt.Stringer

@@ -306,13 +306,13 @@ func TestCellValueAndText(t *testing.T) {
 		text  string
 	}{
 		{S("x"), "x", "x"},
-		{Sd("x", "X!"), "x", "X!"},
+		{Cell{Kind: KindString, Str: "x", Display: "X!"}, "x", "X!"},
 		{I(-3), "-3", "-3"},
 		{Id(5, "5 ms"), "5", "5 ms"},
 		{F(0.25, "25.0%"), "0.25", "25.0%"},
 		{Fv(0.1), "0.1", "0.1"},
 		{B(true), "true", "true"},
-		{Bd(false, "no"), "false", "no"},
+		{Cell{Kind: KindBool, Bool: false, Display: "no"}, "false", "no"},
 	}
 	for _, c := range cases {
 		if got := c.c.Value(); got != c.value {

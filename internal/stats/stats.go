@@ -1,58 +1,12 @@
 // Package stats provides small statistical utilities shared by the MEMCON
-// simulator: summary statistics, weighted means, linear regression, and
-// logarithmically bucketed histograms used for write-interval analysis.
+// simulator: means, linear regression, and logarithmically bucketed
+// histograms used for write-interval analysis.
 //
 // Everything operates on float64 slices and is deterministic; no global
 // state is kept so the package is safe for concurrent use.
 package stats
 
-import (
-	"errors"
-	"math"
-	"sort"
-)
-
-// ErrNoData is returned by functions that cannot produce a result from an
-// empty input.
-var ErrNoData = errors.New("stats: no data")
-
-// Summary holds basic descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Stddev float64
-	Sum    float64
-}
-
-// Summarize computes descriptive statistics for xs. It returns ErrNoData
-// when xs is empty.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrNoData
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	for _, x := range xs {
-		s.Sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.Sum / float64(s.N)
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if s.N > 1 {
-		s.Stddev = math.Sqrt(ss / float64(s.N-1))
-	}
-	return s, nil
-}
+import "errors"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -64,53 +18,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// WeightedMean returns the weighted mean of xs with weights ws.
-// It returns ErrNoData when the slices are empty or the total weight is
-// zero, and an error when the lengths differ.
-func WeightedMean(xs, ws []float64) (float64, error) {
-	if len(xs) != len(ws) {
-		return 0, errors.New("stats: length mismatch between values and weights")
-	}
-	if len(xs) == 0 {
-		return 0, ErrNoData
-	}
-	var num, den float64
-	for i, x := range xs {
-		num += x * ws[i]
-		den += ws[i]
-	}
-	if den == 0 {
-		return 0, ErrNoData
-	}
-	return num / den, nil
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// linear interpolation between closest ranks. The input need not be
-// sorted; a copy is sorted internally.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrNoData
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of range [0,100]")
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	if len(cp) == 1 {
-		return cp[0], nil
-	}
-	rank := p / 100 * float64(len(cp)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return cp[lo], nil
-	}
-	frac := rank - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac, nil
 }
 
 // LinearFit holds the result of an ordinary least-squares line fit

@@ -10,117 +10,12 @@ func almostEqual(a, b, eps float64) bool {
 	return math.Abs(a-b) <= eps
 }
 
-func TestSummarizeEmpty(t *testing.T) {
-	if _, err := Summarize(nil); err != ErrNoData {
-		t.Fatalf("Summarize(nil) error = %v, want ErrNoData", err)
-	}
-}
-
-func TestSummarizeBasic(t *testing.T) {
-	s, err := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 8 {
-		t.Errorf("N = %d, want 8", s.N)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Errorf("Min/Max = %v/%v, want 2/9", s.Min, s.Max)
-	}
-	if !almostEqual(s.Mean, 5, 1e-12) {
-		t.Errorf("Mean = %v, want 5", s.Mean)
-	}
-	// Sample stddev of this classic dataset is sqrt(32/7).
-	if !almostEqual(s.Stddev, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Errorf("Stddev = %v, want %v", s.Stddev, math.Sqrt(32.0/7.0))
-	}
-}
-
-func TestSummarizeSingleValue(t *testing.T) {
-	s, err := Summarize([]float64{42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Stddev != 0 {
-		t.Errorf("Stddev of single value = %v, want 0", s.Stddev)
-	}
-	if s.Min != 42 || s.Max != 42 || s.Mean != 42 {
-		t.Errorf("single value summary wrong: %+v", s)
-	}
-}
-
 func TestMean(t *testing.T) {
 	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %v, want 0", got)
 	}
 	if got := Mean([]float64{1, 2, 3}); !almostEqual(got, 2, 1e-12) {
 		t.Errorf("Mean = %v, want 2", got)
-	}
-}
-
-func TestWeightedMean(t *testing.T) {
-	got, err := WeightedMean([]float64{1, 3}, []float64{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 2.5, 1e-12) {
-		t.Errorf("WeightedMean = %v, want 2.5", got)
-	}
-}
-
-func TestWeightedMeanErrors(t *testing.T) {
-	if _, err := WeightedMean([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := WeightedMean(nil, nil); err != ErrNoData {
-		t.Errorf("empty input error = %v, want ErrNoData", err)
-	}
-	if _, err := WeightedMean([]float64{1, 2}, []float64{0, 0}); err != ErrNoData {
-		t.Errorf("zero weight error = %v, want ErrNoData", err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 15},
-		{100, 50},
-		{50, 35},
-		{25, 20},
-	}
-	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(got, c.want, 1e-9) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestPercentileErrors(t *testing.T) {
-	if _, err := Percentile(nil, 50); err != ErrNoData {
-		t.Error("empty input should return ErrNoData")
-	}
-	if _, err := Percentile([]float64{1}, -1); err == nil {
-		t.Error("negative percentile should error")
-	}
-	if _, err := Percentile([]float64{1}, 101); err == nil {
-		t.Error("percentile >100 should error")
-	}
-}
-
-func TestPercentileDoesNotMutateInput(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := Percentile(xs, 50); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("input mutated: %v", xs)
 	}
 }
 

@@ -5,10 +5,16 @@ import (
 	"io"
 )
 
-// Compact (v2) trace format: delta/varint encoded. Timestamps are
-// monotone, so storing per-event deltas in unsigned varints compresses
-// long traces by 3-5x against the fixed-width v1 format — worthwhile for
-// multi-minute, multi-million-event bus traces.
+// Compact (v2) trace format, the one on-disk trace format:
+// delta/varint encoded. Timestamps are monotone, so storing per-event
+// deltas in unsigned varints compresses long traces by 3-5x against a
+// fixed-width layout — worthwhile for multi-minute, multi-million-event
+// bus traces. The layout is a little-endian uint32 magic ("MCTC"), a
+// uvarint name length and the name bytes, the duration and the event
+// count as uvarints, then per event the timestamp delta and the page as
+// uvarints. A file in the retired fixed-width v1 format ("MCTR") fails
+// with ErrBadFormat; a trace depends only on (app, seed, scale), so
+// tracegen regenerates it.
 
 // compactMagic identifies the compact format.
 const compactMagic = uint32(0x4d435443) // "MCTC"
@@ -61,27 +67,6 @@ func ReadCompact(r io.Reader) (*Trace, error) {
 		}
 		t.Events = append(t.Events, e)
 	}
-}
-
-// Merge combines multiple traces into one time-ordered trace. Page ids
-// are offset per input so the merged trace keeps pages distinct (the
-// multiprogrammed-workload view of a shared memory). The merged
-// duration is the maximum input duration.
-func Merge(name string, traces ...*Trace) *Trace {
-	out := &Trace{Name: name}
-	var pageBase uint32
-	for _, tr := range traces {
-		maxPage := tr.MaxPage()
-		for _, e := range tr.Events {
-			out.Events = append(out.Events, Event{Page: pageBase + e.Page, At: e.At})
-		}
-		if tr.Duration > out.Duration {
-			out.Duration = tr.Duration
-		}
-		pageBase += uint32(maxPage + 1)
-	}
-	out.Sort()
-	return out
 }
 
 // Slice returns the sub-trace covering [from, to), with timestamps

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -39,16 +40,15 @@ func TestCompactRejectsGarbage(t *testing.T) {
 	if _, err := ReadCompact(bytes.NewReader([]byte("nope"))); err == nil {
 		t.Error("garbage accepted")
 	}
-	// v1 magic is not v2.
-	var buf bytes.Buffer
-	tr := sampleTrace()
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCompact(&buf); err == nil {
-		t.Error("v1 stream accepted by compact reader")
+	// A retired fixed-width v1 file: magic 0x4d435452 ("MCTR") and
+	// version 1, both little-endian uint32, then a name length. It must
+	// be rejected as a bad format, never misparsed.
+	v1 := []byte{0x52, 0x54, 0x43, 0x4d, 1, 0, 0, 0, 1, 0, 0, 0, 'x'}
+	if _, err := ReadCompact(bytes.NewReader(v1)); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("v1 header: err = %v, want ErrBadFormat", err)
 	}
 	// Truncation.
+	tr := sampleTrace()
 	var c bytes.Buffer
 	tr.WriteCompact(&c)
 	if _, err := ReadCompact(bytes.NewReader(c.Bytes()[:c.Len()-2])); err == nil {
@@ -65,15 +65,16 @@ func TestCompactSmallerThanV1(t *testing.T) {
 		tr.Events = append(tr.Events, Event{Page: uint32(rng.Intn(256)), At: at})
 	}
 	tr.Duration = at + 1
-	var v1, v2 bytes.Buffer
-	if err := tr.Write(&v1); err != nil {
-		t.Fatal(err)
-	}
+	var v2 bytes.Buffer
 	if err := tr.WriteCompact(&v2); err != nil {
 		t.Fatal(err)
 	}
-	if v2.Len() >= v1.Len()/2 {
-		t.Errorf("compact format %d bytes, v1 %d bytes; want at least 2x smaller", v2.Len(), v1.Len())
+	// The retired fixed-width v1 layout: magic, version and name length
+	// (uint32 each), the name, duration and event count (int64/uint64),
+	// then 12 bytes (uint32 page, int64 timestamp) per event.
+	v1Len := 3*4 + len(tr.Name) + 2*8 + 12*len(tr.Events)
+	if v2.Len() >= v1Len/2 {
+		t.Errorf("compact format %d bytes, v1 %d bytes; want at least 2x smaller", v2.Len(), v1Len)
 	}
 }
 
@@ -108,34 +109,6 @@ func TestCompactRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := &Trace{Name: "a", Duration: 100, Events: []Event{{Page: 0, At: 10}, {Page: 1, At: 50}}}
-	b := &Trace{Name: "b", Duration: 200, Events: []Event{{Page: 0, At: 20}}}
-	m := Merge("mix", a, b)
-	if m.Duration != 200 {
-		t.Errorf("merged duration = %d, want 200", m.Duration)
-	}
-	if len(m.Events) != 3 {
-		t.Fatalf("merged events = %d, want 3", len(m.Events))
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatalf("merged trace invalid: %v", err)
-	}
-	// b's page 0 must have been offset past a's pages (0 and 1 -> base 2).
-	found := false
-	for _, e := range m.Events {
-		if e.At == 20 && e.Page == 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("merged events = %+v, want b's page offset to 2", m.Events)
-	}
-	if m.Pages() != 3 {
-		t.Errorf("merged pages = %d, want 3", m.Pages())
 	}
 }
 

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 )
 
@@ -47,29 +49,13 @@ func TestSliceEmptyWindow(t *testing.T) {
 	}
 }
 
-func TestMergeEmptyInputs(t *testing.T) {
-	m := Merge("nothing")
-	if len(m.Events) != 0 || m.Duration != 0 {
-		t.Errorf("merge of nothing = %+v", m)
-	}
-	m2 := Merge("one", &Trace{Duration: 10})
-	if m2.Duration != 10 {
-		t.Errorf("merge of empty trace duration = %d", m2.Duration)
-	}
-}
-
 func TestReadRejectsHugeName(t *testing.T) {
-	// Construct a v1 header with an absurd name length.
-	var buf bytes.Buffer
-	tr := &Trace{Name: "x", Duration: 1}
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	// Name length lives at offset 8 (after magic+version), little endian.
-	b[8], b[9], b[10], b[11] = 0xFF, 0xFF, 0xFF, 0x7F
-	if _, err := Read(bytes.NewReader(b)); err == nil {
-		t.Error("huge name length accepted")
+	// A compact header whose name length exceeds the 64 KiB cap must be
+	// rejected before the decoder allocates the name.
+	b := binary.LittleEndian.AppendUint32(nil, compactMagic)
+	b = binary.AppendUvarint(b, 1<<40)
+	if _, err := ReadCompact(bytes.NewReader(b)); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("huge name length: err = %v, want ErrBadFormat", err)
 	}
 }
 

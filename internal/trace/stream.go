@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -30,6 +31,11 @@ type Source interface {
 	// stream. Any other error poisons the source.
 	Next() (Event, error)
 }
+
+// ErrBadFormat indicates the reader input is not a compact trace
+// stream: a wrong magic (including a file in the retired fixed-width v1
+// format, "MCTR") or a structurally invalid field.
+var ErrBadFormat = errors.New("trace: bad format")
 
 // DecodeError locates a malformed field in a compact stream: the event
 // index it belongs to (-1 for header fields) and the byte offset where
@@ -229,51 +235,6 @@ func (c *traceCursor) Next() (Event, error) {
 	e := c.t.Events[c.i]
 	c.i++
 	return e, nil
-}
-
-// Format identifies a serialized trace format.
-type Format int
-
-// The wire formats a trace file can carry.
-const (
-	FormatUnknown Format = iota
-	FormatV1             // fixed-width (Write/Read)
-	FormatCompact        // delta/varint v2 (WriteCompact/ReadCompact/Stream)
-)
-
-// DetectFormat peeks the leading magic without consuming it, so the
-// caller can route the same reader to Read, ReadCompact, or NewStream.
-func DetectFormat(br *bufio.Reader) (Format, error) {
-	head, err := br.Peek(4)
-	if err != nil {
-		return FormatUnknown, fmt.Errorf("trace: reading magic: %w", noEOF(err))
-	}
-	switch binary.LittleEndian.Uint32(head) {
-	case magic:
-		return FormatV1, nil
-	case compactMagic:
-		return FormatCompact, nil
-	}
-	return FormatUnknown, nil
-}
-
-// ReadAuto sniffs the leading magic and reads either trace format (v1
-// fixed-width or v2 compact) without requiring a seekable reader.
-func ReadAuto(r io.Reader) (*Trace, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	switch f, err := DetectFormat(br); {
-	case err != nil:
-		return nil, err
-	case f == FormatV1:
-		return Read(br)
-	case f == FormatCompact:
-		return ReadCompact(br)
-	default:
-		return nil, ErrBadFormat
-	}
 }
 
 // Encoder writes the compact (v2) format incrementally, for producers

@@ -244,30 +244,6 @@ func TestEncoderRejectsMisuse(t *testing.T) {
 	}
 }
 
-func TestReadAuto(t *testing.T) {
-	tr := streamSampleTrace()
-	tr.Sort()
-	var v1, v2 bytes.Buffer
-	if err := tr.Write(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteCompact(&v2); err != nil {
-		t.Fatal(err)
-	}
-	for name, raw := range map[string][]byte{"v1": v1.Bytes(), "compact": v2.Bytes()} {
-		got, err := ReadAuto(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.Name != tr.Name || len(got.Events) != len(tr.Events) {
-			t.Fatalf("%s: read %q/%d events", name, got.Name, len(got.Events))
-		}
-	}
-	if _, err := ReadAuto(bytes.NewReader([]byte("not a trace"))); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("garbage = %v, want ErrBadFormat", err)
-	}
-}
-
 // FuzzStream cross-checks the two decode paths on arbitrary bytes:
 // they must agree on accept/reject, and on accepted inputs the decoded
 // events must match and the re-encode must be byte-identical up to the

@@ -10,11 +10,7 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync/atomic"
 )
@@ -229,96 +225,4 @@ func (t *Trace) HalveIntervals() *Trace {
 		out.Duration = out.Events[n-1].At
 	}
 	return out
-}
-
-// magic identifies the binary trace format.
-const magic = uint32(0x4d435452) // "MCTR"
-
-// formatVersion is bumped on incompatible format changes.
-const formatVersion = uint32(1)
-
-// Write serializes the trace in the compact binary format.
-func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	hdr := []interface{}{
-		magic,
-		formatVersion,
-		uint32(len(t.Name)),
-	}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("trace: writing header: %w", err)
-		}
-	}
-	if _, err := bw.WriteString(t.Name); err != nil {
-		return fmt.Errorf("trace: writing name: %w", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, t.Duration); err != nil {
-		return fmt.Errorf("trace: writing duration: %w", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(t.Events))); err != nil {
-		return fmt.Errorf("trace: writing event count: %w", err)
-	}
-	for _, e := range t.Events {
-		if err := binary.Write(bw, binary.LittleEndian, e.Page); err != nil {
-			return fmt.Errorf("trace: writing event: %w", err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, e.At); err != nil {
-			return fmt.Errorf("trace: writing event: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ErrBadFormat indicates the reader input is not a trace stream of a
-// supported version.
-var ErrBadFormat = errors.New("trace: bad format")
-
-// Read deserializes a trace written by Write.
-func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var m, version, nameLen uint32
-	if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, ErrBadFormat
-	}
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("trace: reading version: %w", err)
-	}
-	if version != formatVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, version)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
-		return nil, fmt.Errorf("trace: reading name length: %w", err)
-	}
-	if nameLen > 1<<16 {
-		return nil, fmt.Errorf("%w: implausible name length %d", ErrBadFormat, nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("trace: reading name: %w", err)
-	}
-	t := &Trace{Name: string(name)}
-	if err := binary.Read(br, binary.LittleEndian, &t.Duration); err != nil {
-		return nil, fmt.Errorf("trace: reading duration: %w", err)
-	}
-	var count uint64
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, fmt.Errorf("trace: reading event count: %w", err)
-	}
-	if count > 1<<32 {
-		return nil, fmt.Errorf("%w: implausible event count %d", ErrBadFormat, count)
-	}
-	t.Events = make([]Event, count)
-	for i := range t.Events {
-		if err := binary.Read(br, binary.LittleEndian, &t.Events[i].Page); err != nil {
-			return nil, fmt.Errorf("trace: reading event %d: %w", i, err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, &t.Events[i].At); err != nil {
-			return nil, fmt.Errorf("trace: reading event %d: %w", i, err)
-		}
-	}
-	return t, nil
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -126,84 +125,6 @@ func TestHalveIntervals(t *testing.T) {
 	}
 	if len(h.Events) != len(tr.Events) {
 		t.Errorf("event count changed: %d -> %d", len(tr.Events), len(h.Events))
-	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != tr.Name || got.Duration != tr.Duration || len(got.Events) != len(tr.Events) {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	for i := range tr.Events {
-		if got.Events[i] != tr.Events[i] {
-			t.Errorf("event %d = %+v, want %+v", i, got.Events[i], tr.Events[i])
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a trace"))); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := Read(bytes.NewReader(nil)); err == nil {
-		t.Error("empty stream accepted")
-	}
-	// Correct magic, wrong version.
-	var buf bytes.Buffer
-	tr := sampleTrace()
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	b[4] = 0xFF // clobber version
-	if _, err := Read(bytes.NewReader(b)); err == nil {
-		t.Error("wrong version accepted")
-	}
-	// Truncated stream.
-	if _, err := Read(bytes.NewReader(buf.Bytes()[:len(b)-4])); err == nil {
-		t.Error("truncated stream accepted")
-	}
-}
-
-// Property: Write/Read round-trips arbitrary traces.
-func TestRoundTripProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := &Trace{Name: "prop"}
-		var at Microseconds
-		for i := 0; i < int(n); i++ {
-			at += Microseconds(rng.Intn(1000))
-			tr.Events = append(tr.Events, Event{Page: uint32(rng.Intn(64)), At: at})
-		}
-		tr.Duration = at + 1
-		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
-			return false
-		}
-		got, err := Read(&buf)
-		if err != nil {
-			return false
-		}
-		if got.Duration != tr.Duration || len(got.Events) != len(tr.Events) {
-			return false
-		}
-		for i := range tr.Events {
-			if got.Events[i] != tr.Events[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -129,7 +129,6 @@ const (
 	KindTestAborted    = obs.KindTestAborted
 	KindRefreshToLo    = obs.KindRefreshToLo
 	KindRefreshToHi    = obs.KindRefreshToHi
-	KindRefreshRateSet = obs.KindRefreshRateSet
 	KindPrilInsert     = obs.KindPrilInsert
 	KindPrilEvict      = obs.KindPrilEvict
 	KindPrilDiscard    = obs.KindPrilDiscard
