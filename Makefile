@@ -23,11 +23,12 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
 # fuzz gives each fuzz target a short budget on top of its checked-in
-# seed corpus: the CLI arguments, then every decoder at the program
-# boundary — the compact trace stream (the only trace reader), the CE
-# log, and the serving cache's disk entries.
+# seed corpus: the CLI arguments, the request JSON memcond decodes, then
+# every decoder at the program boundary — the compact trace stream (the
+# only trace reader), the CE log, and the serving cache's disk entries.
 fuzz:
 	$(GO) test -fuzz=FuzzMemconsimArgs -fuzztime=10s ./cmd/memconsim
+	$(GO) test -fuzz=FuzzRequest -fuzztime=10s ./internal/experiments
 	$(GO) test -fuzz=FuzzStream -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzCELog -fuzztime=10s ./internal/fleet
 	$(GO) test -fuzz=FuzzDiskStore -fuzztime=10s ./internal/servecache

@@ -582,15 +582,38 @@ func BenchmarkMemctrlAccess(b *testing.B) {
 	}
 }
 
+// TraceGeneration: the twelve application traces at the reproduction's
+// settings (seed 42, scale 0.05), the set every trace-driven experiment
+// generates.
 func BenchmarkTraceGeneration(b *testing.B) {
-	app, err := workload.AppByName("BlurMotion")
-	if err != nil {
-		b.Fatal(err)
-	}
+	apps := workload.Apps()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr := app.Generate(int64(i), 0.05)
-		if len(tr.Events) == 0 {
-			b.Fatal("empty trace")
+		for _, app := range apps {
+			if tr := app.Generate(42, 0.05); len(tr.Events) == 0 {
+				b.Fatalf("%s: empty trace", app.Name)
+			}
+		}
+	}
+}
+
+// TraceIntervals: Intervals(true) over the same twelve traces, as the
+// write-interval experiments call it: once per freshly generated trace.
+// Each call gets a new Trace over the same events, so no index a trace
+// memoizes is carried from one iteration to the next.
+func BenchmarkTraceIntervals(b *testing.B) {
+	var traces []*trace.Trace
+	for _, app := range workload.Apps() {
+		traces = append(traces, app.Generate(42, 0.05))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tr := range traces {
+			fresh := &trace.Trace{Name: tr.Name, Duration: tr.Duration, Events: tr.Events}
+			if len(fresh.Intervals(true)) == 0 {
+				b.Fatalf("%s: no intervals", tr.Name)
+			}
 		}
 	}
 }

@@ -167,6 +167,7 @@ func TestRequestErrors(t *testing.T) {
 		{"conflicting id", "/v1/experiments/fig4", `{"experiment":"fig6"}`, http.StatusBadRequest},
 		{"invalid scale", "/v1/experiments/fig4", `{"scale":-1}`, http.StatusBadRequest},
 		{"over scale cap", "/v1/experiments/fig4", `{"scale":0.9}`, http.StatusBadRequest},
+		{"NaN mitigation", "/v1/experiments/disturb-mitigation", `{"scale":0.05,"disturb":"para:NaN"}`, http.StatusBadRequest},
 		{"revalidate no experiment", "/v1/revalidate", `{"scale":0.05}`, http.StatusBadRequest},
 		{"revalidate unknown id", "/v1/revalidate", `{"experiment":"nope"}`, http.StatusNotFound},
 		{"revalidate uncached", "/v1/revalidate", `{"experiment":"fig4"}`, http.StatusNotFound},

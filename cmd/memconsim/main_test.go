@@ -99,3 +99,17 @@ func TestSeedZeroHonoured(t *testing.T) {
 		t.Error("-seed 0 produced the default-seed output; the zero seed was dropped")
 	}
 }
+
+// TestRunRejectsNaNScale pins that -scale NaN fails the range check
+// before anything runs (NaN compares false with both bounds, so a
+// `<= 0 || > 1` check would let it through).
+func TestRunRejectsNaNScale(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-exp", "fig9", "-scale", "NaN"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "out of range (0,1]") {
+		t.Errorf("-scale NaN: err = %v, want the scale range error", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("-scale NaN printed output:\n%s", out.String())
+	}
+}

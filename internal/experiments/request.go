@@ -122,7 +122,7 @@ func (r *Request) Normalize() error {
 	if !ok {
 		return fmt.Errorf("experiments: unknown experiment %q (known: %s)", r.Experiment, strings.Join(IDs(), ", "))
 	}
-	if r.Scale <= 0 || r.Scale > 1 {
+	if !(r.Scale > 0 && r.Scale <= 1) { // written so that NaN fails too
 		return fmt.Errorf("experiments: scale %v out of range (0,1]", r.Scale)
 	}
 	if r.SimTimeNs <= 0 {

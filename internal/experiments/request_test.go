@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,6 +42,7 @@ func TestNormalizeValidates(t *testing.T) {
 		{"unknown id", func(r *Request) { r.Experiment = "fig99" }, "unknown experiment"},
 		{"zero scale", func(r *Request) { r.Scale = 0 }, "scale"},
 		{"oversized scale", func(r *Request) { r.Scale = 1.5 }, "scale"},
+		{"NaN scale", func(r *Request) { r.Scale = math.NaN() }, "scale"},
 		{"zero simtime", func(r *Request) { r.SimTimeNs = 0 }, "simtime"},
 		{"negative mixes", func(r *Request) { r.Mixes = -1 }, "mixes"},
 		{"negative fleet", func(r *Request) { r.Fleet = -2 }, "fleet"},
@@ -272,4 +275,60 @@ func TestRunContextCancelled(t *testing.T) {
 	if _, err := RunRequest(ctx, testRequest("fig3"), Runtime{}); err == nil {
 		t.Error("cancelled context did not abort the run")
 	}
+}
+
+// decodeOnto decodes body onto DefaultRequest(id) the way memcond
+// does: absent fields keep their defaults and unknown fields fail.
+func decodeOnto(id string, body []byte) (Request, error) {
+	req := DefaultRequest(id)
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	return req, dec.Decode(&req)
+}
+
+// FuzzRequest feeds arbitrary JSON bodies to the request boundary. A
+// body must fail to decode or validate, or normalize to a request whose
+// inputs are in range and whose canonical JSON is a fixed point:
+// decoded onto a default request and normalized again, it gives an
+// equal request and the same cache key.
+func FuzzRequest(f *testing.F) {
+	ids := IDs()
+	for _, seed := range []struct {
+		id   string
+		body string
+	}{
+		{"fig14", `{}`},
+		{"fig14", `{"seed":0}`},
+		{"fig3", `{"mapping":"default"}`},
+		{"disturb-mitigation", `{"disturb":"PARA:0.0100"}`},
+		{"disturb-mitigation", `{"scale":0.05,"disturb":"para:NaN"}`},
+		{"fleet-ce", `{"scale":0.25,"fleet":0,"version":"v1"}`},
+		{"fig4", `{"scale":-1}`},
+	} {
+		f.Add(uint8(slices.Index(ids, seed.id)), []byte(seed.body))
+	}
+	f.Fuzz(func(t *testing.T, pick uint8, body []byte) {
+		id := ids[int(pick)%len(ids)]
+		req, err := decodeOnto(id, body)
+		if err != nil || req.Normalize() != nil {
+			return
+		}
+		if !(req.Scale > 0 && req.Scale <= 1) || req.SimTimeNs <= 0 || req.Mixes <= 0 {
+			t.Fatalf("normalized request out of range: %+v", req)
+		}
+		canon, err := req.MarshalCanonical()
+		if err != nil {
+			t.Fatalf("canonical encoding of %+v: %v", req, err)
+		}
+		again, err := decodeOnto(req.Experiment, canon)
+		if err != nil {
+			t.Fatalf("decoding canonical %s: %v", canon, err)
+		}
+		if err := again.Normalize(); err != nil {
+			t.Fatalf("canonical %s fails validation: %v", canon, err)
+		}
+		if again != req || again.CacheKey() != req.CacheKey() {
+			t.Fatalf("canonical form is not a fixed point:\n  first  %+v\n  second %+v", req, again)
+		}
+	})
 }

@@ -55,7 +55,7 @@ type PARA struct {
 // NewPARA builds a PARA policy with the given per-activation refresh
 // probability, deterministic in (p, seed).
 func NewPARA(p float64, seed uint64) (*PARA, error) {
-	if p <= 0 || p > 1 {
+	if !(p > 0 && p <= 1) { // written so that NaN fails too
 		return nil, fmt.Errorf("refresh: PARA probability %v outside (0,1]", p)
 	}
 	return &PARA{

@@ -26,7 +26,7 @@ func TestParseMitigation(t *testing.T) {
 	if m.Name() != "prac:4096" {
 		t.Fatalf("PRAC name = %q", m.Name())
 	}
-	for _, spec := range []string{"para", "para:0", "para:1.5", "para:x", "prac:0", "prac:-3", "prac:x", "blp:2"} {
+	for _, spec := range []string{"para", "para:0", "para:1.5", "para:x", "prac:0", "prac:-3", "prac:x", "blp:2", "para:NaN"} {
 		if _, err := ParseMitigation(spec, 1); err == nil {
 			t.Errorf("ParseMitigation(%q) accepted", spec)
 		}

@@ -1,0 +1,160 @@
+package trace
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
+
+// refSort is the oracle for Builder and Sort: a comparison-based
+// stable sort by timestamp.
+func refSort(events []Event) []Event {
+	out := slices.Clone(events)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	return out
+}
+
+// sortCase returns n events whose timestamps are lo plus a random
+// offset below span (span 0 draws from the full int64 range). Page is
+// the insertion index, so any tie reordered by an unstable sort shows.
+func sortCase(rng *rand.Rand, n int, lo Microseconds, span uint64) []Event {
+	events := make([]Event, n)
+	for i := range events {
+		off := rng.Uint64()
+		if span > 0 {
+			off %= span
+		}
+		events[i] = Event{Page: uint32(i), At: Microseconds(uint64(lo) + off)}
+	}
+	return events
+}
+
+// coarsen clears the low bits of every timestamp, turning a wide span
+// into a few widely spaced values that many events share.
+func coarsen(events []Event, low uint) []Event {
+	for i := range events {
+		events[i].At &^= 1<<low - 1
+	}
+	return events
+}
+
+// TestSortMatchesStableReference checks Builder and Trace.Sort against
+// sort.SliceStable on traces with many ties, negative timestamps,
+// spans that need 1, 2, 3 and 6 radix passes, and empty, single-event
+// and already-sorted input.
+func TestSortMatchesStableReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cases := []struct {
+		name   string
+		events []Event
+		passes int
+	}{
+		{"empty", nil, 1},
+		{"single", []Event{{Page: 7, At: -5}}, 1},
+		{"sorted", []Event{{1, 3}, {2, 3}, {3, 9}, {4, 12}}, 1},
+		{"all ties", sortCase(rng, 3000, 77, 1), 1},
+		{"many ties", sortCase(rng, 5000, 0, 16), 1},
+		{"1 pass", sortCase(rng, 5000, 1000, 1<<11), 1},
+		{"2 passes negative", sortCase(rng, 5000, -1<<21, 1<<22), 2},
+		{"3 passes across blocks", sortCase(rng, 3*blockEvents+123, 0, 300*uint64(Second)), 3},
+		{"3 passes ties across blocks", coarsen(sortCase(rng, 2*blockEvents+5, -1<<30, 1<<26), 20), 3},
+		{"6 passes", sortCase(rng, 5000, math.MinInt64, 0), 6},
+		{"6 passes extremes", []Event{{1, math.MaxInt64}, {2, math.MinInt64}, {3, 0}, {4, math.MaxInt64}, {5, -1}, {6, math.MinInt64}}, 6},
+	}
+	for _, tc := range cases {
+		want := refSort(tc.events)
+		if _, passes := timeRange([][]Event{tc.events}); passes != tc.passes {
+			t.Errorf("%s: %d radix passes, want %d", tc.name, passes, tc.passes)
+		}
+
+		var b Builder
+		for _, e := range tc.events {
+			b.Add(e.Page, e.At)
+		}
+		got := b.Trace(tc.name, 1).Events
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: Builder order differs from sort.SliceStable", tc.name)
+		}
+		if len(got) != cap(got) {
+			t.Errorf("%s: Builder events len %d, cap %d", tc.name, len(got), cap(got))
+		}
+		if again := b.Trace("again", 1); len(again.Events) != 0 {
+			t.Errorf("%s: Builder kept %d events after Trace", tc.name, len(again.Events))
+		}
+
+		tr := &Trace{Events: slices.Clone(tc.events)}
+		tr.Sort()
+		if !slices.Equal(tr.Events, want) {
+			t.Errorf("%s: Sort order differs from sort.SliceStable", tc.name)
+		}
+	}
+}
+
+// TestSortInPlace pins Sort's contract for callers that keep the
+// Events slice: the sorted events land in the same backing array.
+func TestSortInPlace(t *testing.T) {
+	for _, span := range []uint64{1 << 11, 1 << 22, 1 << 33} { // odd and even pass counts
+		events := sortCase(rand.New(rand.NewSource(2)), 1000, 0, span)
+		want := refSort(events)
+		tr := &Trace{Events: events}
+		tr.Sort()
+		if &tr.Events[0] != &events[0] || !slices.Equal(events, want) {
+			t.Errorf("span %d: Sort did not sort the caller's slice in place", span)
+		}
+	}
+}
+
+// refIntervals is the map-based Intervals: per-page timestamp lists,
+// visited in ascending page order.
+func refIntervals(t *Trace, includeTrailing bool) []float64 {
+	perPage := t.WritesPerPage()
+	var out []float64
+	for _, page := range sortedPages(perPage) {
+		times := perPage[page]
+		for i := 1; i < len(times); i++ {
+			out = append(out, float64(times[i]-times[i-1])/float64(Millisecond))
+		}
+		if includeTrailing && t.Duration > times[len(times)-1] {
+			out = append(out, float64(t.Duration-times[len(times)-1])/float64(Millisecond))
+		}
+	}
+	return out
+}
+
+// TestIntervalsMatchReference compares Intervals bit for bit against
+// refIntervals on random traces with page ids near 2^32−1, pages
+// written once, repeated timestamps and an event exactly at Duration.
+func TestIntervalsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pagePool := []uint32{0, 1, 2, 1 << 31, math.MaxUint32 - 2, math.MaxUint32 - 1, math.MaxUint32}
+	for trial := 0; trial < 50; trial++ {
+		tr := &Trace{Name: "diff"}
+		var at Microseconds
+		n := rng.Intn(400)
+		for i := 0; i < n; i++ {
+			at += Microseconds(rng.Intn(3)) * Microseconds(rng.Intn(2_000_000))
+			page := pagePool[rng.Intn(len(pagePool))]
+			if rng.Intn(4) == 0 {
+				page = rng.Uint32() // most of these pages are written once
+			}
+			tr.Events = append(tr.Events, Event{Page: page, At: at})
+		}
+		tr.Duration = at // the last event sits exactly at Duration
+		if trial%2 == 1 {
+			tr.Duration += Microseconds(rng.Intn(5_000_000))
+		}
+		for _, trailing := range []bool{false, true} {
+			got, want := tr.Intervals(trailing), refIntervals(tr, trailing)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d trailing=%v: %d intervals, want %d", trial, trailing, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d trailing=%v: interval %d = %v, want %v", trial, trailing, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

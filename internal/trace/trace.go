@@ -10,8 +10,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -34,13 +35,15 @@ type Event struct {
 
 // Trace is a time-ordered sequence of write events.
 //
-// The analysis accessors (Pages, MaxPage, PageWrites, Intervals) memoize
-// their derived indexes on first use; Sort invalidates them. Mutating
-// Events by hand after an accessor has run without calling Sort leaves
-// the memos stale — generators should build Events, Sort, then analyse.
-// Memoization is race-safe: concurrent readers of a shared trace (the
-// experiment sweeps fan one trace out across workers) may all trigger
-// the first computation, and one result wins.
+// Producers add their events to a Builder, which returns them sorted;
+// Sort is for traces whose Events were assembled by hand.
+//
+// The analysis accessors (Pages, MaxPage, PageWrites) memoize their
+// derived indexes on first use; Sort invalidates them. Mutating Events
+// by hand after an accessor has run without calling Sort leaves the
+// memos stale. Memoization is race-safe: concurrent readers of a shared
+// trace (the experiment sweeps fan one trace out across workers) may
+// all trigger the first computation, and one result wins.
 type Trace struct {
 	// Name labels the workload that produced the trace.
 	Name string
@@ -63,10 +66,13 @@ type pageStats struct {
 	maxPage int
 }
 
-// Sort orders events by timestamp, preserving the relative order of
-// simultaneous events, and invalidates the memoized analysis indexes.
+// Sort orders events by timestamp in place, preserving the relative
+// order of simultaneous events, and invalidates the memoized analysis
+// indexes. It uses the Builder's radix sort and one scratch copy of
+// the events.
 func (t *Trace) Sort() {
-	sort.SliceStable(t.Events, func(i, j int) bool { return t.Events[i].At < t.Events[j].At })
+	lo, passes := timeRange([][]Event{t.Events})
+	copy(t.Events, radixFinish(t.Events, make([]Event, len(t.Events)), lo, 0, passes))
 	t.pageStats.Store(nil)
 	t.perPage.Store(nil)
 }
@@ -158,8 +164,8 @@ func (t *Trace) AppendWritesPerPage(m map[uint32][]Microseconds) map[uint32][]Mi
 
 // PageWrites returns the memoized per-page write-timestamp index. The
 // map and its slices are shared: callers must treat them as read-only.
-// The first call builds the index; repeated calls (Intervals,
-// HalveIntervals, and read-skip analysis all consume it) are free.
+// The first call builds the index; repeated calls (HalveIntervals and
+// read-skip analysis consume it) are free.
 func (t *Trace) PageWrites() map[uint32][]Microseconds {
 	if m := t.perPage.Load(); m != nil {
 		return *m
@@ -173,19 +179,77 @@ func (t *Trace) PageWrites() map[uint32][]Microseconds {
 // for each page, the gaps between consecutive writes, plus the final
 // open interval from the last write to the end of the trace (the paper's
 // analysis counts the trailing idle time; it is what MEMCON exploits for
-// pages written once). Pages are visited in ascending page order so the
+// pages written once). Pages are visited in ascending page order, each
+// page's intervals in time order with its trailing one last, so the
 // slice — and everything downstream of it, e.g. float accumulations in
 // the interval experiments — is byte-stable across process runs.
+//
+// It allocates the exactly-sized result, one int32 page slot per event
+// and side arrays over the distinct pages; it neither builds nor needs
+// the PageWrites index.
 func (t *Trace) Intervals(includeTrailing bool) []float64 {
-	perPage := t.PageWrites()
-	var out []float64
-	for _, page := range sortedPages(perPage) {
-		times := perPage[page]
-		for i := 1; i < len(times); i++ {
-			out = append(out, float64(times[i]-times[i-1])/float64(Millisecond))
+	// One map lookup per event: slots number the pages in order of
+	// their first write, and writes and last hold each slot's write
+	// count and latest write time.
+	slots := make([]int32, len(t.Events))
+	index := make(map[uint32]int32)
+	var pages []uint32
+	var writes []int
+	var last []Microseconds
+	for i, e := range t.Events {
+		s, ok := index[e.Page]
+		if !ok {
+			s = int32(len(pages))
+			index[e.Page] = s
+			pages = append(pages, e.Page)
+			writes = append(writes, 0)
+			last = append(last, 0)
 		}
-		if includeTrailing && t.Duration > times[len(times)-1] {
-			out = append(out, float64(t.Duration-times[len(times)-1])/float64(Millisecond))
+		slots[i] = s
+		writes[s]++
+		last[s] = e.At
+	}
+
+	// Visit the slots in ascending page order to give each page its
+	// output offset: next is where the slot's next interval goes.
+	order := make([]int32, len(pages))
+	for s := range order {
+		order[s] = int32(s)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(pages[a], pages[b]) })
+	next := make([]int, len(pages))
+	total := 0
+	for _, s := range order {
+		next[s] = total
+		total += writes[s] - 1
+		if includeTrailing && t.Duration > last[s] {
+			total++
+		}
+	}
+	if total == 0 {
+		return nil
+	}
+
+	// Fill in event order. A slot's first write is the one at which it
+	// equals the count of slots seen so far; every later write closes
+	// an interval. last walks each page's writes and ends where it began.
+	out := make([]float64, total)
+	seen := int32(0)
+	for i, s := range slots {
+		at := t.Events[i].At
+		if s == seen {
+			seen++
+		} else {
+			out[next[s]] = float64(at-last[s]) / float64(Millisecond)
+			next[s]++
+		}
+		last[s] = at
+	}
+	if includeTrailing {
+		for s, at := range last {
+			if t.Duration > at {
+				out[next[s]] = float64(t.Duration-at) / float64(Millisecond)
+			}
 		}
 	}
 	return out
@@ -199,7 +263,7 @@ func sortedPages(m map[uint32][]Microseconds) []uint32 {
 	for p := range m {
 		pages = append(pages, p)
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	slices.Sort(pages)
 	return pages
 }
 
@@ -210,17 +274,17 @@ func sortedPages(m map[uint32][]Microseconds) []uint32 {
 // intervals shrink proportionally.
 func (t *Trace) HalveIntervals() *Trace {
 	perPage := t.PageWrites()
-	out := &Trace{Name: t.Name + "-halved", Duration: t.Duration / 2}
+	var b Builder
 	for _, page := range sortedPages(perPage) {
 		times := perPage[page]
 		at := times[0] / 2
-		out.Events = append(out.Events, Event{Page: page, At: at})
+		b.Add(page, at)
 		for i := 1; i < len(times); i++ {
 			at += (times[i] - times[i-1]) / 2
-			out.Events = append(out.Events, Event{Page: page, At: at})
+			b.Add(page, at)
 		}
 	}
-	out.Sort()
+	out := b.Trace(t.Name+"-halved", t.Duration/2)
 	if n := len(out.Events); n > 0 && out.Events[n-1].At > out.Duration {
 		out.Duration = out.Events[n-1].At
 	}

@@ -141,7 +141,7 @@ func (a AppSpec) Generate(seed int64, scale float64) *trace.Trace {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	duration := trace.Microseconds(a.DurationSec * float64(trace.Second))
-	tr := &trace.Trace{Name: a.Name, Duration: duration}
+	var b trace.Builder
 	pages := int(float64(a.Pages) * scale)
 	if pages < 8 {
 		pages = 8
@@ -154,23 +154,22 @@ func (a AppSpec) Generate(seed int64, scale float64) *trace.Trace {
 	for p := 0; p < pages; p++ {
 		page := uint32(p)
 		if p < hot {
-			a.genHotPage(rng, tr, page, duration)
+			a.genHotPage(rng, &b, page, duration)
 		} else {
-			a.genColdPage(rng, tr, page, duration)
+			a.genColdPage(rng, &b, page, duration)
 		}
 	}
-	tr.Sort()
-	return tr
+	return b.Trace(a.Name, duration)
 }
 
 // genHotPage emits dense write-back clusters with short exponential
 // pauses: the page is rewritten every quantum and never idles long.
-func (a AppSpec) genHotPage(rng *rand.Rand, tr *trace.Trace, page uint32, duration trace.Microseconds) {
+func (a AppSpec) genHotPage(rng *rand.Rand, b *trace.Builder, page uint32, duration trace.Microseconds) {
 	at := trace.Microseconds(rng.Float64() * a.HotPauseMs * float64(trace.Millisecond))
 	for at < duration {
 		n := 1 + int(rng.ExpFloat64()*float64(a.HotClusterLen))
 		for i := 0; i < n && at < duration; i++ {
-			tr.Events = append(tr.Events, trace.Event{Page: page, At: at})
+			b.Add(page, at)
 			at += trace.Microseconds(rng.ExpFloat64()*a.IntraGapUs) + 1
 		}
 		at += trace.Microseconds(rng.ExpFloat64() * a.HotPauseMs * float64(trace.Millisecond))
@@ -188,7 +187,7 @@ func (a AppSpec) GenerateReads(seed int64, scale float64) *trace.Trace {
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x5eeded))
 	duration := trace.Microseconds(a.DurationSec * float64(trace.Second))
-	tr := &trace.Trace{Name: a.Name + "-reads", Duration: duration}
+	var b trace.Builder
 	pages := int(float64(a.Pages) * scale)
 	if pages < 8 {
 		pages = 8
@@ -208,19 +207,18 @@ func (a AppSpec) GenerateReads(seed int64, scale float64) *trace.Trace {
 		}
 		at := trace.Microseconds(rng.Float64() * meanGapUs)
 		for at < duration {
-			tr.Events = append(tr.Events, trace.Event{Page: page, At: at})
+			b.Add(page, at)
 			at += trace.Microseconds(rng.ExpFloat64()*meanGapUs) + 1
 		}
 	}
-	tr.Sort()
-	return tr
+	return b.Trace(a.Name+"-reads", duration)
 }
 
 // genColdPage emits the canonical MEMCON-friendly behaviour: mostly
 // single write-backs separated by Pareto-distributed idle gaps;
 // occasionally an episode carries a couple of extra write-backs within a
 // millisecond.
-func (a AppSpec) genColdPage(rng *rand.Rand, tr *trace.Trace, page uint32, duration trace.Microseconds) {
+func (a AppSpec) genColdPage(rng *rand.Rand, b *trace.Builder, page uint32, duration trace.Microseconds) {
 	// Stagger page start times across the first idle scale.
 	at := trace.Microseconds(rng.Float64() * float64(a.IdleDist.Xm) * float64(trace.Millisecond))
 	for at < duration {
@@ -229,7 +227,7 @@ func (a AppSpec) genColdPage(rng *rand.Rand, tr *trace.Trace, page uint32, durat
 			n += 1 + rng.Intn(2)
 		}
 		for i := 0; i < n && at < duration; i++ {
-			tr.Events = append(tr.Events, trace.Event{Page: page, At: at})
+			b.Add(page, at)
 			at += trace.Microseconds(rng.ExpFloat64()*a.IntraGapUs) + 1
 		}
 		gap := a.IdleDist.Sample(rng)
