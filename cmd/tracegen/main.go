@@ -63,14 +63,17 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
+		if *outPath == "" {
+			return fmt.Errorf("-out is required with -app")
+		}
+		if !(*scale > 0 && *scale <= 1) { // written so that NaN fails too
+			return fmt.Errorf("-scale %v out of range (0,1]", *scale)
+		}
 		var tr *trace.Trace
 		if *reads {
 			tr = spec.GenerateReads(*seed, *scale)
 		} else {
 			tr = spec.Generate(*seed, *scale)
-		}
-		if *outPath == "" {
-			return fmt.Errorf("-out is required with -app")
 		}
 		f, err := os.Create(*outPath)
 		if err != nil {

@@ -101,6 +101,29 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestBadGenerateArgsWriteNothing checks that -app with a -scale
+// outside (0,1], NaN included, or without -out fails before generating
+// and leaves no file behind.
+func TestBadGenerateArgsWriteNothing(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.trace")
+	for _, args := range [][]string{
+		{"-app", "BlurMotion", "-scale", "NaN", "-out", path},
+		{"-app", "BlurMotion", "-scale", "0", "-out", path},
+		{"-app", "BlurMotion", "-scale", "-1", "-out", path},
+		{"-app", "BlurMotion", "-scale", "1.5", "-out", path},
+		{"-app", "BlurMotion", "-scale", "0.02"},
+	} {
+		var out strings.Builder
+		if err := run(args, &out); err == nil {
+			t.Errorf("%q: accepted", args)
+		}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+			t.Fatalf("%q: left %d files (%v)", args, len(entries), err)
+		}
+	}
+}
+
 // TestHeadStreamsCompact checks -head against the generator: with
 // tracegen's default seed (1), -head 5 prints the header and exactly
 // the first five events of Generate(1, 0.02).

@@ -1,65 +1,116 @@
 package trace
 
 import (
-	"math"
 	"math/bits"
+	"sort"
 )
 
-// Stable LSD radix sort by timestamp. Keys are At − min(At), taken as
-// unsigned so negative timestamps and spans up to 2^64−1 sort correctly;
-// each pass is a counting sort on one 11-bit digit (2048 counters, which
-// fit in L1), and there are only as many passes as the span needs: a
-// generated trace of 77–300 s spans 27–29 bits, so 3. A counting pass
-// keeps equal digits in input order, so ties keep insertion order.
-const (
-	radixBits = 11
-	radixSize = 1 << radixBits
-)
-
-// timeRange returns the smallest timestamp in src and the number of
-// radix passes its span needs, at least one.
-func timeRange(src [][]Event) (lo Microseconds, passes int) {
-	lo, hi := Microseconds(math.MaxInt64), Microseconds(math.MinInt64)
-	for _, blk := range src {
-		for _, e := range blk {
-			lo, hi = min(lo, e.At), max(hi, e.At)
+// sortEvents stably sorts events by timestamp in place with a natural
+// merge sort. One scan splits the input into its maximal
+// non-decreasing runs, and adjacent runs merge in powersort's order:
+// each boundary between two runs gets a power from the runs' midpoints,
+// and the pending runs' powers increase up the stack, which bounds any
+// input at O(n log n) and input of r runs at O(n log r). Every
+// producer adds one page's writes in time order after another's, so a
+// generated trace is a few long runs (its hot pages) and a hundred or
+// so short ones, and sorts in about one sequential pass. Sorted input
+// is one scan with no allocation.
+func sortEvents(events []Event) {
+	n := len(events)
+	// runs[:top] are the pending runs, by start offset; each ends where
+	// the next starts, and the last at lo. A run's power is that of the
+	// boundary after it; powers strictly increase up the stack and none
+	// exceeds bits.Len(n)+1, so 64 entries hold any slice of Events.
+	var runs [64]struct{ start, power int }
+	top := 0
+	var buf []Event
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && events[hi-1].At <= events[hi].At {
+			hi++
 		}
-	}
-	return lo, max(1, (bits.Len64(uint64(hi)-uint64(lo))+radixBits-1)/radixBits)
-}
-
-// radixPass stably scatters the events of src, concatenated in order,
-// into dst by the pass-th 11-bit digit of their key At − lo.
-func radixPass(dst []Event, src [][]Event, lo Microseconds, pass int) {
-	shift := uint(pass * radixBits)
-	var next [radixSize]int
-	for _, blk := range src {
-		for _, e := range blk {
-			next[(uint64(e.At)-uint64(lo))>>shift&(radixSize-1)]++
+		if top > 0 {
+			p := nodePower(runs[top-1].start, lo, hi, n)
+			for top > 1 && runs[top-2].power > p {
+				s := runs[top-2].start
+				buf = merge(events[s:lo], runs[top-1].start-s, buf)
+				top--
+			}
+			runs[top-1].power = p
 		}
+		runs[top].start = lo
+		top++
+		lo = hi
 	}
-	sum := 0
-	for d, c := range next {
-		next[d] = sum
-		sum += c
-	}
-	for _, blk := range src {
-		for _, e := range blk {
-			d := (uint64(e.At) - uint64(lo)) >> shift & (radixSize - 1)
-			dst[next[d]] = e
-			next[d]++
-		}
+	for ; top > 1; top-- {
+		s := runs[top-2].start
+		buf = merge(events[s:], runs[top-1].start-s, buf)
 	}
 }
 
-// radixFinish runs passes [from, passes) back and forth between a and
-// b and returns the one holding the sorted events.
-func radixFinish(a, b []Event, lo Microseconds, from, passes int) []Event {
-	for pass := from; pass < passes; pass++ {
-		radixPass(b, [][]Event{a}, lo, pass)
-		a, b = b, a
+// nodePower is powersort's power of the boundary between the adjacent
+// runs [s1, s2) and [s2, e2) of an n-event input: one plus the number
+// of leading bits on which the runs' midpoints, as fractions of n,
+// agree. Both fractions are below 1, so the 64-bit quotients are exact
+// prefixes of their binary expansions.
+func nodePower(s1, s2, e2, n int) int {
+	a, _ := bits.Div64(uint64(s1+s2), 0, uint64(2*n))
+	b, _ := bits.Div64(uint64(s2+e2), 0, uint64(2*n))
+	return bits.LeadingZeros64(a^b) + 1
+}
+
+// merge stably merges the sorted runs events[:mid] and events[mid:]
+// and returns the scratch buffer for reuse. Events already in place
+// stay untouched: the left run's head up to the right run's first
+// timestamp, and the right run's tail from the left run's last. Only
+// the shorter of the remaining sides is copied into buf; when buf is
+// too small it is replaced by one twice as large, or as large as this
+// merge can need. On equal timestamps the left run's event comes first.
+func merge(events []Event, mid int, buf []Event) []Event {
+	if events[mid-1].At <= events[mid].At {
+		return buf
 	}
-	return a
+	first, last := events[mid].At, events[mid-1].At
+	lo := sort.Search(mid, func(i int) bool { return events[i].At > first })
+	hi := mid + sort.Search(len(events)-mid, func(i int) bool { return events[mid+i].At >= last })
+	if need := min(mid-lo, hi-mid); need > cap(buf) {
+		buf = make([]Event, min(max(need, 2*cap(buf)), len(events)/2))
+	}
+
+	if mid-lo <= hi-mid {
+		// Forward: every right event sorts before the left's last, so
+		// the right side runs out first.
+		left := buf[:copy(buf, events[lo:mid])]
+		i, j, k := 0, mid, lo
+		for j < hi {
+			if events[j].At < left[i].At {
+				events[k] = events[j]
+				j++
+			} else {
+				events[k] = left[i]
+				i++
+			}
+			k++
+		}
+		copy(events[k:], left[i:])
+		return buf
+	}
+	// Backward: every left event sorts after the right's first, so the
+	// left side runs out first.
+	right := buf[:copy(buf, events[mid:hi])]
+	i, j, k := mid-1, len(right)-1, hi-1
+	for i >= lo {
+		if events[i].At > right[j].At {
+			events[k] = events[i]
+			i--
+		} else {
+			events[k] = right[j]
+			j--
+		}
+		k--
+	}
+	copy(events[lo:], right[:j+1])
+	return buf
 }
 
 // blockEvents is the Builder's block size: 16 Ki events, 256 KiB.
@@ -68,7 +119,9 @@ const blockEvents = 1 << 14
 // Builder collects write events in any order and returns them as a
 // time-sorted Trace. Events go into fixed-size blocks, so adding never
 // copies; Trace sorts them stably by timestamp (ties keep the order in
-// which they were added) in linear time.
+// which they were added) with a natural merge sort, in O(n log r) time
+// for events that arrive as r non-decreasing runs. Producers that add
+// each page's writes in time order, page after page, make few runs.
 //
 // The zero value is ready to use, and a Builder is empty again after
 // Trace.
@@ -88,10 +141,10 @@ func (b *Builder) Add(page uint32, at Microseconds) {
 }
 
 // Trace returns the added events as a trace sorted by timestamp, with
-// len(Events) == cap(Events), and empties the Builder. The first radix
-// pass moves the events out of the blocks, which are dropped before the
-// second buffer is allocated, so at most two copies of the events are
-// live at once.
+// len(Events) == cap(Events), and empties the Builder. The events are
+// copied out of the blocks into the returned slice and sorted there;
+// the blocks are unreachable before the merge scratch is allocated, so
+// at most two copies of the events are live at once.
 func (b *Builder) Trace(name string, duration Microseconds) *Trace {
 	blocks, n := b.blocks, b.n
 	b.blocks, b.n = nil, 0
@@ -99,13 +152,10 @@ func (b *Builder) Trace(name string, duration Microseconds) *Trace {
 	if n == 0 {
 		return t
 	}
-	lo, passes := timeRange(blocks)
-	t.Events = make([]Event, n)
-	radixPass(t.Events, blocks, lo, 0)
-	// The blocks are unreachable from here on, so allocating the second
-	// buffer only now keeps at most two copies of the events live.
-	if passes > 1 {
-		t.Events = radixFinish(t.Events, make([]Event, n), lo, 1, passes)
+	t.Events = make([]Event, 0, n)
+	for _, blk := range blocks {
+		t.Events = append(t.Events, blk...)
 	}
+	sortEvents(t.Events)
 	return t
 }

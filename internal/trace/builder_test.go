@@ -31,6 +31,23 @@ func sortCase(rng *rand.Rand, n int, lo Microseconds, span uint64) []Event {
 	return events
 }
 
+// runsCase concatenates one non-decreasing run per entry of lens, each
+// spread over about [0, span) as a generated page's writes spread over
+// its trace, so the runs overlap in time; steps of zero make ties
+// within and across runs. Page is the insertion index.
+func runsCase(rng *rand.Rand, span int64, lens ...int) []Event {
+	var events []Event
+	for _, n := range lens {
+		step := max(1, 2*span/int64(n))
+		at := rng.Int63n(step)
+		for i := 0; i < n; i++ {
+			events = append(events, Event{Page: uint32(len(events)), At: at})
+			at += rng.Int63n(step)
+		}
+	}
+	return events
+}
+
 // coarsen clears the low bits of every timestamp, turning a wide span
 // into a few widely spaced values that many events share.
 func coarsen(events []Event, low uint) []Event {
@@ -40,34 +57,54 @@ func coarsen(events []Event, low uint) []Event {
 	return events
 }
 
-// TestSortMatchesStableReference checks Builder and Trace.Sort against
-// sort.SliceStable on traces with many ties, negative timestamps,
-// spans that need 1, 2, 3 and 6 radix passes, and empty, single-event
-// and already-sorted input.
-func TestSortMatchesStableReference(t *testing.T) {
+// sortCases are the inputs the sort is checked on: the run shapes the
+// merge sees (a generated trace's two long runs and 150 short ones,
+// one run per event, sawtooth, ties across run boundaries, a single
+// run) and random input with many ties, negative timestamps, the full
+// int64 range and more events than one Builder block.
+func sortCases() []struct {
+	name   string
+	events []Event
+} {
 	rng := rand.New(rand.NewSource(1))
-	cases := []struct {
+	generated := []int{3 * blockEvents, blockEvents + 77}
+	for i := 0; i < 150; i++ {
+		generated = append(generated, 1+rng.Intn(40))
+	}
+	descending := make([]Event, 5000)
+	sawtooth := make([]Event, 5000)
+	for i := range descending {
+		descending[i] = Event{Page: uint32(i), At: Microseconds(len(descending) - i)}
+		sawtooth[i] = Event{Page: uint32(i), At: Microseconds(i % 97)}
+	}
+	return []struct {
 		name   string
 		events []Event
-		passes int
 	}{
-		{"empty", nil, 1},
-		{"single", []Event{{Page: 7, At: -5}}, 1},
-		{"sorted", []Event{{1, 3}, {2, 3}, {3, 9}, {4, 12}}, 1},
-		{"all ties", sortCase(rng, 3000, 77, 1), 1},
-		{"many ties", sortCase(rng, 5000, 0, 16), 1},
-		{"1 pass", sortCase(rng, 5000, 1000, 1<<11), 1},
-		{"2 passes negative", sortCase(rng, 5000, -1<<21, 1<<22), 2},
-		{"3 passes across blocks", sortCase(rng, 3*blockEvents+123, 0, 300*uint64(Second)), 3},
-		{"3 passes ties across blocks", coarsen(sortCase(rng, 2*blockEvents+5, -1<<30, 1<<26), 20), 3},
-		{"6 passes", sortCase(rng, 5000, math.MinInt64, 0), 6},
-		{"6 passes extremes", []Event{{1, math.MaxInt64}, {2, math.MinInt64}, {3, 0}, {4, math.MaxInt64}, {5, -1}, {6, math.MinInt64}}, 6},
+		{"empty", nil},
+		{"single", []Event{{Page: 7, At: -5}}},
+		{"sorted", []Event{{1, 3}, {2, 3}, {3, 9}, {4, 12}}},
+		{"generator shape", runsCase(rng, 100*Second, generated...)},
+		{"strictly descending", descending},
+		{"sawtooth", sawtooth},
+		{"ties at run boundaries", []Event{{1, 3}, {2, 5}, {3, 5}, {4, 7}, {5, 5}, {6, 5}, {7, 6}, {8, 7}, {9, 7}, {10, 5}, {11, 7}, {12, 3}}},
+		{"ties across runs", runsCase(rng, 8, 700, 300, 1, 1, 2, 500, 64, 3, 900)},
+		{"single run", runsCase(rng, 1000, 5000)},
+		{"all ties", sortCase(rng, 3000, 77, 1)},
+		{"many ties", sortCase(rng, 5000, 0, 16)},
+		{"random negative", sortCase(rng, 5000, -1<<21, 1<<22)},
+		{"random across blocks", sortCase(rng, 3*blockEvents+123, 0, 300*uint64(Second))},
+		{"ties across blocks", coarsen(sortCase(rng, 2*blockEvents+5, -1<<30, 1<<26), 20)},
+		{"full int64 range", sortCase(rng, 5000, math.MinInt64, 0)},
+		{"extremes", []Event{{1, math.MaxInt64}, {2, math.MinInt64}, {3, 0}, {4, math.MaxInt64}, {5, -1}, {6, math.MinInt64}}},
 	}
-	for _, tc := range cases {
+}
+
+// TestSortMatchesStableReference checks Builder and Trace.Sort against
+// sort.SliceStable on every sortCases input.
+func TestSortMatchesStableReference(t *testing.T) {
+	for _, tc := range sortCases() {
 		want := refSort(tc.events)
-		if _, passes := timeRange([][]Event{tc.events}); passes != tc.passes {
-			t.Errorf("%s: %d radix passes, want %d", tc.name, passes, tc.passes)
-		}
 
 		var b Builder
 		for _, e := range tc.events {
@@ -95,14 +132,27 @@ func TestSortMatchesStableReference(t *testing.T) {
 // TestSortInPlace pins Sort's contract for callers that keep the
 // Events slice: the sorted events land in the same backing array.
 func TestSortInPlace(t *testing.T) {
-	for _, span := range []uint64{1 << 11, 1 << 22, 1 << 33} { // odd and even pass counts
-		events := sortCase(rand.New(rand.NewSource(2)), 1000, 0, span)
+	for _, tc := range sortCases() {
+		if len(tc.events) == 0 {
+			continue
+		}
+		events := tc.events
 		want := refSort(events)
 		tr := &Trace{Events: events}
 		tr.Sort()
 		if &tr.Events[0] != &events[0] || !slices.Equal(events, want) {
-			t.Errorf("span %d: Sort did not sort the caller's slice in place", span)
+			t.Errorf("%s: Sort did not sort the caller's slice in place", tc.name)
 		}
+	}
+}
+
+// TestSortSortedAllocationFree pins that Sort on sorted input, the
+// common case for hand-built and captured traces, is one scan with no
+// scratch buffer.
+func TestSortSortedAllocationFree(t *testing.T) {
+	tr := &Trace{Events: refSort(runsCase(rand.New(rand.NewSource(2)), 1000, 5000, 3000))}
+	if n := testing.AllocsPerRun(10, tr.Sort); n != 0 {
+		t.Errorf("Sort of %d sorted events allocates %.1f times per call, want 0", len(tr.Events), n)
 	}
 }
 

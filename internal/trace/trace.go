@@ -68,11 +68,11 @@ type pageStats struct {
 
 // Sort orders events by timestamp in place, preserving the relative
 // order of simultaneous events, and invalidates the memoized analysis
-// indexes. It uses the Builder's radix sort and one scratch copy of
-// the events.
+// indexes. It uses the Builder's natural merge sort: O(n log r) for
+// events in r non-decreasing runs, one allocation-free scan for sorted
+// events, and a scratch buffer of at most half the events otherwise.
 func (t *Trace) Sort() {
-	lo, passes := timeRange([][]Event{t.Events})
-	copy(t.Events, radixFinish(t.Events, make([]Event, len(t.Events)), lo, 0, passes))
+	sortEvents(t.Events)
 	t.pageStats.Store(nil)
 	t.perPage.Store(nil)
 }

@@ -19,9 +19,10 @@ func allocated(f func()) uint64 {
 
 // TestGenerateAllocationContract pins what trace synthesis costs in
 // memory: Generate returns an exactly-sized event slice and allocates
-// at most 3.5× the bytes it returns (blocks, then two radix buffers),
-// and Intervals at most 2× its output (the output, one int32 slot per
-// event, and per-page side arrays).
+// at most 2.75× the bytes it returns (the Builder's blocks, the output
+// and the merge scratch, at most half the events), and Intervals at
+// most 2× its output (the output, one int32 slot per event, and
+// per-page side arrays).
 func TestGenerateAllocationContract(t *testing.T) {
 	app, err := AppByName("SystemMgt")
 	if err != nil {
@@ -33,8 +34,8 @@ func TestGenerateAllocationContract(t *testing.T) {
 		t.Errorf("Generate: len(Events) = %d, cap = %d; want equal", len(tr.Events), cap(tr.Events))
 	}
 	eventBytes := uint64(len(tr.Events)) * uint64(unsafe.Sizeof(trace.Event{}))
-	if ratio := float64(genBytes) / float64(eventBytes); ratio > 3.5 {
-		t.Errorf("Generate allocated %d bytes for %d bytes of events (%.2f×), want ≤ 3.5×", genBytes, eventBytes, ratio)
+	if ratio := float64(genBytes) / float64(eventBytes); ratio > 2.75 {
+		t.Errorf("Generate allocated %d bytes for %d bytes of events (%.2f×), want ≤ 2.75×", genBytes, eventBytes, ratio)
 	}
 
 	var ivs []float64

@@ -134,9 +134,9 @@ func AppByName(name string) (AppSpec, error) {
 // Generate synthesizes the application's write trace. The result is
 // deterministic in (spec, seed). Scale in (0, 1] shrinks the page count
 // proportionally to bound generation cost in tests; values outside the
-// range mean full scale.
+// range, NaN included, mean full scale.
 func (a AppSpec) Generate(seed int64, scale float64) *trace.Trace {
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) { // written so that NaN means full scale too
 		scale = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -180,9 +180,9 @@ func (a AppSpec) genHotPage(rng *rand.Rand, b *trace.Builder, page uint32, durat
 // hot pages are read at cluster cadence, cold pages are read at a
 // per-page rate drawn log-uniformly between once per second and once
 // per minute. Read traces feed the read-aware refresh-skip analysis
-// (the paper's footnote-3 future work).
+// (the paper's footnote-3 future work). Scale works as in Generate.
 func (a AppSpec) GenerateReads(seed int64, scale float64) *trace.Trace {
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) { // written so that NaN means full scale too
 		scale = 1
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x5eeded))

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"memcon/internal/pareto"
@@ -98,9 +99,13 @@ func TestGenerateValidTrace(t *testing.T) {
 func TestGenerateScaleClamping(t *testing.T) {
 	app, _ := AppByName("BlurMotion")
 	// Out-of-range scales fall back to full scale rather than failing.
-	tr := app.Generate(1, -1)
-	if tr.Pages() < app.Pages {
-		t.Errorf("scale<=0 should mean full size, got %d pages", tr.Pages())
+	for _, scale := range []float64{-1, math.NaN()} {
+		if tr := app.Generate(1, scale); tr.Pages() < app.Pages {
+			t.Errorf("scale %v should mean full size, got %d pages", scale, tr.Pages())
+		}
+	}
+	if got, want := len(app.GenerateReads(1, math.NaN()).Events), len(app.GenerateReads(1, 1).Events); got != want {
+		t.Errorf("GenerateReads at scale NaN: %d events, want the full-scale %d", got, want)
 	}
 }
 

@@ -71,10 +71,10 @@ go test -race -run 'TestFleet' ./cmd/memconsim
 # (one iteration each): catches compile or runtime breakage in the bench
 # harness without spending CI time on stable measurements. Real numbers
 # come from scripts/bench.sh, which rewrites BENCH_hotpath.json,
-# BENCH_engine.json, BENCH_fleet.json and BENCH_serve.json (the two
+# BENCH_engine.json, BENCH_fleet.json and BENCH_serve.json (the three
 # trace-synthesis benchmarks have no BENCH file).
 echo "== bench smoke =="
-go test -run '^$' -bench 'BenchmarkReadBack|BenchmarkFailingCells|BenchmarkFailingCellsDense|BenchmarkDisturbScan|BenchmarkEngineRun|BenchmarkFleetRun|BenchmarkTraceGeneration|BenchmarkTraceIntervals' -benchtime=1x .
+go test -run '^$' -bench 'BenchmarkReadBack|BenchmarkFailingCells|BenchmarkFailingCellsDense|BenchmarkDisturbScan|BenchmarkEngineRun|BenchmarkFleetRun|BenchmarkTraceGeneration|BenchmarkTraceIntervals|BenchmarkTraceSort' -benchtime=1x .
 go test -run '^$' -bench BenchmarkServeCache -benchtime=1x ./internal/servecache
 
 # Mapping sweep smoke: one chip-level experiment per vendor address
