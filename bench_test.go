@@ -39,9 +39,9 @@ func benchRequest(id string) experiments.Request {
 	return experiments.Request{Experiment: id, Seed: 42, Scale: 0.05, SimTimeNs: 200_000, Mixes: 4}
 }
 
-func runExperiment(b *testing.B, id string) interface{ String() string } {
+func runExperiment(b *testing.B, id string) experiments.Result {
 	b.Helper()
-	var out interface{ String() string }
+	var out experiments.Result
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunRequest(context.Background(), benchRequest(id), experiments.Runtime{})
 		if err != nil {
@@ -754,8 +754,6 @@ func benchSystemTrace(pages int) *trace.Trace {
 //   - accounting: fresh engine per run on the Netflix trace — the
 //     figure-generation path (compare BenchmarkEngineObserverDisabled
 //     at the pre-flat-state baseline).
-//   - steady: one engine recycled with Reset between runs — the sweep
-//     path; must be allocation-free after warm-up.
 //   - stream: the same trace replayed from in-memory compact bytes
 //     through trace.Stream, pricing the streaming decode on top of the
 //     engine loop.
@@ -769,29 +767,6 @@ func BenchmarkEngineRun(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := core.RunWith(tr, core.DefaultConfig()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(events, "events/op")
-	})
-
-	b.Run("steady", func(b *testing.B) {
-		cfg := core.DefaultConfig()
-		if max := tr.MaxPage(); max >= cfg.NumPages {
-			cfg.NumPages = max + 1
-		}
-		e, err := core.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Run(tr); err != nil { // warm internal buffers
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Reset()
-			if _, err := e.Run(tr); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -75,6 +76,9 @@ func run(args []string, out io.Writer) error {
 	}
 	if *nworkers < 1 {
 		return fmt.Errorf("-parallel must be at least 1, got %d", *nworkers)
+	}
+	if *idleMs < 1 || *idleMs > math.MaxInt64/dram.Millisecond {
+		return fmt.Errorf("-idle must be between 1 and %d ms, got %d", math.MaxInt64/dram.Millisecond, *idleMs)
 	}
 	format, err := obs.ParseFormat(*mformat)
 	if err != nil {

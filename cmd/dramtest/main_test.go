@@ -73,4 +73,20 @@ func TestErrors(t *testing.T) {
 	if err := run(nil, &out); err == nil {
 		t.Error("empty invocation accepted")
 	}
+	// An idle time or guardband that is not positive, or that wraps the
+	// nanosecond idle, must be rejected before anything runs.
+	for _, args := range [][]string{
+		{"-allfail", "-idle", "-5"},
+		{"-pattern", "checker-0", "-idle", "0"},
+		{"-content", "mcf", "-idle", "-1"},
+		{"-allfail", "-idle", "10000000000000"},
+		{"-profile", "-rounds", "1", "-guardband", "NaN"},
+		{"-profile", "-rounds", "1", "-guardband", "+Inf"},
+		{"-profile", "-rounds", "1", "-guardband", "1e30"},
+	} {
+		out.Reset()
+		if err := run(withFast(args...), &out); err == nil {
+			t.Errorf("%v accepted:\n%s", args, out.String())
+		}
+	}
 }

@@ -404,7 +404,7 @@ func TestCancellationMidRun(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("run context never cancelled after the client left")
 	}
-	if n := srv.cache.Len(); n != 0 {
+	if n := srv.cache.StatsSnapshot().Entries; n != 0 {
 		t.Errorf("abandoned run left %d cache entries", n)
 	}
 }
@@ -427,7 +427,7 @@ func TestTimeout(t *testing.T) {
 	if n := srv.timeouts.Value(); n != 1 {
 		t.Errorf("timeouts_total = %d, want 1", n)
 	}
-	if n := srv.cache.Len(); n != 0 {
+	if n := srv.cache.StatsSnapshot().Entries; n != 0 {
 		t.Errorf("timed-out run left %d cache entries", n)
 	}
 }

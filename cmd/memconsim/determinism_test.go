@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -15,7 +16,7 @@ import (
 func runString(t *testing.T, args ...string) string {
 	t.Helper()
 	var out strings.Builder
-	if err := run(args, &out); err != nil {
+	if err := run(context.Background(), args, &out); err != nil {
 		t.Fatalf("run(%v): %v", args, err)
 	}
 	if out.Len() == 0 {
@@ -91,7 +92,7 @@ func TestMappingDefaultSpellings(t *testing.T) {
 
 func TestUnknownMappingRejected(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-exp", "fig3", "-scale", "0.04", "-mapping", "zigzag"}, &out)
+	err := run(context.Background(), []string{"-exp", "fig3", "-scale", "0.04", "-mapping", "zigzag"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "unknown address mapping") {
 		t.Errorf("-mapping zigzag: err = %v, want unknown-mapping error", err)
 	}

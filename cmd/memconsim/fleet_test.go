@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,7 +20,7 @@ func TestFleetOutWritesDecodableLog(t *testing.T) {
 	logPath := filepath.Join(dir, "fleet.celog")
 	var out strings.Builder
 	args := append([]string{"-exp", "fleet-ce", "-out", dir, "-fleet-out", logPath}, goldenArgs...)
-	if err := run(args, &out); err != nil {
+	if err := run(context.Background(), args, &out); err != nil {
 		t.Fatal(err)
 	}
 
@@ -41,7 +42,7 @@ func TestFleetOutWritesDecodableLog(t *testing.T) {
 
 	for _, n := range []string{"4", "8"} {
 		p := filepath.Join(dir, "fleet"+n+".celog")
-		if err := run(append([]string{"-exp", "fleet-ce", "-fleet-out", p, "-parallel", n}, goldenArgs...), &out); err != nil {
+		if err := run(context.Background(), append([]string{"-exp", "fleet-ce", "-fleet-out", p, "-parallel", n}, goldenArgs...), &out); err != nil {
 			t.Fatal(err)
 		}
 		got, err := os.ReadFile(p)
@@ -62,13 +63,13 @@ func TestFleetOutWritesDecodableLog(t *testing.T) {
 func TestFleetDiff(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
-	if err := run(append([]string{"-exp", "fleet-risk", "-out", dir}, goldenArgs...), &out); err != nil {
+	if err := run(context.Background(), append([]string{"-exp", "fleet-risk", "-out", dir}, goldenArgs...), &out); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "fleet-risk.json")
 
 	out.Reset()
-	if err := run([]string{"-diff", path}, &out); err != nil {
+	if err := run(context.Background(), []string{"-diff", path}, &out); err != nil {
 		t.Fatalf("clean diff failed: %v\n%s", err, out.String())
 	}
 
@@ -94,7 +95,7 @@ search:
 	bad := filepath.Join(dir, "drifted.json")
 	encodeFile(t, bad, rep)
 	out.Reset()
-	if err := run([]string{"-diff", bad}, &out); err == nil {
+	if err := run(context.Background(), []string{"-diff", bad}, &out); err == nil {
 		t.Errorf("injected drift not detected:\n%s", out.String())
 	}
 
@@ -106,13 +107,13 @@ search:
 	tampered := filepath.Join(dir, "tampered.json")
 	encodeFile(t, tampered, rep)
 	out.Reset()
-	if err := run([]string{"-diff", tampered, "-tol-abs", "1e9", "-tol-rel", "1"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-diff", tampered, "-tol-abs", "1e9", "-tol-rel", "1"}, &out); err == nil {
 		t.Errorf("fleet-size tamper not detected:\n%s", out.String())
 	}
 
 	// An explicit -fleet override beats the saved provenance and gates.
 	out.Reset()
-	if err := run([]string{"-diff", path, "-fleet", "16"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-diff", path, "-fleet", "16"}, &out); err == nil {
 		t.Errorf("-fleet override diffed clean against a different fleet size:\n%s", out.String())
 	} else if !strings.Contains(out.String(), "provenance.fleet") {
 		t.Errorf("override diff did not name provenance.fleet:\n%s", out.String())
@@ -123,15 +124,15 @@ search:
 // -exp, and the experiment must actually produce a CE log.
 func TestFleetOutUsageErrors(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-all", "-fleet-out", "x.celog"}, &out); err == nil ||
+	if err := run(context.Background(), []string{"-all", "-fleet-out", "x.celog"}, &out); err == nil ||
 		!strings.Contains(err.Error(), "-fleet-out requires -exp") {
 		t.Errorf("-all with -fleet-out: err = %v", err)
 	}
-	if err := run([]string{"-exp", "minwi", "-fleet-out", filepath.Join(t.TempDir(), "x.celog")}, &out); err == nil ||
+	if err := run(context.Background(), []string{"-exp", "minwi", "-fleet-out", filepath.Join(t.TempDir(), "x.celog")}, &out); err == nil ||
 		!strings.Contains(err.Error(), "no CE event log") {
 		t.Errorf("-fleet-out on non-fleet experiment: err = %v", err)
 	}
-	if err := run([]string{"-exp", "fleet-ce", "-fleet", "-1"}, &out); err == nil ||
+	if err := run(context.Background(), []string{"-exp", "fleet-ce", "-fleet", "-1"}, &out); err == nil ||
 		!strings.Contains(err.Error(), "-fleet must be non-negative") {
 		t.Errorf("negative -fleet: err = %v", err)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -40,7 +41,7 @@ func FuzzMemconsimArgs(f *testing.F) {
 		args = append(args,
 			"-scale", "0.02", "-simtime", "50000", "-mixes", "1", "-parallel", "2")
 		// Any outcome but a panic is acceptable.
-		_ = run(args, io.Discard)
+		_ = run(context.Background(), args, io.Discard)
 	})
 }
 
@@ -50,7 +51,7 @@ func FuzzMemconsimArgs(f *testing.F) {
 func TestCSVUniversal(t *testing.T) {
 	for _, id := range []string{"fig6", "table1", "minwi", "fig3"} {
 		var out strings.Builder
-		if err := run([]string{"-exp", id, "-format", "csv", "-scale", "0.04"}, &out); err != nil {
+		if err := run(context.Background(), []string{"-exp", id, "-format", "csv", "-scale", "0.04"}, &out); err != nil {
 			t.Errorf("%s -format csv: %v", id, err)
 			continue
 		}

@@ -69,6 +69,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -88,20 +89,16 @@ import (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := runCtx(ctx, os.Args[1:], os.Stdout); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "memconsim: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 // run executes the CLI against the given arguments and output stream.
-func run(args []string, out io.Writer) error {
-	return runCtx(context.Background(), args, out)
-}
-
-// runCtx is run with a cancellation context: interrupting the process
-// stops in-flight sweeps at the next work-unit boundary.
-func runCtx(ctx context.Context, args []string, out io.Writer) error {
+// Cancelling ctx (main cancels it on an interrupt) stops in-flight
+// sweeps at the next work-unit boundary.
+func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("memconsim", flag.ContinueOnError)
 	fs.SetOutput(out)
 	defaults := experiments.DefaultRequest("")
@@ -142,6 +139,15 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if *fleetN < 0 {
 		return fmt.Errorf("-fleet must be non-negative, got %d", *fleetN)
+	}
+	// A negative or NaN tolerance fails identical cells, an infinite
+	// relative one fails equal zeros (Inf·0 is NaN), and an infinite
+	// absolute one accepts any drift.
+	if !(*tolAbs >= 0) || math.IsInf(*tolAbs, 1) {
+		return fmt.Errorf("-tol-abs must be finite and non-negative, got %v", *tolAbs)
+	}
+	if !(*tolRel >= 0) || math.IsInf(*tolRel, 1) {
+		return fmt.Errorf("-tol-rel must be finite and non-negative, got %v", *tolRel)
 	}
 	if *fleetOut != "" && *exp == "" {
 		return fmt.Errorf("-fleet-out requires -exp (one experiment, one log)")

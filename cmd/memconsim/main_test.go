@@ -1,13 +1,14 @@
 package main
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestRunList(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-list"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-list"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"fig14", "fig6", "table3", "minwi", "vrt", "motiv"} {
@@ -19,7 +20,7 @@ func TestRunList(t *testing.T) {
 
 func TestRunSingleExperiment(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-exp", "minwi"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-exp", "minwi"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "1068 ns") {
@@ -29,14 +30,14 @@ func TestRunSingleExperiment(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-exp", "fig99"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-exp", "fig99"}, &out); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
 func TestRunNoArguments(t *testing.T) {
 	var out strings.Builder
-	if err := run(nil, &out); err == nil {
+	if err := run(context.Background(), nil, &out); err == nil {
 		t.Error("empty invocation should error with usage")
 	}
 	if !strings.Contains(out.String(), "-exp") {
@@ -46,14 +47,14 @@ func TestRunNoArguments(t *testing.T) {
 
 func TestRunBadFlag(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-bogus"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-bogus"}, &out); err == nil {
 		t.Error("bad flag accepted")
 	}
 }
 
 func TestRunScaledExperiment(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-exp", "fig6", "-scale", "0.05"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-exp", "fig6", "-scale", "0.05"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "560 ms") {
@@ -63,7 +64,7 @@ func TestRunScaledExperiment(t *testing.T) {
 
 func TestRunCSVOutput(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-exp", "fig6", "-format", "csv"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-exp", "fig6", "-format", "csv"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(out.String(), "time_ms,hiref_ns,memcon_ns") {
@@ -76,10 +77,10 @@ func TestRunCSVOutput(t *testing.T) {
 // rejected outright instead of being silently honoured.
 func TestCSVAliasRemoved(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-exp", "fig6", "-csv"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-exp", "fig6", "-csv"}, &out); err == nil {
 		t.Error("removed -csv flag still accepted")
 	}
-	if err := run([]string{"-exp", "fig6", "-format", "bogus"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-exp", "fig6", "-format", "bogus"}, &out); err == nil {
 		t.Error("unknown -format accepted")
 	}
 }
@@ -89,14 +90,36 @@ func TestCSVAliasRemoved(t *testing.T) {
 // default seed 42.
 func TestSeedZeroHonoured(t *testing.T) {
 	var zero, def strings.Builder
-	if err := run([]string{"-exp", "fig3", "-scale", "0.04", "-seed", "0"}, &zero); err != nil {
+	if err := run(context.Background(), []string{"-exp", "fig3", "-scale", "0.04", "-seed", "0"}, &zero); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-exp", "fig3", "-scale", "0.04"}, &def); err != nil {
+	if err := run(context.Background(), []string{"-exp", "fig3", "-scale", "0.04"}, &def); err != nil {
 		t.Fatal(err)
 	}
 	if zero.String() == def.String() {
 		t.Error("-seed 0 produced the default-seed output; the zero seed was dropped")
+	}
+}
+
+// TestDiffRejectsBadTolerance pins that -diff tolerances must be finite
+// and non-negative: a negative or NaN one reports identical cells as
+// drift, an infinite relative one fails equal zeros (Inf·0 is NaN), and
+// an infinite absolute one accepts any drift. The error names the flag,
+// and no diff table is printed.
+func TestDiffRejectsBadTolerance(t *testing.T) {
+	for _, tc := range [][2]string{
+		{"-tol-rel", "-1"}, {"-tol-abs", "-1"},
+		{"-tol-abs", "NaN"}, {"-tol-rel", "NaN"},
+		{"-tol-rel", "+Inf"}, {"-tol-abs", "+Inf"},
+	} {
+		var out strings.Builder
+		err := run(context.Background(), []string{"-diff", "../../testdata/reports/minwi.json", tc[0], tc[1]}, &out)
+		if err == nil || !strings.Contains(err.Error(), tc[0]) {
+			t.Errorf("%s %s: err = %v, want an error naming %s", tc[0], tc[1], err, tc[0])
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s %s printed output:\n%s", tc[0], tc[1], out.String())
+		}
 	}
 }
 
@@ -105,7 +128,7 @@ func TestSeedZeroHonoured(t *testing.T) {
 // `<= 0 || > 1` check would let it through).
 func TestRunRejectsNaNScale(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-exp", "fig9", "-scale", "NaN"}, &out)
+	err := run(context.Background(), []string{"-exp", "fig9", "-scale", "NaN"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "out of range (0,1]") {
 		t.Errorf("-scale NaN: err = %v, want the scale range error", err)
 	}

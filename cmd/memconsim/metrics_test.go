@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -20,7 +21,7 @@ func runMetrics(t *testing.T, format string, args ...string) string {
 	path := filepath.Join(t.TempDir(), "metrics."+format)
 	full := append(args, "-metrics", path, "-metrics-format", format)
 	var out strings.Builder
-	if err := run(full, &out); err != nil {
+	if err := run(context.Background(), full, &out); err != nil {
 		t.Fatalf("run(%v): %v", full, err)
 	}
 	data, err := os.ReadFile(path)
@@ -168,7 +169,7 @@ func TestMetricsToStdout(t *testing.T) {
 
 func TestMetricsBadFormatRejected(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-exp", "fig6", "-metrics", "-", "-metrics-format", "yaml"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-exp", "fig6", "-metrics", "-", "-metrics-format", "yaml"}, &out); err == nil {
 		t.Errorf("unknown -metrics-format accepted")
 	}
 }

@@ -44,7 +44,7 @@ func writeReplayTrace(t *testing.T) (*trace.Trace, string) {
 func TestReplayMatchesRunContext(t *testing.T) {
 	tr, path := writeReplayTrace(t)
 	var out strings.Builder
-	if err := run([]string{"-replay", path}, &out); err != nil {
+	if err := run(context.Background(), []string{"-replay", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := core.RunContext(context.Background(), tr, core.DefaultConfig())
@@ -78,13 +78,13 @@ func TestReplayRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	err := run([]string{"-replay", path}, &out)
+	err := run(context.Background(), []string{"-replay", path}, &out)
 	if !errors.Is(err, trace.ErrBadFormat) {
 		t.Errorf("garbage file: err = %v, want ErrBadFormat", err)
 	} else if !strings.Contains(err.Error(), path) {
 		t.Errorf("error %q does not name the file", err)
 	}
-	if err := run([]string{"-replay", filepath.Join(dir, "missing")}, &out); err == nil {
+	if err := run(context.Background(), []string{"-replay", filepath.Join(dir, "missing")}, &out); err == nil {
 		t.Error("missing file accepted by -replay")
 	}
 }
@@ -102,7 +102,7 @@ func TestReplayTruncatedCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	err = run([]string{"-replay", truncPath}, &out)
+	err = run(context.Background(), []string{"-replay", truncPath}, &out)
 	if err == nil {
 		t.Fatal("truncated compact trace accepted")
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,7 +49,7 @@ func TestJSONFormat(t *testing.T) {
 func TestOutAndDiff(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
-	if err := run(append([]string{"-exp", "fig4", "-out", dir}, goldenArgs...), &out); err != nil {
+	if err := run(context.Background(), append([]string{"-exp", "fig4", "-out", dir}, goldenArgs...), &out); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "fig4.json")
@@ -56,7 +57,7 @@ func TestOutAndDiff(t *testing.T) {
 	// Clean diff: note the inputs come from the saved provenance, not
 	// from flags.
 	out.Reset()
-	if err := run([]string{"-diff", path}, &out); err != nil {
+	if err := run(context.Background(), []string{"-diff", path}, &out); err != nil {
 		t.Fatalf("clean diff failed: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "no differences") {
@@ -85,7 +86,7 @@ search:
 	bad := filepath.Join(dir, "drifted.json")
 	encodeFile(t, bad, rep)
 	out.Reset()
-	if err := run([]string{"-diff", bad}, &out); err == nil {
+	if err := run(context.Background(), []string{"-diff", bad}, &out); err == nil {
 		t.Errorf("injected drift not detected:\n%s", out.String())
 	} else if !strings.Contains(err.Error(), "drifted") {
 		t.Errorf("drift error = %v", err)
@@ -93,7 +94,7 @@ search:
 
 	// A generous tolerance absorbs the float drift.
 	out.Reset()
-	if err := run([]string{"-diff", bad, "-tol-abs", "0.01"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-diff", bad, "-tol-abs", "0.01"}, &out); err != nil {
 		t.Errorf("tolerance did not absorb drift: %v\n%s", err, out.String())
 	}
 }
@@ -107,7 +108,7 @@ func TestDiffRoundTripsProvenance(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder
 	args := append([]string{"-exp", "fig4", "-seed", "0", "-report-version", "rt-v9", "-out", dir}, goldenArgs...)
-	if err := run(args, &out); err != nil {
+	if err := run(context.Background(), args, &out); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "fig4.json")
@@ -119,7 +120,7 @@ func TestDiffRoundTripsProvenance(t *testing.T) {
 	// A bare -diff re-runs with seed 0 and version "rt-v9" from the
 	// saved provenance: clean, and no version-mismatch note either.
 	out.Reset()
-	if err := run([]string{"-diff", path}, &out); err != nil {
+	if err := run(context.Background(), []string{"-diff", path}, &out); err != nil {
 		t.Fatalf("round-trip diff failed: %v\n%s", err, out.String())
 	}
 	if strings.Contains(out.String(), "version differs") {
@@ -129,7 +130,7 @@ func TestDiffRoundTripsProvenance(t *testing.T) {
 	// An explicit flag still overrides its saved value: a different seed
 	// re-runs with different randomness and must drift.
 	out.Reset()
-	if err := run([]string{"-diff", path, "-seed", "1"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-diff", path, "-seed", "1"}, &out); err == nil {
 		t.Errorf("explicit -seed 1 against a seed-0 report diffed clean:\n%s", out.String())
 	}
 }
@@ -154,7 +155,7 @@ func TestCommittedReportsDiffClean(t *testing.T) {
 		t.Run(strings.TrimSuffix(name, ".json"), func(t *testing.T) {
 			t.Parallel()
 			var out strings.Builder
-			if err := run([]string{"-diff", filepath.Join(dir, name)}, &out); err != nil {
+			if err := run(context.Background(), []string{"-diff", filepath.Join(dir, name)}, &out); err != nil {
 				t.Errorf("%v\n%s", err, out.String())
 			}
 		})

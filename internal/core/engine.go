@@ -217,25 +217,25 @@ func lessPendingTest(a, b pendingTest) bool {
 	return a.seq < b.seq
 }
 
-// pageState tracks MEMCON's view of one page/row. Entries are
-// epoch-stamped: an entry whose epoch differs from the engine's is
-// logically in the initial state (HI-REF, no test, no history), so
-// Reset invalidates the whole array in O(1) by bumping the engine
-// epoch, and stateOf normalizes stale entries lazily on first touch.
+// pageState tracks MEMCON's view of one page/row. The zero value is
+// the initial state: HI-REF, no test, no history.
 type pageState struct {
-	// epoch is the engine epoch this entry was last written under.
-	epoch uint32
 	// loRef is true while the row runs at the relaxed rate.
 	loRef bool
 	// testing is true while a test is in flight.
 	testing bool
+	// tested is true while testedAt holds a completed test whose
+	// verdict has not been settled yet.
+	tested bool
+	// written is true once the page has been written.
+	written bool
 	// loSince is when the row entered LO-REF (valid when loRef).
 	loSince trace.Microseconds
-	// testedAt is the completion time of the last clean test (for
-	// misprediction accounting); negative when unset.
+	// testedAt is the completion time of the last test (for
+	// misprediction accounting; valid when tested).
 	testedAt trace.Microseconds
-	// lastWrite is the page's previous write time (-1 before the first
-	// write), feeding the write-interval observability payload.
+	// lastWrite is the page's previous write time (valid when
+	// written), feeding the write-interval observability payload.
 	lastWrite trace.Microseconds
 }
 
@@ -245,7 +245,6 @@ type Engine struct {
 	tester   Tester
 	pred     *pril.Predictor
 	pages    []pageState
-	epoch    uint32
 	tests    pqueue[pendingTest]
 	seq      uint64
 	mwi      dram.Nanoseconds
@@ -338,7 +337,6 @@ func New(cfg Config, opts ...EngineOption) (*Engine, error) {
 		tester:   eo.tester,
 		pred:     pred,
 		pages:    make([]pageState, cfg.NumPages),
-		epoch:    1, // zero-valued entries carry epoch 0, i.e. stale
 		tests:    newPQueue(lessPendingTest),
 		mwi:      mwi,
 		testCost: cfg.costConfig().TestCost(),
@@ -354,36 +352,21 @@ func New(cfg Config, opts ...EngineOption) (*Engine, error) {
 	return e, nil
 }
 
-// stateOf returns the current-epoch state for page, normalizing an
-// entry left stale by Reset (or never touched since New) to the
-// initial state.
-func (e *Engine) stateOf(page uint32) *pageState {
-	st := &e.pages[page]
-	if st.epoch != e.epoch {
-		*st = pageState{epoch: e.epoch, testedAt: -1, lastWrite: -1}
-	}
-	return st
-}
-
 // pageStatus reports whether page currently runs at LO-REF and whether
-// a test is in flight, without materializing state: stale-epoch (or
-// out-of-range) entries read as the initial HI-REF/idle state. It is
-// the read-only probe System uses on its neighbour-retest and audit
-// paths.
+// a test is in flight; out-of-range pages read as the initial
+// HI-REF/idle state. It is the read-only probe System uses on its
+// neighbour-retest and audit paths.
 func (e *Engine) pageStatus(page uint32) (loRef, testing bool) {
 	if int(page) >= len(e.pages) {
 		return false, false
 	}
 	st := &e.pages[page]
-	if st.epoch != e.epoch {
-		return false, false
-	}
 	return st.loRef, st.testing
 }
 
 // grow extends the engine's page space to at least pages, preserving
 // all state; the streaming replay calls it as the source reveals its
-// page space. New entries arrive stale and normalize on first touch.
+// page space. New entries start in the initial (zero) state.
 func (e *Engine) grow(pages int) {
 	if pages <= len(e.pages) {
 		return
@@ -394,34 +377,12 @@ func (e *Engine) grow(pages int) {
 	e.rep.Pages = pages
 }
 
-// Reset returns the engine to its initial state while keeping every
-// allocation: the page array is invalidated in O(1) by bumping the
-// epoch (stale entries normalize lazily), the test queue keeps its
-// backing array, and the predictor resets in place. One engine can
-// replay trace after trace with zero steady-state allocations.
-func (e *Engine) Reset() {
-	e.epoch++
-	if e.epoch == 0 {
-		// The 32-bit epoch wrapped: old stamps would be ambiguous, so
-		// pay one eager clear and restart at epoch 1.
-		for i := range e.pages {
-			e.pages[i] = pageState{}
-		}
-		e.epoch = 1
-	}
-	e.tests.Reset()
-	e.seq = 0
-	e.now = 0
-	e.rep = Report{Pages: e.cfg.NumPages, MinWriteInterval: e.mwi}
-	e.pred.Reset()
-}
-
 // onPredict is invoked by PRIL at quantum boundaries for pages predicted
 // to stay idle: MEMCON initiates a test with the current content. The
 // test occupies one LO-REF window (the row is deliberately kept idle so
 // victims are tested at lowest charge, §3.2).
 func (e *Engine) onPredict(page uint32, at trace.Microseconds) {
-	st := e.stateOf(page)
+	st := &e.pages[page]
 	if st.testing || st.loRef {
 		return // already under test or already relaxed
 	}
@@ -445,7 +406,7 @@ func (e *Engine) schedule(page uint32, done trace.Microseconds) {
 func (e *Engine) drainTests(now trace.Microseconds) {
 	for e.tests.Len() > 0 && e.tests.Peek().done <= now {
 		t := e.tests.Pop()
-		st := e.stateOf(t.page)
+		st := &e.pages[t.page]
 		if !st.testing {
 			continue // aborted by an intervening write
 		}
@@ -454,7 +415,7 @@ func (e *Engine) drainTests(now trace.Microseconds) {
 		if e.tester.Test(t.page, t.done) {
 			st.loRef = true
 			st.loSince = t.done
-			st.testedAt = t.done
+			st.testedAt, st.tested = t.done, true
 			if e.obs != nil {
 				e.obs.OnEvent(obs.Event{Kind: obs.KindTestDrained, Page: t.page, At: int64(t.done), Aux: 1})
 				e.obs.OnEvent(obs.Event{Kind: obs.KindRefreshToLo, Page: t.page, At: int64(t.done)})
@@ -464,7 +425,7 @@ func (e *Engine) drainTests(now trace.Microseconds) {
 			// Mitigation: the row stays at HI-REF. The test itself was
 			// still a correct prediction cost-wise if the page stays
 			// idle; count it via testedAt as well.
-			st.testedAt = t.done
+			st.testedAt, st.tested = t.done, true
 			if e.obs != nil {
 				e.obs.OnEvent(obs.Event{Kind: obs.KindTestDrained, Page: t.page, At: int64(t.done), Aux: 0})
 			}
@@ -488,13 +449,13 @@ func (e *Engine) Observe(ev trace.Event) error {
 	e.drainTests(ev.At)
 	e.now = ev.At
 
-	st := e.stateOf(ev.Page)
+	st := &e.pages[ev.Page]
 	if e.obs != nil {
 		gap := int64(-1)
-		if prev := st.lastWrite; prev >= 0 {
-			gap = int64(ev.At - prev)
+		if st.written {
+			gap = int64(ev.At - st.lastWrite)
 		}
-		st.lastWrite = ev.At
+		st.lastWrite, st.written = ev.At, true
 		e.obs.OnEvent(obs.Event{Kind: obs.KindWrite, Page: ev.Page, At: int64(ev.At), Aux: gap})
 	}
 
@@ -517,7 +478,7 @@ func (e *Engine) Observe(ev trace.Event) error {
 		}
 	}
 	// Misprediction accounting for the last completed test.
-	if st.testedAt >= 0 {
+	if st.tested {
 		idleNs := dram.Nanoseconds(ev.At-st.testedAt) * dram.Microsecond
 		if idleNs < e.mwi {
 			e.rep.MispredictedTests++
@@ -526,7 +487,7 @@ func (e *Engine) Observe(ev trace.Event) error {
 			e.rep.CorrectTests++
 			e.rep.TestingTimeCorrectNs += float64(e.testCost)
 		}
-		st.testedAt = -1
+		st.tested = false
 	}
 	return e.pred.Observe(ev)
 }
@@ -544,9 +505,9 @@ func (e *Engine) Retest(page uint32, at trace.Microseconds) error {
 	if at < e.now {
 		return fmt.Errorf("core: retest at %d before engine time %d", at, e.now)
 	}
-	st := e.stateOf(page)
+	st := &e.pages[page]
 	if !st.loRef && !st.testing {
-		st.testedAt = -1
+		st.tested = false
 		return nil
 	}
 	if st.testing {
@@ -564,7 +525,7 @@ func (e *Engine) Retest(page uint32, at trace.Microseconds) error {
 			e.obs.OnEvent(obs.Event{Kind: obs.KindRefreshToHi, Page: page, At: int64(at), Aux: int64(at - st.loSince)})
 		}
 	}
-	st.testedAt = -1
+	st.tested = false
 	st.testing = true
 	e.rep.TestsStarted++
 	done := at + trace.Microseconds(e.cfg.LoRef/dram.Microsecond)
@@ -628,18 +589,14 @@ func (e *Engine) Finish(end trace.Microseconds) (Report, error) {
 	e.now = end
 
 	// Close LO-REF segments and settle outstanding test verdicts: a
-	// page that stayed idle to the end amortized its test. Stale-epoch
-	// entries are pages never touched this run — nothing to settle.
+	// page that stayed idle to the end amortized its test.
 	for i := range e.pages {
 		st := &e.pages[i]
-		if st.epoch != e.epoch {
-			continue
-		}
 		if st.loRef {
 			e.rep.LoRefTime += float64(end - st.loSince)
 			st.loRef = false
 		}
-		if st.testedAt >= 0 {
+		if st.tested {
 			idleNs := dram.Nanoseconds(end-st.testedAt) * dram.Microsecond
 			if idleNs >= e.mwi {
 				e.rep.CorrectTests++
@@ -648,7 +605,7 @@ func (e *Engine) Finish(end trace.Microseconds) (Report, error) {
 				e.rep.MispredictedTests++
 				e.rep.TestingTimeMispredNs += float64(e.testCost)
 			}
-			st.testedAt = -1
+			st.tested = false
 		}
 		if st.testing {
 			// Test still in flight at the end; count it as started but

@@ -10,12 +10,12 @@ import (
 	"memcon/internal/trace"
 )
 
-// This file freezes the engine as it was before the epoch-stamped
-// flat-state rewrite: eagerly initialized page entries, a separate
-// lastWrite model (here irrelevant — no observer), no reuse. The
-// accounting logic is copied verbatim. The differential test replays
-// identical traces through the frozen engine and the live one — fresh,
-// epoch-reset, and streaming — and demands identical reports.
+// This file freezes the engine as it was before the flat-state
+// rewrite: eagerly initialized page entries and a separate lastWrite
+// model (here irrelevant — no observer). The accounting logic is
+// copied verbatim. The differential test replays identical traces
+// through the frozen engine and the live one — fresh and streaming —
+// and demands identical reports.
 // (The predictor rewrite is pinned separately in internal/pril.)
 
 type frozenPageState struct {
@@ -232,9 +232,9 @@ func flakyTester(mod uint32) Tester {
 	return TesterFunc(func(page uint32, _ trace.Microseconds) bool { return page%mod != 0 })
 }
 
-// TestDifferentialAgainstFrozenEngine pins the epoch-stamped engine to
-// the frozen pre-rewrite engine across seeds × quanta × buffer caps,
-// through the fresh, reset-reuse, and streaming entry points.
+// TestDifferentialAgainstFrozenEngine pins the engine to the frozen
+// pre-rewrite engine across seeds × quanta × buffer caps, through the
+// fresh and streaming entry points.
 func TestDifferentialAgainstFrozenEngine(t *testing.T) {
 	quanta := []trace.Microseconds{512 * trace.Millisecond, 1024 * trace.Millisecond, 2048 * trace.Millisecond}
 	caps := []int{0, 5, 64}
@@ -277,23 +277,12 @@ func TestDifferentialAgainstFrozenEngine(t *testing.T) {
 					t.Fatalf("%s: fresh run diverges:\n got %+v\nwant %+v", name, got, want)
 				}
 
-				// Reset-reuse: the same engine, epoch-reset, must
-				// reproduce the report bit for bit.
-				eng.Reset()
-				got, err = eng.Run(tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("%s: reset-reuse run diverges:\n got %+v\nwant %+v", name, got, want)
-				}
-
-				// Streaming: replay through the Source path with a
-				// deliberately undersized initial page space so the run
-				// exercises on-demand growth.
+				// Streaming: replay compact bytes through the Source
+				// path with a deliberately undersized initial page
+				// space so the run exercises on-demand growth.
 				small := cfg
 				small.NumPages = 1
-				got, err = RunSource(nil, tr.Source(), small, WithTester(tester))
+				got, err = RunSource(nil, compactStream(t, tr), small, WithTester(tester))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -36,15 +36,6 @@ func (q *pqueue[T]) Push(v T) {
 	}
 }
 
-// Reset empties the queue, keeping the backing array for reuse.
-func (q *pqueue[T]) Reset() {
-	var zero T
-	for i := range q.items {
-		q.items[i] = zero // release references held by the slots
-	}
-	q.items = q.items[:0]
-}
-
 // Pop removes and returns the minimum item. It must not be called on
 // an empty queue.
 func (q *pqueue[T]) Pop() T {

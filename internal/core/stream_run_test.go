@@ -11,6 +11,21 @@ import (
 	"memcon/internal/trace"
 )
 
+// compactStream encodes tr in the compact format and returns a Stream
+// over the bytes — the path memconsim -replay takes.
+func compactStream(t *testing.T, tr *trace.Trace) *trace.Stream {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteCompact(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s, err := trace.NewStream(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // cancellingSource wraps a Source and fires a context cancellation
 // after a fixed number of events have been handed out, emulating a
 // user interrupt in the middle of a long streaming replay.
@@ -45,7 +60,7 @@ func TestRunSourceCancelledContext(t *testing.T) {
 	t.Run("already cancelled", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		src := &cancellingSource{src: tr.Source(), after: -1, cancel: func() {}}
+		src := &cancellingSource{src: compactStream(t, tr), after: -1, cancel: func() {}}
 		if _, err := RunSource(ctx, src, DefaultConfig()); !errors.Is(err, context.Canceled) {
 			t.Fatalf("RunSource = %v, want context.Canceled", err)
 		}
@@ -57,7 +72,7 @@ func TestRunSourceCancelledContext(t *testing.T) {
 	t.Run("mid stream", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		src := &cancellingSource{src: tr.Source(), after: events / 2, cancel: cancel}
+		src := &cancellingSource{src: compactStream(t, tr), after: events / 2, cancel: cancel}
 		if _, err := RunSource(ctx, src, DefaultConfig()); !errors.Is(err, context.Canceled) {
 			t.Fatalf("RunSource = %v, want context.Canceled", err)
 		}

@@ -268,29 +268,6 @@ func (m *Model) VictimRows(bank int) ([]int32, []int64) {
 	return bv.victimRows, bv.victimThresholds
 }
 
-// RowThreshold returns the first-flip threshold of a system row
-// (neverFlips-sized when the row holds no victim cells; use VictimRows
-// to enumerate finite thresholds).
-func (m *Model) RowThreshold(a dram.RowAddress) int64 {
-	return m.banks[a.Bank].thrBySysRow[a.Row]
-}
-
-// CellThresholds returns the per-cell flip thresholds of a system row
-// in ascending system-column order — the row's blast-radius staircase:
-// the number of entries at or below a hammer count is the row's maximum
-// flipped-cell count at that count.
-func (m *Model) CellThresholds(a dram.RowAddress) []int64 {
-	bv := m.banks[a.Bank]
-	var out []int64
-	for i := bv.offsets[a.Row]; i < bv.offsets[a.Row+1]; i++ {
-		out = append(out, bv.cells[i].threshold)
-	}
-	return out
-}
-
-// VictimCellCount returns the number of victim cells in the bank.
-func (m *Model) VictimCellCount(bank int) int { return len(m.banks[bank].cells) }
-
 // Aggressors returns the system rows whose activations hammer the given
 // victim row — its physical neighbours, resolved through the retention
 // model's permutation tables (the silicon is shared, so adjacency is
@@ -298,6 +275,3 @@ func (m *Model) VictimCellCount(bank int) int { return len(m.banks[bank].cells) 
 func (m *Model) Aggressors(a dram.RowAddress) []dram.RowAddress {
 	return m.fm.NeighborSysRows(a)
 }
-
-// Geometry returns the model's geometry.
-func (m *Model) Geometry() dram.Geometry { return m.geom }

@@ -2,6 +2,7 @@ package disturb
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"memcon/internal/dram"
@@ -73,8 +74,10 @@ func TestParamsValidate(t *testing.T) {
 func TestPopulationDeterministic(t *testing.T) {
 	p := DefaultParams()
 	p.VictimRowFraction = 0.1
-	a, _, _ := newTestModel(t, 7, p)
+	a, _, mod := newTestModel(t, 7, p)
 	b, _, _ := newTestModel(t, 7, p)
+	fillRandom(t, mod, 1)
+	hammer := faults.RowWindow{Hammer: 1 << 40}
 	for bank := 0; bank < testGeometry().BanksPerChip; bank++ {
 		ra, ta := a.VictimRows(bank)
 		rb, tb := b.VictimRows(bank)
@@ -86,8 +89,14 @@ func TestPopulationDeterministic(t *testing.T) {
 				t.Fatalf("bank %d entry %d: (%d,%d) vs (%d,%d)", bank, i, ra[i], ta[i], rb[i], tb[i])
 			}
 		}
-		if a.VictimCellCount(bank) != b.VictimCellCount(bank) {
-			t.Fatalf("bank %d: cell counts differ", bank)
+		// Same victim cells: identical content fails identically.
+		for _, r := range ra {
+			addr := dram.RowAddress{Bank: bank, Row: int(r)}
+			ca := a.AppendFailures(nil, mod, addr, hammer)
+			cb := b.AppendFailures(nil, mod, addr, hammer)
+			if !slices.Equal(ca, cb) {
+				t.Fatalf("bank %d row %d: failing cells differ: %v vs %v", bank, r, ca, cb)
+			}
 		}
 	}
 	c, _, _ := newTestModel(t, 8, p)
@@ -115,11 +124,15 @@ func TestFlipsRequireHammerAboveThreshold(t *testing.T) {
 	p.VictimRowFraction = 0.2
 	m, _, mod := newTestModel(t, 11, p)
 	fillRandom(t, mod, 3)
-	geom := m.Geometry()
+	geom := testGeometry()
 	for b := 0; b < geom.BanksPerChip; b++ {
 		rows, thrs := m.VictimRows(b)
 		if len(rows) == 0 {
 			t.Fatalf("bank %d: no victims sampled", b)
+		}
+		thrOf := make(map[int]int64, len(rows))
+		for i, r := range rows {
+			thrOf[int(r)] = thrs[i]
 		}
 		prevTotal := -1
 		for _, hammer := range []int64{0, p.HCFirstFloor - 1, p.HCFirstFloor * 4, 1 << 40} {
@@ -132,8 +145,8 @@ func TestFlipsRequireHammerAboveThreshold(t *testing.T) {
 				if len(cells) > 0 && !m.RowVulnerable(a, w) {
 					t.Fatalf("bank %d row %d: cells flipped but RowVulnerable false", b, r)
 				}
-				if hammer < m.RowThreshold(a) && len(cells) > 0 {
-					t.Fatalf("bank %d row %d: flips at hammer %d below threshold %d", b, r, hammer, m.RowThreshold(a))
+				if thr, victim := thrOf[r]; (!victim || hammer < thr) && len(cells) > 0 {
+					t.Fatalf("bank %d row %d: flips at hammer %d below threshold %d", b, r, hammer, thr)
 				}
 			}
 			if total < prevTotal {
@@ -163,7 +176,7 @@ func TestFlipsAreContentConditional(t *testing.T) {
 	p.VictimRowFraction = 0.2
 	m, fm, mod := newTestModel(t, 13, p)
 	fillRandom(t, mod, 9)
-	geom := m.Geometry()
+	geom := testGeometry()
 	hammer := faults.RowWindow{Hammer: 1 << 40}
 	checked := 0
 	for b := 0; b < geom.BanksPerChip; b++ {
@@ -175,10 +188,7 @@ func TestFlipsAreContentConditional(t *testing.T) {
 				continue
 			}
 			cb := int(fm.RowChargedBit(b, int(r)))
-			row, err := mod.PeekRow(a)
-			if err != nil {
-				t.Fatal(err)
-			}
+			row := mod.RowRef(a)
 			for _, c := range cells {
 				if row.Bit(c) != cb {
 					t.Fatalf("bank %d row %d col %d: flipped while storing discharged value", b, r, c)
@@ -212,7 +222,7 @@ func TestFlipsAreContentConditional(t *testing.T) {
 func TestAggressorsArePhysicalNeighbors(t *testing.T) {
 	p := DefaultParams()
 	m, fm, _ := newTestModel(t, 17, p)
-	geom := m.Geometry()
+	geom := testGeometry()
 	for b := 0; b < geom.BanksPerChip; b++ {
 		rows, _ := m.VictimRows(b)
 		for _, r := range rows {
@@ -232,28 +242,31 @@ func TestAggressorsArePhysicalNeighbors(t *testing.T) {
 }
 
 // TestCellThresholdsStaircase: per-row cell thresholds start at the
-// row's threshold and escalate, bounding flips per hammer count.
+// row's threshold and escalate, bounding flips per hammer count. With
+// every cell storing the charged value, no cell flips below the row's
+// threshold, at least one flips at it, and more may flip above it.
 func TestCellThresholdsStaircase(t *testing.T) {
 	p := DefaultParams()
 	p.VictimRowFraction = 0.2
-	m, _, _ := newTestModel(t, 19, p)
-	geom := m.Geometry()
+	m, fm, mod := newTestModel(t, 19, p)
+	geom := testGeometry()
 	for b := 0; b < geom.BanksPerChip; b++ {
 		rows, thrs := m.VictimRows(b)
 		for i, r := range rows {
 			a := dram.RowAddress{Bank: b, Row: int(r)}
-			cells := m.CellThresholds(a)
-			if len(cells) == 0 {
-				t.Fatalf("bank %d row %d: victim row without cell thresholds", b, r)
+			charged := dram.NewRow(geom.ColsPerRow)
+			if fm.RowChargedBit(b, int(r)) == 1 {
+				charged.Fill(^uint64(0))
 			}
-			min := cells[0]
-			for _, thr := range cells {
-				if thr < min {
-					min = thr
-				}
+			if err := mod.WriteRow(a, charged, 0); err != nil {
+				t.Fatal(err)
 			}
-			if min != thrs[i] || min != m.RowThreshold(a) {
-				t.Fatalf("bank %d row %d: min cell threshold %d, row threshold %d/%d", b, r, min, thrs[i], m.RowThreshold(a))
+			below := m.AppendFailures(nil, mod, a, faults.RowWindow{Hammer: thrs[i] - 1})
+			at := m.AppendFailures(nil, mod, a, faults.RowWindow{Hammer: thrs[i]})
+			above := m.AppendFailures(nil, mod, a, faults.RowWindow{Hammer: 1 << 40})
+			if len(below) != 0 || len(at) == 0 || len(above) < len(at) {
+				t.Fatalf("bank %d row %d: %d/%d/%d cells flip below/at/far above the row threshold %d",
+					b, r, len(below), len(at), len(above), thrs[i])
 			}
 		}
 	}

@@ -18,8 +18,6 @@ import (
 // Scrambler composes BaseCol with the manufacturing-time faulty-column
 // remap (Fig. 2b), which is mapping-independent.
 type AddressMapping interface {
-	// Name is the registry name of the mapping scheme.
-	Name() string
 	// PhysRow maps a system row index (within a bank) to its physical row.
 	PhysRow(bank, row int) int
 	// BaseCol maps a system column to its pre-remap physical column.
@@ -100,8 +98,6 @@ func newFeistelMapping(geom Geometry, seed uint64) *feistelMapping {
 	return m
 }
 
-func (m *feistelMapping) Name() string { return DefaultMappingName }
-
 // PhysRow composes bijective steps over the power-of-two domain
 // [0, 2^rowBits) — multiply by an odd constant, XOR, and bit rotation —
 // and cycle-walks results that land outside [0, RowsPerBank) back into
@@ -153,7 +149,6 @@ func (m *feistelMapping) BaseCol(col int) int {
 // neighbour testing makes, so it doubles as the adversarial baseline.
 type linearMapping struct{}
 
-func (linearMapping) Name() string              { return "linear" }
 func (linearMapping) PhysRow(bank, row int) int { return row }
 func (linearMapping) BaseCol(col int) int       { return col }
 
@@ -179,8 +174,6 @@ func newGrayMapping(geom Geometry, seed uint64) *grayMapping {
 	}
 	return m
 }
-
-func (m *grayMapping) Name() string { return "gray" }
 
 func (m *grayMapping) PhysRow(bank, row int) int {
 	r := row
@@ -218,8 +211,6 @@ func newMirrorMapping(geom Geometry, seed uint64) *mirrorMapping {
 	}
 	return m
 }
-
-func (m *mirrorMapping) Name() string { return "mirror" }
 
 func (m *mirrorMapping) PhysRow(bank, row int) int {
 	r := uint64(row)

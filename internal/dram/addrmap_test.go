@@ -55,9 +55,6 @@ func TestMappingBijections(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if m.Name() != name {
-					t.Errorf("%s: Name() = %q", name, m.Name())
-				}
 				for b := 0; b < geom.BanksPerChip; b++ {
 					seen := make([]bool, geom.RowsPerBank)
 					for r := 0; r < geom.RowsPerBank; r++ {

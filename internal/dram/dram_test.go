@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -103,29 +104,25 @@ func TestRowBitOps(t *testing.T) {
 			t.Errorf("bit %d = 0, want 1", c)
 		}
 	}
-	if r.OnesCount() != 4 {
-		t.Errorf("OnesCount = %d, want 4", r.OnesCount())
+	if r[0] != 1|1<<63 || r[1] != 1|1<<63 {
+		t.Errorf("row = %#x, want bits 0, 63, 64 and 127 set", r)
 	}
 	r.SetBit(63, 0)
 	if r.Bit(63) != 0 {
 		t.Error("clearing bit 63 failed")
 	}
-	if r.OnesCount() != 3 {
-		t.Errorf("OnesCount after clear = %d, want 3", r.OnesCount())
+	if r[0] != 1 || r[1] != 1|1<<63 {
+		t.Errorf("row after clear = %#x, want bits 0, 64 and 127 set", r)
 	}
 }
 
-func TestRowDiffBits(t *testing.T) {
+func TestRowEqual(t *testing.T) {
 	a := NewRow(128)
 	b := NewRow(128)
 	a.SetBit(5, 1)
 	a.SetBit(100, 1)
 	b.SetBit(100, 1)
 	b.SetBit(70, 1)
-	diffs := a.DiffBits(b)
-	if len(diffs) != 2 || diffs[0] != 5 || diffs[1] != 70 {
-		t.Errorf("DiffBits = %v, want [5 70]", diffs)
-	}
 	if !a.Equal(a.Clone()) {
 		t.Error("clone should equal original")
 	}
@@ -134,37 +131,6 @@ func TestRowDiffBits(t *testing.T) {
 	}
 	if a.Equal(NewRow(64)) {
 		t.Error("different lengths reported equal")
-	}
-}
-
-func TestRowAppendDiffBits(t *testing.T) {
-	a := NewRow(128)
-	b := NewRow(128)
-	a.SetBit(5, 1)
-	a.SetBit(100, 1)
-	b.SetBit(70, 1)
-	// Appending into a prefilled slice keeps the prefix.
-	got := a.AppendDiffBits([]int{-1}, b)
-	want := []int{-1, 5, 70, 100}
-	if len(got) != len(want) {
-		t.Fatalf("AppendDiffBits = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AppendDiffBits = %v, want %v", got, want)
-		}
-	}
-	// Reusing a capacious buffer must not allocate.
-	buf := make([]int, 0, 128)
-	allocs := testing.AllocsPerRun(10, func() {
-		buf = a.AppendDiffBits(buf[:0], b)
-	})
-	if allocs != 0 {
-		t.Errorf("AppendDiffBits allocated %.1f times with a reused buffer", allocs)
-	}
-	// Identical rows diff to nothing.
-	if d := a.AppendDiffBits(nil, a.Clone()); len(d) != 0 {
-		t.Errorf("self-diff = %v, want empty", d)
 	}
 }
 
@@ -194,12 +160,17 @@ func TestModuleRowAtAliasesRowRef(t *testing.T) {
 func TestRowFillAndRandomize(t *testing.T) {
 	r := NewRow(256)
 	r.Fill(^uint64(0))
-	if r.OnesCount() != 256 {
-		t.Errorf("Fill(all ones) count = %d, want 256", r.OnesCount())
+	for i, w := range r {
+		if w != ^uint64(0) {
+			t.Errorf("Fill(all ones) word %d = %#x", i, w)
+		}
 	}
 	rng := rand.New(rand.NewSource(3))
 	r.Randomize(rng)
-	n := r.OnesCount()
+	n := 0
+	for _, w := range r {
+		n += bits.OnesCount64(w)
+	}
 	if n == 0 || n == 256 {
 		t.Errorf("randomized row suspicious ones count %d", n)
 	}
@@ -218,14 +189,16 @@ func TestRowSetBitProperty(t *testing.T) {
 			val = 1
 		}
 		r.SetBit(c, val)
-		if r.Bit(c) != val {
-			return false
+		for i := 0; i < 512; i++ {
+			want := before.Bit(i)
+			if i == c {
+				want = val
+			}
+			if r.Bit(i) != want {
+				return false
+			}
 		}
-		diffs := before.DiffBits(r)
-		if len(diffs) == 0 {
-			return before.Bit(c) == val
-		}
-		return len(diffs) == 1 && diffs[0] == c
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -244,21 +217,17 @@ func TestModuleWriteReadPeek(t *testing.T) {
 	if err := m.WriteRow(a, content, 100); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.PeekRow(a)
-	if err != nil {
-		t.Fatal(err)
+	if !m.RowRef(a).Equal(content) {
+		t.Error("stored row does not match written content")
 	}
-	if !got.Equal(content) {
-		t.Error("peek does not match written content")
+	// The module stores a copy: mutating the caller's row afterwards
+	// must not affect stored state.
+	content.SetBit(0, 1)
+	if m.RowRef(a).Bit(0) != 0 {
+		t.Error("WriteRow aliased the caller's row")
 	}
-	// Mutating the returned copy must not affect stored state.
-	got.SetBit(0, 1)
-	again, _ := m.PeekRow(a)
-	if again.Bit(0) != 0 {
-		t.Error("PeekRow returned aliased storage")
-	}
-	if m.LastCharge(a) != 100 {
-		t.Errorf("LastCharge = %d, want 100", m.LastCharge(a))
+	if got := m.IdleTime(a, 150); got != 50 {
+		t.Errorf("IdleTime 50 ns after the write = %d, want 50", got)
 	}
 }
 
@@ -270,9 +239,6 @@ func TestModuleErrors(t *testing.T) {
 	bad := RowAddress{Bank: -1, Row: 0}
 	if err := m.WriteRow(bad, NewRow(m.Geometry().ColsPerRow), 0); err == nil {
 		t.Error("write to invalid address should error")
-	}
-	if _, err := m.PeekRow(bad); err == nil {
-		t.Error("peek of invalid address should error")
 	}
 	short := NewRow(64)
 	if err := m.WriteRow(RowAddress{}, short, 0); err == nil {
@@ -286,7 +252,7 @@ func TestModuleErrors(t *testing.T) {
 func TestModuleChargeBookkeeping(t *testing.T) {
 	m, _ := NewModule(DefaultGeometry())
 	a := RowAddress{Bank: 0, Row: 10}
-	m.Refresh(a, 5*Millisecond)
+	m.Activate(a, 5*Millisecond)
 	if got := m.IdleTime(a, 7*Millisecond); got != 2*Millisecond {
 		t.Errorf("IdleTime = %d, want 2ms", got)
 	}
@@ -294,8 +260,8 @@ func TestModuleChargeBookkeeping(t *testing.T) {
 		t.Errorf("IdleTime before charge = %d, want clamped 0", got)
 	}
 	m.Activate(a, 9*Millisecond)
-	if got := m.LastCharge(a); got != 9*Millisecond {
-		t.Errorf("Activate did not recharge: %d", got)
+	if got := m.IdleTime(a, 10*Millisecond); got != Millisecond {
+		t.Errorf("Activate did not recharge: IdleTime = %d, want 1ms", got)
 	}
 }
 
@@ -308,7 +274,7 @@ func TestModuleApplyFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.ApplyFlips(a, []int{8, 9})
-	got, _ := m.PeekRow(a)
+	got := m.RowRef(a)
 	if got.Bit(8) != 0 || got.Bit(9) != 1 {
 		t.Errorf("flips not applied: bit8=%d bit9=%d", got.Bit(8), got.Bit(9))
 	}
@@ -408,7 +374,6 @@ func TestScramblerColumnRemapping(t *testing.T) {
 	// Pick some physical columns that are in use and declare them faulty.
 	faulty := []int{noRemap.PhysCol(10), noRemap.PhysCol(20), noRemap.PhysCol(30)}
 	s := NewScrambler(g, 5, faulty)
-	remapCount := 0
 	for c := 0; c < g.ColsPerRow; c++ {
 		p := s.PhysCol(c)
 		for _, f := range faulty {
@@ -416,29 +381,12 @@ func TestScramblerColumnRemapping(t *testing.T) {
 				t.Errorf("system col %d still maps to faulty physical col %d", c, f)
 			}
 		}
-		if s.IsRemapped(c) {
-			remapCount++
+		if c == 10 || c == 20 || c == 30 {
 			if p < g.ColsPerRow {
 				t.Errorf("remapped col %d maps to %d, want redundant region >= %d", c, p, g.ColsPerRow)
 			}
+		} else if p != noRemap.PhysCol(c) {
+			t.Errorf("healthy col %d moved from %d to %d", c, noRemap.PhysCol(c), p)
 		}
-	}
-	if remapCount != 3 {
-		t.Errorf("remapped %d columns, want 3", remapCount)
-	}
-}
-
-func TestSysColOfPhys(t *testing.T) {
-	g := DefaultGeometry()
-	s := NewScrambler(g, 5, nil)
-	for c := 0; c < 64; c++ {
-		p := s.PhysCol(c)
-		if got := s.SysColOfPhys(p); got != c {
-			t.Errorf("SysColOfPhys(PhysCol(%d)) = %d", c, got)
-		}
-	}
-	// An unused redundant column maps to no system column.
-	if got := s.SysColOfPhys(g.ColsPerRow); got != -1 {
-		t.Errorf("unused redundant col maps to %d, want -1", got)
 	}
 }

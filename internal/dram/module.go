@@ -2,7 +2,6 @@ package dram
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 )
 
@@ -43,38 +42,6 @@ func (r Row) Equal(o Row) bool {
 		}
 	}
 	return true
-}
-
-// DiffBits returns the cell indices at which r and o differ. Rows must be
-// the same length.
-func (r Row) DiffBits(o Row) []int {
-	return r.AppendDiffBits(nil, o)
-}
-
-// AppendDiffBits appends the cell indices at which r and o differ to
-// dst and returns the extended slice — the allocation-free form of
-// DiffBits for callers that diff many rows through one reusable buffer.
-// The comparison works a packed 64-cell word at a time. Rows must be
-// the same length.
-func (r Row) AppendDiffBits(dst []int, o Row) []int {
-	for w := range r {
-		x := r[w] ^ o[w]
-		for x != 0 {
-			b := bits.TrailingZeros64(x)
-			dst = append(dst, w*64+b)
-			x &= x - 1
-		}
-	}
-	return dst
-}
-
-// OnesCount returns the number of set cells in the row.
-func (r Row) OnesCount() int {
-	var n int
-	for _, w := range r {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // Fill sets every 64-cell word of the row to pattern.
@@ -143,16 +110,6 @@ func (m *Module) WriteRow(a RowAddress, content Row, now Nanoseconds) error {
 	return nil
 }
 
-// PeekRow returns the stored (intended) content of the row without
-// modelling failures or recharging — the "what the program wrote" view,
-// used by testers to compare against what is read back.
-func (m *Module) PeekRow(a RowAddress) (Row, error) {
-	if !m.geom.ValidAddress(a) {
-		return nil, fmt.Errorf("dram: peek of invalid address %+v", a)
-	}
-	return m.rows[m.geom.RowIndex(a)].Clone(), nil
-}
-
 // RowRef returns the module's internal row storage for the address. It
 // is used by the faults package (playing the role of silicon) and must
 // not be retained across writes by other callers.
@@ -165,12 +122,6 @@ func (m *Module) RowRef(a RowAddress) Row {
 // silicon-side fast path the faults kernel uses for neighbour reads.
 // Same aliasing rules as RowRef.
 func (m *Module) RowAt(idx int) Row { return m.rows[idx] }
-
-// LastCharge returns the time the addressed row was last activated or
-// refreshed.
-func (m *Module) LastCharge(a RowAddress) Nanoseconds {
-	return m.lastCharge[m.geom.RowIndex(a)]
-}
 
 // IdleTime returns how long the row has been idle (uncharged) at time now.
 func (m *Module) IdleTime(a RowAddress, now Nanoseconds) Nanoseconds {
@@ -198,12 +149,6 @@ func (m *Module) RechargeAll(now Nanoseconds) {
 	for i := range m.lastCharge {
 		m.lastCharge[i] = now
 	}
-}
-
-// Refresh recharges the addressed row at time now, exactly as an
-// activation would (a refresh is an activate+precharge).
-func (m *Module) Refresh(a RowAddress, now Nanoseconds) {
-	m.lastCharge[m.geom.RowIndex(a)] = now
 }
 
 // ApplyFlips mutates stored content, flipping the given cells of the

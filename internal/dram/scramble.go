@@ -14,10 +14,9 @@ package dram
 // in addrmap.go. The Scrambler layers the manufacturing-time faulty
 // column remap (Fig. 2b) on top of whichever mapping is installed.
 type Scrambler struct {
-	geom     Geometry
-	mapping  AddressMapping
-	remap    []int // system column -> physical column (after remapping)
-	remapped map[int]bool
+	geom    Geometry
+	mapping AddressMapping
+	remap   []int // system column -> physical column (after remapping)
 }
 
 // NewScrambler builds the default vendor mapping for a chip. faultyCols
@@ -44,9 +43,8 @@ func NewMappedScrambler(geom Geometry, seed uint64, faultyCols []int, mapping st
 // mapping, layering the faulty-column remap on the mapping's BaseCol.
 func NewScramblerWithMapping(geom Geometry, faultyCols []int, m AddressMapping) *Scrambler {
 	s := &Scrambler{
-		geom:     geom,
-		mapping:  m,
-		remapped: make(map[int]bool),
+		geom:    geom,
+		mapping: m,
 	}
 	// Base column mapping, from the installed scheme.
 	s.remap = make([]int, geom.ColsPerRow)
@@ -65,7 +63,6 @@ func NewScramblerWithMapping(geom Geometry, faultyCols []int, m AddressMapping) 
 	for c := range s.remap {
 		if faulty[s.remap[c]] && next < geom.PhysCols() {
 			s.remap[c] = next
-			s.remapped[c] = true
 			next++
 		}
 	}
@@ -88,9 +85,6 @@ func gcd(a, b int) int {
 	return a
 }
 
-// MappingName reports which vendor mapping scheme this scrambler uses.
-func (s *Scrambler) MappingName() string { return s.mapping.Name() }
-
 // PhysRow maps a system row index (within a bank) to its physical row.
 func (s *Scrambler) PhysRow(bank, row int) int {
 	return s.mapping.PhysRow(bank, row)
@@ -100,20 +94,4 @@ func (s *Scrambler) PhysRow(bank, row int) int {
 // manufacturing-time column remapping.
 func (s *Scrambler) PhysCol(col int) int {
 	return s.remap[col]
-}
-
-// IsRemapped reports whether the system column was remapped into the
-// redundant region.
-func (s *Scrambler) IsRemapped(col int) bool { return s.remapped[col] }
-
-// SysColOfPhys returns the system column currently mapped to physical
-// column p, or -1 when no system column maps there (e.g. an unused
-// redundant column or a faulty column that was remapped away).
-func (s *Scrambler) SysColOfPhys(p int) int {
-	for c, pc := range s.remap {
-		if pc == p {
-			return c
-		}
-	}
-	return -1
 }

@@ -101,9 +101,6 @@ func (r *AblBufferResult) Report() *report.Report {
 	return rep
 }
 
-// String renders the buffer ablation as text.
-func (r *AblBufferResult) String() string { return r.Report().Text() }
-
 // AblAccelRow is one acceleration variant.
 type AblAccelRow struct {
 	Accel            costmodel.Accel
@@ -151,9 +148,6 @@ func (r *AblAccelResult) Report() *report.Report {
 	rep.Textf("\nin-DRAM copy/compare (RowClone/LISA/PIM) shrinks the amortization threshold,\nletting MEMCON exploit shorter write intervals\n")
 	return rep
 }
-
-// String renders the acceleration ablation as text.
-func (r *AblAccelResult) String() string { return r.Report().Text() }
 
 // AblPrilResult compares the two PRIL implementations.
 type AblPrilResult struct {
@@ -225,6 +219,3 @@ func (r *AblPrilResult) Report() *report.Report {
 	rep.AddDataTable(st)
 	return rep
 }
-
-// String renders the PRIL-implementation ablation as text.
-func (r *AblPrilResult) String() string { return r.Report().Text() }

@@ -38,7 +38,7 @@ func TestRunAblBuffer(t *testing.T) {
 	if starved.Reduction > unbounded.Reduction+1e-9 {
 		t.Errorf("starved reduction %v beats unbounded %v", starved.Reduction, unbounded.Reduction)
 	}
-	if !strings.Contains(out.String(), "unbounded") {
+	if !strings.Contains(out.Report().Text(), "unbounded") {
 		t.Error("report missing capacity labels")
 	}
 }
@@ -60,7 +60,7 @@ func TestRunAblAccel(t *testing.T) {
 			t.Error("acceleration increased MinWriteInterval")
 		}
 	}
-	_ = out.String()
+	_ = out.Report().Text()
 }
 
 func TestRunAblPril(t *testing.T) {
@@ -75,7 +75,7 @@ func TestRunAblPril(t *testing.T) {
 	if r.BufferPredictions == 0 {
 		t.Error("no predictions made; comparison vacuous")
 	}
-	_ = out.String()
+	_ = out.Report().Text()
 }
 
 func TestRunEnergy(t *testing.T) {
@@ -114,7 +114,7 @@ func TestRunEnergy(t *testing.T) {
 		t.Errorf("testing energy %v not small vs refresh %v",
 			mcRow.Breakdown.TestingMJ, mcRow.Breakdown.RefreshMJ)
 	}
-	if !strings.Contains(out.String(), "MEMCON") {
+	if !strings.Contains(out.Report().Text(), "MEMCON") {
 		t.Error("report missing policies")
 	}
 }
@@ -136,7 +136,7 @@ func TestRunVRT(t *testing.T) {
 	if r.TotalRAIDR == 0 {
 		t.Error("one-shot profile never escaped; VRT population too small to mean anything")
 	}
-	if !strings.Contains(out.String(), "MEMCON") {
+	if !strings.Contains(out.Report().Text(), "MEMCON") {
 		t.Error("report incomplete")
 	}
 }
@@ -156,7 +156,7 @@ func TestRunClosedLoop(t *testing.T) {
 	if r.Combined < r.Core.RefreshReduction() {
 		t.Error("combined savings below MEMCON alone")
 	}
-	if !strings.Contains(out.String(), "captured") {
+	if !strings.Contains(out.Report().Text(), "captured") {
 		t.Error("report incomplete")
 	}
 }
@@ -177,7 +177,7 @@ func TestRunProfile(t *testing.T) {
 				r.Rows[i].Guardband, r.Rows[i-1].Guardband)
 		}
 	}
-	_ = out.String()
+	_ = out.Report().Text()
 }
 
 func TestRunAblRemap(t *testing.T) {
@@ -195,7 +195,7 @@ func TestRunAblRemap(t *testing.T) {
 	if r.RemapReduction < r.PlainReduction {
 		t.Errorf("remap lowered reduction: %v vs %v", r.RemapReduction, r.PlainReduction)
 	}
-	_ = out.String()
+	_ = out.Report().Text()
 }
 
 func TestCSVExports(t *testing.T) {

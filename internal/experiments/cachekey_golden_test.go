@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"memcon/internal/report"
+	"memcon/internal/servecache"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/cachekeys.txt from the committed reference reports")
@@ -41,7 +42,7 @@ func goldenCacheKeys(t *testing.T) []string {
 		if err := req.Normalize(); err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
-		lines = append(lines, fmt.Sprintf("%s %s", req.Experiment, req.KeyHex()))
+		lines = append(lines, fmt.Sprintf("%s %s", req.Experiment, servecache.Key(req.CacheKey())))
 	}
 	sort.Strings(lines)
 	return lines

@@ -141,9 +141,6 @@ func (r *Fig3Result) Report() *report.Report {
 	return rep
 }
 
-// String renders the Fig. 3 report as text.
-func (r *Fig3Result) String() string { return r.Report().Text() }
-
 func max(a, b int) int {
 	if a > b {
 		return a
@@ -267,6 +264,3 @@ func (r *Fig4Result) Report() *report.Report {
 	rep.AddDataTable(st)
 	return rep
 }
-
-// String renders the Fig. 4 report as text.
-func (r *Fig4Result) String() string { return r.Report().Text() }

@@ -123,6 +123,3 @@ func (r *ClosedLoopResult) Report() *report.Report {
 	rep.Textf("\nthe same pipeline the paper's methodology implies: its HMTT tracer captured\nreal machines; ours captures the simulated system, byte-compatible with\ncmd/tracegen output\n")
 	return rep
 }
-
-// String renders the closed-loop report as text.
-func (r *ClosedLoopResult) String() string { return r.Report().Text() }

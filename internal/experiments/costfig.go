@@ -93,9 +93,6 @@ func (r *Fig6Result) Report() *report.Report {
 	return rep
 }
 
-// String renders the Fig. 6 report as text.
-func (r *Fig6Result) String() string { return r.Report().Text() }
-
 // AppendixResult reports the latency building blocks (paper appendix).
 type AppendixResult struct {
 	resultMeta
@@ -132,6 +129,3 @@ func (r *AppendixResult) Report() *report.Report {
 	rep.AddTable(t)
 	return rep
 }
-
-// String renders the appendix report as text.
-func (r *AppendixResult) String() string { return r.Report().Text() }

@@ -342,9 +342,6 @@ func (r *DisturbExposureResult) Report() *report.Report {
 	return rep
 }
 
-// String renders the exposure census as text.
-func (r *DisturbExposureResult) String() string { return r.Report().Text() }
-
 // DisturbPolicyOutcome is one mitigation policy's measured overhead and
 // analytic residual blast radius over the shared traffic mix.
 type DisturbPolicyOutcome struct {
@@ -494,6 +491,3 @@ func (r *DisturbMitigationResult) Report() *report.Report {
 	rep.Textf("\nevery policy replays the identical access stream; operation counts are\nmeasured in the controller, residual exposure is the analytic bound over\nmeasured per-victim hammer rates (PARA escapes with (1-p)^H, PRAC caps\nthe inter-mitigation hammer at 2(n-1)+1)\n")
 	return rep
 }
-
-// String renders the mitigation sweep as text.
-func (r *DisturbMitigationResult) String() string { return r.Report().Text() }

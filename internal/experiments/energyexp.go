@@ -148,6 +148,3 @@ func (r *EnergyResult) Report() *report.Report {
 	rep.AddDataTable(st)
 	return rep
 }
-
-// String renders the energy comparison as text.
-func (r *EnergyResult) String() string { return r.Report().Text() }

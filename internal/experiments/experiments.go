@@ -14,12 +14,11 @@ import (
 	"memcon/internal/report"
 )
 
-// Result is the outcome of one experiment: a typed report plus the
-// legacy text rendering (String delegates to the report's text form).
-// The interface is sealed — result types live in this package and embed
-// resultMeta, which lets the dispatcher stamp provenance after the run.
+// Result is the outcome of one experiment, rendered through its typed
+// report. The interface is sealed — result types live in this package
+// and embed resultMeta, which lets the dispatcher stamp provenance
+// after the run.
 type Result interface {
-	fmt.Stringer
 	// Report builds the structured result document. The provenance
 	// header is populated when the result came from RunRequest;
 	// results built by calling a runner directly carry empty provenance.

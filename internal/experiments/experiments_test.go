@@ -91,7 +91,7 @@ func TestRunFig6MatchesPaper(t *testing.T) {
 			t.Errorf("%s @%dms: MWI = %d ms, want %d", c.mode, c.lo, got, c.want)
 		}
 	}
-	if !strings.Contains(out.String(), "MinWriteInterval") {
+	if !strings.Contains(out.Report().Text(), "MinWriteInterval") {
 		t.Error("report missing MinWriteInterval column")
 	}
 }
@@ -105,7 +105,7 @@ func TestRunAppendix(t *testing.T) {
 	if r.Costs.ReadCompare != 1068 || r.Costs.CopyCompare != 1602 || r.Costs.RefreshCost != 39 {
 		t.Errorf("appendix costs = %+v", r.Costs)
 	}
-	if !strings.Contains(out.String(), "1068") {
+	if !strings.Contains(out.Report().Text(), "1068") {
 		t.Error("report missing cost values")
 	}
 }
@@ -119,7 +119,7 @@ func TestRunTable1(t *testing.T) {
 	if len(r.Apps) != 12 {
 		t.Errorf("apps = %d, want 12", len(r.Apps))
 	}
-	if !strings.Contains(out.String(), "Netflix") {
+	if !strings.Contains(out.Report().Text(), "Netflix") {
 		t.Error("report missing workloads")
 	}
 }
@@ -144,7 +144,7 @@ func TestRunFig3(t *testing.T) {
 	if frac < 0.5 {
 		t.Errorf("only %.0f%% of failing cells are data-dependent", 100*frac)
 	}
-	_ = out.String()
+	_ = out.Report().Text()
 }
 
 func TestRunFig4(t *testing.T) {
@@ -172,7 +172,7 @@ func TestRunFig4(t *testing.T) {
 	if r.RatioMin < 1 {
 		t.Errorf("ratio min %v below 1; content should always fail less", r.RatioMin)
 	}
-	_ = out.String()
+	_ = out.Report().Text()
 }
 
 func TestRunFig7(t *testing.T) {
@@ -192,7 +192,7 @@ func TestRunFig7(t *testing.T) {
 			t.Errorf("%s: over-1024ms fraction %v, want < 2%%", a.Name, a.Over1024ms)
 		}
 	}
-	_ = out.String()
+	_ = out.Report().Text()
 }
 
 func TestRunFig8(t *testing.T) {
@@ -209,7 +209,7 @@ func TestRunFig8(t *testing.T) {
 			t.Errorf("%s: non-positive alpha", a.Name)
 		}
 	}
-	_ = out.String()
+	_ = out.Report().Text()
 }
 
 func TestRunFig9(t *testing.T) {
@@ -224,7 +224,7 @@ func TestRunFig9(t *testing.T) {
 	if r.Average < 0.6 {
 		t.Errorf("average long-interval share = %v, want > 0.6 (paper: 0.895)", r.Average)
 	}
-	_ = out.String()
+	_ = out.Report().Text()
 }
 
 func TestRunFig11(t *testing.T) {
@@ -255,7 +255,7 @@ func TestRunFig11(t *testing.T) {
 			t.Errorf("%s: P at CIL 32768ms = %v, want approaching 1", name, r.P[a][i32768])
 		}
 	}
-	_ = out.String()
+	_ = out.Report().Text()
 }
 
 func TestRunFig12(t *testing.T) {
@@ -282,7 +282,7 @@ func TestRunFig12(t *testing.T) {
 			t.Errorf("%s: coverage at CIL 1024ms = %v, want > 0.5", name, at1024)
 		}
 	}
-	_ = out.String()
+	_ = out.Report().Text()
 }
 
 func TestRunFig14(t *testing.T) {
@@ -304,7 +304,7 @@ func TestRunFig14(t *testing.T) {
 	if r.AvgAt1024 < 0.55 {
 		t.Errorf("average reduction %v, want > 0.55 (paper: 64.7-74.5%%)", r.AvgAt1024)
 	}
-	_ = out.String()
+	_ = out.Report().Text()
 }
 
 func TestRunFig17(t *testing.T) {
@@ -316,7 +316,7 @@ func TestRunFig17(t *testing.T) {
 	if r.AvgAt1024 < 0.75 {
 		t.Errorf("average LO-REF coverage %v, want > 0.75 (paper: ~95%%)", r.AvgAt1024)
 	}
-	_ = out.String()
+	_ = out.Report().Text()
 }
 
 func TestRunFig18(t *testing.T) {
@@ -333,7 +333,7 @@ func TestRunFig18(t *testing.T) {
 			t.Errorf("%s: refresh share %v, want in (0.2, 0.5) given 64.7-74.5%% reduction", row.Name, row.RefreshShare)
 		}
 	}
-	_ = out.String()
+	_ = out.Report().Text()
 }
 
 func TestRunFig19(t *testing.T) {
@@ -348,7 +348,7 @@ func TestRunFig19(t *testing.T) {
 			t.Errorf("CIL %v: halved intervals changed P by %v; paper reports little change", r.CILs[i], diff)
 		}
 	}
-	_ = out.String()
+	_ = out.Report().Text()
 }
 
 func TestRunFig15(t *testing.T) {
@@ -375,7 +375,7 @@ func TestRunFig15(t *testing.T) {
 			t.Errorf("%d-core: 75%% reduction slower than 60%%", cores)
 		}
 	}
-	_ = out.String()
+	_ = out.Report().Text()
 }
 
 func TestRunTable3(t *testing.T) {
@@ -395,7 +395,7 @@ func TestRunTable3(t *testing.T) {
 			}
 		}
 	}
-	_ = out.String()
+	_ = out.Report().Text()
 }
 
 func TestRunFig16(t *testing.T) {
@@ -416,7 +416,7 @@ func TestRunFig16(t *testing.T) {
 			}
 		}
 	}
-	_ = out.String()
+	_ = out.Report().Text()
 }
 
 // TestRAIDRPaperConfiguration pins the RAIDR number Fig. 16 and the
@@ -450,7 +450,7 @@ func TestRunMotivation(t *testing.T) {
 	if r.MissRate() < 0.2 {
 		t.Errorf("miss rate = %v, expected substantial misses under scrambling", r.MissRate())
 	}
-	if !strings.Contains(out.String(), "MISSED") {
+	if !strings.Contains(out.Report().Text(), "MISSED") {
 		t.Error("report missing the missed-rows row")
 	}
 }

@@ -58,9 +58,6 @@ func RunFleetCE(ctx context.Context, req Request, rt Runtime) (Result, error) {
 // WriteCELog serializes the run's CE event log in the compact format.
 func (r *FleetCEResult) WriteCELog(w io.Writer) error { return fleet.WriteLog(w, r.log) }
 
-// String renders the report text.
-func (r *FleetCEResult) String() string { return r.Report().Text() }
-
 // Report builds the fleet-ce document: headline counts, the class
 // census, the noisiest banks, and the per-module ground truth (quiet
 // modules hidden from the text rendering, still diffed).
@@ -158,9 +155,6 @@ func RunFleetRisk(ctx context.Context, req Request, rt Runtime) (Result, error) 
 
 // WriteCELog serializes the run's CE event log in the compact format.
 func (r *FleetRiskResult) WriteCELog(w io.Writer) error { return fleet.WriteLog(w, r.log) }
-
-// String renders the report text.
-func (r *FleetRiskResult) String() string { return r.Report().Text() }
 
 // rate renders a possibly-undefined ratio as a report cell: NaN (no
 // positive predictions or labels) becomes the finite sentinel -1

@@ -109,9 +109,6 @@ func (r *Fig7Result) Report() *report.Report {
 	return rep
 }
 
-// String renders the Fig. 7 report as text.
-func (r *Fig7Result) String() string { return r.Report().Text() }
-
 // Fig8App is one application's Pareto fit.
 type Fig8App struct {
 	Name string
@@ -167,9 +164,6 @@ func (r *Fig8Result) Report() *report.Report {
 	rep.Textf("\npaper reports R^2 of 0.94/0.94/0.99 for its three workloads\n")
 	return rep
 }
-
-// String renders the Fig. 8 report as text.
-func (r *Fig8Result) String() string { return r.Report().Text() }
 
 // Fig9Row is one application's long-interval time share.
 type Fig9Row struct {
@@ -237,9 +231,6 @@ func (r *Fig9Result) Report() *report.Report {
 	return rep
 }
 
-// String renders the Fig. 9 report as text.
-func (r *Fig9Result) String() string { return r.Report().Text() }
-
 // Fig11Result reproduces Fig. 11: P(remaining interval > 1024 ms) as a
 // function of the elapsed (current) interval length.
 type Fig11Result struct {
@@ -294,9 +285,6 @@ func (r *Fig11Result) Report() *report.Report {
 	return rep
 }
 
-// String renders the Fig. 11 report as text.
-func (r *Fig11Result) String() string { return r.Report().Text() }
-
 // Fig12Result reproduces Fig. 12: coverage of write-interval time as a
 // function of CIL.
 type Fig12Result struct {
@@ -347,9 +335,6 @@ func (r *Fig12Result) Report() *report.Report {
 	rep.AddTable(t)
 	return rep
 }
-
-// String renders the Fig. 12 report as text.
-func (r *Fig12Result) String() string { return r.Report().Text() }
 
 // Fig19Result reproduces Fig. 19: the same interval statistics with all
 // write intervals halved (emulating higher cache pressure).
@@ -420,6 +405,3 @@ func (r *Fig19Result) Report() *report.Report {
 	rep.AddDataTable(st)
 	return rep
 }
-
-// String renders the Fig. 19 report as text.
-func (r *Fig19Result) String() string { return r.Report().Text() }

@@ -59,20 +59,20 @@ func TestCacheKeyMappingCompatible(t *testing.T) {
 	if err := base.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	keys := map[string]string{"": base.KeyHex()}
+	keys := map[string][32]byte{"": base.CacheKey()}
 	for _, m := range []string{"gray", "linear", "mirror"} {
 		r := testRequest("fig3")
 		r.Mapping = m
 		if err := r.Normalize(); err != nil {
 			t.Fatal(err)
 		}
-		hex := r.KeyHex()
+		key := r.CacheKey()
 		for prev, k := range keys {
-			if k == hex {
-				t.Errorf("mapping %q collides with %q (key %s)", m, prev, hex)
+			if k == key {
+				t.Errorf("mapping %q collides with %q (key %x)", m, prev, key)
 			}
 		}
-		keys[m] = hex
+		keys[m] = key
 	}
 
 	// "default" and "" must share a key — they are the same request.
@@ -81,7 +81,7 @@ func TestCacheKeyMappingCompatible(t *testing.T) {
 	if err := r.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if r.KeyHex() != keys[""] {
+	if r.CacheKey() != keys[""] {
 		t.Error(`"default" and "" key differently after Normalize`)
 	}
 }
@@ -105,7 +105,7 @@ func TestMappingChangesChipNumbers(t *testing.T) {
 		if rep.Prov.Mapping != mapping {
 			t.Errorf("mapping %q: provenance records %q", mapping, rep.Prov.Mapping)
 		}
-		return res.String()
+		return res.Report().Text()
 	}
 	def := run("")
 	gray := run("gray")

@@ -76,6 +76,3 @@ func (r *MotivationResult) Report() *report.Report {
 	rep.AddDataTable(st)
 	return rep
 }
-
-// String renders the motivation report as text.
-func (r *MotivationResult) String() string { return r.Report().Text() }

@@ -142,9 +142,6 @@ func (r *Fig15Result) Report() *report.Report {
 	return rep
 }
 
-// String renders the Fig. 15 report as text.
-func (r *Fig15Result) String() string { return r.Report().Text() }
-
 // Table3Cell is one (cores, tests) overhead entry.
 type Table3Cell struct {
 	Cores int
@@ -214,9 +211,6 @@ func (r *Table3Result) Report() *report.Report {
 	rep.Textf("%s", "\npaper: 0.54%/1.03%/1.88% (1-core), 0.05%/0.09%/0.48% (4-core)\n")
 	return rep
 }
-
-// String renders the Table 3 report as text.
-func (r *Table3Result) String() string { return r.Report().Text() }
 
 // Fig16Cell is one (cores, density, policy) speedup over the 16 ms
 // baseline.
@@ -327,6 +321,3 @@ func (r *Fig16Result) Report() *report.Report {
 	rep.AddDataTable(ct)
 	return rep
 }
-
-// String renders the Fig. 16 report as text.
-func (r *Fig16Result) String() string { return r.Report().Text() }

@@ -109,9 +109,6 @@ func (r *ProfileResult) Report() *report.Report {
 	return rep
 }
 
-// String renders the profiling study as text.
-func (r *ProfileResult) String() string { return r.Report().Text() }
-
 // AblRemapResult measures what remap mitigation buys on chips whose
 // content keeps failing tests.
 type AblRemapResult struct {
@@ -199,6 +196,3 @@ func (r *AblRemapResult) Report() *report.Report {
 	rep.AddDataTable(st)
 	return rep
 }
-
-// String renders the remap ablation as text.
-func (r *AblRemapResult) String() string { return r.Report().Text() }

@@ -111,9 +111,6 @@ func (r *Fig14Result) Report() *report.Report {
 	return rep
 }
 
-// String renders the Fig. 14 report as text.
-func (r *Fig14Result) String() string { return r.Report().Text() }
-
 // Fig17Row is one application's LO-REF coverage per CIL.
 type Fig17Row struct {
 	Name     string
@@ -177,9 +174,6 @@ func (r *Fig17Result) Report() *report.Report {
 	rep.AddDataTable(st)
 	return rep
 }
-
-// String renders the Fig. 17 report as text.
-func (r *Fig17Result) String() string { return r.Report().Text() }
 
 // Fig18Row is one application's refresh+testing time, normalized to the
 // baseline's refresh time.
@@ -264,9 +258,6 @@ func (r *Fig18Result) Report() *report.Report {
 	return rep
 }
 
-// String renders the Fig. 18 report as text.
-func (r *Fig18Result) String() string { return r.Report().Text() }
-
 // Table1Result reproduces Table 1: the evaluated workload inventory.
 type Table1Result struct {
 	resultMeta
@@ -303,6 +294,3 @@ func (r *Table1Result) Report() *report.Report {
 	rep.AddTable(t)
 	return rep
 }
-
-// String renders Table 1 as text.
-func (r *Table1Result) String() string { return r.Report().Text() }

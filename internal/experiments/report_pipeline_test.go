@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -42,13 +43,9 @@ func TestEveryExperimentReports(t *testing.T) {
 				t.Errorf("provenance.fleet = %d, want %d", rep.Prov.Fleet, wantFleet)
 			}
 
-			// Text renders, is non-empty, and matches String().
-			text := rep.Text()
-			if strings.TrimSpace(text) == "" {
+			// Text renders and is non-empty.
+			if strings.TrimSpace(rep.Text()) == "" {
 				t.Error("empty text rendering")
-			}
-			if text != out.String() {
-				t.Error("String() diverged from Report().Text()")
 			}
 
 			// CSV renders with a rectangular body.
@@ -70,7 +67,7 @@ func TestEveryExperimentReports(t *testing.T) {
 			if err != nil {
 				t.Fatalf("DecodeBytes: %v", err)
 			}
-			if !rep.Equal(back) {
+			if !reflect.DeepEqual(rep, back) {
 				t.Error("JSON round trip changed the report")
 			}
 

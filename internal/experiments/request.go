@@ -215,13 +215,6 @@ func (r Request) CacheKey() [32]byte {
 	return key
 }
 
-// KeyHex renders the cache key as lowercase hex, the form the serving
-// API exposes in headers and the golden file pins.
-func (r Request) KeyHex() string {
-	k := r.CacheKey()
-	return fmt.Sprintf("%x", k[:])
-}
-
 // MarshalCanonical encodes the request as one-line canonical JSON
 // (struct field order, no indentation). Normalized requests with equal
 // fields encode byte-identically.

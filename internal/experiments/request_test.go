@@ -156,22 +156,19 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 		"fleet":      func(r *Request) { r.Fleet++ },
 		"version":    func(r *Request) { r.Version = "other" },
 	}
-	seen := map[string]string{base.KeyHex(): "base"}
+	seen := map[[32]byte]string{base.CacheKey(): "base"}
 	for field, mut := range muts {
 		r := base
 		mut(&r)
-		hex := r.KeyHex()
-		if prev, dup := seen[hex]; dup {
-			t.Errorf("mutating %s collides with %s (key %s)", field, prev, hex)
+		key := r.CacheKey()
+		if prev, dup := seen[key]; dup {
+			t.Errorf("mutating %s collides with %s (key %x)", field, prev, key)
 		}
-		seen[hex] = field
+		seen[key] = field
 	}
 	again := base
-	if again.KeyHex() != base.KeyHex() {
+	if again.CacheKey() != base.CacheKey() {
 		t.Error("identical requests produced different keys")
-	}
-	if len(base.KeyHex()) != 64 {
-		t.Errorf("key hex length = %d, want 64", len(base.KeyHex()))
 	}
 }
 

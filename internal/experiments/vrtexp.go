@@ -149,6 +149,3 @@ func (r *VRTResult) Report() *report.Report {
 	rep.AddDataTable(st)
 	return rep
 }
-
-// String renders the VRT comparison as text.
-func (r *VRTResult) String() string { return r.Report().Text() }

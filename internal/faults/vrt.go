@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"memcon/internal/dram"
 )
@@ -30,11 +29,6 @@ type VRTParams struct {
 	DegradeFactor float64
 	// AffectedFraction is the fraction of weak cells that exhibit VRT.
 	AffectedFraction float64
-}
-
-// DefaultVRTParams returns a moderate VRT population.
-func DefaultVRTParams() VRTParams {
-	return VRTParams{ToggleRate: 0.5, DegradeFactor: 0.5, AffectedFraction: 0.3}
 }
 
 // VRTModel augments a fault model with time-varying retention.
@@ -167,36 +161,4 @@ func (v *VRTModel) FailingCellsVRT(mod *dram.Module, a dram.RowAddress, idle dra
 		}
 	}
 	return failing
-}
-
-// ToggledCells reports how many tracked cells are currently degraded —
-// instrumentation for VRT experiments.
-//
-// The walk visits cells in sorted key order, never Go's randomized map
-// order: cellState draws from the shared rng when it applies elapsed
-// toggles, so the iteration order here IS the rng consumption order,
-// and identically-seeded models must consume identically or their
-// subsequent per-cell states diverge run to run.
-func (v *VRTModel) ToggledCells() int {
-	keys := make([]vrtKey, 0, len(v.state))
-	for k := range v.state {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.bank != b.bank {
-			return a.bank < b.bank
-		}
-		if a.physRow != b.physRow {
-			return a.physRow < b.physRow
-		}
-		return a.physCol < b.physCol
-	})
-	n := 0
-	for _, k := range keys {
-		if v.cellState(k).degraded {
-			n++
-		}
-	}
-	return n
 }

@@ -19,9 +19,7 @@ func newVRT(t *testing.T, params VRTParams, weakFraction float64) (*VRTModel, *d
 }
 
 func TestVRTNoToggleWithoutRate(t *testing.T) {
-	params := DefaultVRTParams()
-	params.ToggleRate = 0
-	params.AffectedFraction = 1
+	params := VRTParams{ToggleRate: 0, DegradeFactor: 0.5, AffectedFraction: 1}
 	v, _ := newVRT(t, params, 1e-3)
 	v.Advance(100 * 3600 * dram.Second)
 	if got := v.RetentionScaleAt(0, 1, 1); got != 1.0 {
@@ -30,8 +28,7 @@ func TestVRTNoToggleWithoutRate(t *testing.T) {
 }
 
 func TestVRTUnaffectedCellsStable(t *testing.T) {
-	params := DefaultVRTParams()
-	params.AffectedFraction = 0
+	params := VRTParams{ToggleRate: 0.5, DegradeFactor: 0.5, AffectedFraction: 0}
 	v, _ := newVRT(t, params, 1e-3)
 	v.Advance(1000 * 3600 * dram.Second)
 	for i := 0; i < 100; i++ {
@@ -39,25 +36,28 @@ func TestVRTUnaffectedCellsStable(t *testing.T) {
 			t.Fatal("unaffected cell degraded")
 		}
 	}
-	if v.ToggledCells() != 0 {
-		t.Errorf("toggled cells = %d, want 0", v.ToggledCells())
-	}
 }
 
 func TestVRTTogglesOverTime(t *testing.T) {
 	params := VRTParams{ToggleRate: 10, DegradeFactor: 0.5, AffectedFraction: 1}
 	v, _ := newVRT(t, params, 1e-3)
-	// Touch a population of cells at time 0.
-	for i := 0; i < 200; i++ {
-		v.RetentionScaleAt(0, i, i)
+	degraded := func() int {
+		n := 0
+		for i := 0; i < 200; i++ {
+			if v.RetentionScaleAt(0, i, i) < 1 {
+				n++
+			}
+		}
+		return n
 	}
-	if v.ToggledCells() != 0 {
-		t.Fatalf("cells degraded at time 0: %d", v.ToggledCells())
+	// Touch a population of cells at time 0.
+	if n := degraded(); n != 0 {
+		t.Fatalf("cells degraded at time 0: %d", n)
 	}
 	// After many expected toggle periods, roughly half should be
 	// degraded (stationary distribution of the two-state chain).
 	v.Advance(100 * 3600 * dram.Second)
-	toggled := v.ToggledCells()
+	toggled := degraded()
 	if toggled < 50 || toggled > 150 {
 		t.Errorf("toggled cells = %d of 200, want near half", toggled)
 	}
@@ -125,46 +125,6 @@ func TestVRTStateVisibleToFreshTests(t *testing.T) {
 		t.Errorf("VRT evaluation not stable at fixed time: %d vs %d", after, again)
 	}
 	_ = before
-}
-
-// TestVRTToggledCellsDeterministic pins the rng-order bugfix: two
-// identically-seeded VRT models driven through an identical query
-// sequence must agree on every count AND every subsequent per-cell
-// state. Before ToggledCells iterated in sorted key order it walked
-// v.state in Go's randomized map order, and because cellState draws
-// elapsed-toggle steps from the shared rng, the draw order — and so the
-// post-walk per-cell states — differed run to run.
-func TestVRTToggledCellsDeterministic(t *testing.T) {
-	run := func() ([]int, []float64) {
-		params := VRTParams{ToggleRate: 5, DegradeFactor: 0.5, AffectedFraction: 0.7}
-		v, _ := newVRT(t, params, 1e-3)
-		// Touch a spread of cells so the state map has many keys.
-		for i := 0; i < 400; i++ {
-			v.RetentionScaleAt(i%2, (i*37)%1024, (i*13)%1024)
-		}
-		var counts []int
-		for step := 1; step <= 4; step++ {
-			v.Advance(dram.Nanoseconds(step) * 20 * 3600 * dram.Second)
-			counts = append(counts, v.ToggledCells())
-		}
-		var scales []float64
-		for i := 0; i < 400; i++ {
-			scales = append(scales, v.RetentionScaleAt(i%2, (i*37)%1024, (i*13)%1024))
-		}
-		return counts, scales
-	}
-	c1, s1 := run()
-	c2, s2 := run()
-	for i := range c1 {
-		if c1[i] != c2[i] {
-			t.Fatalf("ToggledCells diverged between identical runs at step %d: %d vs %d", i, c1[i], c2[i])
-		}
-	}
-	for i := range s1 {
-		if s1[i] != s2[i] {
-			t.Fatalf("per-cell state diverged between identical runs at cell %d: %v vs %v", i, s1[i], s2[i])
-		}
-	}
 }
 
 // TestVRTZeroRateMatchesFailingCells pins FailingCellsVRT to the

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -317,7 +318,7 @@ func TestAnalyzeSyntheticLog(t *testing.T) {
 		{Module: 4, UEAtNs: -1},
 		{Module: 5, UEAtNs: 2 * ns},
 	}
-	sort.Slice(log.Events, func(i, j int) bool { return log.Events[i].Less(log.Events[j]) })
+	slices.SortFunc(log.Events, compareEvents)
 
 	a := Analyze(log)
 	diffAnalytics(t, a, oracleAnalyze(log))

@@ -73,24 +73,6 @@ type Event struct {
 	At int64
 }
 
-// Less reports whether e precedes o in the canonical log order.
-func (e Event) Less(o Event) bool {
-	switch {
-	case e.Module != o.Module:
-		return e.Module < o.Module
-	case e.At != o.At:
-		return e.At < o.At
-	case e.Rank != o.Rank:
-		return e.Rank < o.Rank
-	case e.Bank != o.Bank:
-		return e.Bank < o.Bank
-	case e.Row != o.Row:
-		return e.Row < o.Row
-	default:
-		return e.Col < o.Col
-	}
-}
-
 // Class is one geometry/population class modules are drawn from —
 // the fleet's density and rank diversity.
 type Class struct {

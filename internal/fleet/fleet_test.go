@@ -2,12 +2,21 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"strings"
 	"testing"
 
 	"memcon/internal/dram"
 )
+
+// compareEvents orders events canonically: (Module, At, Rank, Bank,
+// Row, Col), lexicographically.
+func compareEvents(a, b Event) int {
+	return cmp.Or(cmp.Compare(a.Module, b.Module), cmp.Compare(a.At, b.At),
+		cmp.Compare(a.Rank, b.Rank), cmp.Compare(a.Bank, b.Bank),
+		cmp.Compare(a.Row, b.Row), cmp.Compare(a.Col, b.Col))
+}
 
 // TestShardingInvariance is the tentpole property test: a 1,000-module
 // fleet produces a byte-identical CE log — and identical ground truth —
@@ -72,7 +81,7 @@ func TestRunLogInvariants(t *testing.T) {
 		t.Fatalf("%d Info entries for %d modules", len(log.Info), log.Modules)
 	}
 	for i := 1; i < len(log.Events); i++ {
-		if log.Events[i].Less(log.Events[i-1]) {
+		if compareEvents(log.Events[i], log.Events[i-1]) < 0 {
 			t.Fatalf("events %d..%d out of canonical order: %+v then %+v",
 				i-1, i, log.Events[i-1], log.Events[i])
 		}

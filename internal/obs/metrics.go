@@ -150,6 +150,3 @@ func (m *Metrics) OnEvent(e Event) {
 		m.disturbCells.Add(e.Aux)
 	}
 }
-
-// Registry returns the registry the observer aggregates into.
-func (m *Metrics) Registry() *Registry { return m.reg }

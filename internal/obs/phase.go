@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"time"
 )
@@ -74,26 +72,6 @@ func (t *PhaseTimer) ExportTo(reg *Registry) {
 		reg.Gauge("phase_"+sanitizeMetricName(p.Name)+"_wall_ns",
 			"wall-clock time of phase "+p.Name+" (schedule-dependent)", true).Set(float64(p.WallNs))
 	}
-}
-
-// String renders the phase table.
-func (t *PhaseTimer) String() string {
-	phases := t.Phases()
-	if len(phases) == 0 {
-		return "(no phases recorded)\n"
-	}
-	width := len("phase")
-	for _, p := range phases {
-		if len(p.Name) > width {
-			width = len(p.Name)
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-*s  %12s\n", width, "phase", "wall")
-	for _, p := range phases {
-		fmt.Fprintf(&b, "%-*s  %12s\n", width, p.Name, time.Duration(p.WallNs).Round(time.Microsecond))
-	}
-	return b.String()
 }
 
 // sanitizeMetricName maps an arbitrary phase name onto the Prometheus

@@ -3,10 +3,7 @@ package parallel
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
-	"time"
 
 	"memcon/internal/obs"
 )
@@ -23,7 +20,7 @@ type WorkerStats struct {
 // wall-clock derived and schedule-dependent — two identical runs report
 // different splits — so PoolStats exports only as VOLATILE gauges,
 // which the deterministic JSON/Prometheus sinks exclude; it surfaces in
-// the human table and String().
+// the human table.
 //
 // PoolStats is safe for concurrent use.
 type PoolStats struct {
@@ -73,23 +70,6 @@ func (p *PoolStats) ExportTo(reg *obs.Registry) {
 		reg.Gauge(fmt.Sprintf("pool_worker_%d_busy_ns", id),
 			"wall time this pool worker spent inside unit functions", true).Add(float64(ws.BusyNs))
 	}
-}
-
-// String renders a small utilization table, one line per worker.
-func (p *PoolStats) String() string {
-	workers := p.Workers()
-	ids := make([]int, 0, len(workers))
-	for id := range workers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var sb strings.Builder
-	sb.WriteString("worker  units  busy\n")
-	for _, id := range ids {
-		ws := workers[id]
-		fmt.Fprintf(&sb, "%6d  %5d  %s\n", id, ws.Units, time.Duration(ws.BusyNs))
-	}
-	return sb.String()
 }
 
 // statsKey carries a *PoolStats through a context.

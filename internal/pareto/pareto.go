@@ -21,11 +21,6 @@ type Dist struct {
 	Alpha float64
 }
 
-// Valid reports whether the distribution parameters are usable.
-func (d Dist) Valid() bool {
-	return d.Xm > 0 && d.Alpha > 0 && !math.IsInf(d.Xm, 0) && !math.IsInf(d.Alpha, 0)
-}
-
 // CCDF returns P(X > x).
 func (d Dist) CCDF(x float64) float64 {
 	if x <= d.Xm {
@@ -34,40 +29,11 @@ func (d Dist) CCDF(x float64) float64 {
 	return math.Pow(d.Xm/x, d.Alpha)
 }
 
-// CDF returns P(X <= x).
-func (d Dist) CDF(x float64) float64 { return 1 - d.CCDF(x) }
-
-// Quantile returns the value x with CDF(x) = p for p in [0, 1).
-func (d Dist) Quantile(p float64) float64 {
-	if p <= 0 {
-		return d.Xm
-	}
-	return d.Xm / math.Pow(1-p, 1/d.Alpha)
-}
-
-// Mean returns the distribution mean, or +Inf when Alpha <= 1.
-func (d Dist) Mean() float64 {
-	if d.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return d.Alpha * d.Xm / (d.Alpha - 1)
-}
-
 // Sample draws one value using rng.
 func (d Dist) Sample(rng *rand.Rand) float64 {
 	// Inverse-transform sampling; 1-Float64() is in (0,1].
 	u := 1 - rng.Float64()
 	return d.Xm / math.Pow(u, 1/d.Alpha)
-}
-
-// ConditionalExceed returns P(X > c+L | X > c), the decreasing-hazard-rate
-// property MEMCON's PRIL predictor exploits: for a Pareto distribution this
-// grows towards 1 as the elapsed time c grows.
-func (d Dist) ConditionalExceed(c, l float64) float64 {
-	if c < d.Xm {
-		c = d.Xm
-	}
-	return math.Pow(c/(c+l), d.Alpha)
 }
 
 // Fit is the result of fitting a Pareto tail to an empirical sample via

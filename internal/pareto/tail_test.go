@@ -85,16 +85,3 @@ func TestFitCCDFTailMinTailFloor(t *testing.T) {
 		t.Errorf("fit used only %d points", fit.Points)
 	}
 }
-
-func TestQuantileAtZeroAndMean(t *testing.T) {
-	d := Dist{Xm: 5, Alpha: 2}
-	if got := d.Quantile(0); got != 5 {
-		t.Errorf("Quantile(0) = %v, want Xm", got)
-	}
-	if got := d.Quantile(-0.5); got != 5 {
-		t.Errorf("Quantile(neg) = %v, want Xm", got)
-	}
-	if m := d.Mean(); m != 10 {
-		t.Errorf("Mean = %v, want 10", m)
-	}
-}

@@ -114,16 +114,6 @@ func (b *writeBuffer) remove(p uint32) {
 
 func (b *writeBuffer) contains(p uint32) bool { return b.present.get(p) }
 
-// reset empties the buffer without emitting, clearing only the bits
-// that are actually set.
-func (b *writeBuffer) reset() {
-	for _, p := range b.order {
-		b.present.unset(p)
-	}
-	b.order = b.order[:0]
-	b.n = 0
-}
-
 func (b *writeBuffer) len() int { return b.n }
 
 // Stats aggregates predictor bookkeeping for the §6.4 evaluation.
@@ -197,18 +187,6 @@ func (p *Predictor) Grow(pages int) {
 	p.curBuf.present = p.curBuf.present.grown(pages)
 	p.prevBuf.present = p.prevBuf.present.grown(pages)
 	p.cfg.NumPages = pages
-}
-
-// Reset returns the predictor to its initial state while keeping every
-// allocation (bitsets, buffer order slices), so one predictor can
-// replay trace after trace without churn.
-func (p *Predictor) Reset() {
-	p.curBuf.reset()
-	p.prevBuf.reset()
-	p.curMap.clear()
-	p.prevMap.clear()
-	p.quantumStart = 0
-	p.stats = Stats{}
 }
 
 // OnPredict installs the callback invoked for every page predicted to

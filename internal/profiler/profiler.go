@@ -17,6 +17,7 @@ package profiler
 
 import (
 	"fmt"
+	"math"
 
 	"memcon/internal/dram"
 	"memcon/internal/faults"
@@ -57,8 +58,11 @@ func (c Config) Validate() error {
 	if c.TargetIdle <= 0 {
 		return fmt.Errorf("profiler: target idle must be positive, got %d", c.TargetIdle)
 	}
-	if c.Guardband < 1 {
+	if !(c.Guardband >= 1) {
 		return fmt.Errorf("profiler: guardband must be >= 1, got %v", c.Guardband)
+	}
+	if float64(c.TargetIdle)*c.Guardband >= math.MaxInt64 {
+		return fmt.Errorf("profiler: guardband %v overflows the profiling idle time (target %d ns)", c.Guardband, c.TargetIdle)
 	}
 	return nil
 }

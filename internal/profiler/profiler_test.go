@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"math"
 	"testing"
 
 	"memcon/internal/dram"
@@ -50,6 +51,9 @@ func TestConfigValidate(t *testing.T) {
 		{Rounds: 0, TargetIdle: 1, Guardband: 1},
 		{Rounds: 1, TargetIdle: 0, Guardband: 1},
 		{Rounds: 1, TargetIdle: 1, Guardband: 0.5},
+		{Rounds: 1, TargetIdle: dram.RefreshWindowDefault, Guardband: math.NaN()},
+		{Rounds: 1, TargetIdle: dram.RefreshWindowDefault, Guardband: math.Inf(1)},
+		{Rounds: 1, TargetIdle: dram.RefreshWindowDefault, Guardband: 1e30},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

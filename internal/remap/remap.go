@@ -27,8 +27,6 @@ type Table struct {
 	spares []dram.RowAddress
 	// forward maps faulty rows to their spares.
 	forward map[dram.RowAddress]dram.RowAddress
-	// taken marks spares in use (for Reverse lookups).
-	reverse map[dram.RowAddress]dram.RowAddress
 }
 
 // New builds a remap table with sparesPerBank spare rows reserved at
@@ -49,7 +47,6 @@ func New(geom dram.Geometry, sparesPerBank, capacity int) (*Table, error) {
 		geom:     geom,
 		capacity: capacity,
 		forward:  make(map[dram.RowAddress]dram.RowAddress),
-		reverse:  make(map[dram.RowAddress]dram.RowAddress),
 	}
 	for b := 0; b < geom.BanksPerChip; b++ {
 		for i := 0; i < sparesPerBank; i++ {
@@ -63,21 +60,6 @@ func New(geom dram.Geometry, sparesPerBank, capacity int) (*Table, error) {
 // rows at or above it must not be used as program memory.
 func (t *Table) SpareRegionStart() int {
 	return t.geom.RowsPerBank - len(t.spares)/t.geom.BanksPerChip
-}
-
-// Len returns the number of active remappings.
-func (t *Table) Len() int { return len(t.forward) }
-
-// FreeSpares returns the number of unused spare rows.
-func (t *Table) FreeSpares() int { return len(t.spares) }
-
-// Resolve returns the physical target of an access to row a: the spare
-// when a is remapped, a itself otherwise.
-func (t *Table) Resolve(a dram.RowAddress) dram.RowAddress {
-	if spare, ok := t.forward[a]; ok {
-		return spare
-	}
-	return a
 }
 
 // IsRemapped reports whether row a has been remapped.
@@ -107,30 +89,10 @@ func (t *Table) Remap(a dram.RowAddress) (dram.RowAddress, error) {
 		if spare.Bank == a.Bank {
 			t.spares = append(t.spares[:i], t.spares[i+1:]...)
 			t.forward[a] = spare
-			t.reverse[spare] = a
 			return spare, nil
 		}
 	}
 	return dram.RowAddress{}, fmt.Errorf("remap: bank %d has no free spare rows", a.Bank)
-}
-
-// Unmap releases a remapping (e.g. after the faulty row's content
-// changed and it now tests clean), returning its spare to the pool.
-func (t *Table) Unmap(a dram.RowAddress) error {
-	spare, ok := t.forward[a]
-	if !ok {
-		return fmt.Errorf("remap: row %+v not remapped", a)
-	}
-	delete(t.forward, a)
-	delete(t.reverse, spare)
-	t.spares = append(t.spares, spare)
-	return nil
-}
-
-// OverheadFraction returns the capacity lost to the spare region.
-func (t *Table) OverheadFraction() float64 {
-	perBank := float64(t.geom.RowsPerBank - t.SpareRegionStart())
-	return perBank / float64(t.geom.RowsPerBank)
 }
 
 // Policy decides when MEMCON should remap instead of holding a row at

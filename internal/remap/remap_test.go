@@ -30,17 +30,17 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestRemapResolveUnmap(t *testing.T) {
+func TestRemapIntoSameBankSpare(t *testing.T) {
 	tab, err := New(testGeometry(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := tab.SpareRegionStart(); got != 60 {
+		t.Errorf("spare region starts at row %d, want 60", got)
+	}
 	a := dram.RowAddress{Bank: 0, Row: 10}
 	if tab.IsRemapped(a) {
 		t.Error("fresh table claims remapping")
-	}
-	if got := tab.Resolve(a); got != a {
-		t.Errorf("unmapped resolve = %+v, want identity", got)
 	}
 	spare, err := tab.Remap(a)
 	if err != nil {
@@ -52,20 +52,8 @@ func TestRemapResolveUnmap(t *testing.T) {
 	if spare.Row < tab.SpareRegionStart() {
 		t.Errorf("spare row %d below spare region %d", spare.Row, tab.SpareRegionStart())
 	}
-	if got := tab.Resolve(a); got != spare {
-		t.Errorf("resolve = %+v, want %+v", got, spare)
-	}
-	if tab.Len() != 1 {
-		t.Errorf("len = %d, want 1", tab.Len())
-	}
-	if err := tab.Unmap(a); err != nil {
-		t.Fatal(err)
-	}
-	if tab.Resolve(a) != a {
-		t.Error("unmap did not restore identity")
-	}
-	if tab.FreeSpares() != 8 {
-		t.Errorf("spares after unmap = %d, want 8", tab.FreeSpares())
+	if !tab.IsRemapped(a) {
+		t.Error("remapped row not reported as remapped")
 	}
 }
 
@@ -95,9 +83,6 @@ func TestRemapErrors(t *testing.T) {
 	if _, err := tab.Remap(dram.RowAddress{Bank: 1, Row: 3}); err != nil {
 		t.Errorf("other bank rejected: %v", err)
 	}
-	if err := tab.Unmap(dram.RowAddress{Bank: 1, Row: 50}); err == nil {
-		t.Error("unmap of unmapped row accepted")
-	}
 }
 
 func TestCapacityBound(t *testing.T) {
@@ -107,13 +92,6 @@ func TestCapacityBound(t *testing.T) {
 	}
 	if _, err := tab.Remap(dram.RowAddress{Bank: 1, Row: 1}); err == nil {
 		t.Error("CAM capacity not enforced")
-	}
-}
-
-func TestOverheadFraction(t *testing.T) {
-	tab, _ := New(testGeometry(), 4, 0)
-	if got := tab.OverheadFraction(); got != 4.0/64.0 {
-		t.Errorf("overhead = %v, want %v", got, 4.0/64.0)
 	}
 }
 

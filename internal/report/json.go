@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"reflect"
 )
 
 // MarshalCanonical encodes the report as canonical JSON: two-space
@@ -49,10 +48,4 @@ func Decode(rd io.Reader) (*Report, error) {
 // DecodeBytes decodes a canonical JSON document from memory.
 func DecodeBytes(b []byte) (*Report, error) {
 	return Decode(bytes.NewReader(b))
-}
-
-// Equal reports whether two reports carry identical provenance, blocks,
-// and cells (displays included).
-func (r *Report) Equal(o *Report) bool {
-	return reflect.DeepEqual(r, o)
 }

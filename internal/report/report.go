@@ -337,6 +337,5 @@ func (r *Report) Tables() []*Table {
 	return out
 }
 
-// String renders the report as text, making *Report a fmt.Stringer
-// drop-in for the pre-typed experiment results.
+// String renders the report as text, making *Report a fmt.Stringer.
 func (r *Report) String() string { return r.Text() }

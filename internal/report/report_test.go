@@ -3,6 +3,7 @@ package report
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -168,7 +169,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Equal(back) {
+	if !reflect.DeepEqual(r, back) {
 		t.Errorf("round trip changed the report:\n%+v\nvs\n%+v", r, back)
 	}
 	// Canonical: re-encoding the decoded report is byte-identical.

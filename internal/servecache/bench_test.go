@@ -23,7 +23,7 @@ func BenchmarkServeCache(b *testing.B) {
 	}
 
 	b.Run("mem-hit", func(b *testing.B) {
-		c := New(0)
+		c := NewWithOptions(Options{})
 		for _, k := range benchKeys {
 			c.Put(k, nil, payload)
 		}

@@ -142,7 +142,7 @@ type Options struct {
 }
 
 // Cache is a bounded, content-addressed result store with singleflight
-// computation. The zero value is not usable; construct with New or
+// computation. The zero value is not usable; construct with
 // NewWithOptions.
 type Cache struct {
 	mu         sync.Mutex
@@ -156,12 +156,6 @@ type Cache struct {
 	store      *Store
 }
 
-// New builds a memory-only cache bounded to max entries; max < 1
-// selects an effectively unbounded cache.
-func New(max int) *Cache {
-	return NewWithOptions(Options{MaxEntries: max})
-}
-
 // NewWithOptions builds a cache from the full option set.
 func NewWithOptions(opts Options) *Cache {
 	return &Cache{
@@ -172,23 +166,6 @@ func NewWithOptions(opts Options) *Cache {
 		inflight:   make(map[Key]*flight),
 		store:      opts.Store,
 	}
-}
-
-// Store returns the disk tier, or nil.
-func (c *Cache) Store() *Store { return c.store }
-
-// Get returns the cached entry's identity bytes for k from the memory
-// tier, if present, marking the entry recently used. The returned
-// slice must be treated as read-only.
-func (c *Cache) Get(k Key) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*Entry).Data, true
 }
 
 // Lookup returns the full cached entry for k without counting a hit —
@@ -305,13 +282,6 @@ func (c *Cache) enforceBudgetLocked() {
 		c.bytes -= e.size()
 		c.stats.Evictions++
 	}
-}
-
-// Len returns the memory tier's current entry count.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
 }
 
 // StatsSnapshot returns the cumulative counters and the memory tier's

@@ -20,7 +20,7 @@ func key(b byte) Key {
 }
 
 func TestDoMissThenHit(t *testing.T) {
-	c := New(8)
+	c := NewWithOptions(Options{MaxEntries: 8})
 	var calls atomic.Int64
 	compute := func(context.Context) ([]byte, error) {
 		calls.Add(1)
@@ -54,7 +54,7 @@ func TestDoMissThenHit(t *testing.T) {
 // bytes stored with an entry decompress to exactly its identity bytes.
 func TestEntryGzipRoundTrip(t *testing.T) {
 	data := bytes.Repeat([]byte(`{"row":[1,2,3]}`+"\n"), 64)
-	c := New(8)
+	c := NewWithOptions(Options{MaxEntries: 8})
 	_, _, err := c.Do(context.Background(), key(1), nil, func(context.Context) ([]byte, error) {
 		return data, nil
 	})
@@ -85,7 +85,7 @@ func TestEntryGzipRoundTrip(t *testing.T) {
 }
 
 func TestDoError(t *testing.T) {
-	c := New(8)
+	c := NewWithOptions(Options{MaxEntries: 8})
 	boom := errors.New("boom")
 	_, o, err := c.Do(context.Background(), key(1), nil, func(context.Context) ([]byte, error) {
 		return nil, boom
@@ -93,7 +93,7 @@ func TestDoError(t *testing.T) {
 	if o != Miss || !errors.Is(err, boom) {
 		t.Fatalf("Do = %v, %v", o, err)
 	}
-	if c.Len() != 0 {
+	if c.StatsSnapshot().Entries != 0 {
 		t.Error("failed computation was cached")
 	}
 	// The key is recomputable after a failure.
@@ -108,7 +108,7 @@ func TestDoError(t *testing.T) {
 // TestSingleflight pins the collapse: N concurrent callers of one key
 // run compute exactly once and all see the same bytes.
 func TestSingleflight(t *testing.T) {
-	c := New(8)
+	c := NewWithOptions(Options{MaxEntries: 8})
 	var calls atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -174,7 +174,7 @@ func TestSingleflight(t *testing.T) {
 // waiter gives up, the compute context is cancelled and nothing is
 // cached; a later caller starts a fresh computation.
 func TestAbandonedFlightCancelled(t *testing.T) {
-	c := New(8)
+	c := NewWithOptions(Options{MaxEntries: 8})
 	cancelled := make(chan struct{})
 	compute := func(ctx context.Context) ([]byte, error) {
 		<-ctx.Done()
@@ -195,7 +195,7 @@ func TestAbandonedFlightCancelled(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("compute context never cancelled after the last waiter left")
 	}
-	if c.Len() != 0 {
+	if c.StatsSnapshot().Entries != 0 {
 		t.Error("abandoned flight was cached")
 	}
 	e, o, err := c.Do(context.Background(), key(3), nil, func(context.Context) ([]byte, error) {
@@ -209,7 +209,7 @@ func TestAbandonedFlightCancelled(t *testing.T) {
 // TestSurvivingWaiterKeepsFlight pins that one waiter cancelling does
 // not kill the run for the waiter that stays.
 func TestSurvivingWaiterKeepsFlight(t *testing.T) {
-	c := New(8)
+	c := NewWithOptions(Options{MaxEntries: 8})
 	started := make(chan struct{})
 	release := make(chan struct{})
 	compute := func(ctx context.Context) ([]byte, error) {
@@ -249,26 +249,26 @@ func TestSurvivingWaiterKeepsFlight(t *testing.T) {
 	if data := <-stayData; string(data) != "kept" {
 		t.Errorf("surviving waiter data = %q", data)
 	}
-	if _, ok := c.Get(key(9)); !ok {
+	if _, ok := c.Lookup(key(9)); !ok {
 		t.Error("completed flight not cached")
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(2)
+	c := NewWithOptions(Options{MaxEntries: 2})
 	c.Put(key(1), nil, []byte("a"))
 	c.Put(key(2), nil, []byte("b"))
-	if _, ok := c.Get(key(1)); !ok { // refresh 1; 2 becomes oldest
+	if _, ok := c.Lookup(key(1)); !ok { // refresh 1; 2 becomes oldest
 		t.Fatal("entry 1 missing")
 	}
 	c.Put(key(3), nil, []byte("c"))
-	if _, ok := c.Get(key(2)); ok {
+	if _, ok := c.Lookup(key(2)); ok {
 		t.Error("least-recently-used entry 2 not evicted")
 	}
-	if _, ok := c.Get(key(1)); !ok {
+	if _, ok := c.Lookup(key(1)); !ok {
 		t.Error("recently-used entry 1 evicted")
 	}
-	if _, ok := c.Get(key(3)); !ok {
+	if _, ok := c.Lookup(key(3)); !ok {
 		t.Error("new entry 3 missing")
 	}
 	if s := c.StatsSnapshot(); s.Evictions != 1 || s.Entries != 2 {
@@ -286,16 +286,16 @@ func TestByteBudgetEviction(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		c.Put(key(byte(i)), nil, payload)
 	}
-	if got := c.Len(); got != 3 {
+	if got := c.StatsSnapshot().Entries; got != 3 {
 		t.Errorf("entries after budget eviction = %d, want 3", got)
 	}
 	for i := 1; i <= 2; i++ {
-		if _, ok := c.Get(key(byte(i))); ok {
+		if _, ok := c.Lookup(key(byte(i))); ok {
 			t.Errorf("oldest entry %d survived the byte budget", i)
 		}
 	}
 	for i := 3; i <= 5; i++ {
-		if _, ok := c.Get(key(byte(i))); !ok {
+		if _, ok := c.Lookup(key(byte(i))); !ok {
 			t.Errorf("recent entry %d evicted", i)
 		}
 	}
@@ -307,8 +307,8 @@ func TestByteBudgetEviction(t *testing.T) {
 	tiny := NewWithOptions(Options{MaxBytes: 1})
 	tiny.Put(key(1), nil, payload)
 	tiny.Put(key(2), nil, payload)
-	if _, ok := tiny.Get(key(2)); !ok || tiny.Len() != 1 {
-		t.Errorf("tiny budget: len=%d", tiny.Len())
+	if _, ok := tiny.Lookup(key(2)); !ok || tiny.StatsSnapshot().Entries != 1 {
+		t.Errorf("tiny budget: len=%d", tiny.StatsSnapshot().Entries)
 	}
 }
 
@@ -332,19 +332,19 @@ func TestEntryBudgetIsWholeTier(t *testing.T) {
 			c := NewWithOptions(opts)
 			c.Put(key(0x00), nil, payload)
 			c.Put(key(0x10), nil, payload)
-			if s := c.StatsSnapshot(); c.Len() != 2 || s.Evictions != 0 {
-				t.Errorf("two keys under a budget of four: len=%d, stats=%+v", c.Len(), s)
+			if s := c.StatsSnapshot(); c.StatsSnapshot().Entries != 2 || s.Evictions != 0 {
+				t.Errorf("two keys under a budget of four: len=%d, stats=%+v", c.StatsSnapshot().Entries, s)
 			}
 
 			c = NewWithOptions(opts)
 			for i := 0; i < 16; i++ {
 				c.Put(spread(i), nil, payload)
 			}
-			if s := c.StatsSnapshot(); c.Len() != 4 || s.Evictions != 12 {
-				t.Errorf("sixteen keys under a budget of four: len=%d, stats=%+v", c.Len(), s)
+			if s := c.StatsSnapshot(); c.StatsSnapshot().Entries != 4 || s.Evictions != 12 {
+				t.Errorf("sixteen keys under a budget of four: len=%d, stats=%+v", c.StatsSnapshot().Entries, s)
 			}
 			for i := 12; i < 16; i++ {
-				if _, ok := c.Get(spread(i)); !ok {
+				if _, ok := c.Lookup(spread(i)); !ok {
 					t.Errorf("recent key %d evicted", i)
 				}
 			}
@@ -353,15 +353,15 @@ func TestEntryBudgetIsWholeTier(t *testing.T) {
 }
 
 func TestPutReplaces(t *testing.T) {
-	c := New(4)
+	c := NewWithOptions(Options{MaxEntries: 4})
 	c.Put(key(1), []byte("r1"), []byte("old"))
 	c.Put(key(1), []byte("r1"), []byte("new"))
-	if c.Len() != 1 {
-		t.Fatalf("len = %d", c.Len())
+	if c.StatsSnapshot().Entries != 1 {
+		t.Fatalf("len = %d", c.StatsSnapshot().Entries)
 	}
-	data, _ := c.Get(key(1))
-	if string(data) != "new" {
-		t.Errorf("data = %q", data)
+	e, _ := c.Lookup(key(1))
+	if string(e.Data) != "new" {
+		t.Errorf("data = %q", e.Data)
 	}
 }
 
@@ -378,12 +378,12 @@ func TestKeyAndOutcomeStrings(t *testing.T) {
 }
 
 func TestUnboundedCache(t *testing.T) {
-	c := New(0)
+	c := NewWithOptions(Options{})
 	for i := 0; i < 100; i++ {
 		c.Put(key(byte(i)), nil, []byte(fmt.Sprintf("v%d", i)))
 	}
-	if c.Len() != 100 {
-		t.Errorf("len = %d, want 100", c.Len())
+	if c.StatsSnapshot().Entries != 100 {
+		t.Errorf("len = %d, want 100", c.StatsSnapshot().Entries)
 	}
 	if s := c.StatsSnapshot(); s.Evictions != 0 {
 		t.Errorf("evictions = %d", s.Evictions)
@@ -418,8 +418,8 @@ func TestDiskWriteThroughAndRestart(t *testing.T) {
 	if err != nil || o != Miss {
 		t.Fatalf("Do = %v, %v", o, err)
 	}
-	if c1.Store().Len() != 1 {
-		t.Fatalf("write-through missing: disk has %d entries", c1.Store().Len())
+	if c1.store.StatsSnapshot().Entries != 1 {
+		t.Fatalf("write-through missing: disk has %d entries", c1.store.StatsSnapshot().Entries)
 	}
 
 	// "Restart": new cache, same directory.
@@ -456,7 +456,7 @@ func TestDiskCorruptEntryIsMissAndHeals(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	corruptFile(t, c1.Store().path(key(1)), 100)
+	corruptFile(t, c1.store.path(key(1)), 100)
 
 	c2 := diskCache(t, dir, Options{})
 	var ran atomic.Int64
@@ -470,7 +470,7 @@ func TestDiskCorruptEntryIsMissAndHeals(t *testing.T) {
 	if string(e.Data) != "good-bytes" {
 		t.Errorf("served %q", e.Data)
 	}
-	if st := c2.Store().StatsSnapshot(); st.Corrupt != 1 {
+	if st := c2.store.StatsSnapshot(); st.Corrupt != 1 {
 		t.Errorf("store stats = %+v, want 1 corrupt drop", st)
 	}
 	// Healed: a third cache serves it from disk again.

@@ -145,9 +145,6 @@ func OpenStore(dir string, maxBytes int64) (*Store, error) {
 	}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) path(k Key) string { return filepath.Join(s.dir, k.String()) }
 
 // Scan indexes the directory's existing entries — the warm-boot pass a
@@ -300,20 +297,6 @@ func (s *Store) enforceBudget() {
 		s.bytes -= de.size
 		s.stats.Evictions++
 	}
-}
-
-// Len returns the indexed entry count.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lru.Len()
-}
-
-// Bytes returns the indexed byte total.
-func (s *Store) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
 }
 
 // StatsSnapshot returns the cumulative counters.

@@ -144,8 +144,8 @@ func TestStoreScanWarmBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 5 || st2.Len() != 5 {
-		t.Fatalf("scan indexed %d entries, Len=%d, want 5", n, st2.Len())
+	if n != 5 || st2.StatsSnapshot().Entries != 5 {
+		t.Fatalf("scan indexed %d entries, Len=%d, want 5", n, st2.StatsSnapshot().Entries)
 	}
 	if _, err := os.Stat(filepath.Join(dir, ".tmp-123")); !os.IsNotExist(err) {
 		t.Error("scan left the temp file behind")
@@ -175,8 +175,8 @@ func TestStoreByteBudgetEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st.Len() != 3 || st.Bytes() != 3*perEntry {
-		t.Fatalf("len=%d bytes=%d, want 3 entries / %d bytes", st.Len(), st.Bytes(), 3*perEntry)
+	if st.StatsSnapshot().Entries != 3 || st.StatsSnapshot().Bytes != 3*perEntry {
+		t.Fatalf("len=%d bytes=%d, want 3 entries / %d bytes", st.StatsSnapshot().Entries, st.StatsSnapshot().Bytes, 3*perEntry)
 	}
 	for i := 1; i <= 2; i++ {
 		if _, err := os.Stat(st.path(key(byte(i)))); !os.IsNotExist(err) {
@@ -198,8 +198,8 @@ func TestStoreByteBudgetEviction(t *testing.T) {
 	}
 	tiny.Put(key(1), nil, payload)
 	tiny.Put(key(2), nil, payload)
-	if _, _, ok := tiny.Get(key(2)); !ok || tiny.Len() != 1 {
-		t.Errorf("tiny budget: len=%d", tiny.Len())
+	if _, _, ok := tiny.Get(key(2)); !ok || tiny.StatsSnapshot().Entries != 1 {
+		t.Errorf("tiny budget: len=%d", tiny.StatsSnapshot().Entries)
 	}
 }
 
@@ -233,8 +233,8 @@ func TestStoreScanSeedsAccessOrder(t *testing.T) {
 	if _, err := st2.Scan(); err != nil {
 		t.Fatal(err)
 	}
-	if st2.Len() != 2 {
-		t.Fatalf("len = %d, want 2", st2.Len())
+	if st2.StatsSnapshot().Entries != 2 {
+		t.Fatalf("len = %d, want 2", st2.StatsSnapshot().Entries)
 	}
 	for i := 1; i <= 2; i++ {
 		if _, _, ok := st2.Get(key(byte(i))); ok {

@@ -422,14 +422,6 @@ func insertRow(p []int, r int) []int {
 	return p
 }
 
-// TestRow checks a single row for failures after its current idle time
-// without committing flips or recharging — the primitive MEMCON's online
-// testing builds on.
-func (t *Tester) TestRow(a dram.RowAddress) []int {
-	idle := t.mod.IdleTime(a, t.now)
-	return t.model.FailingCells(t.mod, a, idle)
-}
-
 // RunPattern performs one full characterization run: fill with the
 // pattern, stay idle for idle, read back. It returns the failing rows.
 func (t *Tester) RunPattern(p Pattern, idle dram.Nanoseconds) ([]RowFailure, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestPatternNamesAndFill(t *testing.T) {
 	}
 	for _, c := range cases {
 		c.p.Fill(row, c.row)
-		if got := row.OnesCount(); got != c.wantOnes {
+		if got := bits.OnesCount64(row[0]) + bits.OnesCount64(row[1]); got != c.wantOnes {
 			t.Errorf("%s row %d ones = %d, want %d", c.p.Name, c.row, got, c.wantOnes)
 		}
 		if c.p.Name == "" {
@@ -249,34 +250,6 @@ func TestFillContentErrors(t *testing.T) {
 	}
 }
 
-func TestTestRowDoesNotMutate(t *testing.T) {
-	tester := newTester(t, 13, 1e-2)
-	if err := tester.FillPattern(RowStripePattern(0)); err != nil {
-		t.Fatal(err)
-	}
-	tester.Idle(2 * faults.CharacterizationIdle)
-	g := testGeometry()
-	var addr dram.RowAddress
-	var cells []int
-	for b := 0; b < g.BanksPerChip && cells == nil; b++ {
-		for r := 0; r < g.RowsPerBank; r++ {
-			a := dram.RowAddress{Bank: b, Row: r}
-			if c := tester.TestRow(a); len(c) > 0 {
-				addr, cells = a, c
-				break
-			}
-		}
-	}
-	if cells == nil {
-		t.Skip("no failing row for this seed")
-	}
-	// TestRow must be repeatable: no flips committed, no recharge.
-	again := tester.TestRow(addr)
-	if len(again) != len(cells) {
-		t.Errorf("TestRow mutated state: first %v then %v", cells, again)
-	}
-}
-
 func TestWalkingPatternOffsetNormalization(t *testing.T) {
 	// The shift and the name must agree on the normalized offset for
 	// negative and >= 64 inputs (the old code shifted by uint(offset)%64
@@ -303,7 +276,7 @@ func TestWalkingPatternOffsetNormalization(t *testing.T) {
 		}
 		row := dram.NewRow(64)
 		p.Fill(row, 0)
-		if row.OnesCount() != 1 || row.Bit(c.wantBit) != 1 {
+		if row[0] != 1<<c.wantBit {
 			t.Errorf("WalkingPattern(1, %d) set bits %v, want only bit %d", c.offset, row, c.wantBit)
 		}
 		p0 := WalkingPattern(0, c.offset)
@@ -312,7 +285,7 @@ func TestWalkingPatternOffsetNormalization(t *testing.T) {
 			t.Errorf("WalkingPattern(0, %d).Name = %q, want %q", c.offset, p0.Name, wantName0)
 		}
 		p0.Fill(row, 0)
-		if row.OnesCount() != 63 || row.Bit(c.wantBit) != 0 {
+		if row[0] != ^(uint64(1) << c.wantBit) {
 			t.Errorf("WalkingPattern(0, %d) cleared wrong bit, want only bit %d clear", c.offset, c.wantBit)
 		}
 	}
@@ -375,11 +348,7 @@ func moduleSnapshot(t *testing.T, mod *dram.Module) []dram.Row {
 	for b := 0; b < g.BanksPerChip; b++ {
 		for r := 0; r < g.RowsPerBank; r++ {
 			a := dram.RowAddress{Bank: b, Row: r}
-			row, err := mod.PeekRow(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows[g.RowIndex(a)] = row
+			rows[g.RowIndex(a)] = mod.RowRef(a).Clone()
 		}
 	}
 	return rows

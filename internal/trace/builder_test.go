@@ -159,7 +159,7 @@ func TestSortSortedAllocationFree(t *testing.T) {
 // refIntervals is the map-based Intervals: per-page timestamp lists,
 // visited in ascending page order.
 func refIntervals(t *Trace, includeTrailing bool) []float64 {
-	perPage := t.WritesPerPage()
+	perPage := t.PageWrites()
 	var out []float64
 	for _, page := range sortedPages(perPage) {
 		times := perPage[page]

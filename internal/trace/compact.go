@@ -68,27 +68,3 @@ func ReadCompact(r io.Reader) (*Trace, error) {
 		t.Events = append(t.Events, e)
 	}
 }
-
-// Slice returns the sub-trace covering [from, to), with timestamps
-// rebased to zero. Pages keep their ids.
-func (t *Trace) Slice(from, to Microseconds) *Trace {
-	out := &Trace{Name: t.Name, Duration: to - from}
-	for _, e := range t.Events {
-		if e.At >= from && e.At < to {
-			out.Events = append(out.Events, Event{Page: e.Page, At: e.At - from})
-		}
-	}
-	return out
-}
-
-// FilterPages returns the sub-trace containing only events whose page
-// satisfies keep.
-func (t *Trace) FilterPages(keep func(page uint32) bool) *Trace {
-	out := &Trace{Name: t.Name, Duration: t.Duration}
-	for _, e := range t.Events {
-		if keep(e.Page) {
-			out.Events = append(out.Events, e)
-		}
-	}
-	return out
-}

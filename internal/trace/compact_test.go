@@ -111,37 +111,3 @@ func TestCompactRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSlice(t *testing.T) {
-	tr := &Trace{Duration: 100, Events: []Event{
-		{Page: 1, At: 10}, {Page: 2, At: 40}, {Page: 3, At: 80},
-	}}
-	s := tr.Slice(30, 90)
-	if s.Duration != 60 {
-		t.Errorf("slice duration = %d, want 60", s.Duration)
-	}
-	if len(s.Events) != 2 {
-		t.Fatalf("slice events = %d, want 2", len(s.Events))
-	}
-	if s.Events[0].At != 10 || s.Events[1].At != 50 {
-		t.Errorf("slice timestamps not rebased: %+v", s.Events)
-	}
-}
-
-func TestFilterPages(t *testing.T) {
-	tr := &Trace{Duration: 100, Events: []Event{
-		{Page: 1, At: 10}, {Page: 2, At: 40}, {Page: 1, At: 80},
-	}}
-	f := tr.FilterPages(func(p uint32) bool { return p == 1 })
-	if len(f.Events) != 2 {
-		t.Fatalf("filtered events = %d, want 2", len(f.Events))
-	}
-	for _, e := range f.Events {
-		if e.Page != 1 {
-			t.Errorf("filter leaked page %d", e.Page)
-		}
-	}
-	if f.Duration != tr.Duration {
-		t.Error("filter changed duration")
-	}
-}

@@ -41,14 +41,6 @@ func TestIntervalsNoTrailingWhenEventAtEnd(t *testing.T) {
 	}
 }
 
-func TestSliceEmptyWindow(t *testing.T) {
-	tr := &Trace{Duration: 100, Events: []Event{{Page: 1, At: 50}}}
-	s := tr.Slice(60, 70)
-	if len(s.Events) != 0 || s.Duration != 10 {
-		t.Errorf("empty-window slice = %+v", s)
-	}
-}
-
 func TestReadRejectsHugeName(t *testing.T) {
 	// A compact header whose name length exceeds the 64 KiB cap must be
 	// rejected before the decoder allocates the name.
@@ -63,7 +55,7 @@ func TestWritesPerPageOrderPreserved(t *testing.T) {
 	tr := &Trace{Duration: 100, Events: []Event{
 		{Page: 1, At: 10}, {Page: 1, At: 10}, {Page: 1, At: 20},
 	}}
-	times := tr.WritesPerPage()[1]
+	times := tr.PageWrites()[1]
 	if len(times) != 3 || times[0] != 10 || times[1] != 10 || times[2] != 20 {
 		t.Errorf("times = %v", times)
 	}

@@ -60,34 +60,3 @@ func TestSortInvalidatesMemos(t *testing.T) {
 		t.Errorf("page 100 writes after Sort = %d, want 1", got)
 	}
 }
-
-// TestAppendWritesPerPageReuse pins the sweep-friendly reusable form:
-// the second fill reuses the first map's buckets, drops pages the new
-// trace does not write, and matches a fresh build.
-func TestAppendWritesPerPageReuse(t *testing.T) {
-	a := &Trace{Duration: Second, Events: []Event{{Page: 1, At: 1}, {Page: 2, At: 2}, {Page: 1, At: 3}}}
-	b := &Trace{Duration: Second, Events: []Event{{Page: 2, At: 5}, {Page: 3, At: 6}}}
-	m := a.AppendWritesPerPage(nil)
-	if len(m) != 2 || len(m[1]) != 2 {
-		t.Fatalf("first fill = %v", m)
-	}
-	m = b.AppendWritesPerPage(m)
-	want := b.WritesPerPage()
-	if len(m) != len(want) {
-		t.Fatalf("reuse fill = %v, want %v", m, want)
-	}
-	for p, times := range want {
-		got := m[p]
-		if len(got) != len(times) {
-			t.Fatalf("page %d: %v, want %v", p, got, times)
-		}
-		for i := range times {
-			if got[i] != times[i] {
-				t.Fatalf("page %d: %v, want %v", p, got, times)
-			}
-		}
-	}
-	if _, ok := m[1]; ok {
-		t.Error("page 1 survived the refill although trace b never writes it")
-	}
-}

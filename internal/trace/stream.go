@@ -18,9 +18,9 @@ import (
 // same position.
 
 // Source is a forward-only supplier of time-ordered write events plus
-// the trace metadata a replay needs to finish. Both materialized traces
-// (via Trace.Source) and incremental decoders (Stream) implement it, so
-// the engine and predictor replay either through one entry point.
+// the trace metadata a replay needs to finish. The incremental decoder
+// Stream implements it, so the engine replays a compact file without
+// materializing its events.
 type Source interface {
 	// Name labels the workload that produced the events.
 	Name() string
@@ -212,29 +212,6 @@ func (s *Stream) Next() (Event, error) {
 func (s *Stream) fail(off int64, field string, cause error) error {
 	s.err = &DecodeError{Event: int64(s.idx), Offset: off, Field: field, Err: cause}
 	return s.err
-}
-
-// Source returns a forward-only Source view over the materialized
-// trace, so batch traces and incremental streams replay through the
-// same entry points.
-func (t *Trace) Source() Source { return &traceCursor{t: t} }
-
-// traceCursor adapts a materialized Trace to the Source interface.
-type traceCursor struct {
-	t *Trace
-	i int
-}
-
-func (c *traceCursor) Name() string           { return c.t.Name }
-func (c *traceCursor) Duration() Microseconds { return c.t.Duration }
-
-func (c *traceCursor) Next() (Event, error) {
-	if c.i >= len(c.t.Events) {
-		return Event{}, io.EOF
-	}
-	e := c.t.Events[c.i]
-	c.i++
-	return e, nil
 }
 
 // Encoder writes the compact (v2) format incrementally, for producers

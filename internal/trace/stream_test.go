@@ -89,27 +89,6 @@ func TestStreamMatchesReadCompact(t *testing.T) {
 	}
 }
 
-func TestTraceSourceCursor(t *testing.T) {
-	tr := streamSampleTrace()
-	tr.Sort()
-	src := tr.Source()
-	if src.Name() != tr.Name || src.Duration() != tr.Duration {
-		t.Fatalf("cursor header = (%q, %d)", src.Name(), src.Duration())
-	}
-	for i := range tr.Events {
-		e, err := src.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e != tr.Events[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, e, tr.Events[i])
-		}
-	}
-	if _, err := src.Next(); err != io.EOF {
-		t.Fatalf("exhausted cursor = %v, want io.EOF", err)
-	}
-}
-
 // TestCompactDecodeErrors is the satellite table test: truncated and
 // overflowing inputs must fail with a positioned DecodeError — on both
 // the streaming and the materializing path — rather than wrapping

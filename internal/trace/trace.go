@@ -132,45 +132,18 @@ func (t *Trace) Pages() int { return t.stats().pages }
 // trace. The result is memoized; repeated calls are allocation-free.
 func (t *Trace) MaxPage() int { return t.stats().maxPage }
 
-// WritesPerPage returns, for each page, its time-ordered write
-// timestamps. The returned map is a fresh copy the caller owns; use
-// PageWrites for the shared memoized index, or AppendWritesPerPage to
-// reuse a map across traces.
-func (t *Trace) WritesPerPage() map[uint32][]Microseconds {
-	return t.AppendWritesPerPage(nil)
-}
-
-// AppendWritesPerPage fills m with the per-page time-ordered write
-// timestamps and returns it, reusing m's buckets and slice capacity
-// when the page sets overlap — the form for sweeps that index one
-// trace after another. A nil m allocates a fresh map.
-func (t *Trace) AppendWritesPerPage(m map[uint32][]Microseconds) map[uint32][]Microseconds {
-	if m == nil {
-		m = make(map[uint32][]Microseconds)
-	}
-	for p, times := range m {
-		m[p] = times[:0]
-	}
-	for _, e := range t.Events {
-		m[e.Page] = append(m[e.Page], e.At)
-	}
-	for p, times := range m {
-		if len(times) == 0 {
-			delete(m, p)
-		}
-	}
-	return m
-}
-
-// PageWrites returns the memoized per-page write-timestamp index. The
-// map and its slices are shared: callers must treat them as read-only.
-// The first call builds the index; repeated calls (HalveIntervals and
-// read-skip analysis consume it) are free.
+// PageWrites returns the memoized index of each page's time-ordered
+// write timestamps. The map and its slices are shared: callers must
+// treat them as read-only. The first call builds the index; repeated
+// calls (HalveIntervals and read-skip analysis consume it) are free.
 func (t *Trace) PageWrites() map[uint32][]Microseconds {
 	if m := t.perPage.Load(); m != nil {
 		return *m
 	}
-	m := t.AppendWritesPerPage(nil)
+	m := make(map[uint32][]Microseconds)
+	for _, e := range t.Events {
+		m[e.Page] = append(m[e.Page], e.At)
+	}
 	t.perPage.Store(&m)
 	return m
 }

@@ -97,9 +97,9 @@ func TestIntervals(t *testing.T) {
 
 func TestWritesPerPage(t *testing.T) {
 	tr := sampleTrace()
-	m := tr.WritesPerPage()
+	m := tr.PageWrites()
 	if len(m[1]) != 3 || len(m[2]) != 1 || len(m[3]) != 1 {
-		t.Errorf("WritesPerPage = %v", m)
+		t.Errorf("PageWrites = %v", m)
 	}
 	if m[1][0] != 0 || m[1][1] != 2*Second || m[1][2] != 3*Second {
 		t.Errorf("page 1 times = %v", m[1])
@@ -115,7 +115,7 @@ func TestHalveIntervals(t *testing.T) {
 	if h.Duration != tr.Duration/2 {
 		t.Errorf("halved duration = %d, want %d", h.Duration, tr.Duration/2)
 	}
-	m := h.WritesPerPage()
+	m := h.PageWrites()
 	// Page 1 gaps were 2s and 1s; halved to 1s and 0.5s.
 	if got := m[1][1] - m[1][0]; got != Second {
 		t.Errorf("halved first gap = %d, want 1s", got)
@@ -144,8 +144,8 @@ func TestHalveIntervalsProperty(t *testing.T) {
 		if h.Validate() != nil {
 			return false
 		}
-		orig := tr.WritesPerPage()
-		halved := h.WritesPerPage()
+		orig := tr.PageWrites()
+		halved := h.PageWrites()
 		if len(orig) != len(halved) {
 			return false
 		}

@@ -62,9 +62,8 @@ type (
 	Trace = trace.Trace
 	// Event is a single write.
 	Event = trace.Event
-	// TraceSource is a forward-only event stream — either a
-	// materialized Trace (via its Source method) or an incremental
-	// TraceStream over a compact file.
+	// TraceSource is a forward-only event stream, such as the
+	// incremental TraceStream over a compact file.
 	TraceSource = trace.Source
 	// TraceStream incrementally decodes a compact (v2) trace file with
 	// constant memory; it implements TraceSource.
@@ -205,10 +204,7 @@ func RunSource(ctx context.Context, src TraceSource, cfg Config, opts ...Option)
 }
 
 // New builds an incremental engine with functional options; feed it
-// events with Observe and close it with Finish. (The pre-options
-// NewEngine(cfg, tester) constructor, deprecated since the functional-
-// options redesign, has been removed: it was exactly
-// New(cfg, WithTester(tester)).)
+// events with Observe and close it with Finish.
 func New(cfg Config, opts ...Option) (*Engine, error) {
 	return core.New(cfg, opts...)
 }
@@ -293,7 +289,11 @@ func MinWriteInterval() dram.Nanoseconds {
 // Experiment runs one of the paper's evaluation artifacts (the ids
 // ExperimentIDs lists) and returns its rendered report.
 func Experiment(ctx context.Context, req ExperimentRequest) (fmt.Stringer, error) {
-	return experiments.RunRequest(ctx, req, experiments.Runtime{})
+	res, err := experiments.RunRequest(ctx, req, experiments.Runtime{})
+	if err != nil {
+		return nil, err
+	}
+	return res.Report(), nil
 }
 
 // ExperimentRequest is the input tuple of one experiment run.

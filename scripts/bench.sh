@@ -145,7 +145,6 @@ function emitmbs(name, line) {
 }
 /^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
 /^BenchmarkEngineRun\/accounting/ { acc = $0 }
-/^BenchmarkEngineRun\/steady/     { std = $0 }
 /^BenchmarkEngineRun\/stream/     { stm = $0 }
 /^BenchmarkEngineRun\/system/     { sys = $0 }
 /^BenchmarkPRILObserve/           { prl = $0 }
@@ -163,7 +162,6 @@ END {
 	print "  \"after\": {"
 	printf "    \"cpu\": \"%s\",\n", cpu
 	emit("BenchmarkEngineRun/accounting", acc); printf ",\n"
-	emit("BenchmarkEngineRun/steady", std); printf ",\n"
 	emitmbs("BenchmarkEngineRun/stream", stm); printf ",\n"
 	emit("BenchmarkEngineRun/system", sys); printf ",\n"
 	emit("BenchmarkPRILObserve", prl); printf "\n"

@@ -129,33 +129,11 @@ servetmp=$(mktemp -d)
 trap 'rm -rf "$servetmp"' EXIT
 go build -race -o "$servetmp/memcond" ./cmd/memcond
 go build -o "$servetmp/memload" ./cmd/memload
-"$servetmp/memcond" -addr 127.0.0.1:0 -addr-file "$servetmp/addr" &
-memcond_pid=$!
-i=0
-while [ ! -s "$servetmp/addr" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "memcond never wrote its address file" >&2
-        kill "$memcond_pid" 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.1
-done
-"$servetmp/memload" -addr "$(cat "$servetmp/addr")" \
-    -exp fig4,minwi -n 12 -c 4 -min-hits 4
-kill -TERM "$memcond_pid"
-wait "$memcond_pid"
-
-# Restart-persistence smoke: run a daemon with the disk tier, seed its
-# corpus (recording per-key body digests), SIGTERM it, start a fresh
-# daemon over the same directory and require that the load is answered
-# from disk (-min-disk) with byte-identical bodies (the same -digests
-# file verifies every key against the first run).
-echo "== memcond restart persistence smoke (race) =="
+# start_memcond starts the daemon with any extra flags given and waits
+# for its address file; memcond_pid holds its process id.
 start_memcond() {
     rm -f "$servetmp/addr"
-    "$servetmp/memcond" -addr 127.0.0.1:0 -addr-file "$servetmp/addr" \
-        -cache-dir "$servetmp/cache" &
+    "$servetmp/memcond" -addr 127.0.0.1:0 -addr-file "$servetmp/addr" "$@" &
     memcond_pid=$!
     i=0
     while [ ! -s "$servetmp/addr" ]; do
@@ -170,10 +148,22 @@ start_memcond() {
 }
 start_memcond
 "$servetmp/memload" -addr "$(cat "$servetmp/addr")" \
+    -exp fig4,minwi -n 12 -c 4 -min-hits 4
+kill -TERM "$memcond_pid"
+wait "$memcond_pid"
+
+# Restart-persistence smoke: run a daemon with the disk tier, seed its
+# corpus (recording per-key body digests), SIGTERM it, start a fresh
+# daemon over the same directory and require that the load is answered
+# from disk (-min-disk) with byte-identical bodies (the same -digests
+# file verifies every key against the first run).
+echo "== memcond restart persistence smoke (race) =="
+start_memcond -cache-dir "$servetmp/cache"
+"$servetmp/memload" -addr "$(cat "$servetmp/addr")" \
     -exp fig4,minwi -n 12 -c 4 -min-hits 4 -digests "$servetmp/digests"
 kill -TERM "$memcond_pid"
 wait "$memcond_pid"
-start_memcond
+start_memcond -cache-dir "$servetmp/cache"
 "$servetmp/memload" -addr "$(cat "$servetmp/addr")" \
     -exp fig4,minwi -n 12 -c 4 -min-disk 1 -digests "$servetmp/digests"
 kill -TERM "$memcond_pid"
