@@ -546,6 +546,35 @@ func BenchmarkReadBack(b *testing.B) {
 	}
 }
 
+// BenchmarkRandomPatternFill prices filling Fig. 3's one-bank chip
+// (1024 rows of 16 words) with one random pattern, the fill fig3
+// repeats for each of its 76 random patterns.
+func BenchmarkRandomPatternFill(b *testing.B) {
+	geom := dram.DefaultGeometry()
+	geom.BanksPerChip, geom.RowsPerBank = 1, geom.RowsPerBank/4
+	model, err := faults.NewModel(geom, dram.NewScrambler(geom, 42, nil), 42, faults.DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	mod, err := dram.NewModule(geom)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tester, err := softmc.NewTester(mod, model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := softmc.RandomPattern(7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tester.FillPattern(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*geom.TotalRows()), "ns/row")
+}
+
 func BenchmarkSoftMCPatternRun(b *testing.B) {
 	geom := dram.Geometry{Ranks: 1, ChipsPerRank: 1, BanksPerChip: 1, RowsPerBank: 256, ColsPerRow: 512, RedundantCols: 16}
 	for i := 0; i < b.N; i++ {

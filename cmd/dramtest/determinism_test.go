@@ -33,6 +33,7 @@ func TestReadBackParallelInvariant(t *testing.T) {
 	scans := [][]string{
 		{"-pattern", "checker-0", "-idle", "656"},
 		{"-pattern", "rowstripe-0", "-idle", "656"},
+		{"-pattern", "random-7", "-idle", "656"},
 		{"-content", "mcf", "-idle", "656"},
 	}
 	for _, scan := range scans {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"memcon/internal/dram"
@@ -24,19 +23,24 @@ func charGeometry(scale float64) dram.Geometry {
 	return g
 }
 
-// newChip builds one simulated chip: scrambler + fault model + module +
-// tester. mapping selects the vendor address-mapping scheme; "" means
-// the default (see dram.NewMappedScrambler).
-func newChip(geom dram.Geometry, seed uint64, params faults.Params, mapping string) (*softmc.Tester, error) {
+// chipModel builds one simulated chip's silicon: the scrambler and the
+// fault model over it. mapping selects the vendor address-mapping
+// scheme; "" means the default (see dram.NewMappedScrambler). The model
+// is read-only once built, so a run builds it once and gives each of
+// its units a tester of its own over it (chipTester).
+func chipModel(geom dram.Geometry, seed uint64, params faults.Params, mapping string) (*faults.Model, error) {
 	scr, err := dram.NewMappedScrambler(geom, seed, nil, mapping)
 	if err != nil {
 		return nil, err
 	}
-	model, err := faults.NewModel(geom, scr, seed, params)
-	if err != nil {
-		return nil, err
-	}
-	mod, err := dram.NewModule(geom)
+	return faults.NewModel(geom, scr, seed, params)
+}
+
+// chipTester pairs the model with a fresh module (all zero, fully
+// charged at time zero) and a tester over both, for one unit of a run:
+// a module and its tester's clock are per-unit state.
+func chipTester(model *faults.Model) (*softmc.Tester, error) {
+	mod, err := dram.NewModule(model.Geometry())
 	if err != nil {
 		return nil, err
 	}
@@ -65,17 +69,21 @@ type Fig3Result struct {
 
 // RunFig3 tests one chip with the standard pattern suite at the
 // characterization idle time and reports how failure sets vary with
-// content. Every pattern run rebuilds the (deterministically seeded)
-// chip from scratch, so the sweep fans out over the worker budget; the
-// per-pattern failure sets merge back in pattern order.
+// content. The chip's fault model is built once; every pattern run gets
+// a fresh module and tester over it, so the sweep fans out over the
+// worker budget and the per-pattern failure sets merge back in pattern
+// order.
 func RunFig3(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	geom := charGeometry(req.Scale * 0.25) // one-bank-scale study
 	geom.BanksPerChip = 1
-	params := faults.DefaultParams()
 	patterns := softmc.StandardPatterns(100)
+	model, err := chipModel(geom, uint64(req.Seed), faults.DefaultParams(), req.Mapping)
+	if err != nil {
+		return nil, err
+	}
 
 	fails, err := parallel.Map(ctx, len(patterns), rt.Workers, func(i int) ([]softmc.RowFailure, error) {
-		tester, err := newChip(geom, uint64(req.Seed), params, req.Mapping)
+		tester, err := chipTester(model)
 		if err != nil {
 			return nil, err
 		}
@@ -85,13 +93,14 @@ func RunFig3(ctx context.Context, req Request, rt Runtime) (Result, error) {
 		return nil, err
 	}
 
-	counts := make(map[string]int) // cell key -> patterns failed
+	type cell struct{ bank, row, col int }
+	counts := make(map[cell]int) // patterns each cell failed under
 	res := &Fig3Result{Patterns: len(patterns)}
 	for i, p := range patterns {
 		n := 0
 		for _, f := range fails[i] {
 			for _, c := range f.Cells {
-				counts[fmt.Sprintf("%d:%d:%d", f.Addr.Bank, f.Addr.Row, c)]++
+				counts[cell{f.Addr.Bank, f.Addr.Row, c}]++
 				n++
 			}
 		}
@@ -141,13 +150,6 @@ func (r *Fig3Result) Report() *report.Report {
 	return rep
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Fig4Row is one benchmark's failing-row fractions.
 type Fig4Row struct {
 	Benchmark string
@@ -168,17 +170,21 @@ type Fig4Result struct {
 }
 
 // RunFig4 measures per-benchmark failing-row fractions with program
-// content across phases, against the all-pattern denominator. Each
-// benchmark gets its own chip rebuilt from the same seed — a content
-// run refills the whole module, so per-benchmark results match the
-// old shared-tester loop exactly while the sweep fans out.
+// content across phases, against the all-pattern denominator. The
+// chip's fault model is built once; each benchmark gets its own module
+// and tester over it, so the sweep fans out. A content run refills the
+// whole module, so no benchmark's result depends on which ran before
+// it.
 func RunFig4(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	geom := charGeometry(req.Scale)
-	params := faults.DefaultParams()
 	idle := faults.CharacterizationIdle
 	const phases = 5
 
-	tester, err := newChip(geom, uint64(req.Seed), params, req.Mapping)
+	model, err := chipModel(geom, uint64(req.Seed), faults.DefaultParams(), req.Mapping)
+	if err != nil {
+		return nil, err
+	}
+	tester, err := chipTester(model)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +197,7 @@ func RunFig4(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	specs := workload.SPECContents()
 	rows, err := parallel.Map(ctx, len(specs), rt.Workers, func(i int) (Fig4Row, error) {
 		spec := specs[i]
-		tester, err := newChip(geom, uint64(req.Seed), params, req.Mapping)
+		tester, err := chipTester(model)
 		if err != nil {
 			return Fig4Row{}, err
 		}

@@ -80,7 +80,7 @@ var registry = map[string]entry{
 
 // mappedExperiments marks the experiments whose numbers depend on the
 // chip address mapping — the ones that build scramblers (directly or
-// via newChip). Only these stamp Request.Mapping into provenance and
+// via chipModel). Only these stamp Request.Mapping into provenance and
 // cache keys; for every other id Normalize zeroes the field, so
 // trace-driven and analytical reports stay byte-identical to their
 // pre-mapping form no matter what -mapping the caller passed.

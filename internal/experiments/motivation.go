@@ -41,7 +41,11 @@ func RunMotivation(ctx context.Context, req Request, rt Runtime) (Result, error)
 	geom.BanksPerChip = 2
 	params := faults.DefaultParams()
 	params.WeakCellFraction = 2e-3 // denser population for stable statistics
-	tester, err := newChip(geom, uint64(req.Seed), params, req.Mapping)
+	model, err := chipModel(geom, uint64(req.Seed), params, req.Mapping)
+	if err != nil {
+		return nil, err
+	}
+	tester, err := chipTester(model)
 	if err != nil {
 		return nil, err
 	}

@@ -9,14 +9,8 @@ import (
 	"memcon/internal/faults"
 	"memcon/internal/profiler"
 	"memcon/internal/report"
-	"memcon/internal/softmc"
 	"memcon/internal/trace"
 )
-
-// newTesterFor pairs a module with its fault model.
-func newTesterFor(mod *dram.Module, model *faults.Model) (*softmc.Tester, error) {
-	return softmc.NewTester(mod, model)
-}
 
 func init() {
 	registry["profile"] = entry{RunProfile, "Profiling: RAIDR/REAPER-style campaign vs ground truth across guardbands", false}
@@ -48,22 +42,15 @@ func RunProfile(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	geom.BanksPerChip = 2
 	params := faults.ParamsForRefresh(dram.RefreshWindowDefault)
 	params.WeakCellFraction = 3e-3
+	model, err := chipModel(geom, uint64(req.Seed), params, req.Mapping)
+	if err != nil {
+		return nil, err
+	}
 	res := &ProfileResult{}
 	for _, guard := range []float64{1.0, 1.25, 1.5, 2.0} {
-		// A fresh chip per campaign: profiling consumes the test clock.
-		scr, err := dram.NewMappedScrambler(geom, uint64(req.Seed), nil, req.Mapping)
-		if err != nil {
-			return nil, err
-		}
-		model, err := faults.NewModel(geom, scr, uint64(req.Seed), params)
-		if err != nil {
-			return nil, err
-		}
-		mod, err := dram.NewModule(geom)
-		if err != nil {
-			return nil, err
-		}
-		tester, err := newTesterFor(mod, model)
+		// A fresh module and tester per campaign over the one model:
+		// profiling consumes the test clock and rewrites the content.
+		tester, err := chipTester(model)
 		if err != nil {
 			return nil, err
 		}

@@ -16,7 +16,6 @@ package softmc
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"memcon/internal/dram"
@@ -118,14 +117,14 @@ func WalkingPattern(bit, offset int) Pattern {
 }
 
 // RandomPattern fills rows with pseudo-random bits derived from seed.
-// Each call to Fill is deterministic in (seed, row).
+// Each call to Fill is deterministic in (seed, row): row r holds the
+// first words of rand.New(rand.NewSource(seed ^ int64(r)*0x9E3779B9)),
+// computed without building that source (see randfill.go).
 func RandomPattern(seed int64) Pattern {
+	t := seedTables()
 	return Pattern{
 		Name: fmt.Sprintf("random-%d", seed),
-		Fill: func(dst dram.Row, row int) {
-			rng := rand.New(rand.NewSource(seed ^ int64(row)*0x9E3779B9))
-			dst.Randomize(rng)
-		},
+		Fill: func(dst dram.Row, row int) { t.fill(dst, seed^int64(row)*0x9E3779B9) },
 	}
 }
 

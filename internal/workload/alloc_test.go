@@ -47,3 +47,24 @@ func TestGenerateAllocationContract(t *testing.T) {
 	t.Logf("Generate %.2f× its event bytes, Intervals %.2f× its output bytes",
 		float64(genBytes)/float64(eventBytes), float64(ivBytes)/float64(outBytes))
 }
+
+// TestImageAllocationContract pins a content image to one backing
+// slab: Image allocates the slab, the row headers and its math/rand
+// source (the source's 607-word register escapes to the heap), never
+// one allocation per row, and each row's capacity ends at its own last
+// word so an append to one row cannot overwrite the next.
+func TestImageAllocationContract(t *testing.T) {
+	spec, err := ContentByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows, cols = 4096, 1024
+	if n := testing.AllocsPerRun(5, func() { spec.Image(rows, cols, 1, 42) }); n > 3 {
+		t.Errorf("Image(%d rows) made %.0f allocations, want ≤ 3", rows, n)
+	}
+	for r, row := range spec.Image(rows, cols, 1, 42) {
+		if len(row) != cols/64 || cap(row) != cols/64 {
+			t.Fatalf("row %d: len %d, cap %d; want both %d", r, len(row), cap(row), cols/64)
+		}
+	}
+}

@@ -70,14 +70,17 @@ func ContentByName(name string) (ContentSpec, error) {
 // each with cols cells (cols must be a multiple of 64). phase selects
 // the execution phase (the paper dumps content every 100M instructions);
 // different phases yield different images of the same statistical class.
-// The result is deterministic in (spec, rows, cols, phase, seed).
+// The result is deterministic in (spec, rows, cols, phase, seed). Its
+// rows are consecutive windows of one backing slab.
 func (c ContentSpec) Image(rows, cols int, phase int, seed int64) []dram.Row {
 	rng := rand.New(rand.NewSource(seed ^ int64(phase)*0x9E3779B97F4A7))
+	words := cols / 64
+	slab := make([]uint64, rows*words)
 	img := make([]dram.Row, rows)
 	for r := range img {
-		row := dram.NewRow(cols)
+		row := dram.Row(slab[r*words : (r+1)*words : (r+1)*words])
 		if rng.Float64() >= c.ZeroRowFraction {
-			for w := 0; w < cols/64; w++ {
+			for w := range row {
 				if rng.Float64() < c.WordSparsity {
 					continue // sparse zero word
 				}
