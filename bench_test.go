@@ -13,6 +13,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -752,6 +753,37 @@ func BenchmarkTraceCompactEncode(b *testing.B) {
 		}
 		b.SetBytes(buf.n)
 	}
+}
+
+// BenchmarkTraceCompactDecode drains the same trace's compact bytes
+// through trace.Stream, the decoder behind every stream replay.
+func BenchmarkTraceCompactDecode(b *testing.B) {
+	tr := benchTrace(b)
+	var buf bytes.Buffer
+	if err := tr.WriteCompact(&buf); err != nil {
+		b.Fatal(err)
+	}
+	rd := bytes.NewReader(nil)
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(buf.Bytes())
+		s, err := trace.NewStream(rd)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for {
+			_, err := s.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr.Events)), "ns/event")
 }
 
 type countingWriter struct{ n int64 }

@@ -10,7 +10,7 @@
 //	memconsim -replay trace.bin
 //
 // -replay streams a tracegen-written compact (v2) trace file through the
-// MEMCON engine at I/O speed with O(pages) memory; the printed report
+// MEMCON engine with O(pages) memory; the printed report
 // equals core.RunContext's on the same trace held in memory. A file in
 // the retired fixed-width v1 format is rejected; regenerate it with
 // tracegen.
@@ -248,7 +248,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // runReplay streams a trace file through the MEMCON engine under the
 // default configuration and prints the deterministic report summary.
 // The file decodes through trace.Stream without materializing the event
-// slice — O(pages) memory at I/O speed.
+// slice, so memory is O(pages); the replay is CPU-bound, with decoding
+// and the engine each taking about half of it.
 func runReplay(ctx context.Context, out io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {

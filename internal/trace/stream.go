@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 )
 
 // Streaming access to the compact (v2) format. A multi-minute bus trace
@@ -64,32 +65,34 @@ func (e *DecodeError) Error() string {
 // Unwrap exposes the cause to errors.Is/As.
 func (e *DecodeError) Unwrap() error { return e.Err }
 
-// countingReader counts consumed bytes so decode errors carry the
-// offset of the field that failed.
-type countingReader struct {
-	br *bufio.Reader
-	n  int64
-}
+// windowSize is the Stream's read-ahead window, the size bufio.Reader
+// defaults to. A replay pass that opens many streams keeps every
+// window resident until a GC cycle runs; a 32 KiB window cost 9 % more
+// peak RSS on the trace-replay benchmark (EXPERIMENTS.md, "Decoding
+// from a window").
+const windowSize = 4096
 
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.br.Read(p)
-	c.n += int64(n)
-	return n, err
-}
+// maxEmptyReads is how many consecutive (0, nil) reads a refill accepts
+// before it fails with io.ErrNoProgress, as bufio.Reader does.
+const maxEmptyReads = 100
 
-func (c *countingReader) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err == nil {
-		c.n++
-	}
-	return b, err
-}
+// errOverflow is binary.ReadUvarint's error for a varint wider than 64
+// bits, with the same text; the binary package does not export it.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
 // Stream incrementally decodes a compact (v2) trace: NewStream consumes
-// the header, then each Next call decodes one event. Memory use is
-// constant regardless of trace size. Stream implements Source.
+// the header, then each Next call decodes one event. It decodes from a
+// fixed window of source bytes, so memory use is constant regardless of
+// trace size, and it reads up to one window (4 KiB) ahead of the last
+// event it returned. Stream implements Source.
 type Stream struct {
-	r     countingReader
+	src  io.Reader
+	buf  []byte // the window: buf[pos:end] is read but not yet decoded
+	pos  int
+	end  int
+	base int64 // source offset of buf[0]
+	rerr error // sticky source error (io.EOF included), due after buf[:end]
+
 	name  string
 	dur   Microseconds
 	total uint64
@@ -101,43 +104,55 @@ type Stream struct {
 // NewStream opens a compact (v2) stream over r, reading and validating
 // the header. The remaining events decode lazily through Next.
 func NewStream(r io.Reader) (*Stream, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
+	s := &Stream{src: r, buf: make([]byte, windowSize)}
+	for s.end < 4 && s.rerr == nil {
+		s.fill()
 	}
-	s := &Stream{r: countingReader{br: br}}
-	var m uint32
-	if err := binary.Read(&s.r, binary.LittleEndian, &m); err != nil {
-		return nil, &DecodeError{Event: -1, Offset: 0, Field: "magic", Err: noEOF(err)}
+	if s.end < 4 {
+		return nil, &DecodeError{Event: -1, Offset: 0, Field: "magic", Err: noEOF(s.rerr)}
 	}
-	if m != compactMagic {
+	if binary.LittleEndian.Uint32(s.buf) != compactMagic {
 		return nil, ErrBadFormat
 	}
-	nameLen, off, err := s.uvarint()
+	s.pos = 4
+	off := s.offset()
+	nameLen, err := s.uvarint()
 	if err != nil {
-		return nil, &DecodeError{Event: -1, Offset: off, Field: "name length", Err: noEOF(err)}
+		return nil, &DecodeError{Event: -1, Offset: off, Field: "name length", Err: err}
 	}
 	if nameLen > 1<<16 {
 		return nil, &DecodeError{Event: -1, Offset: off, Field: "name length",
 			Err: fmt.Errorf("%w: implausible name length %d", ErrBadFormat, nameLen)}
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(&s.r, name); err != nil {
-		return nil, &DecodeError{Event: -1, Offset: off, Field: "name", Err: noEOF(err)}
+	var name strings.Builder
+	name.Grow(int(nameLen))
+	for name.Len() < int(nameLen) {
+		if s.pos == s.end {
+			if s.rerr != nil {
+				return nil, &DecodeError{Event: -1, Offset: off, Field: "name", Err: noEOF(s.rerr)}
+			}
+			s.fill()
+			continue
+		}
+		n := min(int(nameLen)-name.Len(), s.end-s.pos)
+		name.Write(s.buf[s.pos : s.pos+n])
+		s.pos += n
 	}
-	s.name = string(name)
-	dur, off, err := s.uvarint()
+	s.name = name.String()
+	off = s.offset()
+	dur, err := s.uvarint()
 	if err != nil {
-		return nil, &DecodeError{Event: -1, Offset: off, Field: "duration", Err: noEOF(err)}
+		return nil, &DecodeError{Event: -1, Offset: off, Field: "duration", Err: err}
 	}
 	if dur > math.MaxInt64 {
 		return nil, &DecodeError{Event: -1, Offset: off, Field: "duration",
 			Err: fmt.Errorf("%w: duration %d overflows the timestamp range", ErrBadFormat, dur)}
 	}
 	s.dur = Microseconds(dur)
-	count, off, err := s.uvarint()
+	off = s.offset()
+	count, err := s.uvarint()
 	if err != nil {
-		return nil, &DecodeError{Event: -1, Offset: off, Field: "event count", Err: noEOF(err)}
+		return nil, &DecodeError{Event: -1, Offset: off, Field: "event count", Err: err}
 	}
 	if count > 1<<32 {
 		return nil, &DecodeError{Event: -1, Offset: off, Field: "event count",
@@ -147,11 +162,60 @@ func NewStream(r io.Reader) (*Stream, error) {
 	return s, nil
 }
 
-// uvarint reads one varint, returning the offset of its first byte.
-func (s *Stream) uvarint() (v uint64, off int64, err error) {
-	off = s.r.n
-	v, err = binary.ReadUvarint(&s.r)
-	return v, off, err
+// offset is the source offset of the next undecoded byte.
+func (s *Stream) offset() int64 { return s.base + int64(s.pos) }
+
+// fill moves the undecoded bytes to the front of the window and reads
+// the source once into the space after them, retrying empty reads as
+// bufio.Reader does. A source error, io.EOF included, is kept in s.rerr
+// and surfaces only when a field needs bytes past the window. Callers
+// leave fewer than binary.MaxVarintLen64 bytes undecoded, so the read
+// always has room.
+func (s *Stream) fill() {
+	s.base += int64(s.pos)
+	s.end = copy(s.buf, s.buf[s.pos:s.end])
+	s.pos = 0
+	for range maxEmptyReads {
+		n, err := s.src.Read(s.buf[s.end:])
+		s.end += n
+		if err != nil {
+			s.rerr = err
+			return
+		}
+		if n > 0 {
+			return
+		}
+	}
+	s.rerr = io.ErrNoProgress
+}
+
+// uvarint decodes the varint at the window's start, refilling the
+// window while the field runs past its end. The outcomes are
+// binary.ReadUvarint's: a field the source ends in (or before) is
+// io.ErrUnexpectedEOF, any other source error passes through, and ten
+// continuation bytes overflow even when the source ends after them,
+// where binary.Uvarint alone reports a short buffer.
+func (s *Stream) uvarint() (uint64, error) {
+	for {
+		if s.pos < s.end {
+			if b := s.buf[s.pos]; b < 0x80 {
+				s.pos++
+				return uint64(b), nil
+			}
+		}
+		v, n := binary.Uvarint(s.buf[s.pos:s.end])
+		if n > 0 {
+			s.pos += n
+			return v, nil
+		}
+		if n < 0 || s.end-s.pos >= binary.MaxVarintLen64 {
+			return 0, errOverflow
+		}
+		if s.rerr != nil {
+			return 0, noEOF(s.rerr)
+		}
+		s.fill()
+	}
 }
 
 // noEOF converts a bare io.EOF into io.ErrUnexpectedEOF: inside a
@@ -183,9 +247,10 @@ func (s *Stream) Next() (Event, error) {
 	if s.idx >= s.total {
 		return Event{}, io.EOF
 	}
-	delta, off, err := s.uvarint()
+	off := s.offset()
+	delta, err := s.uvarint()
 	if err != nil {
-		return Event{}, s.fail(off, "delta", noEOF(err))
+		return Event{}, s.fail(off, "delta", err)
 	}
 	// Reject deltas that would wrap the running timestamp past the
 	// int64 range: the wrap would surface as an out-of-order negative
@@ -194,9 +259,10 @@ func (s *Stream) Next() (Event, error) {
 		return Event{}, s.fail(off, "delta",
 			fmt.Errorf("%w: delta %d overflows the timestamp at %d", ErrBadFormat, delta, s.prev))
 	}
-	page, off, err := s.uvarint()
+	off = s.offset()
+	page, err := s.uvarint()
 	if err != nil {
-		return Event{}, s.fail(off, "page", noEOF(err))
+		return Event{}, s.fail(off, "page", err)
 	}
 	if page > math.MaxUint32 {
 		return Event{}, s.fail(off, "page",
@@ -223,7 +289,7 @@ type Encoder struct {
 	total   uint64
 	written uint64
 	prev    Microseconds
-	buf     [binary.MaxVarintLen64]byte
+	buf     [2 * binary.MaxVarintLen64]byte // one event's varints
 }
 
 // NewEncoder writes the compact header and returns an encoder expecting
@@ -258,8 +324,8 @@ func (e *Encoder) uvarint(v uint64) error {
 	return err
 }
 
-// Encode appends one event. Events must arrive with non-decreasing,
-// non-negative timestamps.
+// Encode appends one event, both varints in one buffered write. Events
+// must arrive with non-decreasing, non-negative timestamps.
 func (e *Encoder) Encode(ev Event) error {
 	if e.written >= e.total {
 		return fmt.Errorf("trace: encoder declared %d events, got more", e.total)
@@ -267,13 +333,11 @@ func (e *Encoder) Encode(ev Event) error {
 	if ev.At < e.prev || ev.At < 0 {
 		return fmt.Errorf("trace: event at %d out of order (previous %d)", ev.At, e.prev)
 	}
-	if err := e.uvarint(uint64(ev.At - e.prev)); err != nil {
+	b := binary.AppendUvarint(e.buf[:0], uint64(ev.At-e.prev))
+	if _, err := e.bw.Write(binary.AppendUvarint(b, uint64(ev.Page))); err != nil {
 		return err
 	}
 	e.prev = ev.At
-	if err := e.uvarint(uint64(ev.Page)); err != nil {
-		return err
-	}
 	e.written++
 	return nil
 }

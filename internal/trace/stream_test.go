@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -223,52 +224,26 @@ func TestEncoderRejectsMisuse(t *testing.T) {
 	}
 }
 
-// FuzzStream cross-checks the two decode paths on arbitrary bytes:
-// they must agree on accept/reject, and on accepted inputs the decoded
-// events must match and the re-encode must be byte-identical up to the
-// consumed prefix.
+// FuzzStream checks Stream against the reference decoder on arbitrary
+// bytes and source shapes (checkAgainstReference), then checks that an
+// accepted input round-trips through the encoder.
 func FuzzStream(f *testing.F) {
 	f.Add(buildCompact("t", 100, 2, 5, 1, 10, 2))
 	f.Add(buildCompact("", 0, 0))
 	f.Add(buildCompact("x", math.MaxInt64, 1, math.MaxInt64, 0))
 	f.Add([]byte("MCTC garbage"))
+	f.Add(tenContinuations())
+	f.Add(straddleInputs()[3])
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		tr, rcErr := ReadCompact(bytes.NewReader(raw))
-
-		var streamed []Event
-		s, sErr := NewStream(bytes.NewReader(raw))
-		if sErr == nil {
-			for {
-				e, err := s.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					sErr = err
-					break
-				}
-				streamed = append(streamed, e)
-			}
-		}
-
-		if (rcErr == nil) != (sErr == nil) {
-			t.Fatalf("paths disagree: ReadCompact err=%v, Stream err=%v", rcErr, sErr)
-		}
-		if rcErr != nil {
+		checkAgainstReference(t, raw)
+		tr, err := ReadCompact(bytes.NewReader(raw))
+		if err != nil {
 			return
-		}
-		if len(streamed) != len(tr.Events) {
-			t.Fatalf("stream %d events, ReadCompact %d", len(streamed), len(tr.Events))
-		}
-		for i := range streamed {
-			if streamed[i] != tr.Events[i] {
-				t.Fatalf("event %d: %+v != %+v", i, streamed[i], tr.Events[i])
-			}
 		}
 		// Re-encoding the decoded trace and decoding again must
 		// round-trip losslessly, and the re-encode must be a canonical
 		// fixed point: encode(decode(encode(x))) == encode(x). (A plain
-		// prefix check against raw would be too strong — ReadUvarint
+		// prefix check against raw would be too strong — the decoder
 		// tolerates non-minimal varints the canonical encoder never
 		// emits.)
 		first := encodeCompact(t, tr)
@@ -289,6 +264,136 @@ func FuzzStream(f *testing.F) {
 			t.Fatalf("re-encode is not a fixed point:\n first  %x\n second %x", first, second)
 		}
 	})
+}
+
+// stallReader serves data one byte per Read, each after stall empty
+// (0, nil) reads, then returns (0, nil) forever. Past ten times the
+// empty reads a refill accepts it fails instead, so a decoder that
+// spins fails the test rather than hanging it.
+type stallReader struct {
+	data  []byte
+	stall int
+	run   int // consecutive empty reads served
+}
+
+func (r *stallReader) Read(p []byte) (int, error) {
+	if len(r.data) > 0 && r.run >= r.stall {
+		r.run = 0
+		p[0], r.data = r.data[0], r.data[1:]
+		return 1, nil
+	}
+	r.run++
+	if r.run > 10*maxEmptyReads {
+		return 0, errors.New("stallReader: decoder kept reading")
+	}
+	return 0, nil
+}
+
+// TestStreamNoProgress: a source that stops making progress fails the
+// field being read with io.ErrNoProgress after exactly maxEmptyReads
+// empty reads, as bufio.Reader does, and is not reported as
+// truncation; fewer empty reads in a row are waited out.
+func TestStreamNoProgress(t *testing.T) {
+	raw := buildCompact("t", 100, 2, 5, 1, 300, 2)
+	want, err := ReadCompact(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadCompact(&stallReader{data: raw, stall: maxEmptyReads - 1})
+	if err != nil {
+		t.Fatalf("%d empty reads before each byte: %v", maxEmptyReads-1, err)
+	}
+	if !slices.Equal(got.Events, want.Events) {
+		t.Fatalf("stalling source decoded %v, want %v", got.Events, want.Events)
+	}
+	// Stall before the magic, inside it, before the name length and the
+	// duration, and inside the 2-byte delta.
+	for _, cut := range []int{0, 2, 4, 6, len(raw) - 2} {
+		r := &stallReader{data: raw[:cut]}
+		_, err := ReadCompact(r)
+		var de *DecodeError
+		if !errors.As(err, &de) || !errors.Is(err, io.ErrNoProgress) {
+			t.Errorf("cut at %d: err = %v, want a DecodeError caused by io.ErrNoProgress", cut, err)
+			continue
+		}
+		if de.Offset > int64(cut) {
+			t.Errorf("cut at %d: error at offset %d, past the bytes served", cut, de.Offset)
+		}
+		if r.run != maxEmptyReads {
+			t.Errorf("cut at %d: failed after %d empty reads, want %d", cut, r.run, maxEmptyReads)
+		}
+	}
+}
+
+// TestStreamSourceErrorMidField: a source error inside a multi-byte
+// field is the DecodeError's cause, positioned at the field's start.
+func TestStreamSourceErrorMidField(t *testing.T) {
+	header := len(buildCompact("t", 100, 1))
+	raw := buildCompact("t", 100, 1, 300, 70000) // a 2-byte delta, a 3-byte page
+	for _, tc := range []struct {
+		cut    int
+		field  string
+		offset int
+	}{
+		{header + 1, "delta", header},
+		{header + 3, "page", header + 2},
+		{header + 4, "page", header + 2},
+	} {
+		_, err := ReadCompact(&chunkReader{data: raw[:tc.cut], chunk: 3, tail: errSource})
+		var de *DecodeError
+		if !errors.As(err, &de) || !errors.Is(err, errSource) {
+			t.Errorf("cut at %d: err = %v, want a DecodeError caused by the source error", tc.cut, err)
+			continue
+		}
+		if de.Event != 0 || de.Field != tc.field || de.Offset != int64(tc.offset) {
+			t.Errorf("cut at %d: error at event %d %s offset %d, want event 0 %s offset %d",
+				tc.cut, de.Event, de.Field, de.Offset, tc.field, tc.offset)
+		}
+	}
+}
+
+// TestStreamAllocs pins the allocation contract: opening a stream and
+// draining it allocates the Stream, its window and the name, whatever
+// the trace's length, and Next allocates nothing.
+func TestStreamAllocs(t *testing.T) {
+	tr := &Trace{Name: "allocs", Duration: 10 * Second}
+	for i := range 5000 {
+		tr.Events = append(tr.Events, Event{Page: uint32(i % 300), At: Microseconds(i) * 37})
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteCompact(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(nil)
+	drainAll := func() {
+		rd.Reset(buf.Bytes())
+		s, err := NewStream(rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			if _, err := s.Next(); err == io.EOF {
+				return
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(20, drainAll); n > 3 {
+		t.Errorf("NewStream plus a drain of %d events allocates %.1f times, want at most 3", len(tr.Events), n)
+	}
+	rd.Reset(buf.Bytes())
+	s, err := NewStream(rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := s.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Next allocates %.1f times per event, want 0", n)
+	}
 }
 
 // encodeCompact encodes through the streaming Encoder and returns the

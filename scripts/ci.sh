@@ -67,15 +67,15 @@ echo "== fleet race smoke =="
 go test -race -run 'TestRunLogInvariants|TestAnalyzeMatchesOracle' ./internal/fleet
 go test -race -run 'TestFleet' ./cmd/memconsim
 
-# Smoke-run the hot-path, trace-synthesis, random-pattern fill and
-# serving-cache benchmarks (one iteration each): catches compile or
-# runtime breakage in the bench harness without spending CI time on
-# stable measurements. Real numbers come from scripts/bench.sh, which
-# rewrites BENCH_hotpath.json, BENCH_engine.json, BENCH_fleet.json and
-# BENCH_serve.json (the three trace-synthesis benchmarks and the fill
-# benchmark have no BENCH file).
+# Smoke-run the hot-path, trace-synthesis, compact-codec, random-pattern
+# fill and serving-cache benchmarks (one iteration each): catches
+# compile or runtime breakage in the bench harness without spending CI
+# time on stable measurements. Real numbers come from scripts/bench.sh,
+# which rewrites BENCH_hotpath.json, BENCH_engine.json, BENCH_fleet.json
+# and BENCH_serve.json (the three trace-synthesis benchmarks, the two
+# compact-codec benchmarks and the fill benchmark have no BENCH file).
 echo "== bench smoke =="
-go test -run '^$' -bench 'BenchmarkReadBack|BenchmarkFailingCells|BenchmarkFailingCellsDense|BenchmarkDisturbScan|BenchmarkEngineRun|BenchmarkFleetRun|BenchmarkTraceGeneration|BenchmarkTraceIntervals|BenchmarkTraceSort|BenchmarkRandomPatternFill' -benchtime=1x .
+go test -run '^$' -bench 'BenchmarkReadBack|BenchmarkFailingCells|BenchmarkFailingCellsDense|BenchmarkDisturbScan|BenchmarkEngineRun|BenchmarkFleetRun|BenchmarkTraceGeneration|BenchmarkTraceIntervals|BenchmarkTraceSort|BenchmarkTraceCompactEncode|BenchmarkTraceCompactDecode|BenchmarkRandomPatternFill' -benchtime=1x .
 go test -run '^$' -bench BenchmarkServeCache -benchtime=1x ./internal/servecache
 
 # Mapping sweep smoke: one chip-level experiment per vendor address
