@@ -29,6 +29,7 @@ import (
 	"memcon/internal/fleet"
 	"memcon/internal/memctrl"
 	"memcon/internal/pril"
+	"memcon/internal/report"
 	"memcon/internal/softmc"
 	"memcon/internal/trace"
 	"memcon/internal/workload"
@@ -40,125 +41,152 @@ func benchRequest(id string) experiments.Request {
 	return experiments.Request{Experiment: id, Seed: 42, Scale: 0.05, SimTimeNs: 200_000, Mixes: 4}
 }
 
-func runExperiment(b *testing.B, id string) experiments.Result {
+func runExperiment(b *testing.B, id string) *report.Report {
 	b.Helper()
-	var out experiments.Result
+	var out *report.Report
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunRequest(context.Background(), benchRequest(id), experiments.Runtime{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		out = res
+		out = res.Report()
 	}
 	return out
 }
 
+// reportCell reads one number of a report the way a consumer of its
+// JSON reads it: from the data table key, column col, and the first
+// row whose leading cells have the canonical values labels (no labels
+// selects the first row). Integer cells convert to float64. A missing
+// table, column or row, or a non-numeric cell, fails the benchmark.
+func reportCell(b *testing.B, rep *report.Report, key, col string, labels ...string) float64 {
+	b.Helper()
+	for _, t := range rep.Tables() {
+		if t.Key != key {
+			continue
+		}
+		ci := slices.IndexFunc(t.Columns, func(c report.Column) bool { return c.Name == col })
+		if ci < 0 {
+			b.Fatalf("table %q has no column %q", key, col)
+		}
+	rows:
+		for _, r := range t.Rows {
+			for i, l := range labels {
+				if r.Cells[i].Value() != l {
+					continue rows
+				}
+			}
+			switch c := r.Cells[ci]; c.Kind {
+			case report.KindFloat:
+				return c.Float
+			case report.KindInt:
+				return float64(c.Int)
+			}
+			b.Fatalf("table %q column %q row %q is not numeric", key, col, labels)
+		}
+		b.Fatalf("table %q has no row %q", key, labels)
+	}
+	b.Fatalf("%s report has no table %q", rep.Prov.Experiment, key)
+	return 0
+}
+
 func BenchmarkFig3PatternSensitivity(b *testing.B) {
-	out := runExperiment(b, "fig3").(*experiments.Fig3Result)
-	b.ReportMetric(float64(out.UniqueCells), "failing-cells")
-	b.ReportMetric(float64(out.ConditionalCells), "conditional-cells")
+	out := runExperiment(b, "fig3")
+	b.ReportMetric(reportCell(b, out, "summary", "unique_cells"), "failing-cells")
+	b.ReportMetric(reportCell(b, out, "summary", "conditional_cells"), "conditional-cells")
 }
 
 func BenchmarkFig4ContentFailures(b *testing.B) {
-	out := runExperiment(b, "fig4").(*experiments.Fig4Result)
-	b.ReportMetric(100*out.AllFail, "allfail-%rows")
-	b.ReportMetric(out.RatioMin, "ratio-min")
-	b.ReportMetric(out.RatioMax, "ratio-max")
+	out := runExperiment(b, "fig4")
+	b.ReportMetric(100*reportCell(b, out, "rows", "avg", "ALL FAIL"), "allfail-%rows")
+	b.ReportMetric(reportCell(b, out, "summary", "ratio_min"), "ratio-min")
+	b.ReportMetric(reportCell(b, out, "summary", "ratio_max"), "ratio-max")
 }
 
 func BenchmarkFig6MinWriteInterval(b *testing.B) {
-	out := runExperiment(b, "fig6").(*experiments.Fig6Result)
-	b.ReportMetric(float64(out.Configs[0].MinWriteInterval)/1e6, "readcmp-mwi-ms")
-	b.ReportMetric(float64(out.Configs[1].MinWriteInterval)/1e6, "copycmp-mwi-ms")
+	out := runExperiment(b, "fig6")
+	b.ReportMetric(reportCell(b, out, "configs", "min_write_interval_ms", "Read and Compare", "64"), "readcmp-mwi-ms")
+	b.ReportMetric(reportCell(b, out, "configs", "min_write_interval_ms", "Copy and Compare", "64"), "copycmp-mwi-ms")
 }
 
 func BenchmarkFig7IntervalDistribution(b *testing.B) {
-	out := runExperiment(b, "fig7").(*experiments.Fig7Result)
-	b.ReportMetric(100*out.Apps[0].Under1ms, "under1ms-%")
+	out := runExperiment(b, "fig7")
+	b.ReportMetric(100*reportCell(b, out, "apps", "under_1ms"), "under1ms-%")
 }
 
 func BenchmarkFig8ParetoFit(b *testing.B) {
-	out := runExperiment(b, "fig8").(*experiments.Fig8Result)
-	b.ReportMetric(out.Apps[0].Fit.R2, "r2")
-	b.ReportMetric(out.Apps[0].Fit.Dist.Alpha, "alpha")
+	out := runExperiment(b, "fig8")
+	b.ReportMetric(reportCell(b, out, "fits", "r2"), "r2")
+	b.ReportMetric(reportCell(b, out, "fits", "alpha"), "alpha")
 }
 
 func BenchmarkFig9LongIntervalTime(b *testing.B) {
-	out := runExperiment(b, "fig9").(*experiments.Fig9Result)
-	b.ReportMetric(100*out.Average, "long-time-%")
+	out := runExperiment(b, "fig9")
+	b.ReportMetric(100*reportCell(b, out, "rows", "long_share", "AVERAGE"), "long-time-%")
+}
+
+// seriesMeanAt1024 averages a Figs. 11/12 series over the workloads at
+// CIL 1024 ms.
+func seriesMeanAt1024(b *testing.B, rep *report.Report) float64 {
+	apps := workload.Apps()
+	var sum float64
+	for _, app := range apps {
+		sum += reportCell(b, rep, "series", app.Name, "1024")
+	}
+	return sum / float64(len(apps))
 }
 
 func BenchmarkFig11RILvsCIL(b *testing.B) {
-	out := runExperiment(b, "fig11").(*experiments.Fig11Result)
+	out := runExperiment(b, "fig11")
 	// Report the average conditional at CIL 1024 ms across apps.
-	var sum float64
-	idx := 0
-	for i, c := range out.CILs {
-		if c == 1024 {
-			idx = i
-		}
-	}
-	for a := range out.Apps {
-		sum += out.P[a][idx]
-	}
-	b.ReportMetric(sum/float64(len(out.Apps)), "p-ril-at-1024")
+	b.ReportMetric(seriesMeanAt1024(b, out), "p-ril-at-1024")
 }
 
 func BenchmarkFig12Coverage(b *testing.B) {
-	out := runExperiment(b, "fig12").(*experiments.Fig12Result)
-	var sum float64
-	idx := 0
-	for i, c := range out.CILs {
-		if c == 1024 {
-			idx = i
-		}
-	}
-	for a := range out.Apps {
-		sum += out.Coverage[a][idx]
-	}
-	b.ReportMetric(100*sum/float64(len(out.Apps)), "coverage-%-at-1024")
+	out := runExperiment(b, "fig12")
+	b.ReportMetric(100*seriesMeanAt1024(b, out), "coverage-%-at-1024")
 }
 
 func BenchmarkFig14RefreshReduction(b *testing.B) {
-	out := runExperiment(b, "fig14").(*experiments.Fig14Result)
-	b.ReportMetric(100*out.AvgAt1024, "avg-reduction-%")
-	b.ReportMetric(100*out.MinAt1024, "min-reduction-%")
-	b.ReportMetric(100*out.MaxAt1024, "max-reduction-%")
+	out := runExperiment(b, "fig14")
+	b.ReportMetric(100*reportCell(b, out, "summary", "avg_at_1024"), "avg-reduction-%")
+	b.ReportMetric(100*reportCell(b, out, "summary", "min_at_1024"), "min-reduction-%")
+	b.ReportMetric(100*reportCell(b, out, "summary", "max_at_1024"), "max-reduction-%")
 }
 
 func BenchmarkFig15Speedup(b *testing.B) {
-	out := runExperiment(b, "fig15").(*experiments.Fig15Result)
-	b.ReportMetric(out.Speedup(1, dram.Density32Gb, 0.75), "1core-32gb-75pct")
-	b.ReportMetric(out.Speedup(4, dram.Density32Gb, 0.75), "4core-32gb-75pct")
-	b.ReportMetric(out.Speedup(1, dram.Density8Gb, 0.60), "1core-8gb-60pct")
+	out := runExperiment(b, "fig15")
+	b.ReportMetric(reportCell(b, out, "cells", "speedup", "1", "32Gb", "0.75"), "1core-32gb-75pct")
+	b.ReportMetric(reportCell(b, out, "cells", "speedup", "4", "32Gb", "0.75"), "4core-32gb-75pct")
+	b.ReportMetric(reportCell(b, out, "cells", "speedup", "1", "8Gb", "0.6"), "1core-8gb-60pct")
 }
 
 func BenchmarkTable3TestOverhead(b *testing.B) {
-	out := runExperiment(b, "table3").(*experiments.Table3Result)
-	b.ReportMetric(100*out.Loss(1, 1024), "1core-1024tests-loss-%")
-	b.ReportMetric(100*out.Loss(4, 1024), "4core-1024tests-loss-%")
+	out := runExperiment(b, "table3")
+	b.ReportMetric(100*reportCell(b, out, "losses", "t1024", "1-core"), "1core-1024tests-loss-%")
+	b.ReportMetric(100*reportCell(b, out, "losses", "t1024", "4-core"), "4core-1024tests-loss-%")
 }
 
 func BenchmarkFig16RefreshPolicies(b *testing.B) {
-	out := runExperiment(b, "fig16").(*experiments.Fig16Result)
-	b.ReportMetric(out.Speedup(1, dram.Density32Gb, "MEMCON"), "memcon-1core-32gb")
-	b.ReportMetric(out.Speedup(1, dram.Density32Gb, "RAIDR"), "raidr-1core-32gb")
-	b.ReportMetric(out.Speedup(1, dram.Density32Gb, "64ms"), "ideal-1core-32gb")
+	out := runExperiment(b, "fig16")
+	b.ReportMetric(reportCell(b, out, "cells", "speedup", "1", "32Gb", "MEMCON"), "memcon-1core-32gb")
+	b.ReportMetric(reportCell(b, out, "cells", "speedup", "1", "32Gb", "RAIDR"), "raidr-1core-32gb")
+	b.ReportMetric(reportCell(b, out, "cells", "speedup", "1", "32Gb", "64ms"), "ideal-1core-32gb")
 }
 
 func BenchmarkFig17LoRefCoverage(b *testing.B) {
-	out := runExperiment(b, "fig17").(*experiments.Fig17Result)
-	b.ReportMetric(100*out.AvgAt1024, "coverage-%")
+	out := runExperiment(b, "fig17")
+	b.ReportMetric(100*reportCell(b, out, "summary", "avg_at_1024"), "coverage-%")
 }
 
 func BenchmarkFig18TestingTime(b *testing.B) {
-	out := runExperiment(b, "fig18").(*experiments.Fig18Result)
-	b.ReportMetric(100*out.AvgTestingShare, "testing-share-%")
+	out := runExperiment(b, "fig18")
+	b.ReportMetric(100*reportCell(b, out, "summary", "avg_testing_share"), "testing-share-%")
 }
 
 func BenchmarkFig19HalvedIntervals(b *testing.B) {
-	out := runExperiment(b, "fig19").(*experiments.Fig19Result)
-	b.ReportMetric(out.Full[1]-out.Half[1], "delta-p-at-1024")
+	out := runExperiment(b, "fig19")
+	b.ReportMetric(reportCell(b, out, "series", "full", "1024")-reportCell(b, out, "series", "halved", "1024"), "delta-p-at-1024")
 }
 
 // BenchmarkParallelMixes measures the mix-simulation sweep (the

@@ -42,7 +42,10 @@
 //	        [-report-version v] [-max-scale f]
 //
 // -addr-file writes the bound address (useful with -addr :0) so
-// scripts can find the server without racing the log output.
+// scripts can find the server without racing the log output. A
+// negative -timeout, -cache, -cache-mem, -cache-disk or -max-scale (or
+// a NaN -max-scale) is rejected at startup; zero keeps its documented
+// meaning.
 package main
 
 import (

@@ -28,20 +28,22 @@ type Config struct {
 	// Values below 1 select 64.
 	Queue int
 	// Timeout is the per-request run budget; an experiment exceeding it
-	// is cancelled and answered 504. Zero selects 2 minutes.
+	// is cancelled and answered 504. Zero selects 2 minutes; negative is
+	// an error.
 	Timeout time.Duration
 	// CacheEntries bounds the result cache's memory tier (LRU); zero
-	// selects 1024.
+	// selects 1024; negative is an error.
 	CacheEntries int
 	// CacheMemBytes bounds the memory tier's payload bytes; zero
-	// selects unbounded.
+	// selects unbounded; negative is an error.
 	CacheMemBytes int64
 	// CacheDir, when set, enables the persistent disk tier: every
 	// computed result is written through to one content-addressed file
 	// under this directory, and a restarted daemon serves its prior
 	// corpus from there without re-running anything.
 	CacheDir string
-	// CacheDiskBytes bounds the disk tier; zero selects unbounded.
+	// CacheDiskBytes bounds the disk tier; zero selects unbounded;
+	// negative is an error.
 	CacheDiskBytes int64
 	// Version is the build identifier stamped into report provenance
 	// when the client does not supply one.
@@ -50,8 +52,28 @@ type Config struct {
 	// selects 250ms.
 	ProgressInterval time.Duration
 	// MaxScale caps the scale a request may ask for (a serving-side
-	// cost guard); zero means no cap.
+	// cost guard); zero means no cap; negative or NaN is an error.
 	MaxScale float64
+}
+
+// validate rejects the values whose meaning would otherwise change
+// silently: a negative byte budget would read as unbounded, a negative
+// entry budget or timeout as its default, and a negative or NaN scale
+// cap as no cap. Errors name the command-line flag that sets the field.
+func (c Config) validate() error {
+	switch {
+	case c.Timeout < 0:
+		return fmt.Errorf("-timeout must be non-negative (0 selects 2m), got %v", c.Timeout)
+	case c.CacheEntries < 0:
+		return fmt.Errorf("-cache must be non-negative (0 selects 1024), got %d", c.CacheEntries)
+	case c.CacheMemBytes < 0:
+		return fmt.Errorf("-cache-mem must be non-negative (0 = unlimited), got %d", c.CacheMemBytes)
+	case c.CacheDiskBytes < 0:
+		return fmt.Errorf("-cache-disk must be non-negative (0 = unlimited), got %d", c.CacheDiskBytes)
+	case !(c.MaxScale >= 0): // written so that NaN fails too
+		return fmt.Errorf("-max-scale must be non-negative (0 = no cap), got %v", c.MaxScale)
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -119,10 +141,14 @@ type Server struct {
 	diskCorrupt *obs.Gauge
 }
 
-// NewServer builds the daemon with the given configuration. When
-// cfg.CacheDir is set the persistent disk tier is opened (its warm-boot
-// index scan runs in WarmBoot, which the caller must invoke).
+// NewServer builds the daemon with the given configuration, rejecting
+// out-of-range values (see Config.validate). When cfg.CacheDir is set
+// the persistent disk tier is opened (its warm-boot index scan runs in
+// WarmBoot, which the caller must invoke).
 func NewServer(cfg Config) (*Server, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	var store *servecache.Store
 	if cfg.CacheDir != "" {

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -926,5 +927,39 @@ func TestDiskTierRestart(t *testing.T) {
 	resp304.Body.Close()
 	if resp304.StatusCode != http.StatusNotModified {
 		t.Errorf("restart revalidation = %d, want 304", resp304.StatusCode)
+	}
+}
+
+// TestNewServerRejectsOutOfRangeConfig pins NewServer's validation: a
+// value whose meaning used to change silently (a negative budget read
+// as unbounded or as its default, a negative or NaN scale cap as no
+// cap) is an error naming its flag, while zero keeps its documented
+// meaning and Workers/Queue below 1 still select their defaults.
+func TestNewServerRejectsOutOfRangeConfig(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		flag string
+	}{
+		{"negative timeout", Config{Timeout: -time.Second}, "-timeout"},
+		{"negative cache entries", Config{CacheEntries: -1}, "-cache"},
+		{"negative cache mem", Config{CacheMemBytes: -1}, "-cache-mem"},
+		{"negative cache disk", Config{CacheDiskBytes: -1}, "-cache-disk"},
+		{"negative max scale", Config{MaxScale: -0.5}, "-max-scale"},
+		{"NaN max scale", Config{MaxScale: math.NaN()}, "-max-scale"},
+	}
+	for _, tc := range cases {
+		if _, err := NewServer(tc.cfg); err == nil || !strings.HasPrefix(err.Error(), tc.flag+" must") {
+			t.Errorf("%s: NewServer error = %v, want one naming %s", tc.name, err, tc.flag)
+		}
+	}
+	srv, err := NewServer(Config{Workers: -1, Queue: -1})
+	if err != nil {
+		t.Fatalf("zero config with Workers/Queue below 1: %v", err)
+	}
+	c := srv.cfg
+	if c.Workers != 4 || c.Queue != 64 || c.Timeout != 2*time.Minute || c.CacheEntries != 1024 ||
+		c.CacheMemBytes != 0 || c.CacheDiskBytes != 0 || c.MaxScale != 0 {
+		t.Errorf("defaults = %+v", c)
 	}
 }

@@ -28,12 +28,11 @@
 //	memconsim -exp fleet-ce -fleet 1000 -fleet-out fleet.celog
 //
 // Read-disturb experiments (disturb-exposure, disturb-mitigation)
-// honour -disturb, the RowHammer mitigation spec. The bare policy names
-// compose with their parameter flags:
+// honour -disturb, the RowHammer mitigation spec: none or a full spec,
+// the one form memcond request bodies, report provenance and -diff use:
 //
-//	memconsim -exp disturb-mitigation -disturb para -para-p 0.01
-//	memconsim -exp disturb-mitigation -disturb prac -prac-threshold 2048
-//	memconsim -exp disturb-mitigation -disturb para:0.01   # equivalent full spec
+//	memconsim -exp disturb-mitigation -disturb para:0.01
+//	memconsim -exp disturb-mitigation -disturb prac:2048
 //
 // Structured reports:
 //
@@ -80,6 +79,7 @@ import (
 	"memcon/internal/core"
 	"memcon/internal/dram"
 	"memcon/internal/experiments"
+	"memcon/internal/fleet"
 	"memcon/internal/obs"
 	"memcon/internal/parallel"
 	"memcon/internal/report"
@@ -112,9 +112,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		mixes    = fs.Int("mixes", defaults.Mixes, "multiprogrammed mixes for performance runs")
 		fleetN   = fs.Int("fleet", 0, "module count for fleet experiments (0 derives a scale-proportional size)")
 		mapping  = fs.String("mapping", "", "address mapping for chip-level experiments: "+strings.Join(dram.MappingNames(), ", ")+" (default mapping when empty)")
-		disturb  = fs.String("disturb", "", `RowHammer mitigation for disturb experiments: none, para, prac, or a full spec like "para:0.001"`)
-		paraP    = fs.Float64("para-p", 0.001, "PARA per-activation refresh probability (with -disturb para)")
-		pracN    = fs.Int64("prac-threshold", 4096, "PRAC mitigation period in activations (with -disturb prac)")
+		disturb  = fs.String("disturb", "", `RowHammer mitigation for disturb experiments: none, "para:<p>" (e.g. para:0.001) or "prac:<n>" (e.g. prac:4096)`)
 		fleetOut = fs.String("fleet-out", "", "with -exp fleet-*: also write the CE event log to this file (compact format)")
 		outFmt   = fs.String("format", "table", "output format: table, csv, or json")
 		outDir   = fs.String("out", "", "also write each run's canonical JSON report to DIR/<id>.json")
@@ -177,21 +175,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		defer stopTrace() //nolint:errcheck // flush error surfaced via the file below
 	}
 
-	// The bare policy names compose with their parameter flags; a full
-	// spec ("para:0.01") passes through untouched and Normalize
-	// canonicalizes either spelling.
-	disturbSpec := *disturb
-	switch disturbSpec {
-	case "para":
-		disturbSpec = fmt.Sprintf("para:%g", *paraP)
-	case "prac":
-		disturbSpec = fmt.Sprintf("prac:%d", *pracN)
-	}
-
 	req := experiments.Request{
 		Experiment: *exp, Seed: *seed, Scale: *scale,
 		SimTimeNs: *simtime, Mixes: *mixes, Fleet: *fleetN,
-		Mapping: *mapping, Disturb: disturbSpec, Version: *version,
+		Mapping: *mapping, Disturb: *disturb, Version: *version,
 	}
 	rt := experiments.Runtime{Workers: *nworkers}
 
@@ -355,11 +342,10 @@ func runOne(ctx context.Context, out io.Writer, req experiments.Request, rt expe
 }
 
 // writeCELog captures a fleet run's CE event log in the compact
-// streaming format. Only fleet results implement CELogWriter; asking
-// any other experiment for a log is a usage error, not a silent no-op.
-func writeCELog(path, id string, res experiments.Result) error {
-	lw, ok := res.(experiments.CELogWriter)
-	if !ok {
+// streaming format. Only fleet results carry a CE log; asking any other
+// experiment for one is a usage error, not a silent no-op.
+func writeCELog(path, id string, res *experiments.Result) error {
+	if res.CELog == nil {
 		return fmt.Errorf("experiment %s produces no CE event log (-fleet-out wants fleet-ce or fleet-risk)", id)
 	}
 	f, err := os.Create(path)
@@ -367,7 +353,7 @@ func writeCELog(path, id string, res experiments.Result) error {
 		return fmt.Errorf("creating CE log file: %w", err)
 	}
 	bw := bufio.NewWriter(f)
-	err = lw.WriteCELog(bw)
+	err = fleet.WriteLog(bw, res.CELog)
 	if err == nil {
 		err = bw.Flush()
 	}
@@ -399,7 +385,9 @@ func writeReport(dir, id string, rep *report.Report) error {
 // provenance field added after this code was written — flows into the
 // re-run wholesale instead of being rebuilt field by field; a flag given
 // explicitly on the command line still overrides its saved value, so a
-// bare `-diff FILE` always re-runs apples-to-apples.
+// bare `-diff FILE` always re-runs apples-to-apples. -disturb takes the
+// same spec form the provenance records (none, para:<p>, prac:<n>), so
+// each override flag maps onto exactly one request field.
 func runDiff(ctx context.Context, out io.Writer, path string, flags experiments.Request, rt experiments.Runtime, explicit map[string]bool, tol report.Tolerance) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -415,14 +403,12 @@ func runDiff(ctx context.Context, out io.Writer, path string, flags experiments.
 	}
 	req := experiments.RequestFromProvenance(saved.Prov)
 	for flag, apply := range map[string]func(){
-		"seed":    func() { req.Seed = flags.Seed },
-		"scale":   func() { req.Scale = flags.Scale },
-		"simtime": func() { req.SimTimeNs = flags.SimTimeNs },
-		"mixes":   func() { req.Mixes = flags.Mixes },
-		"fleet":   func() { req.Fleet = flags.Fleet },
-		"mapping": func() { req.Mapping = flags.Mapping },
-		// -disturb carries the spec already composed with -para-p /
-		// -prac-threshold, so one entry covers all three flags.
+		"seed":           func() { req.Seed = flags.Seed },
+		"scale":          func() { req.Scale = flags.Scale },
+		"simtime":        func() { req.SimTimeNs = flags.SimTimeNs },
+		"mixes":          func() { req.Mixes = flags.Mixes },
+		"fleet":          func() { req.Fleet = flags.Fleet },
+		"mapping":        func() { req.Mapping = flags.Mapping },
 		"disturb":        func() { req.Disturb = flags.Disturb },
 		"report-version": func() { req.Version = flags.Version },
 	} {

@@ -136,3 +136,37 @@ func TestRunRejectsNaNScale(t *testing.T) {
 		t.Errorf("-scale NaN printed output:\n%s", out.String())
 	}
 }
+
+// TestDisturbParameterFlagsRemoved pins that -disturb is the one
+// spelling of a mitigation: the parameter flags that used to compose
+// with a bare policy name are rejected as undefined.
+func TestDisturbParameterFlagsRemoved(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "disturb-mitigation", "-disturb", "para", "-para-p", "0.01"},
+		{"-exp", "disturb-mitigation", "-disturb", "prac", "-prac-threshold", "2048"},
+	} {
+		var out strings.Builder
+		err := run(context.Background(), args, &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%q: err = %v, want flag provided but not defined", args, err)
+		}
+	}
+}
+
+// TestDisturbSpellingsAgree pins that two spellings of one mitigation
+// spec normalize to the same request and print identical reports,
+// provenance included.
+func TestDisturbSpellingsAgree(t *testing.T) {
+	reportFor := func(spec string) string {
+		var out strings.Builder
+		args := []string{"-exp", "disturb-mitigation", "-disturb", spec,
+			"-scale", "0.04", "-simtime", "200000", "-format", "json"}
+		if err := run(context.Background(), args, &out); err != nil {
+			t.Fatalf("-disturb %s: %v", spec, err)
+		}
+		return out.String()
+	}
+	if a, b := reportFor("para:0.01"), reportFor("PARA:0.0100"); a != b {
+		t.Errorf("-disturb para:0.01 and PARA:0.0100 printed different reports:\n%s\n---\n%s", a, b)
+	}
+}

@@ -21,9 +21,9 @@ import (
 // work.
 
 func init() {
-	registry["abl-buffer"] = entry{RunAblBuffer, "Ablation: PRIL write-buffer capacity (overflow -> HI-REF)", false}
-	registry["abl-accel"] = entry{RunAblAccel, "Ablation: Copy-and-Compare acceleration (RowClone / in-DRAM compare)", false}
-	registry["abl-pril"] = entry{RunAblPril, "Ablation: buffer-based vs bitmap PRIL implementation", false}
+	registry["abl-buffer"] = entry{RunAblBuffer, "Ablation: PRIL write-buffer capacity (overflow -> HI-REF)", nil}
+	registry["abl-accel"] = entry{RunAblAccel, "Ablation: Copy-and-Compare acceleration (RowClone / in-DRAM compare)", nil}
+	registry["abl-pril"] = entry{RunAblPril, "Ablation: buffer-based vs bitmap PRIL implementation", nil}
 }
 
 // ablTrace generates the reference workload for ablations.
@@ -35,88 +35,54 @@ func ablTrace(req Request) (*trace.Trace, error) {
 	return app.Generate(req.Seed, req.Scale), nil
 }
 
-// AblBufferRow is one buffer-capacity point.
-type AblBufferRow struct {
-	Capacity  int
-	Reduction float64
-	Discards  int64
-	Peak      int
-}
-
-// AblBufferResult sweeps PRIL's write-buffer capacity.
-type AblBufferResult struct {
-	resultMeta
-	Rows []AblBufferRow
-}
-
-// RunAblBuffer sweeps the buffer capacity from unbounded down to
-// starvation, measuring the refresh reduction lost to discards. The
-// capacities run concurrently against one shared trace — core.Run
-// only reads the trace, so the units share it without copies.
-func RunAblBuffer(ctx context.Context, req Request, rt Runtime) (Result, error) {
+// RunAblBuffer sweeps PRIL's write-buffer capacity from unbounded down
+// to starvation, measuring the refresh reduction lost to discards. The
+// capacities run concurrently against one shared trace — core.Run only
+// reads the trace, so the units share it without copies.
+func RunAblBuffer(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	tr, err := ablTrace(req)
 	if err != nil {
 		return nil, err
 	}
 	capacities := []int{0, 4000, 1000, 200, 50, 8}
-	rows, err := parallel.Map(ctx, len(capacities), rt.Workers, func(i int) (AblBufferRow, error) {
+	reps, err := parallel.Map(ctx, len(capacities), rt.Workers, func(i int) (core.Report, error) {
 		cfg := core.DefaultConfig()
 		cfg.BufferCap = capacities[i]
-		rep, err := core.RunContext(ctx, tr, cfg, core.WithObserver(rt.Observer))
-		if err != nil {
-			return AblBufferRow{}, err
-		}
-		return AblBufferRow{
-			Capacity:  capacities[i],
-			Reduction: rep.RefreshReduction(),
-			Discards:  rep.Pril.Discards,
-			Peak:      rep.Pril.PeakBuffer,
-		}, nil
+		return core.RunContext(ctx, tr, cfg, core.WithObserver(rt.Observer))
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &AblBufferResult{Rows: rows}, nil
-}
-
-// Report builds the buffer-ablation document.
-func (r *AblBufferResult) Report() *report.Report {
-	rep := report.New(r.provenance())
+	rep := report.New(report.Provenance{})
 	rep.Textf("Ablation — PRIL write-buffer capacity\n\n")
 	t := report.NewTable("rows",
 		report.CInt("capacity", "", "entries"),
 		report.CFloat("reduction", "", "fraction"),
 		report.CInt("discards", "", ""),
 		report.CInt("peak", "peak occupancy", "entries"))
-	for _, row := range r.Rows {
-		capCell := report.I(int64(row.Capacity))
-		if row.Capacity == 0 {
+	for i, r := range reps {
+		capCell := report.I(int64(capacities[i]))
+		if capacities[i] == 0 {
 			capCell = report.Id(0, "unbounded")
 		}
-		t.Add(capCell, report.F(row.Reduction, pct(row.Reduction)),
-			report.I(row.Discards), report.I(int64(row.Peak)))
+		reduction := r.RefreshReduction()
+		t.Add(capCell, report.F(reduction, pct(reduction)),
+			report.I(r.Pril.Discards), report.I(int64(r.Pril.PeakBuffer)))
 	}
 	rep.AddTable(t)
 	rep.Textf("\npaper sizes the buffer at ~4000 entries (§6.4); the sweep shows how much\nreduction survives under-provisioning (discarded pages stay at HI-REF)\n")
-	return rep
+	return rep, nil
 }
 
-// AblAccelRow is one acceleration variant.
-type AblAccelRow struct {
-	Accel            costmodel.Accel
-	TestCost         dram.Nanoseconds
-	MinWriteInterval dram.Nanoseconds
-}
-
-// AblAccelResult quantifies footnote 6's acceleration variants.
-type AblAccelResult struct {
-	resultMeta
-	Rows []AblAccelRow
-}
-
-// RunAblAccel computes test cost and MinWriteInterval per acceleration.
-func RunAblAccel(context.Context, Request, Runtime) (Result, error) {
-	res := &AblAccelResult{}
+// RunAblAccel quantifies footnote 6's acceleration variants: test cost
+// and MinWriteInterval per acceleration.
+func RunAblAccel(context.Context, Request, Runtime) (*report.Report, error) {
+	rep := report.New(report.Provenance{})
+	rep.Textf("Ablation — Copy-and-Compare acceleration (paper footnote 6, future work)\n\n")
+	t := report.NewTable("rows",
+		report.CStr("variant", ""),
+		report.CInt("test_cost_ns", "test cost", "ns"),
+		report.CInt("min_write_interval_ms", "MinWriteInterval", "ms"))
 	for _, a := range []costmodel.Accel{costmodel.NoAccel, costmodel.RowCloneCopy, costmodel.InDRAMCompare} {
 		cfg, err := costmodel.NewAcceleratedConfig(costmodel.DefaultConfig(), a)
 		if err != nil {
@@ -126,43 +92,20 @@ func RunAblAccel(context.Context, Request, Runtime) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, AblAccelRow{Accel: a, TestCost: cfg.TestCost(), MinWriteInterval: mwi})
-	}
-	return res, nil
-}
-
-// Report builds the acceleration-ablation document.
-func (r *AblAccelResult) Report() *report.Report {
-	rep := report.New(r.provenance())
-	rep.Textf("Ablation — Copy-and-Compare acceleration (paper footnote 6, future work)\n\n")
-	t := report.NewTable("rows",
-		report.CStr("variant", ""),
-		report.CInt("test_cost_ns", "test cost", "ns"),
-		report.CInt("min_write_interval_ms", "MinWriteInterval", "ms"))
-	for _, row := range r.Rows {
-		t.Add(report.S(row.Accel.String()),
-			report.Id(int64(row.TestCost), fmt.Sprintf("%d ns", row.TestCost)),
-			report.Id(int64(row.MinWriteInterval/dram.Millisecond), fmt.Sprintf("%d ms", row.MinWriteInterval/dram.Millisecond)))
+		testCost := cfg.TestCost()
+		t.Add(report.S(a.String()),
+			report.Id(int64(testCost), fmt.Sprintf("%d ns", testCost)),
+			report.Id(int64(mwi/dram.Millisecond), fmt.Sprintf("%d ms", mwi/dram.Millisecond)))
 	}
 	rep.AddTable(t)
 	rep.Textf("\nin-DRAM copy/compare (RowClone/LISA/PIM) shrinks the amortization threshold,\nletting MEMCON exploit shorter write intervals\n")
-	return rep
-}
-
-// AblPrilResult compares the two PRIL implementations.
-type AblPrilResult struct {
-	resultMeta
-	BufferPredictions int
-	BitmapPredictions int
-	Identical         bool
-	BufferBits        int
-	BitmapBits        int
+	return rep, nil
 }
 
 // RunAblPril verifies that the bitmap implementation (future work:
 // "cheaper implementations of PRIL") is prediction-equivalent to the
 // buffer design and compares storage.
-func RunAblPril(ctx context.Context, req Request, rt Runtime) (Result, error) {
+func RunAblPril(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	tr, err := ablTrace(req)
 	if err != nil {
 		return nil, err
@@ -193,29 +136,19 @@ func RunAblPril(ctx context.Context, req Request, rt Runtime) (Result, error) {
 		}
 	}
 	pages := tr.MaxPage() + 1
-	return &AblPrilResult{
-		BufferPredictions: len(a),
-		BitmapPredictions: len(b),
-		Identical:         identical,
-		BufferBits:        pril.StorageBitsBuffer(pages, 4000),
-		BitmapBits:        pril.StorageBitsBitmap(pages),
-	}, nil
-}
 
-// Report builds the PRIL-implementation ablation document.
-func (r *AblPrilResult) Report() *report.Report {
-	rep := report.New(r.provenance())
+	rep := report.New(report.Provenance{})
 	rep.Textf("Ablation — PRIL implementation (buffer CAM vs bitmap scan)\n\n")
 	t := report.NewTable("rows",
 		report.CStr("implementation", ""),
 		report.CInt("predictions", "", ""),
 		report.CInt("storage_bits", "storage (bits)", "bits"))
-	t.Add(report.S("write-buffer (paper)"), report.I(int64(r.BufferPredictions)), report.I(int64(r.BufferBits)))
-	t.Add(report.S("bitmap (this repo)"), report.I(int64(r.BitmapPredictions)), report.I(int64(r.BitmapBits)))
+	t.Add(report.S("write-buffer (paper)"), report.I(int64(len(a))), report.I(int64(pril.StorageBitsBuffer(pages, 4000))))
+	t.Add(report.S("bitmap (this repo)"), report.I(int64(len(b))), report.I(int64(pril.StorageBitsBitmap(pages))))
 	rep.AddTable(t)
-	rep.Textf("\nprediction-equivalent: %v (bitmap eliminates the CAM at 2 extra bits/page)\n", r.Identical)
+	rep.Textf("\nprediction-equivalent: %v (bitmap eliminates the CAM at 2 extra bits/page)\n", identical)
 	st := report.NewTable("summary", report.CBool("identical", ""))
-	st.Add(report.B(r.Identical))
+	st.Add(report.B(identical))
 	rep.AddDataTable(st)
-	return rep
+	return rep, nil
 }

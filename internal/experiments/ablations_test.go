@@ -4,8 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-
-	"memcon/internal/dram"
 )
 
 func TestAblationsRegistered(t *testing.T) {
@@ -17,90 +15,74 @@ func TestAblationsRegistered(t *testing.T) {
 }
 
 func TestRunAblBuffer(t *testing.T) {
-	out, err := RunRequest(context.Background(), testRequest("abl-buffer"), Runtime{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := out.(*AblBufferResult)
-	if len(r.Rows) < 4 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	rep := runReport(t, testRequest("abl-buffer"))
+	rows := table(t, rep, "rows")
+	capacities := rows.labels()
+	if len(capacities) < 4 {
+		t.Fatalf("rows = %d", len(capacities))
 	}
 	// Unbounded must discard nothing; a starved buffer must discard and
 	// must not beat the unbounded reduction.
-	unbounded := r.Rows[0]
-	if unbounded.Capacity != 0 || unbounded.Discards != 0 {
-		t.Errorf("unbounded row = %+v", unbounded)
+	unbounded, starved := capacities[0], capacities[len(capacities)-1]
+	if unbounded != "0" || rows.i("discards", unbounded) != 0 {
+		t.Errorf("unbounded row: capacity %s, discards %d", unbounded, rows.i("discards", unbounded))
 	}
-	starved := r.Rows[len(r.Rows)-1]
-	if starved.Discards == 0 {
+	if rows.i("discards", starved) == 0 {
 		t.Error("starved buffer discarded nothing; sweep is vacuous")
 	}
-	if starved.Reduction > unbounded.Reduction+1e-9 {
-		t.Errorf("starved reduction %v beats unbounded %v", starved.Reduction, unbounded.Reduction)
+	if s, u := rows.f("reduction", starved), rows.f("reduction", unbounded); s > u+1e-9 {
+		t.Errorf("starved reduction %v beats unbounded %v", s, u)
 	}
-	if !strings.Contains(out.Report().Text(), "unbounded") {
+	if !strings.Contains(rep.Text(), "unbounded") {
 		t.Error("report missing capacity labels")
 	}
 }
 
 func TestRunAblAccel(t *testing.T) {
-	out, err := RunRequest(context.Background(), testRequest("abl-accel"), Runtime{})
-	if err != nil {
-		t.Fatal(err)
+	rep := runReport(t, testRequest("abl-accel"))
+	rows := table(t, rep, "rows")
+	variants := rows.labels()
+	if len(variants) != 3 {
+		t.Fatalf("rows = %d, want 3", len(variants))
 	}
-	r := out.(*AblAccelResult)
-	if len(r.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(r.Rows))
+	if mwi := rows.i("min_write_interval_ms", variants[0]); mwi != 864 {
+		t.Errorf("baseline MWI = %d ms, want 864", mwi)
 	}
-	if r.Rows[0].MinWriteInterval != 864*dram.Millisecond {
-		t.Errorf("baseline MWI = %d ms, want 864", r.Rows[0].MinWriteInterval/dram.Millisecond)
-	}
-	for i := 1; i < len(r.Rows); i++ {
-		if r.Rows[i].MinWriteInterval > r.Rows[i-1].MinWriteInterval {
+	for i := 1; i < len(variants); i++ {
+		if rows.i("min_write_interval_ms", variants[i]) > rows.i("min_write_interval_ms", variants[i-1]) {
 			t.Error("acceleration increased MinWriteInterval")
 		}
 	}
-	_ = out.Report().Text()
+	_ = rep.Text()
 }
 
 func TestRunAblPril(t *testing.T) {
-	out, err := RunRequest(context.Background(), testRequest("abl-pril"), Runtime{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := out.(*AblPrilResult)
-	if !r.Identical {
+	rep := runReport(t, testRequest("abl-pril"))
+	if !table(t, rep, "summary").at("identical").Bool {
 		t.Error("bitmap PRIL not prediction-equivalent to buffer PRIL")
 	}
-	if r.BufferPredictions == 0 {
+	if table(t, rep, "rows").i("predictions", "write-buffer (paper)") == 0 {
 		t.Error("no predictions made; comparison vacuous")
 	}
-	_ = out.Report().Text()
+	_ = rep.Text()
 }
 
 func TestRunEnergy(t *testing.T) {
-	out, err := RunRequest(context.Background(), testRequest("energy"), Runtime{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := out.(*EnergyResult)
-	if len(r.Rows) != 5 {
-		t.Fatalf("rows = %d, want 5", len(r.Rows))
+	rep := runReport(t, testRequest("energy"))
+	rows := table(t, rep, "rows")
+	if n := len(rows.Rows); n != 5 {
+		t.Fatalf("rows = %d, want 5", n)
 	}
 	// Ordering: the baseline saves nothing; every alternative saves
 	// something; MEMCON sits between RAIDR and the 64 ms ideal.
-	byName := map[string]EnergyRow{}
-	for _, row := range r.Rows {
-		byName[row.Policy] = row
+	if base := rows.f("savings", "16ms baseline"); base != 0 {
+		t.Errorf("baseline savings = %v", base)
 	}
-	if byName["16ms baseline"].Savings != 0 {
-		t.Errorf("baseline savings = %v", byName["16ms baseline"].Savings)
-	}
-	raidr := byName["RAIDR"].Savings
-	mc := byName["MEMCON"].Savings
-	ideal := byName["64ms ideal"].Savings
-	if mc <= byName["32ms"].Savings {
-		t.Errorf("MEMCON savings %v not above the 32ms policy %v", mc, byName["32ms"].Savings)
+	raidr := rows.f("savings", "RAIDR")
+	mc := rows.f("savings", "MEMCON")
+	ideal := rows.f("savings", "64ms ideal")
+	if s32 := rows.f("savings", "32ms"); mc <= s32 {
+		t.Errorf("MEMCON savings %v not above the 32ms policy %v", mc, s32)
 	}
 	// Energy ordering with a small tolerance: testing energy is heavier
 	// per op than a refresh, so MEMCON sits near RAIDR energetically and
@@ -109,93 +91,83 @@ func TestRunEnergy(t *testing.T) {
 		t.Errorf("energy ordering broken: RAIDR %v, MEMCON %v, ideal %v", raidr, mc, ideal)
 	}
 	// Testing energy must stay a small fraction of refresh energy.
-	mcRow := byName["MEMCON"]
-	if mcRow.Breakdown.TestingMJ > 0.10*mcRow.Breakdown.RefreshMJ {
-		t.Errorf("testing energy %v not small vs refresh %v",
-			mcRow.Breakdown.TestingMJ, mcRow.Breakdown.RefreshMJ)
+	if testMJ, refreshMJ := rows.f("testing_mj", "MEMCON"), rows.f("refresh_mj", "MEMCON"); testMJ > 0.10*refreshMJ {
+		t.Errorf("testing energy %v not small vs refresh %v", testMJ, refreshMJ)
 	}
-	if !strings.Contains(out.Report().Text(), "MEMCON") {
+	if !strings.Contains(rep.Text(), "MEMCON") {
 		t.Error("report missing policies")
 	}
 }
 
 func TestRunVRT(t *testing.T) {
-	out, err := RunRequest(context.Background(), testRequest("vrt"), Runtime{})
-	if err != nil {
-		t.Fatal(err)
+	rep := runReport(t, testRequest("vrt"))
+	if n := len(table(t, rep, "checkpoints").Rows); n != 12 {
+		t.Fatalf("checkpoints = %d, want 12", n)
 	}
-	r := out.(*VRTResult)
-	if len(r.Checkpoints) != 12 {
-		t.Fatalf("checkpoints = %d, want 12", len(r.Checkpoints))
-	}
+	summary := table(t, rep, "summary")
+	raidr, memcon := summary.i("total_raidr"), summary.i("total_memcon")
 	// MEMCON's bounded exposure must beat the decaying one-shot profile.
-	if r.TotalMemcon >= r.TotalRAIDR {
-		t.Errorf("MEMCON escapes %d not below one-shot profile escapes %d",
-			r.TotalMemcon, r.TotalRAIDR)
+	if memcon >= raidr {
+		t.Errorf("MEMCON escapes %d not below one-shot profile escapes %d", memcon, raidr)
 	}
-	if r.TotalRAIDR == 0 {
+	if raidr == 0 {
 		t.Error("one-shot profile never escaped; VRT population too small to mean anything")
 	}
-	if !strings.Contains(out.Report().Text(), "MEMCON") {
+	if !strings.Contains(rep.Text(), "MEMCON") {
 		t.Error("report incomplete")
 	}
 }
 
 func TestRunClosedLoop(t *testing.T) {
-	out, err := RunRequest(context.Background(), testRequest("loop"), Runtime{})
-	if err != nil {
-		t.Fatal(err)
+	rep := runReport(t, testRequest("loop"))
+	rows := table(t, rep, "rows")
+	writes, reads := rows.f("result", "captured write-backs"), rows.f("result", "captured reads")
+	if writes == 0 || reads == 0 {
+		t.Fatalf("capture empty: %v writes, %v reads", writes, reads)
 	}
-	r := out.(*ClosedLoopResult)
-	if r.CapturedWrites == 0 || r.CapturedReads == 0 {
-		t.Fatalf("capture empty: %d writes, %d reads", r.CapturedWrites, r.CapturedReads)
-	}
-	if r.Core.RefreshReduction() <= 0 {
+	reduction := rows.f("result", "MEMCON refresh reduction")
+	if reduction <= 0 {
 		t.Error("closed-loop MEMCON achieved no reduction")
 	}
-	if r.Combined < r.Core.RefreshReduction() {
+	if rows.f("result", "combined savings") < reduction {
 		t.Error("combined savings below MEMCON alone")
 	}
-	if !strings.Contains(out.Report().Text(), "captured") {
+	if !strings.Contains(rep.Text(), "captured") {
 		t.Error("report incomplete")
 	}
 }
 
 func TestRunProfile(t *testing.T) {
-	out, err := RunRequest(context.Background(), testRequest("profile"), Runtime{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := out.(*ProfileResult)
-	if len(r.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(r.Rows))
+	rep := runReport(t, testRequest("profile"))
+	rows := table(t, rep, "rows")
+	guards := rows.labels()
+	if len(guards) != 4 {
+		t.Fatalf("rows = %d, want 4", len(guards))
 	}
 	// Wider guardbands flag at least as many rows.
-	for i := 1; i < len(r.Rows); i++ {
-		if r.Rows[i].WeakRowFrac < r.Rows[i-1].WeakRowFrac-1e-9 {
-			t.Errorf("guardband %v flagged fewer rows than %v",
-				r.Rows[i].Guardband, r.Rows[i-1].Guardband)
+	for i := 1; i < len(guards); i++ {
+		if rows.f("weak_row_frac", guards[i]) < rows.f("weak_row_frac", guards[i-1])-1e-9 {
+			t.Errorf("guardband %v flagged fewer rows than %v", guards[i], guards[i-1])
 		}
 	}
-	_ = out.Report().Text()
+	_ = rep.Text()
 }
 
 func TestRunAblRemap(t *testing.T) {
-	out, err := RunRequest(context.Background(), testRequest("abl-remap"), Runtime{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := out.(*AblRemapResult)
-	if r.TestsFailed == 0 {
+	rep := runReport(t, testRequest("abl-remap"))
+	summary := table(t, rep, "summary")
+	if summary.i("tests_failed") == 0 {
 		t.Skip("no failing tests at this seed; remap ablation vacuous")
 	}
-	if r.RemappedRows == 0 {
+	if summary.i("remapped_rows") == 0 {
 		t.Error("remap policy never fired")
 	}
-	if r.RemapReduction < r.PlainReduction {
-		t.Errorf("remap lowered reduction: %v vs %v", r.RemapReduction, r.PlainReduction)
+	rows := table(t, rep, "rows")
+	plain, remap := rows.f("reduction", "HI-REF mitigation only (paper)"), rows.f("reduction", "with remap to screened spares")
+	if remap < plain {
+		t.Errorf("remap lowered reduction: %v vs %v", remap, plain)
 	}
-	_ = out.Report().Text()
+	_ = rep.Text()
 }
 
 func TestCSVExports(t *testing.T) {

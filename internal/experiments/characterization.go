@@ -47,33 +47,15 @@ func chipTester(model *faults.Model) (*softmc.Tester, error) {
 	return softmc.NewTester(mod, model)
 }
 
-// Fig3Result reproduces Fig. 3: for each data pattern, the set of
-// failing cells; cells fail conditionally depending on content.
-type Fig3Result struct {
-	resultMeta
-	Patterns int
-	// FailuresPerPattern[i] is the number of failing cells under
-	// pattern i.
-	FailuresPerPattern []int
-	PatternNames       []string
-	// UniqueCells is the number of distinct cells that failed under at
-	// least one pattern.
-	UniqueCells int
-	// ConditionalCells is the number of those that also PASSED under at
-	// least one pattern — the cells whose failure is data-dependent.
-	ConditionalCells int
-	// MaxPatternsPerCell is the largest number of patterns any single
-	// cell failed under.
-	MaxPatternsPerCell int
-}
-
-// RunFig3 tests one chip with the standard pattern suite at the
-// characterization idle time and reports how failure sets vary with
-// content. The chip's fault model is built once; every pattern run gets
-// a fresh module and tester over it, so the sweep fans out over the
-// worker budget and the per-pattern failure sets merge back in pattern
-// order.
-func RunFig3(ctx context.Context, req Request, rt Runtime) (Result, error) {
+// RunFig3 reproduces Fig. 3: it tests one chip with the standard
+// pattern suite at the characterization idle time and reports how
+// failure sets vary with content. The chip's fault model is built once;
+// every pattern run gets a fresh module and tester over it, so the
+// sweep fans out over the worker budget and the per-pattern failure
+// sets merge back in pattern order. The random-pattern tail rows are
+// hidden: elided from the text rendering, still present in CSV/JSON and
+// still diffed.
+func RunFig3(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	geom := charGeometry(req.Scale * 0.25) // one-bank-scale study
 	geom.BanksPerChip = 1
 	patterns := softmc.StandardPatterns(100)
@@ -93,9 +75,13 @@ func RunFig3(ctx context.Context, req Request, rt Runtime) (Result, error) {
 		return nil, err
 	}
 
+	rep := report.New(report.Provenance{})
+	rep.Textf("Fig. 3 — cells failing with different data content (%d patterns)\n\n", len(patterns))
+	t := report.NewTable("patterns",
+		report.CStr("pattern", ""),
+		report.CInt("failing_cells", "failing cells", "cells"))
 	type cell struct{ bank, row, col int }
 	counts := make(map[cell]int) // patterns each cell failed under
-	res := &Fig3Result{Patterns: len(patterns)}
 	for i, p := range patterns {
 		n := 0
 		for _, f := range fails[i] {
@@ -104,78 +90,58 @@ func RunFig3(ctx context.Context, req Request, rt Runtime) (Result, error) {
 				n++
 			}
 		}
-		res.FailuresPerPattern = append(res.FailuresPerPattern, n)
-		res.PatternNames = append(res.PatternNames, p.Name)
-	}
-	res.UniqueCells = len(counts)
-	for _, c := range counts {
-		if c < res.Patterns {
-			res.ConditionalCells++
-		}
-		if c > res.MaxPatternsPerCell {
-			res.MaxPatternsPerCell = c
-		}
-	}
-	return res, nil
-}
-
-// Report builds the Fig. 3 document. The random-pattern tail rows are
-// hidden: elided from the text rendering, still present in CSV/JSON and
-// still diffed.
-func (r *Fig3Result) Report() *report.Report {
-	rep := report.New(r.provenance())
-	rep.Textf("Fig. 3 — cells failing with different data content (%d patterns)\n\n", r.Patterns)
-	t := report.NewTable("patterns",
-		report.CStr("pattern", ""),
-		report.CInt("failing_cells", "failing cells", "cells"))
-	for i, n := range r.FailuresPerPattern {
-		cells := []report.Cell{report.S(r.PatternNames[i]), report.I(int64(n))}
+		cells := []report.Cell{report.S(p.Name), report.I(int64(n))}
 		if i < 12 || n == 0 { // print the classic patterns; elide the random tail
 			t.Add(cells...)
 		} else {
 			t.AddHidden(cells...)
 		}
 	}
+	// conditional counts the failing cells that also PASSED under at
+	// least one pattern — the cells whose failure is data-dependent;
+	// maxPatterns is the most patterns any single cell failed under.
+	unique := len(counts)
+	var conditional, maxPatterns int
+	for _, c := range counts {
+		if c < len(patterns) {
+			conditional++
+		}
+		if c > maxPatterns {
+			maxPatterns = c
+		}
+	}
 	rep.AddTable(t)
-	rep.Textf("\nunique failing cells:        %d\n", r.UniqueCells)
+	rep.Textf("\nunique failing cells:        %d\n", unique)
 	rep.Textf("data-dependent (conditional): %d (%.1f%%)\n",
-		r.ConditionalCells, 100*float64(r.ConditionalCells)/float64(max(1, r.UniqueCells)))
-	rep.Textf("max patterns failed by a cell: %d of %d\n", r.MaxPatternsPerCell, r.Patterns)
+		conditional, 100*float64(conditional)/float64(max(1, unique)))
+	rep.Textf("max patterns failed by a cell: %d of %d\n", maxPatterns, len(patterns))
 	st := report.NewTable("summary",
 		report.CInt("unique_cells", "", "cells"),
 		report.CInt("conditional_cells", "", "cells"),
 		report.CInt("max_patterns_per_cell", "", "patterns"))
-	st.Add(report.I(int64(r.UniqueCells)), report.I(int64(r.ConditionalCells)), report.I(int64(r.MaxPatternsPerCell)))
+	st.Add(report.I(int64(unique)), report.I(int64(conditional)), report.I(int64(maxPatterns)))
 	rep.AddDataTable(st)
-	return rep
+	return rep, nil
 }
 
-// Fig4Row is one benchmark's failing-row fractions.
-type Fig4Row struct {
-	Benchmark string
-	// Avg/Min/Max over execution phases of the fraction of rows failing
-	// with the program content.
-	Avg, Min, Max float64
-}
-
-// Fig4Result reproduces Fig. 4.
-type Fig4Result struct {
-	resultMeta
-	Rows []Fig4Row
-	// AllFail is the fraction of rows failing under ANY pattern.
-	AllFail float64
-	// RatioMin/RatioMax bound AllFail/Avg over the benchmarks (paper:
-	// 2.4x - 35.2x).
-	RatioMin, RatioMax float64
+// fig4Row is one benchmark's failing-row fractions: the average,
+// minimum and maximum over execution phases of the fraction of rows
+// failing with the program content.
+type fig4Row struct {
+	benchmark     string
+	avg, min, max float64
 }
 
 // RunFig4 measures per-benchmark failing-row fractions with program
-// content across phases, against the all-pattern denominator. The
-// chip's fault model is built once; each benchmark gets its own module
-// and tester over it, so the sweep fans out. A content run refills the
-// whole module, so no benchmark's result depends on which ran before
-// it.
-func RunFig4(ctx context.Context, req Request, rt Runtime) (Result, error) {
+// content across phases, against the all-pattern (ALL FAIL)
+// denominator, and bounds ALL FAIL/avg over the benchmarks (paper:
+// 2.4x - 35.2x). The chip's fault model is built once; each benchmark
+// gets its own module and tester over it, so the sweep fans out. A
+// content run refills the whole module, so no benchmark's result
+// depends on which ran before it. Rows are reported by descending
+// average (the figure's ordering); the ALL FAIL denominator is the last
+// row, with empty min/max cells.
+func RunFig4(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	geom := charGeometry(req.Scale)
 	idle := faults.CharacterizationIdle
 	const phases = 5
@@ -192,81 +158,72 @@ func RunFig4(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig4Result{AllFail: allFail}
 
 	specs := workload.SPECContents()
-	rows, err := parallel.Map(ctx, len(specs), rt.Workers, func(i int) (Fig4Row, error) {
+	rows, err := parallel.Map(ctx, len(specs), rt.Workers, func(i int) (fig4Row, error) {
 		spec := specs[i]
 		tester, err := chipTester(model)
 		if err != nil {
-			return Fig4Row{}, err
+			return fig4Row{}, err
 		}
-		row := Fig4Row{Benchmark: spec.Name, Min: 1}
+		row := fig4Row{benchmark: spec.Name, min: 1}
 		var sum float64
 		for ph := 0; ph < phases; ph++ {
 			img := spec.Image(geom.RowsPerBank, geom.ColsPerRow, ph, req.Seed)
 			frac, err := tester.FailingRowFraction(img, idle)
 			if err != nil {
-				return Fig4Row{}, err
+				return fig4Row{}, err
 			}
 			sum += frac
-			if frac < row.Min {
-				row.Min = frac
+			if frac < row.min {
+				row.min = frac
 			}
-			if frac > row.Max {
-				row.Max = frac
+			if frac > row.max {
+				row.max = frac
 			}
 		}
-		row.Avg = sum / phases
+		row.avg = sum / phases
 		return row, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = rows
-	res.RatioMin, res.RatioMax = 1e18, 0
-	for _, r := range res.Rows {
-		if r.Avg <= 0 {
+	ratioMin, ratioMax := 1e18, 0.0
+	for _, r := range rows {
+		if r.avg <= 0 {
 			continue
 		}
-		ratio := res.AllFail / r.Avg
-		if ratio < res.RatioMin {
-			res.RatioMin = ratio
+		ratio := allFail / r.avg
+		if ratio < ratioMin {
+			ratioMin = ratio
 		}
-		if ratio > res.RatioMax {
-			res.RatioMax = ratio
+		if ratio > ratioMax {
+			ratioMax = ratio
 		}
 	}
-	return res, nil
-}
 
-// Report builds the Fig. 4 document. Rows are ordered by descending
-// average (the figure's ordering); the ALL FAIL denominator is the last
-// row, with empty min/max cells.
-func (r *Fig4Result) Report() *report.Report {
-	rep := report.New(r.provenance())
+	rep := report.New(report.Provenance{})
 	rep.Textf("Fig. 4 — percentage of rows with data-dependent failures\n\n")
 	t := report.NewTable("rows",
 		report.CStr("benchmark", ""),
 		report.CFloat("avg", "", "fraction"),
 		report.CFloat("min", "", "fraction"),
 		report.CFloat("max", "", "fraction"))
-	rows := append([]Fig4Row(nil), r.Rows...)
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Avg > rows[j].Avg })
+	sort.Slice(rows, func(i, j int) bool { return rows[i].avg > rows[j].avg })
 	for _, row := range rows {
-		t.Add(report.S(row.Benchmark),
-			report.F(row.Avg, pct2(row.Avg)),
-			report.F(row.Min, pct2(row.Min)),
-			report.F(row.Max, pct2(row.Max)))
+		t.Add(report.S(row.benchmark),
+			report.F(row.avg, pct2(row.avg)),
+			report.F(row.min, pct2(row.min)),
+			report.F(row.max, pct2(row.max)))
 	}
-	t.Add(report.S("ALL FAIL"), report.F(r.AllFail, pct2(r.AllFail)), report.S(""), report.S(""))
+	t.Add(report.S("ALL FAIL"), report.F(allFail, pct2(allFail)), report.S(""), report.S(""))
 	rep.AddTable(t)
 	rep.Textf("\nprogram content exhibits %.1fx-%.1fx fewer failing rows than ALL FAIL (paper: 2.4x-35.2x)\n",
-		r.RatioMin, r.RatioMax)
+		ratioMin, ratioMax)
 	st := report.NewTable("summary",
 		report.CFloat("ratio_min", "", "x"),
 		report.CFloat("ratio_max", "", "x"))
-	st.Add(report.Fv(r.RatioMin), report.Fv(r.RatioMax))
+	st.Add(report.Fv(ratioMin), report.Fv(ratioMax))
 	rep.AddDataTable(st)
-	return rep
+	return rep, nil
 }

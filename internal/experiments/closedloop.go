@@ -13,28 +13,18 @@ import (
 )
 
 func init() {
-	registry["loop"] = entry{RunClosedLoop, "Closed loop: simulate a system, capture its bus trace (HMTT-style), feed MEMCON", false}
+	registry["loop"] = entry{RunClosedLoop, "Closed loop: simulate a system, capture its bus trace (HMTT-style), feed MEMCON", nil}
 }
 
-// ClosedLoopResult is the end-to-end pipeline outcome: a simulated
+// RunClosedLoop is the end-to-end pipeline: a simulated
 // multiprogrammed system's memory traffic, captured at the bus the way
 // the paper's HMTT infrastructure captures it, drives the MEMCON engine
-// directly.
-type ClosedLoopResult struct {
-	resultMeta
-	CapturedWrites int
-	CapturedReads  int
-	Pages          int
-	// Core is the MEMCON engine report for the captured write trace.
-	Core     core.Report
-	ReadSkip core.ReadSkipReport
-	Combined float64
-}
-
-// RunClosedLoop simulates bursty multiprogrammed traffic against the
-// memory controller with an attached tracer, then runs MEMCON (and the
-// read-aware analysis) on the captured traces.
-func RunClosedLoop(ctx context.Context, req Request, rt Runtime) (Result, error) {
+// directly. It simulates bursty traffic against the memory controller
+// with an attached tracer, then runs MEMCON (and the read-aware
+// analysis) on the captured traces. The stage column of the report
+// mixes counts and fractions, so the machine-facing value column is a
+// float.
+func RunClosedLoop(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	memCfg := memctrl.DefaultConfig()
 	memCfg.Seed = req.Seed
 	ctrl, err := memctrl.New(memCfg)
@@ -87,7 +77,7 @@ func RunClosedLoop(ctx context.Context, req Request, rt Runtime) (Result, error)
 	// quantum (the statistics, not the wall-clock, are what matter).
 	cfg := core.DefaultConfig()
 	cfg.Quantum = 256 * trace.Millisecond
-	rep, err := core.RunContext(ctx, writes, cfg, core.WithObserver(rt.Observer))
+	run, err := core.RunContext(ctx, writes, cfg, core.WithObserver(rt.Observer))
 	if err != nil {
 		return nil, err
 	}
@@ -95,31 +85,21 @@ func RunClosedLoop(ctx context.Context, req Request, rt Runtime) (Result, error)
 	if err != nil {
 		return nil, err
 	}
-	return &ClosedLoopResult{
-		CapturedWrites: len(writes.Events),
-		CapturedReads:  len(reads.Events),
-		Pages:          writes.Pages(),
-		Core:           rep,
-		ReadSkip:       rs,
-		Combined:       core.CombinedSavings(rep, rs),
-	}, nil
-}
+	combined := core.CombinedSavings(run, rs)
 
-// Report builds the closed-loop document. The stage column mixes counts
-// and fractions, so the machine-facing value column is a float.
-func (r *ClosedLoopResult) Report() *report.Report {
-	rep := report.New(r.provenance())
+	rep := report.New(report.Provenance{})
 	rep.Textf("Closed loop — simulate, capture at the bus, run MEMCON on the capture\n\n")
 	t := report.NewTable("rows",
 		report.CStr("stage", ""),
 		report.CFloat("result", "", ""))
-	t.Add(report.S("captured write-backs"), report.F(float64(r.CapturedWrites), itoa(r.CapturedWrites)))
-	t.Add(report.S("captured reads"), report.F(float64(r.CapturedReads), itoa(r.CapturedReads)))
-	t.Add(report.S("pages"), report.F(float64(r.Pages), itoa(r.Pages)))
-	t.Add(report.S("MEMCON refresh reduction"), report.F(r.Core.RefreshReduction(), pct(r.Core.RefreshReduction())))
-	t.Add(report.S("read-skip coverage"), report.F(r.ReadSkip.SkipFraction(), pct(r.ReadSkip.SkipFraction())))
-	t.Add(report.S("combined savings"), report.F(r.Combined, pct(r.Combined)))
+	count := func(n int) report.Cell { return report.F(float64(n), itoa(n)) }
+	t.Add(report.S("captured write-backs"), count(len(writes.Events)))
+	t.Add(report.S("captured reads"), count(len(reads.Events)))
+	t.Add(report.S("pages"), count(writes.Pages()))
+	t.Add(report.S("MEMCON refresh reduction"), report.F(run.RefreshReduction(), pct(run.RefreshReduction())))
+	t.Add(report.S("read-skip coverage"), report.F(rs.SkipFraction(), pct(rs.SkipFraction())))
+	t.Add(report.S("combined savings"), report.F(combined, pct(combined)))
 	rep.AddTable(t)
 	rep.Textf("\nthe same pipeline the paper's methodology implies: its HMTT tracer captured\nreal machines; ours captures the simulated system, byte-compatible with\ncmd/tracegen output\n")
-	return rep
+	return rep, nil
 }

@@ -19,9 +19,9 @@ import (
 
 func init() {
 	registry["disturb-exposure"] = entry{RunDisturbExposure,
-		"Extension: read-disturb exposure census by refresh class", false}
+		"Extension: read-disturb exposure census by refresh class", nil}
 	registry["disturb-mitigation"] = entry{RunDisturbMitigation,
-		"Extension: RowHammer mitigation overhead vs blast radius", false}
+		"Extension: RowHammer mitigation overhead vs blast radius", nil}
 	// Both build chips through the mapped scrambler, so the address
 	// mapping changes which rows neighbour which — and the numbers.
 	mappedExperiments["disturb-exposure"] = true
@@ -144,15 +144,14 @@ func (c *disturbChip) drive(ctrl *memctrl.Controller, req Request) error {
 // victimHammer sums the current-window activations of the victim's
 // aggressor neighbours — the hammer the victim's cells absorbed. The
 // simulated horizon is far shorter than one hammer window, so the
-// current window holds the whole run's counts. The second return is the
-// test-traffic-attributable share.
-func (c *disturbChip) victimHammer(ctrl *memctrl.Controller, v int) (total, test int64) {
+// current window holds the whole run's counts.
+func (c *disturbChip) victimHammer(ctrl *memctrl.Controller, v int) int64 {
+	var total int64
 	for _, a := range c.dm.Aggressors(dram.RowAddress{Bank: 0, Row: v}) {
-		n, tn := ctrl.WindowActivations(a.Bank, a.Row)
+		n, _ := ctrl.WindowActivations(a.Bank, a.Row)
 		total += n
-		test += tn
 	}
-	return total, test
+	return total
 }
 
 // refreshWindow returns the victim row's refresh class under MEMCON:
@@ -176,46 +175,31 @@ func extrapolate(hammer int64, simTime, window dram.Nanoseconds) int64 {
 	return int64(float64(hammer) * float64(window) / float64(simTime))
 }
 
-// DisturbClassCensus is one refresh class's victim exposure.
-type DisturbClassCensus struct {
-	// Class is "HI-REF" or "LO-REF"; Window its refresh interval.
-	Class  string
-	Window dram.Nanoseconds
-	// VictimRows is the class's hammer-susceptible row count;
-	// HammeredRows the subset whose aggressors were activated at all.
-	VictimRows   int
-	HammeredRows int
-	// ExposedRows counts victims whose per-window extrapolated hammer
-	// reaches their first-flip threshold; FlippedCells the
+// classCensus is one refresh class's victim exposure.
+type classCensus struct {
+	// class is "HI-REF" or "LO-REF"; window its refresh interval.
+	class  string
+	window dram.Nanoseconds
+	// victimRows is the class's hammer-susceptible row count;
+	// hammeredRows the subset whose aggressors were activated at all.
+	victimRows, hammeredRows int
+	// exposedRows counts victims whose per-window extrapolated hammer
+	// reaches their first-flip threshold; flippedCells the
 	// content-conditional flips those rows suffer under current content.
-	ExposedRows  int
-	FlippedCells int
-	// TestHammer is the test-traffic share of the class's total hammer.
-	TestHammer  int64
-	TotalHammer int64
-	// MaxWindowHammer is the largest extrapolated per-window hammer.
-	MaxWindowHammer int64
+	exposedRows, flippedCells int
+	// maxWindowHammer is the largest extrapolated per-window hammer.
+	maxWindowHammer int64
 }
 
-// DisturbExposureResult is the disturb-exposure census: how MEMCON's
+// RunDisturbExposure is the disturb-exposure census: how MEMCON's
 // refresh relaxation changes RowHammer exposure. A clean retention test
 // moves a row to LO-REF, which quadruples the window over which its
 // neighbours' activations accumulate — so the same traffic disturbs
-// LO-REF victims at 4x the effective hammer count of HI-REF victims.
-type DisturbExposureResult struct {
-	resultMeta
-	SimTimeNs int64
-	Census    []DisturbClassCensus
-	// Controller-level activation accounting.
-	Activations       int64
-	TestActivations   int64
-	MaxRowActivations int64
-}
-
-// RunDisturbExposure co-simulates retention classification and
-// read-disturb accumulation over one traffic mix and reports the victim
-// census by refresh class.
-func RunDisturbExposure(ctx context.Context, req Request, rt Runtime) (Result, error) {
+// LO-REF victims at 4x the effective hammer count of HI-REF victims. It
+// co-simulates retention classification and read-disturb accumulation
+// over one traffic mix and reports the victim census by refresh class
+// plus the controller-level activation accounting.
+func RunDisturbExposure(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	chip, err := newDisturbChip(req)
 	if err != nil {
 		return nil, err
@@ -235,15 +219,13 @@ func RunDisturbExposure(ctx context.Context, req Request, rt Runtime) (Result, e
 		hammered bool
 		exposed  bool
 		flips    int
-		hammer   int64
-		test     int64
 		windowH  int64
 	}
 	verdicts, err := parallel.Map(ctx, len(victims), rt.Workers, func(i int) (victimVerdict, error) {
 		v := int(victims[i])
 		a := dram.RowAddress{Bank: 0, Row: v}
 		class, window := chip.refreshWindow(v)
-		hammer, test := chip.victimHammer(ctrl, v)
+		hammer := chip.victimHammer(ctrl, v)
 		windowH := extrapolate(hammer, simTime, window)
 		w := faults.RowWindow{Hammer: windowH}
 		flips := len(chip.dm.AppendFailures(nil, chip.mod, a, w))
@@ -252,8 +234,6 @@ func RunDisturbExposure(ctx context.Context, req Request, rt Runtime) (Result, e
 			hammered: hammer > 0,
 			exposed:  chip.dm.RowVulnerable(a, w),
 			flips:    flips,
-			hammer:   hammer,
-			test:     test,
 			windowH:  windowH,
 		}, nil
 	})
@@ -261,24 +241,22 @@ func RunDisturbExposure(ctx context.Context, req Request, rt Runtime) (Result, e
 		return nil, err
 	}
 
-	byClass := map[string]*DisturbClassCensus{
-		"HI-REF": {Class: "HI-REF", Window: dram.RefreshWindowAggressive},
-		"LO-REF": {Class: "LO-REF", Window: dram.RefreshWindowDefault},
+	byClass := map[string]*classCensus{
+		"HI-REF": {class: "HI-REF", window: dram.RefreshWindowAggressive},
+		"LO-REF": {class: "LO-REF", window: dram.RefreshWindowDefault},
 	}
 	for i, vv := range verdicts {
 		c := byClass[vv.class]
-		c.VictimRows++
+		c.victimRows++
 		if vv.hammered {
-			c.HammeredRows++
+			c.hammeredRows++
 		}
 		if vv.exposed {
-			c.ExposedRows++
+			c.exposedRows++
 		}
-		c.FlippedCells += vv.flips
-		c.TotalHammer += vv.hammer
-		c.TestHammer += vv.test
-		if vv.windowH > c.MaxWindowHammer {
-			c.MaxWindowHammer = vv.windowH
+		c.flippedCells += vv.flips
+		if vv.windowH > c.maxWindowHammer {
+			c.maxWindowHammer = vv.windowH
 		}
 		if vv.flips > 0 && rt.Observer != nil {
 			rt.Observer.OnEvent(obs.Event{
@@ -293,18 +271,8 @@ func RunDisturbExposure(ctx context.Context, req Request, rt Runtime) (Result, e
 		rt.Observer.OnEvent(obs.Event{Kind: obs.KindRowActivation, Aux: stats.Activations})
 		rt.Observer.OnEvent(obs.Event{Kind: obs.KindTestActivation, Aux: stats.TestActivations})
 	}
-	return &DisturbExposureResult{
-		SimTimeNs:         req.SimTimeNs,
-		Census:            []DisturbClassCensus{*byClass["HI-REF"], *byClass["LO-REF"]},
-		Activations:       stats.Activations,
-		TestActivations:   stats.TestActivations,
-		MaxRowActivations: stats.MaxRowActivations,
-	}, nil
-}
 
-// Report builds the exposure census document.
-func (r *DisturbExposureResult) Report() *report.Report {
-	rep := report.New(r.provenance())
+	rep := report.New(report.Provenance{})
 	rep.Textf("Extension — read-disturb exposure by refresh class\n\n")
 	t := report.NewTable("census",
 		report.CStr("class", "refresh class"),
@@ -314,62 +282,32 @@ func (r *DisturbExposureResult) Report() *report.Report {
 		report.CInt("exposed_rows", "hammer over threshold", "rows"),
 		report.CInt("flipped_cells", "content-conditional flips", "cells"),
 		report.CInt("max_window_hammer", "max per-window hammer", "acts"))
-	for _, c := range r.Census {
-		ms := float64(c.Window) / float64(dram.Millisecond)
-		t.Add(report.S(c.Class),
+	for _, c := range []*classCensus{byClass["HI-REF"], byClass["LO-REF"]} {
+		ms := float64(c.window) / float64(dram.Millisecond)
+		t.Add(report.S(c.class),
 			report.F(ms, fmt.Sprintf("%.0f", ms)),
-			report.I(int64(c.VictimRows)),
-			report.I(int64(c.HammeredRows)),
-			report.I(int64(c.ExposedRows)),
-			report.I(int64(c.FlippedCells)),
-			report.I(c.MaxWindowHammer))
+			report.I(int64(c.victimRows)),
+			report.I(int64(c.hammeredRows)),
+			report.I(int64(c.exposedRows)),
+			report.I(int64(c.flippedCells)),
+			report.I(c.maxWindowHammer))
 	}
 	rep.AddTable(t)
 	testShare := 0.0
-	if r.Activations > 0 {
-		testShare = float64(r.TestActivations) / float64(r.Activations)
+	if stats.Activations > 0 {
+		testShare = float64(stats.TestActivations) / float64(stats.Activations)
 	}
 	rep.Textf("\nactivations: %d total, %d from MEMCON test traffic (%s)\n",
-		r.Activations, r.TestActivations, pct(testShare))
-	rep.Textf("max single-row activations in a window: %d\n", r.MaxRowActivations)
+		stats.Activations, stats.TestActivations, pct(testShare))
+	rep.Textf("max single-row activations in a window: %d\n", stats.MaxRowActivations)
 	rep.Textf("a clean retention test relaxes a row to LO-REF, quadrupling the window\nover which neighbour activations accumulate — the refresh reduction that\nsaves energy also amplifies RowHammer exposure, and MEMCON's own probes\ncontribute hammer activity the controller must count\n")
 	st := report.NewTable("traffic",
 		report.CInt("activations", "", "acts"),
 		report.CInt("test_activations", "", "acts"),
 		report.CInt("max_row_activations", "", "acts"))
-	st.Add(report.I(r.Activations), report.I(r.TestActivations), report.I(r.MaxRowActivations))
+	st.Add(report.I(stats.Activations), report.I(stats.TestActivations), report.I(stats.MaxRowActivations))
 	rep.AddDataTable(st)
-	return rep
-}
-
-// DisturbPolicyOutcome is one mitigation policy's measured overhead and
-// analytic residual blast radius over the shared traffic mix.
-type DisturbPolicyOutcome struct {
-	// Policy is the canonical spec ("none" for the unmitigated baseline).
-	Policy string
-	// MitigationOps counts the extra neighbour refreshes the policy
-	// issued; OverheadNs prices them through the cost model and
-	// OverheadFrac relates that to the simulated horizon.
-	MitigationOps int64
-	OverheadNs    int64
-	OverheadFrac  float64
-	// RefreshMJ is the energy of the extra refreshes.
-	RefreshMJ float64
-	// ExposedRows is the expected number of victim rows whose effective
-	// per-window hammer still reaches threshold under the policy
-	// (fractional for probabilistic policies); FlippedCells the expected
-	// content-conditional flips in those rows.
-	ExposedRows  float64
-	FlippedCells float64
-}
-
-// DisturbMitigationResult sweeps mitigation policies over one traffic
-// mix: measured operation overhead against analytically bounded
-// residual blast radius.
-type DisturbMitigationResult struct {
-	resultMeta
-	SimTimeNs int64
-	Policies  []DisturbPolicyOutcome
+	return rep, nil
 }
 
 // disturbPolicyGrid is the default mitigation sweep; a novel request
@@ -377,13 +315,15 @@ type DisturbMitigationResult struct {
 // carries the comparable baselines.
 var disturbPolicyGrid = []string{"", "para:0.001", "para:0.01", "prac:1024", "prac:4096"}
 
-// RunDisturbMitigation runs the policy sweep. Every policy sees the
-// identical access stream (the traffic RNG is independent of policy
-// state); the controller measures the mitigation operations it issues,
-// and the residual exposure is evaluated analytically from the measured
+// RunDisturbMitigation sweeps mitigation policies over one traffic mix:
+// each policy's measured operation overhead against its analytically
+// bounded residual blast radius. Every policy sees the identical access
+// stream (the traffic RNG is independent of policy state); the
+// controller measures the mitigation operations it issues, and the
+// residual exposure is evaluated analytically from the measured
 // per-victim hammer rates — PARA's escape probability (1-p)^H, PRAC's
 // capped inter-mitigation hammer.
-func RunDisturbMitigation(ctx context.Context, req Request, rt Runtime) (Result, error) {
+func RunDisturbMitigation(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	chip, err := newDisturbChip(req)
 	if err != nil {
 		return nil, err
@@ -406,38 +346,56 @@ func RunDisturbMitigation(ctx context.Context, req Request, rt Runtime) (Result,
 	cm := costmodel.DefaultConfig()
 	budget := energy.DDR3Budget()
 
-	outcomes, err := parallel.Map(ctx, len(specs), rt.Workers, func(i int) (DisturbPolicyOutcome, error) {
+	rep := report.New(report.Provenance{})
+	rep.Textf("Extension — RowHammer mitigation overhead vs blast radius\n\n")
+	t := report.NewTable("mitigation",
+		report.CStr("policy", ""),
+		report.CInt("mitigation_ops", "extra refreshes", "ops"),
+		report.CInt("overhead_ns", "time overhead", "ns"),
+		report.CFloat("overhead_pct", "of sim time", "%"),
+		report.CFloat("refresh_mj", "energy", "mJ"),
+		report.CFloat("exposed_rows", "expected exposed", "rows"),
+		report.CFloat("flipped_cells", "expected flips", "cells"))
+	// Each policy's unit returns its table row: the canonical spec
+	// ("none" for the unmitigated baseline); the extra neighbour
+	// refreshes it issued, priced through the cost model and related to
+	// the simulated horizon; their energy; and the expected number of
+	// victim rows whose effective per-window hammer still reaches
+	// threshold under the policy (fractional for probabilistic
+	// policies), with the expected content-conditional flips in them.
+	rows, err := parallel.Map(ctx, len(specs), rt.Workers, func(i int) ([]report.Cell, error) {
 		spec := specs[i]
 		mit, err := refresh.ParseMitigation(spec, uint64(req.Seed))
 		if err != nil {
-			return DisturbPolicyOutcome{}, err
+			return nil, err
 		}
 		ctrl, err := chip.controller(req, mit)
 		if err != nil {
-			return DisturbPolicyOutcome{}, err
+			return nil, err
 		}
 		if err := chip.drive(ctrl, req); err != nil {
-			return DisturbPolicyOutcome{}, err
+			return nil, err
 		}
 		stats := ctrl.Stats()
-		out := DisturbPolicyOutcome{Policy: "none", MitigationOps: stats.MitigationOps}
+		policy := "none"
 		if mit != nil {
-			out.Policy = mit.Name()
+			policy = mit.Name()
 		}
-		out.OverheadNs = int64(cm.MitigationCost(stats.MitigationOps))
+		overheadNs := int64(cm.MitigationCost(stats.MitigationOps))
+		overheadFrac := 0.0
 		if simTime > 0 {
-			out.OverheadFrac = float64(out.OverheadNs) / float64(simTime)
+			overheadFrac = float64(overheadNs) / float64(simTime)
 		}
 		br, err := energy.Compute(budget, energy.Tally{RefreshOps: float64(stats.MitigationOps)})
 		if err != nil {
-			return DisturbPolicyOutcome{}, err
+			return nil, err
 		}
-		out.RefreshMJ = br.RefreshMJ
 
+		var exposed, flipped float64
 		for _, v := range victims {
 			a := dram.RowAddress{Bank: 0, Row: int(v)}
 			_, window := chip.refreshWindow(int(v))
-			hammer, _ := chip.victimHammer(ctrl, int(v))
+			hammer := chip.victimHammer(ctrl, int(v))
 			windowH := extrapolate(hammer, simTime, window)
 			// surviveProb is how much of the raw hammer's effect the
 			// policy lets through: PARA keeps it with probability
@@ -451,43 +409,28 @@ func RunDisturbMitigation(ctx context.Context, req Request, rt Runtime) (Result,
 			}
 			w := faults.RowWindow{Hammer: effH}
 			if chip.dm.RowVulnerable(a, w) {
-				out.ExposedRows += surviveProb
-				out.FlippedCells += surviveProb * float64(len(chip.dm.AppendFailures(nil, chip.mod, a, w)))
+				exposed += surviveProb
+				flipped += surviveProb * float64(len(chip.dm.AppendFailures(nil, chip.mod, a, w)))
 			}
 		}
 		if rt.Observer != nil {
 			rt.Observer.OnEvent(obs.Event{Kind: obs.KindMitigation, Aux: stats.MitigationOps})
 		}
-		return out, nil
+		return []report.Cell{report.S(policy),
+			report.I(stats.MitigationOps),
+			report.I(overheadNs),
+			report.F(100*overheadFrac, fmt.Sprintf("%.4f", 100*overheadFrac)),
+			report.F(br.RefreshMJ, fmt.Sprintf("%.6f", br.RefreshMJ)),
+			report.F(exposed, fmt.Sprintf("%.3f", exposed)),
+			report.F(flipped, fmt.Sprintf("%.3f", flipped))}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &DisturbMitigationResult{SimTimeNs: req.SimTimeNs, Policies: outcomes}, nil
-}
-
-// Report builds the mitigation-sweep document.
-func (r *DisturbMitigationResult) Report() *report.Report {
-	rep := report.New(r.provenance())
-	rep.Textf("Extension — RowHammer mitigation overhead vs blast radius\n\n")
-	t := report.NewTable("mitigation",
-		report.CStr("policy", ""),
-		report.CInt("mitigation_ops", "extra refreshes", "ops"),
-		report.CInt("overhead_ns", "time overhead", "ns"),
-		report.CFloat("overhead_pct", "of sim time", "%"),
-		report.CFloat("refresh_mj", "energy", "mJ"),
-		report.CFloat("exposed_rows", "expected exposed", "rows"),
-		report.CFloat("flipped_cells", "expected flips", "cells"))
-	for _, p := range r.Policies {
-		t.Add(report.S(p.Policy),
-			report.I(p.MitigationOps),
-			report.I(p.OverheadNs),
-			report.F(100*p.OverheadFrac, fmt.Sprintf("%.4f", 100*p.OverheadFrac)),
-			report.F(p.RefreshMJ, fmt.Sprintf("%.6f", p.RefreshMJ)),
-			report.F(p.ExposedRows, fmt.Sprintf("%.3f", p.ExposedRows)),
-			report.F(p.FlippedCells, fmt.Sprintf("%.3f", p.FlippedCells)))
+	for _, row := range rows {
+		t.Add(row...)
 	}
 	rep.AddTable(t)
 	rep.Textf("\nevery policy replays the identical access stream; operation counts are\nmeasured in the controller, residual exposure is the analytic bound over\nmeasured per-victim hammer rates (PARA escapes with (1-p)^H, PRAC caps\nthe inter-mitigation hammer at 2(n-1)+1)\n")
-	return rep
+	return rep, nil
 }

@@ -14,38 +14,19 @@ import (
 )
 
 func init() {
-	registry["energy"] = entry{RunEnergy, "Extension: DRAM energy by refresh mechanism (the paper claims, we quantify)", false}
+	registry["energy"] = entry{RunEnergy, "Extension: DRAM energy by refresh mechanism (the paper claims, we quantify)", nil}
 }
 
-// EnergyRow is one policy's energy outcome.
-type EnergyRow struct {
-	Policy    string
-	Breakdown energy.Breakdown
-	Savings   float64
-}
-
-// EnergyResult compares refresh mechanisms in DRAM energy over the
-// MEMCON workload set, using each policy's refresh-operation count and
-// MEMCON's measured testing traffic.
-type EnergyResult struct {
-	resultMeta
-	Rows []EnergyRow
-	// MemconRefreshReduction is the measured reduction feeding the
-	// MEMCON row.
-	MemconRefreshReduction float64
-	// LatencyMWI and EnergyMWI are the amortization crossovers in the
-	// two cost domains.
-	LatencyMWI dram.Nanoseconds
-	EnergyMWI  dram.Nanoseconds
-}
-
-// RunEnergy measures refresh+testing energy per policy on one
-// representative workload (the averages across workloads track the
-// refresh reduction, which Fig. 14 already sweeps). Like Fig. 18, the
-// module is modelled as the written footprint plus 9x read-only rows.
-// Savings are reported over the CONTROLLABLE energy (refresh + testing);
-// background power is shown for context but no refresh policy moves it.
-func RunEnergy(ctx context.Context, req Request, rt Runtime) (Result, error) {
+// RunEnergy compares refresh mechanisms in DRAM energy, using each
+// policy's refresh-operation count and MEMCON's measured testing
+// traffic on one representative workload (the averages across
+// workloads track the refresh reduction, which Fig. 14 already sweeps).
+// Like Fig. 18, the module is modelled as the written footprint plus 9x
+// read-only rows. Savings are reported over the CONTROLLABLE energy
+// (refresh + testing); background power is shown for context but no
+// refresh policy moves it. The report also gives the amortization
+// crossovers (MinWriteInterval) in the latency and energy cost domains.
+func RunEnergy(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	app, err := workload.AppByName("AdobePremiere")
 	if err != nil {
 		return nil, err
@@ -54,14 +35,14 @@ func RunEnergy(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	cfg := core.DefaultConfig()
 	cfg.Quantum = 1024 * trace.Millisecond
 	cfg.ReadOnlyRows = 9 * (tr.MaxPage() + 1)
-	rep, err := core.RunContext(ctx, tr, cfg, core.WithObserver(rt.Observer))
+	run, err := core.RunContext(ctx, tr, cfg, core.WithObserver(rt.Observer))
 	if err != nil {
 		return nil, err
 	}
 
 	budget := energy.DDR3Budget()
-	durNs := dram.Nanoseconds(rep.Duration) * dram.Microsecond
-	baseOps := rep.BaselineOps
+	durNs := dram.Nanoseconds(run.Duration) * dram.Microsecond
+	baseOps := run.BaselineOps
 
 	mkTally := func(refreshOps float64, testCycles int64) energy.Tally {
 		return energy.Tally{
@@ -79,17 +60,28 @@ func RunEnergy(ctx context.Context, req Request, rt Runtime) (Result, error) {
 		{"16ms baseline", baseOps, 0},
 		{"32ms", baseOps / 2, 0},
 		{"RAIDR", baseOps * (1 - raidrReduction), 0},
-		{"MEMCON", rep.RefreshOps, 2 * rep.TestsCompleted}, // Read-and-Compare: 2 row cycles per test
-		{"64ms ideal", rep.UpperBoundOps, 0},
+		{"MEMCON", run.RefreshOps, 2 * run.TestsCompleted}, // Read-and-Compare: 2 row cycles per test
+		{"64ms ideal", run.UpperBoundOps, 0},
 	}
-	res := &EnergyResult{MemconRefreshReduction: rep.RefreshReduction()}
 	cm := costmodel.DefaultConfig()
-	if res.LatencyMWI, err = cm.MinWriteInterval(); err != nil {
+	latencyMWI, err := cm.MinWriteInterval()
+	if err != nil {
 		return nil, err
 	}
-	if res.EnergyMWI, err = cm.EnergyMinWriteInterval(costmodel.DefaultEnergyCosts()); err != nil {
+	energyMWI, err := cm.EnergyMinWriteInterval(costmodel.DefaultEnergyCosts())
+	if err != nil {
 		return nil, err
 	}
+
+	rep := report.New(report.Provenance{})
+	rep.Textf("Extension — DRAM energy by refresh mechanism\n\n")
+	t := report.NewTable("rows",
+		report.CStr("policy", ""),
+		report.CFloat("refresh_mj", "refresh (mJ)", "mJ"),
+		report.CFloat("testing_mj", "testing (mJ)", "mJ"),
+		report.CFloat("background_mj", "background (mJ)", "mJ"),
+		report.CFloat("total_mj", "total (mJ)", "mJ"),
+		report.CFloat("savings", "", "fraction"))
 	var baseControllable float64
 	for i, p := range policies {
 		bd, err := energy.Compute(budget, mkTally(p.ops, p.tests))
@@ -104,47 +96,27 @@ func RunEnergy(ctx context.Context, req Request, rt Runtime) (Result, error) {
 		if baseControllable > 0 {
 			saving = 1 - controllable/baseControllable
 		}
-		res.Rows = append(res.Rows, EnergyRow{
-			Policy:    p.name,
-			Breakdown: bd,
-			Savings:   saving,
-		})
-	}
-	return res, nil
-}
-
-// Report builds the energy-comparison document.
-func (r *EnergyResult) Report() *report.Report {
-	rep := report.New(r.provenance())
-	rep.Textf("Extension — DRAM energy by refresh mechanism\n\n")
-	t := report.NewTable("rows",
-		report.CStr("policy", ""),
-		report.CFloat("refresh_mj", "refresh (mJ)", "mJ"),
-		report.CFloat("testing_mj", "testing (mJ)", "mJ"),
-		report.CFloat("background_mj", "background (mJ)", "mJ"),
-		report.CFloat("total_mj", "total (mJ)", "mJ"),
-		report.CFloat("savings", "", "fraction"))
-	for _, row := range r.Rows {
-		t.Add(report.S(row.Policy),
-			report.F(row.Breakdown.RefreshMJ, fmt.Sprintf("%.1f", row.Breakdown.RefreshMJ)),
-			report.F(row.Breakdown.TestingMJ, fmt.Sprintf("%.3f", row.Breakdown.TestingMJ)),
-			report.F(row.Breakdown.BackgroundMJ, fmt.Sprintf("%.1f", row.Breakdown.BackgroundMJ)),
-			report.F(row.Breakdown.Total(), fmt.Sprintf("%.1f", row.Breakdown.Total())),
-			report.F(row.Savings, pct(row.Savings)))
+		t.Add(report.S(p.name),
+			report.F(bd.RefreshMJ, fmt.Sprintf("%.1f", bd.RefreshMJ)),
+			report.F(bd.TestingMJ, fmt.Sprintf("%.3f", bd.TestingMJ)),
+			report.F(bd.BackgroundMJ, fmt.Sprintf("%.1f", bd.BackgroundMJ)),
+			report.F(bd.Total(), fmt.Sprintf("%.1f", bd.Total())),
+			report.F(saving, pct(saving)))
 	}
 	rep.AddTable(t)
-	rep.Textf("\nMEMCON refresh reduction feeding this table: %s\n", pct(r.MemconRefreshReduction))
+	reduction := run.RefreshReduction()
+	rep.Textf("\nMEMCON refresh reduction feeding this table: %s\n", pct(reduction))
 	rep.Textf("savings are over controllable (refresh+testing) energy; background power is\n")
 	rep.Textf("policy-invariant. the paper claims energy benefits without quantifying them;\n")
 	rep.Textf("this extension does — a full-row test costs ~50 refresh ops in energy, so the\nenergy-optimal MinWriteInterval is %d ms vs the latency-optimal %d ms\n",
-		r.EnergyMWI/dram.Millisecond, r.LatencyMWI/dram.Millisecond)
+		energyMWI/dram.Millisecond, latencyMWI/dram.Millisecond)
 	st := report.NewTable("summary",
 		report.CFloat("memcon_refresh_reduction", "", "fraction"),
 		report.CInt("latency_mwi_ms", "", "ms"),
 		report.CInt("energy_mwi_ms", "", "ms"))
-	st.Add(report.Fv(r.MemconRefreshReduction),
-		report.I(int64(r.LatencyMWI/dram.Millisecond)),
-		report.I(int64(r.EnergyMWI/dram.Millisecond)))
+	st.Add(report.Fv(reduction),
+		report.I(int64(latencyMWI/dram.Millisecond)),
+		report.I(int64(energyMWI/dram.Millisecond)))
 	rep.AddDataTable(st)
-	return rep
+	return rep, nil
 }

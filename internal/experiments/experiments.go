@@ -1,9 +1,11 @@
 // Package experiments regenerates every table and figure of the MEMCON
-// paper's evaluation. Each experiment is a typed runner producing a
-// structured report.Report — provenance header plus typed tables — from
-// which the text, CSV, and JSON renderings all derive. The DESIGN.md
-// per-experiment index maps experiment ids to paper artifacts;
-// cmd/memconsim dispatches on the same ids.
+// paper's evaluation. Each experiment id has a runner that builds its
+// report.Report directly — provenance header plus typed tables, from
+// which the text, CSV, and JSON renderings all derive. The report is
+// the run's only result representation: callers render, cache and diff
+// it, and tests read its cells by table key, column and row label. The
+// DESIGN.md per-experiment index maps experiment ids to paper
+// artifacts; cmd/memconsim dispatches on the same ids.
 package experiments
 
 import (
@@ -11,71 +13,64 @@ import (
 	"fmt"
 	"sort"
 
+	"memcon/internal/fleet"
 	"memcon/internal/report"
 )
 
-// Result is the outcome of one experiment, rendered through its typed
-// report. The interface is sealed — result types live in this package
-// and embed resultMeta, which lets the dispatcher stamp provenance
-// after the run.
-type Result interface {
-	// Report builds the structured result document. The provenance
-	// header is populated when the result came from RunRequest;
-	// results built by calling a runner directly carry empty provenance.
-	Report() *report.Report
-	setProvenance(report.Provenance)
+// Result is the outcome of one experiment run: its report, plus the CE
+// event log of a fleet experiment.
+type Result struct {
+	rep *report.Report
+	// CELog is the CE event log a fleet-ce or fleet-risk run simulated
+	// (memconsim -fleet-out writes it); nil for every other experiment.
+	CELog *fleet.Log
 }
 
-// resultMeta carries the provenance the dispatcher stamps onto every
-// result. Result types embed it (by value) to satisfy Result.
-type resultMeta struct {
-	prov report.Provenance
-}
+// Report returns the run's report, its provenance stamped by
+// RunRequest.
+func (r *Result) Report() *report.Report { return r.rep }
 
-func (m *resultMeta) setProvenance(p report.Provenance) { m.prov = p }
+// Runner executes one experiment and returns its report. It receives
+// the request after Normalize, so every field is valid and canonical;
+// fan-out loops pass rt.Workers to parallel.Map as is. The report
+// leaves its provenance empty: RunRequest stamps it.
+type Runner func(ctx context.Context, req Request, rt Runtime) (*report.Report, error)
 
-// provenance returns the stamped provenance for Report builders.
-func (m *resultMeta) provenance() report.Provenance { return m.prov }
-
-// Runner executes one experiment and returns its typed result. It
-// receives the request after Normalize, so every field is valid and
-// canonical; fan-out loops pass rt.Workers to parallel.Map as is.
-type Runner func(ctx context.Context, req Request, rt Runtime) (Result, error)
-
-// entry pairs a runner with its registry description. fleet marks
-// experiments whose numbers depend on Request.Fleet — only those stamp
-// the fleet size into provenance, so single-module reports stay
-// byte-identical to their pre-fleet form.
+// entry pairs a runner with its registry description. fleet, set only
+// for the fleet experiments, runs in place of runner and also returns
+// the CE event log. Only those experiments' numbers depend on
+// Request.Fleet, so only they stamp the fleet size into provenance, and
+// single-module reports stay byte-identical to their pre-fleet form.
 type entry struct {
 	runner Runner
 	desc   string
-	fleet  bool
+	fleet  func(ctx context.Context, req Request, rt Runtime) (*report.Report, *fleet.Log, error)
 }
 
 // registry maps experiment ids to runners. Ids follow the paper's
 // figure/table numbering.
 var registry = map[string]entry{
-	"table1": {RunTable1, "Table 1: evaluated long-running workloads", false},
-	"fig3":   {RunFig3, "Fig. 3: cells failing conditionally on data pattern", false},
-	"fig4":   {RunFig4, "Fig. 4: failing rows, program content vs all-pattern", false},
-	"fig6":   {RunFig6, "Fig. 6: accumulated cost and MinWriteInterval", false},
-	"fig7":   {RunFig7, "Fig. 7: write-interval distributions", false},
-	"fig8":   {RunFig8, "Fig. 8: Pareto fit of write intervals", false},
-	"fig9":   {RunFig9, "Fig. 9: execution time in long write intervals", false},
-	"fig11":  {RunFig11, "Fig. 11: P(RIL>1024ms) vs current interval length", false},
-	"fig12":  {RunFig12, "Fig. 12: prediction coverage vs current interval length", false},
-	"fig14":  {RunFig14, "Fig. 14: refresh reduction with MEMCON", false},
-	"fig15":  {RunFig15, "Fig. 15: speedup over 16 ms baseline", false},
-	"table3": {RunTable3, "Table 3: performance loss from concurrent testing", false},
-	"fig16":  {RunFig16, "Fig. 16: comparison with other refresh mechanisms", false},
-	"fig17":  {RunFig17, "Fig. 17: execution-time coverage of PRIL (LO-REF)", false},
-	"fig18":  {RunFig18, "Fig. 18: time on refresh and testing vs baseline", false},
-	"fig19":  {RunFig19, "Fig. 19: sensitivity to halved write intervals", false},
-	"minwi":  {RunAppendix, "Appendix: DDR3-1600 latency building blocks", false},
-	"fleet-ce": {RunFleetCE,
-		"Fleet: correctable-error log and bank fault clustering", true},
-	"fleet-risk": {RunFleetRisk,
-		"Fleet: early-CE features and UE risk prediction", true},
+	"table1": {RunTable1, "Table 1: evaluated long-running workloads", nil},
+	"fig3":   {RunFig3, "Fig. 3: cells failing conditionally on data pattern", nil},
+	"fig4":   {RunFig4, "Fig. 4: failing rows, program content vs all-pattern", nil},
+	"fig6":   {RunFig6, "Fig. 6: accumulated cost and MinWriteInterval", nil},
+	"fig7":   {RunFig7, "Fig. 7: write-interval distributions", nil},
+	"fig8":   {RunFig8, "Fig. 8: Pareto fit of write intervals", nil},
+	"fig9":   {RunFig9, "Fig. 9: execution time in long write intervals", nil},
+	"fig11":  {RunFig11, "Fig. 11: P(RIL>1024ms) vs current interval length", nil},
+	"fig12":  {RunFig12, "Fig. 12: prediction coverage vs current interval length", nil},
+	"fig14":  {RunFig14, "Fig. 14: refresh reduction with MEMCON", nil},
+	"fig15":  {RunFig15, "Fig. 15: speedup over 16 ms baseline", nil},
+	"table3": {RunTable3, "Table 3: performance loss from concurrent testing", nil},
+	"fig16":  {RunFig16, "Fig. 16: comparison with other refresh mechanisms", nil},
+	"fig17":  {RunFig17, "Fig. 17: execution-time coverage of PRIL (LO-REF)", nil},
+	"fig18":  {RunFig18, "Fig. 18: time on refresh and testing vs baseline", nil},
+	"fig19":  {RunFig19, "Fig. 19: sensitivity to halved write intervals", nil},
+	"minwi":  {RunAppendix, "Appendix: DDR3-1600 latency building blocks", nil},
+	"fleet-ce": {nil,
+		"Fleet: correctable-error log and bank fault clustering", RunFleetCE},
+	"fleet-risk": {nil,
+		"Fleet: early-CE features and UE risk prediction", RunFleetRisk},
 }
 
 // mappedExperiments marks the experiments whose numbers depend on the

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 
 	"memcon/internal/fleet"
@@ -31,49 +30,28 @@ func runFleetSim(ctx context.Context, req Request, workers int) (*fleet.Log, *fl
 	return log, fleet.Analyze(log), nil
 }
 
-// CELogWriter is implemented by fleet results that can serialize their
-// CE event log in the compact streaming format (memconsim -fleet-out).
-type CELogWriter interface {
-	WriteCELog(w io.Writer) error
-}
-
-// FleetCEResult reproduces the field-study view of the fleet: the raw
-// correctable-error log, its deduplication headline, and the per-bank
-// fault clustering.
-type FleetCEResult struct {
-	resultMeta
-	log *fleet.Log
-	an  *fleet.Analytics
-}
-
-// RunFleetCE simulates the fleet and clusters its CE log.
-func RunFleetCE(ctx context.Context, req Request, rt Runtime) (Result, error) {
+// RunFleetCE reproduces the field-study view of the fleet: it
+// simulates the fleet and reports the raw correctable-error log's
+// headline counts, the class census, the noisiest banks, and the
+// per-module ground truth (quiet modules hidden from the text
+// rendering, still diffed). The second return is the CE event log.
+func RunFleetCE(ctx context.Context, req Request, rt Runtime) (*report.Report, *fleet.Log, error) {
 	log, an, err := runFleetSim(ctx, req, rt.Workers)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &FleetCEResult{log: log, an: an}, nil
-}
-
-// WriteCELog serializes the run's CE event log in the compact format.
-func (r *FleetCEResult) WriteCELog(w io.Writer) error { return fleet.WriteLog(w, r.log) }
-
-// Report builds the fleet-ce document: headline counts, the class
-// census, the noisiest banks, and the per-module ground truth (quiet
-// modules hidden from the text rendering, still diffed).
-func (r *FleetCEResult) Report() *report.Report {
-	rep := report.New(r.provenance())
-	weeks := int64(r.log.Epochs) * r.log.EpochNs / (7 * 24 * 3600 * 1_000_000_000)
+	rep := report.New(report.Provenance{})
+	weeks := int64(log.Epochs) * log.EpochNs / (7 * 24 * 3600 * 1_000_000_000)
 	rep.Textf("Fleet CE study — %d modules observed for %d weekly scrub epochs (%d weeks)\n\n",
-		r.log.Modules, r.log.Epochs, weeks)
+		log.Modules, log.Epochs, weeks)
 	rep.Textf("correctable errors: %d raw, %d distinct cells (max %d reports of one cell)\n\n",
-		r.an.Events, r.an.UniqueCells, r.an.MaxRepeat)
+		an.Events, an.UniqueCells, an.MaxRepeat)
 
 	classes := report.NewTable("classes",
 		report.CStr("class", ""),
 		report.CInt("banks", "", "banks"))
 	for i, name := range fleet.ClassNames() {
-		classes.Add(report.S(name), report.I(int64(r.an.ClassCounts[i])))
+		classes.Add(report.S(name), report.I(int64(an.ClassCounts[i])))
 	}
 	rep.AddTable(classes)
 	rep.Textf("\n")
@@ -87,7 +65,7 @@ func (r *FleetCEResult) Report() *report.Report {
 		report.CInt("max_row_span", "row span", "cells"),
 		report.CInt("max_col_span", "col span", "cells"),
 		report.CStr("class", ""))
-	for i, bc := range r.an.Banks {
+	for i, bc := range an.Banks {
 		cells := []report.Cell{
 			report.S(fmt.Sprintf("m%d/r%d/b%d", bc.Key.Module, bc.Key.Rank, bc.Key.Bank)),
 			report.I(int64(bc.Events)), report.I(int64(bc.Unique)),
@@ -113,10 +91,10 @@ func (r *FleetCEResult) Report() *report.Report {
 		report.CFloat("weak_scale", "weak x", "ratio"),
 		report.CInt("ces", "CEs", "events"),
 		report.CInt("ue_epoch", "UE epoch", "epoch"))
-	for _, info := range r.log.Info {
+	for _, info := range log.Info {
 		ueEpoch := int64(-1)
 		if info.UEAtNs >= 0 {
-			ueEpoch = info.UEAtNs / r.log.EpochNs
+			ueEpoch = info.UEAtNs / log.EpochNs
 		}
 		cells := []report.Cell{
 			report.S(fmt.Sprintf("m%d", info.Module)),
@@ -132,29 +110,8 @@ func (r *FleetCEResult) Report() *report.Report {
 		}
 	}
 	rep.AddTable(modules)
-	return rep
+	return rep, log, nil
 }
-
-// FleetRiskResult reproduces the "First CE Matters" study over the
-// fleet: per-module early-CE feature vectors, deterministic risk
-// scores, and the confusion matrix against the UE ground truth.
-type FleetRiskResult struct {
-	resultMeta
-	log *fleet.Log
-	an  *fleet.Analytics
-}
-
-// RunFleetRisk simulates the fleet and scores UE risk predictions.
-func RunFleetRisk(ctx context.Context, req Request, rt Runtime) (Result, error) {
-	log, an, err := runFleetSim(ctx, req, rt.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return &FleetRiskResult{log: log, an: an}, nil
-}
-
-// WriteCELog serializes the run's CE event log in the compact format.
-func (r *FleetRiskResult) WriteCELog(w io.Writer) error { return fleet.WriteLog(w, r.log) }
 
 // rate renders a possibly-undefined ratio as a report cell: NaN (no
 // positive predictions or labels) becomes the finite sentinel -1
@@ -166,13 +123,20 @@ func rate(v float64) report.Cell {
 	return report.F(v, fmt.Sprintf("%.3f", v))
 }
 
-// Report builds the fleet-risk document: the prediction scoreboard plus
-// the per-module feature table (quiet, unflagged modules hidden from
-// the text rendering, still diffed).
-func (r *FleetRiskResult) Report() *report.Report {
-	rep := report.New(r.provenance())
+// RunFleetRisk reproduces the "First CE Matters" study over the fleet:
+// it simulates the fleet and reports the prediction scoreboard — the
+// confusion matrix of deterministic risk scores against the UE ground
+// truth — plus the per-module early-CE feature table (quiet, unflagged
+// modules hidden from the text rendering, still diffed). The second
+// return is the CE event log.
+func RunFleetRisk(ctx context.Context, req Request, rt Runtime) (*report.Report, *fleet.Log, error) {
+	log, an, err := runFleetSim(ctx, req, rt.Workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep := report.New(report.Provenance{})
 	rep.Textf("Fleet UE-risk study — %d modules, features from the first %d of %d epochs\n\n",
-		r.log.Modules, r.an.EarlyEpochs, r.log.Epochs)
+		log.Modules, an.EarlyEpochs, log.Epochs)
 
 	scoreboard := report.NewTable("scoreboard",
 		report.CInt("tp", "TP", "modules"),
@@ -182,12 +146,12 @@ func (r *FleetRiskResult) Report() *report.Report {
 		report.CFloat("precision", "", "fraction"),
 		report.CFloat("recall", "", "fraction"),
 		report.CInt("mean_lead_ns", "mean lead", "ns"))
-	m := r.an.Matrix
+	m := an.Matrix
 	scoreboard.Add(
 		report.I(int64(m.TP)), report.I(int64(m.FP)),
 		report.I(int64(m.FN)), report.I(int64(m.TN)),
 		rate(m.Precision()), rate(m.Recall()),
-		report.Id(r.an.MeanLeadNs, leadText(r.an.MeanLeadNs, r.log.EpochNs)))
+		report.Id(an.MeanLeadNs, leadText(an.MeanLeadNs, log.EpochNs)))
 	rep.AddTable(scoreboard)
 	rep.Textf("\n")
 
@@ -201,7 +165,7 @@ func (r *FleetRiskResult) Report() *report.Report {
 		report.CInt("early_col_span", "col span", "cells"),
 		report.CFloat("score", "", "probability"),
 		report.CStr("verdict", ""))
-	for _, mr := range r.an.Risk {
+	for _, mr := range an.Risk {
 		cells := []report.Cell{
 			report.S(fmt.Sprintf("m%d", mr.Module)),
 			report.I(mr.FirstCEAtNs),
@@ -221,7 +185,7 @@ func (r *FleetRiskResult) Report() *report.Report {
 		}
 	}
 	rep.AddTable(risks)
-	return rep
+	return rep, log, nil
 }
 
 // leadText renders the mean prediction lead in epochs.

@@ -7,36 +7,18 @@ import (
 )
 
 func init() {
-	registry["motiv"] = entry{RunMotivation, "Motivation (paper sec. 2): naive system-level neighbour testing misses failures", false}
+	registry["motiv"] = entry{RunMotivation, "Motivation (paper sec. 2): naive system-level neighbour testing misses failures", nil}
 }
 
-// MotivationResult quantifies why system-level pattern testing under a
+// RunMotivation quantifies why system-level pattern testing under a
 // linear-mapping assumption cannot find every data-dependent failure:
 // address scrambling and column remapping put physical neighbours at
-// unrelated system addresses.
-type MotivationResult struct {
-	resultMeta
-	// TrueWeakRows is the oracle count (rows that can fail with some
-	// content at the test idle time).
-	TrueWeakRows int
-	// NaiveFlagged is what the linear-mapping neighbour test finds.
-	NaiveFlagged int
-	// Missed is the number of truly weak rows the naive test never
-	// flags — the failures that would corrupt data in the field.
-	Missed int
-}
-
-// MissRate returns the fraction of truly weak rows missed.
-func (r *MotivationResult) MissRate() float64 {
-	if r.TrueWeakRows == 0 {
-		return 0
-	}
-	return float64(r.Missed) / float64(r.TrueWeakRows)
-}
-
-// RunMotivation runs the naive system-level neighbour test against the
-// silicon ground truth.
-func RunMotivation(ctx context.Context, req Request, rt Runtime) (Result, error) {
+// unrelated system addresses. It runs the naive system-level neighbour
+// test against the silicon ground truth — the rows that can fail with
+// some content at the test idle time — and counts the truly weak rows
+// the naive test never flags: the failures that would corrupt data in
+// the field.
+func RunMotivation(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	geom := charGeometry(req.Scale * 0.5)
 	geom.BanksPerChip = 2
 	params := faults.DefaultParams()
@@ -53,30 +35,30 @@ func RunMotivation(ctx context.Context, req Request, rt Runtime) (Result, error)
 	naive := tester.NaiveNeighborTest(idle)
 	truth := tester.GroundTruthWeakRows(idle)
 
-	res := &MotivationResult{TrueWeakRows: len(truth), NaiveFlagged: len(naive)}
+	missed := 0
 	for row := range truth {
 		if !naive[row] {
-			res.Missed++
+			missed++
 		}
 	}
-	return res, nil
-}
+	missRate := 0.0
+	if len(truth) > 0 {
+		missRate = float64(missed) / float64(len(truth))
+	}
 
-// Report builds the motivation document.
-func (r *MotivationResult) Report() *report.Report {
-	rep := report.New(r.provenance())
+	rep := report.New(report.Provenance{})
 	rep.Textf("Motivation — system-level neighbour testing vs silicon ground truth\n\n")
 	t := report.NewTable("rows",
 		report.CStr("quantity", ""),
 		report.CInt("rows", "", "rows"))
-	t.Add(report.S("truly weak (oracle, any content)"), report.I(int64(r.TrueWeakRows)))
-	t.Add(report.S("flagged by linear-mapping neighbour test"), report.I(int64(r.NaiveFlagged)))
-	t.Add(report.S("MISSED by the naive test"), report.I(int64(r.Missed)))
+	t.Add(report.S("truly weak (oracle, any content)"), report.I(int64(len(truth))))
+	t.Add(report.S("flagged by linear-mapping neighbour test"), report.I(int64(len(naive))))
+	t.Add(report.S("MISSED by the naive test"), report.I(int64(missed)))
 	rep.AddTable(t)
-	rep.Textf("\nmiss rate: %s — address scrambling and column remapping put physical\n", pct(r.MissRate()))
+	rep.Textf("\nmiss rate: %s — address scrambling and column remapping put physical\n", pct(missRate))
 	rep.Textf("neighbours at unrelated system addresses, so pattern tests exercise the\nwrong aggressors; this is why MEMCON tests the actual content instead\n")
 	st := report.NewTable("summary", report.CFloat("miss_rate", "", "fraction"))
-	st.Add(report.Fv(r.MissRate()))
+	st.Add(report.Fv(missRate))
 	rep.AddDataTable(st)
-	return rep
+	return rep, nil
 }

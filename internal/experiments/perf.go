@@ -57,29 +57,30 @@ func avgSpeedup(ctx context.Context, req Request, workers int, mixes [][]workloa
 	return stats.Mean(speedups), nil
 }
 
-// Fig15Cell is one (cores, density, reduction) speedup.
-type Fig15Cell struct {
-	Cores     int
-	Density   dram.Density
-	Reduction float64
-	Speedup   float64
-}
-
-// Fig15Result reproduces Fig. 15: MEMCON speedup over the 16 ms baseline
+// RunFig15 reproduces Fig. 15: MEMCON speedup over the 16 ms baseline
 // for 60% and 75% refresh reductions, single- and four-core, across
 // densities. Test traffic (256 tests per 64 ms) is included, as in the
-// paper.
-type Fig15Result struct {
-	resultMeta
-	Cells []Fig15Cell
-}
-
-// RunFig15 sweeps the speedup grid.
-func RunFig15(ctx context.Context, req Request, rt Runtime) (Result, error) {
-	res := &Fig15Result{}
+// paper. The report holds per-core pivot tables for the text rendering
+// and one flat machine table, in cores → density → reduction order,
+// for CSV, JSON, and diffing.
+func RunFig15(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+	rep := report.New(report.Provenance{})
+	rep.Primary = "cells"
+	rep.Textf("Fig. 15 — MEMCON speedup over baseline (16 ms refresh), incl. 256 tests/64 ms\n\n")
+	ct := report.NewTable("cells",
+		report.CInt("cores", "", ""),
+		report.CStr("density", ""),
+		report.CFloat("reduction", "", "fraction"),
+		report.CFloat("speedup", "", "x"))
 	for _, cores := range []int{1, 4} {
 		mixes := workload.Mixes(req.Mixes, cores, req.Seed)
+		rep.Textf("%d-core:\n", cores)
+		t := report.NewTable(fmt.Sprintf("pivot_%dcore", cores),
+			report.CStr("density", ""),
+			report.CFloat("r60", "60% reduction", "x"),
+			report.CFloat("r75", "75% reduction", "x"))
 		for _, d := range densities {
+			row := []report.Cell{report.S(d.String())}
 			for _, reduction := range []float64{0.60, 0.75} {
 				scheme, err := memconMem(d, reduction, 256, req.Seed)
 				if err != nil {
@@ -89,77 +90,32 @@ func RunFig15(ctx context.Context, req Request, rt Runtime) (Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				res.Cells = append(res.Cells, Fig15Cell{Cores: cores, Density: d, Reduction: reduction, Speedup: s})
+				row = append(row, report.F(s, fmt.Sprintf("%.2fx", s)))
+				ct.Add(report.I(int64(cores)), report.S(d.String()), report.Fv(reduction), report.Fv(s))
 			}
-		}
-	}
-	return res, nil
-}
-
-// Speedup returns the cell for the given parameters, or 0.
-func (r *Fig15Result) Speedup(cores int, d dram.Density, reduction float64) float64 {
-	for _, c := range r.Cells {
-		if c.Cores == cores && c.Density == d && c.Reduction == reduction {
-			return c.Speedup
-		}
-	}
-	return 0
-}
-
-// Report builds the Fig. 15 document: per-core pivot tables for the
-// text rendering, one flat machine table (the pre-typed CSV layout) for
-// CSV, JSON, and diffing.
-func (r *Fig15Result) Report() *report.Report {
-	rep := report.New(r.provenance())
-	rep.Primary = "cells"
-	rep.Textf("Fig. 15 — MEMCON speedup over baseline (16 ms refresh), incl. 256 tests/64 ms\n\n")
-	for _, cores := range []int{1, 4} {
-		rep.Textf("%d-core:\n", cores)
-		t := report.NewTable(fmt.Sprintf("pivot_%dcore", cores),
-			report.CStr("density", ""),
-			report.CFloat("r60", "60% reduction", "x"),
-			report.CFloat("r75", "75% reduction", "x"))
-		for _, d := range densities {
-			s60, s75 := r.Speedup(cores, d, 0.60), r.Speedup(cores, d, 0.75)
-			t.Add(report.S(d.String()),
-				report.F(s60, fmt.Sprintf("%.2fx", s60)),
-				report.F(s75, fmt.Sprintf("%.2fx", s75)))
+			t.Add(row...)
 		}
 		rep.AddTextTable(t)
 		rep.Textf("\n")
 	}
 	rep.Textf("%s", "paper: 10%/17%/40% to 12%/22%/50% (1-core) and 10%/23%/52% to 17%/29%/65% (4-core) for 8/16/32 Gb\n")
-	ct := report.NewTable("cells",
-		report.CInt("cores", "", ""),
-		report.CStr("density", ""),
-		report.CFloat("reduction", "", "fraction"),
-		report.CFloat("speedup", "", "x"))
-	for _, c := range r.Cells {
-		ct.Add(report.I(int64(c.Cores)), report.S(c.Density.String()),
-			report.Fv(c.Reduction), report.Fv(c.Speedup))
-	}
 	rep.AddDataTable(ct)
-	return rep
+	return rep, nil
 }
 
-// Table3Cell is one (cores, tests) overhead entry.
-type Table3Cell struct {
-	Cores int
-	Tests int
-	// Loss is the fractional performance loss vs zero-overhead testing.
-	Loss float64
-}
-
-// Table3Result reproduces Table 3: performance loss from the extra
-// memory accesses of 256/512/1024 concurrent tests every 64 ms.
-type Table3Result struct {
-	resultMeta
-	Cells []Table3Cell
-}
-
-// RunTable3 sweeps test-traffic intensity.
-func RunTable3(ctx context.Context, req Request, rt Runtime) (Result, error) {
-	res := &Table3Result{}
+// RunTable3 reproduces Table 3: the performance loss, against
+// zero-overhead testing, from the extra memory accesses of 256/512/1024
+// concurrent tests every 64 ms. The first column is unlabeled in the
+// text rendering (matching the paper table), so its Column is built
+// directly with an empty Label rather than through CStr.
+func RunTable3(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+	rep := report.New(report.Provenance{})
+	rep.Textf("Table 3 — performance loss due to extra accesses for testing\n\n")
+	t := report.NewTable("losses",
+		report.Column{Name: "config", Kind: report.KindString},
+		report.CFloat("t256", "256 tests", "fraction"),
+		report.CFloat("t512", "512 tests", "fraction"),
+		report.CFloat("t1024", "1024 tests", "fraction"))
 	for _, cores := range []int{1, 4} {
 		mixes := workload.Mixes(req.Mixes, cores, req.Seed)
 		// The ideal configuration has MEMCON's refresh reduction but free
@@ -168,6 +124,7 @@ func RunTable3(ctx context.Context, req Request, rt Runtime) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		row := []report.Cell{report.S(fmt.Sprintf("%d-core", cores))}
 		for _, tests := range []int{256, 512, 1024} {
 			loaded := ideal
 			loaded.TestsPerWindow = tests
@@ -175,57 +132,14 @@ func RunTable3(ctx context.Context, req Request, rt Runtime) (Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			res.Cells = append(res.Cells, Table3Cell{Cores: cores, Tests: tests, Loss: 1 - s})
+			loss := 1 - s
+			row = append(row, report.F(loss, pct2(loss)))
 		}
-	}
-	return res, nil
-}
-
-// Loss returns the cell value for the given parameters, or 0.
-func (r *Table3Result) Loss(cores, tests int) float64 {
-	for _, c := range r.Cells {
-		if c.Cores == cores && c.Tests == tests {
-			return c.Loss
-		}
-	}
-	return 0
-}
-
-// Report builds the Table 3 document. The first column is unlabeled in
-// the text rendering (matching the paper table), so its Column is built
-// directly with an empty Label rather than through CStr.
-func (r *Table3Result) Report() *report.Report {
-	rep := report.New(r.provenance())
-	rep.Textf("Table 3 — performance loss due to extra accesses for testing\n\n")
-	t := report.NewTable("losses",
-		report.Column{Name: "config", Kind: report.KindString},
-		report.CFloat("t256", "256 tests", "fraction"),
-		report.CFloat("t512", "512 tests", "fraction"),
-		report.CFloat("t1024", "1024 tests", "fraction"))
-	for _, cores := range []int{1, 4} {
-		l256, l512, l1024 := r.Loss(cores, 256), r.Loss(cores, 512), r.Loss(cores, 1024)
-		t.Add(report.S(fmt.Sprintf("%d-core", cores)),
-			report.F(l256, pct2(l256)), report.F(l512, pct2(l512)), report.F(l1024, pct2(l1024)))
+		t.Add(row...)
 	}
 	rep.AddTable(t)
 	rep.Textf("%s", "\npaper: 0.54%/1.03%/1.88% (1-core), 0.05%/0.09%/0.48% (4-core)\n")
-	return rep
-}
-
-// Fig16Cell is one (cores, density, policy) speedup over the 16 ms
-// baseline.
-type Fig16Cell struct {
-	Cores   int
-	Density dram.Density
-	Policy  string
-	Speedup float64
-}
-
-// Fig16Result reproduces Fig. 16: 32 ms refresh, RAIDR, MEMCON, and the
-// ideal 64 ms refresh, all over the 16 ms baseline.
-type Fig16Result struct {
-	resultMeta
-	Cells []Fig16Cell
+	return rep, nil
 }
 
 // raidrReduction is RAIDR's refresh reduction over the all-16 ms
@@ -251,13 +165,30 @@ var fig16Policies = []struct {
 	{"64ms", 0.75, 0},
 }
 
-// RunFig16 sweeps refresh policies.
-func RunFig16(ctx context.Context, req Request, rt Runtime) (Result, error) {
-	res := &Fig16Result{}
+// RunFig16 reproduces Fig. 16: 32 ms refresh, RAIDR, MEMCON, and the
+// ideal 64 ms refresh, all over the 16 ms baseline. Like Fig. 15 it
+// reports per-core pivots for text and one flat machine table, in
+// cores → density → policy order, for CSV/JSON/diff.
+func RunFig16(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+	rep := report.New(report.Provenance{})
+	rep.Primary = "cells"
+	rep.Textf("Fig. 16 — speedup over 16 ms baseline, by refresh mechanism\n\n")
+	ct := report.NewTable("cells",
+		report.CInt("cores", "", ""),
+		report.CStr("density", ""),
+		report.CStr("policy", ""),
+		report.CFloat("speedup", "", "x"))
 	for _, cores := range []int{1, 4} {
 		mixes := workload.Mixes(req.Mixes, cores, req.Seed)
+		rep.Textf("%d-core:\n", cores)
+		cols := []report.Column{report.CStr("density", "")}
+		for _, p := range fig16Policies {
+			cols = append(cols, report.CFloat(p.name, p.name, "x"))
+		}
+		t := report.NewTable(fmt.Sprintf("pivot_%dcore", cores), cols...)
 		for _, d := range densities {
 			base := baselineMem(d, req.Seed)
+			row := []report.Cell{report.S(d.String())}
 			for _, pol := range fig16Policies {
 				scheme, err := memconMem(d, pol.reduction, pol.tests, req.Seed)
 				if err != nil {
@@ -267,41 +198,8 @@ func RunFig16(ctx context.Context, req Request, rt Runtime) (Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				res.Cells = append(res.Cells, Fig16Cell{Cores: cores, Density: d, Policy: pol.name, Speedup: s})
-			}
-		}
-	}
-	return res, nil
-}
-
-// Speedup returns the cell for the given parameters, or 0.
-func (r *Fig16Result) Speedup(cores int, d dram.Density, policy string) float64 {
-	for _, c := range r.Cells {
-		if c.Cores == cores && c.Density == d && c.Policy == policy {
-			return c.Speedup
-		}
-	}
-	return 0
-}
-
-// Report builds the Fig. 16 document: per-core pivots for text, one
-// flat machine table for CSV/JSON/diff.
-func (r *Fig16Result) Report() *report.Report {
-	rep := report.New(r.provenance())
-	rep.Primary = "cells"
-	rep.Textf("Fig. 16 — speedup over 16 ms baseline, by refresh mechanism\n\n")
-	for _, cores := range []int{1, 4} {
-		rep.Textf("%d-core:\n", cores)
-		cols := []report.Column{report.CStr("density", "")}
-		for _, p := range fig16Policies {
-			cols = append(cols, report.CFloat(p.name, p.name, "x"))
-		}
-		t := report.NewTable(fmt.Sprintf("pivot_%dcore", cores), cols...)
-		for _, d := range densities {
-			row := []report.Cell{report.S(d.String())}
-			for _, p := range fig16Policies {
-				v := r.Speedup(cores, d, p.name)
-				row = append(row, report.F(v, fmt.Sprintf("%.2fx", v)))
+				row = append(row, report.F(s, fmt.Sprintf("%.2fx", s)))
+				ct.Add(report.I(int64(cores)), report.S(d.String()), report.S(pol.name), report.Fv(s))
 			}
 			t.Add(row...)
 		}
@@ -309,15 +207,6 @@ func (r *Fig16Result) Report() *report.Report {
 		rep.Textf("\n")
 	}
 	rep.Textf("%s", "expected ordering: 32ms < RAIDR < MEMCON <= 64ms; MEMCON within 3-5% of 64 ms\n")
-	ct := report.NewTable("cells",
-		report.CInt("cores", "", ""),
-		report.CStr("density", ""),
-		report.CStr("policy", ""),
-		report.CFloat("speedup", "", "x"))
-	for _, c := range r.Cells {
-		ct.Add(report.I(int64(c.Cores)), report.S(c.Density.String()),
-			report.S(c.Policy), report.Fv(c.Speedup))
-	}
 	rep.AddDataTable(ct)
-	return rep
+	return rep, nil
 }

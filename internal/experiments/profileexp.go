@@ -13,31 +13,16 @@ import (
 )
 
 func init() {
-	registry["profile"] = entry{RunProfile, "Profiling: RAIDR/REAPER-style campaign vs ground truth across guardbands", false}
-	registry["abl-remap"] = entry{RunAblRemap, "Ablation: remap mitigation for always-failing rows (full-fidelity system)", false}
+	registry["profile"] = entry{RunProfile, "Profiling: RAIDR/REAPER-style campaign vs ground truth across guardbands", nil}
+	registry["abl-remap"] = entry{RunAblRemap, "Ablation: remap mitigation for always-failing rows (full-fidelity system)", nil}
 }
 
-// ProfileRow is one guardband point of the profiling study.
-type ProfileRow struct {
-	Guardband   float64
-	Rounds      int
-	WeakRowFrac float64
-	EscapeRate  float64
-	FalseAlarms int
-}
-
-// ProfileResult sweeps the profiling campaign's guardband, quantifying
+// RunProfile executes profiling campaigns at several guardbands
+// against one chip and reports coverage vs ground truth, quantifying
 // the §6.3 tension: wider guardbands catch more truly weak rows but
 // over-profile, and even then escapes remain — the argument for
 // content-based online testing.
-type ProfileResult struct {
-	resultMeta
-	Rows []ProfileRow
-}
-
-// RunProfile executes profiling campaigns at several guardbands against
-// one chip and reports coverage vs ground truth.
-func RunProfile(ctx context.Context, req Request, rt Runtime) (Result, error) {
+func RunProfile(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	geom := charGeometry(req.Scale * 0.5)
 	geom.BanksPerChip = 2
 	params := faults.ParamsForRefresh(dram.RefreshWindowDefault)
@@ -46,7 +31,13 @@ func RunProfile(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &ProfileResult{}
+	rep := report.New(report.Provenance{})
+	rep.Textf("Profiling study — pattern campaign coverage vs silicon ground truth\n\n")
+	t := report.NewTable("rows",
+		report.CFloat("guardband", "", "x"),
+		report.CFloat("weak_row_frac", "flagged rows", "fraction"),
+		report.CFloat("escape_rate", "escape rate", "fraction"),
+		report.CInt("false_alarms", "false alarms", "rows"))
 	for _, guard := range []float64{1.0, 1.25, 1.5, 2.0} {
 		// A fresh module and tester per campaign over the one model:
 		// profiling consumes the test clock and rewrites the content.
@@ -64,51 +55,22 @@ func RunProfile(ctx context.Context, req Request, rt Runtime) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep := profiler.Escapes(p, model, cfg.TargetIdle)
-		res.Rows = append(res.Rows, ProfileRow{
-			Guardband:   guard,
-			Rounds:      cfg.Rounds,
-			WeakRowFrac: p.WeakRowFraction(),
-			EscapeRate:  rep.EscapeRate(),
-			FalseAlarms: rep.FalseAlarms,
-		})
-	}
-	return res, nil
-}
-
-// Report builds the profiling-study document.
-func (r *ProfileResult) Report() *report.Report {
-	rep := report.New(r.provenance())
-	rep.Textf("Profiling study — pattern campaign coverage vs silicon ground truth\n\n")
-	t := report.NewTable("rows",
-		report.CFloat("guardband", "", "x"),
-		report.CFloat("weak_row_frac", "flagged rows", "fraction"),
-		report.CFloat("escape_rate", "escape rate", "fraction"),
-		report.CInt("false_alarms", "false alarms", "rows"))
-	for _, row := range r.Rows {
-		t.Add(report.F(row.Guardband, fmt.Sprintf("%.2fx", row.Guardband)),
-			report.F(row.WeakRowFrac, pct2(row.WeakRowFrac)),
-			report.F(row.EscapeRate, pct(row.EscapeRate)),
-			report.I(int64(row.FalseAlarms)))
+		esc := profiler.Escapes(p, model, cfg.TargetIdle)
+		weak, escapes := p.WeakRowFraction(), esc.EscapeRate()
+		t.Add(report.F(guard, fmt.Sprintf("%.2fx", guard)),
+			report.F(weak, pct2(weak)),
+			report.F(escapes, pct(escapes)),
+			report.I(int64(esc.FalseAlarms)))
 	}
 	rep.AddTable(t)
 	rep.Textf("\nguardbands trade over-profiling (false alarms refreshed at HI forever) against\nescapes; neither reaches zero escapes without physical-neighbourhood knowledge\n")
-	return rep
+	return rep, nil
 }
 
-// AblRemapResult measures what remap mitigation buys on chips whose
-// content keeps failing tests.
-type AblRemapResult struct {
-	resultMeta
-	PlainReduction float64
-	RemapReduction float64
-	RemappedRows   int
-	TestsFailed    int64
-}
-
-// RunAblRemap runs the full-fidelity system with a dense weak-cell
-// population, with and without remap mitigation.
-func RunAblRemap(ctx context.Context, req Request, rt Runtime) (Result, error) {
+// RunAblRemap measures what remap mitigation buys on chips whose
+// content keeps failing tests: it runs the full-fidelity system with a
+// dense weak-cell population, with and without remap mitigation.
+func RunAblRemap(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	geom := dram.Geometry{
 		Ranks: 1, ChipsPerRank: 1, BanksPerChip: 2,
 		RowsPerBank: 256, ColsPerRow: 512, RedundantCols: 16,
@@ -156,30 +118,21 @@ func RunAblRemap(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &AblRemapResult{
-		PlainReduction: plain.RefreshReduction(),
-		RemapReduction: remapped.RefreshReduction(),
-		RemappedRows:   n,
-		TestsFailed:    plain.TestsFailed,
-	}, nil
-}
-
-// Report builds the remap-ablation document.
-func (r *AblRemapResult) Report() *report.Report {
-	rep := report.New(r.provenance())
+	rep := report.New(report.Provenance{})
 	rep.Textf("Ablation — remap mitigation for rows that keep failing tests\n\n")
 	t := report.NewTable("rows",
 		report.CStr("configuration", ""),
 		report.CFloat("reduction", "refresh reduction", "fraction"))
-	t.Add(report.S("HI-REF mitigation only (paper)"), report.F(r.PlainReduction, pct(r.PlainReduction)))
-	t.Add(report.S("with remap to screened spares"), report.F(r.RemapReduction, pct(r.RemapReduction)))
+	plainRed, remapRed := plain.RefreshReduction(), remapped.RefreshReduction()
+	t.Add(report.S("HI-REF mitigation only (paper)"), report.F(plainRed, pct(plainRed)))
+	t.Add(report.S("with remap to screened spares"), report.F(remapRed, pct(remapRed)))
 	rep.AddTable(t)
 	rep.Textf("\n%d failing tests; %d rows remapped — completing the paper's mitigation triad\n(high refresh / ECC / remapping) converts permanently-HI rows into LO rows\n",
-		r.TestsFailed, r.RemappedRows)
+		plain.TestsFailed, n)
 	st := report.NewTable("summary",
 		report.CInt("tests_failed", "", ""),
 		report.CInt("remapped_rows", "", "rows"))
-	st.Add(report.I(r.TestsFailed), report.I(int64(r.RemappedRows)))
+	st.Add(report.I(plain.TestsFailed), report.I(int64(n)))
 	rep.AddDataTable(st)
-	return rep
+	return rep, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"memcon/internal/core"
-	"memcon/internal/obs"
 	"memcon/internal/parallel"
 	"memcon/internal/report"
 	"memcon/internal/trace"
@@ -17,189 +16,122 @@ import (
 // cilChoices are the quantum lengths Figs. 14 and 17 evaluate (ms).
 var cilChoices = []trace.Microseconds{512 * trace.Millisecond, 1024 * trace.Millisecond, 2048 * trace.Millisecond}
 
-// runEngineOn replays one generated trace through the MEMCON engine at
-// the given quantum, forwarding the run's observer.
-func runEngineOn(ctx context.Context, o obs.Observer, tr *trace.Trace, quantum trace.Microseconds) (core.Report, error) {
-	cfg := core.DefaultConfig()
-	cfg.Quantum = quantum
-	return core.RunContext(ctx, tr, cfg, core.WithObserver(o))
-}
-
-// Fig14Row is one application's refresh reduction per CIL.
-type Fig14Row struct {
-	Name string
-	// Reduction[i] is the refresh reduction at cilChoices[i].
-	Reduction []float64
-}
-
-// Fig14Result reproduces Fig. 14.
-type Fig14Result struct {
-	resultMeta
-	Rows       []Fig14Row
-	UpperBound float64
-	// AvgAt1024 is the mean reduction at the 1024 ms quantum.
-	AvgAt1024 float64
-	MinAt1024 float64
-	MaxAt1024 float64
-}
-
-// RunFig14 measures MEMCON's refresh-operation reduction for all
-// workloads at the three quantum lengths. Apps are independent work
-// units (each generates its own trace); the min/avg/max fold runs over
-// the fanned-in rows in app order.
-func RunFig14(ctx context.Context, req Request, rt Runtime) (Result, error) {
+// quantumRows replays every workload's trace through the MEMCON engine
+// at each cilChoices quantum, forwarding the run's observer, and
+// tabulates metric of each replay's report into the "rows" table Figs.
+// 14 and 17 share, one row per workload. Workloads are independent work
+// units (each generates its own trace). The second return holds each
+// workload's value at the 1024 ms quantum, in row order.
+func quantumRows(ctx context.Context, req Request, rt Runtime, metric func(core.Report) float64) (*report.Table, []float64, error) {
 	apps := workload.Apps()
-	rows, err := parallel.Map(ctx, len(apps), rt.Workers, func(i int) (Fig14Row, error) {
+	rows, err := parallel.Map(ctx, len(apps), rt.Workers, func(i int) ([]float64, error) {
 		tr := apps[i].Generate(req.Seed, req.Scale)
-		row := Fig14Row{Name: apps[i].Name}
+		var row []float64
 		for _, q := range cilChoices {
-			rep, err := runEngineOn(ctx, rt.Observer, tr, q)
+			cfg := core.DefaultConfig()
+			cfg.Quantum = q
+			rep, err := core.RunContext(ctx, tr, cfg, core.WithObserver(rt.Observer))
 			if err != nil {
-				return Fig14Row{}, err
+				return nil, err
 			}
-			row.Reduction = append(row.Reduction, rep.RefreshReduction())
+			row = append(row, metric(rep))
 		}
 		return row, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res := &Fig14Result{UpperBound: 0.75, MinAt1024: 1, Rows: rows}
-	var sum float64
-	for _, row := range rows {
-		r1024 := row.Reduction[1]
-		sum += r1024
-		if r1024 < res.MinAt1024 {
-			res.MinAt1024 = r1024
-		}
-		if r1024 > res.MaxAt1024 {
-			res.MaxAt1024 = r1024
-		}
-	}
-	res.AvgAt1024 = sum / float64(len(res.Rows))
-	return res, nil
-}
-
-// Report builds the Fig. 14 document.
-func (r *Fig14Result) Report() *report.Report {
-	rep := report.New(r.provenance())
-	rep.Textf("Fig. 14 — reduction in refresh count with MEMCON (baseline: 16 ms refresh)\n\n")
 	t := report.NewTable("rows",
 		report.CStr("application", ""),
 		report.CFloat("cil_512ms", "CIL 512ms", "fraction"),
 		report.CFloat("cil_1024ms", "CIL 1024ms", "fraction"),
 		report.CFloat("cil_2048ms", "CIL 2048ms", "fraction"))
-	for _, row := range r.Rows {
-		t.Add(report.S(row.Name),
-			report.F(row.Reduction[0], pct(row.Reduction[0])),
-			report.F(row.Reduction[1], pct(row.Reduction[1])),
-			report.F(row.Reduction[2], pct(row.Reduction[2])))
+	at1024 := make([]float64, len(rows))
+	for i, row := range rows {
+		t.Add(report.S(apps[i].Name),
+			report.F(row[0], pct(row[0])),
+			report.F(row[1], pct(row[1])),
+			report.F(row[2], pct(row[2])))
+		at1024[i] = row[1]
 	}
+	return t, at1024, nil
+}
+
+// RunFig14 measures MEMCON's refresh-operation reduction for all
+// workloads at the three quantum lengths; the min/avg/max fold runs
+// over the workloads at 1024 ms in app order.
+func RunFig14(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+	t, at1024, err := quantumRows(ctx, req, rt, core.Report.RefreshReduction)
+	if err != nil {
+		return nil, err
+	}
+	const upperBound = 0.75
+	minAt1024, maxAt1024 := 1.0, 0.0
+	var sum float64
+	for _, r1024 := range at1024 {
+		sum += r1024
+		if r1024 < minAt1024 {
+			minAt1024 = r1024
+		}
+		if r1024 > maxAt1024 {
+			maxAt1024 = r1024
+		}
+	}
+	avgAt1024 := sum / float64(len(at1024))
+
+	rep := report.New(report.Provenance{})
+	rep.Textf("Fig. 14 — reduction in refresh count with MEMCON (baseline: 16 ms refresh)\n\n")
 	t.Add(report.S("UPPER BOUND"),
-		report.F(r.UpperBound, pct(r.UpperBound)),
-		report.F(r.UpperBound, pct(r.UpperBound)),
-		report.F(r.UpperBound, pct(r.UpperBound)))
+		report.F(upperBound, pct(upperBound)),
+		report.F(upperBound, pct(upperBound)),
+		report.F(upperBound, pct(upperBound)))
 	rep.AddTable(t)
 	rep.Textf("\nreduction at CIL 1024 ms: avg %s, range %s - %s (paper: 64.7%% - 74.5%%)\n",
-		pct(r.AvgAt1024), pct(r.MinAt1024), pct(r.MaxAt1024))
+		pct(avgAt1024), pct(minAt1024), pct(maxAt1024))
 	st := report.NewTable("summary",
 		report.CFloat("avg_at_1024", "", "fraction"),
 		report.CFloat("min_at_1024", "", "fraction"),
 		report.CFloat("max_at_1024", "", "fraction"))
-	st.Add(report.Fv(r.AvgAt1024), report.Fv(r.MinAt1024), report.Fv(r.MaxAt1024))
+	st.Add(report.Fv(avgAt1024), report.Fv(minAt1024), report.Fv(maxAt1024))
 	rep.AddDataTable(st)
-	return rep
-}
-
-// Fig17Row is one application's LO-REF coverage per CIL.
-type Fig17Row struct {
-	Name     string
-	Coverage []float64
-}
-
-// Fig17Result reproduces Fig. 17.
-type Fig17Result struct {
-	resultMeta
-	Rows []Fig17Row
-	// AvgAt1024 is the mean coverage at the 1024 ms quantum.
-	AvgAt1024 float64
+	return rep, nil
 }
 
 // RunFig17 measures the fraction of execution time rows spend at LO-REF.
-func RunFig17(ctx context.Context, req Request, rt Runtime) (Result, error) {
-	apps := workload.Apps()
-	rows, err := parallel.Map(ctx, len(apps), rt.Workers, func(i int) (Fig17Row, error) {
-		tr := apps[i].Generate(req.Seed, req.Scale)
-		row := Fig17Row{Name: apps[i].Name}
-		for _, q := range cilChoices {
-			rep, err := runEngineOn(ctx, rt.Observer, tr, q)
-			if err != nil {
-				return Fig17Row{}, err
-			}
-			row.Coverage = append(row.Coverage, rep.LoRefCoverage())
-		}
-		return row, nil
-	})
+func RunFig17(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+	t, at1024, err := quantumRows(ctx, req, rt, core.Report.LoRefCoverage)
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig17Result{Rows: rows}
 	var sum float64
-	for _, row := range rows {
-		sum += row.Coverage[1]
+	for _, c := range at1024 {
+		sum += c
 	}
-	res.AvgAt1024 = sum / float64(len(res.Rows))
-	return res, nil
-}
+	avgAt1024 := sum / float64(len(at1024))
 
-// Report builds the Fig. 17 document.
-func (r *Fig17Result) Report() *report.Report {
-	rep := report.New(r.provenance())
+	rep := report.New(report.Provenance{})
 	rep.Textf("Fig. 17 — execution-time coverage of PRIL (time at LO-REF)\n\n")
-	t := report.NewTable("rows",
-		report.CStr("application", ""),
-		report.CFloat("cil_512ms", "CIL 512ms", "fraction"),
-		report.CFloat("cil_1024ms", "CIL 1024ms", "fraction"),
-		report.CFloat("cil_2048ms", "CIL 2048ms", "fraction"))
-	for _, row := range r.Rows {
-		t.Add(report.S(row.Name),
-			report.F(row.Coverage[0], pct(row.Coverage[0])),
-			report.F(row.Coverage[1], pct(row.Coverage[1])),
-			report.F(row.Coverage[2], pct(row.Coverage[2])))
-	}
 	rep.AddTable(t)
-	rep.Textf("\naverage coverage at CIL 1024 ms: %s (paper: ~95%%)\n", pct(r.AvgAt1024))
+	rep.Textf("\naverage coverage at CIL 1024 ms: %s (paper: ~95%%)\n", pct(avgAt1024))
 	st := report.NewTable("summary", report.CFloat("avg_at_1024", "", "fraction"))
-	st.Add(report.Fv(r.AvgAt1024))
+	st.Add(report.Fv(avgAt1024))
 	rep.AddDataTable(st)
-	return rep
+	return rep, nil
 }
 
-// Fig18Row is one application's refresh+testing time, normalized to the
+// fig18Row is one workload's refresh and testing time over the
 // baseline's refresh time.
-type Fig18Row struct {
-	Name string
-	// RefreshShare is MEMCON refresh time / baseline refresh time.
-	RefreshShare float64
-	// TestCorrectShare and TestMispredShare are testing time (correct /
-	// mispredicted+aborted) over baseline refresh time.
-	TestCorrectShare float64
-	TestMispredShare float64
-}
-
-// Fig18Result reproduces Fig. 18.
-type Fig18Result struct {
-	resultMeta
-	Rows []Fig18Row
-	// AvgTestingShare is the mean total testing share.
-	AvgTestingShare float64
+type fig18Row struct {
+	// refresh is MEMCON refresh time; testCorrect and testMispred are
+	// testing time of correct and of mispredicted or aborted tests.
+	refresh, testCorrect, testMispred float64
 }
 
 // RunFig18 measures time spent on refresh and testing under MEMCON,
 // normalized to baseline refresh time.
-func RunFig18(ctx context.Context, req Request, rt Runtime) (Result, error) {
+func RunFig18(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	apps := workload.Apps()
-	rows, err := parallel.Map(ctx, len(apps), rt.Workers, func(i int) (Fig18Row, error) {
+	rows, err := parallel.Map(ctx, len(apps), rt.Workers, func(i int) (fig18Row, error) {
 		tr := apps[i].Generate(req.Seed, req.Scale)
 		cfg := core.DefaultConfig()
 		cfg.Quantum = 1024 * trace.Millisecond
@@ -211,67 +143,50 @@ func RunFig18(ctx context.Context, req Request, rt Runtime) (Result, error) {
 		cfg.ReadOnlyRows = 9 * (tr.MaxPage() + 1)
 		rep, err := core.RunContext(ctx, tr, cfg, core.WithObserver(rt.Observer))
 		if err != nil {
-			return Fig18Row{}, err
+			return fig18Row{}, err
 		}
 		base := rep.BaselineRefreshTimeNs()
 		refreshNs := rep.RefreshOps * 39 // tRAS+tRP per op
-		return Fig18Row{
-			Name:             apps[i].Name,
-			RefreshShare:     refreshNs / base,
-			TestCorrectShare: rep.TestingTimeCorrectNs / base,
-			TestMispredShare: rep.TestingTimeMispredNs / base,
+		return fig18Row{
+			refresh:     refreshNs / base,
+			testCorrect: rep.TestingTimeCorrectNs / base,
+			testMispred: rep.TestingTimeMispredNs / base,
 		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig18Result{Rows: rows}
 	var sum float64
 	for _, row := range rows {
-		sum += row.TestCorrectShare + row.TestMispredShare
+		sum += row.testCorrect + row.testMispred
 	}
-	res.AvgTestingShare = sum / float64(len(res.Rows))
-	return res, nil
-}
+	avgTestingShare := sum / float64(len(rows))
 
-// Report builds the Fig. 18 document.
-func (r *Fig18Result) Report() *report.Report {
-	rep := report.New(r.provenance())
+	rep := report.New(report.Provenance{})
 	rep.Textf("Fig. 18 — time on refresh and testing, normalized to baseline refresh time\n\n")
 	t := report.NewTable("rows",
 		report.CStr("application", ""),
 		report.CFloat("refresh", "", "fraction"),
 		report.CFloat("testing_correct", "testing (correct)", "fraction"),
 		report.CFloat("testing_mispred", "testing (mispredicted)", "fraction"))
-	for _, row := range r.Rows {
-		t.Add(report.S(row.Name),
-			report.F(row.RefreshShare, pct(row.RefreshShare)),
-			report.F(row.TestCorrectShare, fmt.Sprintf("%.4f%%", 100*row.TestCorrectShare)),
-			report.F(row.TestMispredShare, fmt.Sprintf("%.4f%%", 100*row.TestMispredShare)))
+	for i, row := range rows {
+		t.Add(report.S(apps[i].Name),
+			report.F(row.refresh, pct(row.refresh)),
+			report.F(row.testCorrect, fmt.Sprintf("%.4f%%", 100*row.testCorrect)),
+			report.F(row.testMispred, fmt.Sprintf("%.4f%%", 100*row.testMispred)))
 	}
 	rep.AddTable(t)
 	rep.Textf("\naverage testing time: %.4f%% of baseline refresh time (paper: ~0.01%%)\n",
-		100*r.AvgTestingShare)
+		100*avgTestingShare)
 	st := report.NewTable("summary", report.CFloat("avg_testing_share", "", "fraction"))
-	st.Add(report.Fv(r.AvgTestingShare))
+	st.Add(report.Fv(avgTestingShare))
 	rep.AddDataTable(st)
-	return rep
+	return rep, nil
 }
 
-// Table1Result reproduces Table 1: the evaluated workload inventory.
-type Table1Result struct {
-	resultMeta
-	Apps []workload.AppSpec
-}
-
-// RunTable1 returns the workload table.
-func RunTable1(context.Context, Request, Runtime) (Result, error) {
-	return &Table1Result{Apps: workload.Apps()}, nil
-}
-
-// Report builds the Table 1 document.
-func (r *Table1Result) Report() *report.Report {
-	rep := report.New(r.provenance())
+// RunTable1 reproduces Table 1: the evaluated workload inventory.
+func RunTable1(context.Context, Request, Runtime) (*report.Report, error) {
+	rep := report.New(report.Provenance{})
 	rep.Textf("Table 1 — evaluated long-running workloads (synthetic analogues)\n\n")
 	t := report.NewTable("apps",
 		report.CStr("application", ""),
@@ -282,7 +197,7 @@ func (r *Table1Result) Report() *report.Report {
 		report.CInt("pages", "", ""),
 		report.CFloat("pareto_alpha", "pareto alpha", ""),
 		report.CFloat("xm_ms", "xm (ms)", "ms"))
-	for _, a := range r.Apps {
+	for _, a := range workload.Apps() {
 		t.Add(report.S(a.Name), report.S(a.Type),
 			report.F(a.DurationSec, fmt.Sprintf("%.1f", a.DurationSec)),
 			report.F(a.MemGB, fmt.Sprintf("%.1f", a.MemGB)),
@@ -292,5 +207,5 @@ func (r *Table1Result) Report() *report.Report {
 			report.F(a.IdleDist.Xm, fmt.Sprintf("%.0f", a.IdleDist.Xm)))
 	}
 	rep.AddTable(t)
-	return rep
+	return rep, nil
 }

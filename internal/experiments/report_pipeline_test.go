@@ -36,7 +36,7 @@ func TestEveryExperimentReports(t *testing.T) {
 				t.Errorf("provenance = %+v", rep.Prov)
 			}
 			wantFleet := 0
-			if registry[id].fleet {
+			if registry[id].fleet != nil {
 				wantFleet = deriveFleet(req.Scale)
 			}
 			if rep.Prov.Fleet != wantFleet {

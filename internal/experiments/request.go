@@ -134,7 +134,7 @@ func (r *Request) Normalize() error {
 	if r.Fleet < 0 {
 		return fmt.Errorf("experiments: fleet %d must be non-negative", r.Fleet)
 	}
-	if !e.fleet {
+	if e.fleet == nil {
 		r.Fleet = 0
 	} else if r.Fleet < 1 {
 		r.Fleet = deriveFleet(r.Scale)
@@ -238,12 +238,12 @@ type Runtime struct {
 }
 
 // RunRequest executes the experiment described by req under ctx and
-// stamps the result's provenance with the normalized inputs. It is the
+// stamps the report's provenance with the normalized inputs. It is the
 // one entrypoint every caller uses: the CLIs, the serving daemon and
 // the public facade. The worker count is deliberately not recorded in
 // provenance: reports are byte-identical for any rt.Workers, and
 // provenance only holds inputs that determine the numbers.
-func RunRequest(ctx context.Context, req Request, rt Runtime) (Result, error) {
+func RunRequest(ctx context.Context, req Request, rt Runtime) (*Result, error) {
 	if err := req.Normalize(); err != nil {
 		return nil, err
 	}
@@ -254,11 +254,17 @@ func RunRequest(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	if rt.Phases != nil {
 		defer rt.Phases.Start(req.Experiment)()
 	}
-	res, err := e.runner(ctx, req, rt)
+	res := &Result{}
+	var err error
+	if e.fleet != nil {
+		res.rep, res.CELog, err = e.fleet(ctx, req, rt)
+	} else {
+		res.rep, err = e.runner(ctx, req, rt)
+	}
 	if err != nil {
 		return nil, err
 	}
-	res.setProvenance(req.provenance(e.desc))
+	res.rep.Prov = req.provenance(e.desc)
 	return res, nil
 }
 

@@ -11,30 +11,7 @@ import (
 )
 
 func init() {
-	registry["vrt"] = entry{RunVRT, "Extension: variable retention time — online testing vs one-shot profiling", false}
-}
-
-// VRTCheckpoint is one mid-interval audit point.
-type VRTCheckpoint struct {
-	Hour float64
-	// FailingRows is the number of rows failing at LO-REF under the
-	// current content and current VRT state.
-	FailingRows int
-	// RAIDREscapes are failing rows missing from the one-shot profile.
-	RAIDREscapes int
-	// MemconEscapes are failing rows whose state changed since
-	// MEMCON's last test of that content (the bounded exposure of
-	// online testing).
-	MemconEscapes int
-}
-
-// VRTResult compares mitigation coverage under VRT over simulated time.
-type VRTResult struct {
-	resultMeta
-	Checkpoints []VRTCheckpoint
-	// TotalRAIDR / TotalMemcon accumulate escapes over the run.
-	TotalRAIDR  int
-	TotalMemcon int
+	registry["vrt"] = entry{RunVRT, "Extension: variable retention time — online testing vs one-shot profiling", nil}
 }
 
 // RunVRT simulates 12 hours with a VRT-active weak-cell population.
@@ -42,8 +19,11 @@ type VRTResult struct {
 // new content (its normal online behaviour), while the one-shot profile
 // from hour 0 never updates. Halfway through every hour, the audit
 // counts rows that currently fail at LO-REF and asks which mechanism
-// knew about them.
-func RunVRT(ctx context.Context, req Request, rt Runtime) (Result, error) {
+// knew about them: a one-shot profile escape is a failing row missing
+// from the profile, a MEMCON escape a failing row whose state changed
+// since MEMCON's last test of that content (the bounded exposure of
+// online testing).
+func RunVRT(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	geom := charGeometry(req.Scale * 0.5)
 	geom.BanksPerChip = 1
 	scr, err := dram.NewMappedScrambler(geom, uint64(req.Seed), nil, req.Mapping)
@@ -95,23 +75,34 @@ func RunVRT(ctx context.Context, req Request, rt Runtime) (Result, error) {
 	staticProfile := failingNow()
 	memconKnown := failingNow()
 
-	res := &VRTResult{}
+	rep := report.New(report.Provenance{})
+	rep.Textf("Extension — variable retention time: online testing vs one-shot profile\n\n")
+	t := report.NewTable("checkpoints",
+		report.CFloat("hour", "", "h"),
+		report.CInt("failing_rows", "failing rows", "rows"),
+		report.CInt("raidr_escapes", "one-shot profile escapes", "rows"),
+		report.CInt("memcon_escapes", "MEMCON escapes", "rows"))
+	var totalRAIDR, totalMemcon int
 	for h := 0; h < 12; h++ {
 		// Mid-interval audit: VRT advances half an hour.
 		vrt.Advance(dram.Nanoseconds(h)*hour + hour/2)
 		failing := failingNow()
-		cp := VRTCheckpoint{Hour: float64(h) + 0.5, FailingRows: len(failing)}
+		var raidrEscapes, memconEscapes int
 		for r := range failing {
 			if !staticProfile[r] {
-				cp.RAIDREscapes++
+				raidrEscapes++
 			}
 			if !memconKnown[r] {
-				cp.MemconEscapes++
+				memconEscapes++
 			}
 		}
-		res.Checkpoints = append(res.Checkpoints, cp)
-		res.TotalRAIDR += cp.RAIDREscapes
-		res.TotalMemcon += cp.MemconEscapes
+		at := float64(h) + 0.5
+		t.Add(report.F(at, fmt.Sprintf("%.1f", at)),
+			report.I(int64(len(failing))),
+			report.I(int64(raidrEscapes)),
+			report.I(int64(memconEscapes)))
+		totalRAIDR += raidrEscapes
+		totalMemcon += memconEscapes
 
 		// End of hour: content rewritten, MEMCON re-tests with the new
 		// content and the CURRENT retention state.
@@ -121,31 +112,13 @@ func RunVRT(ctx context.Context, req Request, rt Runtime) (Result, error) {
 		}
 		memconKnown = failingNow()
 	}
-	return res, nil
-}
-
-// Report builds the VRT-comparison document.
-func (r *VRTResult) Report() *report.Report {
-	rep := report.New(r.provenance())
-	rep.Textf("Extension — variable retention time: online testing vs one-shot profile\n\n")
-	t := report.NewTable("checkpoints",
-		report.CFloat("hour", "", "h"),
-		report.CInt("failing_rows", "failing rows", "rows"),
-		report.CInt("raidr_escapes", "one-shot profile escapes", "rows"),
-		report.CInt("memcon_escapes", "MEMCON escapes", "rows"))
-	for _, cp := range r.Checkpoints {
-		t.Add(report.F(cp.Hour, fmt.Sprintf("%.1f", cp.Hour)),
-			report.I(int64(cp.FailingRows)),
-			report.I(int64(cp.RAIDREscapes)),
-			report.I(int64(cp.MemconEscapes)))
-	}
 	rep.AddTable(t)
-	rep.Textf("\ntotals over 12 h: one-shot %d escapes, MEMCON %d\n", r.TotalRAIDR, r.TotalMemcon)
+	rep.Textf("\ntotals over 12 h: one-shot %d escapes, MEMCON %d\n", totalRAIDR, totalMemcon)
 	rep.Textf("cells toggle retention states over time (VRT); a boot-time profile decays\nwhile MEMCON's per-content-change testing bounds the exposure window —\nthe AVATAR observation, reproduced with content-based testing\n")
 	st := report.NewTable("summary",
 		report.CInt("total_raidr", "", "rows"),
 		report.CInt("total_memcon", "", "rows"))
-	st.Add(report.I(int64(r.TotalRAIDR)), report.I(int64(r.TotalMemcon)))
+	st.Add(report.I(int64(totalRAIDR)), report.I(int64(totalMemcon)))
 	rep.AddDataTable(st)
-	return rep
+	return rep, nil
 }

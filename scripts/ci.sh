@@ -78,6 +78,15 @@ echo "== bench smoke =="
 go test -run '^$' -bench 'BenchmarkReadBack|BenchmarkFailingCells|BenchmarkFailingCellsDense|BenchmarkDisturbScan|BenchmarkEngineRun|BenchmarkFleetRun|BenchmarkTraceGeneration|BenchmarkTraceIntervals|BenchmarkTraceSort|BenchmarkTraceCompactEncode|BenchmarkTraceCompactDecode|BenchmarkRandomPatternFill' -benchtime=1x .
 go test -run '^$' -bench BenchmarkServeCache -benchtime=1x ./internal/servecache
 
+# The memconsim smoke runs and the report regression below invoke the
+# CLI 41 times. Build it once, plain and race-instrumented, into the
+# temp dir every later step shares, instead of relinking it per go run.
+echo "== build memconsim (plain and race) =="
+citmp=$(mktemp -d)
+trap 'rm -rf "$citmp"' EXIT
+go build -o "$citmp/memconsim" ./cmd/memconsim
+go build -race -o "$citmp/memconsim-race" ./cmd/memconsim
+
 # Mapping sweep smoke: one chip-level experiment per vendor address
 # mapping, race-instrumented and fanned out over 4 workers. Catches a
 # mapping whose permutation breaks under concurrency (the bit-parallel
@@ -86,7 +95,7 @@ go test -run '^$' -bench BenchmarkServeCache -benchtime=1x ./internal/servecache
 echo "== mapping sweep smoke (race) =="
 for pair in "fig3 default" "fig4 gray" "vrt linear" "profile mirror"; do
     set -- $pair
-    go run -race ./cmd/memconsim -exp "$1" -mapping "$2" -scale 0.05 -parallel 4 > /dev/null
+    "$citmp/memconsim-race" -exp "$1" -mapping "$2" -scale 0.05 -parallel 4 > /dev/null
 done
 
 # Disturb sweep smoke: both read-disturb co-simulation ids,
@@ -94,30 +103,27 @@ done
 # workers-1 output is the reference; higher worker counts must be
 # byte-identical (the same contract every other experiment honours).
 echo "== disturb sweep smoke (race) =="
-disturbtmp=$(mktemp -d)
-trap 'rm -rf "$disturbtmp"' EXIT # replaced by the serve smoke's trap; rm'd below first
 for id in disturb-exposure disturb-mitigation; do
-    go run -race ./cmd/memconsim -exp "$id" -scale 0.05 -simtime 200000 \
-        -mixes 3 -parallel 1 > "$disturbtmp/ref"
+    "$citmp/memconsim-race" -exp "$id" -scale 0.05 -simtime 200000 \
+        -mixes 3 -parallel 1 > "$citmp/ref"
     for w in 4 8; do
-        go run -race ./cmd/memconsim -exp "$id" -scale 0.05 -simtime 200000 \
-            -mixes 3 -parallel "$w" > "$disturbtmp/out"
-        cmp "$disturbtmp/ref" "$disturbtmp/out" || {
+        "$citmp/memconsim-race" -exp "$id" -scale 0.05 -simtime 200000 \
+            -mixes 3 -parallel "$w" > "$citmp/out"
+        cmp "$citmp/ref" "$citmp/out" || {
             echo "$id output differs between -parallel 1 and -parallel $w" >&2
             exit 1
         }
     done
 done
-go run -race ./cmd/memconsim -exp disturb-mitigation -disturb para -para-p 0.01 \
+"$citmp/memconsim-race" -exp disturb-mitigation -disturb para:0.01 \
     -scale 0.05 -simtime 200000 -mixes 3 -parallel 4 > /dev/null
-rm -rf "$disturbtmp"
 
 # Report regression: re-run every experiment from its committed
 # reference document and fail on any numeric drift. `make reports`
 # regenerates the references after an intended change.
 echo "== report regression =="
 for f in testdata/reports/*.json; do
-    go run ./cmd/memconsim -diff "$f" > /dev/null
+    "$citmp/memconsim" -diff "$f" > /dev/null
 done
 
 # Serving smoke: build the daemon race-instrumented, run a small load
@@ -126,8 +132,8 @@ done
 # byte-identity violation or if hits stay under -min-hits), then
 # SIGTERM and require a clean drain (exit 0).
 echo "== memcond serve smoke (race) =="
-servetmp=$(mktemp -d)
-trap 'rm -rf "$servetmp"' EXIT
+servetmp="$citmp/serve"
+mkdir "$servetmp"
 go build -race -o "$servetmp/memcond" ./cmd/memcond
 go build -o "$servetmp/memload" ./cmd/memload
 # start_memcond starts the daemon with any extra flags given and waits
