@@ -25,13 +25,16 @@ bench:
 # fuzz gives each fuzz target a short budget on top of its checked-in
 # seed corpus: the CLI arguments, the request JSON memcond decodes, then
 # every decoder at the program boundary — the compact trace stream (the
-# only trace reader), the CE log, and the serving cache's disk entries.
+# only trace reader), the CE log, and the serving cache's disk entries —
+# and last the engine's settled-write path against the frozen full-path
+# engine, over generated bursty write sequences.
 fuzz:
 	$(GO) test -fuzz=FuzzMemconsimArgs -fuzztime=10s ./cmd/memconsim
 	$(GO) test -fuzz=FuzzRequest -fuzztime=10s ./internal/experiments
 	$(GO) test -fuzz=FuzzStream -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzCELog -fuzztime=10s ./internal/fleet
 	$(GO) test -fuzz=FuzzDiskStore -fuzztime=10s ./internal/servecache
+	$(GO) test -fuzz=FuzzEngineSettledWrites -fuzztime=10s ./internal/core
 
 ci:
 	./scripts/ci.sh
@@ -50,9 +53,11 @@ serve-demo:
 	./scripts/serve_demo.sh
 
 # reports regenerates the committed small-scale reference reports that
-# CI diffs against (and the golden -all text capture, which uses the
-# same settings). Run after an intended numeric change and commit the
-# result; unintended diffs in the output are regressions.
+# CI diffs against (and the golden -all text capture and -all metrics
+# document, which use the same settings). Run after an intended numeric
+# change and commit the result; unintended diffs in the output are
+# regressions.
 reports:
 	$(GO) run ./cmd/memconsim -all -scale 0.05 -simtime 200000 -mixes 3 -parallel 4 \
-		-out testdata/reports > cmd/memconsim/testdata/golden_all.txt
+		-out testdata/reports -metrics cmd/memconsim/testdata/metrics_all.json \
+		> cmd/memconsim/testdata/golden_all.txt

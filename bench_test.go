@@ -248,7 +248,7 @@ func BenchmarkAblationQuantum(b *testing.B) {
 				cfg := core.DefaultConfig()
 				cfg.Quantum = q * trace.Millisecond
 				var err error
-				rep, err = core.Run(tr, cfg, nil)
+				rep, err = core.RunWith(tr, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -269,7 +269,7 @@ func BenchmarkAblationTestMode(b *testing.B) {
 				cfg := core.DefaultConfig()
 				cfg.Mode = mode
 				var err error
-				rep, err = core.Run(tr, cfg, nil)
+				rep, err = core.RunWith(tr, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -291,7 +291,7 @@ func BenchmarkAblationBufferCap(b *testing.B) {
 				cfg := core.DefaultConfig()
 				cfg.BufferCap = cap
 				var err error
-				rep, err = core.Run(tr, cfg, nil)
+				rep, err = core.RunWith(tr, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -314,7 +314,7 @@ func BenchmarkAblationLoRef(b *testing.B) {
 				cfg := core.DefaultConfig()
 				cfg.LoRef = lo * dram.Millisecond
 				var err error
-				rep, err = core.Run(tr, cfg, nil)
+				rep, err = core.RunWith(tr, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -235,8 +235,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // runReplay streams a trace file through the MEMCON engine under the
 // default configuration and prints the deterministic report summary.
 // The file decodes through trace.Stream without materializing the event
-// slice, so memory is O(pages); the replay is CPU-bound, with decoding
-// and the engine each taking about half of it.
+// slice, so memory is O(pages); the replay is CPU-bound, and decoding
+// is the larger share of it, since the engine only counts most writes
+// (repeats to a settled page).
 func runReplay(ctx context.Context, out io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {

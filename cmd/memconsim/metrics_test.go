@@ -34,7 +34,9 @@ func runMetrics(t *testing.T, format string, args ...string) string {
 	return string(data)
 }
 
-func assertMetricsParallelInvariant(t *testing.T, format string, args ...string) {
+// assertMetricsParallelInvariant runs the CLI at -parallel 1, 4 and 8,
+// requires byte-identical metrics documents and returns the first.
+func assertMetricsParallelInvariant(t *testing.T, format string, args ...string) string {
 	t.Helper()
 	want := runMetrics(t, format, append(args, "-parallel", "1")...)
 	for _, n := range []string{"4", "8"} {
@@ -44,6 +46,7 @@ func assertMetricsParallelInvariant(t *testing.T, format string, args ...string)
 				format, n, want, n, got)
 		}
 	}
+	return want
 }
 
 func TestMetricsParallelInvariantJSON(t *testing.T) {
@@ -54,11 +57,22 @@ func TestMetricsParallelInvariantProm(t *testing.T) {
 	assertMetricsParallelInvariant(t, "prom", "-exp", "fig14", "-scale", "0.04")
 }
 
+// TestMetricsParallelInvariantAll also pins the -all document at the
+// golden settings against testdata/metrics_all.json, which `make
+// reports` writes: the engine's write counter and write-interval
+// histogram must not move with a change to how the engine runs.
 func TestMetricsParallelInvariantAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full -all sweep in -short mode")
 	}
-	assertMetricsParallelInvariant(t, "json", "-all", "-scale", "0.05", "-simtime", "200000", "-mixes", "3")
+	want, err := os.ReadFile(filepath.Join("testdata", "metrics_all.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := assertMetricsParallelInvariant(t, "json", append([]string{"-all"}, goldenArgs...)...)
+	if got != string(want) {
+		t.Errorf("-all metrics drifted from testdata/metrics_all.json; regenerate with `make reports` only for intended changes\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
 }
 
 // TestMetricsParallelInvariantDisturb pins the activation/mitigation

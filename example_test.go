@@ -47,7 +47,7 @@ func ExampleNew_observer() {
 		Duration: 4 * 1024 * trace.Millisecond, // 4 quanta
 		Events:   []memcon.Event{{Page: 0, At: 0}},
 	}
-	if _, err := eng.Run(tr); err != nil {
+	if _, err := eng.RunContext(context.Background(), tr); err != nil {
 		panic(err)
 	}
 	// Output:

@@ -252,6 +252,15 @@ type Engine struct {
 	now      trace.Microseconds
 	rep      Report
 
+	// settled is the page the last full-path write left settled (see
+	// pril.Predictor.Settled), and horizon the first instant that can
+	// change that: its quantum's end or the next queued test
+	// completion, whichever comes first. Zero means none.
+	settled uint32
+	horizon trace.Microseconds
+	// settledWrites counts the writes that took the settled path.
+	settledWrites int64
+
 	// obs receives structured lifecycle events; nil disables the event
 	// path entirely (every emission is behind a nil check and events
 	// are value structs, so the disabled engine pays one branch).
@@ -441,6 +450,20 @@ func (e *Engine) Observe(ev trace.Event) error {
 	if ev.At < e.now {
 		return fmt.Errorf("core: event at %d before engine time %d", ev.At, e.now)
 	}
+	// A repeat write to a settled page before the horizon: no quantum
+	// ends and no test completes first, the page sits at HI-REF with no
+	// test in flight and no verdict pending, and PRIL only counts it.
+	if ev.Page == e.settled && ev.At < e.horizon {
+		e.now = ev.At
+		e.pred.CountWrite()
+		e.settledWrites++
+		if e.obs != nil {
+			st := &e.pages[ev.Page]
+			e.obs.OnEvent(obs.Event{Kind: obs.KindWrite, Page: ev.Page, At: int64(ev.At), Aux: int64(ev.At - st.lastWrite)})
+			st.lastWrite = ev.At
+		}
+		return nil
+	}
 	// Advance the predictor to the event time FIRST so that quantum
 	// boundaries (and the predictions they emit) are processed in time
 	// order before this write, then complete any tests that finished
@@ -489,7 +512,16 @@ func (e *Engine) Observe(ev trace.Event) error {
 		}
 		st.tested = false
 	}
-	return e.pred.Observe(ev)
+	if err := e.pred.Observe(ev); err != nil {
+		return err
+	}
+	if end, ok := e.pred.Settled(ev.Page); ok {
+		if e.tests.Len() > 0 && e.tests.Peek().done < end {
+			end = e.tests.Peek().done
+		}
+		e.settled, e.horizon = ev.Page, end
+	}
+	return nil
 }
 
 // Retest voids a page's current protection and immediately starts a new
@@ -505,6 +537,7 @@ func (e *Engine) Retest(page uint32, at trace.Microseconds) error {
 	if at < e.now {
 		return fmt.Errorf("core: retest at %d before engine time %d", at, e.now)
 	}
+	e.horizon = 0 // the test it may queue can complete before the horizon
 	st := &e.pages[page]
 	if !st.loRef && !st.testing {
 		st.tested = false
@@ -540,12 +573,6 @@ func (e *Engine) Retest(page uint32, at trace.Microseconds) error {
 // context polls — the same between-units cancellation granularity the
 // internal/parallel pool provides for sweeps.
 const ctxCheckStride = 4096
-
-// Run replays a whole trace and returns the report. It is RunContext
-// with a background context.
-func (e *Engine) Run(tr *trace.Trace) (Report, error) {
-	return e.RunContext(context.Background(), tr)
-}
 
 // RunContext replays a whole trace, checking ctx between event batches
 // so a cancelled run stops promptly (the engine is left mid-run and
@@ -584,6 +611,7 @@ func (e *Engine) Finish(end trace.Microseconds) (Report, error) {
 	if end < e.now {
 		return Report{}, fmt.Errorf("core: finish time %d before engine time %d", end, e.now)
 	}
+	e.horizon = 0
 	e.pred.Finish(end)
 	e.drainTests(end)
 	e.now = end
@@ -644,14 +672,8 @@ func (e *Engine) Finish(end trace.Microseconds) (Report, error) {
 	return e.rep, nil
 }
 
-// Run is the batch entry point: it sizes the engine to the trace,
+// RunWith is the batch entry point: it sizes the engine to the trace,
 // replays it, and returns the report.
-func Run(tr *trace.Trace, cfg Config, tester Tester) (Report, error) {
-	return RunWith(tr, cfg, WithTester(tester))
-}
-
-// RunWith is the option-based batch entry point: it sizes the engine
-// to the trace, replays it, and returns the report.
 func RunWith(tr *trace.Trace, cfg Config, opts ...EngineOption) (Report, error) {
 	return RunContext(context.Background(), tr, cfg, opts...)
 }
@@ -671,11 +693,11 @@ func RunContext(ctx context.Context, tr *trace.Trace, cfg Config, opts ...Engine
 // RunSource replays a streaming event source through the engine,
 // growing the page space on demand as the source reveals it, so a
 // multi-GB trace replays with O(pages) memory. The replay is
-// CPU-bound: decoding a compact stream costs tens of ns per event,
-// about as much as the engine's own work. ctx is
-// checked every ctxCheckStride events; a nil ctx means
-// context.Background(). The run finishes at the source's declared
-// duration.
+// CPU-bound, and decoding a compact stream, tens of ns per event, is
+// the larger share of it: most writes repeat a settled page, which the
+// engine only counts. ctx is checked every ctxCheckStride events; a
+// nil ctx means context.Background(). The run finishes at the source's
+// declared duration.
 func (e *Engine) RunSource(ctx context.Context, src trace.Source) (Report, error) {
 	if ctx == nil {
 		ctx = context.Background()

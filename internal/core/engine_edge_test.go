@@ -23,7 +23,7 @@ func TestReadOnlyRowsAccounting(t *testing.T) {
 	cfg := cfgForTest()
 	cfg.NumPages = 1
 	cfg.ReadOnlyRows = 9
-	rep, err := Run(tr, cfg, nil)
+	rep, err := RunWith(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestFailingTestStillCountsTowardsPredictionAccuracy(t *testing.T) {
 	// stayed idle; MEMCON just could not relax it).
 	tr := &trace.Trace{Duration: 10 * q, Events: []trace.Event{{Page: 0, At: 0}}}
 	alwaysFail := TesterFunc(func(uint32, trace.Microseconds) bool { return false })
-	rep, err := Run(tr, cfgForTest(), alwaysFail)
+	rep, err := RunWith(tr, cfgForTest(), WithTester(alwaysFail))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestEngineWithBoundedBuffer(t *testing.T) {
 	}
 	cfg := cfgForTest()
 	cfg.BufferCap = 10
-	rep, err := Run(tr, cfg, nil)
+	rep, err := RunWith(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func TestSingleIdlePageGoesLoRef(t *testing.T) {
 		Duration: 20 * q,
 		Events:   []trace.Event{{Page: 0, At: 0}},
 	}
-	rep, err := Run(tr, cfgForTest(), nil)
+	rep, err := RunWith(tr, cfgForTest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestWritePullsRowBackToHiRef(t *testing.T) {
 			{Page: 0, At: 5 * q}, // long idle, then rewrite
 		},
 	}
-	rep, err := Run(tr, cfgForTest(), nil)
+	rep, err := RunWith(tr, cfgForTest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestWriteDuringTestAborts(t *testing.T) {
 			{Page: 0, At: 2*q + 10*trace.Millisecond},
 		},
 	}
-	rep, err := Run(tr, cfgForTest(), nil)
+	rep, err := RunWith(tr, cfgForTest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestFailingTestKeepsHiRef(t *testing.T) {
 		Events:   []trace.Event{{Page: 0, At: 0}},
 	}
 	alwaysFail := TesterFunc(func(uint32, trace.Microseconds) bool { return false })
-	rep, err := Run(tr, cfgForTest(), alwaysFail)
+	rep, err := RunWith(tr, cfgForTest(), WithTester(alwaysFail))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestMispredictionAccounting(t *testing.T) {
 			{Page: 0, At: rewriteAt},
 		},
 	}
-	rep, err := Run(tr, cfgForTest(), nil)
+	rep, err := RunWith(tr, cfgForTest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestBaselineOpsArithmetic(t *testing.T) {
 	tr := &trace.Trace{Name: "empty-ish", Duration: 16 * trace.Millisecond * 100, Events: []trace.Event{{Page: 0, At: 0}}}
 	cfg := cfgForTest()
 	cfg.NumPages = 10
-	rep, err := Run(tr, cfg, nil)
+	rep, err := RunWith(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestRefreshOpsBounded(t *testing.T) {
 		}
 	}
 	tr.Sort()
-	rep, err := Run(tr, cfgForTest(), nil)
+	rep, err := RunWith(tr, cfgForTest())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -140,6 +141,38 @@ func (e *frozenEngine) observe(ev trace.Event) error {
 	return e.pred.Observe(ev)
 }
 
+// retest is Engine.Retest copied verbatim, in the frozen state layout
+// (testedAt -1 for no pending verdict) and without the observer calls.
+func (e *frozenEngine) retest(page uint32, at trace.Microseconds) error {
+	if int(page) >= len(e.pages) {
+		return fmt.Errorf("core: retest page %d outside configured space of %d", page, len(e.pages))
+	}
+	if at < e.now {
+		return fmt.Errorf("core: retest at %d before engine time %d", at, e.now)
+	}
+	st := &e.pages[page]
+	if !st.loRef && !st.testing {
+		st.testedAt = -1
+		return nil
+	}
+	if st.testing {
+		st.testing = false
+		e.rep.TestsAborted++
+		e.rep.TestingTimeAbortedNs += float64(e.testCost)
+	}
+	if st.loRef {
+		st.loRef = false
+		e.rep.LoRefTime += float64(at - st.loSince)
+	}
+	st.testedAt = -1
+	st.testing = true
+	e.rep.TestsStarted++
+	done := at + trace.Microseconds(e.cfg.LoRef/dram.Microsecond)
+	e.seq++
+	e.tests.Push(pendingTest{page: page, done: done, seq: e.seq})
+	return nil
+}
+
 func (e *frozenEngine) finish(end trace.Microseconds) (Report, error) {
 	if end < e.now {
 		return Report{}, fmt.Errorf("core: finish time %d before engine time %d", end, e.now)
@@ -269,7 +302,7 @@ func TestDifferentialAgainstFrozenEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := eng.Run(tr)
+				got, err := eng.RunContext(context.Background(), tr)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -32,7 +32,7 @@ func randomTrace(seed int64, events, pages int, horizon trace.Microseconds) *tra
 func TestEngineInvariantsOnRandomTraces(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		tr := randomTrace(seed, 400, 24, 30*q)
-		rep, err := Run(tr, cfgForTest(), nil)
+		rep, err := RunWith(tr, cfgForTest())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -65,7 +65,7 @@ func TestEngineInvariantsUnderFailuresAndOverflow(t *testing.T) {
 		tr := randomTrace(1000+seed, 600, 48, 20*q)
 		cfg := cfgForTest()
 		cfg.BufferCap = 6
-		rep, err := Run(tr, cfg, flaky)
+		rep, err := RunWith(tr, cfg, WithTester(flaky))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -84,11 +84,11 @@ func TestEngineInvariantsUnderFailuresAndOverflow(t *testing.T) {
 // Determinism: identical traces and configs produce identical reports.
 func TestEngineDeterministic(t *testing.T) {
 	tr := randomTrace(77, 300, 16, 20*q)
-	a, err := Run(tr, cfgForTest(), nil)
+	a, err := RunWith(tr, cfgForTest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(tr, cfgForTest(), nil)
+	b, err := RunWith(tr, cfgForTest())
 	if err != nil {
 		t.Fatal(err)
 	}

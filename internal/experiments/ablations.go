@@ -37,8 +37,8 @@ func ablTrace(req Request) (*trace.Trace, error) {
 
 // RunAblBuffer sweeps PRIL's write-buffer capacity from unbounded down
 // to starvation, measuring the refresh reduction lost to discards. The
-// capacities run concurrently against one shared trace — core.Run only
-// reads the trace, so the units share it without copies.
+// capacities run concurrently against one shared trace — core.RunContext
+// only reads the trace, so the units share it without copies.
 func RunAblBuffer(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	tr, err := ablTrace(req)
 	if err != nil {
@@ -53,7 +53,7 @@ func RunAblBuffer(ctx context.Context, req Request, rt Runtime) (*report.Report,
 	if err != nil {
 		return nil, err
 	}
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Ablation — PRIL write-buffer capacity\n\n")
 	t := report.NewTable("rows",
 		report.CInt("capacity", "", "entries"),
@@ -77,7 +77,7 @@ func RunAblBuffer(ctx context.Context, req Request, rt Runtime) (*report.Report,
 // RunAblAccel quantifies footnote 6's acceleration variants: test cost
 // and MinWriteInterval per acceleration.
 func RunAblAccel(context.Context, Request, Runtime) (*report.Report, error) {
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Ablation — Copy-and-Compare acceleration (paper footnote 6, future work)\n\n")
 	t := report.NewTable("rows",
 		report.CStr("variant", ""),
@@ -137,7 +137,7 @@ func RunAblPril(ctx context.Context, req Request, rt Runtime) (*report.Report, e
 	}
 	pages := tr.MaxPage() + 1
 
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Ablation — PRIL implementation (buffer CAM vs bitmap scan)\n\n")
 	t := report.NewTable("rows",
 		report.CStr("implementation", ""),

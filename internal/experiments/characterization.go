@@ -75,7 +75,7 @@ func RunFig3(ctx context.Context, req Request, rt Runtime) (*report.Report, erro
 		return nil, err
 	}
 
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Fig. 3 — cells failing with different data content (%d patterns)\n\n", len(patterns))
 	t := report.NewTable("patterns",
 		report.CStr("pattern", ""),
@@ -202,7 +202,7 @@ func RunFig4(ctx context.Context, req Request, rt Runtime) (*report.Report, erro
 		}
 	}
 
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Fig. 4 — percentage of rows with data-dependent failures\n\n")
 	t := report.NewTable("rows",
 		report.CStr("benchmark", ""),

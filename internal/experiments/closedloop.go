@@ -87,7 +87,7 @@ func RunClosedLoop(ctx context.Context, req Request, rt Runtime) (*report.Report
 	}
 	combined := core.CombinedSavings(run, rs)
 
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Closed loop — simulate, capture at the bus, run MEMCON on the capture\n\n")
 	t := report.NewTable("rows",
 		report.CStr("stage", ""),

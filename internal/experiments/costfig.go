@@ -16,7 +16,7 @@ import (
 // the pre-typed CSV export emitted the accumulated-cost series, and the
 // shared renderer keeps that header (time_ms,hiref_ns,memcon_ns).
 func RunFig6(context.Context, Request, Runtime) (*report.Report, error) {
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Primary = "curve"
 	rep.Textf("Fig. 6 — cost of testing vs aggressive refresh (per row)\n\n")
 	t := report.NewTable("configs",
@@ -71,7 +71,7 @@ func RunFig6(context.Context, Request, Runtime) (*report.Report, error) {
 func RunAppendix(context.Context, Request, Runtime) (*report.Report, error) {
 	costs := costmodel.Costs(dram.DDR31600())
 	reserved := costmodel.CopyCompareReservedRows(512, 8, 262144)
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Appendix — DDR3-1600 cost building blocks\n\n")
 	t := report.NewTable("costs",
 		report.CStr("quantity", ""),

@@ -272,7 +272,7 @@ func RunDisturbExposure(ctx context.Context, req Request, rt Runtime) (*report.R
 		rt.Observer.OnEvent(obs.Event{Kind: obs.KindTestActivation, Aux: stats.TestActivations})
 	}
 
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Extension — read-disturb exposure by refresh class\n\n")
 	t := report.NewTable("census",
 		report.CStr("class", "refresh class"),
@@ -346,7 +346,7 @@ func RunDisturbMitigation(ctx context.Context, req Request, rt Runtime) (*report
 	cm := costmodel.DefaultConfig()
 	budget := energy.DDR3Budget()
 
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Extension — RowHammer mitigation overhead vs blast radius\n\n")
 	t := report.NewTable("mitigation",
 		report.CStr("policy", ""),

@@ -73,7 +73,7 @@ func RunEnergy(ctx context.Context, req Request, rt Runtime) (*report.Report, er
 		return nil, err
 	}
 
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Extension — DRAM energy by refresh mechanism\n\n")
 	t := report.NewTable("rows",
 		report.CStr("policy", ""),

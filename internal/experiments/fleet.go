@@ -40,7 +40,7 @@ func RunFleetCE(ctx context.Context, req Request, rt Runtime) (*report.Report, *
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	weeks := int64(log.Epochs) * log.EpochNs / (7 * 24 * 3600 * 1_000_000_000)
 	rep.Textf("Fleet CE study — %d modules observed for %d weekly scrub epochs (%d weeks)\n\n",
 		log.Modules, log.Epochs, weeks)
@@ -134,7 +134,7 @@ func RunFleetRisk(ctx context.Context, req Request, rt Runtime) (*report.Report,
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Fleet UE-risk study — %d modules, features from the first %d of %d epochs\n\n",
 		log.Modules, an.EarlyEpochs, log.Epochs)
 

@@ -68,7 +68,7 @@ func RunFig7(ctx context.Context, req Request, rt Runtime) (*report.Report, erro
 	if err != nil {
 		return nil, err
 	}
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Fig. 7 — distribution of write intervals\n")
 	for _, a := range apps {
 		rep.Textf("\n%s  (<1ms: %s, >1024ms: %s of writes)\n",
@@ -118,7 +118,7 @@ func RunFig8(ctx context.Context, req Request, rt Runtime) (*report.Report, erro
 	if err != nil {
 		return nil, err
 	}
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Fig. 8 — Pareto distribution of write intervals (P(X>x) = k*x^-alpha)\n\n")
 	t := report.NewTable("fits",
 		report.CStr("application", ""),
@@ -165,7 +165,7 @@ func RunFig9(ctx context.Context, req Request, rt Runtime) (*report.Report, erro
 	}
 	average := sum / float64(len(shares))
 
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Fig. 9 — execution time dominated by long write intervals (>= 1024 ms)\n\n")
 	t := report.NewTable("rows",
 		report.CStr("application", ""),
@@ -226,7 +226,7 @@ func RunFig11(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 	if err != nil {
 		return nil, err
 	}
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Fig. 11 — P(RIL > 1024 ms) as a function of CIL\n\n")
 	rep.AddTable(t)
 	return rep, nil
@@ -239,7 +239,7 @@ func RunFig12(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 	if err != nil {
 		return nil, err
 	}
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Fig. 12 — coverage of write-interval time vs CIL\n\n")
 	rep.AddTable(t)
 	return rep, nil
@@ -278,7 +278,7 @@ func RunFig19(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 	fullShare := count(fullIvs)
 	halfShare := count(halfIvs)
 
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Fig. 19 — sensitivity to halved write intervals (%s)\n\n", tr.Name)
 	t := report.NewTable("series",
 		report.CFloat("cil_ms", "CIL (ms)", "ms"),

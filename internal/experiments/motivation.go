@@ -46,7 +46,7 @@ func RunMotivation(ctx context.Context, req Request, rt Runtime) (*report.Report
 		missRate = float64(missed) / float64(len(truth))
 	}
 
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Motivation — system-level neighbour testing vs silicon ground truth\n\n")
 	t := report.NewTable("rows",
 		report.CStr("quantity", ""),

@@ -64,7 +64,7 @@ func avgSpeedup(ctx context.Context, req Request, workers int, mixes [][]workloa
 // and one flat machine table, in cores → density → reduction order,
 // for CSV, JSON, and diffing.
 func RunFig15(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Primary = "cells"
 	rep.Textf("Fig. 15 — MEMCON speedup over baseline (16 ms refresh), incl. 256 tests/64 ms\n\n")
 	ct := report.NewTable("cells",
@@ -109,7 +109,7 @@ func RunFig15(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 // text rendering (matching the paper table), so its Column is built
 // directly with an empty Label rather than through CStr.
 func RunTable3(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Table 3 — performance loss due to extra accesses for testing\n\n")
 	t := report.NewTable("losses",
 		report.Column{Name: "config", Kind: report.KindString},
@@ -170,7 +170,7 @@ var fig16Policies = []struct {
 // reports per-core pivots for text and one flat machine table, in
 // cores → density → policy order, for CSV/JSON/diff.
 func RunFig16(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Primary = "cells"
 	rep.Textf("Fig. 16 — speedup over 16 ms baseline, by refresh mechanism\n\n")
 	ct := report.NewTable("cells",

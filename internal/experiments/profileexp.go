@@ -31,7 +31,7 @@ func RunProfile(ctx context.Context, req Request, rt Runtime) (*report.Report, e
 	if err != nil {
 		return nil, err
 	}
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Profiling study — pattern campaign coverage vs silicon ground truth\n\n")
 	t := report.NewTable("rows",
 		report.CFloat("guardband", "", "x"),
@@ -118,7 +118,7 @@ func RunAblRemap(ctx context.Context, req Request, rt Runtime) (*report.Report, 
 	if err != nil {
 		return nil, err
 	}
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Ablation — remap mitigation for rows that keep failing tests\n\n")
 	t := report.NewTable("rows",
 		report.CStr("configuration", ""),

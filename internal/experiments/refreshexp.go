@@ -79,7 +79,7 @@ func RunFig14(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 	}
 	avgAt1024 := sum / float64(len(at1024))
 
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Fig. 14 — reduction in refresh count with MEMCON (baseline: 16 ms refresh)\n\n")
 	t.Add(report.S("UPPER BOUND"),
 		report.F(upperBound, pct(upperBound)),
@@ -109,7 +109,7 @@ func RunFig17(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 	}
 	avgAt1024 := sum / float64(len(at1024))
 
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Fig. 17 — execution-time coverage of PRIL (time at LO-REF)\n\n")
 	rep.AddTable(t)
 	rep.Textf("\naverage coverage at CIL 1024 ms: %s (paper: ~95%%)\n", pct(avgAt1024))
@@ -162,7 +162,7 @@ func RunFig18(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 	}
 	avgTestingShare := sum / float64(len(rows))
 
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Fig. 18 — time on refresh and testing, normalized to baseline refresh time\n\n")
 	t := report.NewTable("rows",
 		report.CStr("application", ""),
@@ -186,7 +186,7 @@ func RunFig18(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 
 // RunTable1 reproduces Table 1: the evaluated workload inventory.
 func RunTable1(context.Context, Request, Runtime) (*report.Report, error) {
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Table 1 — evaluated long-running workloads (synthetic analogues)\n\n")
 	t := report.NewTable("apps",
 		report.CStr("application", ""),

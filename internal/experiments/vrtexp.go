@@ -75,7 +75,7 @@ func RunVRT(ctx context.Context, req Request, rt Runtime) (*report.Report, error
 	staticProfile := failingNow()
 	memconKnown := failingNow()
 
-	rep := report.New(report.Provenance{})
+	rep := report.New()
 	rep.Textf("Extension — variable retention time: online testing vs one-shot profile\n\n")
 	t := report.NewTable("checkpoints",
 		report.CFloat("hour", "", "h"),

@@ -71,7 +71,7 @@ func TestCapturedTraceFeedsMemcon(t *testing.T) {
 	end := at + 10*dram.Second
 	tr := tracer.WriteTrace("system", end)
 
-	rep, err := core.Run(tr, core.DefaultConfig(), nil)
+	rep, err := core.RunWith(tr, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package pareto implements the Pareto (power-law) distribution machinery
-// the MEMCON paper relies on: sampling, CCDF evaluation, empirical CCDF
-// construction, log-log linear fitting with R² (Fig. 8), and the
+// the MEMCON paper relies on: sampling, empirical CCDF construction,
+// log-log linear fitting with R² (Fig. 8), and the
 // decreasing-hazard-rate conditionals used by the PRIL predictor
 // (Fig. 11: P(remaining interval > L | elapsed >= c)).
 package pareto
@@ -19,14 +19,6 @@ import (
 type Dist struct {
 	Xm    float64
 	Alpha float64
-}
-
-// CCDF returns P(X > x).
-func (d Dist) CCDF(x float64) float64 {
-	if x <= d.Xm {
-		return 1
-	}
-	return math.Pow(d.Xm/x, d.Alpha)
 }
 
 // Sample draws one value using rng.

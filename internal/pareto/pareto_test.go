@@ -7,20 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestCCDFBasics(t *testing.T) {
-	d := Dist{Xm: 2, Alpha: 1.5}
-	if got := d.CCDF(1); got != 1 {
-		t.Errorf("CCDF below Xm = %v, want 1", got)
-	}
-	if got := d.CCDF(2); got != 1 {
-		t.Errorf("CCDF at Xm = %v, want 1", got)
-	}
-	want := math.Pow(0.5, 1.5)
-	if got := d.CCDF(4); math.Abs(got-want) > 1e-12 {
-		t.Errorf("CCDF(4) = %v, want %v", got, want)
-	}
-}
-
 func TestSampleRespectsScale(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := Dist{Xm: 5, Alpha: 1.2}
@@ -43,7 +29,7 @@ func TestSampleMatchesCCDF(t *testing.T) {
 		}
 	}
 	got := above / n
-	want := d.CCDF(threshold)
+	want := math.Pow(d.Xm/threshold, d.Alpha) // P(X > x) = (Xm/x)^α for x >= Xm
 	if math.Abs(got-want) > 0.01 {
 		t.Errorf("empirical CCDF(%v) = %v, analytic %v", threshold, got, want)
 	}
@@ -82,12 +68,13 @@ func TestConditionalExceedProperty(t *testing.T) {
 	const n = 200000
 	for _, alpha := range []float64{0.5, 1, 2} {
 		d := Dist{Xm: 1, Alpha: alpha}
+		ccdf := func(x float64) float64 { return math.Pow(d.Xm/x, d.Alpha) } // for x >= Xm
 		xs := samples(d, n, int64(10*alpha))
 		for _, c := range []float64{1, 2, 8} {
 			for _, l := range []float64{1, 10, 100} {
 				got := ConditionalExceedEmpirical(xs, c, l)
-				want := d.CCDF(c+l) / d.CCDF(c)
-				if se := math.Sqrt(want * (1 - want) / (n * d.CCDF(c))); math.Abs(got-want) > 4*se+1e-3 {
+				want := ccdf(c+l) / ccdf(c)
+				if se := math.Sqrt(want * (1 - want) / (n * ccdf(c))); math.Abs(got-want) > 4*se+1e-3 {
 					t.Errorf("alpha %v c %v L %v: empirical %v, analytic %v", alpha, c, l, got, want)
 				}
 			}

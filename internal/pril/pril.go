@@ -257,6 +257,19 @@ func (p *Predictor) Observe(e trace.Event) error {
 	return nil
 }
 
+// Settled reports whether page is settled: written this quantum and in
+// neither write buffer. Steps 1-3 of Fig. 13 pass a further write to a
+// settled page by, so until end, the current quantum's end, such a
+// write changes nothing but the write count (see CountWrite).
+func (p *Predictor) Settled(page uint32) (end trace.Microseconds, ok bool) {
+	ok = p.curMap.get(page) && !p.curBuf.contains(page) && !p.prevBuf.contains(page)
+	return p.quantumStart + p.cfg.Quantum, ok
+}
+
+// CountWrite accounts a write to a settled page before its quantum
+// ends: the write count is all that Observe would change.
+func (p *Predictor) CountWrite() { p.stats.Writes++ }
+
 // endQuantum performs the end-of-quantum work (steps 4-5 of Fig. 13):
 // pages still in the previous buffer were written once in the previous
 // quantum and not at all in this one — predict them long and emit them,

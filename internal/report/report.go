@@ -292,9 +292,10 @@ type Report struct {
 // SchemaVersion is the current canonical-JSON schema.
 const SchemaVersion = 1
 
-// New returns an empty report carrying the given provenance.
-func New(prov Provenance) *Report {
-	return &Report{Schema: SchemaVersion, Prov: prov}
+// New returns an empty report; the caller stamps Prov once the
+// inputs are known.
+func New() *Report {
+	return &Report{Schema: SchemaVersion}
 }
 
 // Textf appends a verbatim prose block (rendered by Text exactly as

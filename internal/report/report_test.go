@@ -9,10 +9,11 @@ import (
 )
 
 func sample() *Report {
-	r := New(Provenance{
+	r := New()
+	r.Prov = Provenance{
 		Experiment: "fig14", Title: "Fig. 14: refresh reduction",
 		Seed: 42, Scale: 0.04, SimTimeNs: 200_000, Mixes: 3,
-	})
+	}
 	r.Textf("Fig. 14 — reduction in refresh count with MEMCON\n\n")
 	t := NewTable("rows",
 		CStr("application", ""),
@@ -85,7 +86,8 @@ func TestRaggedTableRenders(t *testing.T) {
 			{Cells: []Cell{S("only")}},
 		},
 	}
-	r := New(Provenance{Experiment: "x"})
+	r := New()
+	r.Prov.Experiment = "x"
 	r.AddTable(tb)
 	got := r.Text()
 	if !strings.Contains(got, "extra-wide-cell") || !strings.Contains(got, "only") {
@@ -97,7 +99,7 @@ func TestHiddenRowsExcludedFromTextWidths(t *testing.T) {
 	tb := NewTable("x", CStr("a", ""))
 	tb.Add(S("ab"))
 	tb.AddHidden(S("a-very-long-hidden-row"))
-	r := New(Provenance{}).AddTable(tb)
+	r := New().AddTable(tb)
 	for _, line := range strings.Split(strings.TrimRight(r.Text(), "\n"), "\n") {
 		if len(line) > len("ab") {
 			t.Errorf("hidden row influenced text widths: %q", line)
@@ -120,7 +122,8 @@ func TestCSV(t *testing.T) {
 }
 
 func TestCSVPrimarySelection(t *testing.T) {
-	r := New(Provenance{Experiment: "fig6"})
+	r := New()
+	r.Prov.Experiment = "fig6"
 	a := NewTable("configs", CStr("mode", ""))
 	a.Add(S("rc"))
 	b := NewTable("curve", CInt("time_ms", "", "ms"))
@@ -149,7 +152,8 @@ func TestCSVPrimarySelection(t *testing.T) {
 		t.Error("unknown primary accepted")
 	}
 	// TextOnly tables are not data.
-	empty := New(Provenance{Experiment: "e"})
+	empty := New()
+	empty.Prov.Experiment = "e"
 	empty.AddTextTable(NewTable("pivot", CStr("a", "")))
 	if _, err := empty.CSV(); err == nil {
 		t.Error("presentation-only report rendered CSV")
@@ -331,7 +335,8 @@ func TestCellValueAndText(t *testing.T) {
 // floatReport builds a one-column float report for the Diff edge-case
 // table: one row per value.
 func floatReport(vals ...float64) *Report {
-	r := New(Provenance{Experiment: "edge"})
+	r := New()
+	r.Prov.Experiment = "edge"
 	t := NewTable("t", CFloat("v", "", ""))
 	for _, v := range vals {
 		t.Add(Fv(v))

@@ -177,7 +177,7 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 
 // Run replays a write trace through a fresh MEMCON engine.
 func Run(tr *Trace, cfg Config, tester Tester) (Report, error) {
-	return core.Run(tr, cfg, tester)
+	return core.RunWith(tr, cfg, core.WithTester(tester))
 }
 
 // RunWith replays a write trace through a fresh MEMCON engine built
