@@ -8,9 +8,10 @@ import (
 )
 
 // Full-stack integration: a generated workload runs through the
-// full-fidelity MEMCON system with every extension enabled — silent
-// writes, neighbour re-testing, remap mitigation — against the silicon
-// model, and the reliability guarantee holds end to end.
+// full-fidelity MEMCON system — random content per write, neighbour
+// re-testing, remap mitigation — against the silicon model, and the
+// reliability guarantee holds end to end. AllSysMark rewrites rows next
+// to ones at LO-REF or under test, so the neighbour re-test fires.
 func TestIntegrationFullStack(t *testing.T) {
 	geom := DefaultGeometry()
 	geom.BanksPerChip = 2
@@ -19,19 +20,17 @@ func TestIntegrationFullStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(DefaultConfig(), chip)
+	reg := NewRegistry()
+	sys, err := NewSystem(DefaultConfig(), chip, WithObserver(NewMetrics(reg)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SetContentSource(NewRepeatingContent(0.3, 5))
-	sys.EnableSilentWriteDetection()
-	sys.EnableNeighborRetest()
 	if err := sys.EnableRemapMitigation(8, 2); err != nil {
 		t.Fatal(err)
 	}
 
 	// A scaled-down application trace mapped onto the chip.
-	app, err := AppByName("BlurMotion")
+	app, err := AppByName("AllSysMark")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +49,10 @@ func TestIntegrationFullStack(t *testing.T) {
 	if rep.TestsCompleted == 0 {
 		t.Fatal("integration run completed no tests")
 	}
+	retests := reg.Counter("memcon_neighbor_retests_total", "").Value()
+	if retests == 0 {
+		t.Error("integration run re-tested no neighbour")
+	}
 	if got := sys.UndetectedFailures(); got != 0 {
 		t.Errorf("reliability guarantee broken: %d undetected failures", got)
 	}
@@ -60,10 +63,9 @@ func TestIntegrationFullStack(t *testing.T) {
 		t.Errorf("reduction %v exceeds the physical upper bound %v",
 			rep.RefreshReduction(), rep.UpperBoundReduction())
 	}
-	t.Logf("integration: reduction %.1f%%, coverage %.1f%%, tests %d (failed %d), silent %d, retests %d, remapped %d",
+	t.Logf("integration: reduction %.1f%%, coverage %.1f%%, tests %d (failed %d), retests %d, remapped %d",
 		100*rep.RefreshReduction(), 100*rep.LoRefCoverage(),
-		rep.TestsCompleted, rep.TestsFailed, sys.SilentWrites(),
-		sys.NeighborRetests(), sys.RemappedRows())
+		rep.TestsCompleted, rep.TestsFailed, retests, sys.RemappedRows())
 }
 
 // Integration: the read-aware extension stacks with a real engine run.

@@ -229,7 +229,9 @@ type pageState struct {
 	tested bool
 	// written is true once the page has been written.
 	written bool
-	// loSince is when the row entered LO-REF (valid when loRef).
+	// loSince is when the row entered LO-REF (valid when loRef), or
+	// the completion time of the test in flight (valid when testing):
+	// only the queue entry at that time may complete it.
 	loSince trace.Microseconds
 	// testedAt is the completion time of the last test (for
 	// misprediction accounting; valid when tested).
@@ -398,6 +400,7 @@ func (e *Engine) onPredict(page uint32, at trace.Microseconds) {
 	st.testing = true
 	e.rep.TestsStarted++
 	done := at + trace.Microseconds(e.cfg.LoRef/dram.Microsecond)
+	st.loSince = done
 	e.schedule(page, done)
 	if e.obs != nil {
 		e.obs.OnEvent(obs.Event{Kind: obs.KindPredict, Page: page, At: int64(at)})
@@ -416,14 +419,13 @@ func (e *Engine) drainTests(now trace.Microseconds) {
 	for e.tests.Len() > 0 && e.tests.Peek().done <= now {
 		t := e.tests.Pop()
 		st := &e.pages[t.page]
-		if !st.testing {
-			continue // aborted by an intervening write
+		if !st.testing || t.done != st.loSince {
+			continue // aborted by a write or a re-test
 		}
 		st.testing = false
 		e.rep.TestsCompleted++
 		if e.tester.Test(t.page, t.done) {
-			st.loRef = true
-			st.loSince = t.done
+			st.loRef = true // since t.done, which loSince holds
 			st.testedAt, st.tested = t.done, true
 			if e.obs != nil {
 				e.obs.OnEvent(obs.Event{Kind: obs.KindTestDrained, Page: t.page, At: int64(t.done), Aux: 1})
@@ -562,6 +564,7 @@ func (e *Engine) Retest(page uint32, at trace.Microseconds) error {
 	st.testing = true
 	e.rep.TestsStarted++
 	done := at + trace.Microseconds(e.cfg.LoRef/dram.Microsecond)
+	st.loSince = done
 	e.schedule(page, done)
 	if e.obs != nil {
 		e.obs.OnEvent(obs.Event{Kind: obs.KindTestQueued, Page: page, At: int64(at), Aux: int64(done)})

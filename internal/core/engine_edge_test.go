@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"memcon/internal/trace"
@@ -102,6 +103,51 @@ func TestRetestVoidsLoRef(t *testing.T) {
 	rep2, _ := e2.Finish(10 * q)
 	if rep2.TestsStarted != 0 {
 		t.Errorf("multi-write page was tested %d times, want 0", rep2.TestsStarted)
+	}
+}
+
+// A re-test of a page whose test is in flight voids that test, and its
+// queued completion with it: the page's test completes one LO-REF
+// window after the re-test, not when the voided test would have.
+func TestRetestOfInFlightTestCompletesLate(t *testing.T) {
+	const ms = trace.Millisecond
+	var done []trace.Microseconds
+	tester := TesterFunc(func(_ uint32, at trace.Microseconds) bool {
+		done = append(done, at)
+		return true
+	})
+	cfg := cfgForTest()
+	cfg.NumPages = 2
+	e, err := New(cfg, WithTester(tester))
+	if err != nil {
+		t.Fatal(err)
+	}
+	observe := func(page uint32, at trace.Microseconds) {
+		t.Helper()
+		if err := e.Observe(trace.Event{Page: page, At: at}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Page 0, written once in quantum 0, is predicted idle at 2048 ms;
+	// its test would complete at 2112 ms.
+	observe(0, 0)
+	observe(1, 2060*ms) // a neighbour's write re-tests page 0
+	if err := e.Retest(0, 2060*ms); err != nil {
+		t.Fatal(err)
+	}
+	observe(1, 2118*ms)
+	if loRef, testing := e.pageStatus(0); loRef || !testing {
+		t.Errorf("at 2118 ms page 0 has loRef=%v testing=%v, want its re-test in flight", loRef, testing)
+	}
+	rep, err := e.Finish(4 * q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(done, []trace.Microseconds{2124 * ms}) {
+		t.Errorf("tests completed at %v µs, want only the re-test at 2124 ms", done)
+	}
+	if want := float64(4*q - 2124*ms); rep.LoRefTime != want {
+		t.Errorf("LO-REF time = %v µs, want %v (from the re-test's completion)", rep.LoRefTime, want)
 	}
 }
 

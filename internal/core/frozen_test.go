@@ -81,6 +81,7 @@ func (e *frozenEngine) onPredict(page uint32, at trace.Microseconds) {
 	st.testing = true
 	e.rep.TestsStarted++
 	done := at + trace.Microseconds(e.cfg.LoRef/dram.Microsecond)
+	st.loSince = done
 	e.seq++
 	e.tests.Push(pendingTest{page: page, done: done, seq: e.seq})
 }
@@ -89,7 +90,7 @@ func (e *frozenEngine) drainTests(now trace.Microseconds) {
 	for e.tests.Len() > 0 && e.tests.Peek().done <= now {
 		t := e.tests.Pop()
 		st := &e.pages[t.page]
-		if !st.testing {
+		if !st.testing || t.done != st.loSince {
 			continue
 		}
 		st.testing = false
@@ -168,6 +169,7 @@ func (e *frozenEngine) retest(page uint32, at trace.Microseconds) error {
 	st.testing = true
 	e.rep.TestsStarted++
 	done := at + trace.Microseconds(e.cfg.LoRef/dram.Microsecond)
+	st.loSince = done
 	e.seq++
 	e.tests.Push(pendingTest{page: page, done: done, seq: e.seq})
 	return nil

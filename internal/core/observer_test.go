@@ -55,10 +55,12 @@ func TestObserverEventOrdering(t *testing.T) {
 		got = append(got, e.String())
 	}
 	// Note the drain entries surface the engine's actual drain pass
-	// (run when the NEXT event arrives): both 2112000-drains and the
-	// 4096000-prediction are emitted while processing the write at
-	// 5120000, in predictor-then-queue order. The 7232000-drain comes
-	// before the write at that instant.
+	// (run when the NEXT event arrives): the 4096000-prediction, page
+	// 0's 2112000-drain and page 1's 4160000-drain are emitted while
+	// processing the write at 5120000, in predictor-then-queue order.
+	// The same pass pops the 2112000 entry of page 1's aborted test and
+	// skips it: only the page's current test may complete. The
+	// 7232000-drain comes before the write at that instant.
 	want := []string{
 		"write page=0 at=0 aux=-1",
 		"pril_insert page=0 at=0 aux=1",
@@ -75,13 +77,13 @@ func TestObserverEventOrdering(t *testing.T) {
 		"test_queued page=1 at=4096000 aux=4160000",
 		"test_drained page=0 at=2112000 aux=1",
 		"refresh_to_lo page=0 at=2112000 aux=0",
-		"test_drained page=1 at=2112000 aux=1",
-		"refresh_to_lo page=1 at=2112000 aux=0",
+		"test_drained page=1 at=4160000 aux=1",
+		"refresh_to_lo page=1 at=4160000 aux=0",
 		"write page=0 at=5120000 aux=5120000",
 		"refresh_to_hi page=0 at=5120000 aux=3008000",
 		"pril_insert page=0 at=5120000 aux=1",
 		"write page=1 at=6143997 aux=4063997",
-		"refresh_to_hi page=1 at=6143997 aux=4031997",
+		"refresh_to_hi page=1 at=6143997 aux=1983997",
 		"pril_insert page=1 at=6143997 aux=2",
 		"write page=1 at=6143998 aux=1",
 		"pril_evict page=1 at=6143998 aux=0",

@@ -68,10 +68,9 @@ func TestRemappedRowSurvivesRewrites(t *testing.T) {
 	if err := sys.EnableRemapMitigation(8, 1); err != nil {
 		t.Fatal(err)
 	}
-	// Rewrites change neighbour aggressor content; the cross-row
-	// hardening (see TestNeighborRetestClosesCrossRowEscapes) is what
+	// Rewrites change neighbour aggressor content; System's neighbour
+	// re-test (see TestNeighborRetestClosesCrossRowEscapes) is what
 	// guarantees zero escapes on multi-round traces.
-	sys.EnableNeighborRetest()
 	tr := &trace.Trace{Duration: 30 * q}
 	for p := uint32(0); p < 100; p++ {
 		tr.Events = append(tr.Events, trace.Event{Page: p, At: trace.Microseconds(p) * 701})

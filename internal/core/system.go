@@ -12,68 +12,19 @@ import (
 	"memcon/internal/trace"
 )
 
-// ContentSource supplies the data each write stores. Implementations
-// fill dst with the page's new content; the default source randomizes
-// every write.
-type ContentSource interface {
-	Content(page uint32, at trace.Microseconds, dst dram.Row)
-}
-
-// randomContent is the default source: fresh random bits per write.
-type randomContent struct{ rng *rand.Rand }
-
-func (r randomContent) Content(_ uint32, _ trace.Microseconds, dst dram.Row) {
-	dst.Randomize(r.rng)
-}
-
-// RepeatingContent is a content source that rewrites a page's previous
-// content with probability SilentProb — modelling the silent stores the
-// paper's footnote 9 proposes to exploit.
-type RepeatingContent struct {
-	SilentProb float64
-	rng        *rand.Rand
-	// last holds each page's previous content, indexed flat by page
-	// (nil row = never written); it grows on demand.
-	last []dram.Row
-}
-
-// NewRepeatingContent builds the source.
-func NewRepeatingContent(silentProb float64, seed int64) *RepeatingContent {
-	return &RepeatingContent{
-		SilentProb: silentProb,
-		rng:        rand.New(rand.NewSource(seed)),
-	}
-}
-
-// Content implements ContentSource.
-func (r *RepeatingContent) Content(page uint32, _ trace.Microseconds, dst dram.Row) {
-	if int(page) >= len(r.last) {
-		r.last = append(r.last, make([]dram.Row, int(page)+1-len(r.last))...)
-	}
-	if prev := r.last[page]; prev != nil && r.rng.Float64() < r.SilentProb {
-		copy(dst, prev)
-		return
-	}
-	dst.Randomize(r.rng)
-	if r.last[page] == nil {
-		r.last[page] = dst.Clone()
-	} else {
-		copy(r.last[page], dst)
-	}
-}
-
 // System runs the MEMCON engine against the full silicon model: a
-// dram.Module holding real content, a faults.Model deciding which cells
-// flip, and a content source supplying what each write stores. It is the
-// end-to-end fidelity mode used by the examples and the reliability
-// tests; the pure Engine accounting mode is preferred for large
-// parameter sweeps.
+// dram.Module holding real content and a faults.Model deciding which
+// cells flip. Every write stores fresh random bits. It is the
+// end-to-end fidelity mode of the examples, abl-remap and the
+// reliability tests; the pure Engine accounting mode suits sweeps.
 //
 // System maps trace pages onto module rows (page p -> bank p mod B,
-// row p div B) and audits the reliability guarantee: with MEMCON's
-// refresh policy, no data-dependent failure may ever corrupt content
-// silently — rows at LO-REF must have tested clean with their current
-// content.
+// row p div B) and audits the reliability guarantee: no data-dependent
+// failure may corrupt content silently, so a row at LO-REF must have
+// tested clean with its current content. A cell's failure also depends
+// on its PHYSICAL neighbours' content, so every write re-tests the
+// written row's physical neighbours at LO-REF or under test (only the
+// silicon knows them; System models a DRAM-internal adjacency hint).
 type System struct {
 	cfg   Config
 	mod   *dram.Module
@@ -82,24 +33,8 @@ type System struct {
 	geom  dram.Geometry
 	rng   *rand.Rand
 
-	// source supplies per-write content; defaults to random bits.
-	source ContentSource
-	// detectSilentWrites enables the footnote-9 optimization: a write
-	// that stores the value already in memory neither invalidates the
-	// row's protection state nor counts as a write for PRIL.
-	detectSilentWrites bool
-	silentWrites       int64
-	// neighborRetest hardens MEMCON against cross-row aggressor
-	// changes: when a row is written, its PHYSICAL neighbours (known
-	// only to the silicon, surfaced as a DRAM-internal adjacency hint)
-	// are immediately re-tested if they held a clean verdict. Without
-	// it, a neighbour tested clean under old content can in principle
-	// fail under the new content — an escape the audit quantifies.
-	neighborRetest bool
-	retests        int64
-
-	// obs receives system-level events (silent writes, neighbour
-	// retests, remap activity) on top of the engine's own stream.
+	// obs receives system-level events (neighbour re-tests, remap
+	// activity) on top of the engine's own stream.
 	obs obs.Observer
 
 	// remapPolicy, when set, remaps rows that repeatedly fail tests to
@@ -119,24 +54,6 @@ type System struct {
 	// and audit hot paths; System is single-goroutine by contract.
 	cellBuf []int
 }
-
-// SetContentSource installs a content source (must be called before
-// Run). A nil source restores the default randomizer.
-func (s *System) SetContentSource(src ContentSource) {
-	if src == nil {
-		src = randomContent{rng: s.rng}
-	}
-	s.source = src
-}
-
-// EnableSilentWriteDetection turns on the footnote-9 optimization.
-func (s *System) EnableSilentWriteDetection() { s.detectSilentWrites = true }
-
-// SilentWrites returns the number of writes recognized as silent.
-func (s *System) SilentWrites() int64 { return s.silentWrites }
-
-// EnableNeighborRetest turns on silicon-assisted neighbour re-testing.
-func (s *System) EnableNeighborRetest() { s.neighborRetest = true }
 
 // EnableRemapMitigation reserves sparesPerBank screened spare rows per
 // bank and remaps any row that fails failThreshold consecutive online
@@ -168,14 +85,13 @@ func (s *System) RemappedRows() int {
 	return s.remapPolicy.Remapped()
 }
 
-// NeighborRetests returns the number of neighbour re-tests initiated.
-func (s *System) NeighborRetests() int64 { return s.retests }
-
 // NewSystem builds a full-fidelity MEMCON system. The module and fault
 // model must share a geometry; pages beyond the module capacity are
-// rejected at run time. Options apply to the embedded engine; the
-// system supplies its own silicon-backed tester, so a WithTester option
-// is overridden.
+// rejected at run time. Write content comes from a generator seeded by
+// the configuration's quantum, so a run is reproducible. The one
+// optional setting is EnableRemapMitigation. Options apply to the
+// embedded engine; the system supplies its own silicon-backed tester,
+// so a WithTester option is overridden.
 func NewSystem(cfg Config, mod *dram.Module, model *faults.Model, opts ...EngineOption) (*System, error) {
 	if mod.Geometry() != model.Geometry() {
 		return nil, fmt.Errorf("core: module and fault model geometries differ")
@@ -259,11 +175,10 @@ func nsOf(at trace.Microseconds) dram.Nanoseconds {
 	return dram.Nanoseconds(at) * dram.Microsecond
 }
 
-// Run replays the trace with real content supplied by the content
-// source (fresh random bits per write by default — program stores
-// change bits and randomness exercises the data-dependence). The
-// reliability audit runs at every write and at the end. It is
-// RunContext with a background context.
+// Run replays the trace, storing fresh random bits at every write and
+// re-testing the written row's physical neighbours. The reliability
+// audit runs at every write and at the end. It is RunContext with a
+// background context.
 func (s *System) Run(tr *trace.Trace) (Report, error) {
 	return s.RunContext(context.Background(), tr)
 }
@@ -273,9 +188,6 @@ func (s *System) Run(tr *trace.Trace) (Report, error) {
 func (s *System) RunContext(ctx context.Context, tr *trace.Trace) (Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if s.source == nil {
-		s.source = randomContent{rng: s.rng}
 	}
 	buf := dram.NewRow(s.geom.ColsPerRow)
 	for i, ev := range tr.Events {
@@ -291,35 +203,22 @@ func (s *System) RunContext(ctx context.Context, tr *trace.Trace) (Report, error
 		// Audit before the content is replaced: did the row silently
 		// lose data under the refresh interval MEMCON assigned?
 		s.auditRow(ev.Page, addr)
-		s.source.Content(ev.Page, ev.At, buf)
-		if s.detectSilentWrites && buf.Equal(s.mod.RowRef(addr)) {
-			// Footnote 9: the write does not change memory; the row's
-			// protection state stays valid. The access still recharges
-			// the row.
-			s.mod.Activate(addr, nsOf(ev.At))
-			s.silentWrites++
-			if s.obs != nil {
-				s.obs.OnEvent(obs.Event{Kind: obs.KindSilentWrite, Page: ev.Page, At: int64(ev.At)})
-			}
-			continue
-		}
+		buf.Randomize(s.rng)
 		if err := s.mod.WriteRow(addr, buf, nsOf(ev.At)); err != nil {
 			return Report{}, err
 		}
 		if err := s.eng.Observe(ev); err != nil {
 			return Report{}, err
 		}
-		if s.neighborRetest {
-			for _, nb := range s.model.NeighborSysRows(addr) {
-				page := uint32(s.geom.RowIndex(nb))
-				if loRef, testing := s.eng.pageStatus(page); loRef || testing {
-					if err := s.eng.Retest(page, ev.At); err != nil {
-						return Report{}, err
-					}
-					s.retests++
-					if s.obs != nil {
-						s.obs.OnEvent(obs.Event{Kind: obs.KindNeighborRetest, Page: ev.Page, At: int64(ev.At), Aux: int64(page)})
-					}
+		// The new content voids the physical neighbours' verdicts.
+		for _, nb := range s.model.NeighborSysRows(addr) {
+			page := uint32(s.geom.RowIndex(nb))
+			if loRef, testing := s.eng.pageStatus(page); loRef || testing {
+				if err := s.eng.Retest(page, ev.At); err != nil {
+					return Report{}, err
+				}
+				if s.obs != nil {
+					s.obs.OnEvent(obs.Event{Kind: obs.KindNeighborRetest, Page: ev.Page, At: int64(ev.At), Aux: int64(page)})
 				}
 			}
 		}

@@ -5,6 +5,7 @@ import (
 
 	"memcon/internal/dram"
 	"memcon/internal/faults"
+	"memcon/internal/obs"
 	"memcon/internal/trace"
 )
 
@@ -19,7 +20,7 @@ func systemGeometry() dram.Geometry {
 	}
 }
 
-func newSystem(t *testing.T, weakFraction float64) (*System, dram.Geometry) {
+func newSystem(t *testing.T, weakFraction float64, opts ...EngineOption) (*System, dram.Geometry) {
 	t.Helper()
 	geom := systemGeometry()
 	scr := dram.NewScrambler(geom, 77, nil)
@@ -35,7 +36,7 @@ func newSystem(t *testing.T, weakFraction float64) (*System, dram.Geometry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(cfgForTest(), mod, model)
+	sys, err := NewSystem(cfgForTest(), mod, model, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,5 +149,59 @@ func TestSystemHiRefIsUnconditionallySafe(t *testing.T) {
 	}
 	if rep.LoRefTime != 0 {
 		t.Errorf("rewrite-heavy trace reached LO-REF for %v us", rep.LoRefTime)
+	}
+}
+
+// twoRoundTrace writes every page once early and once again late — the
+// second round changes aggressor content under neighbours that were
+// already tested clean.
+func twoRoundTrace(pages uint32) *trace.Trace {
+	tr := &trace.Trace{Duration: 20 * q}
+	for p := uint32(0); p < pages; p++ {
+		tr.Events = append(tr.Events, trace.Event{Page: p, At: trace.Microseconds(p) * 977})
+		tr.Events = append(tr.Events, trace.Event{Page: p, At: 10*q + trace.Microseconds(p)*977})
+	}
+	tr.Sort()
+	return tr
+}
+
+// A cell's failure depends on the content of its physical neighbours,
+// so a write voids the clean verdict of a physical neighbour at LO-REF,
+// and System re-tests it. In twoRoundTrace's second round 29 writes
+// each void a neighbour's clean verdict; none finds a test in flight.
+// Under the new neighbour content 3 of those rows hold a cell that
+// fails within the LO-REF window. The re-test pulls them back to
+// HI-REF, and the audit finds no escape; with the re-test loop removed,
+// the same run audits 3 escaped cells. This is the DESIGN.md §5a
+// finding made executable.
+func TestNeighborRetestClosesCrossRowEscapes(t *testing.T) {
+	reg := obs.NewRegistry()
+	var sys *System
+	exposed := 0 // re-tested rows that fail under the new neighbour content
+	atRetest := obs.ObserverFunc(func(e obs.Event) {
+		if e.Kind == obs.KindNeighborRetest {
+			addr := sys.geom.AddressOfIndex(int(e.Aux))
+			if len(sys.model.AppendFailingCells(nil, sys.mod, addr, sys.cfg.LoRef)) > 0 {
+				exposed++
+			}
+		}
+	})
+	sys, _ = newSystem(t, 2e-2, WithObserver(obs.Tee(obs.NewMetrics(reg), atRetest)))
+	if _, err := sys.Run(twoRoundTrace(100)); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.UndetectedFailures(); got != 0 {
+		t.Errorf("escapes = %d, want 0", got)
+	}
+	for name, want := range map[string]int64{
+		"memcon_neighbor_retests_total": 29,
+		"memcon_tests_voided_total":     0,
+	} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if exposed != 3 {
+		t.Errorf("%d re-tested rows fail under the new neighbour content, want 3", exposed)
 	}
 }

@@ -195,7 +195,7 @@ func TestFlipsAreContentConditional(t *testing.T) {
 				}
 			}
 			// Discharge the first failing cell; it must drop out.
-			mut := row.Clone()
+			mut := slices.Clone(row)
 			mut.SetBit(cells[0], 1-cb)
 			if err := mod.WriteRow(a, mut, 0); err != nil {
 				t.Fatal(err)

@@ -3,6 +3,7 @@ package dram
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -116,24 +117,6 @@ func TestRowBitOps(t *testing.T) {
 	}
 }
 
-func TestRowEqual(t *testing.T) {
-	a := NewRow(128)
-	b := NewRow(128)
-	a.SetBit(5, 1)
-	a.SetBit(100, 1)
-	b.SetBit(100, 1)
-	b.SetBit(70, 1)
-	if !a.Equal(a.Clone()) {
-		t.Error("clone should equal original")
-	}
-	if a.Equal(b) {
-		t.Error("different rows reported equal")
-	}
-	if a.Equal(NewRow(64)) {
-		t.Error("different lengths reported equal")
-	}
-}
-
 func TestModuleRowAtAliasesRowRef(t *testing.T) {
 	g := DefaultGeometry()
 	g.RowsPerBank = 64
@@ -182,7 +165,7 @@ func TestRowSetBitProperty(t *testing.T) {
 	f := func(cRaw uint16, v bool) bool {
 		r := NewRow(512)
 		r.Fill(0xAAAAAAAAAAAAAAAA)
-		before := r.Clone()
+		before := slices.Clone(r)
 		c := int(cRaw) % 512
 		val := 0
 		if v {
@@ -217,7 +200,7 @@ func TestModuleWriteReadPeek(t *testing.T) {
 	if err := m.WriteRow(a, content, 100); err != nil {
 		t.Fatal(err)
 	}
-	if !m.RowRef(a).Equal(content) {
+	if !slices.Equal(m.RowRef(a), content) {
 		t.Error("stored row does not match written content")
 	}
 	// The module stores a copy: mutating the caller's row afterwards

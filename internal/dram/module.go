@@ -24,26 +24,6 @@ func (r Row) SetBit(c, v int) {
 	}
 }
 
-// Clone returns an independent copy of the row.
-func (r Row) Clone() Row {
-	cp := make(Row, len(r))
-	copy(cp, r)
-	return cp
-}
-
-// Equal reports whether two rows hold identical content.
-func (r Row) Equal(o Row) bool {
-	if len(r) != len(o) {
-		return false
-	}
-	for i := range r {
-		if r[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Fill sets every 64-cell word of the row to pattern.
 func (r Row) Fill(pattern uint64) {
 	for i := range r {

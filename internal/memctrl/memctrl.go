@@ -351,13 +351,6 @@ func (c *Controller) Access(at dram.Nanoseconds, bank, row int, write bool) (dra
 	return done, nil
 }
 
-// RefreshBusyFraction returns the fraction of time the rank is blocked
-// behind REF commands under this configuration — the analytic first-order
-// driver of the Fig. 15 speedups.
-func (c *Controller) RefreshBusyFraction() float64 {
-	return float64(c.trfc) / float64(c.cfg.RefreshPeriod)
-}
-
 // StretchedRefreshPeriod returns the REF period that an all-rows refresh
 // at baseWindow stretches to when a scheme eliminates the given fraction
 // of refresh operations.

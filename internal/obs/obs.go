@@ -68,9 +68,6 @@ const (
 	// an already-remapped row short-circuited its test, 1 when a
 	// failing row was newly remapped to a spare.
 	KindRemapHit
-	// KindSilentWrite: the system recognized a write that stores the
-	// value already in memory (footnote-9 optimization). Aux unused.
-	KindSilentWrite
 	// KindNeighborRetest: a write triggered a re-test of a physical
 	// neighbour row holding a clean verdict. Aux is the neighbour page.
 	KindNeighborRetest
@@ -116,7 +113,6 @@ var kindNames = [numKinds]string{
 	KindPrilEvict:      "pril_evict",
 	KindPrilDiscard:    "pril_discard",
 	KindRemapHit:       "remap_hit",
-	KindSilentWrite:    "silent_write",
 	KindNeighborRetest: "neighbor_retest",
 	KindRowFailure:     "row_failure",
 	KindRowWeak:        "row_weak",

@@ -131,7 +131,6 @@ func TestMetricsObserverMapping(t *testing.T) {
 		{Kind: KindPrilDiscard, Page: 3, At: 0, Aux: 4000},
 		{Kind: KindRemapHit, Page: 4, At: 0, Aux: 0},
 		{Kind: KindRemapHit, Page: 4, At: 0, Aux: 1},
-		{Kind: KindSilentWrite, Page: 5, At: 0},
 		{Kind: KindNeighborRetest, Page: 6, At: 0, Aux: 7},
 		{Kind: KindRowFailure, Page: 7, At: 0, Aux: 3},
 		{Kind: KindRowWeak, Page: 8, At: 0},
@@ -155,7 +154,6 @@ func TestMetricsObserverMapping(t *testing.T) {
 		"memcon_pril_discards_total":    1,
 		"memcon_remap_hits_total":       1,
 		"memcon_remap_installs_total":   1,
-		"memcon_silent_writes_total":    1,
 		"memcon_neighbor_retests_total": 1,
 		"memcon_row_failures_total":     1,
 		"memcon_failing_cells_total":    3,

@@ -3,6 +3,7 @@ package softmc
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"memcon/internal/dram"
@@ -58,7 +59,7 @@ func TestRandomPatternMatchesLegacyFill(t *testing.T) {
 			for _, r := range rows {
 				p.Fill(got, r)
 				want.Randomize(rand.New(rand.NewSource(s ^ int64(r)*0x9E3779B9)))
-				if !got.Equal(want) {
+				if !slices.Equal(got, want) {
 					t.Fatalf("%s, row %d, %d words: fill differs from the per-row math/rand source", p.Name, r, len(got))
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"memcon/internal/dram"
@@ -99,11 +100,11 @@ func TestRandomPatternDeterministic(t *testing.T) {
 	b := dram.NewRow(256)
 	p.Fill(a, 7)
 	p.Fill(b, 7)
-	if !a.Equal(b) {
+	if !slices.Equal(a, b) {
 		t.Error("random pattern not deterministic per (seed,row)")
 	}
 	p.Fill(b, 8)
-	if a.Equal(b) {
+	if slices.Equal(a, b) {
 		t.Error("random pattern identical across rows")
 	}
 }
@@ -348,7 +349,7 @@ func moduleSnapshot(t *testing.T, mod *dram.Module) []dram.Row {
 	for b := 0; b < g.BanksPerChip; b++ {
 		for r := 0; r < g.RowsPerBank; r++ {
 			a := dram.RowAddress{Bank: b, Row: r}
-			rows[g.RowIndex(a)] = mod.RowRef(a).Clone()
+			rows[g.RowIndex(a)] = slices.Clone(mod.RowRef(a))
 		}
 	}
 	return rows
@@ -408,7 +409,7 @@ func TestReadBackParallelMatchesSequential(t *testing.T) {
 				}
 				gotContent := moduleSnapshot(t, tester.mod)
 				for i := range wantContent {
-					if !gotContent[i].Equal(wantContent[i]) {
+					if !slices.Equal(gotContent[i], wantContent[i]) {
 						t.Fatalf("seed %d pattern %s workers %d: module content diverges at row index %d",
 							seed, p.Name, workers, i)
 					}

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"memcon/internal/pareto"
@@ -280,7 +281,7 @@ func TestImagePhasesDiffer(t *testing.T) {
 	b := c.Image(100, 512, 1, 1)
 	same := 0
 	for i := range a {
-		if a[i].Equal(b[i]) {
+		if slices.Equal(a[i], b[i]) {
 			same++
 		}
 	}
@@ -295,7 +296,7 @@ func TestImageDeterministic(t *testing.T) {
 	a := c.Image(50, 512, 2, 9)
 	b := c.Image(50, 512, 2, 9)
 	for i := range a {
-		if !a[i].Equal(b[i]) {
+		if !slices.Equal(a[i], b[i]) {
 			t.Fatalf("row %d differs between identical generations", i)
 		}
 	}

@@ -48,7 +48,9 @@ type (
 	Report = core.Report
 	// Engine is the event-driven MEMCON engine.
 	Engine = core.Engine
-	// System is the full-fidelity engine bound to a simulated chip.
+	// System is the full-fidelity engine bound to a simulated chip:
+	// random content per write, a re-test of each written row's
+	// physical neighbours, and an audit for silent failures.
 	System = core.System
 	// Tester decides online test outcomes (see AlwaysPass).
 	Tester = core.Tester
@@ -133,7 +135,6 @@ const (
 	KindPrilEvict      = obs.KindPrilEvict
 	KindPrilDiscard    = obs.KindPrilDiscard
 	KindRemapHit       = obs.KindRemapHit
-	KindSilentWrite    = obs.KindSilentWrite
 	KindNeighborRetest = obs.KindNeighborRetest
 	KindRowFailure     = obs.KindRowFailure
 	KindRowWeak        = obs.KindRowWeak
@@ -268,8 +269,13 @@ func DefaultGeometry() Geometry { return dram.DefaultGeometry() }
 
 // NewSystem binds the MEMCON engine to a simulated chip for
 // full-fidelity runs (real content, real failures, reliability audit).
-// Options apply to the embedded engine; the system supplies its own
-// silicon-backed tester, so WithTester is overridden.
+// Every write stores random content and re-tests the written row's
+// physical neighbours that sit at LO-REF or under test; observe the
+// re-tests as KindNeighborRetest events or, through NewMetrics, as
+// memcon_neighbor_retests_total. The one optional setting is
+// System.EnableRemapMitigation. Options apply to the embedded engine;
+// the system supplies its own silicon-backed tester, so WithTester is
+// overridden.
 func NewSystem(cfg Config, chip *Chip, opts ...Option) (*System, error) {
 	return core.NewSystem(cfg, chip.Module, chip.Model, opts...)
 }
@@ -317,11 +323,4 @@ func ReadSkipAnalysis(reads *Trace, interval dram.Nanoseconds) (core.ReadSkipRep
 // read-aware skipping of the residual refreshes.
 func CombinedSavings(rep Report, rs core.ReadSkipReport) float64 {
 	return core.CombinedSavings(rep, rs)
-}
-
-// NewRepeatingContent builds a content source that rewrites previous
-// content with the given probability — the silent-store workload for
-// System.EnableSilentWriteDetection.
-func NewRepeatingContent(silentProb float64, seed int64) *core.RepeatingContent {
-	return core.NewRepeatingContent(silentProb, seed)
 }
