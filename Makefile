@@ -26,8 +26,9 @@ bench:
 # seed corpus: the CLI arguments, the request JSON memcond decodes, then
 # every decoder at the program boundary — the compact trace stream (the
 # only trace reader), the CE log, and the serving cache's disk entries —
-# and last the engine's settled-write path against the frozen full-path
-# engine, over generated bursty write sequences.
+# then the engine's settled-write path against the frozen full-path
+# engine, over generated bursty write sequences, and last the CIL fold
+# of Figs. 11 and 12 against the per-CIL loops it replaced.
 fuzz:
 	$(GO) test -fuzz=FuzzMemconsimArgs -fuzztime=10s ./cmd/memconsim
 	$(GO) test -fuzz=FuzzRequest -fuzztime=10s ./internal/experiments
@@ -35,6 +36,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCELog -fuzztime=10s ./internal/fleet
 	$(GO) test -fuzz=FuzzDiskStore -fuzztime=10s ./internal/servecache
 	$(GO) test -fuzz=FuzzEngineSettledWrites -fuzztime=10s ./internal/core
+	$(GO) test -fuzz=FuzzCILFold -fuzztime=10s ./internal/pareto
 
 ci:
 	./scripts/ci.sh

@@ -657,8 +657,10 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
-// TraceIntervals: Intervals(true) over the same twelve traces, as the
-// write-interval experiments call it: once per freshly generated trace.
+// TraceIntervals: Intervals(true) over the same twelve traces, once per
+// fresh trace, as its callers call it on a trace they hold: fig19 on
+// its full and halved traces, tracegen -inspect on a trace file,
+// examples/writeintervals and membench's L2 probe on generated traces.
 // Each call gets a new Trace over the same events, so no index a trace
 // memoizes is carried from one iteration to the next.
 func BenchmarkTraceIntervals(b *testing.B) {
@@ -673,6 +675,24 @@ func BenchmarkTraceIntervals(b *testing.B) {
 			fresh := &trace.Trace{Name: tr.Name, Duration: tr.Duration, Events: tr.Events}
 			if len(fresh.Intervals(true)) == 0 {
 				b.Fatalf("%s: no intervals", tr.Name)
+			}
+		}
+	}
+}
+
+// AppIntervals: the same twelve applications' intervals (seed 42, scale
+// 0.05, trailing included) streamed by EachInterval, as the interval
+// figures 7, 8, 9, 11 and 12 read them: the generator's own loop, with
+// no trace built, sorted or indexed.
+func BenchmarkAppIntervals(b *testing.B) {
+	apps := workload.Apps()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, app := range apps {
+			n := 0
+			app.EachInterval(42, 0.05, true, func(float64) { n++ })
+			if n == 0 {
+				b.Fatalf("%s: no intervals", app.Name)
 			}
 		}
 	}

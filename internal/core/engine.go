@@ -531,7 +531,8 @@ func (e *Engine) Observe(ev trace.Event) error {
 // full-fidelity System calls this for the physical neighbours of a
 // written row (their aggressor content changed, so an earlier clean
 // verdict no longer applies). No-op for pages at HI-REF with no test in
-// flight — they carry no stale verdict to void.
+// flight — they carry no stale verdict to void, and a failed test's
+// pending verdict still counts toward prediction accuracy.
 func (e *Engine) Retest(page uint32, at trace.Microseconds) error {
 	if int(page) >= len(e.pages) {
 		return fmt.Errorf("core: retest page %d outside configured space of %d", page, len(e.pages))
@@ -542,7 +543,6 @@ func (e *Engine) Retest(page uint32, at trace.Microseconds) error {
 	e.horizon = 0 // the test it may queue can complete before the horizon
 	st := &e.pages[page]
 	if !st.loRef && !st.testing {
-		st.tested = false
 		return nil
 	}
 	if st.testing {

@@ -76,6 +76,47 @@ func TestRetestOnHiRefPageIsNoop(t *testing.T) {
 	}
 }
 
+// A re-test of a page whose test failed leaves it at HI-REF with no
+// test in flight, so the call is a no-op: the failed test's verdict
+// still settles as a correct prediction when the page stays idle.
+func TestRetestAfterFailedTestKeepsVerdict(t *testing.T) {
+	alwaysFail := TesterFunc(func(uint32, trace.Microseconds) bool { return false })
+	for _, retest := range []bool{false, true} {
+		cfg := cfgForTest()
+		cfg.NumPages = 2
+		e, err := New(cfg, WithTester(alwaysFail))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Page 0 is tested, and fails, at 2q plus one LO-REF window.
+		if err := e.Observe(trace.Event{Page: 0, At: 0}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Observe(trace.Event{Page: 1, At: 3 * q}); err != nil {
+			t.Fatal(err)
+		}
+		if loRef, testing := e.pageStatus(0); loRef || testing {
+			t.Fatalf("at 3q page 0 has loRef=%v testing=%v, want HI-REF with no test", loRef, testing)
+		}
+		if retest {
+			if err := e.Retest(0, 3*q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := e.Finish(10 * q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.TestsCompleted != 2 || rep.TestsFailed != 2 {
+			t.Fatalf("retest=%v: %d tests completed, %d failed; want 2 and 2", retest, rep.TestsCompleted, rep.TestsFailed)
+		}
+		if rep.CorrectTests != 2 || rep.MispredictedTests != 0 {
+			t.Errorf("retest=%v: %d correct and %d mispredicted tests, want 2 and 0",
+				retest, rep.CorrectTests, rep.MispredictedTests)
+		}
+	}
+}
+
 func TestRetestVoidsLoRef(t *testing.T) {
 	e, _ := New(cfgForTest())
 	if err := e.Observe(trace.Event{Page: 0, At: 0}); err != nil {

@@ -153,7 +153,6 @@ func (e *frozenEngine) retest(page uint32, at trace.Microseconds) error {
 	}
 	st := &e.pages[page]
 	if !st.loRef && !st.testing {
-		st.testedAt = -1
 		return nil
 	}
 	if st.testing {

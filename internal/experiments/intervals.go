@@ -8,7 +8,6 @@ import (
 	"memcon/internal/pareto"
 	"memcon/internal/report"
 	"memcon/internal/stats"
-	"memcon/internal/trace"
 	"memcon/internal/workload"
 )
 
@@ -17,15 +16,6 @@ var representativeApps = []string{"ACBrotherHood", "Netflix", "SystemMgt"}
 
 // cilGrid is the current-interval-length axis of Figs. 11 and 12 (ms).
 var cilGrid = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768}
-
-// genTrace generates one application's trace under the options.
-func genTrace(name string, req Request) (*trace.Trace, error) {
-	app, err := workload.AppByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return app.Generate(req.Seed, req.Scale), nil
-}
 
 // fig7App is one application's interval distribution.
 type fig7App struct {
@@ -43,13 +33,13 @@ type fig7App struct {
 func RunFig7(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	apps, err := parallel.Map(ctx, len(representativeApps), rt.Workers, func(i int) (fig7App, error) {
 		name := representativeApps[i]
-		tr, err := genTrace(name, req)
+		app, err := workload.AppByName(name)
 		if err != nil {
 			return fig7App{}, err
 		}
 		h := stats.NewLogHistogram(1, 16) // 1 ms .. 32768 ms
 		var under, over, n float64
-		for _, iv := range tr.Intervals(true) {
+		app.EachInterval(req.Seed, req.Scale, true, func(iv float64) {
 			h.Add(iv)
 			n++
 			if iv < 1 {
@@ -58,7 +48,7 @@ func RunFig7(ctx context.Context, req Request, rt Runtime) (*report.Report, erro
 			if iv > 1024 {
 				over++
 			}
-		}
+		})
 		return fig7App{
 			name: name, hist: h,
 			under1ms:   under / n,
@@ -102,14 +92,22 @@ func RunFig7(ctx context.Context, req Request, rt Runtime) (*report.Report, erro
 func RunFig8(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	fits, err := parallel.Map(ctx, len(representativeApps), rt.Workers, func(i int) (pareto.Fit, error) {
 		name := representativeApps[i]
-		tr, err := genTrace(name, req)
+		app, err := workload.AppByName(name)
 		if err != nil {
 			return pareto.Fit{}, err
 		}
+		// Only the plotted range is kept: FitCCDFTail's lowest default
+		// threshold is 1 ms, so it never reads a shorter interval.
+		var ivs []float64
+		app.EachInterval(req.Seed, req.Scale, false, func(iv float64) {
+			if iv >= 1 {
+				ivs = append(ivs, iv)
+			}
+		})
 		// Fit the heavy tail with automatic threshold selection: the
 		// interval body mixes in light-tailed hot-page pauses, exactly
 		// like real bus traces mix cache-eviction churn with idle tails.
-		fit, err := pareto.FitCCDFTail(tr.Intervals(false), nil, 64)
+		fit, err := pareto.FitCCDFTail(ivs, nil, 64)
 		if err != nil {
 			return pareto.Fit{}, fmt.Errorf("experiments: fitting %s: %w", name, err)
 		}
@@ -142,14 +140,13 @@ func RunFig8(ctx context.Context, req Request, rt Runtime) (*report.Report, erro
 func RunFig9(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	apps := workload.Apps()
 	shares, err := parallel.Map(ctx, len(apps), rt.Workers, func(i int) (float64, error) {
-		tr := apps[i].Generate(req.Seed, req.Scale)
 		var total, long float64
-		for _, iv := range tr.Intervals(true) {
+		apps[i].EachInterval(req.Seed, req.Scale, true, func(iv float64) {
 			total += iv
 			if iv >= 1024 {
 				long += iv
 			}
-		}
+		})
 		share := 0.0
 		if total > 0 {
 			share = long / total
@@ -184,17 +181,18 @@ func RunFig9(ctx context.Context, req Request, rt Runtime) (*report.Report, erro
 }
 
 // cilSeries builds the "series" table Figs. 11 and 12 share: one row per
-// cilGrid point, one column per workload, each cell metric(intervals,
-// CIL) of that workload's trace displayed by show.
+// cilGrid point, one column per workload, each cell metric(fold, j) of
+// that workload's intervals folded over the whole grid in one pass,
+// displayed by show.
 func cilSeries(ctx context.Context, req Request, rt Runtime, unit string,
-	metric func(ivs []float64, cil float64) float64, show func(float64) string) (*report.Table, error) {
+	metric func(f *pareto.CILFold, j int) float64, show func(float64) string) (*report.Table, error) {
 	apps := workload.Apps()
 	rows, err := parallel.Map(ctx, len(apps), rt.Workers, func(i int) ([]float64, error) {
-		tr := apps[i].Generate(req.Seed, req.Scale)
-		ivs := tr.Intervals(true)
+		f := pareto.NewCILFold(cilGrid, 1024)
+		apps[i].EachInterval(req.Seed, req.Scale, true, f.Add)
 		row := make([]float64, len(cilGrid))
-		for j, c := range cilGrid {
-			row[j] = metric(ivs, c)
+		for j := range cilGrid {
+			row[j] = metric(f, j)
 		}
 		return row, nil
 	})
@@ -220,8 +218,7 @@ func cilSeries(ctx context.Context, req Request, rt Runtime, unit string,
 // workloads: P(remaining interval > 1024 ms) as a function of the
 // elapsed (current) interval length.
 func RunFig11(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
-	t, err := cilSeries(ctx, req, rt, "probability",
-		func(ivs []float64, c float64) float64 { return pareto.ConditionalExceedEmpirical(ivs, c, 1024) },
+	t, err := cilSeries(ctx, req, rt, "probability", (*pareto.CILFold).ConditionalExceed,
 		func(p float64) string { return fmt.Sprintf("%.2f", p) })
 	if err != nil {
 		return nil, err
@@ -235,7 +232,7 @@ func RunFig11(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 // RunFig12 computes prediction coverage of write-interval time as a
 // function of CIL for all workloads.
 func RunFig12(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
-	t, err := cilSeries(ctx, req, rt, "fraction", pareto.CoverageAtCIL, pct)
+	t, err := cilSeries(ctx, req, rt, "fraction", (*pareto.CILFold).Coverage, pct)
 	if err != nil {
 		return nil, err
 	}
@@ -249,34 +246,32 @@ func RunFig12(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 // pressure) and compares P(RIL > 1024 ms) at CIL 512, 1024 and 2048 ms,
 // and the >= 1024 ms count fractions, with the full intervals.
 func RunFig19(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
-	tr, err := genTrace("ACBrotherHood", req)
+	app, err := workload.AppByName("ACBrotherHood")
 	if err != nil {
 		return nil, err
 	}
+	tr := app.Generate(req.Seed, req.Scale)
 	half := tr.HalveIntervals()
 	cils := []float64{512, 1024, 2048}
-	var full, halved []float64
-	fullIvs := tr.Intervals(true)
-	halfIvs := half.Intervals(true)
-	for _, c := range cils {
-		full = append(full, pareto.ConditionalExceedEmpirical(fullIvs, c, 1024))
-		halved = append(halved, pareto.ConditionalExceedEmpirical(halfIvs, c, 1024))
-	}
-	count := func(ivs []float64) float64 {
+	// sweep folds one interval set over the CILs and counts its
+	// >= 1024 ms share in the same pass.
+	sweep := func(ivs []float64) (*pareto.CILFold, float64) {
+		f := pareto.NewCILFold(cils, 1024)
 		var over, n float64
 		for _, iv := range ivs {
+			f.Add(iv)
 			n++
 			if iv >= 1024 {
 				over++
 			}
 		}
 		if n == 0 {
-			return 0
+			return f, 0
 		}
-		return over / n
+		return f, over / n
 	}
-	fullShare := count(fullIvs)
-	halfShare := count(halfIvs)
+	full, fullShare := sweep(tr.Intervals(true))
+	halved, halfShare := sweep(half.Intervals(true))
 
 	rep := report.New()
 	rep.Textf("Fig. 19 — sensitivity to halved write intervals (%s)\n\n", tr.Name)
@@ -285,9 +280,10 @@ func RunFig19(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 		report.CFloat("full", "P(RIL>1024) full", "probability"),
 		report.CFloat("halved", "P(RIL>1024) halved", "probability"))
 	for i, c := range cils {
+		pf, ph := full.ConditionalExceed(i), halved.ConditionalExceed(i)
 		t.Add(report.F(c, fmt.Sprintf("%.0f", c)),
-			report.F(full[i], fmt.Sprintf("%.2f", full[i])),
-			report.F(halved[i], fmt.Sprintf("%.2f", halved[i])))
+			report.F(pf, fmt.Sprintf("%.2f", pf)),
+			report.F(ph, fmt.Sprintf("%.2f", ph)))
 	}
 	rep.AddTable(t)
 	rep.Textf("\nintervals >= 1024 ms by count: full %s, halved %s\n",

@@ -145,41 +145,98 @@ func FitCCDFTail(samples []float64, candidates []float64, minTail int) (Fit, err
 
 // ConditionalExceedEmpirical computes P(X > c+L | X >= c) from a sample,
 // the empirical form of Fig. 11: of all intervals at least c long, the
-// fraction whose remaining length exceeds L.
+// fraction whose remaining length exceeds L. It is CILFold's one-point
+// case.
 func ConditionalExceedEmpirical(samples []float64, c, l float64) float64 {
-	var atLeastC, exceed int
+	f := NewCILFold([]float64{c}, l)
 	for _, x := range samples {
-		if x >= c {
-			atLeastC++
-			if x > c+l {
-				exceed++
-			}
-		}
+		f.Add(x)
 	}
-	if atLeastC == 0 {
-		return 0
-	}
-	return float64(exceed) / float64(atLeastC)
+	return f.ConditionalExceed(0)
 }
 
 // CoverageAtCIL computes the Fig. 12 metric: the fraction of the total
 // write-interval time that remains exploitable when prediction waits for
 // an elapsed time of c before declaring an interval long. Intervals
 // shorter than c contribute nothing; longer intervals contribute their
-// remaining length x-c.
+// remaining length x-c. It is CILFold's one-point case.
 func CoverageAtCIL(samples []float64, c float64) float64 {
-	var total, covered float64
+	f := NewCILFold([]float64{c}, 0)
 	for _, x := range samples {
-		if x <= 0 {
-			continue
-		}
-		total += x
-		if x > c {
-			covered += x - c
+		f.Add(x)
+	}
+	return f.Coverage(0)
+}
+
+// CILFold computes ConditionalExceedEmpirical and CoverageAtCIL at
+// every point of a current-interval-length grid in one pass over a
+// sample that it never holds: Figs. 11 and 12 sweep their whole grid
+// while the intervals stream past. Each grid point takes the same
+// terms in the same order as the one-point functions, so the results
+// are bit-identical to them.
+type CILFold struct {
+	grid []float64
+	l    float64
+	// atLeast[j] counts samples >= grid[j], and exceed[j] those of them
+	// > grid[j]+l. covered[j] sums x-grid[j] over positive samples
+	// > grid[j]; total sums every sample that is not <= 0.
+	atLeast, exceed []int
+	covered         []float64
+	total           float64
+}
+
+// NewCILFold returns an empty fold over grid, which must be
+// non-decreasing, for remaining length l. It panics on a grid out of
+// order or holding NaN beside other points.
+func NewCILFold(grid []float64, l float64) *CILFold {
+	for j := 1; j < len(grid); j++ {
+		if !(grid[j-1] <= grid[j]) {
+			panic("pareto: CIL grid not in non-decreasing order")
 		}
 	}
-	if total == 0 {
+	return &CILFold{
+		grid:    grid,
+		l:       l,
+		atLeast: make([]int, len(grid)),
+		exceed:  make([]int, len(grid)),
+		covered: make([]float64, len(grid)),
+	}
+}
+
+// Add folds in one sample. The grid loop ends at the first point above
+// x (at once for NaN): no later point can count it.
+func (f *CILFold) Add(x float64) {
+	if !(x <= 0) {
+		f.total += x
+	}
+	for j, c := range f.grid {
+		if !(x >= c) {
+			return
+		}
+		f.atLeast[j]++
+		if x > c+f.l {
+			f.exceed[j]++
+		}
+		if x > c && x > 0 {
+			f.covered[j] += x - c
+		}
+	}
+}
+
+// ConditionalExceed returns P(X > c+L | X >= c) at grid point j, or 0
+// when no sample reached it.
+func (f *CILFold) ConditionalExceed(j int) float64 {
+	if f.atLeast[j] == 0 {
 		return 0
 	}
-	return covered / total
+	return float64(f.exceed[j]) / float64(f.atLeast[j])
+}
+
+// Coverage returns the share of the total sample time beyond grid
+// point j, or 0 when the total is 0.
+func (f *CILFold) Coverage(j int) float64 {
+	if f.total == 0 {
+		return 0
+	}
+	return f.covered[j] / f.total
 }

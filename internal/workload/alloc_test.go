@@ -68,3 +68,29 @@ func TestImageAllocationContract(t *testing.T) {
 		}
 	}
 }
+
+// TestEachIntervalAllocationContract pins EachInterval to the memory
+// of its generator, not of a trace: it allocates the math/rand source
+// and a sink, the same at scale 0.05 and 0.3, and at most 8 KiB.
+func TestEachIntervalAllocationContract(t *testing.T) {
+	app, err := AppByName("SystemMgt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes []uint64
+	for _, scale := range []float64{0.05, 0.3} {
+		n := 0
+		got := allocated(func() { app.EachInterval(42, scale, true, func(float64) { n++ }) })
+		if n == 0 {
+			t.Fatalf("scale %v: no intervals", scale)
+		}
+		if got > 8<<10 {
+			t.Errorf("EachInterval at scale %v allocated %d bytes for %d intervals, want ≤ 8 KiB", scale, got, n)
+		}
+		sizes = append(sizes, got)
+	}
+	if sizes[0] != sizes[1] {
+		t.Errorf("EachInterval allocated %d bytes at scale 0.05 and %d at 0.3, want the same", sizes[0], sizes[1])
+	}
+	t.Logf("EachInterval allocated %d bytes", sizes[0])
+}

@@ -72,10 +72,11 @@ go test -race -run 'TestFleet' ./cmd/memconsim
 # compile or runtime breakage in the bench harness without spending CI
 # time on stable measurements. Real numbers come from scripts/bench.sh,
 # which rewrites BENCH_hotpath.json, BENCH_engine.json, BENCH_fleet.json
-# and BENCH_serve.json (the three trace-synthesis benchmarks, the two
-# compact-codec benchmarks and the fill benchmark have no BENCH file).
+# and BENCH_serve.json (the three trace-synthesis benchmarks, the
+# interval-streaming benchmark, the two compact-codec benchmarks and the
+# fill benchmark have no BENCH file).
 echo "== bench smoke =="
-go test -run '^$' -bench 'BenchmarkReadBack|BenchmarkFailingCells|BenchmarkFailingCellsDense|BenchmarkDisturbScan|BenchmarkEngineRun|BenchmarkFleetRun|BenchmarkTraceGeneration|BenchmarkTraceIntervals|BenchmarkTraceSort|BenchmarkTraceCompactEncode|BenchmarkTraceCompactDecode|BenchmarkRandomPatternFill' -benchtime=1x .
+go test -run '^$' -bench 'BenchmarkReadBack|BenchmarkFailingCells|BenchmarkFailingCellsDense|BenchmarkDisturbScan|BenchmarkEngineRun|BenchmarkFleetRun|BenchmarkTraceGeneration|BenchmarkTraceIntervals|BenchmarkAppIntervals|BenchmarkTraceSort|BenchmarkTraceCompactEncode|BenchmarkTraceCompactDecode|BenchmarkRandomPatternFill' -benchtime=1x .
 go test -run '^$' -bench BenchmarkServeCache -benchtime=1x ./internal/servecache
 
 # The memconsim smoke runs and the report regression below invoke the
