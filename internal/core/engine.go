@@ -65,14 +65,6 @@ type Config struct {
 	BufferCap int
 	// NumPages is the page space; traces are auto-sized when larger.
 	NumPages int
-	// ReadOnlyRows models the rest of the module: rows that hold static
-	// (read-only) content and are never written during the run. MEMCON
-	// tests each once at startup and keeps it at LO-REF thereafter
-	// (§6.1: the LO-REF state applies to rows identified as read-only,
-	// besides rows predicted idle). They widen the refresh-accounting
-	// denominators the way a real module — much larger than a
-	// workload's written footprint — does.
-	ReadOnlyRows int
 }
 
 // DefaultConfig returns the paper's primary configuration: 1024 ms
@@ -102,9 +94,6 @@ func (c Config) Validate() error {
 	if c.BufferCap < 0 {
 		return fmt.Errorf("core: buffer capacity cannot be negative, got %d", c.BufferCap)
 	}
-	if c.ReadOnlyRows < 0 {
-		return fmt.Errorf("core: read-only rows cannot be negative, got %d", c.ReadOnlyRows)
-	}
 	return nil
 }
 
@@ -133,7 +122,8 @@ type Report struct {
 	UpperBoundOps float64
 
 	// TestsStarted/TestsCompleted/TestsAborted count online tests; a
-	// test aborts when its page is written during the test window.
+	// test aborts when its page is written or re-tested during the test
+	// window.
 	TestsStarted   int64
 	TestsCompleted int64
 	TestsAborted   int64
@@ -141,14 +131,17 @@ type Report struct {
 	// at HI-REF).
 	TestsFailed int64
 	// CorrectTests/MispredictedTests split completed tests by whether
-	// the page then stayed idle at least MinWriteInterval.
+	// the page then stayed idle at least MinWriteInterval; every
+	// completed test gets one verdict.
 	CorrectTests      int64
 	MispredictedTests int64
 
 	// LoRefTime is the page-time spent at LO-REF (µs·pages).
 	LoRefTime float64
-	// TestingTimeNs is the latency spent on test accesses, split by
-	// prediction correctness.
+	// TestingTimeCorrectNs and TestingTimeMispredNs split the latency
+	// spent on test accesses by prediction correctness: correct
+	// completed tests, and mispredicted or aborted ones.
+	// TestingTimeAbortedNs is the aborted part of TestingTimeMispredNs.
 	TestingTimeCorrectNs float64
 	TestingTimeMispredNs float64
 	TestingTimeAbortedNs float64
@@ -190,7 +183,7 @@ func (r Report) LoRefCoverage() float64 {
 
 // TestingTimeNs returns the total testing latency.
 func (r Report) TestingTimeNs() float64 {
-	return r.TestingTimeCorrectNs + r.TestingTimeMispredNs + r.TestingTimeAbortedNs
+	return r.TestingTimeCorrectNs + r.TestingTimeMispredNs
 }
 
 // BaselineRefreshTimeNs returns the latency the baseline spends on
@@ -199,22 +192,47 @@ func (r Report) BaselineRefreshTimeNs() float64 {
 	return r.BaselineOps * float64(dram.DDR31600().RefreshCost())
 }
 
-// pendingTest is a scheduled test completion. seq is the scheduling
-// order, used as the tie-break so tests that complete at the same
-// instant drain oldest-first (the order a hardware CAM drains in).
+// WithReadOnlyRows folds the rest of the module into a finished
+// report: rows that hold static (read-only) content and are never
+// written during the run. MEMCON tests each once at startup, the test
+// occupying the first LO-REF window, and keeps it at LO-REF for the
+// rest of the run (§6.1: the LO-REF state applies to rows identified
+// as read-only, besides rows predicted idle). They widen the
+// refresh-accounting denominators the way a real module, much larger
+// than a workload's written footprint, does. cfg is the configuration
+// the report was run with. It panics on a negative row count.
+func (r Report) WithReadOnlyRows(rows int, cfg Config) Report {
+	if rows < 0 {
+		panic("core: read-only rows cannot be negative")
+	}
+	roLo := max(float64(r.Duration)-float64(cfg.LoRef/dram.Microsecond), 0)
+	r.LoRefTime += float64(rows) * roLo
+	r.TestsStarted += int64(rows)
+	r.TestsCompleted += int64(rows)
+	r.CorrectTests += int64(rows)
+	r.TestingTimeCorrectNs += float64(rows) * float64(cfg.costConfig().TestCost())
+	r.Pages += rows
+	r.countRefreshes(cfg)
+	return r
+}
+
+// countRefreshes sets the refresh-operation counts from the duration,
+// the page count and the LO-REF page-time: LO-REF page-time at the LO
+// rate, the rest at HI.
+func (r *Report) countRefreshes(cfg Config) {
+	durNs := float64(r.Duration) * float64(dram.Microsecond)
+	pages := float64(r.Pages)
+	loNs := r.LoRefTime * float64(dram.Microsecond)
+	hiNs := durNs*pages - loNs
+	r.RefreshOps = hiNs/float64(cfg.HiRef) + loNs/float64(cfg.LoRef)
+	r.BaselineOps = durNs * pages / float64(cfg.HiRef)
+	r.UpperBoundOps = durNs * pages / float64(cfg.LoRef)
+}
+
+// pendingTest is a queued test completion.
 type pendingTest struct {
 	page uint32
 	done trace.Microseconds
-	seq  uint64
-}
-
-// lessPendingTest orders the engine's test queue: by completion time,
-// then by scheduling order for equal completion times.
-func lessPendingTest(a, b pendingTest) bool {
-	if a.done != b.done {
-		return a.done < b.done
-	}
-	return a.seq < b.seq
 }
 
 // pageState tracks MEMCON's view of one page/row. The zero value is
@@ -243,12 +261,18 @@ type pageState struct {
 
 // Engine is the trace-driven MEMCON engine.
 type Engine struct {
-	cfg      Config
-	tester   Tester
-	pred     *pril.Predictor
-	pages    []pageState
-	tests    pqueue[pendingTest]
-	seq      uint64
+	cfg    Config
+	tester Tester
+	pred   *pril.Predictor
+	pages  []pageState
+	// tests[head:] are the queued test completions, in the order they
+	// complete. Every test lasts one LO-REF window from the instant it
+	// is queued, and tests are queued in time order: at quantum
+	// boundaries, which lie after the engine's clock, and by Retest at
+	// the clock. So a FIFO drains them by (completion, queue order),
+	// the order a hardware CAM drains in.
+	tests    []pendingTest
+	head     int
 	mwi      dram.Nanoseconds
 	testCost dram.Nanoseconds
 	now      trace.Microseconds
@@ -267,16 +291,12 @@ type Engine struct {
 	// path entirely (every emission is behind a nil check and events
 	// are value structs, so the disabled engine pays one branch).
 	obs obs.Observer
-	// clock supplies wall time for the run-duration event; injectable
-	// for deterministic tests. Only consulted when obs is set.
-	clock func() time.Time
 }
 
 // engineOptions collects the optional engine dependencies.
 type engineOptions struct {
 	tester Tester
 	obs    obs.Observer
-	clock  func() time.Time
 }
 
 // EngineOption customizes engine construction (see New).
@@ -296,14 +316,6 @@ func WithObserver(o obs.Observer) EngineOption {
 	return func(eo *engineOptions) { eo.obs = o }
 }
 
-// WithClock injects the wall-clock source used for the run-duration
-// observability event (obs.KindRunDone). A nil clock selects time.Now.
-// The clock never influences simulation results — simulated time comes
-// exclusively from the trace.
-func WithClock(now func() time.Time) EngineOption {
-	return func(o *engineOptions) { o.clock = now }
-}
-
 // applyEngineOptions folds the options over the defaults.
 func applyEngineOptions(opts []EngineOption) engineOptions {
 	var eo engineOptions
@@ -314,9 +326,6 @@ func applyEngineOptions(opts []EngineOption) engineOptions {
 	}
 	if eo.tester == nil {
 		eo.tester = AlwaysPass
-	}
-	if eo.clock == nil {
-		eo.clock = time.Now
 	}
 	return eo
 }
@@ -348,11 +357,9 @@ func New(cfg Config, opts ...EngineOption) (*Engine, error) {
 		tester:   eo.tester,
 		pred:     pred,
 		pages:    make([]pageState, cfg.NumPages),
-		tests:    newPQueue(lessPendingTest),
 		mwi:      mwi,
 		testCost: cfg.costConfig().TestCost(),
 		obs:      eo.obs,
-		clock:    eo.clock,
 	}
 	if e.obs != nil {
 		pred.SetObserver(e.obs)
@@ -389,58 +396,106 @@ func (e *Engine) grow(pages int) {
 }
 
 // onPredict is invoked by PRIL at quantum boundaries for pages predicted
-// to stay idle: MEMCON initiates a test with the current content. The
-// test occupies one LO-REF window (the row is deliberately kept idle so
-// victims are tested at lowest charge, §3.2).
+// to stay idle: MEMCON initiates a test with the current content.
 func (e *Engine) onPredict(page uint32, at trace.Microseconds) {
 	st := &e.pages[page]
 	if st.testing || st.loRef {
 		return // already under test or already relaxed
 	}
-	st.testing = true
-	e.rep.TestsStarted++
-	done := at + trace.Microseconds(e.cfg.LoRef/dram.Microsecond)
-	st.loSince = done
-	e.schedule(page, done)
 	if e.obs != nil {
 		e.obs.OnEvent(obs.Event{Kind: obs.KindPredict, Page: page, At: int64(at)})
+	}
+	e.startTest(st, page, at)
+}
+
+// startTest tests page with its current content from at. The test
+// occupies one LO-REF window (the row is deliberately kept idle so
+// victims are tested at lowest charge, §3.2), and its completion joins
+// the back of the queue.
+func (e *Engine) startTest(st *pageState, page uint32, at trace.Microseconds) {
+	done := at + trace.Microseconds(e.cfg.LoRef/dram.Microsecond)
+	st.testing, st.loSince = true, done
+	e.rep.TestsStarted++
+	e.tests = append(e.tests, pendingTest{page: page, done: done})
+	if e.obs != nil {
 		e.obs.OnEvent(obs.Event{Kind: obs.KindTestQueued, Page: page, At: int64(at), Aux: int64(done)})
 	}
 }
 
-// schedule enqueues a test completion.
-func (e *Engine) schedule(page uint32, done trace.Microseconds) {
-	e.seq++
-	e.tests.Push(pendingTest{page: page, done: done, seq: e.seq})
+// abortTest voids page's test in flight at at: a write (aux 0) or a
+// re-test (aux 1) changed the content under test. Its completion stays
+// queued and is skipped when it comes due. The test's cost is spent on
+// a misprediction, and counts in the aborted part too.
+func (e *Engine) abortTest(st *pageState, page uint32, at trace.Microseconds, aux int64) {
+	st.testing = false
+	e.rep.TestsAborted++
+	e.rep.TestingTimeMispredNs += float64(e.testCost)
+	e.rep.TestingTimeAbortedNs += float64(e.testCost)
+	if e.obs != nil {
+		e.obs.OnEvent(obs.Event{Kind: obs.KindTestAborted, Page: page, At: int64(at), Aux: aux})
+	}
 }
 
-// drainTests completes every scheduled test up to time now.
+// leaveLoRef pulls page's row back to HI-REF at at, closing its LO-REF
+// stay.
+func (e *Engine) leaveLoRef(st *pageState, page uint32, at trace.Microseconds) {
+	st.loRef = false
+	e.rep.LoRefTime += float64(at - st.loSince)
+	if e.obs != nil {
+		e.obs.OnEvent(obs.Event{Kind: obs.KindRefreshToHi, Page: page, At: int64(at), Aux: int64(at - st.loSince)})
+	}
+}
+
+// settle gives the page's last completed test, if its verdict is still
+// open, its verdict at at: correct when the page stayed idle at least
+// MinWriteInterval after the test, mispredicted otherwise (§6.4). A
+// failed test counts too: the page stayed idle, MEMCON just could not
+// relax it.
+func (e *Engine) settle(st *pageState, at trace.Microseconds) {
+	if !st.tested {
+		return
+	}
+	st.tested = false
+	if dram.Nanoseconds(at-st.testedAt)*dram.Microsecond >= e.mwi {
+		e.rep.CorrectTests++
+		e.rep.TestingTimeCorrectNs += float64(e.testCost)
+	} else {
+		e.rep.MispredictedTests++
+		e.rep.TestingTimeMispredNs += float64(e.testCost)
+	}
+}
+
+// drainTests completes every queued test due by now, and compacts the
+// queue once its head passes half its length, so the queue holds only
+// the tests in flight even when it never empties.
 func (e *Engine) drainTests(now trace.Microseconds) {
-	for e.tests.Len() > 0 && e.tests.Peek().done <= now {
-		t := e.tests.Pop()
+	for e.head < len(e.tests) && e.tests[e.head].done <= now {
+		t := e.tests[e.head]
+		e.head++
 		st := &e.pages[t.page]
 		if !st.testing || t.done != st.loSince {
 			continue // aborted by a write or a re-test
 		}
 		st.testing = false
+		st.testedAt, st.tested = t.done, true
 		e.rep.TestsCompleted++
 		if e.tester.Test(t.page, t.done) {
 			st.loRef = true // since t.done, which loSince holds
-			st.testedAt, st.tested = t.done, true
 			if e.obs != nil {
 				e.obs.OnEvent(obs.Event{Kind: obs.KindTestDrained, Page: t.page, At: int64(t.done), Aux: 1})
 				e.obs.OnEvent(obs.Event{Kind: obs.KindRefreshToLo, Page: t.page, At: int64(t.done)})
 			}
 		} else {
+			// Mitigation: the row stays at HI-REF.
 			e.rep.TestsFailed++
-			// Mitigation: the row stays at HI-REF. The test itself was
-			// still a correct prediction cost-wise if the page stays
-			// idle; count it via testedAt as well.
-			st.testedAt, st.tested = t.done, true
 			if e.obs != nil {
 				e.obs.OnEvent(obs.Event{Kind: obs.KindTestDrained, Page: t.page, At: int64(t.done), Aux: 0})
 			}
 		}
+	}
+	if 2*e.head > len(e.tests) {
+		e.tests = e.tests[:copy(e.tests, e.tests[e.head:])]
+		e.head = 0
 	}
 }
 
@@ -484,91 +539,54 @@ func (e *Engine) Observe(ev trace.Event) error {
 		e.obs.OnEvent(obs.Event{Kind: obs.KindWrite, Page: ev.Page, At: int64(ev.At), Aux: gap})
 	}
 
-	// A write to an in-test row aborts the test: the content changed.
-	if st.testing {
-		st.testing = false
-		e.rep.TestsAborted++
-		e.rep.TestingTimeMispredNs += float64(e.testCost)
-		e.rep.TestingTimeAbortedNs += float64(e.testCost)
-		if e.obs != nil {
-			e.obs.OnEvent(obs.Event{Kind: obs.KindTestAborted, Page: ev.Page, At: int64(ev.At), Aux: 0})
-		}
+	// The write changes the content: it aborts a test in flight, pulls
+	// a LO-REF row back to HI-REF until re-tested, and settles the last
+	// completed test's verdict.
+	switch {
+	case st.testing:
+		e.abortTest(st, ev.Page, ev.At, 0)
+	case st.loRef:
+		e.leaveLoRef(st, ev.Page, ev.At)
 	}
-	// A write to a LO-REF row pulls it back to HI-REF until re-tested.
-	if st.loRef {
-		st.loRef = false
-		e.rep.LoRefTime += float64(ev.At - st.loSince)
-		if e.obs != nil {
-			e.obs.OnEvent(obs.Event{Kind: obs.KindRefreshToHi, Page: ev.Page, At: int64(ev.At), Aux: int64(ev.At - st.loSince)})
-		}
-	}
-	// Misprediction accounting for the last completed test.
-	if st.tested {
-		idleNs := dram.Nanoseconds(ev.At-st.testedAt) * dram.Microsecond
-		if idleNs < e.mwi {
-			e.rep.MispredictedTests++
-			e.rep.TestingTimeMispredNs += float64(e.testCost)
-		} else {
-			e.rep.CorrectTests++
-			e.rep.TestingTimeCorrectNs += float64(e.testCost)
-		}
-		st.tested = false
-	}
+	e.settle(st, ev.At)
 	if err := e.pred.Observe(ev); err != nil {
 		return err
 	}
 	if end, ok := e.pred.Settled(ev.Page); ok {
-		if e.tests.Len() > 0 && e.tests.Peek().done < end {
-			end = e.tests.Peek().done
+		if e.head < len(e.tests) && e.tests[e.head].done < end {
+			end = e.tests[e.head].done
 		}
 		e.settled, e.horizon = ev.Page, end
 	}
 	return nil
 }
 
-// Retest voids a page's current protection and immediately starts a new
-// test with its current content, without counting a program write. The
-// full-fidelity System calls this for the physical neighbours of a
-// written row (their aggressor content changed, so an earlier clean
-// verdict no longer applies). No-op for pages at HI-REF with no test in
-// flight — they carry no stale verdict to void, and a failed test's
-// pending verdict still counts toward prediction accuracy.
-func (e *Engine) Retest(page uint32, at trace.Microseconds) error {
+// Retest voids a page's current protection at the engine's clock and
+// immediately starts a new test with its current content, without
+// counting a program write. The full-fidelity System calls this for the
+// physical neighbours of a written row, right after observing the write
+// (their aggressor content changed, so an earlier clean verdict no
+// longer applies). A test in flight aborts, as on a write; a page at
+// LO-REF returns to HI-REF and its passed test is settled, as on a
+// write. No-op for pages at HI-REF with no test in flight — they carry
+// no stale verdict to void, and a failed test's pending verdict still
+// counts toward prediction accuracy.
+func (e *Engine) Retest(page uint32) error {
 	if int(page) >= len(e.pages) {
 		return fmt.Errorf("core: retest page %d outside configured space of %d", page, len(e.pages))
 	}
-	if at < e.now {
-		return fmt.Errorf("core: retest at %d before engine time %d", at, e.now)
-	}
-	e.horizon = 0 // the test it may queue can complete before the horizon
 	st := &e.pages[page]
-	if !st.loRef && !st.testing {
+	switch {
+	case st.testing:
+		e.abortTest(st, page, e.now, 1)
+	case st.loRef:
+		e.leaveLoRef(st, page, e.now)
+	default:
 		return nil
 	}
-	if st.testing {
-		st.testing = false
-		e.rep.TestsAborted++
-		e.rep.TestingTimeAbortedNs += float64(e.testCost)
-		if e.obs != nil {
-			e.obs.OnEvent(obs.Event{Kind: obs.KindTestAborted, Page: page, At: int64(at), Aux: 1})
-		}
-	}
-	if st.loRef {
-		st.loRef = false
-		e.rep.LoRefTime += float64(at - st.loSince)
-		if e.obs != nil {
-			e.obs.OnEvent(obs.Event{Kind: obs.KindRefreshToHi, Page: page, At: int64(at), Aux: int64(at - st.loSince)})
-		}
-	}
-	st.tested = false
-	st.testing = true
-	e.rep.TestsStarted++
-	done := at + trace.Microseconds(e.cfg.LoRef/dram.Microsecond)
-	st.loSince = done
-	e.schedule(page, done)
-	if e.obs != nil {
-		e.obs.OnEvent(obs.Event{Kind: obs.KindTestQueued, Page: page, At: int64(at), Aux: int64(done)})
-	}
+	e.settle(st, e.now)
+	e.horizon = 0 // the new test can complete before the horizon
+	e.startTest(st, page, e.now)
 	return nil
 }
 
@@ -584,10 +602,7 @@ func (e *Engine) RunContext(ctx context.Context, tr *trace.Trace) (Report, error
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var start time.Time
-	if e.obs != nil {
-		start = e.clock()
-	}
+	start := time.Now()
 	for i, ev := range tr.Events {
 		if i%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -603,13 +618,13 @@ func (e *Engine) RunContext(ctx context.Context, tr *trace.Trace) (Report, error
 		return Report{}, err
 	}
 	if e.obs != nil {
-		e.obs.OnEvent(obs.Event{Kind: obs.KindRunDone, At: int64(tr.Duration), Aux: e.clock().Sub(start).Nanoseconds()})
+		e.obs.OnEvent(obs.Event{Kind: obs.KindRunDone, At: int64(tr.Duration), Aux: time.Since(start).Nanoseconds()})
 	}
 	return rep, nil
 }
 
 // Finish flushes predictor quanta and pending tests up to end and
-// produces the final report.
+// produces the final report over the engine's pages.
 func (e *Engine) Finish(end trace.Microseconds) (Report, error) {
 	if end < e.now {
 		return Report{}, fmt.Errorf("core: finish time %d before engine time %d", end, e.now)
@@ -619,58 +634,21 @@ func (e *Engine) Finish(end trace.Microseconds) (Report, error) {
 	e.drainTests(end)
 	e.now = end
 
-	// Close LO-REF segments and settle outstanding test verdicts: a
-	// page that stayed idle to the end amortized its test.
+	// Close LO-REF stays and settle open verdicts: a page that stayed
+	// idle to the end amortized its test. A test still in flight counts
+	// as started but neither completed nor aborted.
 	for i := range e.pages {
 		st := &e.pages[i]
 		if st.loRef {
 			e.rep.LoRefTime += float64(end - st.loSince)
 			st.loRef = false
 		}
-		if st.tested {
-			idleNs := dram.Nanoseconds(end-st.testedAt) * dram.Microsecond
-			if idleNs >= e.mwi {
-				e.rep.CorrectTests++
-				e.rep.TestingTimeCorrectNs += float64(e.testCost)
-			} else {
-				e.rep.MispredictedTests++
-				e.rep.TestingTimeMispredNs += float64(e.testCost)
-			}
-			st.tested = false
-		}
-		if st.testing {
-			// Test still in flight at the end; count it as started but
-			// neither completed nor aborted.
-			st.testing = false
-		}
+		e.settle(st, end)
+		st.testing = false
 	}
-
-	// Fold in the module's read-only rows: each is tested once at
-	// startup (the test occupies the first LO-REF window) and stays at
-	// LO-REF for the remainder of the run.
-	if ro := e.cfg.ReadOnlyRows; ro > 0 {
-		loRefUs := float64(e.cfg.LoRef / dram.Microsecond)
-		roLo := float64(end) - loRefUs
-		if roLo < 0 {
-			roLo = 0
-		}
-		e.rep.LoRefTime += float64(ro) * roLo
-		e.rep.TestsStarted += int64(ro)
-		e.rep.TestsCompleted += int64(ro)
-		e.rep.CorrectTests += int64(ro)
-		e.rep.TestingTimeCorrectNs += float64(ro) * float64(e.testCost)
-	}
-
 	e.rep.Duration = end
-	e.rep.Pages = len(e.pages) + e.cfg.ReadOnlyRows
-	durNs := float64(end) * float64(dram.Microsecond)
-	pages := float64(e.rep.Pages)
-	// Refresh ops: LO-REF page-time at the LO rate, the rest at HI.
-	loNs := e.rep.LoRefTime * float64(dram.Microsecond)
-	hiNs := durNs*pages - loNs
-	e.rep.RefreshOps = hiNs/float64(e.cfg.HiRef) + loNs/float64(e.cfg.LoRef)
-	e.rep.BaselineOps = durNs * pages / float64(e.cfg.HiRef)
-	e.rep.UpperBoundOps = durNs * pages / float64(e.cfg.LoRef)
+	e.rep.Pages = len(e.pages)
+	e.rep.countRefreshes(e.cfg)
 	e.rep.Pril = e.pred.Stats()
 	return e.rep, nil
 }
@@ -705,10 +683,7 @@ func (e *Engine) RunSource(ctx context.Context, src trace.Source) (Report, error
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var start time.Time
-	if e.obs != nil {
-		start = e.clock()
-	}
+	start := time.Now()
 	for i := 0; ; i++ {
 		if i%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -734,7 +709,7 @@ func (e *Engine) RunSource(ctx context.Context, src trace.Source) (Report, error
 		return Report{}, err
 	}
 	if e.obs != nil {
-		e.obs.OnEvent(obs.Event{Kind: obs.KindRunDone, At: int64(src.Duration()), Aux: e.clock().Sub(start).Nanoseconds()})
+		e.obs.OnEvent(obs.Event{Kind: obs.KindRunDone, At: int64(src.Duration()), Aux: time.Since(start).Nanoseconds()})
 	}
 	return rep, nil
 }

@@ -5,15 +5,18 @@ import (
 	"slices"
 	"testing"
 
+	"memcon/internal/dram"
+	"memcon/internal/obs"
 	"memcon/internal/trace"
 )
 
 func TestReadOnlyRowsValidation(t *testing.T) {
-	c := cfgForTest()
-	c.ReadOnlyRows = -1
-	if err := c.Validate(); err == nil {
-		t.Error("negative read-only rows accepted")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("negative read-only rows accepted")
+		}
+	}()
+	Report{}.WithReadOnlyRows(-1, cfgForTest())
 }
 
 func TestReadOnlyRowsAccounting(t *testing.T) {
@@ -23,11 +26,14 @@ func TestReadOnlyRowsAccounting(t *testing.T) {
 	}
 	cfg := cfgForTest()
 	cfg.NumPages = 1
-	cfg.ReadOnlyRows = 9
 	rep, err := RunWith(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rep.Pages != 1 || rep.TestsCompleted != 1 {
+		t.Fatalf("the engine reports %d pages and %d completed tests, want 1 and 1", rep.Pages, rep.TestsCompleted)
+	}
+	rep = rep.WithReadOnlyRows(9, cfg)
 	if rep.Pages != 10 {
 		t.Errorf("pages = %d, want 10 (1 written + 9 read-only)", rep.Pages)
 	}
@@ -51,20 +57,14 @@ func TestRetestErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Retest(5, 0); err == nil {
+	if err := e.Retest(5); err == nil {
 		t.Error("out-of-range retest page accepted")
-	}
-	if err := e.Observe(trace.Event{Page: 0, At: q}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Retest(0, 0); err == nil {
-		t.Error("retest in the past accepted")
 	}
 }
 
 func TestRetestOnHiRefPageIsNoop(t *testing.T) {
 	e, _ := New(cfgForTest())
-	if err := e.Retest(0, 0); err != nil {
+	if err := e.Retest(0); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := e.Finish(4 * q)
@@ -99,7 +99,7 @@ func TestRetestAfterFailedTestKeepsVerdict(t *testing.T) {
 			t.Fatalf("at 3q page 0 has loRef=%v testing=%v, want HI-REF with no test", loRef, testing)
 		}
 		if retest {
-			if err := e.Retest(0, 3*q); err != nil {
+			if err := e.Retest(0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -114,6 +114,166 @@ func TestRetestAfterFailedTestKeepsVerdict(t *testing.T) {
 			t.Errorf("retest=%v: %d correct and %d mispredicted tests, want 2 and 0",
 				retest, rep.CorrectTests, rep.MispredictedTests)
 		}
+	}
+}
+
+// A re-test of a page at LO-REF voids its passed test's protection and
+// settles that test's verdict, as a write does: page 0, tested clean
+// at 2q plus one LO-REF window, stays idle past MinWriteInterval
+// before the re-test at 3q, so its first test was a correct
+// prediction. Every completed test gets one verdict.
+func TestRetestSettlesVoidedVerdict(t *testing.T) {
+	cfg := cfgForTest()
+	cfg.NumPages = 2
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Observe(trace.Event{Page: 0, At: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Observe(trace.Event{Page: 1, At: 3 * q}); err != nil {
+		t.Fatal(err)
+	}
+	if loRef, _ := e.pageStatus(0); !loRef {
+		t.Fatal("at 3q page 0 is not at LO-REF")
+	}
+	if err := e.Retest(0); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := e.Finish(10 * q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TestsCompleted != 3 || rep.CorrectTests != 3 || rep.MispredictedTests != 0 {
+		t.Errorf("%d tests completed, %d correct, %d mispredicted; want 3, 3 and 0",
+			rep.TestsCompleted, rep.CorrectTests, rep.MispredictedTests)
+	}
+	checkAccounting(t, "retest", rep, cfg)
+}
+
+// An aborted test's cost is spent once: it counts in the mispredicted
+// testing time, of which the aborted testing time is a part, and the
+// total counts it once, whether a write or a re-test aborted it.
+func TestAbortedTestCountsOnce(t *testing.T) {
+	for _, retest := range []bool{false, true} {
+		cfg := cfgForTest()
+		cfg.NumPages = 2
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Page 0's test is queued at 2q; at 2q + 2 ms it is in flight.
+		if err := e.Observe(trace.Event{Page: 0, At: 0}); err != nil {
+			t.Fatal(err)
+		}
+		at := 2*q + 2*trace.Millisecond
+		if retest {
+			if err := e.Observe(trace.Event{Page: 1, At: at}); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Retest(0); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := e.Observe(trace.Event{Page: 0, At: at}); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.Finish(at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost := float64(cfg.costConfig().TestCost())
+		if rep.TestsAborted != 1 || rep.TestingTimeAbortedNs != cost || rep.TestingTimeMispredNs != cost {
+			t.Errorf("retest=%v: %d aborted, aborted %v ns, mispredicted %v ns; want 1, %v and %v",
+				retest, rep.TestsAborted, rep.TestingTimeAbortedNs, rep.TestingTimeMispredNs, cost, cost)
+		}
+		if rep.TestingTimeNs() != cost {
+			t.Errorf("retest=%v: testing time %v ns, want one test's %v", retest, rep.TestingTimeNs(), cost)
+		}
+	}
+}
+
+// TestPendingTestFIFOTieBreak pins the engine's drain order for tests
+// that complete at the same instant: first-queued completes first, the
+// order a hardware CAM drains in.
+func TestPendingTestFIFOTieBreak(t *testing.T) {
+	var rec obs.Recorder
+	var tested []uint32
+	tester := TesterFunc(func(page uint32, _ trace.Microseconds) bool {
+		tested = append(tested, page)
+		return true
+	})
+	cfg := cfgForTest()
+	cfg.NumPages = 10
+	e, err := New(cfg, WithTester(tester), WithObserver(&rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	observe := func(page uint32, at trace.Microseconds) {
+		t.Helper()
+		if err := e.Observe(trace.Event{Page: page, At: at}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Pages written once in quantum 0 are predicted idle at 2q, and
+	// their tests complete together one LO-REF window later.
+	for i, page := range []uint32{9, 3, 7, 1} {
+		observe(page, trace.Microseconds(i))
+	}
+	observe(0, 3*q)
+	var queued []uint32
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KindTestQueued {
+			queued = append(queued, ev.Page)
+		}
+	}
+	if len(queued) != 4 || !slices.Equal(tested, queued) {
+		t.Errorf("tests queued for pages %v at 2q completed in page order %v", queued, tested)
+	}
+	// Re-tests issued at one instant complete together too.
+	tested = nil
+	for _, page := range []uint32{7, 3, 9} {
+		if err := e.Retest(page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Finish(4 * q); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint32{7, 3, 9}; !slices.Equal(tested, want) {
+		t.Errorf("re-tests completed in page order %v, want %v", tested, want)
+	}
+}
+
+// The test queue holds only the tests in flight even when re-tests
+// keep it from ever emptying: the drained head is compacted away.
+func TestTestQueueHoldsOnlyTestsInFlight(t *testing.T) {
+	cfg := cfgForTest()
+	cfg.NumPages = 2
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Observe(trace.Event{Page: 0, At: 0}); err != nil {
+		t.Fatal(err)
+	}
+	// Page 0's test is queued at 2q. Re-tested every half LO-REF window
+	// from then on, its test never completes, and a voided one comes
+	// due at every step.
+	half := trace.Microseconds(cfg.LoRef/dram.Microsecond) / 2
+	for i := range trace.Microseconds(1000) {
+		if err := e.Observe(trace.Event{Page: 1, At: 2*q + i*half}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Retest(0); err != nil {
+			t.Fatal(err)
+		}
+		if len(e.tests) > 4 {
+			t.Fatalf("after %d re-tests the queue holds %d entries, %d of them drained", i+1, len(e.tests), e.head)
+		}
+	}
+	if rep, err := e.Finish(e.now); err != nil || rep.TestsAborted != 1000 {
+		t.Errorf("%d tests aborted (err %v), want 1000", rep.TestsAborted, err)
 	}
 }
 
@@ -173,7 +333,7 @@ func TestRetestOfInFlightTestCompletesLate(t *testing.T) {
 	// its test would complete at 2112 ms.
 	observe(0, 0)
 	observe(1, 2060*ms) // a neighbour's write re-tests page 0
-	if err := e.Retest(0, 2060*ms); err != nil {
+	if err := e.Retest(0); err != nil {
 		t.Fatal(err)
 	}
 	observe(1, 2118*ms)

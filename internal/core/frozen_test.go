@@ -1,6 +1,7 @@
 package core
 
 import (
+	"container/heap"
 	"context"
 	"fmt"
 	"math/rand"
@@ -14,9 +15,13 @@ import (
 // This file freezes the engine as it was before the flat-state
 // rewrite: eagerly initialized page entries and a separate lastWrite
 // model (here irrelevant — no observer). The accounting logic is
-// copied verbatim. The differential test replays identical traces
-// through the frozen engine and the live one — fresh and streaming —
-// and demands identical reports.
+// copied verbatim, with two later fixes: a re-test settles the verdict
+// it voids and charges an aborted test as mispredicted, as a write
+// does. Its test queue is a binary heap ordered by (completion, queue
+// order), and it folds in the module's read-only rows itself. The
+// differential test replays identical traces through the frozen engine
+// and the live one — fresh and streaming — and demands identical
+// reports.
 // (The predictor rewrite is pinned separately in internal/pril.)
 
 type frozenPageState struct {
@@ -26,17 +31,45 @@ type frozenPageState struct {
 	testedAt trace.Microseconds
 }
 
+// frozenTest is a queued test completion; seq is the queue order.
+type frozenTest struct {
+	page uint32
+	done trace.Microseconds
+	seq  uint64
+}
+
+// frozenQueue is the frozen engine's test queue, a container/heap min-heap.
+type frozenQueue []frozenTest
+
+func (q frozenQueue) Len() int { return len(q) }
+func (q frozenQueue) Less(i, j int) bool {
+	if q[i].done != q[j].done {
+		return q[i].done < q[j].done
+	}
+	return q[i].seq < q[j].seq
+}
+func (q frozenQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *frozenQueue) Push(x any)   { *q = append(*q, x.(frozenTest)) }
+func (q *frozenQueue) Pop() any {
+	old := *q
+	t := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return t
+}
+
 type frozenEngine struct {
 	cfg      Config
 	tester   Tester
 	pred     *pril.Predictor
 	pages    []frozenPageState
-	tests    pqueue[pendingTest]
+	tests    frozenQueue
 	seq      uint64
 	mwi      dram.Nanoseconds
 	testCost dram.Nanoseconds
 	now      trace.Microseconds
 	rep      Report
+	// readOnlyRows is the rest of the module, folded in by finish.
+	readOnlyRows int
 }
 
 func newFrozenEngine(cfg Config, tester Tester) (*frozenEngine, error) {
@@ -60,7 +93,6 @@ func newFrozenEngine(cfg Config, tester Tester) (*frozenEngine, error) {
 		tester:   tester,
 		pred:     pred,
 		pages:    make([]frozenPageState, cfg.NumPages),
-		tests:    newPQueue(lessPendingTest),
 		mwi:      mwi,
 		testCost: cfg.costConfig().TestCost(),
 	}
@@ -83,12 +115,12 @@ func (e *frozenEngine) onPredict(page uint32, at trace.Microseconds) {
 	done := at + trace.Microseconds(e.cfg.LoRef/dram.Microsecond)
 	st.loSince = done
 	e.seq++
-	e.tests.Push(pendingTest{page: page, done: done, seq: e.seq})
+	heap.Push(&e.tests, frozenTest{page: page, done: done, seq: e.seq})
 }
 
 func (e *frozenEngine) drainTests(now trace.Microseconds) {
-	for e.tests.Len() > 0 && e.tests.Peek().done <= now {
-		t := e.tests.Pop()
+	for len(e.tests) > 0 && e.tests[0].done <= now {
+		t := heap.Pop(&e.tests).(frozenTest)
 		st := &e.pages[t.page]
 		if !st.testing || t.done != st.loSince {
 			continue
@@ -142,8 +174,10 @@ func (e *frozenEngine) observe(ev trace.Event) error {
 	return e.pred.Observe(ev)
 }
 
-// retest is Engine.Retest copied verbatim, in the frozen state layout
-// (testedAt -1 for no pending verdict) and without the observer calls.
+// retest is Engine.Retest as it was before its transitions got one body
+// each, in the frozen state layout (testedAt -1 for no pending verdict)
+// and without the observer calls, with the two fixes: the aborted test
+// counts as mispredicted and the voided verdict is settled.
 func (e *frozenEngine) retest(page uint32, at trace.Microseconds) error {
 	if int(page) >= len(e.pages) {
 		return fmt.Errorf("core: retest page %d outside configured space of %d", page, len(e.pages))
@@ -158,19 +192,30 @@ func (e *frozenEngine) retest(page uint32, at trace.Microseconds) error {
 	if st.testing {
 		st.testing = false
 		e.rep.TestsAborted++
+		e.rep.TestingTimeMispredNs += float64(e.testCost)
 		e.rep.TestingTimeAbortedNs += float64(e.testCost)
 	}
 	if st.loRef {
 		st.loRef = false
 		e.rep.LoRefTime += float64(at - st.loSince)
 	}
-	st.testedAt = -1
+	if st.testedAt >= 0 {
+		idleNs := dram.Nanoseconds(at-st.testedAt) * dram.Microsecond
+		if idleNs < e.mwi {
+			e.rep.MispredictedTests++
+			e.rep.TestingTimeMispredNs += float64(e.testCost)
+		} else {
+			e.rep.CorrectTests++
+			e.rep.TestingTimeCorrectNs += float64(e.testCost)
+		}
+		st.testedAt = -1
+	}
 	st.testing = true
 	e.rep.TestsStarted++
 	done := at + trace.Microseconds(e.cfg.LoRef/dram.Microsecond)
 	st.loSince = done
 	e.seq++
-	e.tests.Push(pendingTest{page: page, done: done, seq: e.seq})
+	heap.Push(&e.tests, frozenTest{page: page, done: done, seq: e.seq})
 	return nil
 }
 
@@ -204,7 +249,7 @@ func (e *frozenEngine) finish(end trace.Microseconds) (Report, error) {
 		}
 	}
 
-	if ro := e.cfg.ReadOnlyRows; ro > 0 {
+	if ro := e.readOnlyRows; ro > 0 {
 		loRefUs := float64(e.cfg.LoRef / dram.Microsecond)
 		roLo := float64(end) - loRefUs
 		if roLo < 0 {
@@ -218,7 +263,7 @@ func (e *frozenEngine) finish(end trace.Microseconds) (Report, error) {
 	}
 
 	e.rep.Duration = end
-	e.rep.Pages = len(e.pages) + e.cfg.ReadOnlyRows
+	e.rep.Pages = len(e.pages) + e.readOnlyRows
 	durNs := float64(end) * float64(dram.Microsecond)
 	pages := float64(e.rep.Pages)
 	loNs := e.rep.LoRefTime * float64(dram.Microsecond)
@@ -279,7 +324,7 @@ func TestDifferentialAgainstFrozenEngine(t *testing.T) {
 				cfg.Quantum = quantum
 				cfg.BufferCap = bufCap
 				cfg.NumPages = 256
-				cfg.ReadOnlyRows = 64
+				const readOnlyRows = 64
 				tester := flakyTester(7)
 				tr := engineDiffTrace(seed, cfg.NumPages, quantum, 8)
 				name := fmt.Sprintf("seed=%d quantum=%dms cap=%d", seed, quantum/trace.Millisecond, bufCap)
@@ -288,6 +333,7 @@ func TestDifferentialAgainstFrozenEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				frozen.readOnlyRows = readOnlyRows
 				for _, ev := range tr.Events {
 					if err := frozen.observe(ev); err != nil {
 						t.Fatal(err)
@@ -307,9 +353,10 @@ func TestDifferentialAgainstFrozenEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got != want {
+				if got = got.WithReadOnlyRows(readOnlyRows, cfg); got != want {
 					t.Fatalf("%s: fresh run diverges:\n got %+v\nwant %+v", name, got, want)
 				}
+				checkAccounting(t, name, got, cfg)
 
 				// Streaming: replay compact bytes through the Source
 				// path with a deliberately undersized initial page
@@ -320,7 +367,7 @@ func TestDifferentialAgainstFrozenEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got != want {
+				if got = got.WithReadOnlyRows(readOnlyRows, cfg); got != want {
 					t.Fatalf("%s: streaming run diverges:\n got %+v\nwant %+v", name, got, want)
 				}
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"memcon/internal/obs"
 	"memcon/internal/trace"
@@ -25,9 +24,7 @@ func TestObserverEventOrdering(t *testing.T) {
 	var rec obs.Recorder
 	cfg := cfgForTest()
 	cfg.NumPages = 2
-	eng, err := New(cfg,
-		WithObserver(&rec),
-		WithClock(func() time.Time { return time.Unix(0, 0) }))
+	eng, err := New(cfg, WithObserver(&rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +49,9 @@ func TestObserverEventOrdering(t *testing.T) {
 	}
 	var got []string
 	for _, e := range rec.Events() {
+		if e.Kind == obs.KindRunDone {
+			e.Aux = 0 // wall nanoseconds
+		}
 		got = append(got, e.String())
 	}
 	// Note the drain entries surface the engine's actual drain pass
@@ -116,8 +116,7 @@ func TestObserverOrderingRepeatable(t *testing.T) {
 		var rec obs.Recorder
 		cfg := cfgForTest()
 		cfg.NumPages = 4
-		eng, err := New(cfg, WithObserver(&rec),
-			WithClock(func() time.Time { return time.Unix(0, 0) }))
+		eng, err := New(cfg, WithObserver(&rec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +131,11 @@ func TestObserverOrderingRepeatable(t *testing.T) {
 		if _, err := eng.RunContext(context.Background(), tr); err != nil {
 			t.Fatal(err)
 		}
-		return rec.Events()
+		events := rec.Events()
+		if last := &events[len(events)-1]; last.Kind == obs.KindRunDone {
+			last.Aux = 0 // wall nanoseconds
+		}
+		return events
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -146,12 +149,8 @@ func TestObserverOrderingRepeatable(t *testing.T) {
 	if len(a) == 0 {
 		t.Fatal("no events recorded")
 	}
-	last := a[len(a)-1]
-	if last.Kind != obs.KindRunDone {
+	if last := a[len(a)-1]; last.Kind != obs.KindRunDone {
 		t.Errorf("last event = %v, want run_done", last)
-	}
-	if last.Aux != 0 {
-		t.Errorf("run_done wall ns = %d, want 0 under the frozen clock", last.Aux)
 	}
 }
 

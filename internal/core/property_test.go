@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -26,8 +27,8 @@ func randomTrace(seed int64, events, pages int, horizon trace.Microseconds) *tra
 //  1. RefreshOps within [UpperBoundOps, BaselineOps].
 //  2. LoRefTime within [0, pages*duration].
 //  3. TestsCompleted + TestsAborted <= TestsStarted.
-//  4. CorrectTests + MispredictedTests == TestsCompleted (every completed
-//     test eventually gets a verdict).
+//  4. The accounting identities of checkAccounting, before and after
+//     the read-only fold.
 //  5. Coverage within [0, 1].
 func TestEngineInvariantsOnRandomTraces(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
@@ -47,10 +48,7 @@ func TestEngineInvariantsOnRandomTraces(t *testing.T) {
 			t.Errorf("seed %d: completed %d + aborted %d > started %d",
 				seed, rep.TestsCompleted, rep.TestsAborted, rep.TestsStarted)
 		}
-		if rep.CorrectTests+rep.MispredictedTests != rep.TestsCompleted {
-			t.Errorf("seed %d: verdicts %d+%d != completed %d",
-				seed, rep.CorrectTests, rep.MispredictedTests, rep.TestsCompleted)
-		}
+		checkAccounting(t, fmt.Sprintf("seed %d", seed), rep, cfgForTest())
 		if cov := rep.LoRefCoverage(); cov < 0 || cov > 1 {
 			t.Errorf("seed %d: coverage %v outside [0,1]", seed, cov)
 		}
@@ -75,8 +73,30 @@ func TestEngineInvariantsUnderFailuresAndOverflow(t *testing.T) {
 		if rep.RefreshOps < rep.UpperBoundOps-1e-6 || rep.RefreshOps > rep.BaselineOps+1e-6 {
 			t.Errorf("seed %d: ops %v out of bounds", seed, rep.RefreshOps)
 		}
-		if rep.CorrectTests+rep.MispredictedTests != rep.TestsCompleted {
-			t.Errorf("seed %d: verdict accounting broken", seed)
+		checkAccounting(t, fmt.Sprintf("seed %d", seed), rep, cfg)
+	}
+}
+
+// checkAccounting holds a report to the engine's accounting identities,
+// and then its fold with nine read-only rows per page: every completed
+// test gets one verdict, and testing time is the per-test cost times
+// the tests it was spent on, exactly (a sum of one integer-valued
+// cost). An aborted test counts as mispredicted.
+func checkAccounting(t testing.TB, name string, rep Report, cfg Config) {
+	t.Helper()
+	cost := float64(cfg.costConfig().TestCost())
+	for _, r := range []Report{rep, rep.WithReadOnlyRows(9*rep.Pages, cfg)} {
+		if r.CorrectTests+r.MispredictedTests != r.TestsCompleted {
+			t.Fatalf("%s: %d correct + %d mispredicted tests, but %d completed",
+				name, r.CorrectTests, r.MispredictedTests, r.TestsCompleted)
+		}
+		if want := cost * float64(r.CorrectTests+r.MispredictedTests+r.TestsAborted); r.TestingTimeNs() != want {
+			t.Fatalf("%s: testing time %v ns, want %v (%d correct, %d mispredicted, %d aborted)",
+				name, r.TestingTimeNs(), want, r.CorrectTests, r.MispredictedTests, r.TestsAborted)
+		}
+		if want := cost * float64(r.TestsAborted); r.TestingTimeAbortedNs != want {
+			t.Fatalf("%s: aborted testing time %v ns, want %v (%d aborted)",
+				name, r.TestingTimeAbortedNs, want, r.TestsAborted)
 		}
 	}
 }

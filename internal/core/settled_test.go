@@ -93,7 +93,7 @@ func (p *enginePair) retestNeighbours(page uint32, at trace.Microseconds) {
 			if err := p.frozen.retest(nb, at); err != nil {
 				p.t.Fatal(err)
 			}
-			if err := p.live.Retest(nb, at); err != nil {
+			if err := p.live.Retest(nb); err != nil {
 				p.t.Fatal(err)
 			}
 		}
@@ -115,6 +115,7 @@ func (p *enginePair) finish(name string, end trace.Microseconds) {
 	if got != want {
 		p.t.Fatalf("%s: report diverges:\n got %+v\nwant %+v", name, got, want)
 	}
+	checkAccounting(p.t, name, got, p.live.cfg)
 	for i := range min(len(p.got.log), len(p.want.log)) {
 		if p.got.log[i] != p.want.log[i] {
 			p.t.Fatalf("%s: test %d diverges: live %+v, frozen %+v", name, i, p.got.log[i], p.want.log[i])
@@ -172,7 +173,7 @@ func replaySettledOps(t testing.TB, data []byte) (writes int, settled int64) {
 		case 4: // on the next quantum boundary, or 1 µs either side
 			at = max(at, (at/cfg.Quantum+1)*cfg.Quantum-1+trace.Microseconds(c.next(3)))
 		case 5: // on a queued test's completion, or 1 µs either side
-			if items := p.frozen.tests.items; len(items) > 0 {
+			if items := p.frozen.tests; len(items) > 0 {
 				at = max(at, items[c.next(len(items))].done-1+trace.Microseconds(c.next(3)))
 			}
 		case 6: // one LO-REF window
@@ -276,9 +277,11 @@ func TestSettledWriteCount(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := e.RunContext(context.Background(), tr); err != nil {
+			rep, err := e.RunContext(context.Background(), tr)
+			if err != nil {
 				t.Fatal(err)
 			}
+			checkAccounting(t, fmt.Sprintf("%s quantum=%dms", app.Name, quantum/trace.Millisecond), rep, cfg)
 			got[i] += e.settledWrites
 		}
 	}

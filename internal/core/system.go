@@ -59,7 +59,7 @@ type System struct {
 // bank and remaps any row that fails failThreshold consecutive online
 // tests. Must be called before Run.
 func (s *System) EnableRemapMitigation(sparesPerBank, failThreshold int) error {
-	table, err := remap.New(s.geom, sparesPerBank, 0)
+	table, err := remap.New(s.geom, sparesPerBank)
 	if err != nil {
 		return err
 	}
@@ -214,7 +214,7 @@ func (s *System) RunContext(ctx context.Context, tr *trace.Trace) (Report, error
 		for _, nb := range s.model.NeighborSysRows(addr) {
 			page := uint32(s.geom.RowIndex(nb))
 			if loRef, testing := s.eng.pageStatus(page); loRef || testing {
-				if err := s.eng.Retest(page, ev.At); err != nil {
+				if err := s.eng.Retest(page); err != nil {
 					return Report{}, err
 				}
 				if s.obs != nil {

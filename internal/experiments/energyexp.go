@@ -34,11 +34,11 @@ func RunEnergy(ctx context.Context, req Request, rt Runtime) (*report.Report, er
 	tr := app.Generate(req.Seed, req.Scale)
 	cfg := core.DefaultConfig()
 	cfg.Quantum = 1024 * trace.Millisecond
-	cfg.ReadOnlyRows = 9 * (tr.MaxPage() + 1)
 	run, err := core.RunContext(ctx, tr, cfg, core.WithObserver(rt.Observer))
 	if err != nil {
 		return nil, err
 	}
+	run = run.WithReadOnlyRows(9*(tr.MaxPage()+1), cfg)
 
 	budget := energy.DDR3Budget()
 	durNs := dram.Nanoseconds(run.Duration) * dram.Microsecond

@@ -135,16 +135,16 @@ func RunFig18(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 		tr := apps[i].Generate(req.Seed, req.Scale)
 		cfg := core.DefaultConfig()
 		cfg.Quantum = 1024 * trace.Millisecond
+		rep, err := core.RunContext(ctx, tr, cfg, core.WithObserver(rt.Observer))
+		if err != nil {
+			return fig18Row{}, err
+		}
 		// Model the full module: the workload's written footprint is a
 		// small slice of an 8 GB DIMM; the rest holds static content
 		// that MEMCON tests once and keeps at LO-REF (§6.1). This is
 		// what makes testing time minuscule against the module-wide
 		// refresh bill in the paper's Fig. 18.
-		cfg.ReadOnlyRows = 9 * (tr.MaxPage() + 1)
-		rep, err := core.RunContext(ctx, tr, cfg, core.WithObserver(rt.Observer))
-		if err != nil {
-			return fig18Row{}, err
-		}
+		rep = rep.WithReadOnlyRows(9*(tr.MaxPage()+1), cfg)
 		base := rep.BaselineRefreshTimeNs()
 		refreshNs := rep.RefreshOps * 39 // tRAS+tRP per op
 		return fig18Row{

@@ -8,16 +8,15 @@
 // (first uncorrectable error, if any) that the analytics layer scores
 // predictions against.
 //
-// # Determinism and sharding
+// # Determinism
 //
 // A fleet run is embarrassingly parallel: every module's months are a
 // pure function of (base seed, module index) via parallel.Seed, never
-// of shard boundaries, worker identity, or scheduling. Execution
-// shards modules into contiguous ranges fanned out over
-// internal/parallel workers with ordered fan-in, so the log — and
-// every report derived from it — is byte-identical for ANY shard count
-// and ANY worker count, including 1. The property test in
-// fleet_test.go pins exactly that for shards 1/4/8 × workers 1/4/8.
+// of worker identity or scheduling. Each module is one work unit,
+// fanned out over internal/parallel workers with ordered fan-in, so
+// the log — and every report derived from it — is byte-identical for
+// ANY worker count, including 1. The property test in fleet_test.go
+// pins exactly that for workers 1/4/8.
 //
 // # Simulation model
 //
@@ -56,7 +55,7 @@ import (
 // default 12-epoch run covers roughly three months of field time.
 const EpochNs = int64(7*24) * int64(3600) * 1_000_000_000
 
-// DefaultEpochs is the default observation length in scrub epochs.
+// DefaultEpochs is the observation length of a run in scrub epochs.
 const DefaultEpochs = 12
 
 // Event is one correctable error: a single failing cell reported by a
@@ -113,15 +112,7 @@ type Config struct {
 	// Scale in (0,1] shrinks per-module geometries (rows per bank,
 	// floor 64); values outside the range select 1.
 	Scale float64
-	// Epochs is the number of weekly scrub epochs; values below 1
-	// select DefaultEpochs.
-	Epochs int
-	// Shards is the number of contiguous module ranges the run fans
-	// out over — the work-unit count, NOT the concurrency. Values
-	// below 1 select one shard per module (maximum parallelism). The
-	// log is byte-identical for any value.
-	Shards int
-	// Workers bounds the goroutines executing shards; values below 1
+	// Workers bounds the goroutines simulating modules; values below 1
 	// select runtime.GOMAXPROCS(0). The log is byte-identical for any
 	// value.
 	Workers int
@@ -137,12 +128,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.Scale <= 0 || c.Scale > 1 {
 		c.Scale = 1
-	}
-	if c.Epochs < 1 {
-		c.Epochs = DefaultEpochs
-	}
-	if c.Shards < 1 || c.Shards > c.Modules {
-		c.Shards = c.Modules
 	}
 	if c.Workers < 1 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -192,8 +177,8 @@ type Log struct {
 }
 
 // Run simulates the fleet and returns its CE log. The result is a pure
-// function of the normalized Config minus Shards and Workers — those
-// only partition and schedule the work.
+// function of the normalized Config minus Workers, which only
+// schedules the work.
 func Run(ctx context.Context, cfg Config) (*Log, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -202,49 +187,31 @@ func Run(ctx context.Context, cfg Config) (*Log, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	type shardOut struct {
+	type moduleOut struct {
 		events []Event
-		info   []ModuleInfo
+		info   ModuleInfo
 	}
-	shards, err := parallel.Map(ctx, cfg.Shards, cfg.Workers, func(s int) (shardOut, error) {
-		lo, hi := shardBounds(cfg.Modules, cfg.Shards, s)
-		var out shardOut
-		for m := lo; m < hi; m++ {
-			ev, info, err := simModule(cfg, m)
-			if err != nil {
-				return shardOut{}, fmt.Errorf("fleet: module %d: %w", m, err)
-			}
-			out.events = append(out.events, ev...)
-			out.info = append(out.info, info)
+	modules, err := parallel.Map(ctx, cfg.Modules, cfg.Workers, func(m int) (moduleOut, error) {
+		ev, info, err := simModule(cfg, m)
+		if err != nil {
+			return moduleOut{}, fmt.Errorf("fleet: module %d: %w", m, err)
 		}
-		return out, nil
+		return moduleOut{ev, info}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	log := &Log{Modules: cfg.Modules, Epochs: cfg.Epochs, EpochNs: EpochNs}
-	for _, s := range shards {
-		log.Events = append(log.Events, s.events...)
-		log.Info = append(log.Info, s.info...)
+	log := &Log{Modules: cfg.Modules, Epochs: DefaultEpochs, EpochNs: EpochNs}
+	for _, m := range modules {
+		log.Events = append(log.Events, m.events...)
+		log.Info = append(log.Info, m.info)
 	}
 	return log, nil
 }
 
-// shardBounds returns the half-open module range of shard s: the
-// balanced contiguous partition of n modules into k shards.
-func shardBounds(n, k, s int) (lo, hi int) {
-	per, rem := n/k, n%k
-	lo = s*per + min(s, rem)
-	hi = lo + per
-	if s < rem {
-		hi++
-	}
-	return lo, hi
-}
-
 // simModule runs one module's observation window. Everything derives
 // from the module's own splitmix64-derived seed, so the result is
-// independent of which shard or worker executes it.
+// independent of which worker executes it.
 func simModule(cfg Config, module int) ([]Event, ModuleInfo, error) {
 	seed := parallel.Seed(cfg.Seed, module)
 	rng := rand.New(rand.NewSource(seed))
@@ -296,7 +263,7 @@ func simModule(cfg Config, module int) ([]Event, ModuleInfo, error) {
 
 	var events []Event
 	floor := float64(params.RetentionFloor)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < DefaultEpochs; epoch++ {
 		at := int64(epoch+1) * EpochNs
 		// The vulnerable idle window this epoch's rows sat through
 		// before the scrub: log-uniform in [0.5, 2] refresh floors.

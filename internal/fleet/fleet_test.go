@@ -19,9 +19,9 @@ func compareEvents(a, b Event) int {
 }
 
 // TestShardingInvariance is the tentpole property test: a 1,000-module
-// fleet produces a byte-identical CE log — and identical ground truth —
-// across shard counts 1/4/8 and worker counts 1/4/8. Sharding and
-// scheduling partition the work; they must never leak into the result.
+// fleet, one work unit per module, produces a byte-identical CE log —
+// and identical ground truth — across worker counts 1/4/8. Scheduling
+// must never leak into the result.
 func TestShardingInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1,000-module fleet sweep")
@@ -30,37 +30,33 @@ func TestShardingInvariance(t *testing.T) {
 
 	var ref []byte
 	var refInfo []ModuleInfo
-	for _, shards := range []int{1, 4, 8} {
-		for _, workers := range []int{1, 4, 8} {
-			cfg := base
-			cfg.Shards, cfg.Workers = shards, workers
-			log, err := Run(context.Background(), cfg)
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
+	for _, workers := range []int{1, 4, 8} {
+		cfg := base
+		cfg.Workers = workers
+		log, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var buf bytes.Buffer
+		if err := WriteLog(&buf, log); err != nil {
+			t.Fatalf("workers=%d: encoding: %v", workers, err)
+		}
+		if ref == nil {
+			ref, refInfo = buf.Bytes(), log.Info
+			if len(log.Events) == 0 {
+				t.Fatal("reference run produced no CE events; the property test is vacuous")
 			}
-			var buf bytes.Buffer
-			if err := WriteLog(&buf, log); err != nil {
-				t.Fatalf("shards=%d workers=%d: encoding: %v", shards, workers, err)
-			}
-			if ref == nil {
-				ref, refInfo = buf.Bytes(), log.Info
-				if len(log.Events) == 0 {
-					t.Fatal("reference run produced no CE events; the property test is vacuous")
-				}
-				continue
-			}
-			if !bytes.Equal(buf.Bytes(), ref) {
-				t.Errorf("shards=%d workers=%d: CE log differs from shards=1 workers=1 (%d vs %d bytes)",
-					shards, workers, buf.Len(), len(ref))
-			}
-			if len(log.Info) != len(refInfo) {
-				t.Fatalf("shards=%d workers=%d: %d Info entries, want %d", shards, workers, len(log.Info), len(refInfo))
-			}
-			for m := range log.Info {
-				if log.Info[m] != refInfo[m] {
-					t.Errorf("shards=%d workers=%d: Info[%d] = %+v, want %+v",
-						shards, workers, m, log.Info[m], refInfo[m])
-				}
+			continue
+		}
+		if !bytes.Equal(buf.Bytes(), ref) {
+			t.Errorf("workers=%d: CE log differs from workers=1 (%d vs %d bytes)", workers, buf.Len(), len(ref))
+		}
+		if len(log.Info) != len(refInfo) {
+			t.Fatalf("workers=%d: %d Info entries, want %d", workers, len(log.Info), len(refInfo))
+		}
+		for m := range log.Info {
+			if log.Info[m] != refInfo[m] {
+				t.Errorf("workers=%d: Info[%d] = %+v, want %+v", workers, m, log.Info[m], refInfo[m])
 			}
 		}
 	}
@@ -145,40 +141,12 @@ func TestRunConfigValidation(t *testing.T) {
 	}
 	// Out-of-range knobs normalize rather than fail.
 	log, err := Run(context.Background(), Config{
-		Modules: 3, Seed: 1, Scale: -2, Epochs: -1, Shards: 99, Workers: -5,
+		Modules: 3, Seed: 1, Scale: -2, Workers: -5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if log.Epochs != DefaultEpochs {
-		t.Errorf("Epochs normalized to %d, want %d", log.Epochs, DefaultEpochs)
-	}
-}
-
-// TestShardBounds pins the partition property: the shard ranges tile
-// [0, n) contiguously with sizes differing by at most one.
-func TestShardBounds(t *testing.T) {
-	for _, tc := range []struct{ n, k int }{
-		{1, 1}, {7, 3}, {8, 8}, {1000, 4}, {1000, 8}, {5, 4},
-	} {
-		next, minSize, maxSize := 0, tc.n, 0
-		for s := 0; s < tc.k; s++ {
-			lo, hi := shardBounds(tc.n, tc.k, s)
-			if lo != next {
-				t.Fatalf("n=%d k=%d: shard %d starts at %d, want %d", tc.n, tc.k, s, lo, next)
-			}
-			if hi < lo {
-				t.Fatalf("n=%d k=%d: shard %d is negative [%d,%d)", tc.n, tc.k, s, lo, hi)
-			}
-			minSize = min(minSize, hi-lo)
-			maxSize = max(maxSize, hi-lo)
-			next = hi
-		}
-		if next != tc.n {
-			t.Fatalf("n=%d k=%d: shards end at %d", tc.n, tc.k, next)
-		}
-		if maxSize-minSize > 1 {
-			t.Fatalf("n=%d k=%d: unbalanced shard sizes %d..%d", tc.n, tc.k, minSize, maxSize)
-		}
+		t.Errorf("the log spans %d epochs, want %d", log.Epochs, DefaultEpochs)
 	}
 }

@@ -53,13 +53,25 @@ func FitCCDF(samples []float64) (Fit, error) {
 			xs = append(xs, s)
 		}
 	}
+	sort.Float64s(xs)
+	var r regression
+	return r.fit(xs)
+}
+
+// regression holds the log-log points of a CCDF fit, reused across the
+// fits of one FitCCDFTail call.
+type regression struct {
+	logX, logP []float64
+}
+
+// fit fits a Pareto distribution to xs, which must be sorted, positive
+// and finite.
+func (r *regression) fit(xs []float64) (Fit, error) {
 	if len(xs) < 8 {
 		return Fit{}, ErrInsufficientData
 	}
-	sort.Float64s(xs)
-
 	n := float64(len(xs))
-	var logX, logP []float64
+	r.logX, r.logP = r.logX[:0], r.logP[:0]
 	for i := 0; i < len(xs); i++ {
 		// Skip duplicates: use the last index for each distinct value so
 		// the CCDF point is exact.
@@ -70,13 +82,13 @@ func FitCCDF(samples []float64) (Fit, error) {
 		if ccdf <= 0 {
 			continue // the maximum has empirical CCDF 0; log undefined
 		}
-		logX = append(logX, math.Log10(xs[i]))
-		logP = append(logP, math.Log10(ccdf))
+		r.logX = append(r.logX, math.Log10(xs[i]))
+		r.logP = append(r.logP, math.Log10(ccdf))
 	}
-	if len(logX) < 4 {
+	if len(r.logX) < 4 {
 		return Fit{}, ErrInsufficientData
 	}
-	lf, err := stats.FitLine(logX, logP)
+	lf, err := stats.FitLine(r.logX, r.logP)
 	if err != nil {
 		return Fit{}, err
 	}
@@ -90,7 +102,7 @@ func FitCCDF(samples []float64) (Fit, error) {
 	return Fit{
 		Dist:   Dist{Xm: xm, Alpha: alpha},
 		R2:     lf.R2,
-		Points: len(logX),
+		Points: len(r.logX),
 	}, nil
 }
 
@@ -101,7 +113,8 @@ func FitCCDF(samples []float64) (Fit, error) {
 // sub-sample at or above it, and returns the fit with the best R² among
 // thresholds that keep at least minTail samples — a lightweight version
 // of the usual xmin-selection for power-law fitting. Candidates default
-// to powers of two from 1 to 4096 when nil.
+// to powers of two from 1 to 4096 when nil. The sample is sorted once:
+// each candidate's tail is a suffix of it, fitted as FitCCDF fits it.
 func FitCCDFTail(samples []float64, candidates []float64, minTail int) (Fit, error) {
 	if candidates == nil {
 		for x := 1.0; x <= 4096; x *= 2 {
@@ -111,19 +124,25 @@ func FitCCDFTail(samples []float64, candidates []float64, minTail int) (Fit, err
 	if minTail < 16 {
 		minTail = 16
 	}
+	xs := make([]float64, 0, len(samples))
+	for _, s := range samples {
+		if !math.IsNaN(s) {
+			xs = append(xs, s)
+		}
+	}
+	sort.Float64s(xs)
+	// xs[pos:inf] are the values FitCCDF keeps: positive and finite.
+	pos := sort.Search(len(xs), func(i int) bool { return xs[i] > 0 })
+	inf := sort.Search(len(xs), func(i int) bool { return math.IsInf(xs[i], 1) })
 	best := Fit{R2: -1}
 	var firstErr error
+	var r regression
 	for _, c := range candidates {
-		var tail []float64
-		for _, s := range samples {
-			if s >= c {
-				tail = append(tail, s)
-			}
-		}
-		if len(tail) < minTail {
+		from := sort.SearchFloat64s(xs, c) // len(xs) for a NaN candidate
+		if len(xs)-from < minTail {
 			continue
 		}
-		fit, err := FitCCDF(tail)
+		fit, err := r.fit(xs[max(from, pos):inf])
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

@@ -24,11 +24,9 @@ import (
 	"memcon/internal/softmc"
 )
 
-// Config parameterizes a profiling campaign.
+// Config parameterizes a profiling campaign over the 8 classic
+// manufacturing patterns.
 type Config struct {
-	// Patterns is the test-pattern suite (defaults to the 8 classic
-	// manufacturing patterns when nil).
-	Patterns []softmc.Pattern
 	// Rounds repeats the whole suite to catch intermittent failures.
 	Rounds int
 	// TargetIdle is the retention window the profile must guarantee
@@ -98,10 +96,7 @@ func Run(tester *softmc.Tester, geom dram.Geometry, cfg Config) (*Profile, error
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	patterns := cfg.Patterns
-	if patterns == nil {
-		patterns = softmc.StandardPatterns(8)
-	}
+	patterns := softmc.StandardPatterns(8)
 	idle := dram.Nanoseconds(float64(cfg.TargetIdle) * cfg.Guardband)
 	p := &Profile{
 		WeakRows: make(map[int]int),

@@ -139,17 +139,3 @@ func TestEscapeReportZeroTruth(t *testing.T) {
 		t.Error("zero-truth escape rate should be 0")
 	}
 }
-
-func TestCustomPatterns(t *testing.T) {
-	tester, _, geom := newChip(t, 9, 5e-3)
-	cfg := DefaultConfig()
-	cfg.Patterns = []softmc.Pattern{softmc.SolidPattern(0)}
-	cfg.Rounds = 1
-	p, err := Run(tester, geom, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Runs != 1 {
-		t.Errorf("runs = %d, want 1", p.Runs)
-	}
-}

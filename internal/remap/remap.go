@@ -6,10 +6,10 @@
 // be remapped to spare rows in a reliable region, freeing them from the
 // aggressive refresh rate entirely.
 //
-// The table models the memory-controller indirection: a bounded set of
-// (faulty row -> spare row) entries consulted on every access. Spare
-// rows come from a reserved region, like the Copy-and-Compare parking
-// region but permanent.
+// The table models the memory-controller indirection: a set of (faulty
+// row -> spare row) entries, one per spare at most, consulted on every
+// access. Spare rows come from a reserved region, like the
+// Copy-and-Compare parking region but permanent.
 package remap
 
 import (
@@ -21,8 +21,6 @@ import (
 // Table is the controller-side remap table.
 type Table struct {
 	geom dram.Geometry
-	// capacity bounds the number of remapped rows (CAM size).
-	capacity int
 	// spares lists unused spare rows, drawn from the reserved region.
 	spares []dram.RowAddress
 	// forward maps faulty rows to their spares.
@@ -30,23 +28,17 @@ type Table struct {
 }
 
 // New builds a remap table with sparesPerBank spare rows reserved at
-// the top of each bank and a CAM of the given capacity (0 means as many
-// entries as spares).
-func New(geom dram.Geometry, sparesPerBank, capacity int) (*Table, error) {
+// the top of each bank.
+func New(geom dram.Geometry, sparesPerBank int) (*Table, error) {
 	if err := geom.Validate(); err != nil {
 		return nil, err
 	}
 	if sparesPerBank <= 0 || sparesPerBank >= geom.RowsPerBank {
 		return nil, fmt.Errorf("remap: spares per bank %d outside (0,%d)", sparesPerBank, geom.RowsPerBank)
 	}
-	totalSpares := sparesPerBank * geom.BanksPerChip
-	if capacity <= 0 || capacity > totalSpares {
-		capacity = totalSpares
-	}
 	t := &Table{
-		geom:     geom,
-		capacity: capacity,
-		forward:  make(map[dram.RowAddress]dram.RowAddress),
+		geom:    geom,
+		forward: make(map[dram.RowAddress]dram.RowAddress),
 	}
 	for b := 0; b < geom.BanksPerChip; b++ {
 		for i := 0; i < sparesPerBank; i++ {
@@ -70,8 +62,7 @@ func (t *Table) IsRemapped(a dram.RowAddress) bool {
 
 // Remap redirects faulty row a to a spare row in the same bank (same
 // bank keeps timing behaviour identical). It fails when the row is in
-// the spare region, already remapped, the CAM is full, or the bank has
-// no free spare.
+// the spare region, already remapped, or the bank has no free spare.
 func (t *Table) Remap(a dram.RowAddress) (dram.RowAddress, error) {
 	if !t.geom.ValidAddress(a) {
 		return dram.RowAddress{}, fmt.Errorf("remap: invalid address %+v", a)
@@ -81,9 +72,6 @@ func (t *Table) Remap(a dram.RowAddress) (dram.RowAddress, error) {
 	}
 	if _, ok := t.forward[a]; ok {
 		return dram.RowAddress{}, fmt.Errorf("remap: row %+v already remapped", a)
-	}
-	if len(t.forward) >= t.capacity {
-		return dram.RowAddress{}, fmt.Errorf("remap: table full (%d entries)", t.capacity)
 	}
 	for i, spare := range t.spares {
 		if spare.Bank == a.Bank {

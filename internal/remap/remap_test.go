@@ -19,19 +19,19 @@ func testGeometry() dram.Geometry {
 
 func TestNewValidation(t *testing.T) {
 	g := testGeometry()
-	if _, err := New(dram.Geometry{}, 4, 0); err == nil {
+	if _, err := New(dram.Geometry{}, 4); err == nil {
 		t.Error("invalid geometry accepted")
 	}
-	if _, err := New(g, 0, 0); err == nil {
+	if _, err := New(g, 0); err == nil {
 		t.Error("zero spares accepted")
 	}
-	if _, err := New(g, g.RowsPerBank, 0); err == nil {
+	if _, err := New(g, g.RowsPerBank); err == nil {
 		t.Error("all-rows-spare accepted")
 	}
 }
 
 func TestRemapIntoSameBankSpare(t *testing.T) {
-	tab, err := New(testGeometry(), 4, 0)
+	tab, err := New(testGeometry(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRemapIntoSameBankSpare(t *testing.T) {
 }
 
 func TestRemapErrors(t *testing.T) {
-	tab, _ := New(testGeometry(), 2, 0)
+	tab, _ := New(testGeometry(), 2)
 	a := dram.RowAddress{Bank: 0, Row: 1}
 	if _, err := tab.Remap(dram.RowAddress{Bank: -1, Row: 0}); err == nil {
 		t.Error("invalid address accepted")
@@ -85,18 +85,8 @@ func TestRemapErrors(t *testing.T) {
 	}
 }
 
-func TestCapacityBound(t *testing.T) {
-	tab, _ := New(testGeometry(), 4, 1)
-	if _, err := tab.Remap(dram.RowAddress{Bank: 0, Row: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tab.Remap(dram.RowAddress{Bank: 1, Row: 1}); err == nil {
-		t.Error("CAM capacity not enforced")
-	}
-}
-
 func TestPolicyThreshold(t *testing.T) {
-	tab, _ := New(testGeometry(), 4, 0)
+	tab, _ := New(testGeometry(), 4)
 	p, err := NewPolicy(tab, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +110,7 @@ func TestPolicyThreshold(t *testing.T) {
 }
 
 func TestPolicyPassResetsStreak(t *testing.T) {
-	tab, _ := New(testGeometry(), 4, 0)
+	tab, _ := New(testGeometry(), 4)
 	p, _ := NewPolicy(tab, 2)
 	a := dram.RowAddress{Bank: 0, Row: 9}
 	p.RecordTest(a, false)
@@ -134,7 +124,7 @@ func TestPolicyPassResetsStreak(t *testing.T) {
 }
 
 func TestNewPolicyValidation(t *testing.T) {
-	tab, _ := New(testGeometry(), 4, 0)
+	tab, _ := New(testGeometry(), 4)
 	if _, err := NewPolicy(tab, 0); err == nil {
 		t.Error("zero threshold accepted")
 	}

@@ -25,7 +25,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"memcon/internal/core"
 	"memcon/internal/costmodel"
@@ -164,10 +163,6 @@ func WithTester(t Tester) Option { return core.WithTester(t) }
 // lifecycle. A nil observer disables observation; the disabled event
 // path costs a nil check and performs no allocation.
 func WithObserver(o Observer) Option { return core.WithObserver(o) }
-
-// WithClock injects the wall-clock source used for the run-duration
-// event (KindRunDone). It never influences simulation results.
-func WithClock(now func() time.Time) Option { return core.WithClock(now) }
 
 // AlwaysPass is the accounting-mode tester: every online test passes.
 var AlwaysPass = core.AlwaysPass

@@ -11,19 +11,22 @@
 #   6. the suite also passes under the race detector (-short trims the
 #      slowest golden sweeps; they already ran race-free in step 5's
 #      process because the experiment sweeps are parallel by default),
-#   7. the fleet simulation's sharded fan-out runs race-clean at the
+#   7. the engine meets freshly generated write sequences: the settled
+#      writes fuzz target runs for 10 s against the frozen engine and
+#      the accounting identities,
+#   8. the fleet simulation's per-module fan-out runs race-clean at the
 #      small scale the -short race pass skips,
-#   8. the hot-path benchmarks still run (single iteration smoke; see
+#   9. the hot-path benchmarks still run (single iteration smoke; see
 #      scripts/bench.sh for real measurements),
-#   9. both read-disturb co-simulation ids run race-instrumented at
+#  10. both read-disturb co-simulation ids run race-instrumented at
 #      workers 1/4/8 with byte-identical output, plus one mitigated
 #      run exercising the -disturb flag path,
-#  10. every committed reference report under testdata/reports/ is
+#  11. every committed reference report under testdata/reports/ is
 #      regenerated and diffed at zero tolerance (report regression),
-#  11. the serving daemon survives a race-instrumented end-to-end
+#  12. the serving daemon survives a race-instrumented end-to-end
 #      smoke: memcond starts, memload observes cache hits with
 #      byte-identical bodies, and SIGTERM drains cleanly,
-#  12. the persistent cache survives a daemon restart: a second
+#  13. the persistent cache survives a daemon restart: a second
 #      race-instrumented memcond over the same -cache-dir serves the
 #      first daemon's corpus from disk, byte-identical (memload
 #      -digests), without re-running an experiment.
@@ -59,7 +62,13 @@ go test ./...
 echo "== go test -race -short ./... =="
 go test -race -short ./...
 
-# Fleet race smoke: the sharded fleet fan-out and the fleet CLI paths
+# Engine fuzz: FuzzEngineSettledWrites replays generated write sequences
+# through the frozen and the live engine, and checks each report's
+# accounting identities.
+echo "== engine fuzz =="
+go test -run '^$' -fuzz '^FuzzEngineSettledWrites$' -fuzztime 10s ./internal/core
+
+# Fleet race smoke: the per-module fleet fan-out and the fleet CLI paths
 # under the race detector. The full sharding-invariance sweep skips
 # itself in -short (step 5), so this runs the small-scale fleet tests
 # explicitly — they drive parallel.Map at workers 4 and 8.
