@@ -144,7 +144,7 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "  false alarms:      %d\n", rep.FalseAlarms)
 			return nil
 		case *allfail:
-			frac, err := tester.AllFailFractionParallel(context.Background(), idle, *nworkers)
+			frac, err := tester.AllFailFraction(context.Background(), idle)
 			if err != nil {
 				return err
 			}

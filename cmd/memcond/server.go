@@ -48,9 +48,6 @@ type Config struct {
 	// Version is the build identifier stamped into report provenance
 	// when the client does not supply one.
 	Version string
-	// ProgressInterval is the SSE progress snapshot cadence; zero
-	// selects 250ms.
-	ProgressInterval time.Duration
 	// MaxScale caps the scale a request may ask for (a serving-side
 	// cost guard); zero means no cap; negative or NaN is an error.
 	MaxScale float64
@@ -89,11 +86,11 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries < 1 {
 		c.CacheEntries = 1024
 	}
-	if c.ProgressInterval <= 0 {
-		c.ProgressInterval = 250 * time.Millisecond
-	}
 	return c
 }
+
+// progressInterval is the SSE progress snapshot cadence.
+const progressInterval = 250 * time.Millisecond
 
 // errBusy is returned when the wait queue is full; mapped to 503.
 var errBusy = errors.New("memcond: worker queue full")
@@ -266,16 +263,14 @@ func (s *Server) acquire(ctx context.Context) error {
 
 func (s *Server) release() { <-s.sem }
 
-// decodeRequest reads a request body (possibly empty) onto the
+// decodeRequest decodes a request body (possibly empty) onto the
 // defaults for id: absent fields keep their defaults, present fields —
-// including an explicit zero seed — win.
-func (s *Server) decodeRequest(r *http.Request, id string) (experiments.Request, error) {
+// including an explicit zero seed — win. The body may name the
+// experiment only as id, and its scale must stay under the server's
+// cap. The request comes back normalized.
+func (s *Server) decodeRequest(body []byte, id string) (experiments.Request, error) {
 	req := experiments.DefaultRequest(id)
 	req.Version = s.cfg.Version
-	body, err := readBody(r)
-	if err != nil {
-		return req, err
-	}
 	if len(bytes.TrimSpace(body)) > 0 {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
@@ -291,7 +286,7 @@ func (s *Server) decodeRequest(r *http.Request, id string) (experiments.Request,
 	if s.cfg.MaxScale > 0 && req.Scale > s.cfg.MaxScale {
 		return req, fmt.Errorf("scale %v exceeds this server's cap %v", req.Scale, s.cfg.MaxScale)
 	}
-	return req, nil
+	return req, req.Normalize()
 }
 
 // computeFor builds the singleflight computation for one normalized
@@ -313,7 +308,7 @@ func (s *Server) computeFor(req experiments.Request, key servecache.Key) func(co
 
 		hub, release := s.hubs.acquire(key)
 		defer release()
-		stopPublish := hub.publish(s.cfg.ProgressInterval)
+		stopPublish := hub.publish(progressInterval)
 		defer stopPublish()
 
 		data, err := s.run(runCtx, req, experiments.Runtime{
@@ -341,12 +336,13 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, err)
 		return
 	}
-	req, err := s.decodeRequest(r, id)
+	body, err := readBody(r)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := req.Normalize(); err != nil {
+	req, err := s.decodeRequest(body, id)
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
@@ -534,15 +530,8 @@ func (s *Server) handleRevalidate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, err)
 		return
 	}
-	req := experiments.DefaultRequest(probe.Experiment)
-	req.Version = s.cfg.Version
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
-		return
-	}
-	if err := req.Normalize(); err != nil {
+	req, err := s.decodeRequest(body, probe.Experiment)
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}

@@ -171,7 +171,7 @@ func TestRequestErrors(t *testing.T) {
 		{"NaN mitigation", "/v1/experiments/disturb-mitigation", `{"scale":0.05,"disturb":"para:NaN"}`, http.StatusBadRequest},
 		{"revalidate no experiment", "/v1/revalidate", `{"scale":0.05}`, http.StatusBadRequest},
 		{"revalidate unknown id", "/v1/revalidate", `{"experiment":"nope"}`, http.StatusNotFound},
-		{"revalidate uncached", "/v1/revalidate", `{"experiment":"fig4"}`, http.StatusNotFound},
+		{"revalidate uncached", "/v1/revalidate", `{"experiment":"fig4","scale":0.05}`, http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts.URL+tc.path, tc.body)
@@ -284,11 +284,45 @@ func TestSingleflightShared(t *testing.T) {
 	}
 }
 
+// TestRevalidateScaleCap: a revalidate is a run, so the server's scale
+// cap holds for it as for POST /v1/experiments. An entry over the cap
+// reaches a capped daemon when it restarts over a cache directory an
+// uncapped daemon filled; revalidating it is refused and runs nothing.
+func TestRevalidateScaleCap(t *testing.T) {
+	srv := mustServer(t, Config{MaxScale: 0.1})
+	var runs atomic.Int32
+	stub(srv, func(context.Context, experiments.Request, experiments.Runtime) ([]byte, error) {
+		runs.Add(1)
+		return []byte(`{}`), nil
+	})
+	req := experiments.DefaultRequest("fig6")
+	req.Scale = 1
+	if err := req.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	srv.cache.Put(servecache.Key(req.CacheKey()), nil, []byte(`{}`))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/experiments/fig6", `{"scale":1}`},
+		{"/v1/revalidate", `{"experiment":"fig6","scale":1}`},
+	} {
+		if resp, body := postJSON(t, ts.URL+tc.path, tc.body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s %s: status %d, want %d (%s)", tc.path, tc.body, resp.StatusCode, http.StatusBadRequest, body)
+		}
+	}
+	if n := runs.Load(); n != 0 {
+		t.Errorf("requests over the scale cap ran the experiment %d times", n)
+	}
+}
+
 // TestSSEProgress streams a stubbed run: at least one progress
 // snapshot with the emitted event counts, then the outcome and the
-// result reassembled from its data lines.
+// result reassembled from its data lines. The run holds until the
+// first snapshot, a progressInterval after it starts.
 func TestSSEProgress(t *testing.T) {
-	srv := mustServer(t, Config{ProgressInterval: 5 * time.Millisecond})
+	srv := mustServer(t, Config{})
 	release := make(chan struct{})
 	resultDoc := "{\n  \"doc\": \"line two\"\n}\n"
 	stub(srv, func(ctx context.Context, req experiments.Request, rt experiments.Runtime) ([]byte, error) {

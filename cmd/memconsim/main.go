@@ -63,7 +63,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -353,12 +352,7 @@ func writeCELog(path, id string, res *experiments.Result) error {
 	if err != nil {
 		return fmt.Errorf("creating CE log file: %w", err)
 	}
-	bw := bufio.NewWriter(f)
-	err = fleet.WriteLog(bw, res.CELog)
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err != nil {
+	if err := fleet.WriteLog(f, res.CELog); err != nil {
 		f.Close()
 		return err
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,7 +57,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	all := chip.Tester.AllFailFraction(idle)
+	all, err := chip.Tester.AllFailFraction(context.Background(), idle)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nmcf content: %.2f%% failing rows vs %.2f%% under ANY pattern (%.1fx fewer)\n",
 		100*frac, 100*all, all/maxf(frac, 1e-9))
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"memcon/internal/trace"
+	"memcon/internal/varstream"
 )
 
 // compactStream encodes tr in the compact format and returns a Stream
@@ -87,17 +88,12 @@ func TestRunSourceCancelledContext(t *testing.T) {
 // TestRunSourceDecodeError pins error plumbing: a truncated compact
 // stream surfaces its positioned DecodeError through RunSource.
 func TestRunSourceDecodeError(t *testing.T) {
-	var buf bytes.Buffer
-	enc, err := trace.NewEncoder(&buf, "trunc", 1000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := &trace.Trace{Name: "trunc", Duration: 1000}
 	for i := 0; i < 4; i++ {
-		if err := enc.Encode(trace.Event{Page: uint32(i), At: trace.Microseconds(i) * 10}); err != nil {
-			t.Fatal(err)
-		}
+		tr.Events = append(tr.Events, trace.Event{Page: uint32(i), At: trace.Microseconds(i) * 10})
 	}
-	if err := enc.Close(); err != nil {
+	var buf bytes.Buffer
+	if err := tr.WriteCompact(&buf); err != nil {
 		t.Fatal(err)
 	}
 	s, err := trace.NewStream(bytes.NewReader(buf.Bytes()[:buf.Len()-2]))
@@ -105,9 +101,9 @@ func TestRunSourceDecodeError(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = RunSource(context.Background(), s, DefaultConfig())
-	var de *trace.DecodeError
+	var de *varstream.DecodeError
 	if !errors.As(err, &de) {
-		t.Fatalf("RunSource on truncated stream = %v (%T), want *trace.DecodeError", err, err)
+		t.Fatalf("RunSource on truncated stream = %v (%T), want *varstream.DecodeError", err, err)
 	}
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("errors.Is(%v, io.ErrUnexpectedEOF) = false", err)
@@ -129,23 +125,22 @@ func TestStreamingReplayMemoryIsOPages(t *testing.T) {
 	)
 	duration := trace.Microseconds(events)*stepUs + trace.Second
 
+	// The events are encoded as they are made, in the compact layout
+	// trace.WriteCompact writes, so the test never holds them all.
 	var buf bytes.Buffer
 	buf.Grow(16 << 20)
-	enc, err := trace.NewEncoder(&buf, "big", duration, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := trace.Microseconds(0)
+	vw := varstream.NewWriter(&buf, 0x4d435443) // the compact magic, "MCTC"
+	vw.String("big")
+	vw.Uvarint(uint64(duration))
+	vw.Uvarint(events)
 	for i := 0; i < events; i++ {
 		// Knuth-hash page walk: touches the whole page space without
 		// per-event rand overhead, deterministic across runs.
-		page := uint32(uint64(i) * 2654435761 % pages)
-		if err := enc.Encode(trace.Event{Page: page, At: at}); err != nil {
-			t.Fatal(err)
-		}
-		at += stepUs
+		vw.Uvarint(stepUs)
+		vw.Uvarint(uint64(i) * 2654435761 % pages)
+		vw.Emit()
 	}
-	if err := enc.Close(); err != nil {
+	if err := vw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("encoded %d events into %d bytes (%.1f bits/event)",

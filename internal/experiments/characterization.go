@@ -154,7 +154,8 @@ func RunFig4(ctx context.Context, req Request, rt Runtime) (*report.Report, erro
 	if err != nil {
 		return nil, err
 	}
-	allFail, err := tester.AllFailFractionParallel(ctx, idle, rt.Workers)
+	tester.SetParallelism(rt.Workers)
+	allFail, err := tester.AllFailFraction(ctx, idle)
 	if err != nil {
 		return nil, err
 	}

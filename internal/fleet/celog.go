@@ -1,25 +1,24 @@
 package fleet
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+
+	"memcon/internal/varstream"
 )
 
-// Compact streaming codec for CE event logs, modeled on trace.Stream:
-// a fleet-scale log holds one event per correctable error across
-// months of simulated time for thousands of modules, so both ends are
-// incremental — LogEncoder writes events as the run produces them and
-// LogStream decodes one event per Next call in O(1) memory. The format
-// is delta/varint over the canonical (Module, At, Rank, Bank, Row,
-// Col) order, whose delta-bearing prefix the encoder enforces: module
-// indices arrive non-decreasing and timestamps non-decreasing within a
-// module. The decoder tolerates non-minimal varints, so re-encoding a
-// decoded log canonicalizes it — encode∘decode is a fixed point
-// (FuzzCELog pins it).
+// Compact streaming codec for CE event logs, in the framing the
+// compact trace uses (varstream): a fleet-scale log holds one event per
+// correctable error across months of simulated time for thousands of
+// modules, so LogStream decodes one event per Next call in O(1)
+// memory. The format is delta/varint over the canonical (Module, At,
+// Rank, Bank, Row, Col) order, whose delta-bearing prefix WriteLog
+// enforces: module indices arrive non-decreasing and timestamps
+// non-decreasing within a module. The decoder tolerates non-minimal
+// varints, so re-encoding a decoded log canonicalizes it —
+// encode∘decode is a fixed point (FuzzCELog pins it).
 //
 // Layout (all varints unsigned LEB128):
 //
@@ -37,133 +36,43 @@ const celogMagic = 0x31454346
 // ErrBadLog reports a structurally invalid CE log.
 var ErrBadLog = errors.New("fleet: malformed CE log")
 
-// LogDecodeError locates a malformed field in a CE log stream: the
-// event index it belongs to (-1 for header fields) and the byte offset
-// where its encoding starts.
-type LogDecodeError struct {
-	// Event is the 0-based index of the event being decoded, or -1
-	// when the header failed.
-	Event int64
-	// Offset is the byte offset of the failing field's first byte.
-	Offset int64
-	// Field names the field being decoded.
-	Field string
-	// Err is the underlying cause (ErrBadLog for structural
-	// violations, io.ErrUnexpectedEOF for truncation, ...).
-	Err error
-}
-
-// Error implements error.
-func (e *LogDecodeError) Error() string {
-	if e.Event < 0 {
-		return fmt.Sprintf("fleet: decoding %s at offset %d: %v", e.Field, e.Offset, e.Err)
-	}
-	return fmt.Sprintf("fleet: decoding event %d %s at offset %d: %v", e.Event, e.Field, e.Offset, e.Err)
-}
-
-// Unwrap exposes the cause to errors.Is/As.
-func (e *LogDecodeError) Unwrap() error { return e.Err }
-
-// logReader counts consumed bytes so decode errors carry the offset of
-// the field that failed.
-type logReader struct {
-	br *bufio.Reader
-	n  int64
-}
-
-func (c *logReader) Read(p []byte) (int, error) {
-	n, err := c.br.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *logReader) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err == nil {
-		c.n++
-	}
-	return b, err
-}
-
-// noEOF converts a bare io.EOF into io.ErrUnexpectedEOF: inside a
-// declared-length stream, running out of bytes is truncation, never a
-// clean end.
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
-
 // LogStream incrementally decodes a CE log: NewLogStream consumes the
 // header, then each Next call decodes one event. Memory use is
-// constant regardless of log size.
+// constant regardless of log size, and malformed input fails with a
+// positioned *varstream.DecodeError.
 type LogStream struct {
-	r       logReader
+	r       varstream.Reader
 	modules int
 	epochs  int
 	epochNs int64
-	total   uint64
-	idx     uint64
 	prevMod uint32
 	prevAt  int64
-	err     error // sticky decode error
 }
 
 // NewLogStream opens a CE log over r, reading and validating the
 // header. The events decode lazily through Next.
 func NewLogStream(r io.Reader) (*LogStream, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
+	s := &LogStream{}
+	if err := s.r.Open(r, "fleet", celogMagic, ErrBadLog); err != nil {
+		return nil, err
 	}
-	s := &LogStream{r: logReader{br: br}}
-	var m uint32
-	if err := binary.Read(&s.r, binary.LittleEndian, &m); err != nil {
-		return nil, &LogDecodeError{Event: -1, Offset: 0, Field: "magic", Err: noEOF(err)}
-	}
-	if m != celogMagic {
-		return nil, ErrBadLog
-	}
-	hdr := func(field string, max uint64) (uint64, error) {
-		v, off, err := s.uvarint()
-		if err != nil {
-			return 0, &LogDecodeError{Event: -1, Offset: off, Field: field, Err: noEOF(err)}
-		}
-		if v > max {
-			return 0, &LogDecodeError{Event: -1, Offset: off, Field: field,
-				Err: fmt.Errorf("%w: implausible %s %d", ErrBadLog, field, v)}
-		}
-		return v, nil
-	}
-	modules, err := hdr("module count", 1<<32)
+	modules, err := s.r.Header("module count", 1<<32)
 	if err != nil {
 		return nil, err
 	}
-	epochs, err := hdr("epoch count", 1<<32)
+	epochs, err := s.r.Header("epoch count", 1<<32)
 	if err != nil {
 		return nil, err
 	}
-	epochNs, err := hdr("epoch duration", math.MaxInt64)
+	epochNs, err := s.r.Header("epoch duration", math.MaxInt64)
 	if err != nil {
 		return nil, err
 	}
-	count, err := hdr("event count", 1<<40)
-	if err != nil {
+	if err := s.r.Count(1 << 40); err != nil {
 		return nil, err
 	}
-	s.modules = int(modules)
-	s.epochs = int(epochs)
-	s.epochNs = int64(epochNs)
-	s.total = count
+	s.modules, s.epochs, s.epochNs = int(modules), int(epochs), int64(epochNs)
 	return s, nil
-}
-
-// uvarint reads one varint, returning the offset of its first byte.
-func (s *LogStream) uvarint() (v uint64, off int64, err error) {
-	off = s.r.n
-	v, err = binary.ReadUvarint(&s.r)
-	return v, off, err
 }
 
 // Modules returns the fleet size from the header.
@@ -176,183 +85,104 @@ func (s *LogStream) Epochs() int { return s.epochs }
 func (s *LogStream) EpochNs() int64 { return s.epochNs }
 
 // Events returns the declared event count from the header.
-func (s *LogStream) Events() uint64 { return s.total }
+func (s *LogStream) Events() uint64 { return s.r.Events() }
 
 // Next decodes and returns the next event. It returns io.EOF after the
 // declared count has been delivered; any other error (truncation,
 // field overflow, ordering violation) is positioned and sticky.
 func (s *LogStream) Next() (Event, error) {
-	if s.err != nil {
-		return Event{}, s.err
+	if s.r.Done() {
+		return Event{}, s.r.Err()
 	}
-	if s.idx >= s.total {
-		return Event{}, io.EOF
-	}
-	modDelta, off, err := s.uvarint()
+	off := s.r.Begin()
+	modDelta, err := s.r.Uvarint()
 	if err != nil {
-		return Event{}, s.fail(off, "module delta", noEOF(err))
+		return Event{}, s.r.Fail(off, "module delta", err)
 	}
 	if modDelta > uint64(math.MaxUint32)-uint64(s.prevMod) {
-		return Event{}, s.fail(off, "module delta",
+		return Event{}, s.r.Fail(off, "module delta",
 			fmt.Errorf("%w: module delta %d overflows uint32 at module %d", ErrBadLog, modDelta, s.prevMod))
 	}
 	mod := s.prevMod + uint32(modDelta)
 	if s.modules > 0 && uint64(mod) >= uint64(s.modules) {
-		return Event{}, s.fail(off, "module delta",
+		return Event{}, s.r.Fail(off, "module delta",
 			fmt.Errorf("%w: module %d outside declared fleet of %d", ErrBadLog, mod, s.modules))
 	}
 	if modDelta > 0 {
 		s.prevAt = 0
 	}
-	at, off, err := s.uvarint()
+	off = s.r.Offset()
+	at, err := s.r.Uvarint()
 	if err != nil {
-		return Event{}, s.fail(off, "timestamp", noEOF(err))
+		return Event{}, s.r.Fail(off, "timestamp", err)
 	}
 	// Reject deltas that would wrap the running timestamp: the wrap
 	// would surface only later as an out-of-order event, far from the
 	// corrupt bytes.
 	if at > math.MaxInt64 || int64(at) > math.MaxInt64-s.prevAt {
-		return Event{}, s.fail(off, "timestamp",
+		return Event{}, s.r.Fail(off, "timestamp",
 			fmt.Errorf("%w: delta %d overflows the timestamp at %d", ErrBadLog, at, s.prevAt))
 	}
 	s.prevMod = mod
 	s.prevAt += int64(at)
 	ev := Event{Module: mod, At: s.prevAt}
-	field := func(name string, max uint64) (uint64, bool) {
-		v, off, err := s.uvarint()
-		if err != nil {
-			s.fail(off, name, noEOF(err))
-			return 0, false
+	var f [4]uint64 // rank, bank, row, col
+	for i, name := range [4]string{"rank", "bank", "row", "col"} {
+		max := uint64(math.MaxUint32) // row, col
+		if i < 2 {
+			max = math.MaxUint8 // rank, bank
 		}
-		if v > max {
-			s.fail(off, name, fmt.Errorf("%w: %s %d overflows", ErrBadLog, name, v))
-			return 0, false
+		off = s.r.Offset()
+		if f[i], err = s.r.Uvarint(); err != nil {
+			return Event{}, s.r.Fail(off, name, err)
 		}
-		return v, true
+		if f[i] > max {
+			return Event{}, s.r.Fail(off, name, fmt.Errorf("%w: %s %d overflows", ErrBadLog, name, f[i]))
+		}
 	}
-	rank, ok := field("rank", math.MaxUint8)
-	if !ok {
-		return Event{}, s.err
-	}
-	bank, ok := field("bank", math.MaxUint8)
-	if !ok {
-		return Event{}, s.err
-	}
-	row, ok := field("row", math.MaxUint32)
-	if !ok {
-		return Event{}, s.err
-	}
-	col, ok := field("col", math.MaxUint32)
-	if !ok {
-		return Event{}, s.err
-	}
-	ev.Rank, ev.Bank, ev.Row, ev.Col = uint8(rank), uint8(bank), uint32(row), uint32(col)
-	s.idx++
+	ev.Rank, ev.Bank, ev.Row, ev.Col = uint8(f[0]), uint8(f[1]), uint32(f[2]), uint32(f[3])
 	return ev, nil
 }
 
-// fail records and returns the positioned sticky error.
-func (s *LogStream) fail(off int64, field string, cause error) error {
-	s.err = &LogDecodeError{Event: int64(s.idx), Offset: off, Field: field, Err: cause}
-	return s.err
-}
-
-// LogEncoder writes the compact CE log incrementally. The event count
-// must be known up front — the header carries it — and Close verifies
-// that exactly that many events were encoded in canonical order.
-type LogEncoder struct {
-	bw      *bufio.Writer
-	total   uint64
-	written uint64
-	prevMod uint32
-	prevAt  int64
-	started bool
-	buf     [binary.MaxVarintLen64]byte
-}
-
-// NewLogEncoder writes the header and returns an encoder expecting
-// exactly count canonically ordered events.
-func NewLogEncoder(w io.Writer, modules, epochs int, epochNs int64, count uint64) (*LogEncoder, error) {
-	if modules < 0 || epochs < 0 || epochNs < 0 {
-		return nil, fmt.Errorf("fleet: negative log header field (%d modules, %d epochs, %d ns)", modules, epochs, epochNs)
-	}
-	e := &LogEncoder{bw: bufio.NewWriter(w), total: count}
-	if err := binary.Write(e.bw, binary.LittleEndian, uint32(celogMagic)); err != nil {
-		return nil, fmt.Errorf("fleet: writing magic: %w", err)
-	}
-	for _, v := range []uint64{uint64(modules), uint64(epochs), uint64(epochNs), count} {
-		if err := e.uvarint(v); err != nil {
-			return nil, err
-		}
-	}
-	return e, nil
-}
-
-// uvarint writes one varint.
-func (e *LogEncoder) uvarint(v uint64) error {
-	n := binary.PutUvarint(e.buf[:], v)
-	_, err := e.bw.Write(e.buf[:n])
-	return err
-}
-
-// Encode appends one event. Events must arrive in canonical log order
-// (non-decreasing module; within a module non-decreasing time).
-func (e *LogEncoder) Encode(ev Event) error {
-	if e.written >= e.total {
-		return fmt.Errorf("fleet: encoder declared %d events, got more", e.total)
-	}
-	if ev.At < 0 {
-		return fmt.Errorf("fleet: event timestamp %d is negative", ev.At)
-	}
-	prevAt := e.prevAt
-	if ev.Module != e.prevMod {
-		if e.started && ev.Module < e.prevMod {
-			return fmt.Errorf("fleet: module %d out of order (previous %d)", ev.Module, e.prevMod)
-		}
-		prevAt = 0
-	}
-	if ev.At < prevAt {
-		return fmt.Errorf("fleet: module %d event at %d out of order (previous %d)", ev.Module, ev.At, prevAt)
-	}
-	if err := e.uvarint(uint64(ev.Module - e.prevMod)); err != nil {
-		return err
-	}
-	if err := e.uvarint(uint64(ev.At - prevAt)); err != nil {
-		return err
-	}
-	for _, v := range []uint64{uint64(ev.Rank), uint64(ev.Bank), uint64(ev.Row), uint64(ev.Col)} {
-		if err := e.uvarint(v); err != nil {
-			return err
-		}
-	}
-	e.prevMod, e.prevAt, e.started = ev.Module, ev.At, true
-	e.written++
-	return nil
-}
-
-// Close flushes the stream and verifies the declared event count was
-// met.
-func (e *LogEncoder) Close() error {
-	if e.written != e.total {
-		return fmt.Errorf("fleet: encoder declared %d events, encoded %d", e.total, e.written)
-	}
-	return e.bw.Flush()
-}
-
-// WriteLog encodes a materialized log. The ground-truth Info entries
-// are not serialized — they are regenerable from the run inputs; the
-// file is the pure event log a field pipeline would collect.
+// WriteLog encodes a materialized log, whose events must be in
+// canonical order (non-decreasing module; within a module
+// non-decreasing time). The ground-truth Info entries are not
+// serialized — they are regenerable from the run inputs; the file is
+// the pure event log a field pipeline would collect.
 func WriteLog(w io.Writer, log *Log) error {
-	enc, err := NewLogEncoder(w, log.Modules, log.Epochs, log.EpochNs, uint64(len(log.Events)))
-	if err != nil {
-		return err
+	if log.Modules < 0 || log.Epochs < 0 || log.EpochNs < 0 {
+		return fmt.Errorf("fleet: negative log header field (%d modules, %d epochs, %d ns)", log.Modules, log.Epochs, log.EpochNs)
 	}
-	for _, ev := range log.Events {
-		if err := enc.Encode(ev); err != nil {
-			return err
+	vw := varstream.NewWriter(w, celogMagic)
+	vw.Uvarint(uint64(log.Modules))
+	vw.Uvarint(uint64(log.Epochs))
+	vw.Uvarint(uint64(log.EpochNs))
+	vw.Uvarint(uint64(len(log.Events)))
+	var prevMod uint32
+	var prevAt int64
+	for i, ev := range log.Events {
+		if ev.At < 0 {
+			return fmt.Errorf("fleet: event timestamp %d is negative", ev.At)
 		}
+		if ev.Module != prevMod {
+			if i > 0 && ev.Module < prevMod {
+				return fmt.Errorf("fleet: module %d out of order (previous %d)", ev.Module, prevMod)
+			}
+			prevAt = 0
+		}
+		if ev.At < prevAt {
+			return fmt.Errorf("fleet: module %d event at %d out of order (previous %d)", ev.Module, ev.At, prevAt)
+		}
+		vw.Uvarint(uint64(ev.Module - prevMod))
+		vw.Uvarint(uint64(ev.At - prevAt))
+		vw.Uvarint(uint64(ev.Rank))
+		vw.Uvarint(uint64(ev.Bank))
+		vw.Uvarint(uint64(ev.Row))
+		vw.Uvarint(uint64(ev.Col))
+		vw.Emit()
+		prevMod, prevAt = ev.Module, ev.At
 	}
-	return enc.Close()
+	return vw.Close()
 }
 
 // ReadLog materializes a CE log file written by WriteLog (Info is not

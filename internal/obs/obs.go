@@ -78,8 +78,8 @@ const (
 	// fail under some content. Aux is unused (0).
 	KindRowWeak
 	// KindRunDone: an engine run finished. Aux is the wall-clock run
-	// duration in nanoseconds (from the engine's injected clock), the
-	// one Aux that is not simulated time.
+	// duration in nanoseconds (time.Since the run started), the one Aux
+	// that is not simulated time.
 	KindRunDone
 	// KindRowActivation: a memory controller reported ACT commands (row
 	// misses plus injected-test row cycles) for a simulation, aggregated.

@@ -153,8 +153,8 @@ type Tester struct {
 	model *faults.Model
 	// now is the harness-local clock.
 	now dram.Nanoseconds
-	// workers is the fan-out ReadBack uses; results are byte-identical
-	// at any value (see ReadBackParallel). Default 1.
+	// workers is the fan-out of ReadBack and AllFailFraction; results
+	// are byte-identical at any value (see ReadBack). Default 1.
 	workers int
 	// obs receives per-row characterization events. During parallel
 	// scans it is invoked from multiple goroutines, so only observers
@@ -197,8 +197,8 @@ func NewTester(mod *dram.Module, model *faults.Model) (*Tester, error) {
 }
 
 // SetParallelism sets the worker count ReadBack (and the runs built on
-// it) fans out to. Values below 1 select GOMAXPROCS. The output is
-// byte-identical at any setting; the default is 1.
+// it) and AllFailFraction fan out to. Values below 1 select GOMAXPROCS.
+// The output is byte-identical at any setting; the default is 1.
 func (t *Tester) SetParallelism(n int) { t.workers = n }
 
 // SetObserver installs an observer notified of row failures seen by
@@ -263,38 +263,26 @@ type RowFailure struct {
 // data-dependent failures given how long each row has been idle.
 // Failures are committed to the stored content (the charge is gone) and
 // every row is recharged by the read, just like a real read-back pass.
-// The scan fans out over the tester's configured parallelism (see
-// SetParallelism); the result is byte-identical at any worker count.
-func (t *Tester) ReadBack() []RowFailure {
-	fails, err := t.ReadBackParallel(context.Background(), t.workers)
-	if err != nil {
-		// A background context cannot be cancelled, so only a worker
-		// panic (repackaged by parallel.Map) lands here.
-		panic(err)
-	}
-	return fails
-}
-
-// ReadBackParallel is ReadBack fanned out over up to `workers`
-// goroutines (values below 1 select GOMAXPROCS), cancellable through
-// ctx. Determinism contract: the scan first evaluates every row against
-// the FROZEN pre-read content in sharded per-bank row chunks (pure
-// reads), then a single sequential commit pass walks rows in global
-// (bank, row) order, committing flips and recharging. A committed flip
-// discharges a cell, which can only add interference stress to weak
-// cells that read it as a neighbour — so any later row a flip could
-// influence is re-evaluated against the then-current content
+//
+// The scan fans out over the tester's parallelism (SetParallelism).
+// Determinism contract: the scan first evaluates every row against the
+// FROZEN pre-read content in sharded per-bank row chunks (pure reads),
+// then a single sequential commit pass walks rows in global (bank, row)
+// order, committing flips and recharging. A committed flip discharges a
+// cell, which can only add interference stress to weak cells that read
+// it as a neighbour — so any later row a flip could influence is
+// re-evaluated against the then-current content
 // (Model.AffectedNeighborRows names exactly those rows). The result is
 // byte-identical to a strictly sequential commit-as-you-go scan at any
 // worker count, and observer events fire from the commit pass in scan
 // order.
-func (t *Tester) ReadBackParallel(ctx context.Context, workers int) ([]RowFailure, error) {
+func (t *Tester) ReadBack() []RowFailure {
 	g := t.mod.Geometry()
 	units := g.BanksPerChip * chunksPerBank
 	if len(t.scan) != units {
 		t.scan = make([]scanUnit, units)
 	}
-	err := parallel.ForEach(ctx, units, workers, func(u int) error {
+	err := parallel.ForEach(context.Background(), units, t.workers, func(u int) error {
 		sc := &t.scan[u]
 		sc.rows = sc.rows[:0]
 		sc.offs = append(sc.offs[:0], 0)
@@ -313,7 +301,9 @@ func (t *Tester) ReadBackParallel(ctx context.Context, workers int) ([]RowFailur
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		// A background context cannot be cancelled, so only a worker
+		// panic (repackaged by parallel.ForEach) lands here.
+		panic(err)
 	}
 	// Commit pass: sequential, in global row order. The chunk units are
 	// ordered by (bank, row range), so their frozen results concatenate
@@ -406,7 +396,7 @@ func (t *Tester) ReadBackParallel(ctx context.Context, workers int) ([]RowFailur
 		}
 		fails[i].Cells = arena[lo:hi:hi]
 	}
-	return fails, nil
+	return fails
 }
 
 // insertRow inserts r into the sorted worklist p, keeping it unique.
@@ -454,27 +444,15 @@ func (t *Tester) FailingRowFraction(image []dram.Row, idle dram.Nanoseconds) (fl
 
 // AllFailFraction returns the fraction of rows that can fail under SOME
 // data pattern at the given idle time — the exhaustive-testing
-// denominator (ALL FAIL in Fig. 4).
-func (t *Tester) AllFailFraction(idle dram.Nanoseconds) float64 {
-	frac, err := t.AllFailFractionParallel(context.Background(), idle, 1)
-	if err != nil {
-		// A background context cannot be cancelled, so only a worker
-		// panic (repackaged by parallel.Map) lands here.
-		panic(err)
-	}
-	return frac
-}
-
-// AllFailFractionParallel is AllFailFraction fanned out over up to
-// `workers` goroutines (values below 1 select GOMAXPROCS). RowCanFail
-// only reads the immutable fault model, so the row scan shards into
-// contiguous row ranges per bank; the total is a count, identical for
-// any worker count. A cancelled context surfaces as a non-nil error —
-// never as a silent zero fraction, which would be indistinguishable
-// from "no weak rows".
-func (t *Tester) AllFailFractionParallel(ctx context.Context, idle dram.Nanoseconds, workers int) (float64, error) {
+// denominator (ALL FAIL in Fig. 4). The scan fans out over the tester's
+// parallelism (SetParallelism): RowCanFail only reads the immutable
+// fault model, so the rows shard into contiguous ranges per bank, and
+// the total is a count, identical for any worker count. A cancelled
+// context surfaces as a non-nil error — never as a silent zero
+// fraction, which would be indistinguishable from "no weak rows".
+func (t *Tester) AllFailFraction(ctx context.Context, idle dram.Nanoseconds) (float64, error) {
 	g := t.mod.Geometry()
-	counts, err := parallel.Map(ctx, g.BanksPerChip*chunksPerBank, workers, func(u int) (int, error) {
+	counts, err := parallel.Map(ctx, g.BanksPerChip*chunksPerBank, t.workers, func(u int) (int, error) {
 		b := u / chunksPerBank
 		lo, hi := chunkBounds(g.RowsPerBank, u%chunksPerBank)
 		fails := 0

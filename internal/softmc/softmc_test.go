@@ -231,7 +231,10 @@ func TestRunContentAndFailingRowFraction(t *testing.T) {
 	if frac < 0 || frac > 1 {
 		t.Errorf("fraction %v outside [0,1]", frac)
 	}
-	all := tester.AllFailFraction(faults.CharacterizationIdle)
+	all, err := tester.AllFailFraction(context.Background(), faults.CharacterizationIdle)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if frac > all {
 		t.Errorf("content failures (%v) exceed all-pattern failures (%v)", frac, all)
 	}
@@ -296,7 +299,8 @@ func TestAllFailFractionParallelCancelled(t *testing.T) {
 	tester := newTester(t, 17, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	frac, err := tester.AllFailFractionParallel(ctx, faults.CharacterizationIdle, 4)
+	tester.SetParallelism(4)
+	frac, err := tester.AllFailFraction(ctx, faults.CharacterizationIdle)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled scan returned err = %v, want context.Canceled", err)
 	}
@@ -304,21 +308,12 @@ func TestAllFailFractionParallelCancelled(t *testing.T) {
 		t.Errorf("cancelled scan returned fraction %v alongside the error", frac)
 	}
 	// The same tester must still produce the real answer afterwards.
-	good, err := tester.AllFailFractionParallel(context.Background(), faults.CharacterizationIdle, 4)
+	good, err := tester.AllFailFraction(context.Background(), faults.CharacterizationIdle)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if good <= 0 {
 		t.Error("AllFailFraction is zero; default calibration should make some rows vulnerable")
-	}
-}
-
-func TestReadBackParallelCancelled(t *testing.T) {
-	tester := newTester(t, 17, 0)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := tester.ReadBackParallel(ctx, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled read-back returned err = %v, want context.Canceled", err)
 	}
 }
 
@@ -399,10 +394,8 @@ func TestReadBackParallelMatchesSequential(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 4, 8} {
 				tester := prep(seed, p)
-				got, err := tester.ReadBackParallel(context.Background(), workers)
-				if err != nil {
-					t.Fatal(err)
-				}
+				tester.SetParallelism(workers)
+				got := tester.ReadBack()
 				if !equalFailures(got, want) {
 					t.Fatalf("seed %d pattern %s workers %d: failure list diverges from sequential scan (%d vs %d rows)",
 						seed, p.Name, workers, len(got), len(want))

@@ -3,6 +3,8 @@ package trace
 import (
 	"fmt"
 	"io"
+
+	"memcon/internal/varstream"
 )
 
 // Compact (v2) trace format, the one on-disk trace format:
@@ -20,23 +22,33 @@ import (
 const compactMagic = uint32(0x4d435443) // "MCTC"
 
 // WriteCompact serializes the trace in the delta/varint format. The
-// trace must be sorted by timestamp (Validate). Producers whose events
-// do not fit in memory should use Encoder, which writes the identical
-// byte stream incrementally.
+// trace must be sorted by timestamp (Validate), and its duration must
+// not be negative.
 func (t *Trace) WriteCompact(w io.Writer) error {
 	if err := t.Validate(); err != nil {
 		return fmt.Errorf("trace: refusing to write invalid trace: %w", err)
 	}
-	enc, err := NewEncoder(w, t.Name, t.Duration, uint64(len(t.Events)))
-	if err != nil {
-		return err
+	if t.Duration < 0 {
+		return fmt.Errorf("trace: negative duration %d", t.Duration)
 	}
+	return t.writeCompact(w)
+}
+
+// writeCompact encodes the trace without checking it. Each event's two
+// fields go out in one buffered Write.
+func (t *Trace) writeCompact(w io.Writer) error {
+	vw := varstream.NewWriter(w, compactMagic)
+	vw.String(t.Name)
+	vw.Uvarint(uint64(t.Duration))
+	vw.Uvarint(uint64(len(t.Events)))
+	var prev Microseconds
 	for _, e := range t.Events {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
+		vw.Uvarint(uint64(e.At - prev))
+		vw.Uvarint(uint64(e.Page))
+		vw.Emit()
+		prev = e.At
 	}
-	return enc.Close()
+	return vw.Close()
 }
 
 // maxEventPrealloc caps the event capacity trusted from a stream header
@@ -46,8 +58,8 @@ const maxEventPrealloc = 1 << 20
 // ReadCompact deserializes a trace written by WriteCompact. It
 // materializes the whole event slice; use NewStream to replay traces
 // too large to hold resident. Decoding is shared with Stream, so a
-// malformed stream fails with the same positioned DecodeError on both
-// paths.
+// malformed stream fails with the same positioned
+// *varstream.DecodeError on both paths.
 func ReadCompact(r io.Reader) (*Trace, error) {
 	s, err := NewStream(r)
 	if err != nil {

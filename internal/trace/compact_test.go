@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,25 @@ func TestCompactRejectsInvalidTrace(t *testing.T) {
 	var buf bytes.Buffer
 	if err := bad.WriteCompact(&buf); err == nil {
 		t.Error("unsorted trace written")
+	}
+}
+
+// TestWriteCompactRejectsMisuse: WriteCompact refuses what the format
+// cannot hold in order: out-of-order or negative timestamps, and a
+// negative duration; events sharing a timestamp are in order.
+func TestWriteCompactRejectsMisuse(t *testing.T) {
+	for name, bad := range map[string]*Trace{
+		"timestamp out of order": {Duration: 100, Events: []Event{{Page: 1, At: 10}, {Page: 1, At: 5}}},
+		"negative timestamp":     {Duration: 100, Events: []Event{{Page: 1, At: -5}}},
+		"negative duration":      {Duration: -1},
+	} {
+		if err := bad.WriteCompact(io.Discard); err == nil {
+			t.Errorf("%s: WriteCompact accepted the trace", name)
+		}
+	}
+	good := &Trace{Duration: 100, Events: []Event{{Page: 1, At: 10}, {Page: 2, At: 10}}}
+	if err := good.WriteCompact(io.Discard); err != nil {
+		t.Errorf("WriteCompact rejected events sharing a timestamp: %v", err)
 	}
 }
 

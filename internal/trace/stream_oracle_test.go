@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"memcon/internal/varstream"
 )
 
 // The reference decoder: the byte-at-a-time compact decoder Stream
@@ -58,43 +60,52 @@ func newRefStream(r io.Reader) (*refStream, error) {
 	s := &refStream{r: countingReader{br: br}}
 	var m uint32
 	if err := binary.Read(&s.r, binary.LittleEndian, &m); err != nil {
-		return nil, &DecodeError{Event: -1, Offset: 0, Field: "magic", Err: noEOF(err)}
+		return nil, &varstream.DecodeError{Format: "trace", Event: -1, Offset: 0, Field: "magic", Err: noEOF(err)}
 	}
 	if m != compactMagic {
 		return nil, ErrBadFormat
 	}
 	nameLen, off, err := s.uvarint()
 	if err != nil {
-		return nil, &DecodeError{Event: -1, Offset: off, Field: "name length", Err: noEOF(err)}
+		return nil, &varstream.DecodeError{Format: "trace", Event: -1, Offset: off, Field: "name length", Err: noEOF(err)}
 	}
 	if nameLen > 1<<16 {
-		return nil, &DecodeError{Event: -1, Offset: off, Field: "name length",
+		return nil, &varstream.DecodeError{Format: "trace", Event: -1, Offset: off, Field: "name length",
 			Err: fmt.Errorf("%w: implausible name length %d", ErrBadFormat, nameLen)}
 	}
 	name := make([]byte, nameLen)
 	if _, err := io.ReadFull(&s.r, name); err != nil {
-		return nil, &DecodeError{Event: -1, Offset: off, Field: "name", Err: noEOF(err)}
+		return nil, &varstream.DecodeError{Format: "trace", Event: -1, Offset: off, Field: "name", Err: noEOF(err)}
 	}
 	s.name = string(name)
 	dur, off, err := s.uvarint()
 	if err != nil {
-		return nil, &DecodeError{Event: -1, Offset: off, Field: "duration", Err: noEOF(err)}
+		return nil, &varstream.DecodeError{Format: "trace", Event: -1, Offset: off, Field: "duration", Err: noEOF(err)}
 	}
 	if dur > math.MaxInt64 {
-		return nil, &DecodeError{Event: -1, Offset: off, Field: "duration",
+		return nil, &varstream.DecodeError{Format: "trace", Event: -1, Offset: off, Field: "duration",
 			Err: fmt.Errorf("%w: duration %d overflows the timestamp range", ErrBadFormat, dur)}
 	}
 	s.dur = Microseconds(dur)
 	count, off, err := s.uvarint()
 	if err != nil {
-		return nil, &DecodeError{Event: -1, Offset: off, Field: "event count", Err: noEOF(err)}
+		return nil, &varstream.DecodeError{Format: "trace", Event: -1, Offset: off, Field: "event count", Err: noEOF(err)}
 	}
 	if count > 1<<32 {
-		return nil, &DecodeError{Event: -1, Offset: off, Field: "event count",
+		return nil, &varstream.DecodeError{Format: "trace", Event: -1, Offset: off, Field: "event count",
 			Err: fmt.Errorf("%w: implausible event count %d", ErrBadFormat, count)}
 	}
 	s.total = count
 	return s, nil
+}
+
+// noEOF converts a bare io.EOF into io.ErrUnexpectedEOF: inside a
+// declared-length stream, running out of bytes is truncation.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 func (s *refStream) uvarint() (v uint64, off int64, err error) {
@@ -137,7 +148,7 @@ func (s *refStream) Next() (Event, error) {
 }
 
 func (s *refStream) fail(off int64, field string, cause error) error {
-	s.err = &DecodeError{Event: int64(s.idx), Offset: off, Field: field, Err: cause}
+	s.err = &varstream.DecodeError{Format: "trace", Event: int64(s.idx), Offset: off, Field: field, Err: cause}
 	return s.err
 }
 
@@ -159,7 +170,7 @@ type decodeOutcome struct {
 	// holds the failure's DecodeError fields (Err cleared), when it is
 	// one.
 	err       string
-	decodeErr *DecodeError
+	decodeErr *varstream.DecodeError
 }
 
 // drain opens a decoder (called as drain(NewStream(r))) and records its
@@ -180,7 +191,7 @@ func drain(s eventStream, err error) decodeOutcome {
 		}
 	}
 	o.err = err.Error()
-	var de *DecodeError
+	var de *varstream.DecodeError
 	if errors.As(err, &de) {
 		fields := *de
 		fields.Err = nil
@@ -232,10 +243,10 @@ func checkAgainstReference(t *testing.T, raw []byte) {
 }
 
 // straddleEvents is the event count of each straddleInputs stream.
-const straddleEvents = windowSize / 3
+const straddleEvents = varstream.WindowSize / 3
 
 // straddleInputs returns compact streams two windows long whose first
-// refill (at source offset windowSize when the source serves the whole
+// refill (at source offset varstream.WindowSize when the source serves the whole
 // input) splits a field at every byte position: the events are 6 bytes
 // (a 1-byte delta and a 5-byte page), and the name shifts each stream's
 // events one byte further against the window's end.
@@ -267,7 +278,7 @@ func tenContinuations() []byte {
 // and on the whole DecodeError, through every source shape.
 func TestStreamMatchesReference(t *testing.T) {
 	valid := buildCompact("t", 100, 2, 5, 1, 10, 2)
-	long := string(make([]byte, windowSize+904)) // a name wider than the window
+	long := string(make([]byte, varstream.WindowSize+904)) // a name wider than the window
 	cases := map[string][]byte{
 		"valid":                     valid,
 		"empty trace":               buildCompact("", 0, 0),
@@ -290,18 +301,18 @@ func TestStreamMatchesReference(t *testing.T) {
 		"tenth byte overflows":      append(buildCompact("t", 100, 1), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02, 0x00),
 		"largest varint":            buildCompact("t", 100, 1, 0, math.MaxUint64),
 		"name wider than window":    buildCompact(long, 7, 1, 3, 4),
-		"truncated wide name":       buildCompact(long, 7, 1, 3, 4)[:windowSize+100],
+		"truncated wide name":       buildCompact(long, 7, 1, 3, 4)[:varstream.WindowSize+100],
 		"overlong name length":      append([]byte("CTCM"), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80),
 		"overlong duration":         append(buildCompact("t", 0, 0)[:6], 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
 		"non-minimal varints":       append(buildCompact("t", 100, 1), 0x85, 0x00, 0x81, 0x80, 0x00),
-		"truncated straddling page": straddleInputs()[2][:windowSize+2],
+		"truncated straddling page": straddleInputs()[2][:varstream.WindowSize+2],
 	}
 	for i, raw := range straddleInputs() {
 		cases[fmt.Sprintf("straddle shift %d", i)] = raw
 		// A delta of ten continuation bytes, then EOF, starting 5 to 10
 		// bytes before the window's end.
 		header := len(raw) - 6*straddleEvents
-		over := slices.Clone(raw[:header+(windowSize-5-header)/6*6])
+		over := slices.Clone(raw[:header+(varstream.WindowSize-5-header)/6*6])
 		for range binary.MaxVarintLen64 {
 			over = append(over, 0x80)
 		}

@@ -9,11 +9,13 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"memcon/internal/varstream"
 )
 
 // buildCompact hand-assembles a compact stream from raw header fields
 // and pre-encoded event varints, so tests can express malformed inputs
-// the Encoder refuses to produce.
+// WriteCompact refuses to produce.
 func buildCompact(name string, duration uint64, count uint64, events ...uint64) []byte {
 	var b bytes.Buffer
 	binary.Write(&b, binary.LittleEndian, compactMagic)
@@ -159,7 +161,7 @@ func TestCompactDecodeErrors(t *testing.T) {
 			if err == nil {
 				t.Fatal("ReadCompact accepted malformed input")
 			}
-			var de *DecodeError
+			var de *varstream.DecodeError
 			if !errors.As(err, &de) {
 				t.Fatalf("error %v (%T) is not a *DecodeError", err, err)
 			}
@@ -179,54 +181,9 @@ func TestCompactDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestEncoderMatchesWriteCompact(t *testing.T) {
-	tr := streamSampleTrace()
-	tr.Sort()
-	var want bytes.Buffer
-	if err := tr.WriteCompact(&want); err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	enc, err := NewEncoder(&got, tr.Name, tr.Duration, uint64(len(tr.Events)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range tr.Events {
-		if err := enc.Encode(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("encoder output differs from WriteCompact (%d vs %d bytes)", got.Len(), want.Len())
-	}
-}
-
-func TestEncoderRejectsMisuse(t *testing.T) {
-	var b bytes.Buffer
-	enc, err := NewEncoder(&b, "t", 100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Close(); err == nil {
-		t.Error("Close accepted an unmet event count")
-	}
-	if err := enc.Encode(Event{Page: 1, At: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(Event{Page: 1, At: 5}); err == nil {
-		t.Error("Encode accepted an out-of-order event")
-	}
-	if err := enc.Encode(Event{Page: 2, At: 20}); err == nil {
-		t.Error("Encode accepted an event beyond the declared count")
-	}
-}
-
 // FuzzStream checks Stream against the reference decoder on arbitrary
 // bytes and source shapes (checkAgainstReference), then checks that an
-// accepted input round-trips through the encoder.
+// accepted input round-trips through writeCompact.
 func FuzzStream(f *testing.F) {
 	f.Add(buildCompact("t", 100, 2, 5, 1, 10, 2))
 	f.Add(buildCompact("", 0, 0))
@@ -283,14 +240,14 @@ func (r *stallReader) Read(p []byte) (int, error) {
 		return 1, nil
 	}
 	r.run++
-	if r.run > 10*maxEmptyReads {
+	if r.run > 10*varstream.MaxEmptyReads {
 		return 0, errors.New("stallReader: decoder kept reading")
 	}
 	return 0, nil
 }
 
 // TestStreamNoProgress: a source that stops making progress fails the
-// field being read with io.ErrNoProgress after exactly maxEmptyReads
+// field being read with io.ErrNoProgress after exactly varstream.MaxEmptyReads
 // empty reads, as bufio.Reader does, and is not reported as
 // truncation; fewer empty reads in a row are waited out.
 func TestStreamNoProgress(t *testing.T) {
@@ -299,9 +256,9 @@ func TestStreamNoProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCompact(&stallReader{data: raw, stall: maxEmptyReads - 1})
+	got, err := ReadCompact(&stallReader{data: raw, stall: varstream.MaxEmptyReads - 1})
 	if err != nil {
-		t.Fatalf("%d empty reads before each byte: %v", maxEmptyReads-1, err)
+		t.Fatalf("%d empty reads before each byte: %v", varstream.MaxEmptyReads-1, err)
 	}
 	if !slices.Equal(got.Events, want.Events) {
 		t.Fatalf("stalling source decoded %v, want %v", got.Events, want.Events)
@@ -311,7 +268,7 @@ func TestStreamNoProgress(t *testing.T) {
 	for _, cut := range []int{0, 2, 4, 6, len(raw) - 2} {
 		r := &stallReader{data: raw[:cut]}
 		_, err := ReadCompact(r)
-		var de *DecodeError
+		var de *varstream.DecodeError
 		if !errors.As(err, &de) || !errors.Is(err, io.ErrNoProgress) {
 			t.Errorf("cut at %d: err = %v, want a DecodeError caused by io.ErrNoProgress", cut, err)
 			continue
@@ -319,8 +276,8 @@ func TestStreamNoProgress(t *testing.T) {
 		if de.Offset > int64(cut) {
 			t.Errorf("cut at %d: error at offset %d, past the bytes served", cut, de.Offset)
 		}
-		if r.run != maxEmptyReads {
-			t.Errorf("cut at %d: failed after %d empty reads, want %d", cut, r.run, maxEmptyReads)
+		if r.run != varstream.MaxEmptyReads {
+			t.Errorf("cut at %d: failed after %d empty reads, want %d", cut, r.run, varstream.MaxEmptyReads)
 		}
 	}
 }
@@ -340,7 +297,7 @@ func TestStreamSourceErrorMidField(t *testing.T) {
 		{header + 4, "page", header + 2},
 	} {
 		_, err := ReadCompact(&chunkReader{data: raw[:tc.cut], chunk: 3, tail: errSource})
-		var de *DecodeError
+		var de *varstream.DecodeError
 		if !errors.As(err, &de) || !errors.Is(err, errSource) {
 			t.Errorf("cut at %d: err = %v, want a DecodeError caused by the source error", tc.cut, err)
 			continue
@@ -396,21 +353,32 @@ func TestStreamAllocs(t *testing.T) {
 	}
 }
 
-// encodeCompact encodes through the streaming Encoder and returns the
-// bytes.
+// TestWriteCompactAllocs pins the writer's allocation contract:
+// WriteCompact allocates the varint writer, its bufio.Writer and that
+// buffer, whatever the trace's length, and nothing per event.
+func TestWriteCompactAllocs(t *testing.T) {
+	for _, n := range []int{0, 10, 5000} {
+		tr := &Trace{Name: "allocs", Duration: Microseconds(n) * 37}
+		for i := range n {
+			tr.Events = append(tr.Events, Event{Page: uint32(i % 300), At: Microseconds(i) * 37})
+		}
+		if a := testing.AllocsPerRun(20, func() {
+			if err := tr.WriteCompact(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}); a > 3 {
+			t.Errorf("WriteCompact of %d events allocates %.1f times, want at most 3", n, a)
+		}
+	}
+}
+
+// encodeCompact encodes through writeCompact, which unlike
+// WriteCompact accepts what the decoder accepts: a duration shorter
+// than the last event.
 func encodeCompact(t *testing.T, tr *Trace) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	enc, err := NewEncoder(&b, tr.Name, tr.Duration, uint64(len(tr.Events)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range tr.Events {
-		if err := enc.Encode(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Close(); err != nil {
+	if err := tr.writeCompact(&b); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()

@@ -11,9 +11,10 @@
 #   6. the suite also passes under the race detector (-short trims the
 #      slowest golden sweeps; they already ran race-free in step 5's
 #      process because the experiment sweeps are parallel by default),
-#   7. the engine meets freshly generated write sequences: the settled
-#      writes fuzz target runs for 10 s against the frozen engine and
-#      the accounting identities,
+#   7. the engine and both stream decoders meet freshly generated
+#      input: the settled-writes fuzz target runs for 10 s against the
+#      frozen engine and the accounting identities, and FuzzStream and
+#      FuzzCELog run for 10 s each against their reference decoders,
 #   8. the fleet simulation's per-module fan-out runs race-clean at the
 #      small scale the -short race pass skips,
 #   9. the hot-path benchmarks still run (single iteration smoke; see
@@ -67,6 +68,15 @@ go test -race -short ./...
 # accounting identities.
 echo "== engine fuzz =="
 go test -run '^$' -fuzz '^FuzzEngineSettledWrites$' -fuzztime 10s ./internal/core
+
+# Decoder fuzz: the compact trace and the CE log decode through one
+# shared window reader (internal/varstream); each fuzz target holds its
+# format to the byte-at-a-time reference decoder it replaced, through
+# whole, 1-byte and 3-byte chunked sources, and round-trips what it
+# accepts.
+echo "== decoder fuzz =="
+go test -run '^$' -fuzz '^FuzzStream$' -fuzztime 10s ./internal/trace
+go test -run '^$' -fuzz '^FuzzCELog$' -fuzztime 10s ./internal/fleet
 
 # Fleet race smoke: the per-module fleet fan-out and the fleet CLI paths
 # under the race detector. The full sharding-invariance sweep skips
