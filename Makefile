@@ -12,7 +12,7 @@ vet:
 	$(GO) vet ./...
 
 # race runs the whole suite under the race detector. The experiment
-# sweeps, the -all CLI path and AllFailFractionParallel all fan out
+# sweeps, the -all CLI path and softmc's AllFailFraction all fan out
 # across goroutines, so this is the tier that catches data races the
 # plain suite cannot. -short skips the slowest golden sweeps; ci runs
 # them in the plain pass.

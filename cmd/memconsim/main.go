@@ -189,7 +189,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	var pool *parallel.PoolStats
 	if *metrics != "" {
 		reg = obs.NewRegistry()
-		phases = obs.NewPhaseTimer(nil)
+		phases = obs.NewPhaseTimer()
 		pool = parallel.NewPoolStats()
 		rt.Observer = obs.NewMetrics(reg)
 		rt.Phases = phases

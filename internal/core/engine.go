@@ -186,6 +186,12 @@ func (r Report) TestingTimeNs() float64 {
 	return r.TestingTimeCorrectNs + r.TestingTimeMispredNs
 }
 
+// RefreshTimeNs returns the latency MEMCON spends on refresh
+// operations.
+func (r Report) RefreshTimeNs() float64 {
+	return r.RefreshOps * float64(dram.DDR31600().RefreshCost())
+}
+
 // BaselineRefreshTimeNs returns the latency the baseline spends on
 // refresh operations (for the Fig. 18 normalization).
 func (r Report) BaselineRefreshTimeNs() float64 {

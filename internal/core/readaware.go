@@ -42,7 +42,9 @@ func (r ReadSkipReport) SkipFraction() float64 {
 // whose events are READ accesses) at the given refresh interval. Only
 // traced pages are counted; each page is charged duration/interval
 // scheduled refreshes, and the refresh at the end of window k is
-// skipped when the page was read inside window k.
+// skipped when the page was read inside window k. The trailing partial
+// window is charged only its fraction of a refresh, so a read there
+// skips that fraction: a page never skips more than it is scheduled.
 func ReadSkipAnalysis(reads *trace.Trace, interval dram.Nanoseconds) (ReadSkipReport, error) {
 	if interval <= 0 {
 		return ReadSkipReport{}, fmt.Errorf("core: refresh interval must be positive, got %d", interval)
@@ -56,6 +58,11 @@ func ReadSkipAnalysis(reads *trace.Trace, interval dram.Nanoseconds) (ReadSkipRe
 	}
 	var rep ReadSkipReport
 	windowsPerPage := float64(reads.Duration) / float64(intervalUs)
+	// Window full is the trailing partial one (no read lies past
+	// Duration). Its share is exact by Sterbenz's lemma, so a page read
+	// in every window skips exactly windowsPerPage.
+	full := reads.Duration / intervalUs
+	trailing := windowsPerPage - float64(full)
 	perPage := reads.PageWrites() // per-page event times (read-only); reads here
 	for _, times := range perPage {
 		rep.PagesWithReads++
@@ -65,7 +72,11 @@ func ReadSkipAnalysis(reads *trace.Trace, interval dram.Nanoseconds) (ReadSkipRe
 		for _, at := range times {
 			seen[at/intervalUs] = struct{}{}
 		}
-		rep.Skipped += float64(len(seen))
+		skipped := float64(len(seen))
+		if _, ok := seen[full]; ok {
+			skipped = float64(len(seen)-1) + trailing
+		}
+		rep.Skipped += skipped
 	}
 	return rep, nil
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"memcon/internal/dram"
@@ -37,6 +40,91 @@ func TestReadSkipAnalysisBasics(t *testing.T) {
 	if math.Abs(rep.SkipFraction()-0.3) > 1e-9 {
 		t.Errorf("skip fraction = %v, want 0.3", rep.SkipFraction())
 	}
+}
+
+// A read in the trace's trailing partial window skips only the share
+// of a refresh that window is charged: one page over 96 ms at a 64 ms
+// interval, read at 10 ms and 70 ms, is scheduled 1.5 refreshes and
+// skips 1.5, not 2, so combined savings stay within 100 %.
+func TestReadSkipTrailingWindow(t *testing.T) {
+	reads := &trace.Trace{
+		Duration: 96 * trace.Millisecond,
+		Events: []trace.Event{
+			{Page: 0, At: 10 * trace.Millisecond},
+			{Page: 0, At: 70 * trace.Millisecond},
+		},
+	}
+	rep, err := ReadSkipAnalysis(reads, dram.RefreshWindowDefault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Scheduled != 1.5 || rep.Skipped != 1.5 || rep.SkipFraction() != 1 {
+		t.Errorf("scheduled %v, skipped %v, fraction %v; want 1.5, 1.5, 1",
+			rep.Scheduled, rep.Skipped, rep.SkipFraction())
+	}
+	if got := CombinedSavings(Report{BaselineOps: 100, RefreshOps: 30}, rep); got > 1 {
+		t.Errorf("combined savings %v above 100 %%", got)
+	}
+}
+
+// No page skips more refreshes than it is scheduled, and a page read in
+// every window, the trailing partial one included, skips exactly its
+// scheduled refreshes.
+func TestReadSkipNeverExceedsScheduled(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		ivUs := trace.Microseconds(1 + rng.Int63n(100_000))
+		dur := trace.Microseconds(rng.Int63n(40 * int64(ivUs)))
+		reads := &trace.Trace{Duration: dur}
+		// Page 0 is read in every window; page 1 at random times.
+		for at := trace.Microseconds(0); at <= dur; at += ivUs {
+			reads.Events = append(reads.Events, trace.Event{Page: 0, At: at})
+		}
+		if dur%ivUs != 0 {
+			reads.Events = append(reads.Events, trace.Event{Page: 0, At: dur})
+		}
+		var random []trace.Microseconds
+		for n := rng.Intn(50); n > 0; n-- {
+			random = append(random, trace.Microseconds(rng.Int63n(int64(dur)+1)))
+		}
+		slices.Sort(random)
+		for _, at := range random {
+			reads.Events = append(reads.Events, trace.Event{Page: 1, At: at})
+		}
+		slices.SortStableFunc(reads.Events, func(a, b trace.Event) int { return cmp.Compare(a.At, b.At) })
+		iv := dram.Nanoseconds(ivUs) * dram.Microsecond
+		every, err := ReadSkipAnalysis(&trace.Trace{Duration: dur, Events: pageEvents(reads, 0)}, iv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if every.Skipped != every.Scheduled {
+			t.Fatalf("case %d (interval %d us, duration %d us): page read in every window skips %v of %v",
+				i, ivUs, dur, every.Skipped, every.Scheduled)
+		}
+		some, err := ReadSkipAnalysis(&trace.Trace{Duration: dur, Events: pageEvents(reads, 1)}, iv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		both, err := ReadSkipAnalysis(reads, iv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if some.Skipped > some.Scheduled || both.Skipped > both.Scheduled {
+			t.Fatalf("case %d (interval %d us, duration %d us): skipped %v of %v (random page), %v of %v (both)",
+				i, ivUs, dur, some.Skipped, some.Scheduled, both.Skipped, both.Scheduled)
+		}
+	}
+}
+
+// pageEvents returns the trace's events on one page.
+func pageEvents(tr *trace.Trace, page uint32) []trace.Event {
+	var out []trace.Event
+	for _, e := range tr.Events {
+		if e.Page == page {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 func TestReadSkipAnalysisErrors(t *testing.T) {

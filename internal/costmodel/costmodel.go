@@ -1,17 +1,21 @@
-// Package costmodel implements the paper's analytic cost-benefit model
-// of online testing (§3.3, Fig. 6, and the appendix). The cost of a
-// configuration is the accumulated per-row latency it spends on refresh
-// and testing over time:
+// Package costmodel prices the DRAM operations MEMCON trades against
+// each other — a refresh, an online test and a RowHammer mitigation
+// refresh — in latency (ns) and in energy (nJ), and solves the paper's
+// cost-benefit crossover (§3.3, Fig. 6, and the appendix). In latency,
+// the cost of a configuration is the accumulated per-row time it spends
+// on refresh and testing:
 //
 //   - HI-REF refreshes a row every HiRefInterval (16 ms) at 39 ns per
 //     refresh (tRAS+tRP).
-//   - MEMCON pays a one-time testing latency (1068 ns Read-and-Compare
-//     or 1602 ns Copy-and-Compare) and then refreshes at the LO-REF
-//     interval (64/128/256 ms).
+//   - MEMCON pays a one-time testing latency (1068 ns Read-and-Compare,
+//     1602 ns Copy-and-Compare, less with footnote 6's in-DRAM
+//     acceleration) and then refreshes at the LO-REF interval
+//     (64/128/256 ms).
 //
 // MinWriteInterval is the earliest time at which MEMCON's accumulated
 // cost drops below HI-REF's — the minimum interval between writes to a
-// row that amortizes a test.
+// row that amortizes a test. EnergyMinWriteInterval solves the same
+// crossover with both prices in nanojoules.
 package costmodel
 
 import (
@@ -20,8 +24,8 @@ import (
 	"memcon/internal/dram"
 )
 
-// TestMode selects where the in-test row's content is buffered during a
-// test (§3.3).
+// TestMode selects how a test buffers and compares the in-test row's
+// content (§3.3 and footnote 6).
 type TestMode int
 
 const (
@@ -31,6 +35,15 @@ const (
 	// CopyCompare copies the row into a reserved DRAM region and keeps
 	// only ECC in the controller: two full row reads plus one row write.
 	CopyCompare
+	// RowCloneCopy is Copy-and-Compare with the copy performed inside
+	// DRAM (RowClone, LISA): the read+write pair collapses into two
+	// back-to-back activations; the post-test read-back still crosses
+	// the channel (one row cycle).
+	RowCloneCopy
+	// InDRAMCompare additionally compares inside the DRAM or the logic
+	// layer of 3D-stacked memory: the test is the in-DRAM copy plus an
+	// in-DRAM comparison, each about two activations.
+	InDRAMCompare
 )
 
 // String returns the paper's name for the mode.
@@ -40,8 +53,27 @@ func (m TestMode) String() string {
 		return "Read and Compare"
 	case CopyCompare:
 		return "Copy and Compare"
+	case RowCloneCopy:
+		return "RowClone Copy and Compare"
+	case InDRAMCompare:
+		return "In-DRAM Copy and Compare"
 	default:
 		return fmt.Sprintf("TestMode(%d)", int(m))
+	}
+}
+
+// RowCycles returns the full row cycles (dram.Timing.RowCycle each) a
+// test in mode m moves through the channel: 2 for Read-and-Compare and
+// 3 for Copy-and-Compare. The accelerated modes keep the row inside
+// DRAM, so they have no row-cycle count and RowCycles returns 0.
+func (m TestMode) RowCycles() int {
+	switch m {
+	case ReadCompare:
+		return 2
+	case CopyCompare:
+		return 3
+	default:
+		return 0
 	}
 }
 
@@ -77,18 +109,27 @@ func (c Config) Validate() error {
 	if c.LoRefInterval <= c.HiRefInterval {
 		return fmt.Errorf("costmodel: LO-REF interval (%d) must exceed HI-REF interval (%d)", c.LoRefInterval, c.HiRefInterval)
 	}
-	if c.Mode != ReadCompare && c.Mode != CopyCompare {
+	if c.Mode < ReadCompare || c.Mode > InDRAMCompare {
 		return fmt.Errorf("costmodel: unknown test mode %d", c.Mode)
 	}
 	return nil
 }
 
-// TestCost returns the one-time latency of a test in the configured mode.
+// TestCost returns the one-time latency of a test in the configured
+// mode: its row cycles for the two channel modes (1068 and 1602 ns for
+// DDR3-1600), and for the accelerated ones an in-DRAM operation of two
+// back-to-back activations then a precharge in place of each
+// accelerated step.
 func (c Config) TestCost() dram.Nanoseconds {
-	if c.Mode == CopyCompare {
-		return c.Timing.CopyCompareCost()
+	inDRAMOp := 2*c.Timing.TRAS + c.Timing.TRP
+	switch c.Mode {
+	case RowCloneCopy:
+		return inDRAMOp + c.Timing.RowCycle()
+	case InDRAMCompare:
+		return 2 * inDRAMOp
+	default:
+		return dram.Nanoseconds(c.Mode.RowCycles()) * c.Timing.RowCycle()
 	}
-	return c.Timing.ReadCompareCost()
 }
 
 // HiRefCost returns HI-REF's accumulated per-row refresh latency over
@@ -112,11 +153,13 @@ func (c Config) MemconCost(t dram.Nanoseconds) dram.Nanoseconds {
 	if t < 0 {
 		return 0
 	}
-	refreshes := t/c.LoRefInterval - 1
-	if refreshes < 0 {
-		refreshes = 0
-	}
-	return c.TestCost() + refreshes*c.Timing.RefreshCost()
+	return c.TestCost() + c.loRefRefreshes(t)*c.Timing.RefreshCost()
+}
+
+// loRefRefreshes returns the LO-REF refreshes a tested row has had by
+// time t >= 0: none through the test window, then one per window.
+func (c Config) loRefRefreshes(t dram.Nanoseconds) dram.Nanoseconds {
+	return max(t/c.LoRefInterval-1, 0)
 }
 
 // MitigationCost returns the accumulated latency of ops extra
@@ -153,43 +196,32 @@ func (c Config) Curve(horizon, step dram.Nanoseconds) []CurvePoint {
 
 // MinWriteInterval returns the smallest time t (quantized to the HI-REF
 // interval, the natural resolution of the crossover) at which MEMCON's
-// accumulated cost is at or below HI-REF's. This is the minimum interval
-// between two writes to a row that amortizes the cost of testing.
+// accumulated latency is at or below HI-REF's. This is the minimum
+// interval between two writes to a row that amortizes the cost of
+// testing.
 func (c Config) MinWriteInterval() (dram.Nanoseconds, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
 	}
-	// The crossover is bounded: per HI-REF interval, HI-REF accrues
-	// RefreshCost while MEMCON accrues at most RefreshCost *
-	// Hi/Lo ratio < RefreshCost, so the gap closes by at least
-	// RefreshCost*(1 - Hi/Lo) per interval. Search stepwise.
-	step := c.HiRefInterval
-	limit := dram.Nanoseconds(1) << 40 // ~18 minutes; far beyond any real crossover
-	for t := step; t <= limit; t += step {
-		if c.MemconCost(t) <= c.HiRefCost(t) {
+	return c.crossover(float64(c.TestCost()), float64(c.Timing.RefreshCost()))
+}
+
+// crossover returns the smallest multiple t of the HI-REF interval at
+// which a test priced test, plus a LO-REF row's refreshes priced
+// refresh each, costs at most HI-REF's refreshes by t. Both prices are
+// in one currency (ns or nJ). Latency prices are small integers, which
+// float64 holds exactly, so the comparison is the integer one. Per
+// HI-REF interval the gap closes by at least refresh*(1 - Hi/Lo), so a
+// crossover, when there is one, is found by stepping; the limit (~73
+// minutes) lies far beyond any real one.
+func (c Config) crossover(test, refresh float64) (dram.Nanoseconds, error) {
+	const limit = dram.Nanoseconds(1) << 42
+	for t := c.HiRefInterval; t <= limit; t += c.HiRefInterval {
+		if test+float64(c.loRefRefreshes(t))*refresh <= float64(t/c.HiRefInterval)*refresh {
 			return t, nil
 		}
 	}
 	return 0, fmt.Errorf("costmodel: no crossover found below %d ns", limit)
-}
-
-// Breakdown reports the paper's headline appendix numbers for a timing
-// set, used for documentation and verification.
-type Breakdown struct {
-	RowCycle    dram.Nanoseconds
-	RefreshCost dram.Nanoseconds
-	ReadCompare dram.Nanoseconds
-	CopyCompare dram.Nanoseconds
-}
-
-// Costs returns the latency building blocks of the model.
-func Costs(t dram.Timing) Breakdown {
-	return Breakdown{
-		RowCycle:    t.RowCycle(),
-		RefreshCost: t.RefreshCost(),
-		ReadCompare: t.ReadCompareCost(),
-		CopyCompare: t.CopyCompareCost(),
-	}
 }
 
 // CopyCompareReservedRows computes the storage overhead of the

@@ -16,12 +16,6 @@ func TestTimingMatchesPaperAppendix(t *testing.T) {
 	if got := tm.RefreshCost(); got != 39 {
 		t.Errorf("RefreshCost = %d ns, want 39 (tRAS+tRP)", got)
 	}
-	if got := tm.ReadCompareCost(); got != 1068 {
-		t.Errorf("ReadCompareCost = %d ns, want 1068", got)
-	}
-	if got := tm.CopyCompareCost(); got != 1602 {
-		t.Errorf("CopyCompareCost = %d ns, want 1602", got)
-	}
 }
 
 func TestTREFI(t *testing.T) {

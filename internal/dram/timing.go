@@ -82,14 +82,6 @@ func (t Timing) RowCycle() Nanoseconds {
 // (39 ns for DDR3-1600).
 func (t Timing) RefreshCost() Nanoseconds { return t.TRAS + t.TRP }
 
-// ReadCompareCost returns the latency of the Read-and-Compare test mode:
-// two full row reads (1068 ns for DDR3-1600).
-func (t Timing) ReadCompareCost() Nanoseconds { return 2 * t.RowCycle() }
-
-// CopyCompareCost returns the latency of the Copy-and-Compare test mode:
-// two full row reads plus one full row write (1602 ns for DDR3-1600).
-func (t Timing) CopyCompareCost() Nanoseconds { return 3 * t.RowCycle() }
-
 // Density identifies a DRAM chip density. Refresh cost (tRFC) grows with
 // density, which is why MEMCON's benefit grows with chip capacity
 // (Fig. 15).

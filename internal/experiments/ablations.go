@@ -83,17 +83,23 @@ func RunAblAccel(context.Context, Request, Runtime) (*report.Report, error) {
 		report.CStr("variant", ""),
 		report.CInt("test_cost_ns", "test cost", "ns"),
 		report.CInt("min_write_interval_ms", "MinWriteInterval", "ms"))
-	for _, a := range []costmodel.Accel{costmodel.NoAccel, costmodel.RowCloneCopy, costmodel.InDRAMCompare} {
-		cfg, err := costmodel.NewAcceleratedConfig(costmodel.DefaultConfig(), a)
-		if err != nil {
-			return nil, err
-		}
+	variants := []struct {
+		name string
+		mode costmodel.TestMode
+	}{
+		{"baseline", costmodel.CopyCompare},
+		{"rowclone-copy", costmodel.RowCloneCopy},
+		{"in-dram-compare", costmodel.InDRAMCompare},
+	}
+	for _, v := range variants {
+		cfg := costmodel.DefaultConfig()
+		cfg.Mode = v.mode
 		mwi, err := cfg.MinWriteInterval()
 		if err != nil {
 			return nil, err
 		}
 		testCost := cfg.TestCost()
-		t.Add(report.S(a.String()),
+		t.Add(report.S(v.name),
 			report.Id(int64(testCost), fmt.Sprintf("%d ns", testCost)),
 			report.Id(int64(mwi/dram.Millisecond), fmt.Sprintf("%d ms", mwi/dram.Millisecond)))
 	}

@@ -40,33 +40,126 @@ func checkAllocationBudgets(t *testing.T, budgets []allocationBudget) {
 	}
 }
 
-// TestIntervalFigureAllocationBudget holds the write-interval figures
-// to their allocation budgets. They read each application's intervals
-// straight off the generator, so a figure that builds its traces again
-// (42-101 MB each) fails here. fig8 holds the intervals of at least
-// 1 ms it fits, sorted once for all its candidate thresholds. With
-// Go 1.24.0, fig7, fig9, fig11 and fig12 allocate 0.05-0.12 MB and fig8
-// 1.4 MB.
-func TestIntervalFigureAllocationBudget(t *testing.T) {
-	checkAllocationBudgets(t, []allocationBudget{
-		{"fig7", 1 * mib},
-		{"fig8", 2 * mib},
-		{"fig9", 1 * mib},
-		{"fig11", 1 * mib},
-		{"fig12", 1 * mib},
-	})
+// intervalFigureBudgets holds the write-interval figures. They read
+// each application's intervals straight off the generator, so a figure
+// that builds its traces again (42-101 MB each) fails. fig8 holds the
+// intervals of at least 1 ms it fits, sorted once for all its candidate
+// thresholds. With Go 1.24.0, fig7, fig9, fig11 and fig12 allocate
+// 0.05-0.12 MB and fig8 1.4 MB.
+var intervalFigureBudgets = []allocationBudget{
+	{"fig7", 1 * mib},
+	{"fig8", 2 * mib},
+	{"fig9", 1 * mib},
+	{"fig11", 1 * mib},
+	{"fig12", 1 * mib},
 }
 
-// TestEngineFigureAllocationBudget holds the ids that replay traces
-// through the engine to their allocation budgets. fig14, fig17 and
-// fig18 each generate the twelve application traces once (75 MB with
-// Go 1.24.0), and energy one trace (6.2 MB), so a second generation in
-// any of them fails here.
+// engineFigureBudgets holds the ids that replay traces through the
+// engine. fig14, fig17 and fig18 each generate the twelve application
+// traces once (75 MB with Go 1.24.0), and energy one trace (6.2 MB), so
+// a second generation in any of them fails.
+var engineFigureBudgets = []allocationBudget{
+	{"fig14", 80 * mib},
+	{"fig17", 80 * mib},
+	{"fig18", 80 * mib},
+	{"energy", 8 * mib},
+}
+
+// analyticBudgets holds the ids that only evaluate the cost model or
+// list the workloads, with no trace, chip or simulation. With
+// Go 1.24.0 they allocate 2-10 KB each (the bytes move by a few hundred
+// between runs), so 64 KiB leaves 6x or more headroom and still fails
+// on any trace, chip or per-sample buffer.
+var analyticBudgets = []allocationBudget{
+	{"fig6", 64 << 10},
+	{"minwi", 64 << 10},
+	{"abl-accel", 64 << 10},
+	{"table1", 64 << 10},
+}
+
+// simulationBudgets holds the ids driven through the memory-controller
+// model: the performance figures and the closed loop, and the RowHammer
+// ids. With Go 1.24.0: fig15 1.48 MB, fig16 2.94 MB, table3 0.74 MB,
+// loop 0.08 MB, disturb-exposure 0.14 MB and disturb-mitigation
+// 0.24 MB. Each budget leaves 40 % or more headroom; an allocation per
+// access or per injected test runs to tens of MB.
+var simulationBudgets = []allocationBudget{
+	{"fig15", 2 * mib},
+	{"fig16", 4 * mib},
+	{"table3", 1 * mib},
+	{"loop", 256 << 10},
+	{"disturb-exposure", 256 << 10},
+	{"disturb-mitigation", 512 << 10},
+}
+
+// chipBudgets holds the chip-level ids, which build a module and its
+// fault model and read it back. With Go 1.24.0: fig3 1.33 MB, fig4
+// 10.20 MB, motiv 0.21 MB, vrt 0.75 MB, profile 0.78 MB and abl-remap
+// 3.77 MB. Headroom is 23 % (fig4) to 58 % (fig3): a second model build
+// at paper-scale rows fails.
+var chipBudgets = []allocationBudget{
+	{"fig3", 2 * mib},
+	{"fig4", 12 * mib},
+	{"motiv", 512 << 10},
+	{"vrt", 1 * mib},
+	{"profile", 1 * mib},
+	{"abl-remap", 5 * mib},
+}
+
+// traceBudgets holds the remaining trace-driven ids and the fleet ids.
+// With Go 1.24.0: fig19 43.60 MB (its traces, generated once), abl-buffer
+// 6.29 MB, abl-pril 6.49 MB, fleet-ce 2.37 MB and fleet-risk 2.34 MB.
+// fig19's 48 MiB leaves 15 % headroom, so a second generation of its
+// traces fails; the others leave 29-34 %.
+var traceBudgets = []allocationBudget{
+	{"fig19", 48 * mib},
+	{"abl-buffer", 8 * mib},
+	{"abl-pril", 8 * mib},
+	{"fleet-ce", 3 * mib},
+	{"fleet-risk", 3 * mib},
+}
+
+func TestIntervalFigureAllocationBudget(t *testing.T) {
+	checkAllocationBudgets(t, intervalFigureBudgets)
+}
+
 func TestEngineFigureAllocationBudget(t *testing.T) {
-	checkAllocationBudgets(t, []allocationBudget{
-		{"fig14", 80 * mib},
-		{"fig17", 80 * mib},
-		{"fig18", 80 * mib},
-		{"energy", 8 * mib},
-	})
+	checkAllocationBudgets(t, engineFigureBudgets)
+}
+
+func TestAnalyticAllocationBudget(t *testing.T) {
+	checkAllocationBudgets(t, analyticBudgets)
+}
+
+func TestSimulationAllocationBudget(t *testing.T) {
+	checkAllocationBudgets(t, simulationBudgets)
+}
+
+func TestChipAllocationBudget(t *testing.T) {
+	checkAllocationBudgets(t, chipBudgets)
+}
+
+func TestTraceAllocationBudget(t *testing.T) {
+	checkAllocationBudgets(t, traceBudgets)
+}
+
+// TestEveryIDHasAllocationBudget keeps the budgets complete: every
+// registered id has exactly one.
+func TestEveryIDHasAllocationBudget(t *testing.T) {
+	seen := map[string]int{}
+	for _, group := range [][]allocationBudget{intervalFigureBudgets, engineFigureBudgets,
+		analyticBudgets, simulationBudgets, chipBudgets, traceBudgets} {
+		for _, b := range group {
+			seen[b.id]++
+		}
+	}
+	for _, id := range IDs() {
+		if seen[id] != 1 {
+			t.Errorf("%s has %d allocation budgets, want 1", id, seen[id])
+		}
+		delete(seen, id)
+	}
+	for id := range seen {
+		t.Errorf("budget for unknown id %s", id)
+	}
 }

@@ -69,7 +69,10 @@ func RunFig6(context.Context, Request, Runtime) (*report.Report, error) {
 // cells carry their own kinds, the column kind records the dominant
 // one.
 func RunAppendix(context.Context, Request, Runtime) (*report.Report, error) {
-	costs := costmodel.Costs(dram.DDR31600())
+	cm := costmodel.DefaultConfig()
+	readCompare := cm.TestCost()
+	cm.Mode = costmodel.CopyCompare
+	copyCompare := cm.TestCost()
 	reserved := costmodel.CopyCompareReservedRows(512, 8, 262144)
 	rep := report.New()
 	rep.Textf("Appendix — DDR3-1600 cost building blocks\n\n")
@@ -80,10 +83,10 @@ func RunAppendix(context.Context, Request, Runtime) (*report.Report, error) {
 	ns := func(v dram.Nanoseconds) report.Cell {
 		return report.Id(int64(v), fmt.Sprintf("%d ns", v))
 	}
-	t.Add(report.S("row cycle (tRCD + 128*tCCD + tRP)"), ns(costs.RowCycle), report.S("534 ns"))
-	t.Add(report.S("refresh (tRAS + tRP)"), ns(costs.RefreshCost), report.S("39 ns"))
-	t.Add(report.S("Read and Compare (2 row reads)"), ns(costs.ReadCompare), report.S("1068 ns"))
-	t.Add(report.S("Copy and Compare (2 reads + 1 write)"), ns(costs.CopyCompare), report.S("1602 ns"))
+	t.Add(report.S("row cycle (tRCD + 128*tCCD + tRP)"), ns(cm.Timing.RowCycle()), report.S("534 ns"))
+	t.Add(report.S("refresh (tRAS + tRP)"), ns(cm.Timing.RefreshCost()), report.S("39 ns"))
+	t.Add(report.S("Read and Compare (2 row reads)"), ns(readCompare), report.S("1068 ns"))
+	t.Add(report.S("Copy and Compare (2 reads + 1 write)"), ns(copyCompare), report.S("1602 ns"))
 	t.Add(report.S("Copy and Compare reserved capacity"), report.F(reserved, pct2(reserved)), report.S("1.56%"))
 	rep.AddTable(t)
 	return rep, nil

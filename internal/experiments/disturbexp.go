@@ -8,7 +8,6 @@ import (
 	"memcon/internal/costmodel"
 	"memcon/internal/disturb"
 	"memcon/internal/dram"
-	"memcon/internal/energy"
 	"memcon/internal/faults"
 	"memcon/internal/memctrl"
 	"memcon/internal/obs"
@@ -344,7 +343,7 @@ func RunDisturbMitigation(ctx context.Context, req Request, rt Runtime) (*report
 	simTime := dram.Nanoseconds(req.SimTimeNs)
 	victims, _ := chip.dm.VictimRows(0)
 	cm := costmodel.DefaultConfig()
-	budget := energy.DDR3Budget()
+	budget := costmodel.DDR3Budget()
 
 	rep := report.New()
 	rep.Textf("Extension — RowHammer mitigation overhead vs blast radius\n\n")
@@ -386,7 +385,7 @@ func RunDisturbMitigation(ctx context.Context, req Request, rt Runtime) (*report
 		if simTime > 0 {
 			overheadFrac = float64(overheadNs) / float64(simTime)
 		}
-		br, err := energy.Compute(budget, energy.Tally{RefreshOps: float64(stats.MitigationOps)})
+		br, err := cm.Energy(budget, costmodel.Tally{RefreshOps: float64(stats.MitigationOps)})
 		if err != nil {
 			return nil, err
 		}

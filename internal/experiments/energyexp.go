@@ -7,7 +7,6 @@ import (
 	"memcon/internal/core"
 	"memcon/internal/costmodel"
 	"memcon/internal/dram"
-	"memcon/internal/energy"
 	"memcon/internal/report"
 	"memcon/internal/trace"
 	"memcon/internal/workload"
@@ -40,18 +39,12 @@ func RunEnergy(ctx context.Context, req Request, rt Runtime) (*report.Report, er
 	}
 	run = run.WithReadOnlyRows(9*(tr.MaxPage()+1), cfg)
 
-	budget := energy.DDR3Budget()
+	budget := costmodel.DDR3Budget()
 	durNs := dram.Nanoseconds(run.Duration) * dram.Microsecond
 	baseOps := run.BaselineOps
+	cm := costmodel.DefaultConfig()
+	cm.Mode = cfg.Mode
 
-	mkTally := func(refreshOps float64, testCycles int64) energy.Tally {
-		return energy.Tally{
-			RefreshOps:    refreshOps,
-			TestRowCycles: testCycles,
-			Duration:      durNs,
-			BlocksPerRow:  128,
-		}
-	}
 	policies := []struct {
 		name  string
 		ops   float64
@@ -60,15 +53,14 @@ func RunEnergy(ctx context.Context, req Request, rt Runtime) (*report.Report, er
 		{"16ms baseline", baseOps, 0},
 		{"32ms", baseOps / 2, 0},
 		{"RAIDR", baseOps * (1 - raidrReduction), 0},
-		{"MEMCON", run.RefreshOps, 2 * run.TestsCompleted}, // Read-and-Compare: 2 row cycles per test
+		{"MEMCON", run.RefreshOps, run.TestsCompleted},
 		{"64ms ideal", run.UpperBoundOps, 0},
 	}
-	cm := costmodel.DefaultConfig()
 	latencyMWI, err := cm.MinWriteInterval()
 	if err != nil {
 		return nil, err
 	}
-	energyMWI, err := cm.EnergyMinWriteInterval(costmodel.DefaultEnergyCosts())
+	energyMWI, err := cm.EnergyMinWriteInterval(budget)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +76,11 @@ func RunEnergy(ctx context.Context, req Request, rt Runtime) (*report.Report, er
 		report.CFloat("savings", "", "fraction"))
 	var baseControllable float64
 	for i, p := range policies {
-		bd, err := energy.Compute(budget, mkTally(p.ops, p.tests))
+		bd, err := cm.Energy(budget, costmodel.Tally{
+			RefreshOps:    p.ops,
+			TestRowCycles: int64(cm.Mode.RowCycles()) * p.tests,
+			Duration:      durNs,
+		})
 		if err != nil {
 			return nil, err
 		}

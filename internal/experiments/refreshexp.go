@@ -146,9 +146,8 @@ func RunFig18(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 		// refresh bill in the paper's Fig. 18.
 		rep = rep.WithReadOnlyRows(9*(tr.MaxPage()+1), cfg)
 		base := rep.BaselineRefreshTimeNs()
-		refreshNs := rep.RefreshOps * 39 // tRAS+tRP per op
 		return fig18Row{
-			refresh:     refreshNs / base,
+			refresh:     rep.RefreshTimeNs() / base,
 			testCorrect: rep.TestingTimeCorrectNs / base,
 			testMispred: rep.TestingTimeMispredNs / base,
 		}, nil

@@ -81,14 +81,14 @@ func TestTrackingDisabledByDefault(t *testing.T) {
 }
 
 // TestInjectedTestsCountAsHammer: MEMCON's own probes are ACTs — each
-// injected test contributes TestRowCycles test-attributable activations,
-// and enabling tracking must not change the latency-visible schedule
-// (the test-row draw uses a separate RNG stream).
+// injected Read-and-Compare test contributes one test-attributable
+// activation per row cycle, two in all — and enabling tracking must not
+// change the latency-visible schedule (the test-row draw uses a
+// separate RNG stream).
 func TestInjectedTestsCountAsHammer(t *testing.T) {
 	cfg := trackedConfig()
 	cfg.TestsPerWindow = 128
 	cfg.TestWindow = 64 * dram.Millisecond
-	cfg.TestRowCycles = 2
 
 	plain := cfg
 	plain.Rows = 0
@@ -122,9 +122,9 @@ func TestInjectedTestsCountAsHammer(t *testing.T) {
 	if sa.TestBusies == 0 {
 		t.Fatal("no tests injected; lengthen the run")
 	}
-	if want := sa.TestBusies * int64(cfg.TestRowCycles); sa.TestActivations != want {
-		t.Fatalf("TestActivations = %d, want %d (%d tests x %d cycles)",
-			sa.TestActivations, want, sa.TestBusies, cfg.TestRowCycles)
+	if want := sa.TestBusies * 2; sa.TestActivations != want {
+		t.Fatalf("TestActivations = %d, want %d (%d tests x 2 cycles)",
+			sa.TestActivations, want, sa.TestBusies)
 	}
 	if sa.Activations <= sa.TestActivations {
 		t.Fatalf("program misses missing from Activations: %d total, %d test", sa.Activations, sa.TestActivations)

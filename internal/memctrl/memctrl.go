@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"memcon/internal/costmodel"
 	"memcon/internal/dram"
 	"memcon/internal/refresh"
 )
@@ -28,16 +29,13 @@ type Config struct {
 	// all-rows 16 ms refresh window this is 1.95 µs; refresh-reduction
 	// schemes stretch it (a 75% reduction means one REF per 7.8 µs).
 	RefreshPeriod dram.Nanoseconds
-	// TestsPerWindow injects MEMCON test traffic: each test occupies a
-	// random bank for two (Read-and-Compare) or three (Copy-and-Compare)
-	// full row cycles during every TestWindow.
+	// TestsPerWindow injects MEMCON test traffic: each test is a
+	// Read-and-Compare test, which occupies a random bank for its full
+	// row cycles during every TestWindow.
 	TestsPerWindow int
 	// TestWindow is the period over which TestsPerWindow tests run
 	// (64 ms in the paper).
 	TestWindow dram.Nanoseconds
-	// TestRowCycles is the number of row cycles per test (2 for
-	// Read-and-Compare, 3 for Copy-and-Compare).
-	TestRowCycles int
 	// RefreshPostponeProb is the probability that a request arriving
 	// inside a REF window does not wait because the controller had
 	// postponed that REF to an idle period (elastic/flexible refresh
@@ -69,7 +67,6 @@ func DefaultConfig() Config {
 		Density:       dram.Density8Gb,
 		RefreshPeriod: dram.TREFI(dram.RefreshWindowAggressive),
 		TestWindow:    64 * dram.Millisecond,
-		TestRowCycles: 2,
 		Seed:          1,
 	}
 }
@@ -91,9 +88,6 @@ func (c Config) Validate() error {
 	}
 	if c.TestsPerWindow > 0 && c.TestWindow <= 0 {
 		return fmt.Errorf("memctrl: test window must be positive when tests are injected, got %d", c.TestWindow)
-	}
-	if c.TestsPerWindow > 0 && (c.TestRowCycles < 2 || c.TestRowCycles > 3) {
-		return fmt.Errorf("memctrl: test row cycles must be 2 or 3, got %d", c.TestRowCycles)
 	}
 	if c.RefreshPostponeProb < 0 || c.RefreshPostponeProb > 1 {
 		return fmt.Errorf("memctrl: refresh postpone probability %v outside [0,1]", c.RefreshPostponeProb)
@@ -142,9 +136,11 @@ type Controller struct {
 	bankOpenRow   []int
 
 	// Test traffic: tests are injected one by one in time order at an
-	// average spacing of TestWindow/TestsPerWindow with jitter.
+	// average spacing of TestWindow/TestsPerWindow with jitter. Each
+	// occupies its bank for testBusy, a Read-and-Compare test's latency.
 	rng        *rand.Rand
 	nextTestAt dram.Nanoseconds
+	testBusy   dram.Nanoseconds
 
 	// Activation accounting (Config.Rows > 0). Test-row placement draws
 	// from its own RNG stream: c.rng's draw sequence is pinned by the
@@ -177,6 +173,7 @@ func New(cfg Config) (*Controller, error) {
 	c := &Controller{
 		cfg:           cfg,
 		trfc:          cfg.Density.TRFC(),
+		testBusy:      costmodel.Config{Timing: cfg.Timing, Mode: costmodel.ReadCompare}.TestCost(),
 		bankBusyUntil: make([]dram.Nanoseconds, cfg.Banks),
 		bankOpenRow:   make([]int, cfg.Banks),
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
@@ -267,7 +264,7 @@ func (c *Controller) refreshEnd(t dram.Nanoseconds) dram.Nanoseconds {
 
 // injectTests applies, in time order, every test whose start time has
 // been reached. Tests are background traffic: each occupies a random
-// bank for TestRowCycles full row cycles; they do not wait for
+// bank for one Read-and-Compare test's latency; they do not wait for
 // program-visible completion. With TestsPerWindow tests per TestWindow
 // the average spacing is TestWindow/TestsPerWindow; spacing is jittered
 // uniformly so tests do not beat against program access patterns.
@@ -281,17 +278,16 @@ func (c *Controller) injectTests(now dram.Nanoseconds) {
 	}
 	for c.nextTestAt <= now {
 		bank := c.rng.Intn(c.cfg.Banks)
-		busy := dram.Nanoseconds(c.cfg.TestRowCycles) * c.cfg.Timing.RowCycle()
 		start := c.refreshEnd(maxNS(c.nextTestAt, c.bankBusyUntil[bank]))
-		c.bankBusyUntil[bank] = start + busy
+		c.bankBusyUntil[bank] = start + c.testBusy
 		c.bankOpenRow[bank] = -1 // the test closes whatever row was open
 		c.stats.TestBusies++
 		if c.actCount != nil {
 			// MEMCON's own probes hammer the rows they test: each row
 			// cycle of the test opens the row once, so a test is
-			// TestRowCycles ACTs of one tracked row.
+			// its row cycles' ACTs of one tracked row.
 			row := c.testRNG.Intn(c.cfg.Rows)
-			for k := 0; k < c.cfg.TestRowCycles; k++ {
+			for k := 0; k < costmodel.ReadCompare.RowCycles(); k++ {
 				c.noteActivation(start, bank, row, true)
 			}
 		}

@@ -37,12 +37,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := c.Validate(); err == nil {
 		t.Error("zero test window with tests accepted")
 	}
-	c = DefaultConfig()
-	c.TestsPerWindow = 10
-	c.TestRowCycles = 5
-	if err := c.Validate(); err == nil {
-		t.Error("bad row cycles accepted")
-	}
 }
 
 func TestAccessRowHitVsMiss(t *testing.T) {

@@ -197,21 +197,22 @@ func TestTeeAndRecorder(t *testing.T) {
 }
 
 func TestPhaseTimer(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	pt := NewPhaseTimer(clock)
-	stop := pt.Start("sweep")
-	now = now.Add(250 * time.Millisecond)
-	stop()
+	pt := NewPhaseTimer()
+	pt.Record("sweep", 250*time.Millisecond)
 	pt.Record("sweep", 50*time.Millisecond)
 	pt.Record("render", time.Second)
+	stop := pt.Start("replay")
+	stop()
 
 	phases := pt.Phases()
-	if len(phases) != 2 || phases[0].Name != "sweep" || phases[1].Name != "render" {
+	if len(phases) != 3 || phases[0].Name != "sweep" || phases[1].Name != "render" || phases[2].Name != "replay" {
 		t.Fatalf("phases = %+v", phases)
 	}
 	if phases[0].WallNs != (300 * time.Millisecond).Nanoseconds() {
 		t.Errorf("sweep wall = %d", phases[0].WallNs)
+	}
+	if phases[2].WallNs < 0 {
+		t.Errorf("replay wall = %d, want a non-negative duration", phases[2].WallNs)
 	}
 	reg := NewRegistry()
 	pt.ExportTo(reg)

@@ -12,26 +12,21 @@ import (
 // byte-stable JSON/Prometheus sinks.
 type PhaseTimer struct {
 	mu    sync.Mutex
-	clock func() time.Time
 	names []string
 	byID  map[string]int
 	nanos []int64
 }
 
-// NewPhaseTimer builds a timer; a nil clock selects time.Now. Tests
-// inject a fake clock to make durations deterministic.
-func NewPhaseTimer(clock func() time.Time) *PhaseTimer {
-	if clock == nil {
-		clock = time.Now
-	}
-	return &PhaseTimer{clock: clock, byID: make(map[string]int)}
+// NewPhaseTimer builds an empty timer.
+func NewPhaseTimer() *PhaseTimer {
+	return &PhaseTimer{byID: make(map[string]int)}
 }
 
 // Start begins timing the named phase and returns the stop function.
 // Re-entering a phase name accumulates into the same bucket.
 func (t *PhaseTimer) Start(name string) func() {
-	begin := t.clock()
-	return func() { t.Record(name, t.clock().Sub(begin)) }
+	begin := time.Now()
+	return func() { t.Record(name, time.Since(begin)) }
 }
 
 // Record adds d to the named phase.

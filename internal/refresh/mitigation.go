@@ -10,9 +10,9 @@
 //     activation of a row. Deterministic; between two mitigations a
 //     victim's neighbours absorb at most 2*(threshold-1) activations.
 //
-// Both express their cost in refresh operations, the currency the rest
-// of the cost model already prices (energy.Budget.RefreshPerRowNJ,
-// costmodel timing).
+// Both express their cost in refresh operations, which the cost model
+// prices like any per-row refresh: costmodel.Config.MitigationCost in
+// time, Budget.RefreshNJ through costmodel.Config.Energy in energy.
 package refresh
 
 import (

@@ -66,7 +66,8 @@ func (o Outcome) String() string {
 	return "unknown"
 }
 
-// Entry is one cached result in wire form.
+// Entry is one cached result in wire form. It never changes once
+// built: every caller shares it and must not modify it.
 type Entry struct {
 	// Key is the entry's content address.
 	Key Key
@@ -81,8 +82,6 @@ type Entry struct {
 	// entry is stored so Accept-Encoding negotiation costs nothing at
 	// serve time. Nil when compression failed (serve Data instead).
 	Gzip []byte
-	// Hits counts cache hits served from this entry.
-	Hits int64
 }
 
 // entryOverhead approximates the bookkeeping bytes an entry costs
@@ -171,22 +170,18 @@ func NewWithOptions(opts Options) *Cache {
 // Lookup returns the full cached entry for k without counting a hit —
 // the revalidation path uses it to fetch the saved bytes and request.
 // A memory miss falls through to the disk tier (promoting on success),
-// so a restarted daemon can revalidate its prior corpus.
+// so a restarted daemon can revalidate its prior corpus. An entry never
+// changes once built, so the resident one is returned as is.
 func (c *Cache) Lookup(k Key) (*Entry, bool) {
 	c.mu.Lock()
 	if el, ok := c.entries[k]; ok {
 		c.lru.MoveToFront(el)
 		e := el.Value.(*Entry)
-		cp := *e
 		c.mu.Unlock()
-		return &cp, true
+		return e, true
 	}
 	c.mu.Unlock()
-	if e, ok := c.fromDisk(k); ok {
-		cp := *e
-		return &cp, true
-	}
-	return nil, false
+	return c.fromDisk(k)
 }
 
 // Probe resolves k against both tiers without ever computing: a memory
@@ -198,7 +193,6 @@ func (c *Cache) Probe(k Key) (*Entry, Outcome, bool) {
 	if el, ok := c.entries[k]; ok {
 		c.lru.MoveToFront(el)
 		e := el.Value.(*Entry)
-		e.Hits++
 		c.stats.Hits++
 		c.mu.Unlock()
 		return e, Hit, true
@@ -313,7 +307,6 @@ func (c *Cache) Do(ctx context.Context, k Key, request []byte, compute func(cont
 	if el, ok := c.entries[k]; ok {
 		c.lru.MoveToFront(el)
 		e := el.Value.(*Entry)
-		e.Hits++
 		c.stats.Hits++
 		c.mu.Unlock()
 		return e, Hit, nil
@@ -343,7 +336,6 @@ func (c *Cache) Do(ctx context.Context, k Key, request []byte, compute func(cont
 	if el, ok := c.entries[k]; ok {
 		c.lru.MoveToFront(el)
 		e := el.Value.(*Entry)
-		e.Hits++
 		c.stats.Hits++
 		c.mu.Unlock()
 		return e, Hit, nil

@@ -38,7 +38,7 @@ func TestDoMissThenHit(t *testing.T) {
 		t.Errorf("compute ran %d times, want 1", n)
 	}
 	le, ok := c.Lookup(key(1))
-	if !ok || string(le.Request) != "req" || le.Hits != 1 {
+	if !ok || string(le.Request) != "req" || le != e {
 		t.Errorf("Lookup = %+v, %v", le, ok)
 	}
 	s := c.StatsSnapshot()
@@ -362,6 +362,50 @@ func TestPutReplaces(t *testing.T) {
 	e, _ := c.Lookup(key(1))
 	if string(e.Data) != "new" {
 		t.Errorf("data = %q", e.Data)
+	}
+}
+
+// TestSharedEntryConcurrentReaders: hits and lookups hand every caller
+// the resident entry itself, so readers on several goroutines share it
+// while Put replaces the key; under -race this pins that nothing writes
+// an entry once it is built.
+func TestSharedEntryConcurrentReaders(t *testing.T) {
+	c := NewWithOptions(Options{MaxEntries: 4})
+	c.Put(key(1), []byte("r1"), []byte("old"))
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 300; i++ {
+			c.Put(key(1), []byte("r1"), []byte([]string{"old", "new"}[i%2]))
+		}
+	}()
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				var e *Entry
+				switch i % 3 {
+				case 0:
+					e, _, _ = c.Do(context.Background(), key(1), nil, func(context.Context) ([]byte, error) {
+						return []byte("old"), nil
+					})
+				case 1:
+					e, _, _ = c.Probe(key(1))
+				default:
+					e, _ = c.Lookup(key(1))
+				}
+				if d := string(e.Data); d != "old" && d != "new" {
+					t.Errorf("entry data = %q", d)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if s := c.StatsSnapshot(); s.Hits == 0 {
+		t.Errorf("no hits counted: %+v", s)
 	}
 }
 
