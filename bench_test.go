@@ -804,7 +804,8 @@ func BenchmarkTraceCompactEncode(b *testing.B) {
 }
 
 // BenchmarkTraceCompactDecode drains the same trace's compact bytes
-// through trace.Stream, the decoder behind every stream replay.
+// through trace.Stream.Read in 256-event batches, the decode path of
+// every stream replay.
 func BenchmarkTraceCompactDecode(b *testing.B) {
 	tr := benchTrace(b)
 	var buf bytes.Buffer
@@ -812,6 +813,7 @@ func BenchmarkTraceCompactDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	rd := bytes.NewReader(nil)
+	dst := make([]trace.Event, 256)
 	b.SetBytes(int64(buf.Len()))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -822,7 +824,7 @@ func BenchmarkTraceCompactDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 		for {
-			_, err := s.Next()
+			_, err := s.Read(dst)
 			if err == io.EOF {
 				break
 			}

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"memcon/internal/varstream"
 )
@@ -57,9 +58,9 @@ const maxEventPrealloc = 1 << 20
 
 // ReadCompact deserializes a trace written by WriteCompact. It
 // materializes the whole event slice; use NewStream to replay traces
-// too large to hold resident. Decoding is shared with Stream, so a
-// malformed stream fails with the same positioned
-// *varstream.DecodeError on both paths.
+// too large to hold resident. It fills the slice through Stream.Read,
+// the decoder replay uses, so a malformed stream fails with the same
+// positioned *varstream.DecodeError on both paths.
 func ReadCompact(r io.Reader) (*Trace, error) {
 	s, err := NewStream(r)
 	if err != nil {
@@ -70,13 +71,14 @@ func ReadCompact(r io.Reader) (*Trace, error) {
 		t.Events = make([]Event, 0, min(n, maxEventPrealloc))
 	}
 	for {
-		e, err := s.Next()
+		n, err := s.Read(t.Events[len(t.Events):cap(t.Events)])
+		t.Events = t.Events[:len(t.Events)+n]
 		if err == io.EOF {
 			return t, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		t.Events = append(t.Events, e)
+		t.Events = slices.Grow(t.Events, 1)
 	}
 }

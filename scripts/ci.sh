@@ -14,7 +14,9 @@
 #   7. the engine and both stream decoders meet freshly generated
 #      input: the settled-writes fuzz target runs for 10 s against the
 #      frozen engine and the accounting identities, and FuzzStream and
-#      FuzzCELog run for 10 s each against their reference decoders,
+#      FuzzCELog run for 10 s each against their reference decoders
+#      (FuzzStream through both Stream.Next and the batched
+#      Stream.Read),
 #   8. the fleet simulation's per-module fan-out runs race-clean at the
 #      small scale the -short race pass skips,
 #   9. the hot-path benchmarks still run (single iteration smoke; see
@@ -65,7 +67,8 @@ go test -race -short ./...
 
 # Engine fuzz: FuzzEngineSettledWrites replays generated write sequences
 # through the frozen and the live engine, and checks each report's
-# accounting identities.
+# accounting identities; each sequence also runs without neighbour
+# re-tests, as a trace, through RunContext and RunSource.
 echo "== engine fuzz =="
 go test -run '^$' -fuzz '^FuzzEngineSettledWrites$' -fuzztime 10s ./internal/core
 
@@ -73,7 +76,9 @@ go test -run '^$' -fuzz '^FuzzEngineSettledWrites$' -fuzztime 10s ./internal/cor
 # shared window reader (internal/varstream); each fuzz target holds its
 # format to the byte-at-a-time reference decoder it replaced, through
 # whole, 1-byte and 3-byte chunked sources, and round-trips what it
-# accepts.
+# accepts. FuzzStream also drains each input through Stream.Read, the
+# replay's batched decoder, at batch sizes 1, 3, 256 and one taken from
+# the input.
 echo "== decoder fuzz =="
 go test -run '^$' -fuzz '^FuzzStream$' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz '^FuzzCELog$' -fuzztime 10s ./internal/fleet
