@@ -43,7 +43,7 @@ ci:
 
 # metrics-demo runs a scaled-down sweep with the observability layer
 # attached and prints the human-readable metrics table (counters,
-# histograms, per-phase wall times, worker-pool utilization).
+# histograms and per-phase wall times).
 metrics-demo:
 	$(GO) run ./cmd/memconsim -exp fig14 -scale 0.1 -metrics - -metrics-format table
 

@@ -38,7 +38,7 @@ import (
 // benchRequest keeps per-iteration cost bounded while preserving the
 // statistical shape of each experiment.
 func benchRequest(id string) experiments.Request {
-	return experiments.Request{Experiment: id, Seed: 42, Scale: 0.05, SimTimeNs: 200_000, Mixes: 4}
+	return experiments.Request{Experiment: id, Inputs: report.Inputs{Seed: 42, Scale: 0.05, SimTimeNs: 200_000, Mixes: 4}}
 }
 
 func runExperiment(b *testing.B, id string) *report.Report {

@@ -58,8 +58,8 @@
 //
 // The json and prom metric documents contain only deterministic
 // aggregates and are byte-identical for any -parallel value; the table
-// format additionally shows volatile wall-clock data (per-experiment
-// phase timings, per-worker pool utilization).
+// format additionally shows the volatile wall time of each experiment
+// (phase_<id>_wall_ns).
 package main
 
 import (
@@ -174,26 +174,22 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		defer stopTrace() //nolint:errcheck // flush error surfaced via the file below
 	}
 
-	req := experiments.Request{
-		Experiment: *exp, Seed: *seed, Scale: *scale,
-		SimTimeNs: *simtime, Mixes: *mixes, Fleet: *fleetN,
-		Mapping: *mapping, Disturb: *disturb, Version: *version,
-	}
+	req := experiments.Request{Experiment: *exp, Inputs: report.Inputs{
+		Seed: *seed, Scale: *scale, SimTimeNs: *simtime, Mixes: *mixes,
+		Fleet: *fleetN, Mapping: *mapping, Disturb: *disturb, Version: *version,
+	}}
 	rt := experiments.Runtime{Workers: *nworkers}
 
 	// -metrics attaches the aggregating observer plus the volatile
-	// wall-clock collectors (phase timer, pool utilization). Only the
-	// latter two vary across runs; the json/prom documents exclude them.
+	// per-experiment phase timer. Only the timer varies across runs;
+	// the json/prom documents exclude it.
 	var reg *obs.Registry
 	var phases *obs.PhaseTimer
-	var pool *parallel.PoolStats
 	if *metrics != "" {
 		reg = obs.NewRegistry()
 		phases = obs.NewPhaseTimer()
-		pool = parallel.NewPoolStats()
 		rt.Observer = obs.NewMetrics(reg)
 		rt.Phases = phases
-		ctx = parallel.ContextWithStats(ctx, pool)
 	}
 
 	runErr := func() error {
@@ -225,7 +221,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if reg != nil {
 		phases.ExportTo(reg)
-		pool.ExportTo(reg)
 		return writeMetrics(*metrics, out, reg, format)
 	}
 	return nil

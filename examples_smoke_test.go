@@ -47,3 +47,18 @@ func TestExamplesSmoke(t *testing.T) {
 		})
 	}
 }
+
+// TestBenchmarkModuleBuilds builds cmd/membench, the benchmark driver.
+// It is a nested module, so go build ./... and go test ./... never
+// compile it, and an internal API change that breaks it would otherwise
+// pass the suite and fail every benchmark run.
+func TestBenchmarkModuleBuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark module build in -short mode")
+	}
+	build := exec.Command("go", "build", "-o", filepath.Join(t.TempDir(), "membench"), ".")
+	build.Dir = filepath.Join("cmd", "membench")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building cmd/membench: %v\n%s", err, out)
+	}
+}

@@ -20,12 +20,6 @@ import (
 // footnote-6 test-acceleration variants the paper leaves as future
 // work.
 
-func init() {
-	registry["abl-buffer"] = entry{RunAblBuffer, "Ablation: PRIL write-buffer capacity (overflow -> HI-REF)", nil}
-	registry["abl-accel"] = entry{RunAblAccel, "Ablation: Copy-and-Compare acceleration (RowClone / in-DRAM compare)", nil}
-	registry["abl-pril"] = entry{RunAblPril, "Ablation: buffer-based vs bitmap PRIL implementation", nil}
-}
-
 // ablTrace generates the reference workload for ablations.
 func ablTrace(req Request) (*trace.Trace, error) {
 	app, err := workload.AppByName("AdobePremiere")
@@ -35,11 +29,11 @@ func ablTrace(req Request) (*trace.Trace, error) {
 	return app.Generate(req.Seed, req.Scale), nil
 }
 
-// RunAblBuffer sweeps PRIL's write-buffer capacity from unbounded down
+// runAblBuffer sweeps PRIL's write-buffer capacity from unbounded down
 // to starvation, measuring the refresh reduction lost to discards. The
 // capacities run concurrently against one shared trace — core.RunContext
 // only reads the trace, so the units share it without copies.
-func RunAblBuffer(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runAblBuffer(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	tr, err := ablTrace(req)
 	if err != nil {
 		return nil, err
@@ -74,9 +68,9 @@ func RunAblBuffer(ctx context.Context, req Request, rt Runtime) (*report.Report,
 	return rep, nil
 }
 
-// RunAblAccel quantifies footnote 6's acceleration variants: test cost
+// runAblAccel quantifies footnote 6's acceleration variants: test cost
 // and MinWriteInterval per acceleration.
-func RunAblAccel(context.Context, Request, Runtime) (*report.Report, error) {
+func runAblAccel(context.Context, Request, Runtime) (*report.Report, error) {
 	rep := report.New()
 	rep.Textf("Ablation — Copy-and-Compare acceleration (paper footnote 6, future work)\n\n")
 	t := report.NewTable("rows",
@@ -108,10 +102,10 @@ func RunAblAccel(context.Context, Request, Runtime) (*report.Report, error) {
 	return rep, nil
 }
 
-// RunAblPril verifies that the bitmap implementation (future work:
+// runAblPril verifies that the bitmap implementation (future work:
 // "cheaper implementations of PRIL") is prediction-equivalent to the
 // buffer design and compares storage.
-func RunAblPril(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runAblPril(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	tr, err := ablTrace(req)
 	if err != nil {
 		return nil, err

@@ -47,7 +47,7 @@ func chipTester(model *faults.Model) (*softmc.Tester, error) {
 	return softmc.NewTester(mod, model)
 }
 
-// RunFig3 reproduces Fig. 3: it tests one chip with the standard
+// runFig3 reproduces Fig. 3: it tests one chip with the standard
 // pattern suite at the characterization idle time and reports how
 // failure sets vary with content. The chip's fault model is built once;
 // every pattern run gets a fresh module and tester over it, so the
@@ -55,7 +55,7 @@ func chipTester(model *faults.Model) (*softmc.Tester, error) {
 // sets merge back in pattern order. The random-pattern tail rows are
 // hidden: elided from the text rendering, still present in CSV/JSON and
 // still diffed.
-func RunFig3(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runFig3(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	geom := charGeometry(req.Scale * 0.25) // one-bank-scale study
 	geom.BanksPerChip = 1
 	patterns := softmc.StandardPatterns(100)
@@ -132,7 +132,7 @@ type fig4Row struct {
 	avg, min, max float64
 }
 
-// RunFig4 measures per-benchmark failing-row fractions with program
+// runFig4 measures per-benchmark failing-row fractions with program
 // content across phases, against the all-pattern (ALL FAIL)
 // denominator, and bounds ALL FAIL/avg over the benchmarks (paper:
 // 2.4x - 35.2x). The chip's fault model is built once; each benchmark
@@ -141,7 +141,7 @@ type fig4Row struct {
 // depends on which ran before it. Rows are reported by descending
 // average (the figure's ordering); the ALL FAIL denominator is the last
 // row, with empty min/max cells.
-func RunFig4(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runFig4(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	geom := charGeometry(req.Scale)
 	idle := faults.CharacterizationIdle
 	const phases = 5

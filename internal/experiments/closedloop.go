@@ -12,11 +12,7 @@ import (
 	"memcon/internal/workload"
 )
 
-func init() {
-	registry["loop"] = entry{RunClosedLoop, "Closed loop: simulate a system, capture its bus trace (HMTT-style), feed MEMCON", nil}
-}
-
-// RunClosedLoop is the end-to-end pipeline: a simulated
+// runClosedLoop is the end-to-end pipeline: a simulated
 // multiprogrammed system's memory traffic, captured at the bus the way
 // the paper's HMTT infrastructure captures it, drives the MEMCON engine
 // directly. It simulates bursty traffic against the memory controller
@@ -24,7 +20,7 @@ func init() {
 // analysis) on the captured traces. The stage column of the report
 // mixes counts and fractions, so the machine-facing value column is a
 // float.
-func RunClosedLoop(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runClosedLoop(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	memCfg := memctrl.DefaultConfig()
 	memCfg.Seed = req.Seed
 	ctrl, err := memctrl.New(memCfg)
@@ -32,7 +28,6 @@ func RunClosedLoop(ctx context.Context, req Request, rt Runtime) (*report.Report
 		return nil, err
 	}
 	tracer := memctrl.NewBusTracer(memCfg.Banks)
-	tracer.CaptureReads = true
 	ctrl.AttachTracer(tracer)
 
 	// Bursty synthetic system: pages receive a write-back burst once,

@@ -9,13 +9,13 @@ import (
 	"memcon/internal/report"
 )
 
-// RunFig6 reproduces Fig. 6: the cost-benefit crossover
+// runFig6 reproduces Fig. 6: the cost-benefit crossover
 // (MinWriteInterval) for each test mode / LO-REF interval, and the
 // accumulated-cost curve of the primary configuration (Read-and-Compare,
 // 64 ms) sampled like the figure does. The curve is the primary table:
 // the pre-typed CSV export emitted the accumulated-cost series, and the
 // shared renderer keeps that header (time_ms,hiref_ns,memcon_ns).
-func RunFig6(context.Context, Request, Runtime) (*report.Report, error) {
+func runFig6(context.Context, Request, Runtime) (*report.Report, error) {
 	rep := report.New()
 	rep.Primary = "curve"
 	rep.Textf("Fig. 6 — cost of testing vs aggressive refresh (per row)\n\n")
@@ -64,11 +64,11 @@ func RunFig6(context.Context, Request, Runtime) (*report.Report, error) {
 	return rep, nil
 }
 
-// RunAppendix reports the latency building blocks (paper appendix). The
+// runAppendix reports the latency building blocks (paper appendix). The
 // value column mixes integer nanosecond cells with one float fraction —
 // cells carry their own kinds, the column kind records the dominant
 // one.
-func RunAppendix(context.Context, Request, Runtime) (*report.Report, error) {
+func runAppendix(context.Context, Request, Runtime) (*report.Report, error) {
 	cm := costmodel.DefaultConfig()
 	readCompare := cm.TestCost()
 	cm.Mode = costmodel.CopyCompare

@@ -16,17 +16,6 @@ import (
 	"memcon/internal/report"
 )
 
-func init() {
-	registry["disturb-exposure"] = entry{RunDisturbExposure,
-		"Extension: read-disturb exposure census by refresh class", nil}
-	registry["disturb-mitigation"] = entry{RunDisturbMitigation,
-		"Extension: RowHammer mitigation overhead vs blast radius", nil}
-	// Both build chips through the mapped scrambler, so the address
-	// mapping changes which rows neighbour which — and the numbers.
-	mappedExperiments["disturb-exposure"] = true
-	mappedExperiments["disturb-mitigation"] = true
-}
-
 // disturbParams is the victim population both disturb experiments
 // simulate: denser than the silicon default so even the 64-row floor
 // geometry of heavily scaled runs holds a handful of victims.
@@ -190,7 +179,7 @@ type classCensus struct {
 	maxWindowHammer int64
 }
 
-// RunDisturbExposure is the disturb-exposure census: how MEMCON's
+// runDisturbExposure is the disturb-exposure census: how MEMCON's
 // refresh relaxation changes RowHammer exposure. A clean retention test
 // moves a row to LO-REF, which quadruples the window over which its
 // neighbours' activations accumulate — so the same traffic disturbs
@@ -198,7 +187,7 @@ type classCensus struct {
 // co-simulates retention classification and read-disturb accumulation
 // over one traffic mix and reports the victim census by refresh class
 // plus the controller-level activation accounting.
-func RunDisturbExposure(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runDisturbExposure(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	chip, err := newDisturbChip(req)
 	if err != nil {
 		return nil, err
@@ -314,7 +303,7 @@ func RunDisturbExposure(ctx context.Context, req Request, rt Runtime) (*report.R
 // carries the comparable baselines.
 var disturbPolicyGrid = []string{"", "para:0.001", "para:0.01", "prac:1024", "prac:4096"}
 
-// RunDisturbMitigation sweeps mitigation policies over one traffic mix:
+// runDisturbMitigation sweeps mitigation policies over one traffic mix:
 // each policy's measured operation overhead against its analytically
 // bounded residual blast radius. Every policy sees the identical access
 // stream (the traffic RNG is independent of policy state); the
@@ -322,7 +311,7 @@ var disturbPolicyGrid = []string{"", "para:0.001", "para:0.01", "prac:1024", "pr
 // residual exposure is evaluated analytically from the measured
 // per-victim hammer rates — PARA's escape probability (1-p)^H, PRAC's
 // capped inter-mitigation hammer.
-func RunDisturbMitigation(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runDisturbMitigation(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	chip, err := newDisturbChip(req)
 	if err != nil {
 		return nil, err

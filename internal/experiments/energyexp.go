@@ -12,11 +12,7 @@ import (
 	"memcon/internal/workload"
 )
 
-func init() {
-	registry["energy"] = entry{RunEnergy, "Extension: DRAM energy by refresh mechanism (the paper claims, we quantify)", nil}
-}
-
-// RunEnergy compares refresh mechanisms in DRAM energy, using each
+// runEnergy compares refresh mechanisms in DRAM energy, using each
 // policy's refresh-operation count and MEMCON's measured testing
 // traffic on one representative workload (the averages across
 // workloads track the refresh reduction, which Fig. 14 already sweeps).
@@ -25,7 +21,7 @@ func init() {
 // (refresh + testing); background power is shown for context but no
 // refresh policy moves it. The report also gives the amortization
 // crossovers (MinWriteInterval) in the latency and energy cost domains.
-func RunEnergy(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runEnergy(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	app, err := workload.AppByName("AdobePremiere")
 	if err != nil {
 		return nil, err

@@ -14,8 +14,14 @@ func TestRegistryComplete(t *testing.T) {
 		"table1", "fig3", "fig4", "fig6", "fig7", "fig8", "fig9",
 		"fig11", "fig12", "fig14", "fig15", "table3", "fig16",
 		"fig17", "fig18", "fig19", "minwi", "fleet-ce", "fleet-risk",
+		"motiv", "abl-buffer", "abl-accel", "abl-pril", "abl-remap",
+		"profile", "vrt", "energy", "loop", "disturb-exposure",
+		"disturb-mitigation",
 	}
 	ids := IDs()
+	if len(ids) != len(want) {
+		t.Errorf("registry holds %d ids, want %d", len(ids), len(want))
+	}
 	have := map[string]bool{}
 	for _, id := range ids {
 		have[id] = true

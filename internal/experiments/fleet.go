@@ -30,12 +30,12 @@ func runFleetSim(ctx context.Context, req Request, workers int) (*fleet.Log, *fl
 	return log, fleet.Analyze(log), nil
 }
 
-// RunFleetCE reproduces the field-study view of the fleet: it
+// runFleetCE reproduces the field-study view of the fleet: it
 // simulates the fleet and reports the raw correctable-error log's
 // headline counts, the class census, the noisiest banks, and the
 // per-module ground truth (quiet modules hidden from the text
 // rendering, still diffed). The second return is the CE event log.
-func RunFleetCE(ctx context.Context, req Request, rt Runtime) (*report.Report, *fleet.Log, error) {
+func runFleetCE(ctx context.Context, req Request, rt Runtime) (*report.Report, *fleet.Log, error) {
 	log, an, err := runFleetSim(ctx, req, rt.Workers)
 	if err != nil {
 		return nil, nil, err
@@ -123,13 +123,13 @@ func rate(v float64) report.Cell {
 	return report.F(v, fmt.Sprintf("%.3f", v))
 }
 
-// RunFleetRisk reproduces the "First CE Matters" study over the fleet:
+// runFleetRisk reproduces the "First CE Matters" study over the fleet:
 // it simulates the fleet and reports the prediction scoreboard — the
 // confusion matrix of deterministic risk scores against the UE ground
 // truth — plus the per-module early-CE feature table (quiet, unflagged
 // modules hidden from the text rendering, still diffed). The second
 // return is the CE event log.
-func RunFleetRisk(ctx context.Context, req Request, rt Runtime) (*report.Report, *fleet.Log, error) {
+func runFleetRisk(ctx context.Context, req Request, rt Runtime) (*report.Report, *fleet.Log, error) {
 	log, an, err := runFleetSim(ctx, req, rt.Workers)
 	if err != nil {
 		return nil, nil, err

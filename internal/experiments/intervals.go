@@ -26,11 +26,11 @@ type fig7App struct {
 	under1ms, over1024ms float64
 }
 
-// RunFig7 computes write-interval distributions for the representative
+// runFig7 computes write-interval distributions for the representative
 // workloads, one independent work unit per workload. The histograms
 // render as prose; the bucket counts also appear in machine shape as
 // data-only tables.
-func RunFig7(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runFig7(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	apps, err := parallel.Map(ctx, len(representativeApps), rt.Workers, func(i int) (fig7App, error) {
 		name := representativeApps[i]
 		app, err := workload.AppByName(name)
@@ -87,9 +87,9 @@ func RunFig7(ctx context.Context, req Request, rt Runtime) (*report.Report, erro
 	return rep, nil
 }
 
-// RunFig8 fits Pareto distributions to the interval tails (>= 1 ms, the
+// runFig8 fits Pareto distributions to the interval tails (>= 1 ms, the
 // plotted range) of the representative workloads.
-func RunFig8(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runFig8(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	fits, err := parallel.Map(ctx, len(representativeApps), rt.Workers, func(i int) (pareto.Fit, error) {
 		name := representativeApps[i]
 		app, err := workload.AppByName(name)
@@ -134,10 +134,10 @@ func RunFig8(ctx context.Context, req Request, rt Runtime) (*report.Report, erro
 	return rep, nil
 }
 
-// RunFig9 computes, for all twelve workloads, the execution-time share
+// runFig9 computes, for all twelve workloads, the execution-time share
 // of long write intervals: the fraction of total write-interval time
 // spent in intervals >= 1024 ms.
-func RunFig9(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runFig9(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	apps := workload.Apps()
 	shares, err := parallel.Map(ctx, len(apps), rt.Workers, func(i int) (float64, error) {
 		var total, long float64
@@ -214,10 +214,10 @@ func cilSeries(ctx context.Context, req Request, rt Runtime, unit string,
 	return t, nil
 }
 
-// RunFig11 computes the decreasing-hazard-rate conditionals for all
+// runFig11 computes the decreasing-hazard-rate conditionals for all
 // workloads: P(remaining interval > 1024 ms) as a function of the
 // elapsed (current) interval length.
-func RunFig11(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runFig11(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	t, err := cilSeries(ctx, req, rt, "probability", (*pareto.CILFold).ConditionalExceed,
 		func(p float64) string { return fmt.Sprintf("%.2f", p) })
 	if err != nil {
@@ -229,9 +229,9 @@ func RunFig11(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 	return rep, nil
 }
 
-// RunFig12 computes prediction coverage of write-interval time as a
+// runFig12 computes prediction coverage of write-interval time as a
 // function of CIL for all workloads.
-func RunFig12(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runFig12(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	t, err := cilSeries(ctx, req, rt, "fraction", (*pareto.CILFold).Coverage, pct)
 	if err != nil {
 		return nil, err
@@ -242,10 +242,10 @@ func RunFig12(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 	return rep, nil
 }
 
-// RunFig19 halves the ACBrotherhood intervals (emulating higher cache
+// runFig19 halves the ACBrotherhood intervals (emulating higher cache
 // pressure) and compares P(RIL > 1024 ms) at CIL 512, 1024 and 2048 ms,
 // and the >= 1024 ms count fractions, with the full intervals.
-func RunFig19(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runFig19(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	app, err := workload.AppByName("ACBrotherHood")
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,6 +47,31 @@ func TestNormalizeCanonicalizesMapping(t *testing.T) {
 	err := r.Normalize()
 	if err == nil || !strings.Contains(err.Error(), "unknown address mapping") {
 		t.Errorf("Normalize with unknown mapping = %v, want error", err)
+	}
+}
+
+// TestNormalizeKeepsDeclaredInputs pins every id's registry inputs:
+// Normalize keeps Mapping for exactly the eight chip-building ids,
+// Disturb for exactly the two disturb ids and Fleet for exactly the two
+// fleet ids, and zeroes each of them for every other id.
+func TestNormalizeKeepsDeclaredInputs(t *testing.T) {
+	reads := map[string][]string{
+		"mapping": {"fig3", "fig4", "vrt", "profile", "abl-remap", "motiv", "disturb-exposure", "disturb-mitigation"},
+		"disturb": {"disturb-exposure", "disturb-mitigation"},
+		"fleet":   {"fleet-ce", "fleet-risk"},
+	}
+	for _, id := range IDs() {
+		r := DefaultRequest(id)
+		r.Fleet, r.Mapping, r.Disturb = 12, "gray", "para:0.01"
+		if err := r.Normalize(); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		kept := map[string]bool{"mapping": r.Mapping != "", "disturb": r.Disturb != "", "fleet": r.Fleet != 0}
+		for input, ids := range reads {
+			if want := slices.Contains(ids, id); kept[input] != want {
+				t.Errorf("%s: Normalize kept %s = %v, want %v", id, input, kept[input], want)
+			}
+		}
 	}
 }
 

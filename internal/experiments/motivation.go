@@ -6,11 +6,7 @@ import (
 	"memcon/internal/report"
 )
 
-func init() {
-	registry["motiv"] = entry{RunMotivation, "Motivation (paper sec. 2): naive system-level neighbour testing misses failures", nil}
-}
-
-// RunMotivation quantifies why system-level pattern testing under a
+// runMotivation quantifies why system-level pattern testing under a
 // linear-mapping assumption cannot find every data-dependent failure:
 // address scrambling and column remapping put physical neighbours at
 // unrelated system addresses. It runs the naive system-level neighbour
@@ -18,7 +14,7 @@ func init() {
 // some content at the test idle time — and counts the truly weak rows
 // the naive test never flags: the failures that would corrupt data in
 // the field.
-func RunMotivation(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runMotivation(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	geom := charGeometry(req.Scale * 0.5)
 	geom.BanksPerChip = 2
 	params := faults.DefaultParams()

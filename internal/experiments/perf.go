@@ -57,13 +57,13 @@ func avgSpeedup(ctx context.Context, req Request, workers int, mixes [][]workloa
 	return stats.Mean(speedups), nil
 }
 
-// RunFig15 reproduces Fig. 15: MEMCON speedup over the 16 ms baseline
+// runFig15 reproduces Fig. 15: MEMCON speedup over the 16 ms baseline
 // for 60% and 75% refresh reductions, single- and four-core, across
 // densities. Test traffic (256 tests per 64 ms) is included, as in the
 // paper. The report holds per-core pivot tables for the text rendering
 // and one flat machine table, in cores → density → reduction order,
 // for CSV, JSON, and diffing.
-func RunFig15(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runFig15(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	rep := report.New()
 	rep.Primary = "cells"
 	rep.Textf("Fig. 15 — MEMCON speedup over baseline (16 ms refresh), incl. 256 tests/64 ms\n\n")
@@ -103,12 +103,12 @@ func RunFig15(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 	return rep, nil
 }
 
-// RunTable3 reproduces Table 3: the performance loss, against
+// runTable3 reproduces Table 3: the performance loss, against
 // zero-overhead testing, from the extra memory accesses of 256/512/1024
 // concurrent tests every 64 ms. The first column is unlabeled in the
 // text rendering (matching the paper table), so its Column is built
 // directly with an empty Label rather than through CStr.
-func RunTable3(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runTable3(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	rep := report.New()
 	rep.Textf("Table 3 — performance loss due to extra accesses for testing\n\n")
 	t := report.NewTable("losses",
@@ -165,11 +165,11 @@ var fig16Policies = []struct {
 	{"64ms", 0.75, 0},
 }
 
-// RunFig16 reproduces Fig. 16: 32 ms refresh, RAIDR, MEMCON, and the
+// runFig16 reproduces Fig. 16: 32 ms refresh, RAIDR, MEMCON, and the
 // ideal 64 ms refresh, all over the 16 ms baseline. Like Fig. 15 it
 // reports per-core pivots for text and one flat machine table, in
 // cores → density → policy order, for CSV/JSON/diff.
-func RunFig16(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runFig16(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	rep := report.New()
 	rep.Primary = "cells"
 	rep.Textf("Fig. 16 — speedup over 16 ms baseline, by refresh mechanism\n\n")

@@ -12,17 +12,12 @@ import (
 	"memcon/internal/trace"
 )
 
-func init() {
-	registry["profile"] = entry{RunProfile, "Profiling: RAIDR/REAPER-style campaign vs ground truth across guardbands", nil}
-	registry["abl-remap"] = entry{RunAblRemap, "Ablation: remap mitigation for always-failing rows (full-fidelity system)", nil}
-}
-
-// RunProfile executes profiling campaigns at several guardbands
+// runProfile executes profiling campaigns at several guardbands
 // against one chip and reports coverage vs ground truth, quantifying
 // the §6.3 tension: wider guardbands catch more truly weak rows but
 // over-profile, and even then escapes remain — the argument for
 // content-based online testing.
-func RunProfile(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runProfile(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	geom := charGeometry(req.Scale * 0.5)
 	geom.BanksPerChip = 2
 	params := faults.ParamsForRefresh(dram.RefreshWindowDefault)
@@ -67,10 +62,10 @@ func RunProfile(ctx context.Context, req Request, rt Runtime) (*report.Report, e
 	return rep, nil
 }
 
-// RunAblRemap measures what remap mitigation buys on chips whose
+// runAblRemap measures what remap mitigation buys on chips whose
 // content keeps failing tests: it runs the full-fidelity system with a
 // dense weak-cell population, with and without remap mitigation.
-func RunAblRemap(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runAblRemap(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	geom := dram.Geometry{
 		Ranks: 1, ChipsPerRank: 1, BanksPerChip: 2,
 		RowsPerBank: 256, ColsPerRow: 512, RedundantCols: 16,

@@ -57,10 +57,10 @@ func quantumRows(ctx context.Context, req Request, rt Runtime, metric func(core.
 	return t, at1024, nil
 }
 
-// RunFig14 measures MEMCON's refresh-operation reduction for all
+// runFig14 measures MEMCON's refresh-operation reduction for all
 // workloads at the three quantum lengths; the min/avg/max fold runs
 // over the workloads at 1024 ms in app order.
-func RunFig14(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runFig14(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	t, at1024, err := quantumRows(ctx, req, rt, core.Report.RefreshReduction)
 	if err != nil {
 		return nil, err
@@ -97,8 +97,8 @@ func RunFig14(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 	return rep, nil
 }
 
-// RunFig17 measures the fraction of execution time rows spend at LO-REF.
-func RunFig17(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+// runFig17 measures the fraction of execution time rows spend at LO-REF.
+func runFig17(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	t, at1024, err := quantumRows(ctx, req, rt, core.Report.LoRefCoverage)
 	if err != nil {
 		return nil, err
@@ -127,9 +127,9 @@ type fig18Row struct {
 	refresh, testCorrect, testMispred float64
 }
 
-// RunFig18 measures time spent on refresh and testing under MEMCON,
+// runFig18 measures time spent on refresh and testing under MEMCON,
 // normalized to baseline refresh time.
-func RunFig18(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runFig18(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	apps := workload.Apps()
 	rows, err := parallel.Map(ctx, len(apps), rt.Workers, func(i int) (fig18Row, error) {
 		tr := apps[i].Generate(req.Seed, req.Scale)
@@ -183,8 +183,8 @@ func RunFig18(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 	return rep, nil
 }
 
-// RunTable1 reproduces Table 1: the evaluated workload inventory.
-func RunTable1(context.Context, Request, Runtime) (*report.Report, error) {
+// runTable1 reproduces Table 1: the evaluated workload inventory.
+func runTable1(context.Context, Request, Runtime) (*report.Report, error) {
 	rep := report.New()
 	rep.Textf("Table 1 — evaluated long-running workloads (synthetic analogues)\n\n")
 	t := report.NewTable("apps",

@@ -21,11 +21,10 @@ import (
 // hashes it, so two requests with the same key always yield
 // byte-identical canonical report JSON.
 //
-// Every field is literal: a zero Seed means seed 0, never "use the
-// default". Defaults enter only at construction — DefaultRequest fills
-// them, and JSON bodies are decoded ONTO a default request so absent
-// fields keep their defaults while present ones (including an explicit
-// zero seed) stick.
+// Every input is literal (see report.Inputs). Defaults enter only at
+// construction — DefaultRequest fills them, and JSON bodies are decoded
+// ONTO a default request so absent fields keep their defaults while
+// present ones (including an explicit zero seed) stick.
 //
 // Execution knobs that do not affect the bytes (worker count,
 // observers, phase timers) are deliberately absent; they live in
@@ -33,37 +32,7 @@ import (
 type Request struct {
 	// Experiment is the registry id (fig14, table3, fleet-risk, ...).
 	Experiment string `json:"experiment"`
-	// Seed drives all randomness. Literal: zero is seed 0.
-	Seed int64 `json:"seed"`
-	// Scale shrinks workload sizes; must lie in (0,1].
-	Scale float64 `json:"scale"`
-	// SimTimeNs bounds performance-simulation runs (per configuration).
-	SimTimeNs int64 `json:"simtime_ns"`
-	// Mixes is the multiprogrammed-mix count for performance runs.
-	Mixes int `json:"mixes"`
-	// Fleet is the module count for fleet-scale experiments. Normalize
-	// zeroes it for experiments that ignore it and derives the
-	// scale-proportional default (160 at scale 1, floor 4) when a fleet
-	// experiment leaves it below 1, so the canonical form never carries
-	// an input the numbers do not depend on.
-	Fleet int `json:"fleet,omitempty"`
-	// Mapping names the vendor address-mapping scheme for chip-level
-	// experiments (dram.MappingNames lists the registry). Normalize
-	// canonicalizes "default" to "" and zeroes the field for experiments
-	// that build no chips, so the canonical form — and therefore the
-	// cache key — never carries a mapping the numbers do not depend on.
-	Mapping string `json:"mapping,omitempty"`
-	// Disturb is the RowHammer mitigation spec for read-disturb
-	// experiments (refresh.ParseMitigation syntax). Normalize
-	// canonicalizes "none" (and parameter spellings) and zeroes the
-	// field for experiments that simulate no disturbance, so the
-	// canonical form — and therefore the cache key — never carries a
-	// mitigation the numbers do not depend on.
-	Disturb string `json:"disturb,omitempty"`
-	// Version is an opaque build identifier stamped into report
-	// provenance. It never influences the numbers, but it does appear
-	// in the report bytes, so it participates in the cache key.
-	Version string `json:"version,omitempty"`
+	report.Inputs
 }
 
 // DefaultRequest returns the full-scale request for an experiment id:
@@ -71,33 +40,20 @@ type Request struct {
 // request bodies onto this value so absent fields default and present
 // fields (even explicit zeros) win.
 func DefaultRequest(id string) Request {
-	return Request{
-		Experiment: id,
-		Seed:       42,
-		Scale:      1.0,
-		SimTimeNs:  500_000,
-		Mixes:      30,
-	}
+	return Request{Experiment: id, Inputs: report.Inputs{
+		Seed:      42,
+		Scale:     1.0,
+		SimTimeNs: 500_000,
+		Mixes:     30,
+	}}
 }
 
 // RequestFromProvenance reconstructs the request that produced a saved
-// report, field for field. Because Provenance and Request carry the
-// same input set, the round trip saved → Request → Normalize → run
-// reproduces the saved provenance exactly; a new provenance field only
-// survives review by being added to both structs and this function,
-// which is what keeps -diff re-runs from silently default-drifting.
+// report. Provenance records the request's report.Inputs whole, so the
+// round trip saved → Request → Normalize → run reproduces the saved
+// provenance exactly, and -diff re-runs cannot default-drift.
 func RequestFromProvenance(p report.Provenance) Request {
-	return Request{
-		Experiment: p.Experiment,
-		Seed:       p.Seed,
-		Scale:      p.Scale,
-		SimTimeNs:  p.SimTimeNs,
-		Mixes:      p.Mixes,
-		Fleet:      p.Fleet,
-		Mapping:    p.Mapping,
-		Disturb:    p.Disturb,
-		Version:    p.Version,
-	}
+	return Request{Experiment: p.Experiment, Inputs: p.Inputs}
 }
 
 // deriveFleet is the scale-proportional fleet-size default Normalize
@@ -145,13 +101,13 @@ func (r *Request) Normalize() error {
 	if r.Mapping == dram.DefaultMappingName {
 		r.Mapping = ""
 	}
-	if !mappedExperiments[r.Experiment] {
+	if e.inputs&readsMapping == 0 {
 		r.Mapping = ""
 	} else if !dram.KnownMapping(r.Mapping) {
 		return fmt.Errorf("experiments: unknown address mapping %q (known: %s)",
 			r.Mapping, strings.Join(dram.MappingNames(), ", "))
 	}
-	if !disturbExperiments[r.Experiment] {
+	if e.inputs&readsDisturb == 0 {
 		r.Disturb = ""
 	} else {
 		// "none" and parameter spellings collapse to one canonical form
@@ -238,11 +194,12 @@ type Runtime struct {
 }
 
 // RunRequest executes the experiment described by req under ctx and
-// stamps the report's provenance with the normalized inputs. It is the
-// one entrypoint every caller uses: the CLIs, the serving daemon and
-// the public facade. The worker count is deliberately not recorded in
-// provenance: reports are byte-identical for any rt.Workers, and
-// provenance only holds inputs that determine the numbers.
+// stamps the report's provenance with the normalized inputs. The
+// runners are unexported, so it is the only way to run an id: the CLIs,
+// the serving daemon and the public facade all call it. The worker
+// count is deliberately not recorded in provenance: reports are
+// byte-identical for any rt.Workers, and provenance only holds inputs
+// that determine the numbers.
 func RunRequest(ctx context.Context, req Request, rt Runtime) (*Result, error) {
 	if err := req.Normalize(); err != nil {
 		return nil, err
@@ -259,28 +216,17 @@ func RunRequest(ctx context.Context, req Request, rt Runtime) (*Result, error) {
 	if e.fleet != nil {
 		res.rep, res.CELog, err = e.fleet(ctx, req, rt)
 	} else {
-		res.rep, err = e.runner(ctx, req, rt)
+		res.rep, err = e.run(ctx, req, rt)
 	}
 	if err != nil {
 		return nil, err
 	}
-	res.rep.Prov = req.provenance(e.desc)
+	res.rep.Prov = req.provenance(e.title)
 	return res, nil
 }
 
 // provenance returns the report provenance of a normalized request: its
-// inputs field for field, under the registry title.
+// inputs under the registry title.
 func (r Request) provenance(title string) report.Provenance {
-	return report.Provenance{
-		Experiment: r.Experiment,
-		Title:      title,
-		Seed:       r.Seed,
-		Scale:      r.Scale,
-		SimTimeNs:  r.SimTimeNs,
-		Mixes:      r.Mixes,
-		Fleet:      r.Fleet,
-		Mapping:    r.Mapping,
-		Disturb:    r.Disturb,
-		Version:    r.Version,
-	}
+	return report.Provenance{Experiment: r.Experiment, Title: title, Inputs: r.Inputs}
 }

@@ -27,7 +27,7 @@ func testRequest(id string) Request {
 // golden cannot: it is derived from report provenance, not from
 // DefaultRequest.
 func TestDefaultRequestLiterals(t *testing.T) {
-	want := Request{Experiment: "fig14", Seed: 42, Scale: 1, SimTimeNs: 500_000, Mixes: 30}
+	want := Request{Experiment: "fig14", Inputs: report.Inputs{Seed: 42, Scale: 1, SimTimeNs: 500_000, Mixes: 30}}
 	if r := DefaultRequest("fig14"); r != want {
 		t.Errorf("DefaultRequest = %+v, want %+v", r, want)
 	}
@@ -217,7 +217,7 @@ func TestProvenanceRoundTrip(t *testing.T) {
 		if r == plain {
 			t.Fatalf("synthetic %s: Normalize dropped the field under test", id)
 		}
-		cases["synthetic "+id] = r.provenance(registry[id].desc)
+		cases["synthetic "+id] = r.provenance(registry[id].title)
 	}
 	for name, saved := range cases {
 		req := RequestFromProvenance(saved)
@@ -256,7 +256,7 @@ func TestRunContextStampsProvenance(t *testing.T) {
 }
 
 func TestRunContextRejectsInvalid(t *testing.T) {
-	if _, err := RunRequest(context.Background(), Request{Experiment: "fig99", Scale: 1, SimTimeNs: 1, Mixes: 1}, Runtime{}); err == nil {
+	if _, err := RunRequest(context.Background(), Request{Experiment: "fig99", Inputs: report.Inputs{Scale: 1, SimTimeNs: 1, Mixes: 1}}, Runtime{}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 	if _, err := RunRequest(context.Background(), Request{Experiment: "fig6"}, Runtime{}); err == nil {

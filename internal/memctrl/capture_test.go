@@ -14,7 +14,6 @@ func TestBusTracerCapturesWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracer := NewBusTracer(cfg.Banks)
-	tracer.CaptureReads = true
 	ctrl.AttachTracer(tracer)
 
 	at := dram.Nanoseconds(0)
@@ -34,19 +33,6 @@ func TestBusTracerCapturesWrites(t *testing.T) {
 	}
 	if err := reads.Validate(); err != nil {
 		t.Fatalf("captured read trace invalid: %v", err)
-	}
-}
-
-func TestBusTracerReadsDisabledByDefault(t *testing.T) {
-	cfg := DefaultConfig()
-	ctrl, _ := New(cfg)
-	tracer := NewBusTracer(cfg.Banks)
-	ctrl.AttachTracer(tracer)
-	if _, err := ctrl.Access(100, 0, 1, false); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(tracer.ReadTrace("r", 1000).Events); got != 0 {
-		t.Errorf("reads captured without CaptureReads: %d", got)
 	}
 }
 

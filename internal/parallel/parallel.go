@@ -26,7 +26,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Workers resolves a requested worker count: values below 1 select
@@ -90,37 +89,24 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if workers > n {
 		workers = n
 	}
-	ps := StatsFrom(ctx)
 	errs := make([]error, n)
 	if workers == 1 {
-		var units, busyNs int64
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				errs[i] = err
 				break
 			}
-			if ps != nil {
-				t0 := time.Now()
-				errs[i] = call(i, fn)
-				busyNs += time.Since(t0).Nanoseconds()
-				units++
-				continue
-			}
 			errs[i] = call(i, fn)
 		}
-		ps.Add(0, units, busyNs)
 		return firstErr(errs)
 	}
 
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var units, busyNs int64
-			defer func() { ps.Add(w, units, busyNs) }()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -128,13 +114,6 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 				}
 				if err := ctx.Err(); err != nil {
 					errs[i] = err
-					continue
-				}
-				if ps != nil {
-					t0 := time.Now()
-					errs[i] = call(i, fn)
-					busyNs += time.Since(t0).Nanoseconds()
-					units++
 					continue
 				}
 				errs[i] = call(i, fn)

@@ -101,29 +101,22 @@ func Diff(a, b *Report, tol Tolerance) *DiffReport {
 		add("schema", "", fmt.Sprint(a.Schema), fmt.Sprint(b.Schema), 0)
 	}
 	pa, pb := a.Prov, b.Prov
-	if pa.Experiment != pb.Experiment {
-		add("provenance.experiment", "", pa.Experiment, pb.Experiment, 0)
-	}
-	if pa.Seed != pb.Seed {
-		add("provenance.seed", "", fmt.Sprint(pa.Seed), fmt.Sprint(pb.Seed), 0)
-	}
-	if pa.Scale != pb.Scale {
-		add("provenance.scale", "", fmt.Sprint(pa.Scale), fmt.Sprint(pb.Scale), 0)
-	}
-	if pa.SimTimeNs != pb.SimTimeNs {
-		add("provenance.simtime_ns", "", fmt.Sprint(pa.SimTimeNs), fmt.Sprint(pb.SimTimeNs), 0)
-	}
-	if pa.Mixes != pb.Mixes {
-		add("provenance.mixes", "", fmt.Sprint(pa.Mixes), fmt.Sprint(pb.Mixes), 0)
-	}
-	if pa.Fleet != pb.Fleet {
-		add("provenance.fleet", "", fmt.Sprint(pa.Fleet), fmt.Sprint(pb.Fleet), 0)
-	}
-	if pa.Mapping != pb.Mapping {
-		add("provenance.mapping", "", pa.Mapping, pb.Mapping, 0)
-	}
-	if pa.Disturb != pb.Disturb {
-		add("provenance.disturb", "", pa.Disturb, pb.Disturb, 0)
+	for _, f := range []struct {
+		path string
+		a, b any
+	}{
+		{"experiment", pa.Experiment, pb.Experiment},
+		{"seed", pa.Seed, pb.Seed},
+		{"scale", pa.Scale, pb.Scale},
+		{"simtime_ns", pa.SimTimeNs, pb.SimTimeNs},
+		{"mixes", pa.Mixes, pb.Mixes},
+		{"fleet", pa.Fleet, pb.Fleet},
+		{"mapping", pa.Mapping, pb.Mapping},
+		{"disturb", pa.Disturb, pb.Disturb},
+	} {
+		if f.a != f.b {
+			add("provenance."+f.path, "", fmt.Sprint(f.a), fmt.Sprint(f.b), 0)
+		}
 	}
 	if pa.Title != pb.Title {
 		d.Notes = append(d.Notes, fmt.Sprintf("title differs: %q vs %q", pa.Title, pb.Title))

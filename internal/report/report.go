@@ -10,11 +10,10 @@
 // than on prose.
 //
 // Reports are deliberately wall-clock-free: provenance records only the
-// inputs that determine the numbers (experiment id, seed, scale,
-// simtime, mixes, and a caller-supplied version string). The worker
-// count is excluded on purpose — the repo's determinism contract makes
-// every report byte-identical for any -parallel value, and recording
-// the worker count would break exactly that property.
+// experiment id, its title and the Inputs that determine the numbers.
+// The worker count is excluded on purpose — the repo's determinism
+// contract makes every report byte-identical for any -parallel value,
+// and recording the worker count would break exactly that property.
 package report
 
 import (
@@ -79,30 +78,43 @@ type Provenance struct {
 	Experiment string `json:"experiment"`
 	// Title is the one-line registry description of the experiment.
 	Title string `json:"title,omitempty"`
-	// Seed is the normalized random seed the run used.
+	Inputs
+}
+
+// Inputs are the inputs that determine an experiment's report bytes:
+// experiments.Request carries them in and Provenance records them,
+// under the same JSON keys, so a saved report names the request that
+// reproduces it. Every field is literal: a zero Seed means seed 0.
+// experiments.Request.Normalize canonicalizes the optional inputs
+// (Fleet, Mapping, Disturb) and zeroes each one for every experiment
+// whose numbers ignore it, so it is omitted from that experiment's
+// JSON and cache key.
+type Inputs struct {
+	// Seed drives all randomness. Literal: zero is seed 0.
 	Seed int64 `json:"seed"`
-	// Scale is the normalized workload scale in (0,1].
+	// Scale shrinks workload sizes; must lie in (0,1].
 	Scale float64 `json:"scale"`
 	// SimTimeNs bounds performance-simulation runs (per configuration).
 	SimTimeNs int64 `json:"simtime_ns"`
 	// Mixes is the multiprogrammed-mix count for performance runs.
 	Mixes int `json:"mixes"`
-	// Fleet is the module count of fleet-scale experiments; zero for
-	// single-module experiments (and omitted from their JSON, keeping
-	// pre-fleet reports byte-identical).
+	// Fleet is the module count of fleet-scale experiments. Normalize
+	// derives the scale-proportional default (160 at scale 1, floor 4)
+	// when a fleet experiment leaves it below 1.
 	Fleet int `json:"fleet,omitempty"`
-	// Mapping is the vendor address-mapping scheme of chip-level
-	// experiments; empty for the default mapping and for experiments
-	// that build no chips (and omitted from their JSON, keeping
-	// pre-mapping reports byte-identical).
+	// Mapping names the vendor address-mapping scheme of chip-level
+	// experiments (dram.MappingNames lists the registry); Normalize
+	// canonicalizes "default" to "".
 	Mapping string `json:"mapping,omitempty"`
 	// Disturb is the RowHammer mitigation spec of read-disturb
-	// experiments (e.g. "para:0.001"); empty for no mitigation and for
-	// experiments that simulate no disturbance (and omitted from their
-	// JSON, keeping pre-disturb reports byte-identical).
+	// experiments (refresh.ParseMitigation syntax, e.g. "para:0.001");
+	// Normalize canonicalizes "none" to "" and parameter spellings to
+	// one form.
 	Disturb string `json:"disturb,omitempty"`
 	// Version is an opaque caller-supplied build identifier (for
-	// example a git-describe string). Empty means unrecorded.
+	// example a git-describe string); empty means unrecorded. It never
+	// influences the numbers, but it appears in the report bytes, so it
+	// participates in the cache key.
 	Version string `json:"version,omitempty"`
 }
 

@@ -12,7 +12,7 @@ func sample() *Report {
 	r := New()
 	r.Prov = Provenance{
 		Experiment: "fig14", Title: "Fig. 14: refresh reduction",
-		Seed: 42, Scale: 0.04, SimTimeNs: 200_000, Mixes: 3,
+		Inputs: Inputs{Seed: 42, Scale: 0.04, SimTimeNs: 200_000, Mixes: 3},
 	}
 	r.Textf("Fig. 14 — reduction in refresh count with MEMCON\n\n")
 	t := NewTable("rows",

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -71,7 +72,9 @@ func TestImageAllocationContract(t *testing.T) {
 
 // TestEachIntervalAllocationContract pins EachInterval to the memory
 // of its generator, not of a trace: it allocates the math/rand source
-// and a sink, the same at scale 0.05 and 0.3, and at most 8 KiB.
+// and a sink, the same at scale 0.05 and 0.3, and at most 8 KiB. Each
+// scale takes the fewest bytes over three calls, so an allocation made
+// elsewhere in the process during one call does not count against it.
 func TestEachIntervalAllocationContract(t *testing.T) {
 	app, err := AppByName("SystemMgt")
 	if err != nil {
@@ -79,8 +82,12 @@ func TestEachIntervalAllocationContract(t *testing.T) {
 	}
 	var sizes []uint64
 	for _, scale := range []float64{0.05, 0.3} {
-		n := 0
-		got := allocated(func() { app.EachInterval(42, scale, true, func(float64) { n++ }) })
+		var n int
+		got := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			n = 0
+			got = min(got, allocated(func() { app.EachInterval(42, scale, true, func(float64) { n++ }) }))
+		}
 		if n == 0 {
 			t.Fatalf("scale %v: no intervals", scale)
 		}

@@ -32,6 +32,7 @@ import (
 	"memcon/internal/experiments"
 	"memcon/internal/faults"
 	"memcon/internal/obs"
+	"memcon/internal/report"
 	"memcon/internal/softmc"
 	"memcon/internal/trace"
 	"memcon/internal/workload"
@@ -302,8 +303,13 @@ func Experiment(ctx context.Context, req ExperimentRequest) (fmt.Stringer, error
 	return res.Report(), nil
 }
 
-// ExperimentRequest is the input tuple of one experiment run.
+// ExperimentRequest is one experiment run: its id and its
+// ExperimentInputs (a literal names them as Inputs:).
 type ExperimentRequest = experiments.Request
+
+// ExperimentInputs are the inputs that determine an experiment's
+// report; its provenance records the same struct.
+type ExperimentInputs = report.Inputs
 
 // DefaultExperimentRequest returns the full-scale request for an id.
 func DefaultExperimentRequest(id string) ExperimentRequest { return experiments.DefaultRequest(id) }

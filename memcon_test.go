@@ -95,6 +95,10 @@ func TestExperimentFacade(t *testing.T) {
 	if _, err := Experiment(context.Background(), DefaultExperimentRequest("bogus")); err == nil {
 		t.Error("unknown experiment accepted")
 	}
+	lit := ExperimentRequest{Experiment: "minwi", Inputs: ExperimentInputs{Seed: 42, Scale: 1, SimTimeNs: 500_000, Mixes: 30}}
+	if def := DefaultExperimentRequest("minwi"); lit != def {
+		t.Errorf("literal request %+v differs from the default %+v", lit, def)
+	}
 }
 
 func TestNewIncremental(t *testing.T) {
