@@ -226,6 +226,107 @@ func TestModuleErrors(t *testing.T) {
 	}
 }
 
+// TestWriteImageMatchesWriteRowLoop holds WriteImage to the WriteRow
+// loop it replaces: row idx gets image[idx%len(image)] at now, for
+// images of exactly, fewer (wrapping) and more rows than the module,
+// and a bad row the module uses fails with WriteRow's error text.
+func TestWriteImageMatchesWriteRowLoop(t *testing.T) {
+	g := Geometry{Ranks: 1, ChipsPerRank: 1, BanksPerChip: 3, RowsPerBank: 5, ColsPerRow: 128}
+	total := g.TotalRows()
+	image := func(n int, bad ...int) []Row {
+		rng := rand.New(rand.NewSource(int64(n)))
+		img := make([]Row, n)
+		for i := range img {
+			img[i] = NewRow(g.ColsPerRow)
+			img[i].Randomize(rng)
+		}
+		for _, i := range bad {
+			img[i] = img[i][:1]
+		}
+		return img
+	}
+	for _, tc := range []struct {
+		name  string
+		image []Row
+	}{
+		{"exact", image(total)},
+		{"wraps", image(4)},
+		{"one row", image(1)},
+		{"longer", image(total + 7)},
+		{"bad row past the module", image(total+2, total+1)},
+		{"bad row", image(4, 2)},
+		{"bad row wrapped into", image(total-1, total-2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, _ := NewModule(g)
+			var wantErr error
+			for idx := 0; idx < total && wantErr == nil; idx++ {
+				wantErr = want.WriteRow(g.AddressOfIndex(idx), tc.image[idx%len(tc.image)], 100)
+			}
+			got, _ := NewModule(g)
+			got.RechargeAll(40)
+			err := got.WriteImage(tc.image, 100)
+			if wantErr != nil {
+				if err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("WriteImage error = %v, want %v", err, wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for idx := 0; idx < total; idx++ {
+				a := g.AddressOfIndex(idx)
+				if !slices.Equal(got.RowRef(a), want.RowRef(a)) {
+					t.Errorf("row %d: content %x, WriteRow loop gives %x", idx, got.RowRef(a), want.RowRef(a))
+				}
+				if gi, wi := got.IdleTime(a, 150), want.IdleTime(a, 150); gi != wi {
+					t.Errorf("row %d: IdleTime %d, WriteRow loop gives %d", idx, gi, wi)
+				}
+			}
+		})
+	}
+	m, _ := NewModule(g)
+	if err := m.WriteImage(nil, 0); err == nil {
+		t.Error("WriteImage of an empty image should error")
+	}
+}
+
+// TestModuleRowsAreSeparate checks the slab-backed rows: each row's
+// capacity ends at its own last word, and writing one row changes no
+// other.
+func TestModuleRowsAreSeparate(t *testing.T) {
+	g := Geometry{Ranks: 1, ChipsPerRank: 1, BanksPerChip: 2, RowsPerBank: 4, ColsPerRow: 128}
+	m, err := NewModule(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for idx := 0; idx < g.TotalRows(); idx++ {
+		if r := m.RowAt(idx); len(r) != 2 || cap(r) != 2 {
+			t.Fatalf("row %d: len %d, cap %d; want both 2", idx, len(r), cap(r))
+		}
+	}
+	ones := NewRow(g.ColsPerRow)
+	ones.Fill(^uint64(0))
+	for idx := 0; idx < g.TotalRows(); idx++ {
+		m, _ := NewModule(g)
+		if err := m.WriteRow(g.AddressOfIndex(idx), ones, 0); err != nil {
+			t.Fatal(err)
+		}
+		for other := 0; other < g.TotalRows(); other++ {
+			want := uint64(0)
+			if other == idx {
+				want = ^uint64(0)
+			}
+			for _, w := range m.RowAt(other) {
+				if w != want {
+					t.Fatalf("after writing row %d, row %d holds %x", idx, other, m.RowAt(other))
+				}
+			}
+		}
+	}
+}
+
 func TestModuleChargeBookkeeping(t *testing.T) {
 	m, _ := NewModule(DefaultGeometry())
 	a := RowAddress{Bank: 0, Row: 10}

@@ -55,7 +55,9 @@ type Module struct {
 }
 
 // NewModule allocates a module with the given geometry. All cells start
-// at zero and fully charged at time 0.
+// at zero and fully charged at time 0. Each bank's rows are windows of
+// one slab, capped at their own last word so an append to one row
+// cannot overwrite the next.
 func NewModule(geom Geometry) (*Module, error) {
 	if err := geom.Validate(); err != nil {
 		return nil, err
@@ -65,8 +67,13 @@ func NewModule(geom Geometry) (*Module, error) {
 		rows:       make([]Row, geom.TotalRows()),
 		lastCharge: make([]Nanoseconds, geom.TotalRows()),
 	}
-	for i := range m.rows {
-		m.rows[i] = NewRow(geom.ColsPerRow)
+	w := geom.ColsPerRow / 64
+	for b := 0; b < geom.BanksPerChip; b++ {
+		slab := make([]uint64, geom.RowsPerBank*w)
+		bank := m.rows[b*geom.RowsPerBank : (b+1)*geom.RowsPerBank]
+		for j := range bank {
+			bank[j] = slab[j*w : (j+1)*w : (j+1)*w]
+		}
 	}
 	return m, nil
 }
@@ -87,6 +94,30 @@ func (m *Module) WriteRow(a RowAddress, content Row, now Nanoseconds) error {
 	idx := m.geom.RowIndex(a)
 	copy(m.rows[idx], content)
 	m.lastCharge[idx] = now
+	return nil
+}
+
+// WriteImage stores image across the whole module at time now, as a
+// WriteRow per row would: row idx (RowIndex order) gets
+// image[idx%len(image)], so an image shorter than the module wraps and
+// a longer one is cut. Every image row it uses must hold a row's words;
+// they are checked before any row is written.
+func (m *Module) WriteImage(image []Row, now Nanoseconds) error {
+	if len(image) == 0 {
+		return fmt.Errorf("dram: empty image")
+	}
+	words := m.geom.ColsPerRow / 64
+	for _, row := range image[:min(len(image), len(m.rows))] {
+		if len(row) != words {
+			return fmt.Errorf("dram: row content has %d words, geometry needs %d", len(row), words)
+		}
+	}
+	for start := 0; start < len(m.rows); start += len(image) {
+		for j, dst := range m.rows[start:min(start+len(image), len(m.rows))] {
+			copy(dst, image[j])
+		}
+	}
+	m.RechargeAll(now)
 	return nil
 }
 

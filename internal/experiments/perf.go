@@ -42,19 +42,33 @@ func memconMem(d dram.Density, reduction float64, testsPerWindow int, seed int64
 	return cfg, nil
 }
 
-// avgSpeedup runs all mixes and returns the mean weighted speedup of
-// scheme over baseline. The mixes are independent simulations, so they
-// fan out over the run's worker budget; each mix simulates under its
-// own parallel.Seed(req.Seed, i) stream and the speedups are averaged
-// in mix order, so the result is identical for any worker count.
-func avgSpeedup(ctx context.Context, req Request, workers int, mixes [][]workload.CoreParams, base, scheme memctrl.Config) (float64, error) {
-	speedups, err := parallel.Map(ctx, len(mixes), workers, func(i int) (float64, error) {
-		return sim.MixSpeedup(mixes[i], base, scheme, req.SimTimeNs, parallel.Seed(req.Seed, i))
+// avgSpeedups returns, for each scheme, the mean weighted speedup of
+// that scheme over base across the mixes. Each mix simulates under its
+// own parallel.Seed(req.Seed, i) stream, and its baseline runs once for
+// all the schemes: a simulation is deterministic in its config. The
+// simulations are independent, so they fan out over the run's worker
+// budget, and each scheme's speedups are averaged in mix order, so the
+// result is identical for any worker count.
+func avgSpeedups(ctx context.Context, req Request, workers int, mixes [][]workload.CoreParams, base memctrl.Config, schemes []memctrl.Config) ([]float64, error) {
+	mems := append([]memctrl.Config{base}, schemes...)
+	runs, err := parallel.Map(ctx, len(mixes)*len(mems), workers, func(u int) (sim.Result, error) {
+		i := u / len(mems)
+		return sim.Run(sim.Config{Mix: mixes[i], Mem: mems[u%len(mems)], SimTime: req.SimTimeNs, Seed: parallel.Seed(req.Seed, i)})
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return stats.Mean(speedups), nil
+	means := make([]float64, len(schemes))
+	speedups := make([]float64, len(mixes))
+	for k := range schemes {
+		for i := range mixes {
+			if speedups[i], err = sim.WeightedSpeedup(runs[i*len(mems)], runs[i*len(mems)+1+k]); err != nil {
+				return nil, err
+			}
+		}
+		means[k] = stats.Mean(speedups)
+	}
+	return means, nil
 }
 
 // runFig15 reproduces Fig. 15: MEMCON speedup over the 16 ms baseline
@@ -80,18 +94,22 @@ func runFig15(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 			report.CFloat("r60", "60% reduction", "x"),
 			report.CFloat("r75", "75% reduction", "x"))
 		for _, d := range densities {
+			reductions := []float64{0.60, 0.75}
+			schemes := make([]memctrl.Config, len(reductions))
+			for k, reduction := range reductions {
+				var err error
+				if schemes[k], err = memconMem(d, reduction, 256, req.Seed); err != nil {
+					return nil, err
+				}
+			}
+			speedups, err := avgSpeedups(ctx, req, rt.Workers, mixes, baselineMem(d, req.Seed), schemes)
+			if err != nil {
+				return nil, err
+			}
 			row := []report.Cell{report.S(d.String())}
-			for _, reduction := range []float64{0.60, 0.75} {
-				scheme, err := memconMem(d, reduction, 256, req.Seed)
-				if err != nil {
-					return nil, err
-				}
-				s, err := avgSpeedup(ctx, req, rt.Workers, mixes, baselineMem(d, req.Seed), scheme)
-				if err != nil {
-					return nil, err
-				}
+			for k, s := range speedups {
 				row = append(row, report.F(s, fmt.Sprintf("%.2fx", s)))
-				ct.Add(report.I(int64(cores)), report.S(d.String()), report.Fv(reduction), report.Fv(s))
+				ct.Add(report.I(int64(cores)), report.S(d.String()), report.Fv(reductions[k]), report.Fv(s))
 			}
 			t.Add(row...)
 		}
@@ -124,14 +142,18 @@ func runTable3(ctx context.Context, req Request, rt Runtime) (*report.Report, er
 		if err != nil {
 			return nil, err
 		}
-		row := []report.Cell{report.S(fmt.Sprintf("%d-core", cores))}
+		var loaded []memctrl.Config
 		for _, tests := range []int{256, 512, 1024} {
-			loaded := ideal
-			loaded.TestsPerWindow = tests
-			s, err := avgSpeedup(ctx, req, rt.Workers, mixes, ideal, loaded)
-			if err != nil {
-				return nil, err
-			}
+			cfg := ideal
+			cfg.TestsPerWindow = tests
+			loaded = append(loaded, cfg)
+		}
+		speedups, err := avgSpeedups(ctx, req, rt.Workers, mixes, ideal, loaded)
+		if err != nil {
+			return nil, err
+		}
+		row := []report.Cell{report.S(fmt.Sprintf("%d-core", cores))}
+		for _, s := range speedups {
 			loss := 1 - s
 			row = append(row, report.F(loss, pct2(loss)))
 		}
@@ -187,19 +209,21 @@ func runFig16(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 		}
 		t := report.NewTable(fmt.Sprintf("pivot_%dcore", cores), cols...)
 		for _, d := range densities {
-			base := baselineMem(d, req.Seed)
+			schemes := make([]memctrl.Config, len(fig16Policies))
+			for k, pol := range fig16Policies {
+				var err error
+				if schemes[k], err = memconMem(d, pol.reduction, pol.tests, req.Seed); err != nil {
+					return nil, err
+				}
+			}
+			speedups, err := avgSpeedups(ctx, req, rt.Workers, mixes, baselineMem(d, req.Seed), schemes)
+			if err != nil {
+				return nil, err
+			}
 			row := []report.Cell{report.S(d.String())}
-			for _, pol := range fig16Policies {
-				scheme, err := memconMem(d, pol.reduction, pol.tests, req.Seed)
-				if err != nil {
-					return nil, err
-				}
-				s, err := avgSpeedup(ctx, req, rt.Workers, mixes, base, scheme)
-				if err != nil {
-					return nil, err
-				}
+			for k, s := range speedups {
 				row = append(row, report.F(s, fmt.Sprintf("%.2fx", s)))
-				ct.Add(report.I(int64(cores)), report.S(d.String()), report.S(pol.name), report.Fv(s))
+				ct.Add(report.I(int64(cores)), report.S(d.String()), report.S(fig16Policies[k].name), report.Fv(s))
 			}
 			t.Add(row...)
 		}

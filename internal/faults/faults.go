@@ -38,11 +38,12 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"memcon/internal/dram"
 )
@@ -327,11 +328,13 @@ func (m *Model) buildBank(b int) *bankFaults {
 		pc := pos % m.geom.PhysCols()
 		raw = append(raw, m.makeWeakCell(rng, pr, pc))
 	}
-	sort.Slice(raw, func(i, j int) bool {
-		if raw[i].physRow != raw[j].physRow {
-			return raw[i].physRow < raw[j].physRow
+	// Positions are distinct, so the order is total and an unstable
+	// sort gives the one order there is.
+	slices.SortFunc(raw, func(a, b weakCell) int {
+		if a.physRow != b.physRow {
+			return cmp.Compare(a.physRow, b.physRow)
 		}
-		return raw[i].physCol < raw[j].physCol
+		return cmp.Compare(a.physCol, b.physCol)
 	})
 
 	// Drop cells on unmapped physical columns (no data is stored there)
@@ -382,8 +385,9 @@ func (m *Model) buildBank(b int) *bankFaults {
 		}
 		bf.neigh[r] = ni
 		row := seeds[rowStart[pr]:rowStart[pr+1]]
-		sort.Slice(row, func(x, y int) bool {
-			return m.sysColOfPhys[row[x].physCol] < m.sysColOfPhys[row[y].physCol]
+		// Distinct mapped columns have distinct system columns.
+		slices.SortFunc(row, func(a, b weakCell) int {
+			return cmp.Compare(m.sysColOfPhys[a.physCol], m.sysColOfPhys[b.physCol])
 		})
 		rowWorst := neverFails
 		lastWord := int32(-1)

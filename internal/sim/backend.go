@@ -93,7 +93,9 @@ func RunCommandLevel(cfg Config, memCfg ddr3.Config) (Result, error) {
 	return res, nil
 }
 
-// CommandLevelSpeedup mirrors MixSpeedup on the command-level backend.
+// CommandLevelSpeedup runs baseline and scheme configurations of the
+// command-level backend over the same mix and seed and returns the
+// weighted speedup of scheme over baseline.
 func CommandLevelSpeedup(mix []workload.CoreParams, base, scheme ddr3.Config, simTime dram.Nanoseconds, seed int64) (float64, error) {
 	b, err := RunCommandLevel(Config{Mix: mix, SimTime: simTime, Seed: seed}, base)
 	if err != nil {

@@ -190,18 +190,3 @@ func WeightedSpeedup(baseline, scheme Result) (float64, error) {
 	}
 	return sum / float64(len(baseline.IPC)), nil
 }
-
-// MixSpeedup runs baseline and scheme memory configurations over the
-// same mix and seed and returns the weighted speedup of scheme over
-// baseline.
-func MixSpeedup(mix []workload.CoreParams, baseMem, schemeMem memctrl.Config, simTime dram.Nanoseconds, seed int64) (float64, error) {
-	base, err := Run(Config{Mix: mix, Mem: baseMem, SimTime: simTime, Seed: seed})
-	if err != nil {
-		return 0, err
-	}
-	scheme, err := Run(Config{Mix: mix, Mem: schemeMem, SimTime: simTime, Seed: seed})
-	if err != nil {
-		return 0, err
-	}
-	return WeightedSpeedup(base, scheme)
-}

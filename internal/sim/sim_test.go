@@ -19,6 +19,21 @@ func testMix(n int) []workload.CoreParams {
 
 func simTime() dram.Nanoseconds { return dram.Millisecond / 2 }
 
+// MixSpeedup runs baseline and scheme memory configurations over the
+// same mix and seed and returns the weighted speedup of scheme over
+// baseline.
+func MixSpeedup(mix []workload.CoreParams, baseMem, schemeMem memctrl.Config, simTime dram.Nanoseconds, seed int64) (float64, error) {
+	base, err := Run(Config{Mix: mix, Mem: baseMem, SimTime: simTime, Seed: seed})
+	if err != nil {
+		return 0, err
+	}
+	scheme, err := Run(Config{Mix: mix, Mem: schemeMem, SimTime: simTime, Seed: seed})
+	if err != nil {
+		return 0, err
+	}
+	return WeightedSpeedup(base, scheme)
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := Config{Mix: testMix(1), Mem: memctrl.DefaultConfig(), SimTime: simTime()}
 	if err := good.Validate(); err != nil {

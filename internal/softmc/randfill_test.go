@@ -1,51 +1,12 @@
 package softmc
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"memcon/internal/dram"
 )
-
-// TestRandomFillMatchesMathRand is the oracle for the direct fill: it
-// must produce rand.New(rand.NewSource(s)).Uint64()'s outputs word for
-// word, at every row length, for the seeds whose normalization math/rand
-// special-cases (zero, negative, multiples of 2^31-1, the extremes) and
-// for many random ones. The lengths straddle the tap (273) and the
-// register length (607), where the terms switch from seeded register
-// words to earlier outputs.
-func TestRandomFillMatchesMathRand(t *testing.T) {
-	seeds := []int64{
-		0, 1, -1,
-		int32max, -int32max, 2 * int32max, // 2·(2^31-1) normalizes to 0, then to 89482311
-		89482311, math.MinInt64, math.MaxInt64,
-	}
-	gen := rand.New(rand.NewSource(20171014))
-	for i := 0; i < 1000; i++ {
-		seeds = append(seeds, int64(gen.Uint64()))
-	}
-	lengths := []int{0, 1, 16, 272, 273, 274, 606, 607, 608, 1300}
-	tables := seedTables()
-	want := make([]uint64, lengths[len(lengths)-1])
-	got := make([]uint64, len(want))
-	for _, s := range seeds {
-		rng := rand.New(rand.NewSource(s))
-		for k := range want {
-			want[k] = rng.Uint64()
-		}
-		for _, n := range lengths {
-			clear(got)
-			tables.fill(got[:n], s)
-			for k := 0; k < n; k++ {
-				if got[k] != want[k] {
-					t.Fatalf("seed %d, %d words: word %d = %#x, math/rand gives %#x", s, n, k, got[k], want[k])
-				}
-			}
-		}
-	}
-}
 
 // TestRandomPatternMatchesLegacyFill pins RandomPattern to the
 // construction it replaced: a fresh math/rand source per row, seeded

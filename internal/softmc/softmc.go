@@ -20,6 +20,7 @@ import (
 
 	"memcon/internal/dram"
 	"memcon/internal/faults"
+	"memcon/internal/lfg"
 	"memcon/internal/obs"
 	"memcon/internal/parallel"
 )
@@ -119,12 +120,11 @@ func WalkingPattern(bit, offset int) Pattern {
 // RandomPattern fills rows with pseudo-random bits derived from seed.
 // Each call to Fill is deterministic in (seed, row): row r holds the
 // first words of rand.New(rand.NewSource(seed ^ int64(r)*0x9E3779B9)),
-// computed without building that source (see randfill.go).
+// computed without building that source (lfg.Fill).
 func RandomPattern(seed int64) Pattern {
-	t := seedTables()
 	return Pattern{
 		Name: fmt.Sprintf("random-%d", seed),
-		Fill: func(dst dram.Row, row int) { t.fill(dst, seed^int64(row)*0x9E3779B9) },
+		Fill: func(dst dram.Row, row int) { lfg.Fill(dst, seed^int64(row)*0x9E3779B9) },
 	}
 }
 
@@ -211,13 +211,15 @@ func (t *Tester) SetObserver(o obs.Observer) { t.obs = o }
 func (t *Tester) Now() dram.Nanoseconds { return t.now }
 
 // FillPattern writes the pattern into every row of every bank, fully
-// charging the array.
+// charging the array. A pattern's content depends only on the row
+// index, so each row's content is computed once and written to every
+// bank.
 func (t *Tester) FillPattern(p Pattern) error {
 	g := t.mod.Geometry()
 	buf := dram.NewRow(g.ColsPerRow)
-	for b := 0; b < g.BanksPerChip; b++ {
-		for r := 0; r < g.RowsPerBank; r++ {
-			p.Fill(buf, r)
+	for r := 0; r < g.RowsPerBank; r++ {
+		p.Fill(buf, r)
+		for b := 0; b < g.BanksPerChip; b++ {
 			if err := t.mod.WriteRow(dram.RowAddress{Bank: b, Row: r}, buf, t.now); err != nil {
 				return err
 			}
@@ -229,21 +231,13 @@ func (t *Tester) FillPattern(p Pattern) error {
 // FillContent replicates the given content image across the whole module
 // row by row (the paper duplicates each workload's memory footprint
 // across the module so the entire chip holds program content). The image
-// is a slice of rows; it wraps when shorter than the module.
+// is a slice of rows; it wraps when shorter than the module
+// (dram.Module.WriteImage).
 func (t *Tester) FillContent(image []dram.Row) error {
 	if len(image) == 0 {
 		return fmt.Errorf("softmc: empty content image")
 	}
-	g := t.mod.Geometry()
-	for b := 0; b < g.BanksPerChip; b++ {
-		for r := 0; r < g.RowsPerBank; r++ {
-			src := image[(b*g.RowsPerBank+r)%len(image)]
-			if err := t.mod.WriteRow(dram.RowAddress{Bank: b, Row: r}, src, t.now); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return t.mod.WriteImage(image, t.now)
 }
 
 // Idle advances the harness clock without touching the array.

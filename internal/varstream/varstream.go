@@ -2,13 +2,12 @@
 // share: a little-endian uint32 magic, uvarint header fields ending in
 // a declared event count, then that many events of uvarint fields.
 // Reader decodes it from a fixed window of source bytes with
-// positioned, sticky errors; Writer encodes it through a buffered
-// writer. Each format keeps only its own field layout, bounds and
+// positioned, sticky errors; Writer encodes it into a buffer of its
+// own. Each format keeps only its own field layout, bounds and
 // messages.
 package varstream
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -266,20 +265,23 @@ func noEOF(err error) error {
 	return err
 }
 
-// Writer encodes a stream through a bufio.Writer. Uvarint gathers
-// fields in a buffer inside the Writer and Emit hands them over in one
-// Write, so an event costs one Write and no allocation; a buffer local
-// to the caller would escape through Write and allocate per event.
-// Write errors stick in the bufio.Writer, and Close returns them.
+// maxEvent is the most bytes one event may take: twelve varints.
+const maxEvent = 12 * binary.MaxVarintLen64
+
+// Writer encodes a stream into a buffer of its own, WindowSize bytes,
+// and writes the buffer out once fewer than one event's worth of bytes
+// is left, so an event costs no call and no allocation. The first
+// write error sticks: later writes are dropped, and Close returns it.
 type Writer struct {
-	bw  *bufio.Writer
-	n   int       // pending bytes in buf
-	buf [128]byte // pending fields: the magic and up to twelve varints
+	dst io.Writer
+	err error
+	n   int              // pending bytes in buf
+	buf [WindowSize]byte // pending bytes: the magic, header fields, events
 }
 
 // NewWriter starts a stream on dst with the magic.
 func NewWriter(dst io.Writer, magic uint32) *Writer {
-	w := &Writer{bw: bufio.NewWriter(dst), n: 4}
+	w := &Writer{dst: dst, n: 4}
 	binary.LittleEndian.PutUint32(w.buf[:], magic)
 	return w
 }
@@ -293,19 +295,41 @@ func (w *Writer) Uvarint(v uint64) {
 // bytes.
 func (w *Writer) String(s string) {
 	w.Uvarint(uint64(len(s)))
-	w.Emit()
-	_, _ = w.bw.WriteString(s) // an error sticks in bw; Close returns it
+	w.flush()
+	if w.err == nil {
+		n, err := io.WriteString(w.dst, s)
+		w.failShort(n, len(s), err)
+	}
 }
 
-// Emit writes the pending fields.
+// Emit ends an event of at most twelve fields, writing the pending
+// bytes out if the next event might not fit after them.
 func (w *Writer) Emit() {
-	_, _ = w.bw.Write(w.buf[:w.n]) // an error sticks in bw; Close returns it
+	if len(w.buf)-w.n < maxEvent {
+		w.flush()
+	}
+}
+
+// Close writes the pending bytes and returns the first write error.
+func (w *Writer) Close() error {
+	w.flush()
+	return w.err
+}
+
+// flush writes the pending bytes unless a write has failed.
+func (w *Writer) flush() {
+	if w.err == nil && w.n > 0 {
+		n, err := w.dst.Write(w.buf[:w.n])
+		w.failShort(n, w.n, err)
+	}
 	w.n = 0
 }
 
-// Close writes the pending fields, flushes the stream and returns the
-// first write error.
-func (w *Writer) Close() error {
-	w.Emit()
-	return w.bw.Flush()
+// failShort keeps a write's error, failing a short write that returned
+// none with io.ErrShortWrite, as bufio.Writer does.
+func (w *Writer) failShort(n, want int, err error) {
+	if err == nil && n < want {
+		err = io.ErrShortWrite
+	}
+	w.err = err
 }

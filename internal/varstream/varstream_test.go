@@ -116,8 +116,9 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("Open with the wrong magic = %v, want %v", err, errBad)
 	}
 
-	// A write error sticks in the buffered writer and Close returns it,
-	// here from a string longer than the 4 KiB buffer, written through.
+	// The first write error sticks and Close returns it, here from the
+	// flush before a string's bytes; a short write without an error
+	// fails as io.ErrShortWrite.
 	w = NewWriter(failWriter{}, 0x01020304)
 	w.String(string(make([]byte, 8192)))
 	w.Uvarint(1)
@@ -125,9 +126,68 @@ func TestRoundTrip(t *testing.T) {
 	if err := w.Close(); err != errBad {
 		t.Fatalf("Close after a failed write = %v, want %v", err, errBad)
 	}
+	w = NewWriter(shortWriter{}, 0x01020304)
+	w.Uvarint(1)
+	if err := w.Close(); err != io.ErrShortWrite {
+		t.Fatalf("Close after a short write = %v, want %v", err, io.ErrShortWrite)
+	}
+}
+
+// TestWriterSpansBuffers writes a stream many times the Writer's
+// buffer through a destination that records each write: the bytes are
+// the hand-assembled layout, every write but the last leaves room for
+// less than one more event, and no event is split between writes.
+func TestWriterSpansBuffers(t *testing.T) {
+	var rec recordWriter
+	w := NewWriter(&rec, 0x01020304)
+	w.Uvarint(3 * WindowSize) // event count
+	want := binary.LittleEndian.AppendUint32(nil, 0x01020304)
+	want = binary.AppendUvarint(want, 3*WindowSize)
+	ends := map[int]bool{len(want): true}
+	for i := range uint64(3 * WindowSize) {
+		for f := range uint64(12) {
+			v := (i*12 + f) * 0x9E3779B97F4A7C15 >> (f * 5)
+			w.Uvarint(v)
+			want = binary.AppendUvarint(want, v)
+		}
+		w.Emit()
+		ends[len(want)] = true
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.Join(rec.writes, nil); !bytes.Equal(got, want) {
+		t.Fatalf("Writer wrote %d bytes, want %d; they differ", len(got), len(want))
+	}
+	off := 0
+	for i, p := range rec.writes {
+		off += len(p)
+		if !ends[off] {
+			t.Fatalf("write %d ends at offset %d, inside an event", i, off)
+		}
+		if i < len(rec.writes)-1 && WindowSize-len(p) >= maxEvent {
+			t.Fatalf("write %d holds %d bytes; the buffer had room for another event", i, len(p))
+		}
+	}
+	if len(rec.writes) < 3 {
+		t.Fatalf("%d writes for %d bytes, want one per filled buffer", len(rec.writes), len(want))
+	}
 }
 
 // failWriter fails every write.
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errBad }
+
+// shortWriter accepts one byte less than each write without an error.
+type shortWriter struct{}
+
+func (shortWriter) Write(p []byte) (int, error) { return len(p) - 1, nil }
+
+// recordWriter keeps a copy of each write.
+type recordWriter struct{ writes [][]byte }
+
+func (r *recordWriter) Write(p []byte) (int, error) {
+	r.writes = append(r.writes, bytes.Clone(p))
+	return len(p), nil
+}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"memcon/internal/dram"
+	"memcon/internal/lfg"
 )
 
 // ContentSpec describes the memory-content characteristics of one SPEC
@@ -70,10 +71,13 @@ func ContentByName(name string) (ContentSpec, error) {
 // each with cols cells (cols must be a multiple of 64). phase selects
 // the execution phase (the paper dumps content every 100M instructions);
 // different phases yield different images of the same statistical class.
-// The result is deterministic in (spec, rows, cols, phase, seed). Its
-// rows are consecutive windows of one backing slab.
+// The result is deterministic in (spec, rows, cols, phase, seed): it is
+// drawn from math/rand's stream for seed ^ phase·0x9E3779B97F4A7,
+// computed by lfg.Stream. Its rows are consecutive windows of one
+// backing slab.
 func (c ContentSpec) Image(rows, cols int, phase int, seed int64) []dram.Row {
-	rng := rand.New(rand.NewSource(seed ^ int64(phase)*0x9E3779B97F4A7))
+	var rng lfg.Stream
+	rng.Seed(seed ^ int64(phase)*0x9E3779B97F4A7)
 	words := cols / 64
 	slab := make([]uint64, rows*words)
 	img := make([]dram.Row, rows)
@@ -84,7 +88,7 @@ func (c ContentSpec) Image(rows, cols int, phase int, seed int64) []dram.Row {
 				if rng.Float64() < c.WordSparsity {
 					continue // sparse zero word
 				}
-				row[w] = biasedWord(rng, c.OnesDensity)
+				row[w] = biasedWord(&rng, c.OnesDensity)
 			}
 		}
 		img[r] = row
@@ -93,7 +97,7 @@ func (c ContentSpec) Image(rows, cols int, phase int, seed int64) []dram.Row {
 }
 
 // biasedWord draws a 64-bit word whose bits are 1 with probability p.
-func biasedWord(rng *rand.Rand, p float64) uint64 {
+func biasedWord(rng *lfg.Stream, p float64) uint64 {
 	switch {
 	case p <= 0:
 		return 0

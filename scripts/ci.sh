@@ -11,12 +11,13 @@
 #   6. the suite also passes under the race detector (-short trims the
 #      slowest golden sweeps; they already ran race-free in step 5's
 #      process because the experiment sweeps are parallel by default),
-#   7. the engine and both stream decoders meet freshly generated
-#      input: the settled-writes fuzz target runs for 10 s against the
-#      frozen engine and the accounting identities, and FuzzStream and
-#      FuzzCELog run for 10 s each against their reference decoders
-#      (FuzzStream through both Stream.Next and the batched
-#      Stream.Read),
+#   7. the engine, both stream decoders and the math/rand stream meet
+#      freshly generated input: the settled-writes fuzz target runs for
+#      10 s against the frozen engine and the accounting identities,
+#      FuzzStream and FuzzCELog run for 10 s each against their
+#      reference decoders (FuzzStream through both Stream.Next and the
+#      batched Stream.Read), and FuzzStreamMatchesMathRand holds
+#      lfg.Stream to math/rand for 10 s,
 #   8. the fleet simulation's per-module fan-out runs race-clean at the
 #      small scale the -short race pass skips,
 #   9. the hot-path benchmarks still run (single iteration smoke; see
@@ -82,6 +83,14 @@ go test -run '^$' -fuzz '^FuzzEngineSettledWrites$' -fuzztime 10s ./internal/cor
 echo "== decoder fuzz =="
 go test -run '^$' -fuzz '^FuzzStream$' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz '^FuzzCELog$' -fuzztime 10s ./internal/fleet
+
+# Stream fuzz: content images and random patterns are defined by
+# math/rand's seeded stream, which internal/lfg computes without a
+# rand.Source. FuzzStreamMatchesMathRand draws any interleaving of
+# Uint64, Int63 and Float64 at any seed from both and requires the same
+# values, across refills of the 607-word block.
+echo "== math/rand stream fuzz =="
+go test -run '^$' -fuzz '^FuzzStreamMatchesMathRand$' -fuzztime 10s ./internal/lfg
 
 # Fleet race smoke: the per-module fleet fan-out and the fleet CLI paths
 # under the race detector. The full sharding-invariance sweep skips
