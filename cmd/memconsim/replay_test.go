@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -108,5 +110,29 @@ func TestReplayTruncatedCompact(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "offset") {
 		t.Errorf("error %q does not carry the decode position", err)
+	}
+}
+
+// TestReplayRejectsPageBeyondBound checks that a compact trace of at
+// most 20 bytes naming page 2^32-1 fails -replay with the engine's page
+// bound error instead of sizing the engine to that page.
+func TestReplayRejectsPageBeyondBound(t *testing.T) {
+	tr := &trace.Trace{Name: "far", Duration: trace.Second, Events: []trace.Event{{Page: math.MaxUint32, At: 1}}}
+	var buf bytes.Buffer
+	if err := tr.WriteCompact(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() > 20 {
+		t.Fatalf("compact trace is %d bytes, want at most 20", buf.Len())
+	}
+	path := filepath.Join(t.TempDir(), "far.trace")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	err := run(context.Background(), []string{"-replay", path}, &out)
+	want := fmt.Sprintf("page %d at or beyond the bound of %d pages", uint32(math.MaxUint32), core.MaxPages)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("-replay err = %v, want it to contain %q", err, want)
 	}
 }

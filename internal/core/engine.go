@@ -63,9 +63,15 @@ type Config struct {
 	Mode costmodel.TestMode
 	// BufferCap bounds PRIL's write buffers (0 = unbounded).
 	BufferCap int
-	// NumPages is the page space; traces are auto-sized when larger.
+	// NumPages is the starting page space. Every entry point grows it
+	// to the largest page written, up to MaxPages.
 	NumPages int
 }
+
+// MaxPages bounds the engine's page space at 16 Mi pages, a 64 GiB
+// memory of 4 KiB pages and about 0.5 GiB of engine and PRIL state. A
+// write to a page at or beyond it fails the run before anything grows.
+const MaxPages = 1 << 24
 
 // DefaultConfig returns the paper's primary configuration: 1024 ms
 // quantum, HI-REF 16 ms, LO-REF 64 ms, Read-and-Compare.
@@ -88,8 +94,8 @@ func (c Config) Validate() error {
 	if c.HiRef <= 0 || c.LoRef <= c.HiRef {
 		return fmt.Errorf("core: need 0 < HiRef (%d) < LoRef (%d)", c.HiRef, c.LoRef)
 	}
-	if c.NumPages <= 0 {
-		return fmt.Errorf("core: page count must be positive, got %d", c.NumPages)
+	if c.NumPages <= 0 || c.NumPages > MaxPages {
+		return fmt.Errorf("core: page count must be in [1, %d], got %d", MaxPages, c.NumPages)
 	}
 	if c.BufferCap < 0 {
 		return fmt.Errorf("core: buffer capacity cannot be negative, got %d", c.BufferCap)
@@ -370,7 +376,6 @@ func New(cfg Config, opts ...EngineOption) (*Engine, error) {
 	if e.obs != nil {
 		pred.SetObserver(e.obs)
 	}
-	e.rep.Pages = cfg.NumPages
 	e.rep.MinWriteInterval = mwi
 	pred.OnPredict(e.onPredict)
 	return e, nil
@@ -388,17 +393,11 @@ func (e *Engine) pageStatus(page uint32) (loRef, testing bool) {
 	return st.loRef, st.testing
 }
 
-// grow extends the engine's page space to at least pages, preserving
-// all state; the streaming replay calls it as the source reveals its
-// page space. New entries start in the initial (zero) state.
+// grow extends the engine's page space to pages, more than it holds,
+// preserving all state. New entries start in the initial (zero) state.
 func (e *Engine) grow(pages int) {
-	if pages <= len(e.pages) {
-		return
-	}
 	e.pages = append(e.pages, make([]pageState, pages-len(e.pages))...)
 	e.pred.Grow(pages)
-	e.cfg.NumPages = pages
-	e.rep.Pages = pages
 }
 
 // onPredict is invoked by PRIL at quantum boundaries for pages predicted
@@ -505,9 +504,10 @@ func (e *Engine) drainTests(now trace.Microseconds) {
 	}
 }
 
-// Observe processes one write event in time order.
+// Observe processes one write event in time order, growing the page
+// space to its page.
 func (e *Engine) Observe(ev trace.Event) error {
-	return e.replay([]trace.Event{ev}, false)
+	return e.replay([]trace.Event{ev})
 }
 
 // replay processes events in time order: the one loop every write
@@ -516,9 +516,8 @@ func (e *Engine) Observe(ev trace.Event) error {
 // settled path in the loop itself: no quantum ends and no test
 // completes first, the page sits at HI-REF with no test in flight and
 // no verdict pending, and PRIL only counts it. Every other write takes
-// the full path, write, which grows the page space to a page past it
-// when grow is set and refuses the page otherwise.
-func (e *Engine) replay(evs []trace.Event, grow bool) error {
+// the full path, write.
+func (e *Engine) replay(evs []trace.Event) error {
 	for _, ev := range evs {
 		if ev.Page == e.settled && ev.At < e.horizon && ev.At >= e.now {
 			e.now = ev.At
@@ -531,19 +530,19 @@ func (e *Engine) replay(evs []trace.Event, grow bool) error {
 			}
 			continue
 		}
-		if err := e.write(ev, grow); err != nil {
+		if err := e.write(ev); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// write is the full path of a write: it checks the event, advances
-// PRIL and the test queue to it, and applies it.
-func (e *Engine) write(ev trace.Event, grow bool) error {
+// write is the full path of a write: it checks the event, grows the
+// page space to it, advances PRIL and the test queue, and applies it.
+func (e *Engine) write(ev trace.Event) error {
 	if int(ev.Page) >= len(e.pages) {
-		if !grow {
-			return fmt.Errorf("core: page %d outside configured space of %d", ev.Page, len(e.pages))
+		if ev.Page >= MaxPages {
+			return fmt.Errorf("core: page %d at or beyond the bound of %d pages", ev.Page, MaxPages)
 		}
 		e.grow(int(ev.Page) + 1)
 	}
@@ -644,7 +643,7 @@ func (e *Engine) RunContext(ctx context.Context, tr *trace.Trace) (Report, error
 			return Report{}, err
 		}
 		n := min(len(evs), ctxCheckStride)
-		if err := e.replay(evs[:n], false); err != nil {
+		if err := e.replay(evs[:n]); err != nil {
 			return Report{}, err
 		}
 		evs = evs[n:]
@@ -682,17 +681,16 @@ func (e *Engine) Finish(end trace.Microseconds) (Report, error) {
 	return e.rep, nil
 }
 
-// RunWith is the batch entry point: it sizes the engine to the trace,
-// replays it, and returns the report.
+// RunWith is the batch entry point: it replays the trace through a
+// fresh engine, which starts at cfg.NumPages (zero means start minimal)
+// and grows to the trace's page space, and returns the report.
 func RunWith(tr *trace.Trace, cfg Config, opts ...EngineOption) (Report, error) {
 	return RunContext(context.Background(), tr, cfg, opts...)
 }
 
 // RunContext is RunWith under a cancellation context.
 func RunContext(ctx context.Context, tr *trace.Trace, cfg Config, opts ...EngineOption) (Report, error) {
-	if max := tr.MaxPage(); max >= cfg.NumPages {
-		cfg.NumPages = max + 1
-	}
+	cfg.NumPages = max(cfg.NumPages, 1)
 	e, err := New(cfg, opts...)
 	if err != nil {
 		return Report{}, err
@@ -701,7 +699,7 @@ func RunContext(ctx context.Context, tr *trace.Trace, cfg Config, opts ...Engine
 }
 
 // RunSource replays a streaming event source through the engine,
-// growing the page space on demand as the source reveals it, so a
+// growing the page space, up to MaxPages, as the source reveals it, so a
 // multi-GB trace replays with O(pages) memory. It reads the source
 // sourceBatch events at a time and replays each batch through the
 // engine loop, checking ctx before every read; a nil ctx means
@@ -725,7 +723,7 @@ func (e *Engine) RunSource(ctx context.Context, src trace.Source) (Report, error
 		if n == 0 && err == nil {
 			return Report{}, fmt.Errorf("core: source %q read no events: %w", src.Name(), io.ErrNoProgress)
 		}
-		if rerr := e.replay(buf[:n], true); rerr != nil {
+		if rerr := e.replay(buf[:n]); rerr != nil {
 			return Report{}, rerr
 		}
 		if err == io.EOF {
@@ -752,12 +750,10 @@ func (e *Engine) finishRun(end trace.Microseconds, start time.Time) (Report, err
 }
 
 // RunSource is the streaming batch entry point: the engine starts at
-// cfg.NumPages (a floor; zero means start minimal) and grows as the
-// stream reveals its page space.
+// cfg.NumPages (zero means start minimal) and grows as the stream
+// reveals its page space.
 func RunSource(ctx context.Context, src trace.Source, cfg Config, opts ...EngineOption) (Report, error) {
-	if cfg.NumPages <= 0 {
-		cfg.NumPages = 1
-	}
+	cfg.NumPages = max(cfg.NumPages, 1)
 	e, err := New(cfg, opts...)
 	if err != nil {
 		return Report{}, err

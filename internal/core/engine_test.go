@@ -194,8 +194,8 @@ func TestObserveErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Observe(trace.Event{Page: 5, At: 0}); err == nil {
-		t.Error("out-of-range page accepted")
+	if err := e.Observe(trace.Event{Page: MaxPages, At: 0}); err == nil {
+		t.Error("page at the page bound accepted")
 	}
 	if err := e.Observe(trace.Event{Page: 0, At: q}); err != nil {
 		t.Fatal(err)

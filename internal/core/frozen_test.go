@@ -358,11 +358,19 @@ func TestDifferentialAgainstFrozenEngine(t *testing.T) {
 				}
 				checkAccounting(t, name, got, cfg)
 
-				// Streaming: replay compact bytes through the Source
-				// path with a deliberately undersized initial page
-				// space so the run exercises on-demand growth.
+				// Both batch entry points, started at one page so the
+				// run grows its page space as the events reveal it:
+				// the in-memory trace, and compact bytes through the
+				// Source path.
 				small := cfg
 				small.NumPages = 1
+				got, err = RunContext(context.Background(), tr, small, WithTester(tester))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got = got.WithReadOnlyRows(readOnlyRows, cfg); got != want {
+					t.Fatalf("%s: grown in-memory run diverges:\n got %+v\nwant %+v", name, got, want)
+				}
 				got, err = RunSource(nil, compactStream(t, tr), small, WithTester(tester))
 				if err != nil {
 					t.Fatal(err)

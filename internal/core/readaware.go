@@ -63,21 +63,26 @@ func ReadSkipAnalysis(reads *trace.Trace, interval dram.Nanoseconds) (ReadSkipRe
 	// in every window skips exactly windowsPerPage.
 	full := reads.Duration / intervalUs
 	trailing := windowsPerPage - float64(full)
-	perPage := reads.PageWrites() // per-page event times (read-only); reads here
-	for _, times := range perPage {
-		rep.PagesWithReads++
-		rep.Scheduled += windowsPerPage
-		// Count distinct windows containing at least one read.
-		seen := make(map[trace.Microseconds]struct{})
-		for _, at := range times {
-			seen[at/intervalUs] = struct{}{}
+	// Count the distinct (page, window) pairs with a read in one pass:
+	// next holds 1 + each page's last read window, 0 before its first.
+	next := make(map[uint32]trace.Microseconds)
+	var pairs, inTrailing int
+	for _, ev := range reads.Events {
+		w := ev.At / intervalUs
+		switch next[ev.Page] {
+		case w + 1:
+			continue
+		case 0:
+			rep.PagesWithReads++
+			rep.Scheduled += windowsPerPage
 		}
-		skipped := float64(len(seen))
-		if _, ok := seen[full]; ok {
-			skipped = float64(len(seen)-1) + trailing
+		next[ev.Page] = w + 1
+		pairs++
+		if w == full {
+			inTrailing++
 		}
-		rep.Skipped += skipped
 	}
+	rep.Skipped = float64(pairs-inTrailing) + float64(inTrailing)*trailing
 	return rep, nil
 }
 

@@ -116,6 +116,82 @@ func TestReadSkipNeverExceedsScheduled(t *testing.T) {
 	}
 }
 
+// refReadSkip is the per-page read-skip algorithm ReadSkipAnalysis
+// replaced, visiting pages in ascending order: each page is scheduled
+// windowsPerPage refreshes and skips one per distinct window it was
+// read in, the trailing partial window only its fraction.
+func refReadSkip(reads *trace.Trace, interval dram.Nanoseconds) ReadSkipReport {
+	intervalUs := trace.Microseconds(interval / dram.Microsecond)
+	windowsPerPage := float64(reads.Duration) / float64(intervalUs)
+	full := reads.Duration / intervalUs
+	trailing := windowsPerPage - float64(full)
+	perPage := make(map[uint32][]trace.Microseconds)
+	var pages []uint32
+	for _, e := range reads.Events {
+		if perPage[e.Page] == nil {
+			pages = append(pages, e.Page)
+		}
+		perPage[e.Page] = append(perPage[e.Page], e.At)
+	}
+	slices.Sort(pages)
+	var rep ReadSkipReport
+	for _, page := range pages {
+		rep.PagesWithReads++
+		rep.Scheduled += windowsPerPage
+		seen := make(map[trace.Microseconds]struct{})
+		for _, at := range perPage[page] {
+			seen[at/intervalUs] = struct{}{}
+		}
+		skipped := float64(len(seen))
+		if _, ok := seen[full]; ok {
+			skipped = float64(len(seen)-1) + trailing
+		}
+		rep.Skipped += skipped
+	}
+	return rep
+}
+
+// TestReadSkipMatchesPerPageReference holds ReadSkipAnalysis to
+// refReadSkip on random read traces. The trailing window's fraction is
+// dyadic (0, 1/4, 1/2 or 3/4) in half the cases, where every term is
+// exact and Skipped must match bit for bit, and arbitrary in the
+// others, where the two summation orders may round apart and Skipped
+// must match within 1e-12 relative. PagesWithReads and Scheduled match
+// exactly in every case.
+func TestReadSkipMatchesPerPageReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 400; i++ {
+		ivUs := 4 * trace.Microseconds(1+rng.Int63n(25_000))
+		dyadic := i%2 == 0
+		rest := ivUs / 4 * trace.Microseconds(rng.Intn(4))
+		if !dyadic {
+			rest = rng.Int63n(int64(ivUs))
+		}
+		dur := ivUs*trace.Microseconds(rng.Intn(60)) + rest
+		reads := &trace.Trace{Duration: dur}
+		for n := rng.Intn(2000); n > 0; n-- {
+			page := uint32(rng.Intn(64)) * 40_009
+			reads.Events = append(reads.Events, trace.Event{Page: page, At: rng.Int63n(int64(dur) + 1)})
+		}
+		slices.SortStableFunc(reads.Events, func(a, b trace.Event) int { return cmp.Compare(a.At, b.At) })
+		iv := dram.Nanoseconds(ivUs) * dram.Microsecond
+		got, err := ReadSkipAnalysis(reads, iv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refReadSkip(reads, iv)
+		if got.PagesWithReads != want.PagesWithReads || got.Scheduled != want.Scheduled {
+			t.Fatalf("case %d (interval %d us, duration %d us): pages %d, scheduled %v; want %d, %v",
+				i, ivUs, dur, got.PagesWithReads, got.Scheduled, want.PagesWithReads, want.Scheduled)
+		}
+		if dyadic && got.Skipped != want.Skipped ||
+			math.Abs(got.Skipped-want.Skipped) > 1e-12*math.Abs(want.Skipped) {
+			t.Fatalf("case %d (interval %d us, duration %d us, dyadic %v): skipped %v, want %v",
+				i, ivUs, dur, dyadic, got.Skipped, want.Skipped)
+		}
+	}
+}
+
 // pageEvents returns the trace's events on one page.
 func pageEvents(tr *trace.Trace, page uint32) []trace.Event {
 	var out []trace.Event

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"memcon/internal/trace"
@@ -287,5 +290,46 @@ func TestStreamingReplayMemoryIsOPages(t *testing.T) {
 	if growth > eventBytes/8 {
 		t.Fatalf("streaming replay grew the heap by %d bytes — not O(pages) (event storage is %d)",
 			growth, eventBytes)
+	}
+}
+
+// TestPageBound pins MaxPages on every entry point: a write naming a
+// page beyond it fails the run with the page and the bound in the
+// error, before the engine grows, and Validate rejects a starting page
+// space beyond it. No run touches a page near the bound.
+func TestPageBound(t *testing.T) {
+	const page = math.MaxUint32
+	want := fmt.Sprintf("page %d at or beyond the bound of %d pages", uint32(page), MaxPages)
+	check := func(path string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want it to contain %q", path, err, want)
+		}
+	}
+	tr := &trace.Trace{Name: "far", Duration: trace.Second, Events: []trace.Event{{Page: page, At: 1}}}
+
+	src := compactStream(t, tr)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := RunSource(context.Background(), src, DefaultConfig())
+	runtime.ReadMemStats(&after)
+	check("RunSource", err)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("RunSource allocated %d bytes before failing, want under 1 MiB", got)
+	}
+
+	_, err = RunContext(context.Background(), tr, DefaultConfig())
+	check("RunContext", err)
+
+	e, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Observe", e.Observe(tr.Events[0]))
+
+	cfg := DefaultConfig()
+	cfg.NumPages = MaxPages + 1
+	if err := cfg.Validate(); err == nil {
+		t.Errorf("Validate accepted NumPages = MaxPages + 1")
 	}
 }

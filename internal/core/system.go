@@ -18,13 +18,14 @@ import (
 // end-to-end fidelity mode of the examples, abl-remap and the
 // reliability tests; the pure Engine accounting mode suits sweeps.
 //
-// System maps trace pages onto module rows (page p -> bank p mod B,
-// row p div B) and audits the reliability guarantee: no data-dependent
-// failure may corrupt content silently, so a row at LO-REF must have
-// tested clean with its current content. A cell's failure also depends
-// on its PHYSICAL neighbours' content, so every write re-tests the
-// written row's physical neighbours at LO-REF or under test (only the
-// silicon knows them; System models a DRAM-internal adjacency hint).
+// System maps trace pages onto module rows (page p -> bank p div R,
+// row p mod R for R rows per bank, as dram.Geometry.AddressOfIndex
+// does) and audits the reliability guarantee: no data-dependent failure
+// may corrupt content silently, so a row at LO-REF must have tested
+// clean with its current content. A cell's failure also depends on its
+// PHYSICAL neighbours' content, so every write re-tests the written
+// row's physical neighbours at LO-REF or under test (only the silicon
+// knows them; System models a DRAM-internal adjacency hint).
 type System struct {
 	cfg   Config
 	mod   *dram.Module

@@ -46,11 +46,7 @@ type disturbChip struct {
 func newDisturbChip(req Request) (*disturbChip, error) {
 	geom := charGeometry(req.Scale)
 	geom.BanksPerChip = 1
-	scr, err := dram.NewMappedScrambler(geom, uint64(req.Seed), nil, req.Mapping)
-	if err != nil {
-		return nil, err
-	}
-	fm, err := faults.NewModel(geom, scr, uint64(req.Seed), faults.ParamsForRefresh(dram.RefreshWindowDefault))
+	fm, err := chipModel(geom, uint64(req.Seed), faults.ParamsForRefresh(dram.RefreshWindowDefault), req.Mapping)
 	if err != nil {
 		return nil, err
 	}

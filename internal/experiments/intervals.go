@@ -8,6 +8,7 @@ import (
 	"memcon/internal/pareto"
 	"memcon/internal/report"
 	"memcon/internal/stats"
+	"memcon/internal/trace"
 	"memcon/internal/workload"
 )
 
@@ -250,37 +251,20 @@ func runFig19(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 	if err != nil {
 		return nil, err
 	}
-	tr := app.Generate(req.Seed, req.Scale)
-	half := tr.HalveIntervals()
 	cils := []float64{512, 1024, 2048}
-	// sweep folds one interval set over the CILs and counts its
-	// >= 1024 ms share in the same pass.
-	sweep := func(ivs []float64) (*pareto.CILFold, float64) {
-		f := pareto.NewCILFold(cils, 1024)
-		var over, n float64
-		for _, iv := range ivs {
-			f.Add(iv)
-			n++
-			if iv >= 1024 {
-				over++
-			}
-		}
-		if n == 0 {
-			return f, 0
-		}
-		return f, over / n
-	}
-	full, fullShare := sweep(tr.Intervals(true))
-	halved, halfShare := sweep(half.Intervals(true))
+	full := fig19Sweep{fold: pareto.NewCILFold(cils, 1024)}
+	halved := fig19Sweep{fold: pareto.NewCILFold(cils, 1024)}
+	fig19Intervals(app, req.Seed, req.Scale, full.add, halved.add)
+	fullShare, halfShare := full.share(), halved.share()
 
 	rep := report.New()
-	rep.Textf("Fig. 19 — sensitivity to halved write intervals (%s)\n\n", tr.Name)
+	rep.Textf("Fig. 19 — sensitivity to halved write intervals (%s)\n\n", app.Name)
 	t := report.NewTable("series",
 		report.CFloat("cil_ms", "CIL (ms)", "ms"),
 		report.CFloat("full", "P(RIL>1024) full", "probability"),
 		report.CFloat("halved", "P(RIL>1024) halved", "probability"))
 	for i, c := range cils {
-		pf, ph := full.ConditionalExceed(i), halved.ConditionalExceed(i)
+		pf, ph := full.fold.ConditionalExceed(i), halved.fold.ConditionalExceed(i)
 		t.Add(report.F(c, fmt.Sprintf("%.0f", c)),
 			report.F(pf, fmt.Sprintf("%.2f", pf)),
 			report.F(ph, fmt.Sprintf("%.2f", ph)))
@@ -295,4 +279,53 @@ func runFig19(ctx context.Context, req Request, rt Runtime) (*report.Report, err
 	st.Add(report.Fv(fullShare), report.Fv(halfShare))
 	rep.AddDataTable(st)
 	return rep, nil
+}
+
+// fig19Sweep folds one of fig19's interval sets over its CILs and
+// counts the set's >= 1024 ms share as the intervals arrive.
+type fig19Sweep struct {
+	fold    *pareto.CILFold
+	over, n float64
+}
+
+func (s *fig19Sweep) add(iv float64) {
+	s.fold.Add(iv)
+	s.n++
+	if iv >= 1024 {
+		s.over++
+	}
+}
+
+func (s *fig19Sweep) share() float64 {
+	if s.n == 0 {
+		return 0
+	}
+	return s.over / s.n
+}
+
+// fig19Intervals streams the intervals of Generate(seed, scale),
+// trailing ones included and in the order of its Intervals(true), to
+// full, and those of the same trace with every interval halved to
+// halved. A page's halved writes start at half its first write time and
+// step by half of each gap, in integer microseconds, and the halved
+// trace ends at half the duration: every write lies before the
+// duration, so every halved write lies at or before that end.
+func fig19Intervals(app workload.AppSpec, seed int64, scale float64, full, halved func(ms float64)) {
+	fs := &trace.IntervalSink{Fn: full, Trailing: true, End: app.Duration()}
+	hs := &trace.IntervalSink{Fn: halved, Trailing: true, End: app.Duration() / 2}
+	started := false
+	var page uint32
+	var last, half trace.Microseconds
+	app.EachWrite(seed, scale, func(p uint32, at trace.Microseconds) {
+		fs.Add(p, at)
+		if started && p == page {
+			half += (at - last) / 2
+		} else {
+			started, page, half = true, p, at/2
+		}
+		last = at
+		hs.Add(p, half)
+	})
+	fs.Close()
+	hs.Close()
 }

@@ -79,13 +79,9 @@ func runAblRemap(ctx context.Context, req Request, rt Runtime) (*report.Report, 
 		return tr
 	}
 	run := func(withRemap bool) (core.Report, int, error) {
-		scr, err := dram.NewMappedScrambler(geom, uint64(req.Seed), nil, req.Mapping)
-		if err != nil {
-			return core.Report{}, 0, err
-		}
 		params := faults.ParamsForRefresh(dram.RefreshWindowDefault)
 		params.WeakCellFraction = 3e-2
-		model, err := faults.NewModel(geom, scr, uint64(req.Seed), params)
+		model, err := chipModel(geom, uint64(req.Seed), params, req.Mapping)
 		if err != nil {
 			return core.Report{}, 0, err
 		}

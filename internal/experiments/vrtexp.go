@@ -22,13 +22,9 @@ import (
 func runVRT(ctx context.Context, req Request, rt Runtime) (*report.Report, error) {
 	geom := charGeometry(req.Scale * 0.5)
 	geom.BanksPerChip = 1
-	scr, err := dram.NewMappedScrambler(geom, uint64(req.Seed), nil, req.Mapping)
-	if err != nil {
-		return nil, err
-	}
 	params := faults.ParamsForRefresh(dram.RefreshWindowDefault)
 	params.WeakCellFraction = 5e-3
-	base, err := faults.NewModel(geom, scr, uint64(req.Seed), params)
+	base, err := chipModel(geom, uint64(req.Seed), params, req.Mapping)
 	if err != nil {
 		return nil, err
 	}

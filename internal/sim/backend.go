@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
-	"math/rand"
 
 	"memcon/internal/ddr3"
 	"memcon/internal/dram"
@@ -34,63 +32,12 @@ func RunCommandLevel(cfg Config, memCfg ddr3.Config) (Result, error) {
 		return Result{}, err
 	}
 
-	h := make(coreHeap, 0, len(cfg.Mix))
-	cores := make([]*core, len(cfg.Mix))
-	for i, params := range cfg.Mix {
-		instrsPerMiss := 1000.0 / params.MPKI
-		c := &core{
-			idx:           i,
-			params:        params,
-			computeNs:     instrsPerMiss / (params.BaseIPC * CoreFreqGHz),
-			instrsPerMiss: instrsPerMiss,
-			lastRow:       make([]int, memCfg.Banks),
-			rng:           rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
-		}
-		c.now = dram.Nanoseconds(c.rng.Float64() * c.computeNs)
-		cores[i] = c
-		h = append(h, c)
-	}
-	heap.Init(&h)
-
 	reqID := 0
-	for h[0].now < cfg.SimTime {
-		c := h[0]
-		issue := c.now
-		bank := c.rng.Intn(memCfg.Banks)
-		var row int
-		if c.rng.Float64() < c.params.RowHitRate {
-			row = c.lastRow[bank]
-		} else {
-			c.rowSeq++
-			row = c.idx*1_000_000 + c.rowSeq
-		}
-		c.lastRow[bank] = row
-		write := c.rng.Float64() < c.params.WriteFraction
-
+	return simulate(cfg, memCfg.Banks, func(issue dram.Nanoseconds, bank, row int, write bool) (dram.Nanoseconds, error) {
 		reqID++
 		done, err := ctrl.ServeOne(ddr3.Request{ID: reqID, Arrival: issue, Bank: bank, Row: row, Write: write})
-		if err != nil {
-			return Result{}, err
-		}
-		exposed := float64(done.Done-issue+FrontendLatency) / MLP
-		c.instructions += c.instrsPerMiss
-		c.now = issue + dram.Nanoseconds(exposed+c.computeNs)
-		if c.now <= issue {
-			c.now = issue + 1
-		}
-		heap.Fix(&h, 0)
-	}
-
-	res := Result{
-		IPC:          make([]float64, len(cores)),
-		Instructions: make([]float64, len(cores)),
-	}
-	cycles := float64(cfg.SimTime) * CoreFreqGHz
-	for i, c := range cores {
-		res.IPC[i] = c.instructions / cycles
-		res.Instructions[i] = c.instructions
-	}
-	return res, nil
+		return done.Done, err
+	})
 }
 
 // CommandLevelSpeedup runs baseline and scheme configurations of the

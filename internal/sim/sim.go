@@ -110,7 +110,19 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	res, err := simulate(cfg, cfg.Mem.Banks, ctrl.Access)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Mem = ctrl.Stats()
+	return res, nil
+}
 
+// simulate runs cfg's cores against a memory of banks banks until
+// cfg.SimTime: access serves one request issued at issue and returns
+// when it is done. It is the core model Run and RunCommandLevel share;
+// they differ only in the memory behind access.
+func simulate(cfg Config, banks int, access func(issue dram.Nanoseconds, bank, row int, write bool) (dram.Nanoseconds, error)) (Result, error) {
 	h := make(coreHeap, 0, len(cfg.Mix))
 	cores := make([]*core, len(cfg.Mix))
 	for i, params := range cfg.Mix {
@@ -120,7 +132,7 @@ func Run(cfg Config) (Result, error) {
 			params:        params,
 			computeNs:     instrsPerMiss / (params.BaseIPC * CoreFreqGHz),
 			instrsPerMiss: instrsPerMiss,
-			lastRow:       make([]int, cfg.Mem.Banks),
+			lastRow:       make([]int, banks),
 			rng:           rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
 		}
 		// Stagger core start times within one compute phase.
@@ -134,7 +146,7 @@ func Run(cfg Config) (Result, error) {
 		c := h[0]
 		issue := c.now
 
-		bank := c.rng.Intn(cfg.Mem.Banks)
+		bank := c.rng.Intn(banks)
 		var row int
 		if c.rng.Float64() < c.params.RowHitRate {
 			row = c.lastRow[bank]
@@ -145,7 +157,7 @@ func Run(cfg Config) (Result, error) {
 		c.lastRow[bank] = row
 		write := c.rng.Float64() < c.params.WriteFraction
 
-		done, err := ctrl.Access(issue, bank, row, write)
+		done, err := access(issue, bank, row, write)
 		if err != nil {
 			return Result{}, err
 		}
@@ -161,7 +173,6 @@ func Run(cfg Config) (Result, error) {
 	res := Result{
 		IPC:          make([]float64, len(cores)),
 		Instructions: make([]float64, len(cores)),
-		Mem:          ctrl.Stats(),
 	}
 	cycles := float64(cfg.SimTime) * CoreFreqGHz
 	for i, c := range cores {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -159,9 +160,17 @@ func TestSortSortedAllocationFree(t *testing.T) {
 // refIntervals is the map-based Intervals: per-page timestamp lists,
 // visited in ascending page order.
 func refIntervals(t *Trace, includeTrailing bool) []float64 {
-	perPage := t.PageWrites()
+	perPage := make(map[uint32][]Microseconds)
+	var pages []uint32
+	for _, e := range t.Events {
+		if perPage[e.Page] == nil {
+			pages = append(pages, e.Page)
+		}
+		perPage[e.Page] = append(perPage[e.Page], e.At)
+	}
+	slices.Sort(pages)
 	var out []float64
-	for _, page := range sortedPages(perPage) {
+	for _, page := range pages {
 		times := perPage[page]
 		for i := 1; i < len(times); i++ {
 			out = append(out, float64(times[i]-times[i-1])/float64(Millisecond))
@@ -197,6 +206,42 @@ func TestIntervalsMatchReference(t *testing.T) {
 		}
 		for _, trailing := range []bool{false, true} {
 			got, want := tr.Intervals(trailing), refIntervals(tr, trailing)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d trailing=%v: %d intervals, want %d", trial, trailing, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d trailing=%v: interval %d = %v, want %v", trial, trailing, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestIntervalSinkMatchesIntervals feeds IntervalSink the events of
+// random traces page after page in ascending order, each page's in time
+// order, and holds what it emits, bit for bit and in order, to
+// Intervals, with and without trailing intervals.
+func TestIntervalSinkMatchesIntervals(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 50; trial++ {
+		tr := &Trace{Name: "sink"}
+		var at Microseconds
+		for i := rng.Intn(300); i > 0; i-- {
+			at += Microseconds(rng.Intn(3)) * Microseconds(rng.Intn(2_000_000))
+			tr.Events = append(tr.Events, Event{Page: uint32(rng.Intn(40)) * 997, At: at})
+		}
+		tr.Duration = at + Microseconds(rng.Intn(2))*Microseconds(rng.Intn(5_000_000))
+		byPage := slices.Clone(tr.Events)
+		slices.SortStableFunc(byPage, func(a, b Event) int { return cmp.Compare(a.Page, b.Page) })
+		for _, trailing := range []bool{false, true} {
+			var got []float64
+			s := &IntervalSink{Fn: func(ms float64) { got = append(got, ms) }, Trailing: trailing, End: tr.Duration}
+			for _, e := range byPage {
+				s.Add(e.Page, e.At)
+			}
+			s.Close()
+			want := tr.Intervals(trailing)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d trailing=%v: %d intervals, want %d", trial, trailing, len(got), len(want))
 			}

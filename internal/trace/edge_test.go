@@ -7,17 +7,6 @@ import (
 	"testing"
 )
 
-func TestHalveIntervalsEmpty(t *testing.T) {
-	tr := &Trace{Name: "empty", Duration: 1000}
-	h := tr.HalveIntervals()
-	if h.Duration != 500 || len(h.Events) != 0 {
-		t.Errorf("halved empty trace = %+v", h)
-	}
-	if h.Name != "empty-halved" {
-		t.Errorf("name = %q", h.Name)
-	}
-}
-
 func TestIntervalsEmptyAndSingle(t *testing.T) {
 	empty := &Trace{Duration: 100}
 	if got := empty.Intervals(true); len(got) != 0 {
@@ -48,15 +37,5 @@ func TestReadRejectsHugeName(t *testing.T) {
 	b = binary.AppendUvarint(b, 1<<40)
 	if _, err := ReadCompact(bytes.NewReader(b)); !errors.Is(err, ErrBadFormat) {
 		t.Errorf("huge name length: err = %v, want ErrBadFormat", err)
-	}
-}
-
-func TestWritesPerPageOrderPreserved(t *testing.T) {
-	tr := &Trace{Duration: 100, Events: []Event{
-		{Page: 1, At: 10}, {Page: 1, At: 10}, {Page: 1, At: 20},
-	}}
-	times := tr.PageWrites()[1]
-	if len(times) != 3 || times[0] != 10 || times[1] != 10 || times[2] != 20 {
-		t.Errorf("times = %v", times)
 	}
 }

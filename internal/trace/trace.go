@@ -13,7 +13,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync/atomic"
 )
 
 // Microseconds is the trace time unit.
@@ -37,13 +36,6 @@ type Event struct {
 //
 // Producers add their events to a Builder, which returns them sorted;
 // Sort is for traces whose Events were assembled by hand.
-//
-// The analysis accessors (Pages, MaxPage, PageWrites) memoize their
-// derived indexes on first use; Sort invalidates them. Mutating Events
-// by hand after an accessor has run without calling Sort leaves the
-// memos stale. Memoization is race-safe: concurrent readers of a shared
-// trace (the experiment sweeps fan one trace out across workers) may
-// all trigger the first computation, and one result wins.
 type Trace struct {
 	// Name labels the workload that produced the trace.
 	Name string
@@ -52,30 +44,14 @@ type Trace struct {
 	Duration Microseconds
 	// Events are sorted by At (ties keep insertion order).
 	Events []Event
-
-	// pageStats caches Pages/MaxPage; perPage caches the PageWrites
-	// index. Both are write-once-per-generation pointers so concurrent
-	// first calls race benignly (each computes the same value).
-	pageStats atomic.Pointer[pageStats]
-	perPage   atomic.Pointer[map[uint32][]Microseconds]
-}
-
-// pageStats is the memoized result of one page-space scan.
-type pageStats struct {
-	pages   int
-	maxPage int
 }
 
 // Sort orders events by timestamp in place, preserving the relative
-// order of simultaneous events, and invalidates the memoized analysis
-// indexes. It uses the Builder's natural merge sort: O(n log r) for
-// events in r non-decreasing runs, one allocation-free scan for sorted
-// events, and a scratch buffer of at most half the events otherwise.
-func (t *Trace) Sort() {
-	sortEvents(t.Events)
-	t.pageStats.Store(nil)
-	t.perPage.Store(nil)
-}
+// order of simultaneous events. It uses the Builder's natural merge
+// sort: O(n log r) for events in r non-decreasing runs, one
+// allocation-free scan for sorted events, and a scratch buffer of at
+// most half the events otherwise.
+func (t *Trace) Sort() { sortEvents(t.Events) }
 
 // Validate checks internal consistency: sorted events, non-negative
 // timestamps, and a duration covering all events.
@@ -96,56 +72,29 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// stats returns the memoized page-space scan, computing it on first
-// use. Distinct pages are counted with a bit vector over [0, MaxPage]
-// rather than a map: one allocation per generation instead of one map
-// per call.
-func (t *Trace) stats() *pageStats {
-	if s := t.pageStats.Load(); s != nil {
-		return s
-	}
-	s := &pageStats{maxPage: -1}
+// Pages returns the number of distinct pages written in the trace,
+// counted with a bit vector over [0, MaxPage].
+func (t *Trace) Pages() int {
+	seen := make([]uint64, t.MaxPage()/64+1)
+	pages := 0
 	for _, e := range t.Events {
-		if int(e.Page) > s.maxPage {
-			s.maxPage = int(e.Page)
+		w, b := e.Page/64, e.Page%64
+		if seen[w]&(1<<b) == 0 {
+			seen[w] |= 1 << b
+			pages++
 		}
 	}
-	if s.maxPage >= 0 {
-		seen := make([]uint64, s.maxPage/64+1)
-		for _, e := range t.Events {
-			w, b := e.Page/64, e.Page%64
-			if seen[w]&(1<<b) == 0 {
-				seen[w] |= 1 << b
-				s.pages++
-			}
-		}
-	}
-	t.pageStats.Store(s)
-	return s
+	return pages
 }
 
-// Pages returns the number of distinct pages written in the trace. The
-// result is memoized; repeated calls are allocation-free.
-func (t *Trace) Pages() int { return t.stats().pages }
-
 // MaxPage returns the largest page id written, or -1 for an empty
-// trace. The result is memoized; repeated calls are allocation-free.
-func (t *Trace) MaxPage() int { return t.stats().maxPage }
-
-// PageWrites returns the memoized index of each page's time-ordered
-// write timestamps. The map and its slices are shared: callers must
-// treat them as read-only. The first call builds the index; repeated
-// calls (HalveIntervals and read-skip analysis consume it) are free.
-func (t *Trace) PageWrites() map[uint32][]Microseconds {
-	if m := t.perPage.Load(); m != nil {
-		return *m
-	}
-	m := make(map[uint32][]Microseconds)
+// trace.
+func (t *Trace) MaxPage() int {
+	top := -1
 	for _, e := range t.Events {
-		m[e.Page] = append(m[e.Page], e.At)
+		top = max(top, int(e.Page))
 	}
-	t.perPage.Store(&m)
-	return m
+	return top
 }
 
 // Intervals returns every write interval in the trace in milliseconds:
@@ -158,8 +107,7 @@ func (t *Trace) PageWrites() map[uint32][]Microseconds {
 // the interval experiments — is byte-stable across process runs.
 //
 // It allocates the exactly-sized result, one int32 page slot per event
-// and side arrays over the distinct pages; it neither builds nor needs
-// the PageWrites index.
+// and side arrays over the distinct pages.
 func (t *Trace) Intervals(includeTrailing bool) []float64 {
 	// One map lookup per event: slots number the pages in order of
 	// their first write, and writes and last hold each slot's write
@@ -228,38 +176,39 @@ func (t *Trace) Intervals(includeTrailing bool) []float64 {
 	return out
 }
 
-// sortedPages returns the map's keys in ascending order; iterating a
-// Go map directly would leak the runtime's randomized order into
-// results that must be reproducible.
-func sortedPages(m map[uint32][]Microseconds) []uint32 {
-	pages := make([]uint32, 0, len(m))
-	for p := range m {
-		pages = append(pages, p)
-	}
-	slices.Sort(pages)
-	return pages
+// IntervalSink computes write intervals, with Intervals' arithmetic,
+// from writes that arrive page after page, each page's in time order,
+// as a generator emits them. It calls Fn with each gap when the write
+// that closes it arrives and, when Trailing is set, with a page's open
+// interval to End when the next page starts or at Close. The intervals
+// come in the order Intervals returns them when the pages arrive in
+// ascending order.
+type IntervalSink struct {
+	Fn       func(ms float64)
+	Trailing bool
+	End      Microseconds
+	// open is true once a write has arrived; page and last are the
+	// current page and its latest write time.
+	open bool
+	page uint32
+	last Microseconds
 }
 
-// HalveIntervals returns a copy of the trace with every write interval
-// halved (the Fig. 19 cache-pressure sensitivity transform): for each
-// page, gaps between consecutive writes are scaled by 0.5 while the
-// first write time is kept; the duration is also halved so trailing
-// intervals shrink proportionally.
-func (t *Trace) HalveIntervals() *Trace {
-	perPage := t.PageWrites()
-	var b Builder
-	for _, page := range sortedPages(perPage) {
-		times := perPage[page]
-		at := times[0] / 2
-		b.Add(page, at)
-		for i := 1; i < len(times); i++ {
-			at += (times[i] - times[i-1]) / 2
-			b.Add(page, at)
-		}
+// Add takes the next write.
+func (s *IntervalSink) Add(page uint32, at Microseconds) {
+	if s.open && page == s.page {
+		s.Fn(float64(at-s.last) / float64(Millisecond))
+	} else {
+		s.Close()
+		s.open, s.page = true, page
 	}
-	out := b.Trace(t.Name+"-halved", t.Duration/2)
-	if n := len(out.Events); n > 0 && out.Events[n-1].At > out.Duration {
-		out.Duration = out.Events[n-1].At
+	s.last = at
+}
+
+// Close emits the last page's trailing interval, if any; it is called
+// once, after the last Add.
+func (s *IntervalSink) Close() {
+	if s.open && s.Trailing && s.End > s.last {
+		s.Fn(float64(s.End-s.last) / float64(Millisecond))
 	}
-	return out
 }

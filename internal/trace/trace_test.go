@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func sampleTrace() *Trace {
@@ -73,6 +71,26 @@ func TestPagesAndMaxPage(t *testing.T) {
 	}
 }
 
+// TestAccessorsAfterSort checks that MaxPage and Pages see events added
+// by hand and sorted.
+func TestAccessorsAfterSort(t *testing.T) {
+	tr := &Trace{Name: "accessors", Duration: 10 * Second}
+	for i := 0; i < 500; i++ {
+		tr.Events = append(tr.Events, Event{Page: uint32(i % 37), At: Microseconds(i) * 1000})
+	}
+	if got := tr.MaxPage(); got != 36 {
+		t.Fatalf("MaxPage = %d, want 36", got)
+	}
+	tr.Events = append(tr.Events, Event{Page: 100, At: 5 * Second})
+	tr.Sort()
+	if got := tr.MaxPage(); got != 100 {
+		t.Errorf("MaxPage after Sort = %d, want 100", got)
+	}
+	if got := tr.Pages(); got != 38 {
+		t.Errorf("Pages after Sort = %d, want 38", got)
+	}
+}
+
 func TestIntervals(t *testing.T) {
 	tr := sampleTrace()
 	// Page 1: writes at 0, 2s, 3s -> intervals 2000ms, 1000ms, trailing 7000ms.
@@ -92,71 +110,5 @@ func TestIntervals(t *testing.T) {
 		if iv <= 0 {
 			t.Errorf("non-positive interval %v", iv)
 		}
-	}
-}
-
-func TestWritesPerPage(t *testing.T) {
-	tr := sampleTrace()
-	m := tr.PageWrites()
-	if len(m[1]) != 3 || len(m[2]) != 1 || len(m[3]) != 1 {
-		t.Errorf("PageWrites = %v", m)
-	}
-	if m[1][0] != 0 || m[1][1] != 2*Second || m[1][2] != 3*Second {
-		t.Errorf("page 1 times = %v", m[1])
-	}
-}
-
-func TestHalveIntervals(t *testing.T) {
-	tr := sampleTrace()
-	h := tr.HalveIntervals()
-	if err := h.Validate(); err != nil {
-		t.Fatalf("halved trace invalid: %v", err)
-	}
-	if h.Duration != tr.Duration/2 {
-		t.Errorf("halved duration = %d, want %d", h.Duration, tr.Duration/2)
-	}
-	m := h.PageWrites()
-	// Page 1 gaps were 2s and 1s; halved to 1s and 0.5s.
-	if got := m[1][1] - m[1][0]; got != Second {
-		t.Errorf("halved first gap = %d, want 1s", got)
-	}
-	if got := m[1][2] - m[1][1]; got != Second/2 {
-		t.Errorf("halved second gap = %d, want 0.5s", got)
-	}
-	if len(h.Events) != len(tr.Events) {
-		t.Errorf("event count changed: %d -> %d", len(tr.Events), len(h.Events))
-	}
-}
-
-// Property: halving preserves per-page write counts and never produces
-// an invalid trace.
-func TestHalveIntervalsProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := &Trace{Name: "prop"}
-		var at Microseconds
-		for i := 0; i < int(n)+1; i++ {
-			at += Microseconds(rng.Intn(100000))
-			tr.Events = append(tr.Events, Event{Page: uint32(rng.Intn(8)), At: at})
-		}
-		tr.Duration = at + Microseconds(rng.Intn(100000))
-		h := tr.HalveIntervals()
-		if h.Validate() != nil {
-			return false
-		}
-		orig := tr.PageWrites()
-		halved := h.PageWrites()
-		if len(orig) != len(halved) {
-			return false
-		}
-		for p, times := range orig {
-			if len(halved[p]) != len(times) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }

@@ -138,7 +138,7 @@ func AppByName(name string) (AppSpec, error) {
 func (a AppSpec) Generate(seed int64, scale float64) *trace.Trace {
 	var b trace.Builder
 	a.generate(seed, scale, writeSink{b: &b})
-	return b.Trace(a.Name, a.duration())
+	return b.Trace(a.Name, a.Duration())
 }
 
 // EachInterval calls fn with every write interval of the trace Generate
@@ -151,56 +151,34 @@ func (a AppSpec) Generate(seed int64, scale float64) *trace.Trace {
 // interval when the next page starts. It keeps no trace, so its
 // allocation does not grow with scale.
 func (a AppSpec) EachInterval(seed int64, scale float64, includeTrailing bool, fn func(ms float64)) {
-	s := &intervalSink{fn: fn, trailing: includeTrailing, end: a.duration()}
+	s := &trace.IntervalSink{Fn: fn, Trailing: includeTrailing, End: a.Duration()}
 	a.generate(seed, scale, writeSink{iv: s})
-	s.closePage()
+	s.Close()
+}
+
+// EachWrite calls fn with every write of the trace Generate would
+// return for (seed, scale), in generator order: page after page in
+// ascending order, each page's writes in time order, every one before
+// Duration. It keeps no trace.
+func (a AppSpec) EachWrite(seed int64, scale float64, fn func(page uint32, at trace.Microseconds)) {
+	a.generate(seed, scale, writeSink{fn: fn})
 }
 
 // writeSink receives a generator's writes, page after page in
 // ascending page order and each page's writes in time order: b collects
-// them into a trace, iv turns them into intervals on the fly. Exactly
-// one is set. The generators branch on b at each write instead of
-// calling through an interface, which keeps Builder.Add inlined on
+// them into a trace, iv turns them into intervals on the fly, and fn
+// takes each one. Exactly one is set. The generators branch at each
+// write and call b and iv directly, which keeps Builder.Add inlined on
 // Generate's path: an interface call per write cost Generate ~9 % more
 // CPU.
 type writeSink struct {
 	b  *trace.Builder
-	iv *intervalSink
+	iv *trace.IntervalSink
+	fn func(page uint32, at trace.Microseconds)
 }
 
-// intervalSink computes write intervals from writes arriving the way
-// generate emits them, with the same arithmetic as Trace.Intervals.
-type intervalSink struct {
-	fn       func(ms float64)
-	trailing bool
-	end      trace.Microseconds
-	// open is true once a write has arrived; page and last are the
-	// current page and its latest write time.
-	open bool
-	page uint32
-	last trace.Microseconds
-}
-
-// add takes the next write.
-func (s *intervalSink) add(page uint32, at trace.Microseconds) {
-	if s.open && page == s.page {
-		s.fn(float64(at-s.last) / float64(trace.Millisecond))
-	} else {
-		s.closePage()
-		s.open, s.page = true, page
-	}
-	s.last = at
-}
-
-// closePage emits the current page's trailing interval, if any.
-func (s *intervalSink) closePage() {
-	if s.open && s.trailing && s.end > s.last {
-		s.fn(float64(s.end-s.last) / float64(trace.Millisecond))
-	}
-}
-
-// duration is the traced execution time.
-func (a AppSpec) duration() trace.Microseconds {
+// Duration is the traced execution time.
+func (a AppSpec) Duration() trace.Microseconds {
 	return trace.Microseconds(a.DurationSec * float64(trace.Second))
 }
 
@@ -212,7 +190,7 @@ func (a AppSpec) generate(seed int64, scale float64, sink writeSink) {
 		scale = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	duration := a.duration()
+	duration := a.Duration()
 	pages := int(float64(a.Pages) * scale)
 	if pages < 8 {
 		pages = 8
@@ -239,10 +217,13 @@ func (a AppSpec) genHotPage(rng *rand.Rand, sink writeSink, page uint32, duratio
 	for at < duration {
 		n := 1 + int(rng.ExpFloat64()*float64(a.HotClusterLen))
 		for i := 0; i < n && at < duration; i++ {
-			if sink.b != nil {
+			switch {
+			case sink.b != nil:
 				sink.b.Add(page, at)
-			} else {
-				sink.iv.add(page, at)
+			case sink.iv != nil:
+				sink.iv.Add(page, at)
+			default:
+				sink.fn(page, at)
 			}
 			at += trace.Microseconds(rng.ExpFloat64()*a.IntraGapUs) + 1
 		}
@@ -260,7 +241,7 @@ func (a AppSpec) GenerateReads(seed int64, scale float64) *trace.Trace {
 		scale = 1
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x5eeded))
-	duration := a.duration()
+	duration := a.Duration()
 	var b trace.Builder
 	pages := int(float64(a.Pages) * scale)
 	if pages < 8 {
@@ -301,10 +282,13 @@ func (a AppSpec) genColdPage(rng *rand.Rand, sink writeSink, page uint32, durati
 			n += 1 + rng.Intn(2)
 		}
 		for i := 0; i < n && at < duration; i++ {
-			if sink.b != nil {
+			switch {
+			case sink.b != nil:
 				sink.b.Add(page, at)
-			} else {
-				sink.iv.add(page, at)
+			case sink.iv != nil:
+				sink.iv.Add(page, at)
+			default:
+				sink.fn(page, at)
 			}
 			at += trace.Microseconds(rng.ExpFloat64()*a.IntraGapUs) + 1
 		}

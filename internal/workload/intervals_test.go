@@ -4,7 +4,10 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
+
+	"memcon/internal/trace"
 )
 
 // eachIntervalMatches generates app's trace for (seed, scale) and fails
@@ -60,5 +63,32 @@ func TestEachIntervalMatchesGenerateFullScale(t *testing.T) {
 	for _, app := range Apps() {
 		eachIntervalMatches(t, app, 42, 1)
 		runtime.GC()
+	}
+}
+
+// TestEachWriteMatchesGenerate pins EachWrite's order: page after page
+// in ascending order, each page's writes in time order and before
+// Duration. Collected into a Builder, its writes are Generate's trace.
+func TestEachWriteMatchesGenerate(t *testing.T) {
+	for _, app := range Apps() {
+		for _, seed := range []int64{42, -3} {
+			var b trace.Builder
+			var last trace.Event
+			n := 0
+			app.EachWrite(seed, 0.02, func(page uint32, at trace.Microseconds) {
+				if n > 0 && (page < last.Page || page == last.Page && at <= last.At) || at >= app.Duration() {
+					t.Fatalf("%s seed %d: write %d (page %d at %d) after (page %d at %d), duration %d",
+						app.Name, seed, n, page, at, last.Page, last.At, app.Duration())
+				}
+				b.Add(page, at)
+				last = trace.Event{Page: page, At: at}
+				n++
+			})
+			got, want := b.Trace(app.Name, app.Duration()), app.Generate(seed, 0.02)
+			if got.Duration != want.Duration || !slices.Equal(got.Events, want.Events) {
+				t.Fatalf("%s seed %d: EachWrite's %d writes differ from Generate's %d",
+					app.Name, seed, len(got.Events), len(want.Events))
+			}
+		}
 	}
 }

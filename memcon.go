@@ -171,6 +171,10 @@ func WithObserver(o Observer) Option { return core.WithObserver(o) }
 // AlwaysPass is the accounting-mode tester: every online test passes.
 var AlwaysPass = core.AlwaysPass
 
+// MaxPages bounds an engine's page space; a write to a page at or
+// beyond it fails the run.
+const MaxPages = core.MaxPages
+
 // DefaultConfig returns the paper's primary configuration (1024 ms
 // quantum, HI-REF 16 ms, LO-REF 64 ms, Read-and-Compare).
 func DefaultConfig() Config { return core.DefaultConfig() }
