@@ -26,15 +26,17 @@ bench:
 # seed corpus: the CLI arguments, the request JSON memcond decodes, then
 # every decoder at the program boundary — the compact trace stream (the
 # only trace reader), the CE log, and the serving cache's disk entries —
-# then the engine's settled-write path against the frozen full-path
-# engine, over generated bursty write sequences, and last the CIL fold
-# of Figs. 11 and 12 against the per-CIL loops it replaced.
+# then the LRU index both cache tiers share against a slice-based
+# reference, the engine's settled-write path against the frozen
+# full-path engine, over generated bursty write sequences, and last the
+# CIL fold of Figs. 11 and 12 against the per-CIL loops it replaced.
 fuzz:
 	$(GO) test -fuzz=FuzzMemconsimArgs -fuzztime=10s ./cmd/memconsim
 	$(GO) test -fuzz=FuzzRequest -fuzztime=10s ./internal/experiments
 	$(GO) test -fuzz=FuzzStream -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzCELog -fuzztime=10s ./internal/fleet
 	$(GO) test -fuzz=FuzzDiskStore -fuzztime=10s ./internal/servecache
+	$(GO) test -fuzz=FuzzLRU -fuzztime=10s ./internal/servecache
 	$(GO) test -fuzz=FuzzEngineSettledWrites -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzCILFold -fuzztime=10s ./internal/pareto
 

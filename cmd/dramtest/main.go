@@ -182,26 +182,9 @@ func run(args []string, out io.Writer) error {
 		return runErr
 	}
 	if reg != nil {
-		return writeMetrics(*metrics, out, reg, format)
+		return reg.WriteFile(*metrics, out, format)
 	}
 	return nil
-}
-
-// writeMetrics renders the registry to path ("-" selects the CLI
-// output stream).
-func writeMetrics(path string, out io.Writer, reg *obs.Registry, format obs.Format) error {
-	if path == "-" {
-		return reg.Write(out, format)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("creating metrics file: %w", err)
-	}
-	if err := reg.Write(f, format); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func buildChip(geom dram.Geometry, seed uint64, mapping string) (*softmc.Tester, *faults.Model, *dram.Module, error) {

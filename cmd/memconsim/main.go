@@ -74,6 +74,7 @@ import (
 	"runtime"
 	"strings"
 	"syscall"
+	"time"
 
 	"memcon/internal/core"
 	"memcon/internal/dram"
@@ -180,16 +181,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}}
 	rt := experiments.Runtime{Workers: *nworkers}
 
-	// -metrics attaches the aggregating observer plus the volatile
-	// per-experiment phase timer. Only the timer varies across runs;
-	// the json/prom documents exclude it.
+	// -metrics attaches the aggregating observer, and each run adds its
+	// wall time to a volatile gauge (runTimed). Only the wall times vary
+	// across runs; the json/prom documents exclude them.
 	var reg *obs.Registry
-	var phases *obs.PhaseTimer
 	if *metrics != "" {
 		reg = obs.NewRegistry()
-		phases = obs.NewPhaseTimer()
 		rt.Observer = obs.NewMetrics(reg)
-		rt.Phases = phases
 	}
 
 	runErr := func() error {
@@ -204,11 +202,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			}
 			return nil
 		case *diffPath != "":
-			return runDiff(ctx, out, *diffPath, req, rt, explicit, report.Tolerance{Abs: *tolAbs, Rel: *tolRel})
+			return runDiff(ctx, out, *diffPath, req, rt, reg, explicit, report.Tolerance{Abs: *tolAbs, Rel: *tolRel})
 		case *all:
-			return runAll(ctx, out, req, rt, *outFmt, *outDir)
+			return runAll(ctx, out, req, rt, reg, *outFmt, *outDir)
 		case *exp != "":
-			return runOne(ctx, out, req, rt, *outFmt, *outDir, *fleetOut)
+			return runOne(ctx, out, req, rt, reg, *outFmt, *outDir, *fleetOut)
 		case *replay != "":
 			return runReplay(ctx, out, *replay)
 		default:
@@ -220,8 +218,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return runErr
 	}
 	if reg != nil {
-		phases.ExportTo(reg)
-		return writeMetrics(*metrics, out, reg, format)
+		return reg.WriteFile(*metrics, out, format)
 	}
 	return nil
 }
@@ -258,29 +255,12 @@ func runReplay(ctx context.Context, out io.Writer, path string) error {
 	return nil
 }
 
-// writeMetrics renders the registry to path ("-" selects the CLI
-// output stream).
-func writeMetrics(path string, out io.Writer, reg *obs.Registry, format obs.Format) error {
-	if path == "-" {
-		return reg.Write(out, format)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("creating metrics file: %w", err)
-	}
-	if err := reg.Write(f, format); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // runAll executes every experiment. The experiments themselves run
 // concurrently (each rendered to its own buffer) and the reports are
 // printed in registry order, so the output matches a serial -all run
 // byte for byte. Workers inside each experiment are left at 1: the
 // -parallel budget is spent across experiments here, not within them.
-func runAll(ctx context.Context, out io.Writer, req experiments.Request, rt experiments.Runtime, format, outDir string) error {
+func runAll(ctx context.Context, out io.Writer, req experiments.Request, rt experiments.Runtime, reg *obs.Registry, format, outDir string) error {
 	ids := experiments.IDs()
 	inner := rt
 	inner.Workers = 1
@@ -288,7 +268,7 @@ func runAll(ctx context.Context, out io.Writer, req experiments.Request, rt expe
 		var b strings.Builder
 		r := req
 		r.Experiment = ids[i]
-		if err := runOne(ctx, &b, r, inner, format, outDir, ""); err != nil {
+		if err := runOne(ctx, &b, r, inner, reg, format, outDir, ""); err != nil {
 			return "", err
 		}
 		return b.String(), nil
@@ -302,9 +282,9 @@ func runAll(ctx context.Context, out io.Writer, req experiments.Request, rt expe
 	return nil
 }
 
-func runOne(ctx context.Context, out io.Writer, req experiments.Request, rt experiments.Runtime, format, outDir, fleetOut string) error {
+func runOne(ctx context.Context, out io.Writer, req experiments.Request, rt experiments.Runtime, reg *obs.Registry, format, outDir, fleetOut string) error {
 	id := req.Experiment
-	res, err := experiments.RunRequest(ctx, req, rt)
+	res, err := runTimed(ctx, req, rt, reg)
 	if err != nil {
 		return fmt.Errorf("running %s: %w", id, err)
 	}
@@ -334,6 +314,19 @@ func runOne(ctx context.Context, out io.Writer, req experiments.Request, rt expe
 		fmt.Fprintf(out, "==== %s ====\n%s\n", id, rep.Text())
 	}
 	return nil
+}
+
+// runTimed runs req and, when reg is set, adds the run's wall time to
+// the volatile gauge phase_<id>_wall_ns, which only the table format
+// shows. Registry ids hold only [a-z0-9-], so '-' maps to '_'.
+func runTimed(ctx context.Context, req experiments.Request, rt experiments.Runtime, reg *obs.Registry) (*experiments.Result, error) {
+	begin := time.Now()
+	res, err := experiments.RunRequest(ctx, req, rt)
+	if reg != nil && err == nil {
+		reg.Gauge("phase_"+strings.ReplaceAll(req.Experiment, "-", "_")+"_wall_ns",
+			"wall-clock time of phase "+req.Experiment+" (schedule-dependent)", true).Add(float64(time.Since(begin).Nanoseconds()))
+	}
+	return res, err
 }
 
 // writeCELog captures a fleet run's CE event log in the compact
@@ -378,7 +371,7 @@ func writeReport(dir, id string, rep *report.Report) error {
 // bare `-diff FILE` always re-runs apples-to-apples. -disturb takes the
 // same spec form the provenance records (none, para:<p>, prac:<n>), so
 // each override flag maps onto exactly one request field.
-func runDiff(ctx context.Context, out io.Writer, path string, flags experiments.Request, rt experiments.Runtime, explicit map[string]bool, tol report.Tolerance) error {
+func runDiff(ctx context.Context, out io.Writer, path string, flags experiments.Request, rt experiments.Runtime, reg *obs.Registry, explicit map[string]bool, tol report.Tolerance) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -409,7 +402,7 @@ func runDiff(ctx context.Context, out io.Writer, path string, flags experiments.
 	if err := req.Normalize(); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	res, err := experiments.RunRequest(ctx, req, rt)
+	res, err := runTimed(ctx, req, rt, reg)
 	if err != nil {
 		return fmt.Errorf("re-running %s: %w", req.Experiment, err)
 	}

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"memcon/internal/experiments"
 )
 
 // The -metrics contract extends the -parallel invariant to the metrics
@@ -169,6 +172,40 @@ func TestMetricsPromExposition(t *testing.T) {
 		if fields := strings.Fields(line); len(fields) != 2 {
 			t.Errorf("malformed exposition line %q", line)
 		}
+	}
+}
+
+// TestMetricsTablePhaseGauges pins the per-experiment wall times of an
+// -all run: the table format lists exactly one phase_<id>_wall_ns line
+// per registry id, each a volatile gauge with a valid metric name.
+func TestMetricsTablePhaseGauges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full -all sweep in -short mode")
+	}
+	out := runString(t, append([]string{"-all", "-metrics", "-", "-metrics-format", "table"}, goldenArgs...)...)
+	valid := regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+	seen := map[string]int{}
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "phase_") {
+			continue
+		}
+		name, rest, _ := strings.Cut(line, " ")
+		if !valid.MatchString(name) {
+			t.Errorf("phase gauge name %q is not a valid metric name", name)
+		}
+		if typ := strings.Fields(rest); len(typ) != 3 || typ[0]+" "+typ[1] != "gauge (volatile)" {
+			t.Errorf("phase line %q is not a volatile gauge", line)
+		}
+		seen[name]++
+	}
+	ids := experiments.IDs()
+	for _, id := range ids {
+		if name := "phase_" + strings.ReplaceAll(id, "-", "_") + "_wall_ns"; seen[name] != 1 {
+			t.Errorf("%s listed %d times, want once", name, seen[name])
+		}
+	}
+	if len(seen) != len(ids) {
+		t.Errorf("%d phase gauges for %d registry ids: %v", len(seen), len(ids), seen)
 	}
 }
 

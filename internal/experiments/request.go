@@ -189,8 +189,6 @@ type Runtime struct {
 	// Observer receives the structured lifecycle events of every engine
 	// the run drives; it must be safe for concurrent use.
 	Observer obs.Observer
-	// Phases, when set, records per-experiment wall time.
-	Phases *obs.PhaseTimer
 }
 
 // RunRequest executes the experiment described by req under ctx and
@@ -208,9 +206,6 @@ func RunRequest(ctx context.Context, req Request, rt Runtime) (*Result, error) {
 		ctx = context.Background()
 	}
 	e := registry[req.Experiment]
-	if rt.Phases != nil {
-		defer rt.Phases.Start(req.Experiment)()
-	}
 	res := &Result{}
 	var err error
 	if e.fleet != nil {

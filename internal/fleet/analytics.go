@@ -174,12 +174,51 @@ func EarlyWindow(epochs int) int {
 	return w
 }
 
-// cell identifies one distinct failing cell.
+// cell identifies one distinct failing cell of a module.
 type cell struct {
-	rank uint8
-	bank uint8
-	row  uint32
-	col  uint32
+	rank, bank uint8
+	row, col   uint32
+}
+
+// line is one row or one column of one bank; index is the row or the
+// column number.
+type line struct {
+	rank, bank uint8
+	index      uint32
+}
+
+// cluster folds CEs into the shape both the bank clusters and the
+// early-CE features read: how many CEs, how many re-reported a cell,
+// each cell's report count, and each row's and column's distinct-cell
+// count with their maxima (the row and column spans).
+type cluster struct {
+	events, repeats int
+	cells           map[cell]int
+	rows, cols      map[line]int
+	maxRow, maxCol  int
+}
+
+func newCluster() *cluster {
+	return &cluster{cells: map[cell]int{}, rows: map[line]int{}, cols: map[line]int{}}
+}
+
+// add folds one CE and returns how often its cell has now reported.
+// Only a new distinct cell counts toward its row's and column's spans.
+func (c *cluster) add(ev Event) int {
+	c.events++
+	k := cell{rank: ev.Rank, bank: ev.Bank, row: ev.Row, col: ev.Col}
+	c.cells[k]++
+	n := c.cells[k]
+	if n > 1 {
+		c.repeats++
+		return n
+	}
+	r, col := line{ev.Rank, ev.Bank, ev.Row}, line{ev.Rank, ev.Bank, ev.Col}
+	c.rows[r]++
+	c.cols[col]++
+	c.maxRow = max(c.maxRow, c.rows[r])
+	c.maxCol = max(c.maxCol, c.cols[col])
+	return n
 }
 
 // Analyze computes the full analytics over a log. It requires the
@@ -192,115 +231,52 @@ func Analyze(log *Log) *Analytics {
 	}
 	earlyNs := int64(a.EarlyEpochs) * log.EpochNs
 
-	// One pass builds the per-bank clusters and the per-module early
-	// features. The log is canonically ordered, so per-module and
-	// per-bank state reset at boundaries without fleet-wide maps.
-	type bankState struct {
-		key    BankKey
-		events int
-		cells  map[[2]uint32]int // (row,col) -> CE count
-		byRow  map[uint32]map[uint32]bool
-		byCol  map[uint32]map[uint32]bool
-	}
-	var banks []*bankState
-	byKey := map[BankKey]*bankState{}
-
+	// One pass folds every CE into its bank's cluster and, inside the
+	// early window, into its module's early cluster.
+	banks := map[BankKey]*cluster{}
+	early := make([]*cluster, log.Modules)
 	risk := make([]ModuleRisk, log.Modules)
 	for m := range risk {
 		risk[m] = ModuleRisk{Module: m, FirstCEAtNs: -1, UEAtNs: -1}
 	}
-	type modEarly struct {
-		seen    map[cell]bool
-		byRow   map[[3]uint32]map[uint32]bool // (rank,bank,row) -> cols
-		byCol   map[[3]uint32]map[uint32]bool // (rank,bank,col) -> rows
-		repeats int
-	}
-	early := map[int]*modEarly{}
-
 	for _, ev := range log.Events {
 		key := BankKey{Module: ev.Module, Rank: ev.Rank, Bank: ev.Bank}
-		bs := byKey[key]
-		if bs == nil {
-			bs = &bankState{
-				key:   key,
-				cells: map[[2]uint32]int{},
-				byRow: map[uint32]map[uint32]bool{},
-				byCol: map[uint32]map[uint32]bool{},
+		c := banks[key]
+		if c == nil {
+			c = newCluster()
+			banks[key] = c
+		}
+		a.MaxRepeat = max(a.MaxRepeat, c.add(ev))
+		if int(ev.Module) >= len(risk) {
+			continue
+		}
+		if r := &risk[ev.Module]; r.FirstCEAtNs < 0 {
+			r.FirstCEAtNs = ev.At
+		}
+		if ev.At <= earlyNs {
+			if early[ev.Module] == nil {
+				early[ev.Module] = newCluster()
 			}
-			byKey[key] = bs
-			banks = append(banks, bs)
-		}
-		bs.events++
-		rc := [2]uint32{ev.Row, ev.Col}
-		bs.cells[rc]++
-		if bs.cells[rc] > a.MaxRepeat {
-			a.MaxRepeat = bs.cells[rc]
-		}
-		if bs.byRow[ev.Row] == nil {
-			bs.byRow[ev.Row] = map[uint32]bool{}
-		}
-		bs.byRow[ev.Row][ev.Col] = true
-		if bs.byCol[ev.Col] == nil {
-			bs.byCol[ev.Col] = map[uint32]bool{}
-		}
-		bs.byCol[ev.Col][ev.Row] = true
-
-		if int(ev.Module) < len(risk) {
-			r := &risk[ev.Module]
-			if r.FirstCEAtNs < 0 {
-				r.FirstCEAtNs = ev.At
-			}
-			if ev.At <= earlyNs {
-				me := early[int(ev.Module)]
-				if me == nil {
-					me = &modEarly{
-						seen:  map[cell]bool{},
-						byRow: map[[3]uint32]map[uint32]bool{},
-						byCol: map[[3]uint32]map[uint32]bool{},
-					}
-					early[int(ev.Module)] = me
-				}
-				r.EarlyCEs++
-				c := cell{rank: ev.Rank, bank: ev.Bank, row: ev.Row, col: ev.Col}
-				if me.seen[c] {
-					me.repeats++
-				} else {
-					me.seen[c] = true
-				}
-				rk := [3]uint32{uint32(ev.Rank), uint32(ev.Bank), ev.Row}
-				if me.byRow[rk] == nil {
-					me.byRow[rk] = map[uint32]bool{}
-				}
-				me.byRow[rk][ev.Col] = true
-				ck := [3]uint32{uint32(ev.Rank), uint32(ev.Bank), ev.Col}
-				if me.byCol[ck] == nil {
-					me.byCol[ck] = map[uint32]bool{}
-				}
-				me.byCol[ck][ev.Row] = true
-			}
+			early[ev.Module].add(ev)
 		}
 	}
 
 	// Flatten the bank clusters in key order.
-	sort.Slice(banks, func(i, j int) bool { return banks[i].key.less(banks[j].key) })
+	keys := make([]BankKey, 0, len(banks))
+	for key := range banks {
+		keys = append(keys, key)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
 	classIdx := map[string]int{}
 	for i, n := range ClassNames() {
 		classIdx[n] = i
 	}
-	for _, bs := range banks {
+	for _, key := range keys {
+		c := banks[key]
 		bc := BankCluster{
-			Key: bs.key, Events: bs.events, Unique: len(bs.cells),
-			Rows: len(bs.byRow), Cols: len(bs.byCol),
-		}
-		for _, cols := range bs.byRow {
-			if len(cols) > bc.MaxRowSpan {
-				bc.MaxRowSpan = len(cols)
-			}
-		}
-		for _, rows := range bs.byCol {
-			if len(rows) > bc.MaxColSpan {
-				bc.MaxColSpan = len(rows)
-			}
+			Key: key, Events: c.events, Unique: len(c.cells),
+			Rows: len(c.rows), Cols: len(c.cols),
+			MaxRowSpan: c.maxRow, MaxColSpan: c.maxCol,
 		}
 		bc.Class = classify(bc.Unique, bc.MaxRowSpan, bc.MaxColSpan)
 		a.ClassCounts[classIdx[bc.Class]]++
@@ -316,19 +292,9 @@ func Analyze(log *Log) *Analytics {
 		if m < len(log.Info) {
 			r.UEAtNs = log.Info[m].UEAtNs
 		}
-		if me := early[m]; me != nil {
-			r.EarlyUnique = len(me.seen)
-			r.EarlyRepeats = me.repeats
-			for _, cols := range me.byRow {
-				if len(cols) > r.EarlyMaxRowSpan {
-					r.EarlyMaxRowSpan = len(cols)
-				}
-			}
-			for _, rows := range me.byCol {
-				if len(rows) > r.EarlyMaxColSpan {
-					r.EarlyMaxColSpan = len(rows)
-				}
-			}
+		if c := early[m]; c != nil {
+			r.EarlyCEs, r.EarlyUnique, r.EarlyRepeats = c.events, len(c.cells), c.repeats
+			r.EarlyMaxRowSpan, r.EarlyMaxColSpan = c.maxRow, c.maxCol
 		}
 		r.Score = RiskScore(*r, earlyNs)
 		r.Predicted = r.Score >= 0.5

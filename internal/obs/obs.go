@@ -13,9 +13,8 @@
 //     internal/parallel enforces for experiment output). All registry
 //     updates are commutative — atomic integer adds, integer-domain
 //     histogram observations, monotonic maxima — and anything
-//     inherently schedule-dependent (wall-clock phase timings,
-//     per-worker utilization) is marked volatile and excluded from the
-//     machine-readable sinks.
+//     inherently schedule-dependent (wall-clock run and phase times) is
+//     marked volatile and excluded from the machine-readable sinks.
 //
 // Event timestamps are simulated time (trace microseconds), never wall
 // clock, so a recorded event stream is a reproducible artifact.

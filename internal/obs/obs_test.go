@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestKindNamesComplete(t *testing.T) {
@@ -193,59 +192,5 @@ func TestTeeAndRecorder(t *testing.T) {
 	a.Reset()
 	if len(a.Events()) != 0 {
 		t.Errorf("Reset left %d events", len(a.Events()))
-	}
-}
-
-func TestPhaseTimer(t *testing.T) {
-	pt := NewPhaseTimer()
-	pt.Record("sweep", 250*time.Millisecond)
-	pt.Record("sweep", 50*time.Millisecond)
-	pt.Record("render", time.Second)
-	stop := pt.Start("replay")
-	stop()
-
-	phases := pt.Phases()
-	if len(phases) != 3 || phases[0].Name != "sweep" || phases[1].Name != "render" || phases[2].Name != "replay" {
-		t.Fatalf("phases = %+v", phases)
-	}
-	if phases[0].WallNs != (300 * time.Millisecond).Nanoseconds() {
-		t.Errorf("sweep wall = %d", phases[0].WallNs)
-	}
-	if phases[2].WallNs < 0 {
-		t.Errorf("replay wall = %d, want a non-negative duration", phases[2].WallNs)
-	}
-	reg := NewRegistry()
-	pt.ExportTo(reg)
-	g := reg.Gauge("phase_sweep_wall_ns", "", true)
-	if g.Value() != 3e8 {
-		t.Errorf("exported phase gauge = %v", g.Value())
-	}
-	var sb strings.Builder
-	if err := reg.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sb.String(), "phase_sweep_wall_ns") {
-		t.Errorf("volatile phase gauge leaked into JSON output:\n%s", sb.String())
-	}
-	var table strings.Builder
-	if err := reg.WriteTable(&table); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(table.String(), "phase_render_wall_ns") {
-		t.Errorf("phase table missing phase:\n%s", table.String())
-	}
-}
-
-func TestSanitizeMetricName(t *testing.T) {
-	cases := map[string]string{
-		"fig14":     "fig14",
-		"exp fig-3": "exp_fig_3",
-		"":          "_",
-		"9lives":    "_lives",
-	}
-	for in, want := range cases {
-		if got := sanitizeMetricName(in); got != want {
-			t.Errorf("sanitize(%q) = %q, want %q", in, got, want)
-		}
 	}
 }

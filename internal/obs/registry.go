@@ -13,9 +13,9 @@ import (
 // (atomic adds, monotonic maxima, integer-domain histogram counts), so
 // aggregates collected from a parallel sweep are identical for any
 // worker count. Metrics registered as volatile carry values that ARE
-// schedule- or wall-clock-dependent (phase timings, worker
-// utilization); the machine-readable sinks skip them so their output
-// stays byte-identical across worker counts.
+// schedule- or wall-clock-dependent (run and phase wall times); the
+// machine-readable sinks skip them so their output stays byte-identical
+// across worker counts.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter

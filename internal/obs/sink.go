@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -43,6 +44,23 @@ func (r *Registry) Write(w io.Writer, f Format) error {
 		return r.WriteTable(w)
 	}
 	return fmt.Errorf("obs: unknown metrics format %q", string(f))
+}
+
+// WriteFile renders the registry in the given format to the file at
+// path, or to stdout when path is "-" (a CLI's -metrics flag).
+func (r *Registry) WriteFile(path string, stdout io.Writer, f Format) error {
+	if path == "-" {
+		return r.Write(stdout, f)
+	}
+	file, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("creating metrics file: %w", err)
+	}
+	if err := r.Write(file, f); err != nil {
+		file.Close()
+		return err
+	}
+	return file.Close()
 }
 
 // jsonHistogram is the JSON shape of one histogram.

@@ -43,21 +43,6 @@ type Fit struct {
 // values to fit a distribution.
 var ErrInsufficientData = errors.New("pareto: insufficient data for fit")
 
-// FitCCDF fits a Pareto distribution to the samples by linear regression
-// of log10(CCDF) against log10(x). Samples must be positive; non-positive
-// values are ignored. The fit uses one CCDF point per distinct value.
-func FitCCDF(samples []float64) (Fit, error) {
-	xs := make([]float64, 0, len(samples))
-	for _, s := range samples {
-		if s > 0 && !math.IsInf(s, 0) && !math.IsNaN(s) {
-			xs = append(xs, s)
-		}
-	}
-	sort.Float64s(xs)
-	var r regression
-	return r.fit(xs)
-}
-
 // regression holds the log-log points of a CCDF fit, reused across the
 // fits of one FitCCDFTail call.
 type regression struct {
@@ -65,7 +50,8 @@ type regression struct {
 }
 
 // fit fits a Pareto distribution to xs, which must be sorted, positive
-// and finite.
+// and finite, by linear regression of log10(CCDF) against log10(x),
+// with one CCDF point per distinct value.
 func (r *regression) fit(xs []float64) (Fit, error) {
 	if len(xs) < 8 {
 		return Fit{}, ErrInsufficientData
@@ -113,8 +99,10 @@ func (r *regression) fit(xs []float64) (Fit, error) {
 // sub-sample at or above it, and returns the fit with the best R² among
 // thresholds that keep at least minTail samples — a lightweight version
 // of the usual xmin-selection for power-law fitting. Candidates default
-// to powers of two from 1 to 4096 when nil. The sample is sorted once:
-// each candidate's tail is a suffix of it, fitted as FitCCDF fits it.
+// to powers of two from 1 to 4096 when nil. With candidates {0} it fits
+// every positive finite sample, given at least minTail non-negative
+// ones. The sample is sorted once: each candidate's tail is a suffix of
+// it, and its positive finite values are fitted.
 func FitCCDFTail(samples []float64, candidates []float64, minTail int) (Fit, error) {
 	if candidates == nil {
 		for x := 1.0; x <= 4096; x *= 2 {
@@ -131,7 +119,7 @@ func FitCCDFTail(samples []float64, candidates []float64, minTail int) (Fit, err
 		}
 	}
 	sort.Float64s(xs)
-	// xs[pos:inf] are the values FitCCDF keeps: positive and finite.
+	// xs[pos:inf] are the values a fit keeps: positive and finite.
 	pos := sort.Search(len(xs), func(i int) bool { return xs[i] > 0 })
 	inf := sort.Search(len(xs), func(i int) bool { return math.IsInf(xs[i], 1) })
 	best := Fit{R2: -1}

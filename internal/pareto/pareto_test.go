@@ -89,7 +89,7 @@ func TestFitCCDFRecoversParameters(t *testing.T) {
 	for i := range samples {
 		samples[i] = truth.Sample(rng)
 	}
-	fit, err := FitCCDF(samples)
+	fit, err := FitCCDFTail(samples, []float64{0}, 0) // the whole range
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +102,11 @@ func TestFitCCDFRecoversParameters(t *testing.T) {
 }
 
 func TestFitCCDFErrors(t *testing.T) {
-	if _, err := FitCCDF(nil); err != ErrInsufficientData {
+	whole := []float64{0}
+	if _, err := FitCCDFTail(nil, whole, 0); err != ErrInsufficientData {
 		t.Errorf("empty fit error = %v, want ErrInsufficientData", err)
 	}
-	if _, err := FitCCDF([]float64{1, 2, 3}); err != ErrInsufficientData {
+	if _, err := FitCCDFTail([]float64{1, 2, 3}, whole, 0); err != ErrInsufficientData {
 		t.Errorf("tiny fit error = %v, want ErrInsufficientData", err)
 	}
 	// Increasing-tail (anti-heavy) data should be rejected via alpha <= 0.
@@ -113,7 +114,7 @@ func TestFitCCDFErrors(t *testing.T) {
 	for i := range uniformish {
 		uniformish[i] = 1 // all identical: only one distinct CCDF point
 	}
-	if _, err := FitCCDF(uniformish); err == nil {
+	if _, err := FitCCDFTail(uniformish, whole, 0); err == nil {
 		t.Error("degenerate data should not fit")
 	}
 }

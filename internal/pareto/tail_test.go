@@ -42,7 +42,7 @@ func TestFitCCDFTailMixture(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		samples = append(samples, truth.Sample(rng)) // tail
 	}
-	full, errFull := FitCCDF(samples)
+	full, errFull := FitCCDFTail(samples, []float64{0}, 0)
 	tail, errTail := FitCCDFTail(samples, nil, 64)
 	if errTail != nil {
 		t.Fatal(errTail)
@@ -64,7 +64,7 @@ func TestFitCCDFTailErrors(t *testing.T) {
 	if _, err := FitCCDFTail([]float64{1, 2, 3, 4, 5, 6, 7, 8}, []float64{1e12}, 4); err == nil {
 		t.Error("empty-tail candidates accepted")
 	}
-	// Degenerate data above the threshold: FitCCDF errors propagate.
+	// Degenerate data above the threshold: the fit's errors propagate.
 	same := make([]float64, 100)
 	for i := range same {
 		same[i] = 42
@@ -92,8 +92,9 @@ func TestFitCCDFTailMinTailFloor(t *testing.T) {
 	}
 }
 
-// fitCCDFRef is FitCCDF as it was before FitCCDFTail sorted its sample
-// once: filter, sort and fit a copy of each sample it is handed.
+// fitCCDFRef is the whole-range fit as it was before FitCCDFTail sorted
+// its sample once: filter, sort and fit a copy of each sample it is
+// handed.
 func fitCCDFRef(samples []float64) (Fit, error) {
 	xs := make([]float64, 0, len(samples))
 	for _, s := range samples {
@@ -185,10 +186,10 @@ func sameFit(a, b Fit) bool {
 		bits(a.R2) == bits(b.R2) && a.Points == b.Points
 }
 
-// TestFitCCDFTailMatchesReference holds FitCCDFTail and FitCCDF to the
-// per-candidate loop on random samples holding NaN, ±Inf, ±0, negative
-// values and runs of duplicates, over the default candidates and over
-// random grids that include values ≤ 0, ±Inf and NaN, out of order.
+// TestFitCCDFTailMatchesReference holds FitCCDFTail to the per-candidate
+// loop on random samples holding NaN, ±Inf, ±0, negative values and
+// runs of duplicates, over the default candidates and over random grids
+// that include values ≤ 0, ±Inf and NaN, out of order.
 func TestFitCCDFTailMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), -3, 1, 4096}
@@ -229,11 +230,6 @@ func TestFitCCDFTailMatchesReference(t *testing.T) {
 		if !sameFit(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("case %d (%d samples, candidates %v, minTail %d): FitCCDFTail = %+v, %v; reference %+v, %v",
 				i, len(samples), candidates, minTail, got, gotErr, want, wantErr)
-		}
-		want, wantErr = fitCCDFRef(samples)
-		got, gotErr = FitCCDF(samples)
-		if !sameFit(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-			t.Fatalf("case %d (%d samples): FitCCDF = %+v, %v; reference %+v, %v", i, len(samples), got, gotErr, want, wantErr)
 		}
 	}
 	// 3,121 of the cases fit a tail; the rest exercise the errors.

@@ -8,13 +8,15 @@
 // is what makes a content-addressed cache sound here: a hit IS the
 // answer, not an approximation of it.
 //
-// The cache is two tiers. The memory tier is one LRU list and one
+// The cache is two tiers. The memory tier is one LRU index and one
 // singleflight table under one mutex; its entry and byte budgets bound
 // the whole tier. The optional disk tier (Store) persists every
 // computed result (write-through on miss) and survives daemon
 // restarts: a memory miss
 // consults the disk before running anything, and a disk hit is lazily
-// promoted back into memory. Both tiers evict by byte budget.
+// promoted back into memory. Both tiers keep the same LRU index (lru)
+// and evict by byte budget; every call that indexes a result leaves
+// its tier within budget.
 //
 // Concurrent identical requests collapse into one computation
 // (singleflight): the first caller starts the run, later callers with
@@ -28,7 +30,6 @@ package servecache
 import (
 	"bytes"
 	"compress/gzip"
-	"container/list"
 	"context"
 	"encoding/hex"
 	"sync"
@@ -144,27 +145,18 @@ type Options struct {
 // computation. The zero value is not usable; construct with
 // NewWithOptions.
 type Cache struct {
-	mu         sync.Mutex
-	maxEntries int
-	maxBytes   int64
-	bytes      int64
-	entries    map[Key]*list.Element // values are *Entry wrapped in lru
-	lru        *list.List            // front = most recently used
-	inflight   map[Key]*flight
-	stats      Stats
-	store      *Store
+	mu       sync.Mutex
+	mem      lru[*Entry]
+	inflight map[Key]*flight
+	stats    Stats
+	store    *Store
 }
 
 // NewWithOptions builds a cache from the full option set.
 func NewWithOptions(opts Options) *Cache {
-	return &Cache{
-		maxEntries: opts.MaxEntries,
-		maxBytes:   opts.MaxBytes,
-		entries:    make(map[Key]*list.Element),
-		lru:        list.New(),
-		inflight:   make(map[Key]*flight),
-		store:      opts.Store,
-	}
+	c := &Cache{inflight: make(map[Key]*flight), store: opts.Store}
+	c.mem.maxEntries, c.mem.maxBytes = opts.MaxEntries, opts.MaxBytes
+	return c
 }
 
 // Lookup returns the full cached entry for k without counting a hit —
@@ -174,13 +166,11 @@ func NewWithOptions(opts Options) *Cache {
 // changes once built, so the resident one is returned as is.
 func (c *Cache) Lookup(k Key) (*Entry, bool) {
 	c.mu.Lock()
-	if el, ok := c.entries[k]; ok {
-		c.lru.MoveToFront(el)
-		e := el.Value.(*Entry)
-		c.mu.Unlock()
+	e, ok := c.mem.get(k)
+	c.mu.Unlock()
+	if ok {
 		return e, true
 	}
-	c.mu.Unlock()
 	return c.fromDisk(k)
 }
 
@@ -190,26 +180,48 @@ func (c *Cache) Lookup(k Key) (*Entry, bool) {
 // path uses it.
 func (c *Cache) Probe(k Key) (*Entry, Outcome, bool) {
 	c.mu.Lock()
-	if el, ok := c.entries[k]; ok {
-		c.lru.MoveToFront(el)
-		e := el.Value.(*Entry)
-		c.stats.Hits++
-		c.mu.Unlock()
+	e, _ := c.hitLocked(k, false)
+	c.mu.Unlock()
+	if e != nil {
 		return e, Hit, true
 	}
-	c.mu.Unlock()
-	if e, ok := c.fromDisk(k); ok {
+	e, ok := c.diskHit(k)
+	return e, Disk, ok
+}
+
+// hitLocked answers k from the memory tier, counting a hit. With join
+// set, a key that is not resident but in flight joins that flight
+// instead, counted as shared. It returns nil for both when neither
+// holds. Callers hold c.mu.
+func (c *Cache) hitLocked(k Key, join bool) (*Entry, *flight) {
+	if e, ok := c.mem.get(k); ok {
+		c.stats.Hits++
+		return e, nil
+	}
+	if f, ok := c.inflight[k]; join && ok {
+		f.refs++
+		c.stats.Shared++
+		return nil, f
+	}
+	return nil, nil
+}
+
+// diskHit answers k from the disk tier, promoting it, and counts a
+// disk hit.
+func (c *Cache) diskHit(k Key) (*Entry, bool) {
+	e, ok := c.fromDisk(k)
+	if ok {
 		c.mu.Lock()
 		c.stats.DiskHits++
 		c.mu.Unlock()
-		return e, Disk, true
 	}
-	return nil, Disk, false
+	return e, ok
 }
 
 // fromDisk reads k from the disk tier and promotes it into memory.
 // When a concurrent caller promoted (or a flight stored) the key
-// first, that resident entry wins — both callers see the same bytes.
+// first, that resident entry wins — both callers see the same bytes —
+// and is marked most recently used.
 func (c *Cache) fromDisk(k Key) (*Entry, bool) {
 	if c.store == nil {
 		return nil, false
@@ -221,10 +233,10 @@ func (c *Cache) fromDisk(k Key) (*Entry, bool) {
 	e := newEntry(k, request, data)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, resident := c.entries[k]; resident {
-		return el.Value.(*Entry), true
+	if resident, ok := c.mem.get(k); ok {
+		return resident, true
 	}
-	c.storeLocked(e)
+	c.installLocked(e)
 	return e, true
 }
 
@@ -234,48 +246,17 @@ func (c *Cache) fromDisk(k Key) (*Entry, bool) {
 func (c *Cache) Put(k Key, request, data []byte) {
 	e := newEntry(k, request, data)
 	c.mu.Lock()
-	if el, ok := c.entries[k]; ok {
-		old := el.Value.(*Entry)
-		c.bytes -= old.size()
-		el.Value = e
-		c.bytes += e.size()
-		c.lru.MoveToFront(el)
-		c.enforceBudgetLocked()
-	} else {
-		c.storeLocked(e)
-	}
+	c.installLocked(e)
 	c.mu.Unlock()
 	if c.store != nil {
 		c.store.Put(k, request, data)
 	}
 }
 
-// storeLocked inserts a new entry and enforces the memory budgets.
-// Callers hold c.mu and have checked the key is absent.
-func (c *Cache) storeLocked(e *Entry) {
-	c.entries[e.Key] = c.lru.PushFront(e)
-	c.bytes += e.size()
-	c.enforceBudgetLocked()
-}
-
-// enforceBudgetLocked evicts least-recently-used entries until the
-// memory tier fits its entry and byte budgets, always keeping at least one
-// entry. Callers hold c.mu.
-func (c *Cache) enforceBudgetLocked() {
-	over := func() bool {
-		if c.maxEntries > 0 && c.lru.Len() > c.maxEntries {
-			return true
-		}
-		return c.maxBytes > 0 && c.bytes > c.maxBytes
-	}
-	for over() && c.lru.Len() > 1 {
-		oldest := c.lru.Back()
-		e := oldest.Value.(*Entry)
-		c.lru.Remove(oldest)
-		delete(c.entries, e.Key)
-		c.bytes -= e.size()
-		c.stats.Evictions++
-	}
+// installLocked puts e into the memory tier, replacing any entry under
+// its key, and counts the entries the budgets evict. Callers hold c.mu.
+func (c *Cache) installLocked(e *Entry) {
+	c.stats.Evictions += int64(len(c.mem.put(e.Key, e, e.size())))
 }
 
 // StatsSnapshot returns the cumulative counters and the memory tier's
@@ -284,8 +265,8 @@ func (c *Cache) StatsSnapshot() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.Entries = c.lru.Len()
-	s.Bytes = c.bytes
+	s.Entries = c.mem.order.Len()
+	s.Bytes = c.mem.bytes
 	return s
 }
 
@@ -304,50 +285,31 @@ func (c *Cache) StatsSnapshot() Stats {
 // needs to supply it.
 func (c *Cache) Do(ctx context.Context, k Key, request []byte, compute func(context.Context) ([]byte, error)) (*Entry, Outcome, error) {
 	c.mu.Lock()
-	if el, ok := c.entries[k]; ok {
-		c.lru.MoveToFront(el)
-		e := el.Value.(*Entry)
-		c.stats.Hits++
+	e, f := c.hitLocked(k, true)
+	if e == nil && f == nil {
+		// Memory missed and nothing is in flight: the disk tier may
+		// already hold the answer (prior run, prior process). The read
+		// happens outside the lock; concurrent callers may both land
+		// here and both be served from disk — promotion is idempotent
+		// and nothing re-runs.
 		c.mu.Unlock()
-		return e, Hit, nil
-	}
-	if f, ok := c.inflight[k]; ok {
-		f.refs++
-		c.stats.Shared++
-		c.mu.Unlock()
-		return c.wait(ctx, k, f, Shared)
-	}
-	c.mu.Unlock()
-
-	// Memory missed and nothing is in flight: the disk tier may already
-	// hold the answer (prior run, prior process). The read happens
-	// outside the lock; concurrent callers may both land here and both
-	// be served from disk — promotion is idempotent and nothing re-runs.
-	if e, ok := c.fromDisk(k); ok {
+		if e, ok := c.diskHit(k); ok {
+			return e, Disk, nil
+		}
 		c.mu.Lock()
-		c.stats.DiskHits++
-		c.mu.Unlock()
-		return e, Disk, nil
+		// Re-check: the disk probe ran unlocked, so another caller may
+		// have promoted the entry or started a flight in the meantime.
+		e, f = c.hitLocked(k, true)
 	}
-
-	c.mu.Lock()
-	// Re-check: the disk probe ran unlocked, so another caller may have
-	// promoted the entry or started a flight in the meantime.
-	if el, ok := c.entries[k]; ok {
-		c.lru.MoveToFront(el)
-		e := el.Value.(*Entry)
-		c.stats.Hits++
+	if e != nil || f != nil {
 		c.mu.Unlock()
-		return e, Hit, nil
-	}
-	if f, ok := c.inflight[k]; ok {
-		f.refs++
-		c.stats.Shared++
-		c.mu.Unlock()
+		if e != nil {
+			return e, Hit, nil
+		}
 		return c.wait(ctx, k, f, Shared)
 	}
 	fctx, cancel := context.WithCancel(context.Background())
-	f := &flight{done: make(chan struct{}), cancel: cancel, refs: 1}
+	f = &flight{done: make(chan struct{}), cancel: cancel, refs: 1}
 	c.inflight[k] = f
 	c.stats.Misses++
 	c.mu.Unlock()
@@ -363,18 +325,10 @@ func (c *Cache) Do(ctx context.Context, k Key, request []byte, compute func(cont
 		if c.inflight[k] == f {
 			delete(c.inflight, k)
 			if err == nil {
-				if el, ok := c.entries[k]; ok {
-					// A revalidation or promotion raced us in; its
-					// entry is already being served — replace it so
-					// the flight's waiters and future hits agree.
-					old := el.Value.(*Entry)
-					c.bytes -= old.size()
-					el.Value = e
-					c.bytes += e.size()
-					c.lru.MoveToFront(el)
-				} else {
-					c.storeLocked(e)
-				}
+				// A revalidation or promotion that raced us in is
+				// replaced, so the flight's waiters and future hits
+				// agree.
+				c.installLocked(e)
 			}
 		}
 		c.mu.Unlock()

@@ -584,3 +584,41 @@ func TestDiskConcurrentPromotion(t *testing.T) {
 		}
 	}
 }
+
+// TestDoCompletionEnforcesByteBudget pins that a flight whose result
+// replaces an entry a Put stored meanwhile leaves the memory tier
+// within MaxBytes, and that the flight's entry is the one served.
+func TestDoCompletionEnforcesByteBudget(t *testing.T) {
+	payload := bytes.Repeat([]byte("x"), 4096)
+	perEntry := newEntry(key(0), nil, payload).size()
+	c := NewWithOptions(Options{MaxBytes: 3 * perEntry})
+	started, release := make(chan struct{}), make(chan struct{})
+	type result struct {
+		e   *Entry
+		err error
+	}
+	done := make(chan result)
+	go func() {
+		e, _, err := c.Do(context.Background(), key(1), nil, func(context.Context) ([]byte, error) {
+			close(started)
+			<-release
+			return bytes.Repeat([]byte("y"), 8192), nil
+		})
+		done <- result{e, err}
+	}()
+	<-started
+	for i := 1; i <= 3; i++ {
+		c.Put(key(byte(i)), nil, payload) // key 1 races in ahead of the flight
+	}
+	close(release)
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if s := c.StatsSnapshot(); s.Bytes > 3*perEntry {
+		t.Errorf("memory tier holds %d bytes after the flight replaced key 1, budget %d (stats %+v)", s.Bytes, 3*perEntry, s)
+	}
+	if e, ok := c.Lookup(key(1)); !ok || e != r.e {
+		t.Error("key 1 does not serve the flight's entry")
+	}
+}

@@ -1,13 +1,13 @@
 package servecache
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -24,23 +24,17 @@ import (
 // hands it back across daemon restarts.
 //
 // Bounded disk comes from a byte budget over the summed entry sizes,
-// evicted least-recently-accessed first. The access order is seeded by
-// file modification time during Scan (warm boot) and refined by Get.
-// All methods are safe for concurrent use.
+// evicted least-recently-accessed first by the same LRU index the
+// memory tier keeps. The access order is seeded by file modification
+// time during Scan (warm boot) and refined by Get and Put, each of
+// which leaves the store within budget. All methods are safe for
+// concurrent use.
 type Store struct {
 	dir string
-	max int64 // byte budget; <1 = unbounded
 
 	mu    sync.Mutex
-	elems map[Key]*list.Element // values are *diskEntry
-	lru   *list.List            // front = most recently accessed
-	bytes int64
+	index lru[struct{}] // byte budget only
 	stats StoreStats
-}
-
-type diskEntry struct {
-	key  Key
-	size int64
 }
 
 // StoreStats are the disk tier's cumulative counters.
@@ -137,12 +131,9 @@ func OpenStore(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("servecache: opening store: %w", err)
 	}
-	return &Store{
-		dir:   dir,
-		max:   maxBytes,
-		elems: make(map[Key]*list.Element),
-		lru:   list.New(),
-	}, nil
+	s := &Store{dir: dir}
+	s.index.maxBytes = maxBytes
+	return s, nil
 }
 
 func (s *Store) path(k Key) string { return filepath.Join(s.dir, k.String()) }
@@ -150,9 +141,11 @@ func (s *Store) path(k Key) string { return filepath.Join(s.dir, k.String()) }
 // Scan indexes the directory's existing entries — the warm-boot pass a
 // restarted daemon runs so its prior corpus is accounted (and served)
 // without re-running anything. Files are indexed oldest-modified first
-// so the pre-restart access order approximately survives; leftover
-// temp files from an interrupted write are removed. Returns the number
-// of entries indexed.
+// so the pre-restart access order approximately survives, and the
+// budget keeps the longest newest run that fits; keys a Get or Put
+// indexed before the scan keep their place. Leftover temp files from
+// an interrupted write are removed. Returns the number of entries
+// indexed.
 func (s *Store) Scan() (int, error) {
 	des, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -184,17 +177,16 @@ func (s *Store) Scan() (int, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, f := range fs {
-		if _, ok := s.elems[f.key]; ok {
-			continue // already touched by a pre-scan Get/Put
-		}
-		s.elems[f.key] = s.lru.PushFront(&diskEntry{key: f.key, size: f.size})
-		s.bytes += f.size
-		n++
+	// Drop the keys indexed before the scan first: the budget may evict
+	// one of them, and its file, before its turn in fs comes.
+	fresh := slices.DeleteFunc(fs, func(f found) bool {
+		_, indexed := s.index.items[f.key]
+		return indexed
+	})
+	for _, f := range fresh {
+		s.evictLocked(s.index.put(f.key, struct{}{}, f.size))
 	}
-	s.enforceBudget()
-	return n, nil
+	return len(fresh), nil
 }
 
 // Get returns the verified entry for k, or ok=false. A file that fails
@@ -204,7 +196,7 @@ func (s *Store) Get(k Key) (request, data []byte, ok bool) {
 	b, err := os.ReadFile(s.path(k))
 	if err != nil {
 		s.mu.Lock()
-		s.dropLocked(k)
+		s.index.remove(k)
 		s.stats.Misses++
 		s.mu.Unlock()
 		return nil, nil, false
@@ -213,14 +205,14 @@ func (s *Store) Get(k Key) (request, data []byte, ok bool) {
 	if err != nil {
 		os.Remove(s.path(k))
 		s.mu.Lock()
-		s.dropLocked(k)
+		s.index.remove(k)
 		s.stats.Misses++
 		s.stats.Corrupt++
 		s.mu.Unlock()
 		return nil, nil, false
 	}
 	s.mu.Lock()
-	s.touchLocked(k, int64(len(b)))
+	s.evictLocked(s.index.put(k, struct{}{}, int64(len(b))))
 	s.stats.Hits++
 	s.mu.Unlock()
 	return request, data, true
@@ -251,52 +243,17 @@ func (s *Store) Put(k Key, request, data []byte) error {
 		return fmt.Errorf("servecache: writing entry %s: %w", k, err)
 	}
 	s.stats.Writes++
-	s.touchLocked(k, int64(len(b)))
-	s.enforceBudget()
+	s.evictLocked(s.index.put(k, struct{}{}, int64(len(b))))
 	return nil
 }
 
-// touchLocked marks k most-recently-accessed at the given size,
-// inserting it if absent. Callers hold s.mu.
-func (s *Store) touchLocked(k Key, size int64) {
-	if el, ok := s.elems[k]; ok {
-		de := el.Value.(*diskEntry)
-		s.bytes += size - de.size
-		de.size = size
-		s.lru.MoveToFront(el)
-		return
+// evictLocked removes the files of the keys the byte budget evicted
+// and counts them. Callers hold s.mu.
+func (s *Store) evictLocked(keys []Key) {
+	for _, k := range keys {
+		os.Remove(s.path(k))
 	}
-	s.elems[k] = s.lru.PushFront(&diskEntry{key: k, size: size})
-	s.bytes += size
-}
-
-// dropLocked removes k from the index (not the filesystem). Callers
-// hold s.mu.
-func (s *Store) dropLocked(k Key) {
-	if el, ok := s.elems[k]; ok {
-		s.bytes -= el.Value.(*diskEntry).size
-		s.lru.Remove(el)
-		delete(s.elems, k)
-	}
-}
-
-// enforceBudget evicts least-recently-accessed entries until the
-// summed sizes fit the byte budget, always keeping at least one entry
-// (a budget too small for a single result must not make the tier
-// useless). Callers hold s.mu.
-func (s *Store) enforceBudget() {
-	if s.max < 1 {
-		return
-	}
-	for s.bytes > s.max && s.lru.Len() > 1 {
-		oldest := s.lru.Back()
-		de := oldest.Value.(*diskEntry)
-		os.Remove(s.path(de.key))
-		s.lru.Remove(oldest)
-		delete(s.elems, de.key)
-		s.bytes -= de.size
-		s.stats.Evictions++
-	}
+	s.stats.Evictions += int64(len(keys))
 }
 
 // StatsSnapshot returns the cumulative counters.
@@ -304,7 +261,7 @@ func (s *Store) StatsSnapshot() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Entries = s.lru.Len()
-	st.Bytes = s.bytes
+	st.Entries = s.index.order.Len()
+	st.Bytes = s.index.bytes
 	return st
 }

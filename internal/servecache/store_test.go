@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -329,4 +332,164 @@ func FuzzDiskStore(f *testing.F) {
 			t.Fatal("healed file differs from the original encoding")
 		}
 	})
+}
+
+// TestStoreGetEnforcesBudget pins that Get leaves the store within its
+// byte budget when it indexes a file that Scan has not seen: the least
+// recently read entry and its file go.
+func TestStoreGetEnforcesBudget(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("g"), 700)
+	perEntry := int64(storeHeaderSize + len(payload))
+	for i := 1; i <= 3; i++ {
+		if err := st1.Put(key(byte(i)), nil, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st2, err := OpenStore(dir, 2*perEntry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		if _, _, ok := st2.Get(key(byte(i))); !ok {
+			t.Fatalf("entry %d not served", i)
+		}
+		if s := st2.StatsSnapshot(); s.Bytes > 2*perEntry {
+			t.Fatalf("after Get %d: %d bytes indexed, budget %d", i, s.Bytes, 2*perEntry)
+		}
+	}
+	if s := st2.StatsSnapshot(); s.Entries != 2 || s.Evictions != 1 {
+		t.Errorf("stats = %+v, want 2 entries and 1 eviction", s)
+	}
+	if _, err := os.Stat(st2.path(key(1))); !os.IsNotExist(err) {
+		t.Error("evicted entry 1 still on disk")
+	}
+}
+
+// scanRef is Scan's index update as it was before the store shared the
+// memory tier's LRU index: every file not yet indexed is pushed to the
+// front, oldest first, and only then is the list trimmed from the back
+// until the budget holds, keeping at least one entry. index lists the
+// keys indexed before the scan, most recently used first; files lists
+// the directory's entries oldest first. It returns the surviving index
+// and the number of entries trimmed.
+func scanRef(index, files []lruItem[struct{}], budget int64) ([]lruItem[struct{}], int) {
+	list := slices.Clone(index)
+	for _, f := range files {
+		if !slices.ContainsFunc(index, func(it lruItem[struct{}]) bool { return it.key == f.key }) {
+			list = slices.Insert(list, 0, f)
+		}
+	}
+	var total int64
+	for _, it := range list {
+		total += it.size
+	}
+	n := len(list)
+	for budget > 0 && total > budget && len(list) > 1 {
+		total -= list[len(list)-1].size
+		list = list[:len(list)-1]
+	}
+	return list, n - len(list)
+}
+
+// TestStoreScanMatchesReference holds Scan to scanRef over directories
+// of random sizes and modification times, with keys read or written
+// before the scan and budgets from unbounded to smaller than one entry:
+// the same survivors in the same order, the same eviction count, and
+// no file left for an evicted key.
+func TestStoreScanMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	base := time.Now().Add(-time.Hour)
+	for c := 0; c < 60; c++ {
+		dir := t.TempDir()
+		st1, err := OpenStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nfiles := 1 + rng.Intn(12)
+		var total int64
+		for i, m := range rng.Perm(nfiles) {
+			payload := bytes.Repeat([]byte("s"), rng.Intn(400))
+			total += int64(storeHeaderSize + len(payload))
+			if err := st1.Put(key(byte(i)), nil, payload); err != nil {
+				t.Fatal(err)
+			}
+			mod := base.Add(time.Duration(m) * time.Minute)
+			if err := os.Chtimes(st1.path(key(byte(i))), mod, mod); err != nil {
+				t.Fatal(err)
+			}
+		}
+		budget := int64(rng.Intn(int(total)+200)) - 100
+		st, err := OpenStore(dir, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Touch some keys first: read an existing file, or write one
+		// (new or replacing) that Scan will find too.
+		for i := rng.Intn(5); i > 0; i-- {
+			k := key(byte(rng.Intn(nfiles + 3)))
+			if rng.Intn(2) == 0 {
+				st.Get(k)
+			} else if err := st.Put(k, nil, bytes.Repeat([]byte("t"), rng.Intn(400))); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		before := st.StatsSnapshot().Evictions
+		index := st.index.contents()
+		des, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type file struct {
+			it  lruItem[struct{}]
+			mod time.Time
+		}
+		var files []file
+		for _, de := range des {
+			info, err := de.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := hex.DecodeString(de.Name())
+			if err != nil || len(raw) != len(Key{}) {
+				t.Fatalf("unexpected file %s", de.Name())
+			}
+			files = append(files, file{lruItem[struct{}]{key: Key(raw), size: info.Size()}, info.ModTime()})
+		}
+		// Files written during the touches share a recent mtime; they
+		// are all indexed already, so their relative order is moot.
+		slices.SortStableFunc(files, func(a, b file) int { return a.mod.Compare(b.mod) })
+		var byAge []lruItem[struct{}]
+		fresh := 0
+		for _, f := range files {
+			byAge = append(byAge, f.it)
+			if !slices.ContainsFunc(index, func(it lruItem[struct{}]) bool { return it.key == f.it.key }) {
+				fresh++
+			}
+		}
+		want, wantEvicted := scanRef(index, byAge, budget)
+
+		n, err := st.Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := st.index.contents()
+		evicted := int(st.StatsSnapshot().Evictions - before)
+		if !slices.Equal(got, want) || evicted != wantEvicted || n != fresh {
+			t.Fatalf("case %d (budget %d): Scan indexed %d, kept %v, evicted %d; reference indexed %d, kept %v, evicted %d",
+				c, budget, n, got, evicted, fresh, want, wantEvicted)
+		}
+		for _, f := range files {
+			_, statErr := os.Stat(st.path(f.it.key))
+			kept := slices.ContainsFunc(want, func(it lruItem[struct{}]) bool { return it.key == f.it.key })
+			if kept == os.IsNotExist(statErr) {
+				t.Errorf("case %d: key %s kept %v but file present %v", c, f.it.key, kept, statErr == nil)
+			}
+		}
+	}
 }

@@ -11,13 +11,16 @@
 #   6. the suite also passes under the race detector (-short trims the
 #      slowest golden sweeps; they already ran race-free in step 5's
 #      process because the experiment sweeps are parallel by default),
-#   7. the engine, both stream decoders and the math/rand stream meet
-#      freshly generated input: the settled-writes fuzz target runs for
-#      10 s against the frozen engine and the accounting identities,
-#      FuzzStream and FuzzCELog run for 10 s each against their
-#      reference decoders (FuzzStream through both Stream.Next and the
-#      batched Stream.Read), and FuzzStreamMatchesMathRand holds
-#      lfg.Stream to math/rand for 10 s,
+#   7. the engine, both stream decoders, the math/rand stream and the
+#      serving cache meet freshly generated input: the settled-writes
+#      fuzz target runs for 10 s against the frozen engine and the
+#      accounting identities, FuzzStream and FuzzCELog run for 10 s each
+#      against their reference decoders (FuzzStream through both
+#      Stream.Next and the batched Stream.Read),
+#      FuzzStreamMatchesMathRand holds lfg.Stream to math/rand for 10 s,
+#      and FuzzDiskStore (tampered disk entries) and FuzzLRU (the LRU
+#      index both cache tiers share, against a slice-based reference)
+#      run for 10 s each,
 #   8. the fleet simulation's per-module fan-out runs race-clean at the
 #      small scale the -short race pass skips,
 #   9. the hot-path benchmarks still run (single iteration smoke; see
@@ -91,6 +94,14 @@ go test -run '^$' -fuzz '^FuzzCELog$' -fuzztime 10s ./internal/fleet
 # values, across refills of the 607-word block.
 echo "== math/rand stream fuzz =="
 go test -run '^$' -fuzz '^FuzzStreamMatchesMathRand$' -fuzztime 10s ./internal/lfg
+
+# Serving-cache fuzz: FuzzDiskStore tampers with an on-disk entry and
+# requires a miss (never corrupt bytes served) and a clean heal;
+# FuzzLRU holds the LRU index both cache tiers share to a slice-based
+# reference over fuzzed bounds and get/put/remove sequences.
+echo "== serving cache fuzz =="
+go test -run '^$' -fuzz '^FuzzDiskStore$' -fuzztime 10s ./internal/servecache
+go test -run '^$' -fuzz '^FuzzLRU$' -fuzztime 10s ./internal/servecache
 
 # Fleet race smoke: the per-module fleet fan-out and the fleet CLI paths
 # under the race detector. The full sharding-invariance sweep skips
